@@ -6,115 +6,16 @@
 //
 // Usage: pimsim [scenario-file]     (no argument: runs a built-in demo)
 //
-// Scenario format:
-//
-//     seed 42                          # one seed reproduces the whole run
-//     topology
-//       router A B C D
-//       lan lan0 A
-//       host receiver lan0
-//       link A B
-//       link B C
-//       link B D
-//       lan lan1 D
-//       host source lan1
-//     end
-//     # ... or a generated wide-area topology instead of the block:
-//     # topology transit-stub transit=2 transit-size=3 stubs=2 stub-size=3 senders=2
-//     #   (routers t<domain>-<n> / s<domain>-<n>, bank hosts bankN on LANs
-//     #    lanN, sender hosts senderN)
-//     protocol pim-sm                  # pim-sm | pim-dm | dvmrp | cbt | mospf
-//     rp 224.1.1.1 C                   # pim-sm: RP list; cbt: core
-//     candidate-bsr C 20               # pim-sm: bootstrap-elect the BSR
-//                                      #   instead (priority, then address)
-//     candidate-rp 224.0.0.0/4 C 20    # pim-sm: advertise C to the elected
-//                                      #   BSR as RP for the range; routers
-//                                      #   learn the RP set from Bootstrap
-//                                      #   floods (no static rp needed)
-//     spt-policy immediate             # immediate | never | threshold M WINDOW_MS
-//     trace on                         # wiretap with decoded control messages
-//     at 100ms join receiver 224.1.1.1
-//     at 300ms send source 224.1.1.1 count=10 interval=50ms
-//     at 900ms fail-link A B           # fault: cut the A-B segment
-//     at 1500ms heal-link A B
-//     at 900ms crash-router B          # fault: all ifaces down, soft state lost
-//     at 1500ms restart-router B
-//     at 900ms loss-link A B 0.3       # fault: 30% per-frame loss
-//     at 900ms loss-lan lan0 0.3
-//     at 900ms partition A B C D       # fault: cut links A-B and C-D together
-//     at 1500ms heal-partition
-//     at 2s    leave receiver 224.1.1.1
-//     at 2s    dump-state
-//     at 2s    dump-metrics prom        # telemetry: prom | json registry dump
-//     at 2s    dump-events              # telemetry: structured event log
-//     at 2s    snapshot                 # telemetry: MRIB snapshot (diffed
-//                                       #   against the previous snapshot)
-//     provenance on                     # per-packet flight recorder (optional
-//                                       #   ring capacity: provenance on 4096)
-//     at 2s    mtrace source receiver 224.1.1.1
-//                                       # provenance: hop path + per-hop
-//                                       #   latency of the last delivered packet
-//     at 2s    dump-provenance          # provenance: merged recorder JSON
-//                                       #   + per-router drop summary
-//     profile on                        # CPU sampling zones (sim dispatch,
-//                                       #   timer cascade, dataplane, per-
-//                                       #   protocol control, churn); optional
-//                                       #   ring capacity: profile on 131072
-//     at 1s    profile off               # runtime toggle mid-run
-//     dump-profile out.collapsed        # end-of-run collapsed stacks
-//                                       #   (flamegraph.pl / speedscope input)
-//                                       #   + zone table on stdout; the CPU
-//                                       #   track also lands in dump-timeline
-//     telemetry off                     # disable event/span tracing (default on)
-//     snapshot-every 500ms              # periodic MRIB snapshots
-//     monitor trees 100ms               # live tree-health analytics: periodic
-//                                       #   budgeted cache walks publishing
-//                                       #   pimlib_tree_* gauges/histograms
-//     watchdog on                       # online invariant watchdogs (lost/dup
-//                                       #   packets, iif-RPF, stale entries)
-//     mutate skip-spt-bit-handshake     # enable a seeded protocol bug (see
-//                                       #   pimcheck --list) — watchdog demo
-//     dump-timeline out.json            # causal join-transaction timeline:
-//                                       #   Chrome trace-event JSON written at
-//                                       #   end of run; open in Perfetto
-//     workload churn rate=200 mean=2s groups=8 zipf=1.0 bank=1000
-//                                       # Poisson join/leave churn over host
-//                                       #   banks (options: session=
-//                                       #   exponential|fixed|pareto,
-//                                       #   shape=A, start=T, stop=T)
-//     workload flash at=1s joins=500 window=200ms hold=1s rank=0
-//                                       # flash crowd on catalog rank 0
-//     workload sender sender0 224.9.0.1 on=1s off=1s interval=50ms
-//                                       # sender on/off cycling
-//     run 3s
-//
-// Every fault goes through fault::FaultInjector, so unicast routing
-// recomputes automatically and crashed routers lose (and rebuild) their
-// protocol state; the run ends with the injector's fault log.
-#include <algorithm>
+// The script language and its interpreter live in the library: see
+// src/scenario/script.hpp for the directive list and src/scenario/world.hpp
+// for how a script becomes a world. The checker's scenarios
+// (src/check/scenarios/*.pimsim) are scripts too, so a counterexample
+// pimcheck writes runs here unchanged.
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 
-#include "check/scenario.hpp"
-#include "check/watchdog.hpp"
-#include "telemetry/profiler/export.hpp"
-#include "telemetry/profiler/profiler.hpp"
-#include "fault/fault_injector.hpp"
-#include "provenance/provenance.hpp"
-#include "scenario/stacks.hpp"
-#include "telemetry/exporters.hpp"
-#include "telemetry/tree_monitor.hpp"
-#include "topo/builder.hpp"
-#include "topo/segment.hpp"
-#include "trace/timeline.hpp"
-#include "trace/tracer.hpp"
-#include "unicast/oracle_routing.hpp"
-#include "workload/churn.hpp"
-#include "workload/topology.hpp"
-
-using namespace pimlib;
+#include "scenario/world.hpp"
 
 namespace {
 
@@ -138,953 +39,8 @@ at 1s dump-state
 run 2s
 )";
 
-[[noreturn]] void fail(int line, const std::string& message) {
-    // Thrown (not exit()) so the parser is embeddable: main catches and
-    // returns 2, and tests/check_roundtrip_test.cpp includes this file with
-    // PIMSIM_NO_MAIN to feed emitted counterexample scripts back through.
-    throw std::runtime_error("line " + std::to_string(line) + ": " + message);
-}
-
-sim::Time parse_time(int line, const std::string& text) {
-    long long amount = 0;
-    std::size_t pos = 0;
-    try {
-        amount = std::stoll(text, &pos);
-    } catch (...) {
-        fail(line, "bad time '" + text + "'");
-    }
-    const std::string unit = text.substr(pos);
-    if (unit == "s") return amount * sim::kSecond;
-    if (unit == "ms") return amount * sim::kMillisecond;
-    if (unit == "us") return amount * sim::kMicrosecond;
-    fail(line, "bad time unit in '" + text + "' (use s/ms/us)");
-}
-
-net::GroupAddress parse_group(int line, const std::string& text) {
-    auto addr = net::Ipv4Address::parse(text);
-    if (!addr || !addr->is_multicast()) fail(line, "bad group '" + text + "'");
-    return net::GroupAddress{*addr};
-}
-
-struct Scenario {
-    topo::Network net;
-    std::unique_ptr<topo::TopologyBuilder> topo;
-    std::unique_ptr<workload::TransitStubNetwork> generated;
-    std::unique_ptr<unicast::OracleRouting> routing;
-    std::unique_ptr<fault::FaultInjector> faults;
-    std::unique_ptr<trace::PacketTracer> tracer;
-    std::unique_ptr<provenance::Recorder> recorder;
-    std::unique_ptr<telemetry::TreeMonitor> monitor;
-    std::unique_ptr<check::Watchdog> watchdog;
-    std::string protocol = "pim-sm";
-    std::unique_ptr<scenario::PimSmStack> pim_sm;
-    std::unique_ptr<scenario::PimDmStack> pim_dm;
-    std::unique_ptr<scenario::DvmrpStack> dvmrp;
-    std::unique_ptr<scenario::CbtStack> cbt;
-    std::unique_ptr<scenario::MospfStack> mospf;
-    std::vector<std::unique_ptr<workload::HostBank>> banks;
-    std::unique_ptr<workload::ChurnEngine> churn;
-    std::vector<std::unique_ptr<workload::OnOffSender>> senders;
-    sim::Time run_until = 0;
-
-    // Name lookups that work for both topology sources (the named block and
-    // the transit-stub generator).
-    [[nodiscard]] topo::Router& router_ref(const std::string& name) {
-        if (topo) return topo->router(name);
-        for (topo::Router* r : generated->routers) {
-            if (r->name() == name) return *r;
-        }
-        throw std::runtime_error("unknown router '" + name + "'");
-    }
-    [[nodiscard]] topo::Host& host_ref(const std::string& name) {
-        if (topo) return topo->host(name);
-        for (topo::Host* h : generated->bank_hosts) {
-            if (h->name() == name) return *h;
-        }
-        for (topo::Host* h : generated->senders) {
-            if (h->name() == name) return *h;
-        }
-        throw std::runtime_error("unknown host '" + name + "'");
-    }
-    [[nodiscard]] topo::Segment& lan_ref(const std::string& name) {
-        if (topo) return topo->lan(name);
-        // Generated bank LANs are addressable as lan0..lanN-1.
-        if (name.rfind("lan", 0) == 0) {
-            const std::size_t i = std::stoul(name.substr(3));
-            if (i < generated->lans.size()) return *generated->lans[i];
-        }
-        throw std::runtime_error("unknown lan '" + name + "'");
-    }
-    [[nodiscard]] topo::Segment& link_ref(const std::string& a, const std::string& b) {
-        if (topo) return topo->link(a, b);
-        topo::Segment* seg = net.find_link(router_ref(a), router_ref(b));
-        if (seg == nullptr) {
-            throw std::runtime_error("no link between '" + a + "' and '" + b + "'");
-        }
-        return *seg;
-    }
-
-    scenario::StackBase& stack() {
-        if (pim_sm) return *pim_sm;
-        if (pim_dm) return *pim_dm;
-        if (dvmrp) return *dvmrp;
-        if (cbt) return *cbt;
-        return *mospf;
-    }
-
-    void dump_metrics(const std::string& format) {
-        std::printf("--- metrics at t=%.1fms (%s) ---\n",
-                    static_cast<double>(net.simulator().now()) / sim::kMillisecond,
-                    format.c_str());
-        net.telemetry().refresh_timer_gauges();
-        if (prof::enabled()) {
-            prof::publish_profile(prof::snapshot(), net.telemetry().registry());
-        }
-        const telemetry::Registry& reg = net.telemetry().registry();
-        std::printf("%s", format == "json" ? telemetry::to_json(reg).c_str()
-                                           : telemetry::to_prometheus(reg).c_str());
-        if (format == "json") std::printf("\n");
-    }
-
-    void dump_events() {
-        std::printf("--- event log at t=%.1fms ---\n",
-                    static_cast<double>(net.simulator().now()) / sim::kMillisecond);
-        std::printf("%s", net.telemetry().events().dump().c_str());
-    }
-
-    void take_snapshot(bool print) {
-        telemetry::Hub& hub = net.telemetry();
-        telemetry::MribSnapshot snap = stack().capture_mrib();
-        const telemetry::MribSnapshot* prev =
-            hub.snapshots().empty() ? nullptr : &hub.snapshots().back();
-        if (print) {
-            std::printf("--- mrib snapshot at t=%.1fms (%zu entries) ---\n",
-                        static_cast<double>(snap.at) / sim::kMillisecond,
-                        snap.entry_count());
-            if (prev == nullptr) {
-                std::printf("%s", snap.to_text().c_str());
-            } else {
-                const telemetry::MribDiff d = telemetry::diff(*prev, snap);
-                std::printf("%s", d.empty() ? "  (no structural change)\n"
-                                            : d.to_text().c_str());
-            }
-        }
-        hub.store_snapshot(std::move(snap));
-    }
-
-    void mtrace(const std::string& src_host, const std::string& dst_host,
-                net::GroupAddress group) {
-        std::printf("--- mtrace %s -> %s group %s at t=%.1fms ---\n",
-                    src_host.c_str(), dst_host.c_str(),
-                    group.to_string().c_str(),
-                    static_cast<double>(net.simulator().now()) / sim::kMillisecond);
-        if (!recorder) {
-            std::printf("  (provenance off; add 'provenance on' to the script)\n");
-            return;
-        }
-        const provenance::Recorder::TraceResult result = recorder->trace(
-            host_ref(src_host).address(), group.address(), dst_host);
-        std::printf("%s", recorder->format_trace(result).c_str());
-    }
-
-    void dump_provenance() {
-        std::printf("--- provenance dump at t=%.1fms ---\n",
-                    static_cast<double>(net.simulator().now()) / sim::kMillisecond);
-        if (!recorder) {
-            std::printf("  (provenance off; add 'provenance on' to the script)\n");
-            return;
-        }
-        std::printf("%s\n", recorder->dump_json().c_str());
-        const std::string drops = recorder->drop_summary();
-        if (!drops.empty()) std::printf("drops: %s\n", drops.c_str());
-    }
-
-    void dump_state() {
-        std::printf("--- state at t=%.1fms ---\n",
-                    static_cast<double>(net.simulator().now()) / sim::kMillisecond);
-        for (const auto& router : net.routers()) {
-            if (pim_sm) {
-                auto& cache = pim_sm->pim_at(*router).cache();
-                cache.for_each_wc([&](mcast::ForwardingEntry& e) {
-                    std::printf("  %-10s %s\n", router->name().c_str(),
-                                e.describe().c_str());
-                });
-                cache.for_each_sg([&](mcast::ForwardingEntry& e) {
-                    std::printf("  %-10s %s\n", router->name().c_str(),
-                                e.describe().c_str());
-                });
-            } else if (pim_dm) {
-                pim_dm->pim_at(*router).cache().for_each_sg(
-                    [&](mcast::ForwardingEntry& e) {
-                        std::printf("  %-10s %s\n", router->name().c_str(),
-                                    e.describe().c_str());
-                    });
-            } else if (dvmrp) {
-                dvmrp->dvmrp_at(*router).cache().for_each_sg(
-                    [&](mcast::ForwardingEntry& e) {
-                        std::printf("  %-10s %s\n", router->name().c_str(),
-                                    e.describe().c_str());
-                    });
-            }
-        }
-    }
-};
-
-void run_scenario(const std::string& text) {
-    Scenario s;
-    std::istringstream input(text);
-    std::string raw;
-    int line = 0;
-
-    // The topology block must come first.
-    std::string topo_spec;
-    bool in_topology = false;
-    bool topology_done = false;
-
-    scenario::StackConfig config;
-    config.igmp.query_interval = 10 * sim::kSecond;
-    config.igmp.membership_timeout = 25 * sim::kSecond;
-    config = config.scaled(0.01);
-
-    struct PendingRp {
-        net::GroupAddress group;
-        std::vector<std::string> routers;
-    };
-    std::vector<PendingRp> rps;
-    struct PendingCandidateBsr {
-        std::string router;
-        std::uint8_t priority;
-    };
-    std::vector<PendingCandidateBsr> candidate_bsrs;
-    struct PendingCandidateRp {
-        net::Prefix range;
-        std::string router;
-        std::uint8_t priority;
-    };
-    std::vector<PendingCandidateRp> candidate_rps;
-    std::uint64_t global_seed = 0;
-    bool churn_enabled = false;
-    workload::ChurnConfig churn_cfg;
-    int bank_capacity = 1000;
-    struct SenderSpec {
-        std::string host;
-        net::GroupAddress group;
-        workload::OnOffSenderConfig cfg;
-    };
-    std::vector<SenderSpec> sender_specs;
-    pim::SptPolicy policy = pim::SptPolicy::immediate();
-    bool want_trace = false;
-    bool want_telemetry = true;
-    bool want_provenance = false;
-    bool want_watchdog = false;
-    bool loss_possible = false; // faults/loss/churn scripted: gaps are expected
-    sim::Time monitor_interval = 0;
-    std::string timeline_path;
-    bool want_profile = false;
-    std::size_t profile_capacity = 0; // 0: keep the profiler's default
-    std::string profile_path;
-    std::size_t provenance_capacity = provenance::RecorderConfig{}.ring_capacity;
-    sim::Time snapshot_every = 0;
-    struct Event {
-        sim::Time at;
-        std::function<void(Scenario&)> action;
-    };
-    std::vector<Event> events;
-
-    auto ensure_stack = [&](Scenario& sc) {
-        if (sc.pim_sm || sc.pim_dm || sc.dvmrp || sc.cbt || sc.mospf) return;
-        sc.routing = std::make_unique<unicast::OracleRouting>(sc.net);
-        sc.faults = std::make_unique<fault::FaultInjector>(sc.net);
-        if (want_trace) sc.tracer = std::make_unique<trace::PacketTracer>(sc.net);
-        if (want_provenance) {
-            provenance::RecorderConfig prov_cfg;
-            prov_cfg.ring_capacity = provenance_capacity;
-            sc.recorder = std::make_unique<provenance::Recorder>(
-                sc.net.telemetry().registry(), prov_cfg);
-            sc.net.set_provenance(sc.recorder.get());
-        }
-        if (sc.protocol == "pim-sm") {
-            sc.pim_sm = std::make_unique<scenario::PimSmStack>(sc.net, config);
-            sc.pim_sm->set_spt_policy(policy);
-            for (const auto& rp : rps) {
-                std::vector<net::Ipv4Address> addrs;
-                for (const auto& name : rp.routers) {
-                    addrs.push_back(sc.router_ref(name).router_id());
-                }
-                sc.pim_sm->set_rp(rp.group, addrs);
-            }
-            for (const auto& cand : candidate_bsrs) {
-                sc.pim_sm->set_candidate_bsr(sc.router_ref(cand.router),
-                                             cand.priority);
-            }
-            for (const auto& cand : candidate_rps) {
-                sc.pim_sm->set_candidate_rp(sc.router_ref(cand.router),
-                                            cand.range, cand.priority);
-            }
-        } else if (sc.protocol == "pim-dm") {
-            sc.pim_dm = std::make_unique<scenario::PimDmStack>(sc.net, config);
-        } else if (sc.protocol == "dvmrp") {
-            sc.dvmrp = std::make_unique<scenario::DvmrpStack>(sc.net, config);
-        } else if (sc.protocol == "cbt") {
-            sc.cbt = std::make_unique<scenario::CbtStack>(sc.net, config);
-            for (const auto& rp : rps) {
-                sc.cbt->set_core(rp.group, sc.router_ref(rp.routers.front()).router_id());
-            }
-        } else if (sc.protocol == "mospf") {
-            sc.mospf = std::make_unique<scenario::MospfStack>(sc.net, config);
-        } else {
-            throw std::runtime_error("unknown protocol '" + sc.protocol + "'");
-        }
-        sc.stack().wire_faults(*sc.faults);
-
-        if (want_watchdog) {
-            sc.watchdog = std::make_unique<check::Watchdog>(
-                sc.net, [sp = &sc](const topo::Router& r) {
-                    return sp->stack().cache_of(r);
-                });
-            if (sc.recorder) sc.watchdog->set_recorder(sc.recorder.get());
-            sc.watchdog->set_loss_expected(loss_possible || churn_enabled);
-            sc.watchdog->start();
-        }
-        if (monitor_interval > 0) {
-            telemetry::TreeMonitorConfig mon_cfg;
-            mon_cfg.interval = monitor_interval;
-            sc.monitor = std::make_unique<telemetry::TreeMonitor>(
-                sc.net,
-                [sp = &sc](const topo::Router& r) {
-                    return sp->stack().cache_of(r);
-                },
-                mon_cfg);
-            sc.monitor->start();
-        }
-
-        if (churn_enabled) {
-            // Bank hosts: the generated topology's bankN hosts, or every
-            // scripted host that is not an on/off sender.
-            std::vector<topo::Host*> bank_hosts;
-            if (sc.generated) {
-                bank_hosts = sc.generated->bank_hosts;
-            } else {
-                for (const auto& h : sc.net.hosts()) {
-                    bool is_sender = false;
-                    for (const auto& spec : sender_specs) {
-                        if (spec.host == h->name()) is_sender = true;
-                    }
-                    if (!is_sender) bank_hosts.push_back(h.get());
-                }
-            }
-            if (bank_hosts.empty()) {
-                throw std::runtime_error("workload churn needs at least one host");
-            }
-            std::vector<workload::HostBank*> raw;
-            for (topo::Host* h : bank_hosts) {
-                sc.banks.push_back(std::make_unique<workload::HostBank>(
-                    sc.stack().host_agent(*h), bank_capacity));
-                raw.push_back(sc.banks.back().get());
-            }
-            sc.churn = std::make_unique<workload::ChurnEngine>(sc.net, raw, churn_cfg);
-            // Catalog groups without an explicit rp/core directive get one
-            // auto-assigned: transit routers round-robin on generated
-            // topologies (the wide-area core), router 0 on scripted ones.
-            if (sc.pim_sm || sc.cbt) {
-                std::vector<topo::Router*> anchors =
-                    sc.generated ? sc.generated->transit_routers()
-                                 : std::vector<topo::Router*>{&sc.net.router(0)};
-                for (int r = 0; r < churn_cfg.groups; ++r) {
-                    const net::GroupAddress g = sc.churn->group(r);
-                    bool covered = false;
-                    for (const auto& rp : rps) {
-                        if (rp.group == g) covered = true;
-                    }
-                    if (covered) continue;
-                    topo::Router& anchor =
-                        *anchors[static_cast<std::size_t>(r) % anchors.size()];
-                    if (sc.pim_sm) {
-                        sc.pim_sm->set_rp(g, {anchor.router_id()});
-                    } else {
-                        sc.cbt->set_core(g, anchor.router_id());
-                    }
-                }
-            }
-            sc.churn->start();
-        }
-        for (const SenderSpec& spec : sender_specs) {
-            sc.senders.push_back(std::make_unique<workload::OnOffSender>(
-                sc.host_ref(spec.host), spec.group, spec.cfg));
-            sc.senders.back()->start();
-        }
-    };
-
-    while (std::getline(input, raw)) {
-        ++line;
-        std::istringstream ls(raw);
-        std::string word;
-        if (!(ls >> word) || word.front() == '#') {
-            if (in_topology) topo_spec += raw + "\n";
-            continue;
-        }
-        if (in_topology) {
-            if (word == "end") {
-                in_topology = false;
-                topology_done = true;
-                s.topo = std::make_unique<topo::TopologyBuilder>(
-                    topo::TopologyBuilder::parse(s.net, topo_spec));
-            } else {
-                topo_spec += raw + "\n";
-            }
-            continue;
-        }
-        if (word == "topology") {
-            std::string mode;
-            if (ls >> mode) {
-                if (mode != "transit-stub") fail(line, "unknown topology mode '" + mode + "'");
-                if (topology_done) fail(line, "duplicate topology");
-                graph::TransitStubOptions opts;
-                opts.transit_domains = 2;
-                opts.transit_nodes = 3;
-                opts.stub_domains = 2;
-                opts.stub_nodes = 3;
-                workload::MaterializeOptions mat;
-                std::uint64_t graph_seed = 0;
-                std::string opt;
-                while (ls >> opt) {
-                    if (opt.rfind("transit=", 0) == 0) {
-                        opts.transit_domains = std::stoi(opt.substr(8));
-                    } else if (opt.rfind("transit-size=", 0) == 0) {
-                        opts.transit_nodes = std::stoi(opt.substr(13));
-                    } else if (opt.rfind("stubs=", 0) == 0) {
-                        opts.stub_domains = std::stoi(opt.substr(6));
-                    } else if (opt.rfind("stub-size=", 0) == 0) {
-                        opts.stub_nodes = std::stoi(opt.substr(10));
-                    } else if (opt.rfind("senders=", 0) == 0) {
-                        mat.senders = std::stoi(opt.substr(8));
-                    } else if (opt.rfind("graph-seed=", 0) == 0) {
-                        graph_seed = std::stoull(opt.substr(11));
-                    } else {
-                        fail(line, "unknown transit-stub option '" + opt + "'");
-                    }
-                }
-                if (graph_seed == 0) graph_seed = global_seed != 0 ? global_seed : 1;
-                std::mt19937 rng(static_cast<std::mt19937::result_type>(graph_seed));
-                s.generated = std::make_unique<workload::TransitStubNetwork>(
-                    workload::build_transit_stub(s.net, opts, rng, mat));
-                topology_done = true;
-            } else {
-                in_topology = true;
-            }
-        } else if (word == "seed") {
-            std::string value;
-            ls >> value;
-            try {
-                global_seed = std::stoull(value);
-            } catch (...) {
-                fail(line, "seed needs an unsigned integer");
-            }
-            s.net.set_seed(global_seed);
-            churn_cfg.seed = global_seed != 0 ? global_seed : churn_cfg.seed;
-        } else if (word == "workload") {
-            std::string kind;
-            ls >> kind;
-            std::string opt;
-            if (kind == "churn") {
-                churn_enabled = true;
-                while (ls >> opt) {
-                    if (opt.rfind("rate=", 0) == 0) {
-                        churn_cfg.joins_per_sec = std::stod(opt.substr(5));
-                    } else if (opt.rfind("mean=", 0) == 0) {
-                        churn_cfg.session.mean = parse_time(line, opt.substr(5));
-                    } else if (opt.rfind("groups=", 0) == 0) {
-                        churn_cfg.groups = std::stoi(opt.substr(7));
-                    } else if (opt.rfind("zipf=", 0) == 0) {
-                        churn_cfg.zipf_exponent = std::stod(opt.substr(5));
-                    } else if (opt.rfind("bank=", 0) == 0) {
-                        bank_capacity = std::stoi(opt.substr(5));
-                    } else if (opt.rfind("session=", 0) == 0) {
-                        const std::string k = opt.substr(8);
-                        if (k == "fixed") {
-                            churn_cfg.session.kind = workload::SessionDuration::Kind::kFixed;
-                        } else if (k == "exponential") {
-                            churn_cfg.session.kind =
-                                workload::SessionDuration::Kind::kExponential;
-                        } else if (k == "pareto") {
-                            churn_cfg.session.kind = workload::SessionDuration::Kind::kPareto;
-                        } else {
-                            fail(line, "session= takes fixed|exponential|pareto");
-                        }
-                    } else if (opt.rfind("shape=", 0) == 0) {
-                        churn_cfg.session.pareto_shape = std::stod(opt.substr(6));
-                    } else if (opt.rfind("start=", 0) == 0) {
-                        churn_cfg.start = parse_time(line, opt.substr(6));
-                    } else if (opt.rfind("stop=", 0) == 0) {
-                        churn_cfg.stop = parse_time(line, opt.substr(5));
-                    } else {
-                        fail(line, "unknown churn option '" + opt + "'");
-                    }
-                }
-            } else if (kind == "flash") {
-                churn_enabled = true;
-                workload::FlashCrowd crowd;
-                while (ls >> opt) {
-                    if (opt.rfind("at=", 0) == 0) {
-                        crowd.at = parse_time(line, opt.substr(3));
-                    } else if (opt.rfind("joins=", 0) == 0) {
-                        crowd.joins = std::stoi(opt.substr(6));
-                    } else if (opt.rfind("window=", 0) == 0) {
-                        crowd.window = parse_time(line, opt.substr(7));
-                    } else if (opt.rfind("hold=", 0) == 0) {
-                        crowd.hold.mean = parse_time(line, opt.substr(5));
-                    } else if (opt.rfind("rank=", 0) == 0) {
-                        crowd.group_rank = std::stoi(opt.substr(5));
-                    } else {
-                        fail(line, "unknown flash option '" + opt + "'");
-                    }
-                }
-                if (crowd.joins <= 0) fail(line, "flash needs joins=N");
-                churn_cfg.flash_crowds.push_back(crowd);
-            } else if (kind == "sender") {
-                SenderSpec spec;
-                std::string group;
-                ls >> spec.host >> group;
-                spec.group = parse_group(line, group);
-                while (ls >> opt) {
-                    if (opt.rfind("on=", 0) == 0) {
-                        spec.cfg.on = parse_time(line, opt.substr(3));
-                    } else if (opt.rfind("off=", 0) == 0) {
-                        spec.cfg.off = parse_time(line, opt.substr(4));
-                    } else if (opt.rfind("interval=", 0) == 0) {
-                        spec.cfg.interval = parse_time(line, opt.substr(9));
-                    } else if (opt.rfind("start=", 0) == 0) {
-                        spec.cfg.start = parse_time(line, opt.substr(6));
-                    } else if (opt.rfind("stop=", 0) == 0) {
-                        spec.cfg.stop = parse_time(line, opt.substr(5));
-                    } else {
-                        fail(line, "unknown sender option '" + opt + "'");
-                    }
-                }
-                sender_specs.push_back(std::move(spec));
-            } else {
-                fail(line, "unknown workload '" + kind + "' (churn|flash|sender)");
-            }
-        } else if (word == "protocol") {
-            ls >> s.protocol;
-        } else if (word == "rp") {
-            std::string group;
-            ls >> group;
-            PendingRp rp{parse_group(line, group), {}};
-            std::string name;
-            while (ls >> name) rp.routers.push_back(name);
-            if (rp.routers.empty()) fail(line, "rp needs at least one router");
-            rps.push_back(std::move(rp));
-        } else if (word == "candidate-bsr") {
-            PendingCandidateBsr cand{{}, 0};
-            if (!(ls >> cand.router)) fail(line, "candidate-bsr needs a router");
-            int priority = 0;
-            if (ls >> priority) {
-                if (priority < 0 || priority > 255) {
-                    fail(line, "candidate-bsr priority must be 0..255");
-                }
-                cand.priority = static_cast<std::uint8_t>(priority);
-            }
-            candidate_bsrs.push_back(std::move(cand));
-        } else if (word == "candidate-rp") {
-            std::string range_text;
-            PendingCandidateRp cand{{}, {}, 0};
-            if (!(ls >> range_text >> cand.router)) {
-                fail(line, "candidate-rp needs: <group-or-prefix> <router> [priority]");
-            }
-            if (auto prefix = net::Prefix::parse(range_text)) {
-                cand.range = *prefix;
-            } else {
-                cand.range = net::Prefix::host(parse_group(line, range_text).address());
-            }
-            int priority = 0;
-            if (ls >> priority) {
-                if (priority < 0 || priority > 255) {
-                    fail(line, "candidate-rp priority must be 0..255");
-                }
-                cand.priority = static_cast<std::uint8_t>(priority);
-            }
-            candidate_rps.push_back(std::move(cand));
-        } else if (word == "spt-policy") {
-            std::string kind;
-            ls >> kind;
-            if (kind == "immediate") {
-                policy = pim::SptPolicy::immediate();
-            } else if (kind == "never") {
-                policy = pim::SptPolicy::never();
-            } else if (kind == "threshold") {
-                int m = 0;
-                long long window_ms = 0;
-                ls >> m >> window_ms;
-                if (m <= 0 || window_ms <= 0) fail(line, "threshold needs M WINDOW_MS");
-                policy = pim::SptPolicy::threshold(m, window_ms * sim::kMillisecond);
-            } else {
-                fail(line, "unknown spt-policy '" + kind + "'");
-            }
-        } else if (word == "trace") {
-            std::string flag;
-            ls >> flag;
-            want_trace = flag == "on";
-        } else if (word == "provenance") {
-            std::string flag;
-            ls >> flag;
-            want_provenance = flag == "on";
-            long long capacity = 0;
-            if (ls >> capacity) {
-                if (capacity <= 0) fail(line, "provenance capacity must be positive");
-                provenance_capacity = static_cast<std::size_t>(capacity);
-            }
-        } else if (word == "profile") {
-            std::string flag;
-            ls >> flag;
-            if (flag != "on" && flag != "off") {
-                fail(line, "profile takes on|off [ring capacity]");
-            }
-            want_profile = flag == "on";
-            long long capacity = 0;
-            if (ls >> capacity) {
-                if (capacity <= 0) fail(line, "profile ring capacity must be positive");
-                profile_capacity = static_cast<std::size_t>(capacity);
-            }
-        } else if (word == "dump-profile") {
-            ls >> profile_path;
-            if (profile_path.empty()) fail(line, "dump-profile needs a file path");
-        } else if (word == "telemetry") {
-            std::string flag;
-            ls >> flag;
-            want_telemetry = flag != "off";
-        } else if (word == "snapshot-every") {
-            std::string every;
-            ls >> every;
-            snapshot_every = parse_time(line, every);
-            if (snapshot_every <= 0) fail(line, "snapshot-every needs a positive time");
-        } else if (word == "monitor") {
-            std::string what;
-            std::string every;
-            ls >> what >> every;
-            if (what != "trees" || every.empty()) {
-                fail(line, "monitor takes: trees <interval>");
-            }
-            monitor_interval = parse_time(line, every);
-            if (monitor_interval <= 0) fail(line, "monitor interval must be positive");
-        } else if (word == "watchdog") {
-            std::string flag;
-            ls >> flag;
-            if (flag != "on" && flag != "off") fail(line, "watchdog takes on|off");
-            want_watchdog = flag == "on";
-        } else if (word == "mutate") {
-            std::string name;
-            ls >> name;
-            if (!check::apply_mutation(name, config)) {
-                fail(line, "unknown mutation '" + name + "' (see pimcheck --list)");
-            }
-        } else if (word == "dump-timeline") {
-            ls >> timeline_path;
-            if (timeline_path.empty()) fail(line, "dump-timeline needs a file path");
-        } else if (word == "at") {
-            if (!topology_done) fail(line, "'at' before topology block");
-            std::string when;
-            std::string verb;
-            ls >> when >> verb;
-            const sim::Time at = parse_time(line, when);
-            if (verb == "join" || verb == "leave") {
-                std::string host;
-                std::string group;
-                ls >> host >> group;
-                const net::GroupAddress g = parse_group(line, group);
-                const bool join = verb == "join";
-                // A member that leaves mid-stream misses packets on purpose.
-                if (!join) loss_possible = true;
-                (void)s.host_ref(host); // validate now
-                events.push_back({at, [host, g, join](Scenario& sc) {
-                                      auto& agent = sc.stack().host_agent(
-                                          sc.host_ref(host));
-                                      if (join) {
-                                          agent.join(g);
-                                      } else {
-                                          agent.leave(g);
-                                      }
-                                  }});
-            } else if (verb == "send") {
-                std::string host;
-                std::string group;
-                ls >> host >> group;
-                const net::GroupAddress g = parse_group(line, group);
-                int count = 1;
-                sim::Time interval = 50 * sim::kMillisecond;
-                std::string opt;
-                while (ls >> opt) {
-                    if (opt.rfind("count=", 0) == 0) {
-                        count = std::stoi(opt.substr(6));
-                    } else if (opt.rfind("interval=", 0) == 0) {
-                        interval = parse_time(line, opt.substr(9));
-                    } else {
-                        fail(line, "unknown send option '" + opt + "'");
-                    }
-                }
-                (void)s.host_ref(host);
-                events.push_back({at, [host, g, count, interval](Scenario& sc) {
-                                      sc.host_ref(host).send_stream(g, count, interval);
-                                  }});
-            } else if (verb == "fail-link" || verb == "heal-link") {
-                std::string a;
-                std::string b;
-                ls >> a >> b;
-                const bool up = verb == "heal-link";
-                if (!up) loss_possible = true;
-                (void)s.link_ref(a, b);
-                events.push_back({at, [a, b, up](Scenario& sc) {
-                                      auto& link = sc.link_ref(a, b);
-                                      if (up) {
-                                          sc.faults->restore_link(link);
-                                      } else {
-                                          sc.faults->cut_link(link);
-                                      }
-                                  }});
-            } else if (verb == "crash-router" || verb == "restart-router") {
-                std::string name;
-                ls >> name;
-                const bool crash = verb == "crash-router";
-                if (crash) loss_possible = true;
-                (void)s.router_ref(name);
-                events.push_back({at, [name, crash](Scenario& sc) {
-                                      auto& router = sc.router_ref(name);
-                                      if (crash) {
-                                          sc.faults->crash_router(router);
-                                      } else {
-                                          sc.faults->restart_router(router);
-                                      }
-                                  }});
-            } else if (verb == "loss-link" || verb == "loss-lan") {
-                std::string a;
-                ls >> a;
-                std::string b;
-                if (verb == "loss-link") ls >> b;
-                double rate = 0;
-                ls >> rate;
-                if (rate < 0 || rate >= 1) fail(line, "loss rate must be in [0,1)");
-                loss_possible = true;
-                const bool is_link = verb == "loss-link";
-                if (is_link) {
-                    (void)s.link_ref(a, b);
-                } else {
-                    (void)s.lan_ref(a);
-                }
-                events.push_back({at, [a, b, rate, is_link](Scenario& sc) {
-                                      auto& seg = is_link ? sc.link_ref(a, b)
-                                                          : sc.lan_ref(a);
-                                      sc.faults->set_loss(seg, rate);
-                                  }});
-            } else if (verb == "partition") {
-                std::vector<std::string> names;
-                std::string name;
-                while (ls >> name) names.push_back(name);
-                if (names.empty() || names.size() % 2 != 0) {
-                    fail(line, "partition needs router pairs: A B [C D ...]");
-                }
-                loss_possible = true;
-                for (std::size_t i = 0; i < names.size(); i += 2) {
-                    (void)s.link_ref(names[i], names[i + 1]);
-                }
-                events.push_back({at, [names](Scenario& sc) {
-                                      std::vector<topo::Segment*> cut;
-                                      for (std::size_t i = 0; i < names.size(); i += 2) {
-                                          cut.push_back(&sc.link_ref(names[i], names[i + 1]));
-                                      }
-                                      sc.faults->partition(cut);
-                                  }});
-            } else if (verb == "heal-partition") {
-                events.push_back({at, [](Scenario& sc) { sc.faults->heal_partition(); }});
-            } else if (verb == "dump-state") {
-                events.push_back({at, [](Scenario& sc) { sc.dump_state(); }});
-            } else if (verb == "dump-metrics") {
-                std::string format = "prom";
-                ls >> format;
-                if (format != "prom" && format != "json") {
-                    fail(line, "dump-metrics takes prom|json");
-                }
-                events.push_back(
-                    {at, [format](Scenario& sc) { sc.dump_metrics(format); }});
-            } else if (verb == "dump-events") {
-                events.push_back({at, [](Scenario& sc) { sc.dump_events(); }});
-            } else if (verb == "snapshot") {
-                events.push_back(
-                    {at, [](Scenario& sc) { sc.take_snapshot(/*print=*/true); }});
-            } else if (verb == "mtrace") {
-                std::string src;
-                std::string dst;
-                std::string group;
-                ls >> src >> dst >> group;
-                const net::GroupAddress g = parse_group(line, group);
-                (void)s.host_ref(src);
-                (void)s.host_ref(dst);
-                events.push_back({at, [src, dst, g](Scenario& sc) {
-                                      sc.mtrace(src, dst, g);
-                                  }});
-            } else if (verb == "dump-provenance") {
-                events.push_back({at, [](Scenario& sc) { sc.dump_provenance(); }});
-            } else if (verb == "profile") {
-                std::string flag;
-                ls >> flag;
-                if (flag != "on" && flag != "off") fail(line, "profile takes on|off");
-                const bool on = flag == "on";
-                events.push_back({at, [on](Scenario&) { prof::set_enabled(on); }});
-            } else {
-                fail(line, "unknown event '" + verb + "'");
-            }
-        } else if (word == "run") {
-            std::string until;
-            ls >> until;
-            s.run_until = parse_time(line, until);
-        } else {
-            fail(line, "unknown directive '" + word + "'");
-        }
-    }
-    if (!topology_done) fail(line, "missing topology block");
-    if (s.run_until == 0) fail(line, "missing 'run' directive");
-
-    s.net.telemetry().set_tracing(want_telemetry);
-    const bool profiling = want_profile || !profile_path.empty();
-    if (profiling) {
-        prof::reset();
-        if (profile_capacity > 0) prof::set_ring_capacity(profile_capacity);
-        // Stamp every zone record with the sim time it covered, so the
-        // flamegraph and the timeline's CPU track can be read against the
-        // scenario's own clock.
-        prof::set_time_source(
-            [](const void* ctx) {
-                return static_cast<std::int64_t>(
-                    static_cast<const sim::Simulator*>(ctx)->now());
-            },
-            &s.net.simulator());
-        prof::set_enabled(want_profile);
-    }
-    ensure_stack(s);
-    for (const Event& e : events) {
-        s.net.simulator().schedule_at(e.at, [&s, &e] { e.action(s); });
-    }
-    if (snapshot_every > 0) {
-        for (sim::Time at = snapshot_every; at <= s.run_until; at += snapshot_every) {
-            s.net.simulator().schedule_at(
-                at, [&s] { s.take_snapshot(/*print=*/false); });
-        }
-    }
-    s.net.run_for(s.run_until);
-
-    if (s.tracer) {
-        std::printf("--- packet trace (%zu frames) ---\n", s.tracer->records().size());
-        std::printf("%s", s.tracer->dump().c_str());
-    }
-    std::printf("--- delivery report ---\n");
-    for (const auto& host : s.net.hosts()) {
-        if (host->received().empty()) continue;
-        std::printf("  %-12s received %zu data packets (%zu duplicates)\n",
-                    host->name().c_str(), host->received().size(),
-                    host->duplicate_count());
-    }
-    if (s.churn) {
-        std::printf("--- workload churn ---\n");
-        std::printf("  joins=%llu leaves=%llu saturated=%llu peak=%zu current=%zu\n",
-                    static_cast<unsigned long long>(s.churn->joins()),
-                    static_cast<unsigned long long>(s.churn->leaves()),
-                    static_cast<unsigned long long>(s.churn->saturated_joins()),
-                    s.churn->membership_peak(), s.churn->membership());
-        std::vector<double> lat = s.churn->join_to_data_seconds();
-        if (!lat.empty()) {
-            std::sort(lat.begin(), lat.end());
-            auto pct = [&lat](double q) {
-                const auto i = static_cast<std::size_t>(q * (static_cast<double>(lat.size()) - 1));
-                return lat[i] * 1000.0;
-            };
-            std::printf("  join-to-data p50=%.2fms p90=%.2fms p99=%.2fms (%zu samples)\n",
-                        pct(0.50), pct(0.90), pct(0.99), lat.size());
-        }
-    }
-    std::printf("--- totals: data_tx=%llu control=%llu ---\n",
-                static_cast<unsigned long long>(s.net.stats().total_data_packets()),
-                static_cast<unsigned long long>(s.net.stats().total_control_messages()));
-    if (!s.net.telemetry().spans().completed().empty()) {
-        std::printf("--- span latencies ---\n");
-        for (const auto& span : s.net.telemetry().spans().completed()) {
-            std::printf("  %-14s %-28s %.1fms\n", span.kind.c_str(), span.key.c_str(),
-                        static_cast<double>(span.latency()) / sim::kMillisecond);
-        }
-    }
-    if (s.net.telemetry().snapshots().size() > 1) {
-        const auto& snaps = s.net.telemetry().snapshots();
-        std::size_t changed = 0;
-        for (std::size_t i = 1; i < snaps.size(); ++i) {
-            if (!telemetry::diff(snaps[i - 1], snaps[i]).empty()) ++changed;
-        }
-        std::printf("--- mrib snapshots: %zu taken, %zu with structural change ---\n",
-                    snaps.size(), changed);
-    }
-    if (s.faults && !s.faults->events().empty()) {
-        std::printf("--- injected faults ---\n");
-        for (const auto& event : s.faults->events()) {
-            std::printf("  %8.1fms  %s\n",
-                        static_cast<double>(event.at) / sim::kMillisecond,
-                        event.description.c_str());
-        }
-    }
-    if (s.monitor) {
-        s.monitor->stop();
-        const auto& pass = s.monitor->last_pass();
-        std::printf("--- tree monitor (pass %llu at t=%.1fms) ---\n",
-                    static_cast<unsigned long long>(pass.pass),
-                    static_cast<double>(pass.completed_at) / sim::kMillisecond);
-        if (pass.pass == 0) {
-            std::printf("  (no pass completed; lower the monitor interval or "
-                        "run longer)\n");
-        } else {
-            std::printf("  groups=%zu entries=%zu (wc=%zu sg=%zu) "
-                        "member-ports=%zu\n",
-                        pass.groups, pass.entries, pass.wildcard_entries,
-                        pass.sg_entries, pass.member_ports);
-            std::printf("  depth-max=%d fanout-max=%zu stretch-max=%.3f\n",
-                        pass.depth_max, pass.fanout_max, pass.stretch_max);
-            std::printf("  link-flows-max=%zu links-used=%zu walks=%zu "
-                        "(broken=%zu skipped=%zu)\n",
-                        pass.link_flows_max, pass.links_used, pass.walks,
-                        pass.broken_walks, pass.skipped_walks);
-        }
-    }
-    if (s.watchdog) {
-        s.watchdog->stop();
-        std::printf("--- watchdog: %zu violation(s), %zu entries scanned ---\n",
-                    s.watchdog->violations().size(), s.watchdog->entries_scanned());
-        std::printf("%s", s.watchdog->dump().c_str());
-    }
-    if (profiling) {
-        prof::set_enabled(false);
-        if (!profile_path.empty()) {
-            const prof::Report report = prof::snapshot();
-            std::ofstream out(profile_path);
-            if (!out) throw std::runtime_error("cannot write " + profile_path);
-            out << prof::to_collapsed(report);
-            std::printf("--- profile: %s (collapsed stacks; flamegraph.pl / "
-                        "speedscope input) ---\n%s",
-                        profile_path.c_str(), prof::to_table(report).c_str());
-        }
-        // The time source points at this scenario's simulator; detach before
-        // the Scenario is destroyed.
-        prof::set_time_source(nullptr, nullptr);
-    }
-    if (!timeline_path.empty()) {
-        std::ofstream out(timeline_path);
-        if (!out) {
-            throw std::runtime_error("cannot write " + timeline_path);
-        }
-        out << trace::chrome_timeline_json(s.net.telemetry(), s.recorder.get());
-        std::printf("--- timeline: %s (chrome trace-event JSON; open in "
-                    "ui.perfetto.dev) ---\n",
-                    timeline_path.c_str());
-    }
-}
-
 } // namespace
 
-#ifndef PIMSIM_NO_MAIN
 int main(int argc, char** argv) {
     std::string text = kDemoScenario;
     if (argc > 1) {
@@ -1100,11 +56,10 @@ int main(int argc, char** argv) {
         std::printf("(no scenario file given; running the built-in demo)\n\n");
     }
     try {
-        run_scenario(text);
+        pimlib::scenario::run_script(text);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "pimsim: %s\n", e.what());
         return 2;
     }
     return 0;
 }
-#endif // PIMSIM_NO_MAIN

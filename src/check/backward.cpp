@@ -47,49 +47,6 @@ const std::map<std::string, TargetSpec>& target_specs() {
     return specs;
 }
 
-/// "crash-router-R1" -> {R1}; "cut-link-A-C" -> {A, C}. The fault
-/// candidates name exactly the routers whose death the scenario author
-/// considered protocol-critical — backward search borrows that judgment.
-std::vector<std::string> critical_routers(const ScenarioInfo& info) {
-    std::vector<std::string> routers;
-    for (const std::string& label : info.fault_candidates) {
-        static const std::string kCrash = "crash-router-";
-        static const std::string kCut = "cut-link-";
-        if (label.rfind(kCrash, 0) == 0) {
-            routers.push_back(label.substr(kCrash.size()));
-        } else if (label.rfind(kCut, 0) == 0) {
-            const std::string rest = label.substr(kCut.size());
-            const std::size_t dash = rest.find('-');
-            if (dash != std::string::npos) {
-                routers.push_back(rest.substr(0, dash));
-                routers.push_back(rest.substr(dash + 1));
-            }
-        }
-    }
-    return routers;
-}
-
-/// Router names a segment name touches: "M-R1" -> {M, R1}; "lan0(M)" ->
-/// {M}; "dlan" -> {}.
-std::vector<std::string> segment_endpoints(const std::string& name) {
-    const std::size_t paren = name.find('(');
-    if (paren != std::string::npos) {
-        const std::size_t close = name.find(')', paren);
-        if (close != std::string::npos) {
-            return {name.substr(paren + 1, close - paren - 1)};
-        }
-        return {};
-    }
-    if (name.find("lan") != std::string::npos) return {};
-    const std::size_t dash = name.find('-');
-    if (dash == std::string::npos) return {name};
-    return {name.substr(0, dash), name.substr(dash + 1)};
-}
-
-bool is_lan(const std::string& name) {
-    return name.find("lan") != std::string::npos;
-}
-
 bool contains(const std::vector<std::string>& haystack, const std::string& s) {
     return std::find(haystack.begin(), haystack.end(), s) != haystack.end();
 }
@@ -109,7 +66,14 @@ struct Candidate {
 std::vector<Candidate> rank_candidates(const ScenarioInfo& info,
                                        const TargetSpec& spec,
                                        const std::vector<ChoiceRec>& trace) {
-    const std::vector<std::string> critical = critical_routers(info);
+    // The routers the fault candidates hit are the ones the scenario author
+    // considered protocol-critical; backward search borrows that judgment.
+    std::vector<std::string> critical;
+    for (const scenario::FaultSlot& slot : info.fault_slots) {
+        for (const scenario::Action& fault : slot.candidates) {
+            critical.insert(critical.end(), fault.args.begin(), fault.args.end());
+        }
+    }
 
     // When data first crossed each segment: the LAN election anchor.
     std::map<int, sim::Time> first_data;
@@ -146,9 +110,10 @@ std::vector<Candidate> rank_candidates(const ScenarioInfo& info,
         }
 
         const auto seg = static_cast<std::size_t>(rec.point.detail);
-        const std::string name =
-            seg < info.segments.size() ? info.segments[seg] : "";
-        const std::vector<std::string> ends = segment_endpoints(name);
+        static const scenario::SegmentInfo kUnknown;
+        const scenario::SegmentInfo& segment =
+            seg < info.segments.size() ? info.segments[seg] : kUnknown;
+        const std::vector<std::string>& ends = segment.routers;
         const bool touches_critical = std::any_of(
             ends.begin(), ends.end(),
             [&](const std::string& r) { return contains(critical, r); });
@@ -169,9 +134,9 @@ std::vector<Candidate> rank_candidates(const ScenarioInfo& info,
             const auto anchor = first_data.find(rec.point.detail);
             const bool after_data =
                 anchor != first_data.end() && rec.at >= anchor->second;
-            if (is_lan(name) && rec.point.control && after_data) {
+            if (segment.lan && rec.point.control && after_data) {
                 cand.tier = 0;
-            } else if (is_lan(name) && rec.point.control) {
+            } else if (segment.lan && rec.point.control) {
                 cand.tier = 2;
             } else if (rec.point.control) {
                 cand.tier = 3;

@@ -15,8 +15,9 @@
 //     refresh cannot repair it before the judgment deadline. A duplicate
 //     burst on a LAN pre-images to a failed Assert election — a lost
 //     Assert in the exchange right after data first appears on the LAN.
-//   - the scenario's static metadata (check/scenario.hpp ScenarioInfo):
-//     segment names, fault candidates, member routers, horizon.
+//   - the scenario's static metadata (check/scenario.hpp ScenarioInfo,
+//     derived from its script): segments and the routers they attach,
+//     fault candidates and the routers they hit, member routers, horizon.
 //   - the baseline replay's decision trace: where control frames crossed
 //     which segment at what time (sim::ChoicePoint::control).
 //

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "check/invariants.hpp"
@@ -19,19 +20,20 @@
 #include "topo/segment.hpp"
 #include "trace/timeline.hpp"
 #include "trace/tracer.hpp"
-#include "unicast/oracle_routing.hpp"
 
 namespace pimlib::check {
+
+// The scripts in src/check/scenarios/, embedded by src/CMakeLists.txt in
+// scenario_names() order.
+extern const std::pair<std::string_view, std::string_view> kEmbeddedScenarios[];
+extern const std::size_t kEmbeddedScenarioCount;
+
 namespace {
 
 constexpr sim::Time kMs = sim::kMillisecond;
 
 // Convergence probes after stimuli stop: one join/prune interval each.
 constexpr int kConvergenceProbes = 12;
-
-net::GroupAddress checker_group() {
-    return net::GroupAddress{*net::Ipv4Address::parse("224.9.9.9")};
-}
 
 void add_violation(RunResult& out, std::string oracle, std::string detail) {
     out.violations.push_back(Violation{std::move(oracle), std::move(detail)});
@@ -53,22 +55,8 @@ std::uint64_t timed_state_key(sim::Time t, std::uint64_t structural) {
     return x;
 }
 
-// ---------------------------------------------------------------------------
-// Shared oracle implementations
-// ---------------------------------------------------------------------------
-
 void append(RunResult& out, std::vector<Violation> found) {
     for (Violation& v : found) out.violations.push_back(std::move(v));
-}
-
-void check_loops(RunResult& out, const CrossingMap& crossings,
-                 const std::vector<std::string>& segment_names,
-                 std::uint64_t ttl_drops) {
-    append(out, loop_violations(crossings, segment_names, ttl_drops));
-}
-
-void check_duplicate_bound(RunResult& out, const topo::Host& host) {
-    append(out, duplicate_bound_violations(host.name(), host.duplicate_count()));
 }
 
 /// Snapshot → protocol-neutral view for the shared per-entry oracle.
@@ -90,13 +78,10 @@ EntryView entry_view(const telemetry::EntrySnapshot& e) {
 /// and no entry may list its own iif as an oif. The per-entry rules live in
 /// check/invariants.hpp, shared with the online iif-rpf watchdog.
 void check_iif_consistency(RunResult& out, const telemetry::MribSnapshot& snap,
-                           const std::map<std::string, const topo::Router*>& routers,
-                           const fault::FaultInjector& faults) {
+                           scenario::World& world) {
     for (const telemetry::RouterMrib& r : snap.routers) {
-        const auto it = routers.find(r.router);
-        if (it == routers.end()) continue;
-        const topo::Router& router = *it->second;
-        if (faults.is_crashed(router)) continue;
+        const topo::Router& router = world.router(r.router);
+        if (world.faults().is_crashed(router)) continue;
         for (const telemetry::EntrySnapshot& e : r.entries) {
             const EntryView view = entry_view(e);
             EntryView shadow;
@@ -119,13 +104,105 @@ void check_iif_consistency(RunResult& out, const telemetry::MribSnapshot& snap,
 }
 
 // ---------------------------------------------------------------------------
-// Scenario worlds
+// Scenarios: embedded scripts, parsed once per process
 // ---------------------------------------------------------------------------
 
-struct FaultCandidate {
-    std::string label;
-    std::function<void()> fire;
+/// Oracles judged only on clean branches (no forced loss, no fault).
+const std::set<std::string> kCleanOracles = {"delivery", "steady-redundancy",
+                                             "steady-iif", "assert-winner"};
+/// Oracles judged on the state captured at the horizon.
+const std::set<std::string> kDeadlineOracles = {"rp-failover", "bsr-rp-rehoming",
+                                                "exactly-one-bsr", "rp-set-agreement"};
+
+/// A checker scenario: its parsed script plus what the oracles read from it.
+struct Scenario {
+    scenario::Script script;
+    ScenarioInfo info;
+    std::vector<std::string> segment_names; // by segment id
+    std::vector<std::string> members;       // joined hosts, first-join order
+    std::string source;                     // the data source host, "" if none
+    net::GroupAddress group{};              // the joined group
+    std::uint64_t seq_count = 0;            // packets the source sends
+
+    /// The first sequence number the source sends at or after `from`.
+    [[nodiscard]] std::uint64_t first_seq_from(sim::Time from) const {
+        std::uint64_t seq = 1;
+        for (const scenario::Action& a : script.actions) {
+            if (a.verb != "send" || a.args[0] != source) continue;
+            for (int i = 0; i < a.count; ++i) {
+                if (a.at + i * a.interval < from) ++seq;
+            }
+        }
+        return seq;
+    }
 };
+
+Scenario load(std::string_view name, std::string_view text) {
+    Scenario sc;
+    sc.script = scenario::parse_script(text);
+    const scenario::Script& s = sc.script;
+    for (const scenario::OracleSpec& o : s.oracles) {
+        if (!kCleanOracles.contains(o.name) && !kDeadlineOracles.contains(o.name)) {
+            throw std::runtime_error(std::string(name) + " line " +
+                                     std::to_string(o.line) + ": unknown oracle '" +
+                                     o.name + "'");
+        }
+    }
+    for (const scenario::Action& a : s.actions) {
+        if (a.verb == "join" &&
+            std::find(sc.members.begin(), sc.members.end(), a.args[0]) == sc.members.end()) {
+            if (sc.members.empty()) sc.group = a.group;
+            sc.members.push_back(a.args[0]);
+        } else if (a.verb == "send") {
+            if (sc.source.empty()) sc.source = a.args[0];
+            if (a.args[0] == sc.source) sc.seq_count += static_cast<std::uint64_t>(a.count);
+        }
+    }
+
+    // One throwaway world names the segments and finds the member routers.
+    scenario::World world(s);
+    sc.info.name = std::string(name);
+    sc.info.segments = world.segments();
+    sc.info.fault_slots = s.fault_slots;
+    sc.info.horizon = s.horizon;
+    for (const scenario::SegmentInfo& seg : sc.info.segments) {
+        sc.segment_names.push_back(seg.name);
+    }
+    // Member routers: the routers on each joined host's LAN.
+    std::vector<std::string>& routers = sc.info.member_routers;
+    for (const std::string& member : sc.members) {
+        for (const topo::Interface& iface : world.host(member).interfaces()) {
+            for (const std::string& r : sc.info.segments[static_cast<std::size_t>(iface.segment->id())].routers) {
+                if (std::find(routers.begin(), routers.end(), r) == routers.end()) routers.push_back(r);
+            }
+        }
+    }
+    return sc;
+}
+
+const std::vector<Scenario>& scenarios() {
+    static const std::vector<Scenario> all = [] {
+        std::vector<Scenario> v;
+        for (std::size_t i = 0; i < kEmbeddedScenarioCount; ++i) {
+            v.push_back(load(kEmbeddedScenarios[i].first, kEmbeddedScenarios[i].second));
+        }
+        return v;
+    }();
+    return all;
+}
+
+const Scenario& find_scenario(const std::string& name) {
+    const auto& all = scenarios();
+    for (const Scenario& sc : all) {
+        if (sc.info.name == name) return sc;
+    }
+    assert(false && "unknown scenario; validate against scenario_names()");
+    return all.front();
+}
+
+// ---------------------------------------------------------------------------
+// The run driver
+// ---------------------------------------------------------------------------
 
 /// Shared per-run driver state: recorder, crossing tap, checkpointing and
 /// the convergence probe loop.
@@ -140,7 +217,7 @@ struct Driver {
     std::unique_ptr<Watchdog> watchdog;
 
     Driver(topo::Network& n, RunResult& o, const RunConfig& c,
-           net::Ipv4Address data_source)
+           net::Ipv4Address data_source, net::GroupAddress group)
         : net(n), out(o), cfg(c), recorder(c.choices) {
         recorder.bind(net.simulator());
         net.simulator().set_choice_source(&recorder);
@@ -153,7 +230,7 @@ struct Driver {
         });
         if (cfg.collect_trace) {
             tracer = std::make_unique<trace::PacketTracer>(net);
-            tracer->set_group_filter(checker_group());
+            tracer->set_group_filter(group);
             net.telemetry().set_tracing(true); // timeline needs events + spans
         }
         if (cfg.collect_trace || cfg.collect_provenance) {
@@ -212,24 +289,27 @@ struct Driver {
     }
 
     /// Installs one decision point per fault slot. Alternative 0 is "no
-    /// fault"; the rest fire the candidate (which schedules its own repair
-    /// if the scenario wants one).
-    void arm_fault_slots(const std::vector<sim::Time>& slots,
-                         const std::vector<FaultCandidate>& candidates) {
+    /// fault"; alternative j fires candidate j-1 (and schedules its repair
+    /// when the slot has one).
+    void arm_fault_slots(scenario::World& world,
+                         const std::vector<scenario::FaultSlot>& slots) {
         for (std::size_t i = 0; i < slots.size(); ++i) {
-            net.simulator().schedule_at(slots[i], [this, i, &candidates] {
+            net.simulator().schedule_at(slots[i].at, [this, i, &slots, &world] {
+                const scenario::FaultSlot& slot = slots[i];
                 if (!cfg.forced_fault.empty()) {
                     if (i != 0) return;
-                    for (const FaultCandidate& cand : candidates) {
-                        if (cand.label == cfg.forced_fault) cand.fire();
+                    for (const scenario::Action& cand : slot.candidates) {
+                        if (scenario::fault_label(cand) == cfg.forced_fault) {
+                            world.inject(cand, slot.repair);
+                        }
                     }
                     return;
                 }
                 const std::size_t pick = recorder.choose(
-                    candidates.size() + 1,
+                    slot.candidates.size() + 1,
                     sim::ChoicePoint{sim::ChoicePoint::Kind::kFault,
                                      static_cast<int>(i)});
-                if (pick > 0) candidates[pick - 1].fire();
+                if (pick > 0) world.inject(slot.candidates[pick - 1], slot.repair);
             });
         }
     }
@@ -307,477 +387,48 @@ struct Driver {
     }
 };
 
-// --- walkthrough -----------------------------------------------------------
-//
-// The §3 walkthrough reshaped so every §3.3/§3.5 mechanism is observable:
-//
-//       receiver(lan0) - A ----1ms---- C(RP) --1ms-- D - lan2(viewer)
-//                        |            /
-//                       1ms  20ms   1ms (metric 2)
-//                        |  /      /
-//                        E --- 20ms --- B - lan1(source)
-//
-// Topology (see kWalkthroughScript): A reaches the source via E-B (slow,
-// 21ms) but the RP directly (1ms), so A's SPT diverges from the shared
-// tree and the switchover handshake has a real in-flight window: the
-// shared path outruns the SPT by ~20ms. Pruning the shared arm before SPT
-// data arrives (the skip-spt-bit-handshake mutation) deterministically
-// loses the packets in that window; never pruning it (no-rp-bit-prune)
-// leaves a permanently redundant A-C crossing that A must iif-drop.
-// The viewer behind the RP keeps the shared tree carrying data, so the
-// RP's own (S,G) oif set stays observable.
+// ---------------------------------------------------------------------------
+// Oracles named by `oracle` lines
+// ---------------------------------------------------------------------------
 
-const std::vector<std::string> kWalkthroughSegments = {
-    "A-E", "E-B", "A-C", "B-C", "C-D", "lan0(A)", "lan1(B)", "lan2(D)"};
-
-const std::vector<sim::Time> kWalkthroughFaultSlots = {400 * kMs, 900 * kMs};
-constexpr sim::Time kWalkthroughRepairAfter = 350 * kMs;
-
-// Burst one exercises register + switchover (seqs 1..12); burst two lands
-// well after convergence and is the steady-state measurement window.
-constexpr std::uint64_t kSeqCount = 18;
-constexpr std::uint64_t kSteadyFirstSeq = 13;
-constexpr sim::Time kWalkthroughSteadyStart = 1550 * kMs;
-constexpr sim::Time kWalkthroughHorizon = 1900 * kMs;
-// Steady-state delivery tree: lan1, B-C, C-D, lan2, E-B, A-E, lan0.
-constexpr int kWalkthroughSteadyCrossings = 7;
-
-RunResult run_walkthrough(const RunConfig& cfg) {
-    RunResult out;
-    const net::GroupAddress group = checker_group();
-
-    topo::Network net;
-    topo::Router& a = net.add_router("A");
-    topo::Router& b = net.add_router("B");
-    topo::Router& c = net.add_router("C");
-    topo::Router& d = net.add_router("D");
-    topo::Router& e = net.add_router("E");
-    net.add_link(a, e, 1 * kMs, 1);
-    topo::Segment& link_eb = net.add_link(e, b, 20 * kMs, 1);
-    topo::Segment& link_ac = net.add_link(a, c, 1 * kMs, 1);
-    net.add_link(b, c, 1 * kMs, 2);
-    net.add_link(c, d, 1 * kMs, 1);
-    topo::Segment& lan0 = net.add_lan({&a});
-    topo::Segment& lan1 = net.add_lan({&b});
-    topo::Segment& lan2 = net.add_lan({&d});
-    topo::Host& receiver = net.add_host("receiver", lan0);
-    topo::Host& source = net.add_host("source", lan1);
-    topo::Host& viewer = net.add_host("viewer", lan2);
-
-    unicast::OracleRouting routing(net);
-    scenario::StackConfig config = scenario::StackConfig{}.scaled(0.01);
-    const bool mutation_ok = apply_mutation(cfg.mutation, config);
-    assert(mutation_ok);
-    (void)mutation_ok;
-    scenario::PimSmStack stack(net, config);
-    stack.set_rp(group, {c.router_id()});
-    stack.set_spt_policy(pim::SptPolicy::immediate());
-    fault::FaultInjector faults(net);
-    stack.wire_faults(faults);
-
-    Driver driver(net, out, cfg, source.address());
-    driver.attach_watchdog(stack);
-    driver.arm_forced_loss(kWalkthroughSegments);
-    sim::Simulator& sim = net.simulator();
-
-    sim.schedule_at(120 * kMs, [&] { stack.host_agent(receiver).join(group); });
-    sim.schedule_at(130 * kMs, [&] { stack.host_agent(viewer).join(group); });
-    source.send_stream(group, 12, 10 * kMs, 250 * kMs);
-    source.send_stream(group, 6, 20 * kMs, 1600 * kMs);
-
-    const std::vector<FaultCandidate> candidates = {
-        {"cut-link-A-C",
-         [&] {
-             faults.cut_link(link_ac);
-             faults.restore_link_at(sim.now() + kWalkthroughRepairAfter, link_ac);
-         }},
-        {"cut-link-E-B",
-         [&] {
-             faults.cut_link(link_eb);
-             faults.restore_link_at(sim.now() + kWalkthroughRepairAfter, link_eb);
-         }},
-        {"crash-router-E",
-         [&] {
-             faults.crash_router(e);
-             faults.restart_router_at(sim.now() + kWalkthroughRepairAfter, e);
-         }},
-        {"crash-router-C",
-         [&] {
-             faults.crash_router(c);
-             faults.restart_router_at(sim.now() + kWalkthroughRepairAfter, c);
-         }},
-    };
-    driver.arm_fault_slots(kWalkthroughFaultSlots, candidates);
-
-    driver.checkpoint_until(kWalkthroughSteadyStart, stack);
-    const std::uint64_t steady_iif_base = net.stats().data_dropped_iif();
-    driver.checkpoint_until(kWalkthroughHorizon, stack);
-    const std::uint64_t steady_iif_drops =
-        net.stats().data_dropped_iif() - steady_iif_base;
-    driver.probe_convergence(stack, config.pim.join_prune_interval);
-    driver.finish();
-
-    // --- oracles ---
-    check_loops(out, driver.crossings, kWalkthroughSegments,
-                net.stats().data_dropped_ttl());
-    check_duplicate_bound(out, receiver);
-    check_duplicate_bound(out, viewer);
-    const std::map<std::string, const topo::Router*> routers = {
-        {"A", &a}, {"B", &b}, {"C", &c}, {"D", &d}, {"E", &e}};
-    check_iif_consistency(out, out.final_mrib, routers, faults);
-
-    if (out.clean) {
-        // §3.3: switching from shared tree to SPT must not lose packets,
-        // and soft-state refresh must keep the tree delivering. On clean
-        // branches (pure event reorderings included) every member hears
-        // every sequence number.
-        for (const topo::Host* host : {&receiver, &viewer}) {
-            std::set<std::uint64_t> got;
-            std::map<std::uint64_t, int> steady_copies;
-            for (const topo::Host::ReceivedRecord& rec : host->received()) {
-                if (rec.source != source.address() || rec.group != group) continue;
-                got.insert(rec.seq);
-                if (rec.seq >= kSteadyFirstSeq) ++steady_copies[rec.seq];
-            }
-            append(out, delivery_violations(host->name(), got, 1, kSeqCount));
-            append(out, steady_duplicate_violations(host->name(), steady_copies));
-        }
-        // §3.3/§3.5: a converged tree crosses exactly the delivery tree's
-        // segments once per packet. An extra crossing is a shared-tree arm
-        // that an RP-bit prune should have shut off.
-        append(out, steady_redundancy_violations(
-                        driver.crossings, kWalkthroughSegments, kSteadyFirstSeq,
-                        kSeqCount, kWalkthroughSteadyCrossings));
-        // §3.5: in steady state every packet arrives on the expected iif
-        // everywhere; iif-drops mean a stale or missing prune.
-        if (steady_iif_drops > 0) {
-            add_violation(out, "steady-iif",
-                          std::to_string(steady_iif_drops) +
-                              " iif-check drops during the steady-state window");
-        }
-    }
-    driver.emit_postmortem();
-    return out;
-}
-
-// --- rp-failover -----------------------------------------------------------
-//
-// §3.9: two member routers, a reachable alternate RP, and a fault slot
-// that can crash the primary. Crashing it must re-home every member's
-// (*,G) to the alternate within the RP-reachability timeout plus three
-// join/prune refreshes; leaving it alive (or merely losing one
-// reachability message) must not.
-
-const std::vector<std::string> kFailoverSegments = {
-    "M-R1", "N-R1", "M-R2", "N-R2", "R1-R2", "lan0(M)", "lan1(N)"};
-const std::vector<sim::Time> kFailoverFaultSlots = {500 * kMs};
-constexpr sim::Time kFailoverHorizon = 2300 * kMs; // crash + timeout + 3 refreshes
-
-RunResult run_rp_failover(const RunConfig& cfg) {
-    RunResult out;
-    const net::GroupAddress group = checker_group();
-
-    topo::Network net;
-    topo::Router& m = net.add_router("M");
-    topo::Router& n = net.add_router("N");
-    topo::Router& r1 = net.add_router("R1");
-    topo::Router& r2 = net.add_router("R2");
-    net.add_link(m, r1, 1 * kMs, 1);
-    net.add_link(n, r1, 1 * kMs, 1);
-    net.add_link(m, r2, 1 * kMs, 3);
-    net.add_link(n, r2, 1 * kMs, 3);
-    net.add_link(r1, r2, 1 * kMs, 1);
-    topo::Segment& lan0 = net.add_lan({&m});
-    topo::Segment& lan1 = net.add_lan({&n});
-    topo::Host& h1 = net.add_host("h1", lan0);
-    topo::Host& h2 = net.add_host("h2", lan1);
-
-    unicast::OracleRouting routing(net);
-    scenario::StackConfig config = scenario::StackConfig{}.scaled(0.01);
-    const bool mutation_ok = apply_mutation(cfg.mutation, config);
-    assert(mutation_ok);
-    (void)mutation_ok;
-    scenario::PimSmStack stack(net, config);
-    stack.set_rp(group, {r1.router_id(), r2.router_id()});
-    stack.set_spt_policy(pim::SptPolicy::never());
-    fault::FaultInjector faults(net);
-    stack.wire_faults(faults);
-
-    Driver driver(net, out, cfg, net::Ipv4Address{});
-    driver.attach_watchdog(stack);
-    driver.arm_forced_loss(kFailoverSegments);
-    sim::Simulator& sim = net.simulator();
-
-    sim.schedule_at(100 * kMs, [&] { stack.host_agent(h1).join(group); });
-    sim.schedule_at(110 * kMs, [&] { stack.host_agent(h2).join(group); });
-
-    const std::vector<FaultCandidate> candidates = {
-        {"crash-router-R1", [&] { faults.crash_router(r1); }},
-    };
-    driver.arm_fault_slots(kFailoverFaultSlots, candidates);
-
-    driver.checkpoint_until(kFailoverHorizon, stack);
-    // §3.9's deadline: judge failover on this capture, not on whatever the
-    // (open-ended) convergence probes later settle into.
-    const telemetry::MribSnapshot at_deadline = stack.capture_mrib();
-    driver.probe_convergence(stack, config.pim.join_prune_interval);
-    driver.finish();
-
-    check_loops(out, driver.crossings, kFailoverSegments,
-                net.stats().data_dropped_ttl());
-    const std::map<std::string, const topo::Router*> routers = {
-        {"M", &m}, {"N", &n}, {"R1", &r1}, {"R2", &r2}};
-    check_iif_consistency(out, out.final_mrib, routers, faults);
-
-    const bool crashed = faults.is_crashed(r1);
-    const std::string want_rp =
-        (crashed ? r2.router_id() : r1.router_id()).to_string();
-    append(out, rehoming_violations("rp-failover", at_deadline, {"M", "N"},
-                                    want_rp,
-                                    crashed ? " (primary RP crashed)" : ""));
-    driver.emit_postmortem();
-    return out;
-}
-
-// --- lan-assert ------------------------------------------------------------
-//
-// §2.2's LAN duplicate problem made persistent: two upstream routers
-// forward the same (S,G) traffic onto one shared LAN. U1 carries the
-// shared tree (downstream joins toward the RP C route through it); U2
-// carries the shortest path (the members switch immediately, and their
-// SPT iif equals their shared-tree iif, so the §3.3 divergence prune
-// never fires). Without asserts both forward every packet forever; with
-// them the SPT forwarder must win the election, the RPT loser must prune
-// its arm, and each steady-state packet crosses the LAN exactly once.
-//
-//       source - slan - B --2-- C(RP) --1-- U1
-//                       |                    |
-//                       1                    dlan -- R - rlan0 - rcv1
-//                       |                   /   |
-//                       U2 ----------------     R2 - rlan1 - rcv2
-
-const std::vector<std::string> kLanAssertSegments = {
-    "B-C", "C-U1", "B-U2", "dlan", "slan(B)", "rlan0(R)", "rlan1(R2)"};
-const std::vector<sim::Time> kLanAssertFaultSlots = {400 * kMs};
-constexpr sim::Time kLanAssertRepairAfter = 350 * kMs;
-// Burst one provokes the duplicate storm and the assert election; burst
-// two is the post-election steady-state measurement window. The horizon
-// stays inside the assert holdtime (1.8s scaled) so the loser's pruned
-// state is still live during the window.
-constexpr std::uint64_t kLanAssertSeqCount = 18;
-constexpr std::uint64_t kLanAssertSteadyFirstSeq = 13;
-constexpr sim::Time kLanAssertSteadyStart = 1250 * kMs;
-constexpr sim::Time kLanAssertHorizon = 1650 * kMs;
-// Steady delivery tree: slan, B-U2, dlan, rlan0, rlan1 — plus B-C, because
-// the RP keeps the source path warm while data flows (§3.10) even though
-// its own oif list is null after U1's RP-bit prune.
-constexpr int kLanAssertSteadyCrossings = 6;
-// Segment index of dlan in creation order (after the three links).
-constexpr int kLanAssertDlanSegment = 3;
-
-RunResult run_lan_assert(const RunConfig& cfg) {
-    RunResult out;
-    const net::GroupAddress group = checker_group();
-
-    topo::Network net;
-    topo::Router& b = net.add_router("B");
-    topo::Router& c = net.add_router("C");
-    topo::Router& u1 = net.add_router("U1");
-    topo::Router& u2 = net.add_router("U2");
-    topo::Router& r = net.add_router("R");
-    topo::Router& r2 = net.add_router("R2");
-    net.add_link(b, c, 1 * kMs, 2);
-    net.add_link(c, u1, 1 * kMs, 1);
-    net.add_link(b, u2, 1 * kMs, 1);
-    net.add_lan({&u1, &u2, &r, &r2});
-    topo::Segment& slan = net.add_lan({&b});
-    topo::Segment& rlan0 = net.add_lan({&r});
-    topo::Segment& rlan1 = net.add_lan({&r2});
-    topo::Host& source = net.add_host("source", slan);
-    topo::Host& rcv1 = net.add_host("rcv1", rlan0);
-    topo::Host& rcv2 = net.add_host("rcv2", rlan1);
-
-    unicast::OracleRouting routing(net);
-    scenario::StackConfig config = scenario::StackConfig{}.scaled(0.01);
-    const bool mutation_ok = apply_mutation(cfg.mutation, config);
-    assert(mutation_ok);
-    (void)mutation_ok;
-    scenario::PimSmStack stack(net, config);
-    stack.set_rp(group, {c.router_id()});
-    stack.set_spt_policy(pim::SptPolicy::immediate());
-    fault::FaultInjector faults(net);
-    stack.wire_faults(faults);
-
-    Driver driver(net, out, cfg, source.address());
-    driver.attach_watchdog(stack);
-    driver.arm_forced_loss(kLanAssertSegments);
-    sim::Simulator& sim = net.simulator();
-
-    sim.schedule_at(120 * kMs, [&] { stack.host_agent(rcv1).join(group); });
-    sim.schedule_at(130 * kMs, [&] { stack.host_agent(rcv2).join(group); });
-    source.send_stream(group, 12, 10 * kMs, 250 * kMs);
-    source.send_stream(group, 6, 20 * kMs, 1300 * kMs);
-
-    // Crashing the assert winner forces the members to re-home through the
-    // standing loser: their targeted joins must clear its loser state
-    // ("join overrides assert") or the LAN goes dark.
-    const std::vector<FaultCandidate> candidates = {
-        {"crash-router-U2",
-         [&] {
-             faults.crash_router(u2);
-             faults.restart_router_at(sim.now() + kLanAssertRepairAfter, u2);
-         }},
-    };
-    driver.arm_fault_slots(kLanAssertFaultSlots, candidates);
-
-    driver.checkpoint_until(kLanAssertHorizon, stack);
-    driver.probe_convergence(stack, config.pim.join_prune_interval);
-    driver.finish();
-
-    check_loops(out, driver.crossings, kLanAssertSegments,
-                net.stats().data_dropped_ttl());
-    check_duplicate_bound(out, rcv1);
-    check_duplicate_bound(out, rcv2);
-    const std::map<std::string, const topo::Router*> routers = {
-        {"B", &b}, {"C", &c}, {"U1", &u1}, {"U2", &u2}, {"R", &r}, {"R2", &r2}};
-    check_iif_consistency(out, out.final_mrib, routers, faults);
-
-    if (out.clean) {
-        // Delivery and zero-steady-duplicates: the assert election may cost
-        // a few early duplicates but never a loss, and once it resolves the
-        // LAN carries exactly one copy.
-        for (const topo::Host* host : {&rcv1, &rcv2}) {
-            std::set<std::uint64_t> got;
-            std::map<std::uint64_t, int> steady_copies;
-            for (const topo::Host::ReceivedRecord& rec : host->received()) {
-                if (rec.source != source.address() || rec.group != group) continue;
-                got.insert(rec.seq);
-                if (rec.seq >= kLanAssertSteadyFirstSeq) ++steady_copies[rec.seq];
-            }
-            append(out, delivery_violations(host->name(), got, 1,
-                                            kLanAssertSeqCount));
-            append(out, steady_duplicate_violations(host->name(), steady_copies));
-        }
-        // The assert-winner oracle: a steady packet crossing dlan twice
-        // means both upstreams still forward — the loser never pruned.
-        // (No steady-iif oracle here: the loser keeps hearing the winner's
-        // copies on the LAN and iif-discarding them is exactly its job.)
-        append(out, assert_winner_violations(driver.crossings,
-                                             kLanAssertDlanSegment,
-                                             kLanAssertSteadyFirstSeq,
-                                             kLanAssertSeqCount));
-        append(out, steady_redundancy_violations(
-                        driver.crossings, kLanAssertSegments,
-                        kLanAssertSteadyFirstSeq, kLanAssertSeqCount,
-                        kLanAssertSteadyCrossings));
-    }
-    driver.emit_postmortem();
-    return out;
-}
-
-// --- bsr-failover ----------------------------------------------------------
-//
-// The rp-failover world rebuilt without oracle RP knowledge: no router has
-// a static RP; the mapping exists only through BSR election and
-// candidate-RP advertisement. R1 doubles as primary candidate BSR and
-// primary candidate RP, so one crash exercises both failovers at once —
-// the backup BSR B must take over after the BSR timeout, re-collect the
-// advertisements, and republish a set that re-homes every member onto R2.
-
-const std::vector<std::string> kBsrFailoverSegments = {
-    "M-R1", "N-R1", "M-R2", "N-R2", "R1-R2", "B-R1", "B-R2",
-    "lan0(M)", "lan1(N)"};
-const std::vector<sim::Time> kBsrFailoverFaultSlots = {500 * kMs};
-// Re-homing deadline: crash + BSR timeout (1.5s scaled) + a tick for the
-// takeover + up to two lost-and-retried publication waves (the explorer
-// may drop the triggered advertisement and one periodic retry; periodic
-// origination re-floods every 0.6s).
-constexpr sim::Time kBsrFailoverHorizon = 3300 * kMs;
-
-RunResult run_bsr_failover(const RunConfig& cfg) {
-    RunResult out;
-    const net::GroupAddress group = checker_group();
-
-    topo::Network net;
-    topo::Router& m = net.add_router("M");
-    topo::Router& n = net.add_router("N");
-    topo::Router& r1 = net.add_router("R1");
-    topo::Router& r2 = net.add_router("R2");
-    topo::Router& b = net.add_router("B");
-    net.add_link(m, r1, 1 * kMs, 1);
-    net.add_link(n, r1, 1 * kMs, 1);
-    net.add_link(m, r2, 1 * kMs, 3);
-    net.add_link(n, r2, 1 * kMs, 3);
-    net.add_link(r1, r2, 1 * kMs, 1);
-    net.add_link(b, r1, 1 * kMs, 1);
-    net.add_link(b, r2, 1 * kMs, 1);
-    topo::Segment& lan0 = net.add_lan({&m});
-    topo::Segment& lan1 = net.add_lan({&n});
-    topo::Host& h1 = net.add_host("h1", lan0);
-    topo::Host& h2 = net.add_host("h2", lan1);
-
-    unicast::OracleRouting routing(net);
-    scenario::StackConfig config = scenario::StackConfig{}.scaled(0.01);
-    const bool mutation_ok = apply_mutation(cfg.mutation, config);
-    assert(mutation_ok);
-    (void)mutation_ok;
-    scenario::PimSmStack stack(net, config);
-    const net::Prefix all_groups{net::Ipv4Address{224, 0, 0, 0}, 4};
-    stack.set_candidate_bsr(r1, 20);
-    stack.set_candidate_bsr(b, 10);
-    stack.set_candidate_rp(r1, all_groups, 20);
-    stack.set_candidate_rp(r2, all_groups, 10);
-    stack.set_spt_policy(pim::SptPolicy::never());
-    fault::FaultInjector faults(net);
-    stack.wire_faults(faults);
-
-    Driver driver(net, out, cfg, net::Ipv4Address{});
-    driver.attach_watchdog(stack);
-    driver.arm_forced_loss(kBsrFailoverSegments);
-    sim::Simulator& sim = net.simulator();
-
-    sim.schedule_at(100 * kMs, [&] { stack.host_agent(h1).join(group); });
-    sim.schedule_at(110 * kMs, [&] { stack.host_agent(h2).join(group); });
-
-    const std::vector<FaultCandidate> candidates = {
-        {"crash-router-R1", [&] { faults.crash_router(r1); }},
-        {"crash-router-B", [&] { faults.crash_router(b); }},
-    };
-    driver.arm_fault_slots(kBsrFailoverFaultSlots, candidates);
-
-    driver.checkpoint_until(kBsrFailoverHorizon, stack);
-    const telemetry::MribSnapshot at_deadline = stack.capture_mrib();
-    // The BSR-view and RP-set oracles are snapshotted at this same instant,
-    // not after the convergence probes: a bootstrap refresh lost during the
-    // probe tail may legitimately leave expired state whose repair the next
-    // period owes (the §3.4 soft-state discipline), and reading live agents
-    // there would turn that transient into a false violation.
-    const std::map<std::string, const topo::Router*> routers = {
-        {"M", &m}, {"N", &n}, {"R1", &r1}, {"R2", &r2}, {"B", &b}};
+/// Evidence captured at the horizon, before the convergence probes.
+struct Deadline {
+    telemetry::MribSnapshot mrib;
     struct BsrView {
         net::Ipv4Address elected;
         bool claims = false;
     };
     std::map<std::string, BsrView> views;
     std::map<std::string, std::vector<net::Ipv4Address>> derived;
-    for (const auto& [name, router] : routers) {
-        if (faults.is_crashed(*router)) continue;
-        pim::BootstrapAgent& agent = stack.bootstrap_at(*router);
-        views[name] = {agent.elected_bsr(), agent.is_elected_bsr()};
-        derived[name] = stack.pim_at(*router).rp_set().rps_for(group);
+};
+
+Deadline capture_deadline(const Scenario& sc, scenario::World& world) {
+    Deadline d;
+    d.mrib = world.stack().capture_mrib();
+    scenario::PimSmStack* pim = world.pim_sm();
+    const bool bsr = std::any_of(
+        sc.script.oracles.begin(), sc.script.oracles.end(),
+        [](const scenario::OracleSpec& o) {
+            return o.name == "exactly-one-bsr" || o.name == "rp-set-agreement";
+        });
+    // Only bootstrap worlds: bootstrap_at() would start agents in a
+    // static-RP world and change the rest of the run.
+    if (!bsr || pim == nullptr) return d;
+    for (const auto& router : world.net.routers()) {
+        if (world.faults().is_crashed(*router)) continue;
+        pim::BootstrapAgent& agent = pim->bootstrap_at(*router);
+        d.views[router->name()] = {agent.elected_bsr(), agent.is_elected_bsr()};
+        d.derived[router->name()] = pim->pim_at(*router).rp_set().rps_for(sc.group);
     }
-    driver.probe_convergence(stack, config.pim.join_prune_interval);
-    driver.finish();
+    return d;
+}
 
-    check_loops(out, driver.crossings, kBsrFailoverSegments,
-                net.stats().data_dropped_ttl());
-    check_iif_consistency(out, out.final_mrib, routers, faults);
-
-    // exactly-one-bsr: every live router holds the same elected-BSR view,
-    // and exactly one live router claims the role.
+/// exactly-one-bsr: every live router holds the same elected-BSR view, and
+/// exactly one live router claims the role.
+void judge_one_bsr(RunResult& out, const Deadline& d) {
     net::Ipv4Address elected;
     int claims = 0;
-    for (const auto& [name, view] : views) {
+    for (const auto& [name, view] : d.views) {
         if (view.elected.is_unspecified()) {
             add_violation(out, "exactly-one-bsr",
                           name + " has no elected-BSR view at the deadline");
@@ -797,198 +448,65 @@ RunResult run_bsr_failover(const RunConfig& cfg) {
                       std::to_string(claims) +
                           " live router(s) claim the BSR role, want exactly 1");
     }
-
-    // rp-set-agreement: the learned set must map the group to the same
-    // non-empty RP list on every live router.
-    append(out, rp_agreement_violations(derived, group.to_string()));
-
-    // bsr-rp-rehoming: like rp-failover's oracle, judged at the deadline
-    // capture — members must root at the hash-elected RP of whatever set
-    // survived the fault slot.
-    const bool r1_crashed = faults.is_crashed(r1);
-    const std::string want_rp =
-        (r1_crashed ? r2.router_id() : r1.router_id()).to_string();
-    append(out, rehoming_violations(
-                    "bsr-rp-rehoming", at_deadline, {"M", "N"}, want_rp,
-                    r1_crashed ? " (primary candidate RP crashed)" : ""));
-    driver.emit_postmortem();
-    return out;
 }
 
-// ---------------------------------------------------------------------------
-// Replay script emission
-// ---------------------------------------------------------------------------
-
-std::string time_ms(sim::Time t) {
-    return std::to_string(t / kMs) + "ms";
-}
-
-const char* kWalkthroughScript = R"(topology
-router A
-router B
-router C
-router D
-router E
-link A E delay=1ms metric=1
-link E B delay=20ms metric=1
-link A C delay=1ms metric=1
-link B C delay=1ms metric=2
-link C D delay=1ms metric=1
-lan lan0 A
-lan lan1 B
-lan lan2 D
-host receiver lan0
-host source lan1
-host viewer lan2
-end
-protocol pim-sm
-rp 224.9.9.9 C
-spt-policy immediate
-trace on
-at 120ms join receiver 224.9.9.9
-at 130ms join viewer 224.9.9.9
-at 250ms send source 224.9.9.9 count=12 interval=10ms
-at 1600ms send source 224.9.9.9 count=6 interval=20ms
-)";
-
-const char* kFailoverScript = R"(topology
-router M
-router N
-router R1
-router R2
-link M R1 delay=1ms metric=1
-link N R1 delay=1ms metric=1
-link M R2 delay=1ms metric=3
-link N R2 delay=1ms metric=3
-link R1 R2 delay=1ms metric=1
-lan lan0 M
-lan lan1 N
-host h1 lan0
-host h2 lan1
-end
-protocol pim-sm
-rp 224.9.9.9 R1 R2
-spt-policy never
-trace on
-at 100ms join h1 224.9.9.9
-at 110ms join h2 224.9.9.9
-)";
-
-const char* kLanAssertScript = R"(topology
-router B
-router C
-router U1
-router U2
-router R
-router R2
-link B C delay=1ms metric=2
-link C U1 delay=1ms metric=1
-link B U2 delay=1ms metric=1
-lan dlan U1 U2 R R2
-lan slan B
-lan rlan0 R
-lan rlan1 R2
-host source slan
-host rcv1 rlan0
-host rcv2 rlan1
-end
-protocol pim-sm
-rp 224.9.9.9 C
-spt-policy immediate
-trace on
-at 120ms join rcv1 224.9.9.9
-at 130ms join rcv2 224.9.9.9
-at 250ms send source 224.9.9.9 count=12 interval=10ms
-at 1300ms send source 224.9.9.9 count=6 interval=20ms
-)";
-
-const char* kBsrFailoverScript = R"(topology
-router M
-router N
-router R1
-router R2
-router B
-link M R1 delay=1ms metric=1
-link N R1 delay=1ms metric=1
-link M R2 delay=1ms metric=3
-link N R2 delay=1ms metric=3
-link R1 R2 delay=1ms metric=1
-link B R1 delay=1ms metric=1
-link B R2 delay=1ms metric=1
-lan lan0 M
-lan lan1 N
-host h1 lan0
-host h2 lan1
-end
-protocol pim-sm
-candidate-bsr R1 20
-candidate-bsr B 10
-candidate-rp 224.0.0.0/4 R1 20
-candidate-rp 224.0.0.0/4 R2 10
-spt-policy never
-trace on
-at 100ms join h1 224.9.9.9
-at 110ms join h2 224.9.9.9
-)";
-
-/// Fault directives equivalent to firing candidate `value - 1` at `slot`.
-std::string fault_directives(const std::string& scenario, std::size_t slot,
-                             std::uint32_t value) {
-    if (value == 0) return {};
-    std::string out;
-    if (scenario == "walkthrough") {
-        if (slot >= kWalkthroughFaultSlots.size()) return {};
-        const sim::Time at = kWalkthroughFaultSlots[slot];
-        const sim::Time repair = at + kWalkthroughRepairAfter;
-        switch (value) {
-        case 1:
-            out += "at " + time_ms(at) + " fail-link A C\n";
-            out += "at " + time_ms(repair) + " heal-link A C\n";
-            break;
-        case 2:
-            out += "at " + time_ms(at) + " fail-link E B\n";
-            out += "at " + time_ms(repair) + " heal-link E B\n";
-            break;
-        case 3:
-            out += "at " + time_ms(at) + " crash-router E\n";
-            out += "at " + time_ms(repair) + " restart-router E\n";
-            break;
-        case 4:
-            out += "at " + time_ms(at) + " crash-router C\n";
-            out += "at " + time_ms(repair) + " restart-router C\n";
-            break;
-        default: break;
+void judge(const Scenario& sc, const scenario::OracleSpec& o, scenario::World& world,
+           const Driver& driver, const Deadline& deadline, std::uint64_t steady_iif_drops,
+           RunResult& out) {
+    if (kCleanOracles.contains(o.name) && !out.clean) return;
+    if (o.name == "delivery") {
+        // §3.3: switching from shared tree to SPT must not lose packets,
+        // and soft-state refresh must keep the tree delivering; from the
+        // steady window on, no member sees a duplicate.
+        const net::Ipv4Address source = world.host(sc.source).address();
+        const std::uint64_t steady = sc.first_seq_from(o.from);
+        for (const std::string& member : sc.members) {
+            std::set<std::uint64_t> got;
+            std::map<std::uint64_t, int> steady_copies;
+            for (const topo::Host::ReceivedRecord& rec : world.host(member).received()) {
+                if (rec.source != source || rec.group != sc.group) continue;
+                got.insert(rec.seq);
+                if (rec.seq >= steady) ++steady_copies[rec.seq];
+            }
+            append(out, delivery_violations(member, got, 1, sc.seq_count));
+            append(out, steady_duplicate_violations(member, steady_copies));
         }
-    } else if (scenario == "rp-failover") {
-        if (slot == 0 && value == 1) {
-            out += "at " + time_ms(kFailoverFaultSlots[0]) + " crash-router R1\n";
+    } else if (o.name == "steady-redundancy") {
+        // §3.3/§3.5: a converged tree crosses exactly the delivery tree's
+        // segments once per packet. An extra crossing is a shared-tree arm
+        // that an RP-bit prune should have shut off.
+        append(out, steady_redundancy_violations(driver.crossings, sc.segment_names,
+                                                 sc.first_seq_from(o.from),
+                                                 sc.seq_count, o.crossings));
+    } else if (o.name == "steady-iif") {
+        // §3.5: in steady state every packet arrives on the expected iif.
+        if (steady_iif_drops > 0) {
+            add_violation(out, "steady-iif",
+                          std::to_string(steady_iif_drops) +
+                              " iif-check drops during the steady-state window");
         }
-    } else if (scenario == "lan-assert") {
-        if (slot == 0 && value == 1) {
-            const sim::Time at = kLanAssertFaultSlots[0];
-            out += "at " + time_ms(at) + " crash-router U2\n";
-            out += "at " + time_ms(at + kLanAssertRepairAfter) +
-                   " restart-router U2\n";
+    } else if (o.name == "assert-winner") {
+        append(out, assert_winner_violations(driver.crossings, world.lan(o.args.at(0)).id(),
+                                             sc.first_seq_from(o.from), sc.seq_count));
+    } else if (o.name == "rp-failover" || o.name == "bsr-rp-rehoming") {
+        // §3.9: members' (*,G) must root at the first live RP of the list.
+        std::size_t live = 0;
+        while (live + 1 < o.args.size() &&
+               world.faults().is_crashed(world.router(o.args[live]))) {
+            ++live;
         }
-    } else if (scenario == "bsr-failover") {
-        if (slot == 0 && value == 1) {
-            out += "at " + time_ms(kBsrFailoverFaultSlots[0]) +
-                   " crash-router R1\n";
-        } else if (slot == 0 && value == 2) {
-            out += "at " + time_ms(kBsrFailoverFaultSlots[0]) +
-                   " crash-router B\n";
-        }
+        const std::string want = world.router(o.args.at(live)).router_id().to_string();
+        append(out, rehoming_violations(
+                        o.name, deadline.mrib, sc.info.member_routers, want,
+                        live > 0 ? " (primary RP " + o.args[0] + " crashed)" : ""));
+    } else if (o.name == "exactly-one-bsr") {
+        judge_one_bsr(out, deadline);
+    } else if (o.name == "rp-set-agreement") {
+        append(out, rp_agreement_violations(deadline.derived, sc.group.to_string()));
     }
-    return out;
 }
 
-std::string describe_choice(const std::string& scenario, std::uint32_t index,
-                            const ChoiceRec& rec) {
-    const std::vector<std::string>& segs =
-        scenario == "walkthrough"    ? kWalkthroughSegments
-        : scenario == "lan-assert"   ? kLanAssertSegments
-        : scenario == "bsr-failover" ? kBsrFailoverSegments
-                                     : kFailoverSegments;
+std::string describe_choice(const Scenario& sc, std::uint32_t index, const ChoiceRec& rec) {
     std::string what;
     switch (rec.point.kind) {
     case sim::ChoicePoint::Kind::kEventOrder:
@@ -998,24 +516,37 @@ std::string describe_choice(const std::string& scenario, std::uint32_t index,
     case sim::ChoicePoint::Kind::kFrameLoss: {
         const auto seg = static_cast<std::size_t>(rec.point.detail);
         what = "drop the frame crossing segment " +
-               (seg < segs.size() ? segs[seg] : std::to_string(rec.point.detail));
+               (seg < sc.segment_names.size() ? sc.segment_names[seg]
+                                              : std::to_string(rec.point.detail));
         break;
     }
     case sim::ChoicePoint::Kind::kFault:
-        what = "inject fault candidate " + std::to_string(rec.pick) +
-               " at slot " + std::to_string(rec.point.detail);
+        what = "inject fault candidate " + std::to_string(rec.pick) + " at slot " +
+               std::to_string(rec.point.detail);
         break;
     }
-    return "choice " + std::to_string(index) + " at t=" + time_ms(rec.at) + ": " +
-           what;
+    return "choice " + std::to_string(index) + " at t=" + scenario::format_time(rec.at) +
+           ": " + what;
 }
 
 } // namespace
 
 const std::vector<std::string>& scenario_names() {
-    static const std::vector<std::string> names = {"walkthrough", "rp-failover",
-                                                   "lan-assert", "bsr-failover"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (std::size_t i = 0; i < kEmbeddedScenarioCount; ++i) {
+            v.emplace_back(kEmbeddedScenarios[i].first);
+        }
+        return v;
+    }();
     return names;
+}
+
+std::string_view scenario_script(const std::string& name) {
+    for (std::size_t i = 0; i < kEmbeddedScenarioCount; ++i) {
+        if (kEmbeddedScenarios[i].first == name) return kEmbeddedScenarios[i].second;
+    }
+    return {};
 }
 
 const std::vector<std::string>& known_mutations() {
@@ -1027,35 +558,7 @@ const std::vector<std::string>& known_mutations() {
 }
 
 const ScenarioInfo& scenario_info(const std::string& name) {
-    static const std::vector<ScenarioInfo> infos = [] {
-        std::vector<ScenarioInfo> v;
-        v.push_back(ScenarioInfo{
-            "walkthrough", kWalkthroughSegments, kWalkthroughFaultSlots,
-            {"cut-link-A-C", "cut-link-E-B", "crash-router-E", "crash-router-C"},
-            kWalkthroughHorizon,
-            {"B", "D"}});
-        v.push_back(ScenarioInfo{"rp-failover", kFailoverSegments,
-                                 kFailoverFaultSlots,
-                                 {"crash-router-R1"},
-                                 kFailoverHorizon,
-                                 {"M", "N"}});
-        v.push_back(ScenarioInfo{"lan-assert", kLanAssertSegments,
-                                 kLanAssertFaultSlots,
-                                 {"crash-router-U2"},
-                                 kLanAssertHorizon,
-                                 {"R", "R2"}});
-        v.push_back(ScenarioInfo{"bsr-failover", kBsrFailoverSegments,
-                                 kBsrFailoverFaultSlots,
-                                 {"crash-router-R1", "crash-router-B"},
-                                 kBsrFailoverHorizon,
-                                 {"M", "N"}});
-        return v;
-    }();
-    for (const ScenarioInfo& info : infos) {
-        if (info.name == name) return info;
-    }
-    assert(false && "unknown scenario; validate against scenario_names()");
-    return infos.front();
+    return find_scenario(name).info;
 }
 
 const MutationTrigger& trigger_for_mutation(const std::string& mutation) {
@@ -1129,16 +632,56 @@ bool mutation_requires_search(const std::string& mutation) {
 }
 
 RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
-    if (name == "walkthrough") return run_walkthrough(cfg);
-    if (name == "rp-failover") return run_rp_failover(cfg);
-    if (name == "lan-assert") return run_lan_assert(cfg);
-    if (name == "bsr-failover") return run_bsr_failover(cfg);
-    assert(false && "unknown scenario; validate against scenario_names()");
-    return {};
+    const Scenario& sc = find_scenario(name);
+    const scenario::Script& script = sc.script;
+    RunResult out;
+
+    // Construction order is part of the branch identity: it fixes the
+    // sequence numbers of same-instant events, so every choice index.
+    scenario::World world(script, scenario::World::Observers::kNone, cfg.mutation);
+    Driver driver(world.net, out, cfg,
+                  sc.source.empty() ? net::Ipv4Address{} : world.host(sc.source).address(),
+                  sc.group);
+    driver.attach_watchdog(world.stack());
+    driver.arm_forced_loss(sc.segment_names);
+    world.start_workloads();
+    world.schedule_actions();
+    driver.arm_fault_slots(world, script.fault_slots);
+
+    std::uint64_t iif_base = 0;
+    for (const scenario::OracleSpec& o : script.oracles) {
+        if (o.name != "steady-iif") continue;
+        driver.checkpoint_until(o.from, world.stack());
+        iif_base = world.net.stats().data_dropped_iif();
+    }
+    driver.checkpoint_until(script.horizon, world.stack());
+    const std::uint64_t steady_iif_drops = world.net.stats().data_dropped_iif() - iif_base;
+    const bool deadline_oracles =
+        std::any_of(script.oracles.begin(), script.oracles.end(),
+                    [](const scenario::OracleSpec& o) {
+                        return kDeadlineOracles.contains(o.name);
+                    });
+    const Deadline deadline = deadline_oracles ? capture_deadline(sc, world) : Deadline{};
+    driver.probe_convergence(world.stack(), world.config().pim.join_prune_interval);
+    driver.finish();
+
+    // Oracles every scenario gets, then the script's own in script order.
+    append(out, loop_violations(driver.crossings, sc.segment_names,
+                                world.net.stats().data_dropped_ttl()));
+    for (const std::string& member : sc.members) {
+        append(out, duplicate_bound_violations(member, world.host(member).duplicate_count()));
+    }
+    check_iif_consistency(out, out.final_mrib, world);
+    for (const scenario::OracleSpec& o : script.oracles) {
+        judge(sc, o, world, driver, deadline, steady_iif_drops, out);
+    }
+    driver.emit_postmortem();
+    return out;
 }
 
 std::string replay_script(const std::string& name, const std::string& mutation,
                           const RunResult& result) {
+    const Scenario& sc = find_scenario(name);
     std::string out = "# pimcheck counterexample -- scenario " + name;
     if (!mutation.empty()) out += " --mutate " + mutation;
     out += "\n";
@@ -1152,9 +695,12 @@ std::string replay_script(const std::string& name, const std::string& mutation,
         const ChoiceRec& rec = result.trace[i];
         if (rec.pick == 0) continue;
         forced.push_back(Pick{static_cast<std::uint32_t>(i), rec.pick});
-        if (rec.point.kind == sim::ChoicePoint::Kind::kFault) {
-            fault_lines += fault_directives(
-                name, static_cast<std::size_t>(rec.point.detail), rec.pick);
+        const auto slot = static_cast<std::size_t>(rec.point.detail);
+        if (rec.point.kind == sim::ChoicePoint::Kind::kFault &&
+            slot < sc.script.fault_slots.size() &&
+            rec.pick <= sc.script.fault_slots[slot].candidates.size()) {
+            const scenario::FaultSlot& fs = sc.script.fault_slots[slot];
+            fault_lines += scenario::render_fault(fs, fs.candidates[rec.pick - 1]);
         }
     }
     if (forced.empty()) {
@@ -1167,23 +713,14 @@ std::string replay_script(const std::string& name, const std::string& mutation,
         if (!mutation.empty()) out += " --mutate " + mutation;
         out += " --replay " + format_choices(forced) + "):\n";
         for (const Pick& pick : forced) {
-            out += "#   " + describe_choice(name, pick.index,
-                                            result.trace[pick.index]) +
-                   "\n";
+            out += "#   " + describe_choice(sc, pick.index, result.trace[pick.index]) + "\n";
         }
-        out += "# fault injections replay below; pimsim cannot force "
+        out += "# fault injections replay at the end; pimsim cannot force "
                "message-level order/loss\n";
     }
-    out += name == "walkthrough"    ? kWalkthroughScript
-           : name == "lan-assert"   ? kLanAssertScript
-           : name == "bsr-failover" ? kBsrFailoverScript
-                                    : kFailoverScript;
+    out += sc.script.text;
+    if (!out.empty() && out.back() != '\n') out += "\n";
     out += fault_lines;
-    const sim::Time run_for = name == "walkthrough"    ? 2500 * kMs
-                             : name == "lan-assert"    ? 2200 * kMs
-                             : name == "bsr-failover"  ? 3800 * kMs
-                                                       : 2400 * kMs;
-    out += "run " + time_ms(run_for) + "\n";
     return out;
 }
 

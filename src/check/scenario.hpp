@@ -1,43 +1,44 @@
 // The checker's scenarios and invariant oracles.
 //
-// A scenario is a small, fully scripted pimlib world (topology + PIM-SM
-// stack + oracle unicast routing + stimuli) run once under a ChoiceRecorder.
-// After the run, invariant oracles derived from the paper are evaluated:
+// A scenario is a pimsim script (src/check/scenarios/*.pimsim, embedded at
+// build time and parsed once per process): a small world (topology + PIM-SM
+// stack + oracle unicast routing + stimuli), its fault slots, its judgment
+// horizon and the oracles that judge it. Each run builds a fresh world from
+// the parsed script and replays it under a ChoiceRecorder. The first four
+// oracles below judge every scenario; the rest run when the script names
+// them in an `oracle` line, with their constants as arguments:
 //
 //   duplicate-bound      no host sees more than a handful of (source,seq)
 //                        duplicates; a forwarding loop dupes every packet
 //   forwarding-loop      no data packet crosses the same segment more than
 //                        a few times, and nothing dies of TTL exhaustion
-//   steady-duplicate     zero duplicates in the post-convergence window
-//   delivery             every packet sent while all members are joined is
-//                        delivered to every member (§3.3's lossless
-//                        SPT-switchover claim; clean branches only)
-//   steady-redundancy    each steady-state packet crosses exactly the
-//                        expected tree's segments — one extra crossing means
-//                        a missing RP-bit negative cache (§3.3, §3.5)
-//   steady-iif           zero incoming-interface check failures in steady
-//                        state (§3.5's iif discipline; clean branches only)
 //   iif-consistency      every surviving MRIB entry's iif agrees with the
 //                        unicast RPF oracle, and never appears in its own
 //                        oif list (§2.3, §3.8)
 //   convergence          after stimuli stop, the global MRIB reaches a
 //                        stable state or a recurrent soft-state orbit
-//   rp-failover          (rp-failover scenario) after the primary RP dies,
-//                        every member router's (*,G) re-homes to the
-//                        alternate RP (§3.9)
-//   assert-winner        (lan-assert scenario) after the per-interface
-//                        Assert election, each steady packet crosses the
-//                        contested LAN exactly once — one winner forwards,
-//                        every loser holds its prune
-//   exactly-one-bsr      (bsr-failover scenario) every live router agrees on
-//                        the elected BSR, and exactly one live router claims
-//                        the role
-//   rp-set-agreement     (bsr-failover scenario) every live router derives
-//                        the same non-empty RP list from the learned set
-//   bsr-rp-rehoming      (bsr-failover scenario) members' (*,G) entries root
-//                        at the hash-elected RP of the surviving set — after
-//                        the primary candidate RP (and BSR) crashes, they
-//                        re-home to the backup within the §3.9-style bound
+//   delivery from=T      every packet the source sends is delivered to
+//                        every member (§3.3's lossless SPT-switchover
+//                        claim), and steady-duplicate: zero duplicates
+//                        among packets sent from T on (the steady window)
+//   steady-redundancy from=T crossings=N
+//                        each steady-state packet crosses exactly N
+//                        segments — one extra crossing means a missing
+//                        RP-bit negative cache (§3.3, §3.5)
+//   steady-iif from=T    zero incoming-interface check failures from T to
+//                        the horizon (§3.5's iif discipline)
+//   rp-failover R1 R2…   at the horizon, every member router's (*,G) roots
+//                        at the first live RP of the list (§3.9)
+//   assert-winner LAN from=T
+//                        after the per-interface Assert election, each
+//                        steady packet crosses the contested LAN exactly
+//                        once — one winner forwards, every loser prunes
+//   exactly-one-bsr      every live router agrees on the elected BSR, and
+//                        exactly one live router claims the role
+//   rp-set-agreement     every live router derives the same non-empty RP
+//                        list from the learned set
+//   bsr-rp-rehoming R1 R2…
+//                        rp-failover's rule for bootstrap-learned RP sets
 //
 // Oracles that assert efficiency or completeness only apply to "clean"
 // branches — no forced frame loss and no injected fault — because the
@@ -47,11 +48,13 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/choice.hpp"
 #include "check/invariants.hpp" // Violation + the pure oracle functions
 #include "scenario/stacks.hpp"
+#include "scenario/world.hpp" // SegmentInfo, FaultSlot
 #include "telemetry/snapshot.hpp"
 
 namespace pimlib::check {
@@ -128,22 +131,23 @@ struct RunResult {
     std::size_t watchdog_count = 0;
 };
 
-/// Static metadata about a scenario world, exported for the backward
-/// search engine (check/backward.hpp): it needs to reason about fault
-/// candidates, segments and deadlines *before* replaying anything.
+/// Static metadata about a scenario world, derived from its script and
+/// exported for the backward search engine (check/backward.hpp): it needs
+/// to reason about fault candidates, segments and deadlines *before*
+/// replaying anything.
 struct ScenarioInfo {
     std::string name;
-    /// Segment names in creation order — the index is exactly the
+    /// Segments in creation order — the index is exactly the
     /// ChoicePoint::detail of kFrameLoss decisions on that segment.
-    std::vector<std::string> segments;
-    /// Fault-slot firing times; slot i is ChoicePoint::detail i of kFault.
-    std::vector<sim::Time> fault_slots;
-    /// Fault candidate labels; candidate j fires on pick value j+1.
-    std::vector<std::string> fault_candidates;
-    /// The oracle-judgment deadline (checkpoint horizon before the
+    std::vector<scenario::SegmentInfo> segments;
+    /// The script's fault slots; slot i is ChoicePoint::detail i of kFault,
+    /// and its candidate j fires on pick value j+1 (labels: fault_label()).
+    std::vector<scenario::FaultSlot> fault_slots;
+    /// The oracle-judgment deadline (the script's `horizon`, before the
     /// convergence probes take over).
     sim::Time horizon = 0;
-    /// Last-hop routers with joined members behind them — the routers whose
+    /// Last-hop routers with joined members behind them (the routers on
+    /// the LANs of the script's `join` hosts) — the routers whose
     /// forwarding state the delivery/re-homing oracles judge. Backward
     /// search ranks losses on member↔critical-router links first.
     std::vector<std::string> member_routers;
@@ -151,6 +155,10 @@ struct ScenarioInfo {
 
 /// Aborts (assert) on unknown names — validate against scenario_names().
 [[nodiscard]] const ScenarioInfo& scenario_info(const std::string& name);
+
+/// The embedded source of scenario `name` (src/check/scenarios/NAME.pimsim),
+/// or "" for unknown names. pimsim runs it unchanged.
+[[nodiscard]] std::string_view scenario_script(const std::string& name);
 
 /// Everything a test needs to make a seeded mutation's symptom appear on
 /// a directly-forced branch: the fault to fire (if fault-dependent) and
@@ -192,10 +200,11 @@ struct MutationTrigger {
 /// callers validate against scenario_names() first.
 [[nodiscard]] RunResult run_scenario(const std::string& name, const RunConfig& cfg);
 
-/// A pimsim directive script reproducing `result`'s branch of `name`:
-/// topology, stimuli and fault injections replay exactly; message-level
-/// order/loss choices (which pimsim cannot force) are documented as
-/// comments, including the --replay spec for reproducing them in pimcheck.
+/// A pimsim script reproducing `result`'s branch of `name`: the scenario's
+/// own script plus the picked fault candidates as `at` lines, so topology,
+/// stimuli and fault injections replay exactly; message-level order/loss
+/// choices (which pimsim cannot force) are documented in a comment header,
+/// including the --replay spec for reproducing them in pimcheck.
 [[nodiscard]] std::string replay_script(const std::string& name,
                                         const std::string& mutation,
                                         const RunResult& result);

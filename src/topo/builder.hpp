@@ -37,6 +37,8 @@ public:
     /// The point-to-point link between two named routers.
     [[nodiscard]] Segment& link(const std::string& a, const std::string& b) const;
 
+    [[nodiscard]] const std::map<std::string, Segment*>& lans() const { return lans_; }
+
     [[nodiscard]] std::size_t router_count() const { return routers_.size(); }
     [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
 

@@ -204,7 +204,8 @@ TEST(ProvenanceProtocolDrops, NoRouteWhenRegisterTargetUnreachable) {
 
 // --- mtrace path attribution on the walkthrough pentagon ------------------
 
-/// The five-router pentagon of check/scenario.cpp's walkthrough: receiver
+/// The five-router pentagon of the checker's walkthrough scenario
+/// (src/check/scenarios/walkthrough.pimsim): receiver
 /// behind A, source behind B, RP at C, viewer behind D. A's unicast route
 /// to the source runs A-E-B (metric 2), so the immediate SPT switchover
 /// moves the receiver's delivery path off the RP.
