@@ -28,8 +28,7 @@ namespace pimlib::bench {
 /// (times), "higher" (throughput/speedups), or "info" (recorded in history
 /// but never gated — wall-clock-noisy or purely descriptive values).
 /// Metric values must be finite; insertion order is preserved so the line
-/// is byte-stable for deterministic benches (churn_scale --check diffs its
-/// full stdout across same-seed runs).
+/// is byte-stable for deterministic benches.
 class Report {
 public:
     explicit Report(std::string bench) : bench_(std::move(bench)) {}

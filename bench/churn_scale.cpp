@@ -17,10 +17,8 @@
 //   - steady-state control overhead (control msgs/sim-second, second half)
 //   - join-to-data latency distribution (first join on a LAN -> first data)
 //
-// Usage: churn_scale [--receivers N] [--rate R] [--seed S] [--check]
+// Usage: churn_scale [--receivers N] [--rate R] [--seed S]
 //   --receivers/--rate pin a single sweep point; default sweeps both.
-//   --check runs one small point twice and fails unless the run meets
-//   sanity floors and both runs emit identical JSON (CI determinism gate).
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -254,29 +252,6 @@ std::string emit(std::uint64_t seed, const std::vector<PointResult>& points) {
 int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(
         bench::flag_value(argc, argv, "--seed", 42));
-
-    if (bench::flag_present(argc, argv, "--check")) {
-        // CI smoke: one small point, run twice; determinism means the JSON
-        // must match byte-for-byte, and the point must clear sanity floors.
-        const sim::Time dur = 3 * sim::kSecond;
-        const std::string a = emit(seed, {run_point(seed, 2000, 200, dur)});
-        const std::string b = emit(seed, {run_point(seed, 2000, 200, dur)});
-        std::printf("%s", a.c_str());
-        if (a != b) {
-            std::fprintf(stderr, "churn_scale: same-seed runs diverged\n");
-            return 1;
-        }
-        const PointResult p = run_point(seed, 2000, 200, dur);
-        if (p.joins == 0 || p.membership_peak < 2000 || p.join_to_data_s.empty()) {
-            std::fprintf(stderr, "churn_scale: sanity floors not met "
-                                 "(joins=%llu peak=%zu samples=%zu)\n",
-                         static_cast<unsigned long long>(p.joins),
-                         p.membership_peak, p.join_to_data_s.size());
-            return 1;
-        }
-        normalized(p).emit();
-        return 0;
-    }
 
     const int pin_receivers = bench::flag_value(argc, argv, "--receivers", 0);
     const double pin_rate = bench::flag_double(argc, argv, "--rate", 0);

@@ -1,45 +1,29 @@
-// Wall-clock cost of the provenance flight recorder (the "cost model"
-// contract in src/provenance/provenance.hpp): with no Recorder attached
-// every hook is one pointer test (~0 overhead), and with the recorder
-// enabled appends are O(1) into preallocated rings (<8% budget).
+// Cost of the provenance flight recorder (the "cost model" contract in
+// src/provenance/provenance.hpp): with no Recorder attached every hook is
+// one pointer test, and with the recorder enabled appends are O(1) into
+// preallocated rings.
 //
-// The same deterministic PIM-SM workload — a 16-router random internet,
-// 8 edge LANs, several groups streaming concurrently — runs in three
-// modes:
+// One deterministic PIM-SM workload — a 16-router random internet, 8 edge
+// LANs, several groups streaming concurrently — runs once per process in
+// one of three modes:
 //
 //   off    no Recorder attached to the Network (the baseline)
 //   idle   Recorder attached but set_enabled(false) — compiled-in, idle
 //   on     Recorder attached and recording every hop
 //
-// Each round times all three modes back to back and the per-round paired
-// ratios (idle/off, on/off) are reduced by their *median* across rounds.
-// Pairing within a round cancels host drift (frequency scaling, noisy
-// neighbours) that a min-of-each-mode comparison cannot: a slow round
-// slows all three modes together, leaving its ratio intact. JSON goes to
-// stdout so CI can archive it.
+// The bench times nothing itself: bench_runner runs `--recorder on` and
+// `--recorder idle` against the off mode in interleaved process pairs and
+// gates recorder_on_cpu_ratio and recorder_idle_cpu_ratio against
+// bench/baselines/provenance_overhead.json.
 //
-// Usage: provenance_overhead [--trials N] [--packets N] [--check]
-//                            [--attempts N] [--enabled-budget PCT]
-//                            [--idle-budget PCT]
+// Usage: provenance_overhead [--packets N] [--recorder off|idle|on]
 //
-//   --check  exit nonzero when enabled-mode overhead exceeds the 8%
-//            budget or idle-mode overhead exceeds the (noise) 5% budget.
-//            (The budgets are percentages of a baseline the timer wheel
-//            made ~1.35x faster; they were re-based from 5%/3% when the
-//            wheel landed so they keep the same *absolute* allowance —
-//            the recorder's per-record cost did not change, which
-//            records_per_enabled_run cross-checks.)
-//            The whole measurement is retried up to --attempts times and
-//            the gate passes if ANY attempt lands inside both budgets:
-//            shared CI runners have a scheduling-noise floor comparable
-//            to the budget itself (the idle mode — one branch per hop —
-//            regularly *measures* ±3% there), so a single over-budget
-//            reading is evidence of a noisy neighbour, while a genuine
-//            regression fails every attempt.
-#include <chrono>
+// In on mode the bench exits nonzero if the recorder saw no traffic: a 0
+// would mean the pair is measuring nothing.
 #include <cstdio>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -57,8 +41,6 @@ enum class Mode { kOff, kIdle, kOn };
 
 constexpr int kGroups = 6;
 
-std::size_t g_ring_capacity = provenance::RecorderConfig{}.ring_capacity;
-
 net::GroupAddress group_n(int n) {
     return net::GroupAddress{
         net::Ipv4Address(224, 9, 0, static_cast<std::uint8_t>(n + 1))};
@@ -73,9 +55,8 @@ scenario::StackConfig fast_config() {
     return cfg.scaled(0.01);
 }
 
-/// One full simulation; returns total records appended so the "on" run can
-/// prove the recorder actually saw traffic (a 0 would mean the bench is
-/// measuring nothing).
+/// One full simulation; returns total records appended so the on mode can
+/// prove the recorder actually saw traffic.
 std::uint64_t run_once(Mode mode, int packets) {
     topo::Network net;
     std::vector<topo::Router*> routers;
@@ -99,10 +80,8 @@ std::uint64_t run_once(Mode mode, int packets) {
 
     std::unique_ptr<provenance::Recorder> recorder;
     if (mode != Mode::kOff) {
-        provenance::RecorderConfig rcfg;
-        rcfg.ring_capacity = g_ring_capacity;
         recorder = std::make_unique<provenance::Recorder>(
-            net.telemetry().registry(), rcfg);
+            net.telemetry().registry());
         recorder->set_enabled(mode == Mode::kOn);
         net.set_provenance(recorder.get());
     }
@@ -132,141 +111,33 @@ std::uint64_t run_once(Mode mode, int packets) {
     return recorder ? recorder->total_records() : 0;
 }
 
-struct Timings {
-    std::vector<double> off_s;
-    std::vector<double> idle_s;
-    std::vector<double> on_s;
-    std::uint64_t on_records = 0;
-};
-
-/// Times all three modes `trials` rounds, each round running off, idle and
-/// on back to back so that per-round ratios can be paired (see the header
-/// comment for why pairing beats min-of-each-mode on a noisy host).
-Timings time_modes(int trials, int packets) {
-    using Clock = std::chrono::steady_clock;
-    Timings t;
-    auto timed = [packets](Mode mode, std::uint64_t* records) {
-        const auto start = Clock::now();
-        const std::uint64_t n = run_once(mode, packets);
-        if (records != nullptr) *records = n;
-        return std::chrono::duration<double>(Clock::now() - start).count();
-    };
-    // Rotate the in-round order so no mode always runs first (or last):
-    // allocator/cache warmth inside a round is position-dependent and
-    // would otherwise bias the paired ratios.
-    for (int i = 0; i < trials; ++i) {
-        const Mode order[3][3] = {{Mode::kOff, Mode::kIdle, Mode::kOn},
-                                  {Mode::kIdle, Mode::kOn, Mode::kOff},
-                                  {Mode::kOn, Mode::kOff, Mode::kIdle}};
-        for (Mode mode : order[i % 3]) {
-            switch (mode) {
-            case Mode::kOff: t.off_s.push_back(timed(mode, nullptr)); break;
-            case Mode::kIdle: t.idle_s.push_back(timed(mode, nullptr)); break;
-            case Mode::kOn: t.on_s.push_back(timed(mode, &t.on_records)); break;
-            }
-        }
-    }
-    return t;
-}
-
-/// Median across rounds of the paired per-round overhead (mode_i/base_i-1).
-double paired_overhead_pct(const std::vector<double>& base,
-                           const std::vector<double>& mode) {
-    std::vector<double> ratios;
-    for (std::size_t i = 0; i < base.size() && i < mode.size(); ++i) {
-        if (base[i] > 0) ratios.push_back((mode[i] - base[i]) / base[i] * 100.0);
-    }
-    return ratios.empty() ? 0.0 : bench::percentile(ratios, 0.5);
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
-    const int trials = std::max(1, bench::flag_value(argc, argv, "--trials", 7));
     const int packets =
         std::max(1, bench::flag_value(argc, argv, "--packets", 1000));
-    const bool check = bench::flag_present(argc, argv, "--check");
-    const int attempts =
-        std::max(1, bench::flag_value(argc, argv, "--attempts", check ? 4 : 1));
-    const double enabled_budget =
-        bench::flag_double(argc, argv, "--enabled-budget", 8.0);
-    const double idle_budget =
-        bench::flag_double(argc, argv, "--idle-budget", 5.0);
-    g_ring_capacity = static_cast<std::size_t>(std::max(
-        1, bench::flag_value(argc, argv, "--ring",
-                             static_cast<int>(g_ring_capacity))));
-
-    // One throwaway run warms allocator and caches so the first timed mode
-    // isn't penalised for paging in the binary.
-    (void)run_once(Mode::kOff, packets);
-
-    double off_s = 0, idle_s = 0, on_s = 0, idle_pct = 0, on_pct = 0;
-    std::uint64_t on_records = 0;
-    int attempt = 0;
-    bool within_budget = false;
-    for (attempt = 1; attempt <= attempts; ++attempt) {
-        const Timings t = time_modes(trials, packets);
-        const double a_off = bench::percentile(t.off_s, 0.5);
-        const double a_idle = bench::percentile(t.idle_s, 0.5);
-        const double a_on = bench::percentile(t.on_s, 0.5);
-        const double a_idle_pct = paired_overhead_pct(t.off_s, t.idle_s);
-        const double a_on_pct = paired_overhead_pct(t.off_s, t.on_s);
-        // Keep the best (lowest-enabled-overhead) attempt for the report.
-        if (attempt == 1 || a_on_pct < on_pct) {
-            off_s = a_off;
-            idle_s = a_idle;
-            on_s = a_on;
-            idle_pct = a_idle_pct;
-            on_pct = a_on_pct;
-            on_records = t.on_records;
-        }
-        if (a_on_pct <= enabled_budget && a_idle_pct <= idle_budget) {
-            within_budget = true;
-            break;
-        }
-        if (attempt < attempts) {
-            std::fprintf(stderr,
-                         "provenance_overhead: attempt %d read enabled %.2f%% / "
-                         "idle %.2f%% — retrying\n",
-                         attempt, a_on_pct, a_idle_pct);
-        }
+    const std::string recorder =
+        bench::flag_string(argc, argv, "--recorder", "off");
+    Mode mode = Mode::kOff;
+    if (recorder == "idle") {
+        mode = Mode::kIdle;
+    } else if (recorder == "on") {
+        mode = Mode::kOn;
+    } else if (recorder != "off") {
+        std::fprintf(stderr, "provenance_overhead: --recorder takes "
+                             "off|idle|on, not '%s'\n",
+                     recorder.c_str());
+        return 2;
     }
 
-    std::printf("{\"trials\":%d,\"packets\":%d,\"attempts\":%d,\n"
-                " \"off_s\":%.4f,\"idle_s\":%.4f,\"enabled_s\":%.4f,\n"
-                " \"idle_overhead_pct\":%.2f,\"enabled_overhead_pct\":%.2f,\n"
-                " \"records_per_enabled_run\":%llu,\n"
-                " \"idle_budget_pct\":%.1f,\"enabled_budget_pct\":%.1f}\n",
-                trials, packets, std::min(attempt, attempts), off_s, idle_s,
-                on_s, idle_pct, on_pct,
-                static_cast<unsigned long long>(on_records), idle_budget,
-                enabled_budget);
-
+    const std::uint64_t records = run_once(mode, packets);
     bench::Report norm("provenance_overhead");
-    norm.metric("enabled_overhead_pct", on_pct, "%", "info")
-        .metric("idle_overhead_pct", idle_pct, "%", "info")
-        .metric("records_per_enabled_run", static_cast<double>(on_records),
-                "records", "info");
+    norm.metric("records", static_cast<double>(records), "records", "info");
     norm.emit();
 
-    if (on_records == 0) {
+    if (mode == Mode::kOn && records == 0) {
         std::fprintf(stderr, "provenance_overhead: enabled run recorded nothing "
                              "— the bench is not exercising the recorder\n");
-        return 1;
-    }
-    if (check && !within_budget) {
-        if (on_pct > enabled_budget) {
-            std::fprintf(stderr,
-                         "provenance_overhead: enabled overhead %.2f%% exceeds "
-                         "the %.1f%% budget in all %d attempt(s)\n",
-                         on_pct, enabled_budget, attempts);
-        }
-        if (idle_pct > idle_budget) {
-            std::fprintf(stderr,
-                         "provenance_overhead: idle overhead %.2f%% exceeds the "
-                         "%.1f%% (noise) budget in all %d attempt(s)\n",
-                         idle_pct, idle_budget, attempts);
-        }
         return 1;
     }
     return 0;

@@ -8,6 +8,14 @@
 // comparator in runner_util.hpp (direction-aware best-of-N vs a per-metric
 // ratio threshold). CI calls this once instead of scripting ten binaries.
 //
+// A bench may also list variants: a metric stem plus the one extra flag
+// that turns an observer on. For each, the runner runs kAbPairs
+// interleaved process pairs (base args vs base args + flag), takes each
+// child's CPU time from getrusage(RUSAGE_CHILDREN), and appends
+// <stem>_cpu_ratio — the lower quartile of the per-pair ratios — to the
+// bench's result. It is recorded and gated like every other metric,
+// against a baseline entry {value 1.0, tolerance = the observer's budget}.
+//
 // Usage:
 //   bench_runner [--bench a,b,...] [--runs N] [--check]
 //                [--bin-dir DIR] [--baselines DIR] [--history DIR]
@@ -27,14 +35,11 @@
 //   --out        also write each bench's normalized line to
 //                <out>/<bench>.json for artifact upload
 //   --list       print the known benches with their default args and exit
-//
-// micro_pim is intentionally absent: it speaks google-benchmark JSON, not
-// pimbench/1, and its regressions are gated upstream by its own --check.
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <sstream>
@@ -49,11 +54,22 @@ namespace bench = pimlib::bench;
 
 namespace {
 
+struct Variant {
+    const char* name = nullptr; // metric stem: <name>_cpu_ratio
+    const char* flag = nullptr; // added to the bench's args on the B side
+};
+
 struct BenchSpec {
     const char* name;
     // Default args sized for CI: minutes for the whole suite, not per bench.
+    // With variants, they also size each A/B process (>= ~0.2 s of CPU).
     const char* args;
+    Variant variants[2] = {};
 };
+
+// Process pairs per variant. Thirteen pairs put the lower quartile at the
+// fourth-smallest ratio, so up to nine noisy pairs cannot fail a gate.
+constexpr int kAbPairs = 13;
 
 // Every plain harness with a normalized line. Args pin the workload so the
 // committed baselines describe a reproducible configuration.
@@ -61,22 +77,16 @@ constexpr BenchSpec kBenches[] = {
     {"fig2a_delay_ratio", "--trials 20"},
     {"fig2b_traffic_concentration", "--trials 8 --groups 40"},
     {"fig1_overhead", "--packets 20"},
-    {"scaling_overhead", "--packets 20"},
+    {"scaling_overhead", "--packets 20",
+     {{"tracing", "--telemetry on"}, {"observers", "--observers on"}}},
     {"ablation_refresh", ""},
     {"ablation_spt_policy", ""},
     {"fault_convergence", "--trials 2"},
     {"churn_scale", "--receivers 4000 --rate 400"},
-    {"provenance_overhead", "--trials 3 --packets 400"},
+    {"provenance_overhead", "--packets 5000",
+     {{"recorder_on", "--recorder on"}, {"recorder_idle", "--recorder idle"}}},
     {"timer_scale", "--max-entries 100000"},
 };
-
-std::string flag_string(int argc, char** argv, const char* name,
-                        const char* fallback) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-    }
-    return fallback;
-}
 
 std::vector<std::string> split_csv(const std::string& csv) {
     std::vector<std::string> out;
@@ -132,6 +142,50 @@ int run_capture(const std::string& cmd, std::string* stdout_text) {
     return 128;
 }
 
+/// User + system CPU seconds of every child reaped so far.
+double children_cpu_s() {
+    rusage ru{};
+    getrusage(RUSAGE_CHILDREN, &ru);
+    return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+           static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+}
+
+/// Runs `cmd` (stdout discarded) and returns its CPU seconds, or -1 if it
+/// exited nonzero.
+double timed_run(const std::string& cmd) {
+    std::string ignored;
+    const double before = children_cpu_s();
+    if (run_capture(cmd, &ignored) != 0) return -1.0;
+    return children_cpu_s() - before;
+}
+
+/// The variant's interleaved A/B pairs. Which side runs first alternates:
+/// drift within an invocation is monotone, so a fixed order would charge
+/// it to the same side in every pair. A pair with a failed side is
+/// reported and dropped; `*failed` is set.
+std::vector<runner::CostPair> ab_pairs(const std::string& a_cmd,
+                                       const std::string& b_cmd,
+                                       bool* failed) {
+    std::vector<runner::CostPair> pairs;
+    for (int i = 0; i < kAbPairs; ++i) {
+        runner::CostPair pair;
+        const bool b_first = (i % 2) != 0;
+        for (const bool b : {b_first, !b_first}) {
+            (b ? pair.b_cpu_s : pair.a_cpu_s) = timed_run(b ? b_cmd : a_cmd);
+        }
+        if (pair.a_cpu_s < 0 || pair.b_cpu_s < 0) {
+            std::fprintf(stderr,
+                         "bench_runner: A/B pair %d of '%s' had a run exit "
+                         "nonzero\n",
+                         i + 1, b_cmd.c_str());
+            *failed = true;
+            continue;
+        }
+        pairs.push_back(pair);
+    }
+    return pairs;
+}
+
 std::string git_commit() {
     std::string out;
     if (run_capture("git rev-parse --short HEAD 2>/dev/null", &out) != 0) {
@@ -155,18 +209,25 @@ int main(int argc, char** argv) {
     const bool check = bench::flag_present(argc, argv, "--check");
     const int runs = std::max(
         1, bench::flag_value(argc, argv, "--runs", check ? 2 : 1));
-    const std::string bin_dir =
-        flag_string(argc, argv, "--bin-dir", dirname_of(argv[0]).c_str());
+    const std::string bin_dir = bench::flag_string(
+        argc, argv, "--bin-dir", dirname_of(argv[0]).c_str());
     const std::string baselines_dir =
-        flag_string(argc, argv, "--baselines", "bench/baselines");
+        bench::flag_string(argc, argv, "--baselines", "bench/baselines");
     const std::string history_dir =
-        flag_string(argc, argv, "--history", "bench-history");
-    const std::string out_dir = flag_string(argc, argv, "--out", "");
-    const std::string subset_csv = flag_string(argc, argv, "--bench", "");
+        bench::flag_string(argc, argv, "--history", "bench-history");
+    const std::string out_dir = bench::flag_string(argc, argv, "--out", "");
+    const std::string subset_csv =
+        bench::flag_string(argc, argv, "--bench", "");
 
     if (bench::flag_present(argc, argv, "--list")) {
         for (const BenchSpec& spec : kBenches) {
             std::printf("%-28s %s\n", spec.name, spec.args);
+            for (const Variant& v : spec.variants) {
+                if (v.name != nullptr) {
+                    std::printf("%-28s   A/B %s_cpu_ratio: + %s\n", "", v.name,
+                                v.flag);
+                }
+            }
         }
         return 0;
     }
@@ -246,6 +307,23 @@ int main(int argc, char** argv) {
             ++failures;
             continue;
         }
+
+        bool variant_failed = false;
+        for (const Variant& v : spec.variants) {
+            if (v.name == nullptr) continue;
+            const std::string b_cmd = cmd + " " + v.flag;
+            std::printf("== %s: %d A/B pairs, B adds %s\n", spec.name,
+                        kAbPairs, v.flag);
+            std::fflush(stdout);
+            const std::vector<runner::CostPair> pairs =
+                ab_pairs(cmd, b_cmd, &variant_failed);
+            if (const auto ratio =
+                    runner::add_cost_ratio(results.back(), v.name, pairs)) {
+                std::printf("   %s_cpu_ratio %.4f over %zu pairs\n", v.name,
+                            *ratio, pairs.size());
+            }
+        }
+        if (variant_failed) ++failures;
 
         meta.flags = spec.args;
         const std::string history_path =

@@ -1,9 +1,10 @@
 // Pure logic behind bench/runner: parsing the normalized pimbench/1 result
 // line every bench prints last (see bench::Report in bench_util.hpp),
 // reading committed baseline files, the noise-aware regression comparator,
-// and the per-bench history append. Header-only and free of process/exec
-// concerns so tests/bench_runner_test.cpp can drive every branch — the
-// runner executable (runner.cpp) only adds the popen loop and CLI.
+// the paired A/B cost ratio, and the per-bench history append.
+// Header-only and free of process/exec concerns so
+// tests/bench_runner_test.cpp can drive every branch — the runner
+// executable (runner.cpp) only adds the popen loop and CLI.
 #pragma once
 
 #include <algorithm>
@@ -400,6 +401,50 @@ inline GateReport gate(const Baseline& baseline,
         report.findings.push_back(std::move(f));
     }
     return report;
+}
+
+// --------------------------------------------------------------------------
+// Paired A/B cost: the one way an observer's price is measured. The runner
+// runs a bench with its base args (A) and with one extra flag that turns an
+// observer on (B) in interleaved process pairs, alternating which side runs
+// first, and charges each process its own CPU time.
+
+struct CostPair {
+    double a_cpu_s = 0.0; // base args
+    double b_cpu_s = 0.0; // base args + the variant's flag
+};
+
+/// The lower quartile of the per-pair B/A ratios. Pairing cancels drift
+/// that moves adjacent runs together (frequency scaling, co-tenants). The
+/// lower quartile rather than the median because timing noise is
+/// one-sided — it only inflates a pair — while a real cost lifts every
+/// pair. nullopt when no pair has a positive A side.
+inline std::optional<double> paired_cost_ratio(const std::vector<CostPair>& pairs) {
+    std::vector<double> ratios;
+    for (const CostPair& p : pairs) {
+        if (p.a_cpu_s > 0) ratios.push_back(p.b_cpu_s / p.a_cpu_s);
+    }
+    if (ratios.empty()) return std::nullopt;
+    std::sort(ratios.begin(), ratios.end());
+    return ratios[ratios.size() / 4];
+}
+
+/// Appends `<variant>_cpu_ratio` (better: lower) to `result`, from the
+/// pairs that completed, and returns it. With none (every run of the
+/// variant failed) the metric is left out, so its baseline entry reads as
+/// a missing gated metric and fails.
+inline std::optional<double> add_cost_ratio(BenchResult& result,
+                                            const std::string& variant,
+                                            const std::vector<CostPair>& pairs) {
+    const std::optional<double> ratio = paired_cost_ratio(pairs);
+    if (ratio) {
+        Metric m;
+        m.value = *ratio;
+        m.unit = "x";
+        m.better = "lower";
+        result.metrics.emplace_back(variant + "_cpu_ratio", std::move(m));
+    }
+    return ratio;
 }
 
 // --------------------------------------------------------------------------

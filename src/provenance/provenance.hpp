@@ -18,8 +18,8 @@
 //
 // Cost model: with no Recorder attached to the Network, every hook is a
 // single pointer test (compiled in, idle, ~0). With a Recorder attached,
-// appends are O(1) into preallocated rings (<8% wall-clock; enforced by
-// bench/provenance_overhead --check). Typed drops also increment labeled
+// appends are O(1) into preallocated rings (<8% CPU; bench_runner gates
+// it through bench/provenance_overhead). Typed drops also increment labeled
 // `pimlib_forward_drops_total{reason=...}` counters in the shared registry.
 #pragma once
 
@@ -119,8 +119,7 @@ struct RecorderConfig {
     /// default keeps each ring ~40 KB so steady-state appends cycle through
     /// cache-resident memory; much larger rings never wrap in short runs and
     /// every append then writes cold lines, which is what pushes the
-    /// recorder past its <8% wall-clock budget (see bench/provenance_overhead
-    /// --ring for the sweep).
+    /// recorder past its <8% CPU budget (see bench/provenance_overhead).
     std::size_t ring_capacity = 512;
 };
 

@@ -24,8 +24,7 @@
 //     memory; wraparound overwrites the oldest records and counts drops).
 //   - The clock is the calibrated monotonic clock: steady_clock, with the
 //     read cost and the disabled-zone branch cost measured by calibrate()
-//     so overhead gates (scaling_overhead --profile-check) can price the
-//     instrumentation instead of guessing.
+//     so callers can price the instrumentation instead of guessing.
 //
 // Thread model: zones may be entered from any thread (the checker's
 // parallel exploration included); each thread owns its state, registered

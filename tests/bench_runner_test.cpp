@@ -1,7 +1,8 @@
 // The bench-regression harness (bench/runner_util.hpp): pimbench/1 line
 // parsing, baseline files, the noise-aware min-of-N gate — including the
 // acceptance case: a planted 2x slowdown fails, a clean re-run passes —
-// and the history appender.
+// the paired A/B cost ratio and its variant gate, and the history
+// appender.
 #include "runner_util.hpp"
 
 #include <gtest/gtest.h>
@@ -188,6 +189,67 @@ TEST(RunnerGate, HigherDirectionGatesDownward) {
     EXPECT_FALSE(runner::gate(*baseline, {ok}).pass);
     ok.metrics[0].second.value = 250.0; // improvements never fail
     EXPECT_TRUE(runner::gate(*baseline, {ok}).pass);
+}
+
+namespace {
+
+// A variant's baseline entry: ratio 1.0, the observer's budget as tolerance.
+const char* kVariantBaseline = R"({"bench":"b","metrics":{)"
+                               R"("observers_cpu_ratio":)"
+                               R"({"value":1.0,"better":"lower","tolerance":0.05}}})";
+
+/// 13 A/A pairs: both sides drift together over ~1.5x (host frequency
+/// swings) with a few percent of one-sided jitter on either side.
+std::vector<runner::CostPair> aa_pairs() {
+    const double jitter[13] = {0.00, 0.03, 0.01, 0.00, 0.04, 0.02, 0.00,
+                               0.01, 0.03, 0.00, 0.02, 0.01, 0.04};
+    std::vector<runner::CostPair> pairs;
+    for (int i = 0; i < 13; ++i) {
+        const double base = 0.20 + 0.01 * i;
+        pairs.push_back({base * (1.0 + jitter[i]),
+                         base * (1.0 + jitter[(i + 5) % 13])});
+    }
+    return pairs;
+}
+
+runner::GateReport gate_variant(const std::vector<runner::CostPair>& pairs) {
+    runner::BenchResult r = result_with("b", {});
+    runner::add_cost_ratio(r, "observers", pairs);
+    return runner::gate(*runner::parse_baseline(kVariantBaseline), {r});
+}
+
+} // namespace
+
+TEST(RunnerAb, AaPairsPass) {
+    const auto ratio = runner::paired_cost_ratio(aa_pairs());
+    ASSERT_TRUE(ratio.has_value());
+    EXPECT_NEAR(*ratio, 1.0, 0.03);
+    EXPECT_TRUE(gate_variant(aa_pairs()).pass);
+}
+
+TEST(RunnerAb, PlantedCostOnEveryBSideFails) {
+    std::vector<runner::CostPair> pairs = aa_pairs();
+    for (runner::CostPair& p : pairs) p.b_cpu_s *= 1.3;
+    const runner::GateReport report = gate_variant(pairs);
+    EXPECT_FALSE(report.pass);
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_EQ(report.findings[0].metric, "observers_cpu_ratio");
+    EXPECT_GT(report.findings[0].best, 1.25);
+}
+
+TEST(RunnerAb, SingleOutlierAmongThirteenPairsPasses) {
+    std::vector<runner::CostPair> pairs = aa_pairs();
+    pairs[6].b_cpu_s = pairs[6].a_cpu_s * 1.25;
+    EXPECT_TRUE(gate_variant(pairs).pass);
+}
+
+TEST(RunnerAb, VariantWhoseRunsAllFailIsAMissingGatedMetric) {
+    // Every pair had a side exit nonzero, so the runner kept none.
+    EXPECT_FALSE(runner::paired_cost_ratio({}).has_value());
+    const runner::GateReport report = gate_variant({});
+    EXPECT_FALSE(report.pass);
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_TRUE(report.findings[0].missing);
 }
 
 TEST(RunnerHistory, AppendsAndStaysValidJson) {
