@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,7 +14,6 @@
 #include "graph/random_graph.hpp"
 #include "graph/tree_metrics.hpp"
 #include "graph/shortest_path.hpp"
-#include "stats/counters.hpp"
 #include "telemetry/profiler/profiler.hpp"
 
 namespace pimlib::bench {
@@ -129,6 +129,38 @@ inline void profile_end(int argc, char** argv, const char* bench) {
     std::fprintf(stderr, "%s", prof::to_table(report).c_str());
 }
 
+/// Mean / min / max / stddev over a sample set.
+struct Summary {
+    double mean = 0;
+    double stddev = 0;
+    double min = 0;
+    double max = 0;
+    std::size_t count = 0;
+};
+
+/// Summary of `samples`; stddev is the sample (n - 1) deviation, 0 below
+/// two samples, and an empty sample gives all zeros.
+inline Summary summarize(const std::vector<double>& samples) {
+    Summary s;
+    s.count = samples.size();
+    if (samples.empty()) return s;
+    double sum = 0;
+    s.min = samples.front();
+    s.max = samples.front();
+    for (double v : samples) {
+        sum += v;
+        s.min = std::min(s.min, v);
+        s.max = std::max(s.max, v);
+    }
+    s.mean = sum / static_cast<double>(samples.size());
+    double var = 0;
+    for (double v : samples) var += (v - s.mean) * (v - s.mean);
+    s.stddev = samples.size() > 1
+                   ? std::sqrt(var / static_cast<double>(samples.size() - 1))
+                   : 0.0;
+    return s;
+}
+
 /// Nearest-rank percentile over an unsorted sample. NaN when the sample is
 /// empty (there is no such statistic), the lone value for a single-sample
 /// vector, and `q` is clamped to [0, 1] so a bad quantile can't index past
@@ -147,7 +179,7 @@ inline double percentile(std::vector<double> values, double q) {
 /// percentiles are parameters so callers can source them either from the
 /// sorted sample (see the overload below) or from a telemetry histogram
 /// (bucket-interpolated, the series a metrics scraper would see).
-inline std::string distribution_json(const stats::Summary& s, double p50,
+inline std::string distribution_json(const Summary& s, double p50,
                                      double p90, double p99) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
@@ -161,8 +193,8 @@ inline std::string distribution_json(const stats::Summary& s, double p50,
 /// empty sample emits all-zero fields with "count":0 (percentile() returns
 /// NaN there, which %.6f would render as non-JSON "nan").
 inline std::string distribution_json(const std::vector<double>& values) {
-    if (values.empty()) return distribution_json(stats::Summary{}, 0.0, 0.0, 0.0);
-    return distribution_json(stats::summarize(values), percentile(values, 0.50),
+    if (values.empty()) return distribution_json(Summary{}, 0.0, 0.0, 0.0);
+    return distribution_json(summarize(values), percentile(values, 0.50),
                              percentile(values, 0.90), percentile(values, 0.99));
 }
 

@@ -192,7 +192,7 @@ std::string json_for(const FaultSummary& fs, sim::Time bound,
         "pimlib_fault_recovery_seconds",
         telemetry::Buckets::exponential(0.001, 1.6, 24), {{"fault", fs.name}});
     out += "     ],\n     \"recovery_s\":" +
-           bench::distribution_json(stats::summarize(recoveries),
+           bench::distribution_json(bench::summarize(recoveries),
                                     hist.quantile(0.50), hist.quantile(0.90),
                                     hist.quantile(0.99));
     char buf[96];

@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "stats/counters.hpp"
 
 using namespace pimlib;
 
@@ -54,11 +53,11 @@ int main(int argc, char** argv) {
             const auto drm = graph::center_tree_delay_ratio(ap, group, mean_core);
             if (drm.spt_mean > 0) mean_ratios.push_back(drm.mean_ratio);
         }
-        const auto summary = stats::summarize(ratios);
+        const auto summary = bench::summarize(ratios);
         std::printf("%-12d %-12.4f %-10.4f %-10.4f %-10.4f %-12.2f %-12.2f %-12.4f\n",
                     degree, summary.mean, summary.stddev, summary.min, summary.max,
-                    stats::summarize(spt_delays).mean, stats::summarize(cbt_delays).mean,
-                    stats::summarize(mean_ratios).mean);
+                    bench::summarize(spt_delays).mean, bench::summarize(cbt_delays).mean,
+                    bench::summarize(mean_ratios).mean);
         report.metric("ratio_mean_deg" + std::to_string(degree), summary.mean,
                       "ratio", "info");
         report.metric("ratio_max_deg" + std::to_string(degree), summary.max,

@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "stats/counters.hpp"
 
 using namespace pimlib;
 
@@ -105,8 +104,8 @@ int main(int argc, char** argv) {
             spt_max.push_back(static_cast<double>(spt_flows.max_flows()));
             cbt_max.push_back(static_cast<double>(cbt_flows.max_flows()));
         }
-        const auto spt_summary = stats::summarize(spt_max);
-        const auto cbt_summary = stats::summarize(cbt_max);
+        const auto spt_summary = bench::summarize(spt_max);
+        const auto cbt_summary = bench::summarize(cbt_max);
         std::printf("%-12d %-14.1f %-14.1f %-8.2f\n", degree, spt_summary.mean,
                     cbt_summary.mean, cbt_summary.mean / spt_summary.mean);
         report.metric("concentration_ratio_deg" + std::to_string(degree),

@@ -1,30 +1,13 @@
 #include "stats/counters.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <string>
 
 namespace pimlib::stats {
-
-Summary summarize(const std::vector<double>& samples) {
-    Summary s;
-    s.count = samples.size();
-    if (samples.empty()) return s;
-    double sum = 0;
-    s.min = samples.front();
-    s.max = samples.front();
-    for (double v : samples) {
-        sum += v;
-        s.min = std::min(s.min, v);
-        s.max = std::max(s.max, v);
-    }
-    s.mean = sum / static_cast<double>(samples.size());
-    double var = 0;
-    for (double v : samples) var += (v - s.mean) * (v - s.mean);
-    s.stddev = samples.size() > 1
-                   ? std::sqrt(var / static_cast<double>(samples.size() - 1))
-                   : 0.0;
-    return s;
-}
+namespace {
+// A series nobody has counted into yet has no handle and reads 0.
+std::uint64_t value_or_zero(const telemetry::Counter* c) { return c != nullptr ? c->value() : 0; }
+} // namespace
 
 NetworkStats::NetworkStats(telemetry::Registry& registry)
     : registry_(&registry),
@@ -40,98 +23,76 @@ NetworkStats::NetworkStats(telemetry::Registry& registry)
       dropped_loss_(&registry.counter("pimlib_data_dropped_total",
                                       {{"reason", "loss"}})) {}
 
-telemetry::Counter& NetworkStats::segment_data(int segment_id) {
-    auto it = data_by_segment_.find(segment_id);
-    if (it == data_by_segment_.end()) {
-        it = data_by_segment_
-                 .emplace(segment_id,
-                          &registry_->counter(
-                              "pimlib_data_segment_packets_total",
-                              {{"segment", std::to_string(segment_id)}},
-                              "Data packets carried, per segment"))
-                 .first;
-    }
-    return *it->second;
+telemetry::Counter& NetworkStats::segment_counter(SegmentSeries series, int segment_id) {
+    const telemetry::LabelSet labels{{"segment", std::to_string(segment_id)}};
+    return series == kData ? registry_->counter("pimlib_data_segment_packets_total", labels,
+                                                "Data packets carried, per segment")
+                           : registry_->counter("pimlib_control_segment_messages_total",
+                                                labels, "Control messages carried, per segment");
 }
 
-telemetry::Counter& NetworkStats::segment_control(int segment_id) {
-    auto it = control_by_segment_.find(segment_id);
-    if (it == control_by_segment_.end()) {
-        it = control_by_segment_
-                 .emplace(segment_id,
-                          &registry_->counter(
-                              "pimlib_control_segment_messages_total",
-                              {{"segment", std::to_string(segment_id)}},
-                              "Control messages carried, per segment"))
-                 .first;
-    }
-    return *it->second;
-}
-
-void NetworkStats::count_control_message(const std::string& protocol) {
-    auto it = control_by_protocol_.find(protocol);
-    if (it == control_by_protocol_.end()) {
-        it = control_by_protocol_
-                 .emplace(protocol, &registry_->counter(
-                                        "pimlib_control_messages_total",
-                                        {{"protocol", protocol}},
-                                        "Control messages processed, per protocol"))
-                 .first;
-    }
-    it->second->inc();
+telemetry::Counter& NetworkStats::protocol_counter(ControlProtocol protocol) {
+    const std::string_view name = kControlProtocolNames[static_cast<std::size_t>(protocol)];
+    return registry_->counter("pimlib_control_messages_total",
+                              {{"protocol", std::string(name)}},
+                              "Control messages processed, per protocol");
 }
 
 void NetworkStats::note_flow(int segment_id, net::Ipv4Address source,
                              net::GroupAddress group) {
-    auto& flows = flows_by_segment_[segment_id];
-    flows.insert({source.to_uint(), group.address().to_uint()});
-    registry_
-        ->gauge("pimlib_data_segment_flows",
-                {{"segment", std::to_string(segment_id)}},
-                "Distinct (source, group) flows seen on a segment this phase")
-        .set(static_cast<double>(flows.size()));
+    SegmentSlot& s = slot(segment_id);
+    const std::uint64_t key =
+        (std::uint64_t{source.to_uint()} << 32) | group.address().to_uint();
+    const auto it = std::lower_bound(s.flows.begin(), s.flows.end(), key);
+    if (it != s.flows.end() && *it == key) return;
+    s.flows.insert(it, key);
+    if (s.flow_gauge == nullptr) {
+        s.flow_gauge = &registry_->gauge(
+            "pimlib_data_segment_flows", {{"segment", std::to_string(segment_id)}},
+            "Distinct (source, group) flows seen on a segment this phase");
+    }
+    s.flow_gauge->set(static_cast<double>(s.flows.size()));
+}
+
+const NetworkStats::SegmentSlot& NetworkStats::at(int segment_id) const {
+    static const SegmentSlot kUncounted;
+    const auto i = static_cast<std::size_t>(segment_id);
+    return i < segments_.size() ? segments_[i] : kUncounted;
 }
 
 std::uint64_t NetworkStats::data_packets_on(int segment_id) const {
-    auto it = data_by_segment_.find(segment_id);
-    return it == data_by_segment_.end() ? 0 : it->second->value();
+    return value_or_zero(at(segment_id).counters[kData]);
 }
 
 std::uint64_t NetworkStats::total_data_packets() const {
     std::uint64_t total = 0;
-    for (const auto& [seg, counter] : data_by_segment_) total += counter->value();
+    for (const SegmentSlot& s : segments_) total += value_or_zero(s.counters[kData]);
     return total;
 }
 
 std::size_t NetworkStats::flows_on(int segment_id) const {
-    auto it = flows_by_segment_.find(segment_id);
-    return it == flows_by_segment_.end() ? 0 : it->second.size();
+    return at(segment_id).flows.size();
 }
 
 std::size_t NetworkStats::max_flows_on_any_segment() const {
     std::size_t best = 0;
-    for (const auto& [seg, flows] : flows_by_segment_) best = std::max(best, flows.size());
+    for (const SegmentSlot& s : segments_) best = std::max(best, s.flows.size());
     return best;
 }
 
 std::size_t NetworkStats::segments_carrying_data() const {
     std::size_t n = 0;
-    for (const auto& [seg, counter] : data_by_segment_) {
-        if (counter->value() > 0) ++n;
-    }
+    for (const SegmentSlot& s : segments_) n += value_or_zero(s.counters[kData]) > 0 ? 1 : 0;
     return n;
 }
 
-std::uint64_t NetworkStats::control_messages(const std::string& protocol) const {
-    auto it = control_by_protocol_.find(protocol);
-    return it == control_by_protocol_.end() ? 0 : it->second->value();
+std::uint64_t NetworkStats::control_messages(ControlName name) const {
+    return value_or_zero(by_protocol_[static_cast<std::size_t>(name.protocol)]);
 }
 
 std::uint64_t NetworkStats::total_control_messages() const {
     std::uint64_t total = 0;
-    for (const auto& [proto, counter] : control_by_protocol_) {
-        total += counter->value();
-    }
+    for (const telemetry::Counter* c : by_protocol_) total += value_or_zero(c);
     return total;
 }
 
@@ -141,15 +102,13 @@ void NetworkStats::reset_data_counters() {
     dropped_ttl_->begin_epoch();
     dropped_no_route_->begin_epoch();
     dropped_loss_->begin_epoch();
-    for (auto& [seg, counter] : data_by_segment_) counter->begin_epoch();
-    for (auto& [seg, counter] : control_by_segment_) counter->begin_epoch();
-    for (auto& [seg, flows] : flows_by_segment_) {
-        flows.clear();
-        registry_
-            ->gauge("pimlib_data_segment_flows", {{"segment", std::to_string(seg)}})
-            .set(0);
+    for (SegmentSlot& s : segments_) {
+        for (telemetry::Counter* c : s.counters) {
+            if (c != nullptr) c->begin_epoch();
+        }
+        s.flows.clear();
+        if (s.flow_gauge != nullptr) s.flow_gauge->set(0);
     }
-    // Per-protocol control totals intentionally survive (class comment).
 }
 
 } // namespace pimlib::stats

@@ -1,20 +1,17 @@
-// Measurement plumbing shared by the whole simulation: per-link packet and
-// flow accounting, control-message accounting per router, and simple
-// summary statistics. The paper's efficiency metric is "state, control
-// message processing, and data packet processing required across the entire
-// network" (§1) — these counters make that measurable.
-//
-// NetworkStats is now a facade over telemetry::Registry: every count lands
-// in a named, labeled instrument (pimlib_data_*, pimlib_control_*), so the
-// same numbers the legacy query API returns also flow out of the JSON /
-// Prometheus / CSV exporters. The facade keeps resolved Counter* handles,
-// so the per-packet cost is an indirect increment, same as before.
+// Network-wide accounting: data packets, control messages and distinct
+// (source, group) flows per segment, and control messages per protocol — the
+// paper's "state, control message processing, and data packet processing
+// required across the entire network" (§1). Every count lands in a labeled
+// telemetry::Registry instrument (pimlib_data_*, pimlib_control_*), so the
+// query API and the exporters read the same numbers. The first count that
+// touches a series creates it; from then on a count indexes a dense
+// per-segment slot or a ControlProtocol, with no map, string or registry
+// lookup.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <set>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/ipv4.hpp"
@@ -22,19 +19,36 @@
 
 namespace pimlib::stats {
 
-/// Mean / min / max / stddev over a sample set.
-struct Summary {
-    double mean = 0;
-    double stddev = 0;
-    double min = 0;
-    double max = 0;
-    std::size_t count = 0;
+/// The control-message kinds the protocol agents count. Each is exported as
+/// pimlib_control_messages_total{protocol=<its kControlProtocolNames entry>}.
+enum class ControlProtocol : std::uint8_t {
+    kPim, kPimRegister, kPimAssert, kPimRpReach, kPimBootstrap, kPimCrpAdv, kPimDm,
+    kIgmp, kDvmrp, kCbt, kMospfLsa, kLsHello, kLsLsa, kDv,
 };
 
-Summary summarize(const std::vector<double>& samples);
+inline constexpr std::array<std::string_view, 14> kControlProtocolNames{
+    "pim", "pim-register", "pim-assert", "pim-rp-reach", "pim-bootstrap",
+    "pim-crp-adv", "pim-dm", "igmp", "dvmrp", "cbt", "mospf-lsa", "ls-hello",
+    "ls-lsa", "dv"};
+
+/// A ControlProtocol spelled as its exported name, looked up at compile
+/// time: call sites read count_control_message("pim"), and an unknown name
+/// reaches the throw, which is not a constant expression, so it fails to
+/// compile.
+struct ControlName {
+    consteval ControlName(const char* name) {
+        std::size_t i = 0;
+        while (i < kControlProtocolNames.size() && kControlProtocolNames[i] != name) ++i;
+        if (i == kControlProtocolNames.size()) throw "unknown control protocol name";
+        protocol = static_cast<ControlProtocol>(i);
+    }
+    ControlProtocol protocol{};
+};
 
 /// Global counters for one simulation scenario. Owned by topo::Network;
-/// every segment and router reports into it.
+/// every segment and router reports into it. Segment ids index a dense
+/// vector, so they must be small and non-negative (topo::Network numbers
+/// segments from 0).
 ///
 /// Reset semantics (multi-phase scenarios: warm up, reset, measure): the
 /// query API reads since-the-last-reset values for everything *except*
@@ -46,7 +60,7 @@ public:
     explicit NetworkStats(telemetry::Registry& registry);
 
     // ---- data plane ----
-    void count_data_packet(int segment_id) { segment_data(segment_id).inc(); }
+    void count_data_packet(int segment_id) { count_on_segment(kData, segment_id); }
     void count_data_delivered() { data_delivered_->inc(); }
     void count_data_dropped_iif() { dropped_iif_->inc(); }
     void count_data_dropped_ttl() { dropped_ttl_->inc(); }
@@ -55,12 +69,17 @@ public:
     void count_dropped_loss() { dropped_loss_->inc(); }
 
     /// Records that a (source, group) flow crossed a segment, for
-    /// traffic-concentration measurements (Fig. 2(b) style).
+    /// traffic-concentration measurements (Fig. 2(b) style). The flow gauge
+    /// is written only when the segment sees a flow new to this phase.
     void note_flow(int segment_id, net::Ipv4Address source, net::GroupAddress group);
 
     // ---- control plane ----
-    void count_control_message(const std::string& protocol);
-    void count_control_on_segment(int segment_id) { segment_control(segment_id).inc(); }
+    void count_control_message(ControlName name) {
+        telemetry::Counter*& c = by_protocol_[static_cast<std::size_t>(name.protocol)];
+        if (c == nullptr) c = &protocol_counter(name.protocol);
+        c->inc();
+    }
+    void count_control_on_segment(int segment_id) { count_on_segment(kControl, segment_id); }
 
     // ---- queries ----
     [[nodiscard]] std::uint64_t data_packets_on(int segment_id) const;
@@ -73,19 +92,39 @@ public:
     [[nodiscard]] std::size_t flows_on(int segment_id) const;
     [[nodiscard]] std::size_t max_flows_on_any_segment() const;
     [[nodiscard]] std::size_t segments_carrying_data() const;
-    [[nodiscard]] std::uint64_t control_messages(const std::string& protocol) const;
+    [[nodiscard]] std::uint64_t control_messages(ControlName name) const;
     [[nodiscard]] std::uint64_t total_control_messages() const;
 
     /// Starts a new measurement phase: zeroes (via counter epochs) all data
     /// counters, loss drops, per-segment control counts, and flow sets.
-    /// Historically per-segment control counters and loss drops leaked
-    /// across resets; they no longer do. Per-protocol control totals are
-    /// deliberately cumulative (see class comment).
+    /// Per-protocol control totals are deliberately cumulative (see class
+    /// comment).
     void reset_data_counters();
 
 private:
-    telemetry::Counter& segment_data(int segment_id);
-    telemetry::Counter& segment_control(int segment_id);
+    enum SegmentSeries { kData, kControl };
+    struct SegmentSlot {
+        std::array<telemetry::Counter*, 2> counters{}; // by SegmentSeries
+        telemetry::Gauge* flow_gauge = nullptr;
+        std::vector<std::uint64_t> flows; // sorted (source << 32 | group) keys
+    };
+
+    SegmentSlot& slot(int segment_id) {
+        const auto i = static_cast<std::size_t>(segment_id);
+        if (i >= segments_.size()) segments_.resize(i + 1);
+        return segments_[i];
+    }
+    void count_on_segment(SegmentSeries series, int segment_id) {
+        telemetry::Counter*& c = slot(segment_id).counters[series];
+        if (c == nullptr) c = &segment_counter(series, segment_id);
+        c->inc();
+    }
+    /// The segment's slot, or an empty one for a segment never counted.
+    [[nodiscard]] const SegmentSlot& at(int segment_id) const;
+    // First-use resolution: after construction, the only calls that touch
+    // the registry.
+    telemetry::Counter& segment_counter(SegmentSeries series, int segment_id);
+    telemetry::Counter& protocol_counter(ControlProtocol protocol);
 
     telemetry::Registry* registry_;
     telemetry::Counter* data_delivered_;
@@ -93,10 +132,8 @@ private:
     telemetry::Counter* dropped_ttl_;
     telemetry::Counter* dropped_no_route_;
     telemetry::Counter* dropped_loss_;
-    std::map<int, telemetry::Counter*> data_by_segment_;
-    std::map<int, telemetry::Counter*> control_by_segment_;
-    std::map<std::string, telemetry::Counter*> control_by_protocol_;
-    std::map<int, std::set<std::pair<std::uint32_t, std::uint32_t>>> flows_by_segment_;
+    std::vector<SegmentSlot> segments_;
+    std::array<telemetry::Counter*, kControlProtocolNames.size()> by_protocol_{};
 };
 
 } // namespace pimlib::stats

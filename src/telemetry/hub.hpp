@@ -6,8 +6,9 @@
 //
 // Tracing (events + spans) is OFF by default: the benches measure the
 // protocols, not the instrumentation. `pimsim` and the examples turn it on.
-// Metrics are always live — counter increments are the cheap path that
-// NetworkStats already paid for.
+// Metrics are always live: callers resolve an instrument once and keep the
+// handle (NetworkStats indexes its handles by segment id and protocol
+// enum), so a count is one increment.
 #pragma once
 
 #include <cstdint>

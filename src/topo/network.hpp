@@ -65,8 +65,9 @@ public:
     [[nodiscard]] stats::NetworkStats& stats() { return stats_; }
     [[nodiscard]] const stats::NetworkStats& stats() const { return stats_; }
     /// The unified observability pipeline: metrics registry, event log,
-    /// span tracker and MRIB snapshot store. NetworkStats writes into the
-    /// same registry, so stats() and telemetry() are two views of one sink.
+    /// span tracker and MRIB snapshot store. NetworkStats counts through
+    /// handles it resolves once in the same registry, so stats() and
+    /// telemetry() are two views of one sink.
     [[nodiscard]] telemetry::Hub& telemetry() { return telemetry_; }
     [[nodiscard]] const telemetry::Hub& telemetry() const { return telemetry_; }
 

@@ -1,7 +1,8 @@
 // Guards on the bench helpers that every figure-reproduction harness and
 // the CI overhead gate share: percentile() must be total (no UB indexing on
-// empty samples or out-of-range quantiles) and distribution_json() must emit
-// parseable JSON even for an empty sample.
+// empty samples or out-of-range quantiles), summarize() must handle empty and
+// single samples, and distribution_json() must emit parseable JSON even for an
+// empty sample.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,6 +35,18 @@ TEST(BenchPercentile, NearestRankOnSortedCopy) {
     EXPECT_DOUBLE_EQ(bench::percentile(v, 0.0), 1.0);
     EXPECT_DOUBLE_EQ(bench::percentile(v, 0.5), 5.0);
     EXPECT_DOUBLE_EQ(bench::percentile(v, 1.0), 9.0);
+}
+
+TEST(StatsSummary, EdgeCases) {
+    EXPECT_EQ(bench::summarize({}).count, 0u);
+    auto one = bench::summarize({5.0});
+    EXPECT_DOUBLE_EQ(one.mean, 5.0);
+    EXPECT_DOUBLE_EQ(one.stddev, 0.0);
+    EXPECT_DOUBLE_EQ(one.min, 5.0);
+    EXPECT_DOUBLE_EQ(one.max, 5.0);
+    auto two = bench::summarize({1.0, 3.0});
+    EXPECT_DOUBLE_EQ(two.mean, 2.0);
+    EXPECT_NEAR(two.stddev, std::sqrt(2.0), 1e-12);
 }
 
 TEST(BenchDistributionJson, EmptySampleStaysValidJson) {

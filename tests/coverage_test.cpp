@@ -1,7 +1,6 @@
 // Broad coverage batch: behaviors not exercised elsewhere — querier
 // re-election, DV poisoned reverse, LS LSA aging, CBT resilience corners,
-// mean-delay tree metrics, message-sequence fidelity via the tracer, and
-// summary statistics edge cases.
+// mean-delay tree metrics, and message-sequence fidelity via the tracer.
 #include <gtest/gtest.h>
 
 #include "graph/center_tree.hpp"
@@ -14,18 +13,6 @@
 
 namespace pimlib::test {
 namespace {
-
-TEST(StatsSummary, EdgeCases) {
-    EXPECT_EQ(stats::summarize({}).count, 0u);
-    auto one = stats::summarize({5.0});
-    EXPECT_DOUBLE_EQ(one.mean, 5.0);
-    EXPECT_DOUBLE_EQ(one.stddev, 0.0);
-    EXPECT_DOUBLE_EQ(one.min, 5.0);
-    EXPECT_DOUBLE_EQ(one.max, 5.0);
-    auto two = stats::summarize({1.0, 3.0});
-    EXPECT_DOUBLE_EQ(two.mean, 2.0);
-    EXPECT_NEAR(two.stddev, std::sqrt(2.0), 1e-12);
-}
 
 TEST(CenterTreeMeanDelay, MatchesHandComputation) {
     // Path 0 -1- 1 -2- 2; members {0, 2}.

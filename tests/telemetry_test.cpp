@@ -1,9 +1,13 @@
 // Unit tests for the telemetry layer: histogram bucket placement and
 // quantiles, label-set interning, counter epochs (the NetworkStats reset
-// semantics ride on these), the structured event log, causal spans,
-// snapshot diffing, and all three exporters.
+// semantics ride on these), NetworkStats' allocation-free counting calls,
+// the structured event log, causal spans, snapshot diffing, and all three
+// exporters.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 
 #include "telemetry/events.hpp"
@@ -12,6 +16,27 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/snapshot.hpp"
 #include "test_util.hpp"
+
+// Global operator-new interposition for the zero-allocation assertion.
+// Counting (not failing) keeps the hook harmless for every other test in
+// the binary.
+namespace {
+std::atomic<std::uint64_t> g_alloc_count{0};
+} // namespace
+
+void* operator new(std::size_t size) {
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size)) return p;
+    throw std::bad_alloc();
+}
+
+// The replaced operator new above is malloc-based, so free() here is the
+// matched deallocator — the compiler cannot see through the replacement.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace pimlib::test {
 namespace {
@@ -149,6 +174,65 @@ TEST(NetworkStats, ResetCoversPerSegmentControlAndLossDrops) {
 
     stats.count_data_packet(0);
     EXPECT_EQ(stats.data_packets_on(0), 1u);
+
+    // Flow sets reset too. The gauge is written only when a segment sees a
+    // new flow, so the same flow noted after the reset must count as new.
+    const net::Ipv4Address source(10, 0, 0, 1);
+    const net::GroupAddress group(net::Ipv4Address(224, 1, 1, 1));
+    telemetry::Gauge& flows = net.telemetry().registry().gauge(
+        "pimlib_data_segment_flows", {{"segment", "0"}});
+    stats.note_flow(0, source, group);
+    stats.note_flow(0, source, group);
+    EXPECT_DOUBLE_EQ(flows.value(), 1.0);
+    stats.reset_data_counters();
+    EXPECT_EQ(stats.flows_on(0), 0u);
+    EXPECT_DOUBLE_EQ(flows.value(), 0.0);
+    stats.note_flow(0, source, group);
+    EXPECT_EQ(stats.flows_on(0), 1u);
+    EXPECT_DOUBLE_EQ(flows.value(), 1.0);
+}
+
+// Every ControlProtocol's exported name looks up back to the same enum, so
+// the name table has one distinct entry per kind and none past the last.
+static_assert([]() consteval {
+    for (std::size_t i = 0; i < stats::kControlProtocolNames.size(); ++i) {
+        const stats::ControlName name(stats::kControlProtocolNames[i].data());
+        if (name.protocol != static_cast<stats::ControlProtocol>(i)) return false;
+    }
+    return stats::ControlName("dv").protocol == stats::ControlProtocol::kDv &&
+           stats::kControlProtocolNames.size() ==
+               static_cast<std::size_t>(stats::ControlProtocol::kDv) + 1;
+}());
+
+TEST(NetworkStats, CountingCallsAllocateNothingOnceResolved) {
+    topo::Network net;
+    stats::NetworkStats& stats = net.stats();
+    const net::Ipv4Address source(10, 0, 0, 1);
+    const net::GroupAddress group(net::Ipv4Address(224, 1, 1, 1));
+    const auto count_everything = [&] {
+        for (int seg = 0; seg < 4; ++seg) {
+            stats.count_data_packet(seg);
+            stats.count_control_on_segment(seg);
+            stats.note_flow(seg, source, group);
+        }
+        stats.count_control_message("pim");
+        stats.count_control_message("igmp");
+        stats.count_data_delivered();
+        stats.count_data_dropped_iif();
+        stats.count_data_dropped_ttl();
+        stats.count_data_dropped_no_route();
+        stats.count_dropped_loss();
+    };
+    count_everything(); // first use resolves every series
+
+    const std::uint64_t before = g_alloc_count.load();
+    for (int i = 0; i < 1000; ++i) count_everything();
+    EXPECT_EQ(g_alloc_count.load(), before)
+        << "a counting call on a resolved series (and note_flow on a seen "
+           "flow) must not allocate";
+    EXPECT_EQ(stats.data_packets_on(3), 1001u);
+    EXPECT_EQ(stats.control_messages("igmp"), 1001u);
+    EXPECT_EQ(stats.flows_on(3), 1u);
 }
 
 // --- event log ------------------------------------------------------------
