@@ -1,22 +1,20 @@
 // Cost of the provenance flight recorder (the "cost model" contract in
 // src/provenance/provenance.hpp): with no Recorder attached every hook is
-// one pointer test, and with the recorder enabled appends are O(1) into
+// one pointer test, and an attached recorder appends in O(1) into
 // preallocated rings.
 //
 // One deterministic PIM-SM workload — a 16-router random internet, 8 edge
 // LANs, several groups streaming concurrently — runs once per process in
-// one of three modes:
+// one of two modes:
 //
 //   off    no Recorder attached to the Network (the baseline)
-//   idle   Recorder attached but set_enabled(false) — compiled-in, idle
 //   on     Recorder attached and recording every hop
 //
-// The bench times nothing itself: bench_runner runs `--recorder on` and
-// `--recorder idle` against the off mode in interleaved process pairs and
-// gates recorder_on_cpu_ratio and recorder_idle_cpu_ratio against
-// bench/baselines/provenance_overhead.json.
+// The bench times nothing itself: bench_runner runs `--recorder on` against
+// the off mode in interleaved process pairs and gates recorder_on_cpu_ratio
+// against bench/baselines/provenance_overhead.json.
 //
-// Usage: provenance_overhead [--packets N] [--recorder off|idle|on]
+// Usage: provenance_overhead [--packets N] [--recorder off|on]
 //
 // In on mode the bench exits nonzero if the recorder saw no traffic: a 0
 // would mean the pair is measuring nothing.
@@ -37,8 +35,6 @@ using namespace pimlib;
 
 namespace {
 
-enum class Mode { kOff, kIdle, kOn };
-
 constexpr int kGroups = 6;
 
 net::GroupAddress group_n(int n) {
@@ -57,7 +53,7 @@ scenario::StackConfig fast_config() {
 
 /// One full simulation; returns total records appended so the on mode can
 /// prove the recorder actually saw traffic.
-std::uint64_t run_once(Mode mode, int packets) {
+std::uint64_t run_once(bool record, int packets) {
     topo::Network net;
     std::vector<topo::Router*> routers;
     std::vector<topo::Host*> hosts;
@@ -79,10 +75,9 @@ std::uint64_t run_once(Mode mode, int packets) {
     unicast::OracleRouting routing(net);
 
     std::unique_ptr<provenance::Recorder> recorder;
-    if (mode != Mode::kOff) {
+    if (record) {
         recorder = std::make_unique<provenance::Recorder>(
             net.telemetry().registry());
-        recorder->set_enabled(mode == Mode::kOn);
         net.set_provenance(recorder.get());
     }
 
@@ -118,24 +113,20 @@ int main(int argc, char** argv) {
         std::max(1, bench::flag_value(argc, argv, "--packets", 1000));
     const std::string recorder =
         bench::flag_string(argc, argv, "--recorder", "off");
-    Mode mode = Mode::kOff;
-    if (recorder == "idle") {
-        mode = Mode::kIdle;
-    } else if (recorder == "on") {
-        mode = Mode::kOn;
-    } else if (recorder != "off") {
+    if (recorder != "off" && recorder != "on") {
         std::fprintf(stderr, "provenance_overhead: --recorder takes "
-                             "off|idle|on, not '%s'\n",
+                             "off|on, not '%s'\n",
                      recorder.c_str());
         return 2;
     }
+    const bool record = recorder == "on";
 
-    const std::uint64_t records = run_once(mode, packets);
+    const std::uint64_t records = run_once(record, packets);
     bench::Report norm("provenance_overhead");
     norm.metric("records", static_cast<double>(records), "records", "info");
     norm.emit();
 
-    if (mode == Mode::kOn && records == 0) {
+    if (record && records == 0) {
         std::fprintf(stderr, "provenance_overhead: enabled run recorded nothing "
                              "— the bench is not exercising the recorder\n");
         return 1;

@@ -84,7 +84,7 @@ constexpr BenchSpec kBenches[] = {
     {"fault_convergence", "--trials 2"},
     {"churn_scale", "--receivers 4000 --rate 400"},
     {"provenance_overhead", "--packets 5000",
-     {{"recorder_on", "--recorder on"}, {"recorder_idle", "--recorder idle"}}},
+     {{"recorder_on", "--recorder on"}}},
     {"timer_scale", "--max-entries 100000"},
 };
 

@@ -10,29 +10,18 @@ namespace pimlib::cbt {
 namespace {
 constexpr std::uint8_t kCbtVersion = 1;
 
-/// CBT forwards outside the shared DataPlane engine, so it appends its own
-/// provenance records. Returns nullptr when nothing should be recorded.
-provenance::Recorder* recorder_for(topo::Router& router, const net::Packet& packet) {
-    provenance::Recorder* rec = router.network().provenance();
-    if (rec == nullptr || !rec->enabled() || packet.pid == 0) return nullptr;
-    return rec;
-}
-
-provenance::HopRecord make_hop(topo::Router& router, const net::Packet& packet, int iif,
-                               provenance::EntryKind kind, provenance::DropReason drop) {
-    provenance::HopRecord hop;
-    hop.pid = packet.pid;
-    hop.at = router.simulator().now();
-    hop.node = router.id();
-    hop.iif = iif;
-    hop.src = packet.src;
-    hop.group = packet.dst;
-    hop.seq = packet.seq;
-    hop.kind = kind;
-    hop.drop = drop;
-    hop.rpf_ok = drop != provenance::DropReason::kRpfFail;
-    hop.ttl = packet.ttl;
-    return hop;
+/// CBT forwards outside the shared DataPlane engine, so it records its own
+/// decisions: a tree-state decision at `iif` that ends in `drop` (kNone for
+/// a kRegister hand-off to the core).
+void record_decision(topo::Router& router, const net::Packet& packet, int iif,
+                     provenance::EntryKind kind, provenance::DropReason drop) {
+    provenance::HopRecord* hop = router.network().begin_hop(router, packet);
+    if (hop == nullptr) return;
+    hop->iif = static_cast<std::int16_t>(iif);
+    hop->kind = kind;
+    hop->drop = drop;
+    hop->rpf_ok = drop != provenance::DropReason::kRpfFail;
+    router.network().provenance()->commit(*hop);
 }
 
 void put_header(net::BufWriter& w, Code code) {
@@ -448,33 +437,31 @@ void CbtRouter::flood_tree(net::GroupAddress /*group*/, TreeState& state,
                            int arrival_ifindex, const net::Packet& packet) {
     if (packet.ttl <= 1) {
         router_->network().stats().count_data_dropped_ttl();
-        if (provenance::Recorder* rec = recorder_for(*router_, packet)) {
-            rec->append(make_hop(*router_, packet, arrival_ifindex,
-                                 provenance::EntryKind::kTree,
-                                 provenance::DropReason::kTtl));
-        }
+        record_decision(*router_, packet, arrival_ifindex, provenance::EntryKind::kTree,
+                        provenance::DropReason::kTtl);
         return;
     }
-    net::Packet out = packet;
-    out.ttl -= 1;
     std::set<int> targets;
     if (state.parent_ifindex >= 0) targets.insert(state.parent_ifindex);
     for (const auto& [ifindex, addrs] : state.children) targets.insert(ifindex);
     for (int ifindex : state.member_ifaces) targets.insert(ifindex);
-    if (provenance::Recorder* rec = recorder_for(*router_, packet)) {
-        provenance::HopRecord hop = make_hop(*router_, packet, arrival_ifindex,
-                                             provenance::EntryKind::kTree,
-                                             provenance::DropReason::kNone);
-        for (int ifindex : targets) {
-            if (ifindex != arrival_ifindex) hop.add_oif(ifindex);
-        }
-        if (hop.oif_count == 0) hop.drop = provenance::DropReason::kNoOif;
-        rec->append(hop);
+    topo::Network& network = router_->network();
+    provenance::HopRecord* hop = network.begin_hop(*router_, packet);
+    if (hop != nullptr) {
+        hop->iif = static_cast<std::int16_t>(arrival_ifindex);
+        hop->kind = provenance::EntryKind::kTree;
     }
+    // One frame per forwarding decision, sent by reference on every target.
+    net::Frame out{std::nullopt, packet};
+    out.packet.ttl -= 1;
     for (int ifindex : targets) {
         if (ifindex == arrival_ifindex) continue;
-        router_->send(ifindex, net::Frame{std::nullopt, out});
+        if (hop != nullptr) hop->add_oif(ifindex);
+        router_->send(ifindex, out);
     }
+    if (hop == nullptr) return;
+    if (hop->oif_count == 0) hop->drop = provenance::DropReason::kNoOif;
+    network.provenance()->commit(*hop);
 }
 
 void CbtRouter::on_multicast_data(int ifindex, const net::Packet& packet) {
@@ -495,26 +482,20 @@ void CbtRouter::on_multicast_data(int ifindex, const net::Packet& packet) {
     // connected sender, encapsulate toward the core.
     auto core = core_of(group);
     if (!core.has_value()) {
-        if (provenance::Recorder* rec = recorder_for(*router_, packet)) {
-            rec->append(make_hop(*router_, packet, ifindex, provenance::EntryKind::kNone,
-                                 provenance::DropReason::kNoState));
-        }
+        record_decision(*router_, packet, ifindex, provenance::EntryKind::kNone,
+                        provenance::DropReason::kNoState);
         return;
     }
     if (ifindex < 0 || ifindex >= router_->interface_count()) return;
     const auto& iface = router_->interface(ifindex);
     if (iface.segment == nullptr || !iface.segment->prefix().contains(packet.src)) {
         router_->network().stats().count_data_dropped_iif();
-        if (provenance::Recorder* rec = recorder_for(*router_, packet)) {
-            rec->append(make_hop(*router_, packet, ifindex, provenance::EntryKind::kNone,
-                                 provenance::DropReason::kRpfFail));
-        }
+        record_decision(*router_, packet, ifindex, provenance::EntryKind::kNone,
+                        provenance::DropReason::kRpfFail);
         return;
     }
-    if (provenance::Recorder* rec = recorder_for(*router_, packet)) {
-        rec->append(make_hop(*router_, packet, ifindex, provenance::EntryKind::kRegister,
-                             provenance::DropReason::kNone));
-    }
+    record_decision(*router_, packet, ifindex, provenance::EntryKind::kRegister,
+                    provenance::DropReason::kNone);
     DataEncap encap;
     encap.group = packet.dst;
     encap.inner_src = packet.src;

@@ -234,8 +234,8 @@ struct Driver {
             net.telemetry().set_tracing(true); // timeline needs events + spans
         }
         if (cfg.collect_trace || cfg.collect_provenance) {
-            flight_recorder = std::make_unique<provenance::Recorder>(
-                net.telemetry().registry(), provenance::RecorderConfig{});
+            flight_recorder =
+                std::make_unique<provenance::Recorder>(net.telemetry().registry());
             net.set_provenance(flight_recorder.get());
         }
     }

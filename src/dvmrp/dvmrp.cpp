@@ -185,9 +185,7 @@ void DvmrpRouter::on_no_entry(int ifindex, const net::Packet& packet) {
         return;
     }
     const sim::Time now = router_->simulator().now();
-    data_plane_.record_hop(ifindex, packet, sg, provenance::EntryKind::kSg,
-                           /*rpf_ok=*/true, provenance::DropReason::kNone);
-    data_plane_.replicate(*sg, ifindex, packet);
+    data_plane_.forward_recorded(*sg, ifindex, packet, provenance::EntryKind::kSg);
     sg->note_data(now);
     if (sg->oif_list_empty(now) && sg->upstream_neighbor().has_value()) {
         send_prune_upstream(*sg);

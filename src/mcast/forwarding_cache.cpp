@@ -184,113 +184,66 @@ DataPlane::DataPlane(topo::Router& router, ForwardingCache& cache)
 }
 
 void DataPlane::replicate(const ForwardingEntry& entry, int ifindex,
-                          const net::Packet& packet) {
+                          const net::Packet& packet, provenance::HopRecord* hop) {
     PROF_ZONE("dataplane.replicate");
     if (packet.ttl <= 1) {
         router_->network().stats().count_data_dropped_ttl();
         return;
     }
-    net::Packet out = packet;
-    out.ttl -= 1;
+    // One frame per forwarding decision, sent by reference on every oif.
+    net::Frame out{std::nullopt, packet};
+    out.packet.ttl -= 1;
     const sim::Time now = router_->simulator().now();
     // Allocation-free walk of the flat oif list — this is the per-packet
     // replication path.
     entry.for_each_live_oif(now, [&](int oif) {
         if (oif == ifindex) return; // never back out the arrival interface
         if (oif < 0 || oif >= router_->interface_count()) return;
-        if (pending_hop_ != nullptr) pending_hop_->add_oif(oif);
-        router_->send(oif, net::Frame{std::nullopt, out});
+        if (hop != nullptr) hop->add_oif(oif);
+        router_->send(oif, out);
     });
 }
 
 void DataPlane::forward_recorded(const ForwardingEntry& entry, int ifindex,
                                  const net::Packet& packet,
                                  provenance::EntryKind kind) {
-    provenance::Recorder* rec = router_->network().provenance();
-    provenance::HopRecord* hop = nullptr;
-    if (rec != nullptr && rec->enabled() && packet.pid != 0 &&
-        packet.proto == net::IpProto::kUdp) {
-        hop = rec->begin(router_->id());
+    topo::Network& network = router_->network();
+    provenance::HopRecord* hop = network.begin_hop(*router_, packet);
+    if (hop != nullptr) {
+        hop->iif = static_cast<std::int16_t>(ifindex);
+        hop->kind = kind;
+        hop->spt_bit = entry.spt_bit();
+        hop->rp_bit = entry.rp_bit();
     }
-    if (hop == nullptr) {
-        replicate(entry, ifindex, packet);
-        return;
-    }
-    hop->pid = packet.pid;
-    hop->at = router_->simulator().now();
-    hop->iif = static_cast<std::int16_t>(ifindex);
-    hop->src = packet.src;
-    hop->group = packet.dst;
-    hop->seq = packet.seq;
-    hop->kind = kind;
-    hop->ttl = packet.ttl;
-    hop->spt_bit = entry.spt_bit();
-    hop->rp_bit = entry.rp_bit();
+    replicate(entry, ifindex, packet, hop);
+    if (hop == nullptr) return;
     if (packet.ttl <= 1) {
         hop->drop = provenance::DropReason::kTtl;
-        rec->commit(*hop);
-        replicate(entry, ifindex, packet); // still counts the stats drop
-        return;
-    }
-    pending_hop_ = hop;
-    replicate(entry, ifindex, packet);
-    pending_hop_ = nullptr;
-    if (hop->oif_count == 0) {
+    } else if (hop->oif_count == 0) {
         // An empty oif set discards the packet here: an RP-bit negative
         // cache does so by design, any other entry is a pruned leaf with no
         // downstream interest.
         hop->drop = entry.rp_bit() ? provenance::DropReason::kNegCache
                                    : provenance::DropReason::kNoOif;
     }
-    rec->commit(*hop);
+    network.provenance()->commit(*hop);
 }
 
 void DataPlane::record_hop(int ifindex, const net::Packet& packet,
                            const ForwardingEntry* entry, provenance::EntryKind kind,
                            bool rpf_ok, provenance::DropReason drop) {
-    provenance::Recorder* rec = router_->network().provenance();
-    if (rec == nullptr || !rec->enabled() || packet.pid == 0) return;
-    if (packet.proto != net::IpProto::kUdp) return;
-    // Fill the ring slot in place (begin/commit): this runs once per
-    // forwarding decision and is the recorder's only hot path.
-    provenance::HopRecord* hop = rec->begin(router_->id());
+    topo::Network& network = router_->network();
+    provenance::HopRecord* hop = network.begin_hop(*router_, packet);
     if (hop == nullptr) return;
-    hop->pid = packet.pid;
-    hop->at = router_->simulator().now();
     hop->iif = static_cast<std::int16_t>(ifindex);
-    hop->src = packet.src;
-    hop->group = packet.dst;
-    hop->seq = packet.seq;
     hop->kind = kind;
     hop->rpf_ok = rpf_ok;
-    hop->ttl = packet.ttl;
-    if (drop == provenance::DropReason::kNone && packet.ttl <= 1 &&
-        kind != provenance::EntryKind::kRegister) {
-        drop = provenance::DropReason::kTtl;
-    }
+    hop->drop = drop;
     if (entry != nullptr) {
         hop->spt_bit = entry->spt_bit();
         hop->rp_bit = entry->rp_bit();
-        if (drop == provenance::DropReason::kNone) {
-            // Iterate the flat oif list in place: live_oifs() would allocate
-            // a vector per recorded hop.
-            for (const auto& [oif, state] : entry->oifs()) {
-                if (!state.alive(hop->at)) continue;
-                if (oif == ifindex) continue;
-                if (oif < 0 || oif >= router_->interface_count()) continue;
-                hop->add_oif(oif);
-            }
-            if (hop->oif_count == 0 && kind != provenance::EntryKind::kRegister) {
-                // An empty oif set discards the packet here: an RP-bit
-                // negative cache does so by design, any other entry is a
-                // pruned leaf with no downstream interest.
-                drop = entry->rp_bit() ? provenance::DropReason::kNegCache
-                                       : provenance::DropReason::kNoOif;
-            }
-        }
     }
-    hop->drop = drop;
-    rec->commit(*hop);
+    network.provenance()->commit(*hop);
 }
 
 void DataPlane::on_multicast_data(int ifindex, const net::Packet& packet) {

@@ -150,17 +150,20 @@ public:
 
     void on_multicast_data(int ifindex, const net::Packet& packet) override;
 
-    /// Forwards `packet` out every live oif of `entry` except `ifindex`.
-    /// Exposed for protocols that forward outside the normal path (e.g. the
-    /// RP forwarding register-encapsulated data down the shared tree).
-    void replicate(const ForwardingEntry& entry, int ifindex, const net::Packet& packet);
+    /// The one forward call: sends `packet` out every live oif of `entry`
+    /// except `ifindex` and records the decision in the same walk — the
+    /// oifs captured are exactly the interfaces sent on. `kind` names which
+    /// MRIB entry matched; an empty oif set or an expiring TTL is recorded
+    /// as the matching drop. Protocols that forward outside
+    /// on_multicast_data (dense-mode floods, the RP forwarding
+    /// register-decapsulated data down the shared tree) call it too.
+    void forward_recorded(const ForwardingEntry& entry, int ifindex,
+                          const net::Packet& packet, provenance::EntryKind kind);
 
-    /// Appends one provenance HopRecord for a forwarding decision at this
-    /// router: `entry` (may be null) supplies the oif set and SPT/RP bits,
-    /// `kind` names which MRIB entry matched, `drop` the typed discard (a
-    /// forwarded packet passes kNone; an empty oif set or expiring TTL is
-    /// promoted to the right reason here). No-op without an enabled recorder
-    /// or for unstamped packets, so call sites need no guard of their own.
+    /// Records a decision at this router that sends nothing natively: a
+    /// typed `drop`, or a kRegister hand-off to the encapsulation path.
+    /// `entry` (may be null) supplies the SPT/RP bits. No-op without a
+    /// recorder or for unstamped packets, so call sites need no guard.
     void record_hop(int ifindex, const net::Packet& packet, const ForwardingEntry* entry,
                     provenance::EntryKind kind, bool rpf_ok, provenance::DropReason drop);
 
@@ -168,19 +171,15 @@ public:
     [[nodiscard]] topo::Router& router() { return *router_; }
 
 private:
-    /// The hot path for on_multicast_data's forward branches: one recorder
-    /// slot filled while replicate() walks the oif list (the oifs captured
-    /// are exactly the interfaces sent on), instead of record_hop's second
-    /// walk of the map. Falls back to plain replicate() with no recorder.
-    void forward_recorded(const ForwardingEntry& entry, int ifindex,
-                          const net::Packet& packet, provenance::EntryKind kind);
+    /// Sends one TTL-decremented copy of `packet` on each live oif of
+    /// `entry` except `ifindex`, appending each oif sent on to `hop` (null
+    /// when nothing is recorded).
+    void replicate(const ForwardingEntry& entry, int ifindex, const net::Packet& packet,
+                   provenance::HopRecord* hop);
 
     topo::Router* router_;
     ForwardingCache* cache_;
     Delegate* delegate_ = nullptr;
-    /// Non-null only inside forward_recorded's replicate() call; replicate
-    /// appends each oif it sends on to this record.
-    provenance::HopRecord* pending_hop_ = nullptr;
 };
 
 } // namespace pimlib::mcast

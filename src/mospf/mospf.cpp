@@ -276,9 +276,7 @@ void MospfRouter::on_no_entry(int ifindex, const net::Packet& packet) {
                                /*rpf_ok=*/false, provenance::DropReason::kRpfFail);
         return;
     }
-    data_plane_.record_hop(ifindex, packet, sg, provenance::EntryKind::kSg,
-                           /*rpf_ok=*/true, provenance::DropReason::kNone);
-    data_plane_.replicate(*sg, ifindex, packet);
+    data_plane_.forward_recorded(*sg, ifindex, packet, provenance::EntryKind::kSg);
 }
 
 } // namespace pimlib::mospf

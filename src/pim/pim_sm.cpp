@@ -498,9 +498,8 @@ void PimSmRouter::handle_register(const net::Packet& packet, const Register& reg
     // the identical id the source DR stamped — the trace stays one packet.
     inner.pid = provenance::packet_id(inner.src, inner.dst, inner.seq);
     if (auto* wc = cache_.find_wc(group)) {
-        data_plane_.record_hop(/*ifindex=*/-1, inner, wc, provenance::EntryKind::kWildcard,
-                               /*rpf_ok=*/true, provenance::DropReason::kNone);
-        data_plane_.replicate(*wc, /*ifindex=*/-1, inner);
+        data_plane_.forward_recorded(*wc, /*ifindex=*/-1, inner,
+                                     provenance::EntryKind::kWildcard);
     } else {
         // Decapsulated at the RP but no shared tree exists: the payload
         // dies here until some receiver joins.
@@ -1569,15 +1568,6 @@ void PimSmRouter::send_periodic_join_prune() {
         Batch& batch = batches[{sg.iif(), *sg.upstream_neighbor(), sg.group()}];
         batch.joins.push_back(join_entry_for(sg));
     });
-
-    if (!config_.aggregate_refresh) {
-        for (auto& [key, batch] : batches) {
-            if (batch.joins.empty() && batch.prunes.empty()) continue;
-            send_join_prune(std::get<0>(key), std::get<1>(key), std::get<2>(key),
-                            std::move(batch.joins), std::move(batch.prunes));
-        }
-        return;
-    }
 
     // Regroup per (ifindex, upstream neighbor): the map above is sorted, so
     // every group headed to the same neighbor is contiguous. One shared

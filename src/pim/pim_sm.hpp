@@ -76,13 +76,6 @@ struct PimConfig {
     /// data. Matches the holdtime convention: 3 × refresh.
     sim::Time assert_holdtime = 180 * sim::kSecond;
 
-    /// Aggregate the periodic refresh into one JoinPruneBundle per
-    /// (interface, upstream neighbor) whenever more than one group shares
-    /// the pair; singletons keep the classic one-group JoinPrune wire form.
-    /// Turns the per-tick message count from O(groups) into O(neighbors)
-    /// (docs/TIMERS.md). Off restores per-group messages throughout.
-    bool aggregate_refresh = true;
-
     /// Seeded-bug switches for the model checker's mutation gate (pimcheck
     /// --mutate …). Both default off; production behavior is unmodified.
     /// skip-spt-bit-handshake prunes the source off the shared tree the

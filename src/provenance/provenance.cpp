@@ -84,9 +84,7 @@ std::uint64_t packet_id(net::Ipv4Address src, net::Ipv4Address dst,
     return x == 0 ? 1 : x;
 }
 
-Recorder::Recorder(telemetry::Registry& registry, RecorderConfig config)
-    : registry_(&registry), config_(config) {
-    if (config_.ring_capacity == 0) config_.ring_capacity = 1;
+Recorder::Recorder(telemetry::Registry& registry) : registry_(&registry) {
     for (std::size_t i = 1; i < kDropReasonCount; ++i) {
         drop_counters_[i] = &registry_->counter(
             "pimlib_forward_drops_total",
@@ -100,15 +98,6 @@ void Recorder::register_node(int node_id, std::string name, bool is_host) {
     const auto id = static_cast<std::size_t>(node_id);
     if (nodes_.size() <= id) nodes_.resize(id + 1);
     nodes_[id] = NodeInfo{std::move(name), is_host};
-}
-
-void Recorder::append(const HopRecord& rec) {
-    HopRecord* slot = begin(rec.node);
-    if (slot == nullptr) return;
-    const std::uint64_t order = slot->order;
-    *slot = rec;
-    slot->order = order;
-    commit(*slot);
 }
 
 std::uint64_t Recorder::drop_count(DropReason reason) const {

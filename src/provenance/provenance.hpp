@@ -5,7 +5,7 @@
 // from (src, group, seq) — the id survives replication, register/DataEncap
 // encapsulation (the decapsulator restamps with the same function) and TTL
 // decrements, so one id names one end-to-end packet. Each forwarding
-// decision appends a HopRecord (matched MRIB entry kind, RPF verdict,
+// decision writes a HopRecord (matched MRIB entry kind, RPF verdict,
 // SPT/RP bits, the oif fan-out actually used, or a typed DropReason) into
 // the router's ring buffer. Post-mortem queries reconstruct paths:
 //
@@ -16,10 +16,14 @@
 //                           per-router drop aggregates and the packets that
 //                           vanished without reaching any host
 //
+// Recording has one shape: begin() hands out a ring slot with the packet's
+// common fields stamped, the hook fills in its decision, commit() counts a
+// typed drop. topo::Network::begin_hop is the stack's only caller.
+//
 // Cost model: with no Recorder attached to the Network, every hook is a
-// single pointer test (compiled in, idle, ~0). With a Recorder attached,
-// appends are O(1) into preallocated rings (<8% CPU; bench_runner gates
-// it through bench/provenance_overhead). Typed drops also increment labeled
+// single pointer test. An attached Recorder always records: appends are
+// O(1) into preallocated rings (<8% CPU; bench_runner gates it through
+// bench/provenance_overhead). Typed drops also increment labeled
 // `pimlib_forward_drops_total{reason=...}` counters in the shared registry.
 #pragma once
 
@@ -30,6 +34,7 @@
 #include <vector>
 
 #include "net/ipv4.hpp"
+#include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -114,64 +119,61 @@ struct alignas(64) HopRecord {
 };
 static_assert(sizeof(HopRecord) == 64, "HopRecord must stay one cache line");
 
-struct RecorderConfig {
-    /// HopRecords retained per node (ring overwrites the oldest). The
-    /// default keeps each ring ~40 KB so steady-state appends cycle through
-    /// cache-resident memory; much larger rings never wrap in short runs and
-    /// every append then writes cold lines, which is what pushes the
-    /// recorder past its <8% CPU budget (see bench/provenance_overhead).
-    std::size_t ring_capacity = 512;
-};
+/// HopRecords retained per node (the ring overwrites the oldest). 512
+/// keeps each ring ~32 KB so steady-state appends cycle through
+/// cache-resident memory; much larger rings never wrap in short runs and
+/// every append then writes cold lines, which is what pushes the recorder
+/// past its <8% CPU budget (see bench/provenance_overhead).
+inline constexpr std::size_t kRingCapacity = 512;
 
 /// The flight recorder: per-node bounded rings plus the labeled drop
 /// counters. One Recorder serves one Network (attach via
-/// topo::Network::set_provenance); hooks check the attachment pointer and
-/// enabled() before paying any recording cost.
+/// topo::Network::set_provenance); hooks check the attachment pointer
+/// before paying any recording cost.
 class Recorder {
 public:
-    explicit Recorder(telemetry::Registry& registry, RecorderConfig config = {});
+    explicit Recorder(telemetry::Registry& registry);
 
     Recorder(const Recorder&) = delete;
     Recorder& operator=(const Recorder&) = delete;
 
-    /// Idle switch: when false, append() is a no-op after one branch. The
-    /// overhead bench's "compiled-in but idle" mode.
-    void set_enabled(bool enabled) { enabled_ = enabled; }
-    [[nodiscard]] bool enabled() const { return enabled_; }
-
     /// Name lookup for traces/dumps; hosts are trace endpoints.
     void register_node(int node_id, std::string name, bool is_host);
 
-    /// Appends into `rec.node`'s ring; a non-kNone drop also increments
-    /// pimlib_forward_drops_total{reason=...}.
-    void append(const HopRecord& rec);
-
-    /// Hot-path variant of append(): returns `node`'s next ring slot —
-    /// reset to defaults with `node` and the merge order already stamped —
-    /// for the caller to fill in place (append() costs one extra 64-byte
-    /// copy per hop). Call commit() after filling so a typed drop lands in
-    /// the counters. nullptr when the recorder is disabled. Defined inline
-    /// so per-hop call sites pay no cross-TU call.
-    [[nodiscard]] HopRecord* begin(int node) {
-        if (!enabled_ || node < 0) return nullptr;
+    /// The one way to append: returns `node`'s next ring slot, reset to
+    /// defaults with the merge order and `packet`'s common fields (pid, src,
+    /// group, seq, ttl) stamped at `now`, for the caller to fill its
+    /// decision in place. Call commit() after filling so a typed drop lands
+    /// in the counters. nullptr for an unstamped packet (pid 0: control
+    /// traffic). Defined inline so per-hop call sites pay no cross-TU call.
+    [[nodiscard]] HopRecord* begin(int node, const net::Packet& packet, sim::Time now) {
+        if (packet.pid == 0 || node < 0) return nullptr;
         const auto id = static_cast<std::size_t>(node);
         if (rings_.size() <= id) rings_.resize(id + 1);
         Ring& ring = rings_[id];
-        if (ring.buf.empty()) ring.buf.reserve(config_.ring_capacity);
+        if (ring.buf.empty()) ring.buf.reserve(kRingCapacity);
         HopRecord* slot;
-        if (ring.buf.size() < config_.ring_capacity) {
+        if (ring.buf.size() < kRingCapacity) {
             slot = &ring.buf.emplace_back();
         } else {
             slot = &ring.buf[ring.next];
             *slot = HopRecord{};
-            ring.next = ring.next + 1 == config_.ring_capacity ? 0 : ring.next + 1;
+            ring.next = ring.next + 1 == kRingCapacity ? 0 : ring.next + 1;
         }
-        slot->node = node;
+        slot->pid = packet.pid;
+        slot->at = now;
         slot->order = order_++;
+        slot->seq = packet.seq;
+        slot->src = packet.src;
+        slot->group = packet.dst;
+        slot->node = node;
+        slot->ttl = packet.ttl;
         ++ring.total;
         return slot;
     }
 
+    /// Closes a begin(): a non-kNone drop increments
+    /// pimlib_forward_drops_total{reason=...}.
     void commit(const HopRecord& slot) {
         const auto reason = static_cast<std::size_t>(slot.drop);
         if (reason != 0 && reason < kDropReasonCount) {
@@ -239,8 +241,6 @@ private:
     [[nodiscard]] std::vector<const HopRecord*> merged_records() const;
 
     telemetry::Registry* registry_;
-    RecorderConfig config_;
-    bool enabled_ = true;
     std::uint64_t order_ = 0;
     std::array<telemetry::Counter*, kDropReasonCount> drop_counters_{};
     std::array<std::uint64_t, kDropReasonCount> drop_totals_{};

@@ -291,23 +291,16 @@ Script parse_script(std::string_view text) {
             }
         } else if (word == "trace" || word == "provenance" || word == "profile" ||
                    word == "watchdog" || word == "telemetry") {
-            if (word != "trace" && word != "provenance" &&
-                (w.size() < 2 || (w[1] != "on" && w[1] != "off"))) {
+            if (w.size() > 2 || (word != "trace" && word != "provenance" &&
+                                 (w.size() < 2 || (w[1] != "on" && w[1] != "off")))) {
                 fail(line, word + " takes on|off");
             }
             const bool on = w.size() > 1 && w[1] == "on";
-            const bool capacity = w.size() > 2 && (word == "provenance" || word == "profile");
             if (word == "trace") s.trace = on;
             if (word == "watchdog") s.watchdog = on;
             if (word == "telemetry") s.telemetry = w[1] != "off";
-            if (word == "provenance") {
-                s.provenance = on;
-                if (capacity) s.provenance_capacity = number<std::size_t>(line, w[2], "capacity", 1);
-            }
-            if (word == "profile") {
-                s.profile = on;
-                if (capacity) s.profile_capacity = number<std::size_t>(line, w[2], "capacity", 1);
-            }
+            if (word == "provenance") s.provenance = on;
+            if (word == "profile") s.profile = on;
         } else if (word == "dump-profile" || word == "dump-timeline") {
             need(1, "a file path");
             (word == "dump-profile" ? s.profile_path : s.timeline_path) = w[1];

@@ -16,7 +16,7 @@
 //     spt-policy immediate|never|threshold M WINDOW_MS
 //     mutate NAME                      # seeded protocol bug (pimcheck --list)
 //     workload churn|flash|sender …    # churn rate=200 mean=2s groups=8 zipf=1.0 bank=1000
-//     trace on | telemetry off | provenance on [CAP] | profile on|off [CAP]
+//     trace on | telemetry off | provenance on | profile on|off
 //     watchdog on | monitor trees T | snapshot-every T
 //     dump-profile FILE | dump-timeline FILE
 //     at T join|leave HOST GROUP | send HOST GROUP [count=N] [interval=T]
@@ -118,10 +118,8 @@ struct Script {
     bool trace = false;
     bool telemetry = true;
     bool provenance = false;
-    std::size_t provenance_capacity = 0; // 0: the recorder's default
     bool watchdog = false;
     bool profile = false;
-    std::size_t profile_capacity = 0; // 0: the profiler's default
     std::string profile_path;
     std::string timeline_path;
     sim::Time monitor_interval = 0;

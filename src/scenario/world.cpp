@@ -50,7 +50,6 @@ World::World(const Script& script, Observers observers, const std::string& mutat
         profiling_ = script.profile || !script.profile_path.empty();
         if (profiling_) {
             prof::reset();
-            if (script.profile_capacity > 0) prof::set_ring_capacity(script.profile_capacity);
             // Stamp every zone record with the sim time it covered, so the
             // flamegraph and the timeline's CPU track read against the
             // scenario's own clock.
@@ -67,9 +66,7 @@ World::World(const Script& script, Observers observers, const std::string& mutat
     routing_ = std::make_unique<unicast::OracleRouting>(net);
     if (observe && script.trace) tracer_ = std::make_unique<trace::PacketTracer>(net);
     if (observe && script.provenance) {
-        provenance::RecorderConfig prov;
-        if (script.provenance_capacity > 0) prov.ring_capacity = script.provenance_capacity;
-        recorder_ = std::make_unique<provenance::Recorder>(net.telemetry().registry(), prov);
+        recorder_ = std::make_unique<provenance::Recorder>(net.telemetry().registry());
         net.set_provenance(recorder_.get());
     }
 

@@ -140,8 +140,8 @@ void set_ring_capacity(std::size_t records) {
     Global& g = global();
     const std::lock_guard<std::mutex> lock(g.mu);
     g.ring_capacity = std::max<std::size_t>(records, 16);
-    // Resize any already-registered quiescent thread (pimsim sets the
-    // capacity after the main thread has touched the profiler).
+    // Resize any already-registered quiescent thread (the caller may set
+    // the capacity after its thread has touched the profiler).
     for (ThreadState* s : g.threads) {
         if (s->entries == 0) s->ring.assign(g.ring_capacity, Record{});
     }

@@ -10,18 +10,10 @@ namespace {
 /// source puts the packet on its LAN, kDeliver when a member consumes it.
 void record_endpoint(Network& network, const Host& host, const net::Packet& packet,
                      provenance::EntryKind kind) {
-    provenance::Recorder* rec = network.provenance();
-    if (rec == nullptr || !rec->enabled() || packet.pid == 0) return;
-    provenance::HopRecord* hop = rec->begin(host.id());
+    provenance::HopRecord* hop = network.begin_hop(host, packet);
     if (hop == nullptr) return;
-    hop->pid = packet.pid;
-    hop->at = network.simulator().now();
-    hop->src = packet.src;
-    hop->group = packet.dst;
-    hop->seq = packet.seq;
     hop->kind = kind;
-    hop->ttl = packet.ttl;
-    rec->commit(*hop);
+    network.provenance()->commit(*hop);
 }
 
 } // namespace

@@ -10,16 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "provenance/provenance.hpp"
 #include "sim/simulator.hpp"
 #include "stats/counters.hpp"
 #include "telemetry/hub.hpp"
 #include "topo/host.hpp"
 #include "topo/router.hpp"
 #include "topo/segment.hpp"
-
-namespace pimlib::provenance {
-class Recorder;
-}
 
 namespace pimlib::topo {
 
@@ -77,6 +74,17 @@ public:
     /// provenance hook in the stack is a single pointer test.
     void set_provenance(provenance::Recorder* recorder);
     [[nodiscard]] provenance::Recorder* provenance() const { return provenance_; }
+
+    /// The one hop builder every provenance hook calls: a ring slot at
+    /// `node` with `packet`'s common fields stamped at the current sim
+    /// time, or nullptr when no recorder is attached or the packet is
+    /// unstamped. The hook sets only its decision fields (kind, iif, drop,
+    /// oifs, ...) and then calls provenance()->commit().
+    [[nodiscard]] provenance::HopRecord* begin_hop(const Node& node,
+                                                   const net::Packet& packet) {
+        if (provenance_ == nullptr) return nullptr;
+        return provenance_->begin(node.id(), packet, sim_.now());
+    }
 
     /// Wiretaps: called for every frame a segment transmits (before delivery,
     /// including frames lost to injected segment loss). Several taps can

@@ -12,21 +12,12 @@ namespace {
 /// tunnelling toward the RP.
 void record_unicast_leg(Network& network, const Router& router, const net::Packet& packet,
                         int oif, provenance::DropReason drop) {
-    provenance::Recorder* rec = network.provenance();
-    if (rec == nullptr || !rec->enabled() || packet.pid == 0) return;
-    provenance::HopRecord hop;
-    hop.pid = packet.pid;
-    hop.at = network.simulator().now();
-    hop.node = router.id();
-    hop.iif = -1;
-    hop.src = packet.src;
-    hop.group = packet.dst;
-    hop.seq = packet.seq;
-    hop.kind = provenance::EntryKind::kUnicast;
-    hop.drop = drop;
-    hop.ttl = packet.ttl;
-    if (drop == provenance::DropReason::kNone && oif >= 0) hop.add_oif(oif);
-    rec->append(hop);
+    provenance::HopRecord* hop = network.begin_hop(router, packet);
+    if (hop == nullptr) return;
+    hop->kind = provenance::EntryKind::kUnicast;
+    hop->drop = drop;
+    if (drop == provenance::DropReason::kNone && oif >= 0) hop->add_oif(oif);
+    network.provenance()->commit(*hop);
 }
 
 } // namespace
@@ -135,9 +126,9 @@ void Router::originate_unicast(net::Packet packet) {
 
 void Router::send_on(int ifindex, std::optional<net::Ipv4Address> next_hop,
                      const net::Packet& packet) {
-    net::Packet copy = packet;
-    if (copy.src.is_unspecified()) copy.src = interface(ifindex).address;
-    send(ifindex, net::Frame{next_hop, std::move(copy)});
+    net::Frame frame{next_hop, packet};
+    if (frame.packet.src.is_unspecified()) frame.packet.src = interface(ifindex).address;
+    send(ifindex, frame);
 }
 
 } // namespace pimlib::topo

@@ -11,19 +11,11 @@ namespace {
 /// wire: record the drop against the sender, naming the segment.
 void record_segment_loss(Network& network, const Node& sender, int segment_id,
                          const net::Packet& packet) {
-    provenance::Recorder* rec = network.provenance();
-    if (rec == nullptr || !rec->enabled() || packet.pid == 0) return;
-    provenance::HopRecord hop;
-    hop.pid = packet.pid;
-    hop.at = network.simulator().now();
-    hop.node = sender.id();
-    hop.segment = segment_id;
-    hop.src = packet.src;
-    hop.group = packet.dst;
-    hop.seq = packet.seq;
-    hop.drop = provenance::DropReason::kSegmentLoss;
-    hop.ttl = packet.ttl;
-    rec->append(hop);
+    provenance::HopRecord* hop = network.begin_hop(sender, packet);
+    if (hop == nullptr) return;
+    hop->segment = static_cast<std::int16_t>(segment_id);
+    hop->drop = provenance::DropReason::kSegmentLoss;
+    network.provenance()->commit(*hop);
 }
 
 } // namespace

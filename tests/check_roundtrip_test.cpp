@@ -168,6 +168,11 @@ TEST(CounterexampleRoundTrip, PimsimParserRejectsGarbage) {
               "line 6: bad count '0'");
     EXPECT_EQ(script_error(head + "at 1ms loss-lan lan0 1.5\nrun 1s\n"),
               "line 6: bad loss rate '1.5'");
+    // Observer switches take on|off and nothing else: ring sizes are fixed.
+    EXPECT_EQ(script_error(head + "provenance on 64\nrun 1s\n"),
+              "line 6: provenance takes on|off");
+    EXPECT_EQ(script_error(head + "profile on 4096\nrun 1s\n"),
+              "line 6: profile takes on|off");
     EXPECT_EQ(script_error(head + "fault-slot 1ms crash-router\nrun 1s\n"),
               "line 6: fault candidate 'crash-router' must be fail-link:A,B or crash-router:R");
     // Names are checked when the world is built, still with the line.

@@ -5,6 +5,8 @@
 // covering both the shared-tree and the post-switchover SPT phase.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fault/fault_injector.hpp"
 #include "mcast/forwarding_cache.hpp"
 #include "provenance/provenance.hpp"
@@ -350,36 +352,160 @@ TEST(ProvenancePentagon, DropSummaryNamesRouterAndReason) {
     EXPECT_NE(summary.find("rpf-fail"), std::string::npos) << summary;
 }
 
+// --- every protocol records through the same hop builder -----------------
+
+// Fig. 3's topology under each of the five stacks, with the RP (or CBT
+// core) at B so the delivered path D→B→A is the whole tree. The last
+// delivered packet's trace must be bracketed by the two host records with
+// a forwarding decision at every router between them, and a copy heard on
+// the wrong interface must be recorded as an RPF failure.
+TEST(ProvenanceProtocols, EveryStackRecordsTheDeliveredPathAndRpfFailures) {
+    for (const std::string protocol : {"pim-sm", "pim-dm", "dvmrp", "mospf", "cbt"}) {
+        SCOPED_TRACE(protocol);
+        Fig3Topology topo;
+        Recorder recorder(topo.net.telemetry().registry());
+        topo.net.set_provenance(&recorder);
+        std::unique_ptr<scenario::StackBase> stack;
+        if (protocol == "pim-sm") {
+            auto sm = std::make_unique<scenario::PimSmStack>(topo.net, fast_config());
+            sm->set_rp(kGroup, {topo.b->router_id()});
+            stack = std::move(sm);
+        } else if (protocol == "pim-dm") {
+            stack = std::make_unique<scenario::PimDmStack>(topo.net, fast_config());
+        } else if (protocol == "dvmrp") {
+            stack = std::make_unique<scenario::DvmrpStack>(topo.net, fast_config());
+        } else if (protocol == "mospf") {
+            stack = std::make_unique<scenario::MospfStack>(topo.net, fast_config());
+        } else {
+            auto cbt = std::make_unique<scenario::CbtStack>(topo.net, fast_config());
+            cbt->set_core(kGroup, topo.b->router_id());
+            stack = std::move(cbt);
+        }
+        topo.net.run_for(200 * sim::kMillisecond);
+        stack->host_agent(*topo.receiver).join(kGroup);
+        // A CBT sender's DR forwards natively only from on the tree; off it,
+        // the DR encapsulates toward the core instead.
+        if (protocol == "cbt") stack->host_agent(*topo.source).join(kGroup);
+        topo.net.run_for(500 * sim::kMillisecond);
+        topo.source->send_stream(kGroup, 10, 50 * sim::kMillisecond);
+        topo.net.run_for(1 * sim::kSecond);
+
+        const auto trace = recorder.trace(topo.source->address(), kGroup.address(), "receiver");
+        ASSERT_TRUE(trace.found);
+        ASSERT_GE(trace.hops.size(), 3u);
+        EXPECT_EQ(trace.hops.front().rec.kind, EntryKind::kOrigin);
+        EXPECT_EQ(trace.hops.front().node_name, "source");
+        EXPECT_EQ(trace.hops.back().rec.kind, EntryKind::kDeliver);
+        EXPECT_EQ(trace.hops.back().node_name, "receiver");
+        for (std::size_t i = 1; i + 1 < trace.hops.size(); ++i) {
+            const auto& hop = trace.hops[i];
+            EXPECT_GT(hop.rec.oif_count, 0) << hop.node_name << "\n"
+                                            << recorder.format_trace(trace);
+            EXPECT_EQ(hop.rec.drop, DropReason::kNone) << hop.node_name;
+        }
+
+        // The first packet reaches B and A before they hold (S,G) state:
+        // the dense protocols forward it from on_no_entry, PIM-SM's RP from
+        // the register decapsulation. Each must record the oifs it sent on.
+        const auto first = recorder.records_for(
+            provenance::packet_id(topo.source->address(), kGroup.address(), 1));
+        for (const std::string router : {"B", "A", "receiver"}) {
+            EXPECT_TRUE(std::any_of(first.begin(), first.end(), [&](const auto& rec) {
+                return recorder.node_name(rec.node) == router &&
+                       rec.drop == DropReason::kNone &&
+                       (rec.oif_count > 0 || rec.kind == EntryKind::kDeliver);
+            })) << router;
+        }
+
+        // The source's data heard on B's link to C fails B's RPF check.
+        const std::uint64_t before =
+            drops_counter(topo.net.telemetry().registry(), DropReason::kRpfFail);
+        net::Packet stray;
+        stray.src = topo.source->address();
+        stray.dst = kGroup.address();
+        stray.proto = net::IpProto::kUdp;
+        stray.seq = 1000;
+        stray.pid = provenance::packet_id(stray.src, stray.dst, stray.seq);
+        topo.b->receive(topo.ifindex_toward(*topo.b, *topo.c), stray);
+        const auto records = recorder.records_for(stray.pid);
+        ASSERT_EQ(records.size(), 1u);
+        EXPECT_EQ(recorder.node_name(records[0].node), "B");
+        EXPECT_EQ(records[0].drop, DropReason::kRpfFail);
+        EXPECT_FALSE(records[0].rpf_ok);
+        EXPECT_EQ(drops_counter(topo.net.telemetry().registry(), DropReason::kRpfFail),
+                  before + 1);
+    }
+}
+
 // --- recorder mechanics ---------------------------------------------------
 
 TEST(ProvenanceRecorder, RingStaysBounded) {
     telemetry::Registry reg;
-    Recorder rec(reg, {.ring_capacity = 4});
+    Recorder rec(reg);
     rec.register_node(0, "r", false);
-    for (std::uint64_t i = 0; i < 100; ++i) {
-        provenance::HopRecord hop;
-        hop.pid = 1000 + i;
-        hop.node = 0;
-        hop.at = static_cast<sim::Time>(i);
-        rec.append(hop);
+    const std::uint64_t total = 2 * provenance::kRingCapacity + 3;
+    for (std::uint64_t i = 0; i < total; ++i) {
+        net::Packet packet;
+        packet.pid = 1000 + i;
+        rec.commit(*rec.begin(0, packet, static_cast<sim::Time>(i)));
     }
-    EXPECT_EQ(rec.total_records(), 100u);
-    // Only the 4 newest survive.
-    EXPECT_TRUE(rec.records_for(1099).size() == 1 &&
-                rec.records_for(1095).empty());
+    EXPECT_EQ(rec.total_records(), total);
+    // Only the kRingCapacity newest survive.
+    EXPECT_EQ(rec.all_records().size(), provenance::kRingCapacity);
+    EXPECT_EQ(rec.records_for(1000 + total - provenance::kRingCapacity).size(), 1u);
+    EXPECT_TRUE(rec.records_for(1000 + total - provenance::kRingCapacity - 1).empty());
+    // Unstamped (control) packets never take a slot.
+    EXPECT_EQ(rec.begin(0, net::Packet{}, 0), nullptr);
+    EXPECT_EQ(rec.total_records(), total);
 }
 
-TEST(ProvenanceRecorder, DisabledRecorderAppendsNothing) {
+TEST(ProvenanceRecorder, ReusedSlotCarriesNothingFromItsPreviousOccupant) {
     telemetry::Registry reg;
     Recorder rec(reg);
-    rec.set_enabled(false);
-    provenance::HopRecord hop;
-    hop.pid = 1;
-    hop.node = 0;
-    hop.drop = DropReason::kRpfFail;
-    rec.append(hop);
-    EXPECT_EQ(rec.total_records(), 0u);
-    EXPECT_EQ(rec.drop_count(DropReason::kRpfFail), 0u);
+    net::Packet old_packet;
+    old_packet.pid = 7;
+    for (std::size_t i = 0; i < provenance::kRingCapacity; ++i) {
+        provenance::HopRecord* hop = rec.begin(0, old_packet, 1);
+        hop->iif = 3;
+        hop->segment = 5;
+        hop->kind = EntryKind::kSg;
+        hop->drop = DropReason::kNoOif;
+        hop->rpf_ok = false;
+        hop->spt_bit = true;
+        hop->rp_bit = true;
+        hop->add_oif(1);
+        hop->add_oif(2);
+        rec.commit(*hop);
+    }
+    // The ring is full: the next hop overwrites the oldest slot.
+    net::Packet packet;
+    packet.src = net::Ipv4Address(10, 0, 0, 1);
+    packet.dst = kGroup.address();
+    packet.seq = 9;
+    packet.ttl = 12;
+    packet.pid = 8;
+    provenance::HopRecord* hop = rec.begin(0, packet, 100);
+    ASSERT_NE(hop, nullptr);
+    EXPECT_EQ(hop->pid, 8u);
+    EXPECT_EQ(hop->at, 100);
+    EXPECT_EQ(hop->node, 0);
+    EXPECT_EQ(hop->src, packet.src);
+    EXPECT_EQ(hop->group, packet.dst);
+    EXPECT_EQ(hop->seq, 9u);
+    EXPECT_EQ(hop->ttl, 12);
+    EXPECT_EQ(hop->oif_count, 0);
+    EXPECT_EQ(hop->oifs, (std::array<std::int8_t, provenance::kMaxRecordedOifs>{}));
+    EXPECT_EQ(hop->drop, DropReason::kNone);
+    EXPECT_EQ(hop->segment, -1);
+    EXPECT_EQ(hop->iif, -1);
+    EXPECT_EQ(hop->kind, EntryKind::kNone);
+    EXPECT_TRUE(hop->rpf_ok);
+    EXPECT_FALSE(hop->spt_bit);
+    EXPECT_FALSE(hop->rp_bit);
+    rec.commit(*hop);
+    EXPECT_EQ(rec.records_for(8).size(), 1u);
+    EXPECT_EQ(rec.records_for(7).size(), provenance::kRingCapacity - 1);
+    EXPECT_EQ(rec.drop_count(DropReason::kNoOif), provenance::kRingCapacity);
 }
 
 TEST(ProvenanceRecorder, PacketIdIsDeterministicAndNeverZero) {
