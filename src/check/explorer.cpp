@@ -163,6 +163,13 @@ ExploreReport explore(const ExploreOptions& options) {
                 }
                 Slot& slot = slots[i];
                 slot.result = run_branch(options, frontier[i], false);
+                // `states` is read-only until the merge: drop the keys
+                // earlier waves already hold (the prefix shared with the
+                // parent branch) here, in parallel, so the serial merge
+                // inserts only what may be new.
+                std::erase_if(slot.result.state_hashes, [&states](std::uint64_t key) {
+                    return states.contains(key);
+                });
                 slot.ran = true;
                 if (!slot.result.violations.empty()) {
                     std::size_t prev =
@@ -233,8 +240,13 @@ ExploreReport explore(const ExploreOptions& options) {
                 }
                 continue; // don't grow the tree under a failing branch
             }
+            // Next-wave slots past the run budget never run, so they are not
+            // built; one is kept so a cut frontier still reads as open.
+            const std::size_t next_cap = std::min(
+                options.max_frontier,
+                std::max<std::size_t>(1, options.max_runs - report.runs));
             for (Pick& flip : slot.children) {
-                if (next.size() >= options.max_frontier) break;
+                if (next.size() >= next_cap) break;
                 ChoiceSet child = frontier[i];
                 child.push_back(flip);
                 next.push_back(std::move(child));

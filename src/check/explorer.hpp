@@ -8,8 +8,10 @@
 // fault per execution) and a seeded sample of children per run keep the
 // frontier tractable; wall-clock and run-count budgets bound the whole
 // search. Every run's timed-state keys — (sim clock, structural MRIB
-// hash) pairs, see scenario.hpp — land in one global dedup set: the
-// "distinct protocol states visited" metric.
+// key) pairs, see scenario.hpp; the structural key is
+// scenario::StackBase::state_key(), read straight off the forwarding
+// caches — land in one global dedup set: the "distinct protocol states
+// visited" metric.
 //
 // A branch whose oracles fail is shrunk (greedy pick-dropping, re-running
 // each candidate) to a minimal failing choice set and packaged as a

@@ -12,8 +12,10 @@
 #include "check/invariants.hpp"
 #include "check/watchdog.hpp"
 #include "fault/fault_injector.hpp"
+#include "mcast/forwarding_entry.hpp"
 #include "provenance/provenance.hpp"
 #include "stats/counters.hpp"
+#include "telemetry/profiler/profiler.hpp"
 #include "topo/host.hpp"
 #include "topo/network.hpp"
 #include "topo/router.hpp"
@@ -43,16 +45,10 @@ void add_violation(RunResult& out, std::string oracle, std::string detail) {
 /// global state is (clock, configuration): two branches that reach the
 /// same MRIB structure at different points of the schedule are different
 /// states — one of them still has timers and in-flight messages the other
-/// has already consumed. splitmix64-style finalizer over both.
+/// has already consumed. splitmix64 finalizer over both.
 std::uint64_t timed_state_key(sim::Time t, std::uint64_t structural) {
-    std::uint64_t x =
-        static_cast<std::uint64_t>(t) * 0x9E3779B97F4A7C15ull ^ structural;
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return x;
+    return mcast::state_mix(static_cast<std::uint64_t>(t) * 0x9E3779B97F4A7C15ull ^
+                            structural);
 }
 
 void append(RunResult& out, std::vector<Violation> found) {
@@ -314,7 +310,13 @@ struct Driver {
         }
     }
 
-    /// Advances the simulation to `until`, hashing the global MRIB every
+    /// The global MRIB's structural key, in its own profiler zone.
+    static std::uint64_t state_key(scenario::StackBase& stack) {
+        PROF_ZONE("check.state_key");
+        return stack.state_key();
+    }
+
+    /// Advances the simulation to `until`, keying the global MRIB every
     /// checkpoint interval along the way.
     void checkpoint_until(sim::Time until, scenario::StackBase& stack) {
         sim::Time t = net.simulator().now();
@@ -323,34 +325,26 @@ struct Driver {
         while (t < until) {
             t = std::min(until, t + step);
             out.events += net.simulator().run_until(t);
-            out.state_hashes.push_back(
-                timed_state_key(t, stack.capture_mrib().hash()));
+            out.state_hashes.push_back(timed_state_key(t, state_key(stack)));
         }
     }
 
-    /// Runs probe intervals until the global MRIB is stable (empty
-    /// structural diff) or revisits an earlier probe state (a recurrent
-    /// soft-state orbit — decaying caches re-established by periodic joins
-    /// cycle through a small state set; that still counts as converged).
-    /// Leaves the last capture in out.final_mrib.
+    /// Runs probe intervals until the global MRIB revisits an earlier probe
+    /// state: either it is stable (the key repeats at once) or it is in a
+    /// recurrent soft-state orbit — decaying caches re-established by
+    /// periodic joins cycle through a small state set; that still counts
+    /// as converged. Leaves a capture of the final state in out.final_mrib.
     void probe_convergence(scenario::StackBase& stack, sim::Time probe_interval) {
-        telemetry::MribSnapshot prev = stack.capture_mrib();
-        std::vector<std::uint64_t> probe_hashes{prev.hash()};
+        std::vector<std::uint64_t> probe_keys{state_key(stack)};
         bool converged = false;
         for (int round = 0; round < kConvergenceProbes && !converged; ++round) {
             out.events +=
                 net.simulator().run_until(net.simulator().now() + probe_interval);
-            telemetry::MribSnapshot next = stack.capture_mrib();
-            const std::uint64_t h = next.hash();
-            out.state_hashes.push_back(timed_state_key(net.simulator().now(), h));
-            if (telemetry::diff(prev, next).empty()) {
-                converged = true;
-            } else if (std::find(probe_hashes.begin(), probe_hashes.end(), h) !=
-                       probe_hashes.end()) {
-                converged = true;
-            }
-            probe_hashes.push_back(h);
-            prev = std::move(next);
+            const std::uint64_t key = state_key(stack);
+            out.state_hashes.push_back(timed_state_key(net.simulator().now(), key));
+            converged = std::find(probe_keys.begin(), probe_keys.end(), key) !=
+                        probe_keys.end();
+            probe_keys.push_back(key);
         }
         out.converged = converged;
         if (!converged) {
@@ -360,7 +354,7 @@ struct Driver {
                               std::to_string(kConvergenceProbes) +
                               " probe intervals after stimuli stopped");
         }
-        out.final_mrib = std::move(prev);
+        out.final_mrib = stack.capture_mrib();
     }
 
     void finish() {

@@ -94,18 +94,20 @@ struct RunConfig {
     /// RunResult::watchdog_report. Used by pimcheck --replay so a
     /// counterexample shows what the live watchdogs would have said.
     bool watchdog = false;
-    /// Cadence of MRIB state-hash checkpoints.
+    /// Cadence of MRIB state-key checkpoints.
     sim::Time checkpoint_every = sim::kMillisecond;
 };
 
 struct RunResult {
     std::vector<ChoiceRec> trace;
     std::vector<Violation> violations;
-    /// Timed-state keys — hash of (sim clock, structural MRIB hash) — one
-    /// per checkpoint plus the convergence probes. The clock is part of
-    /// the key because this is a timed protocol: the same MRIB structure
-    /// at two points of the schedule is two different global states. The
-    /// explorer dedups these globally.
+    /// Timed-state keys — hash of (sim clock, structural MRIB key) — one
+    /// per checkpoint plus the convergence probes. The structural key is
+    /// scenario::StackBase::state_key(): integers off the live forwarding
+    /// caches, no snapshot, equal exactly when two MRIB snapshots would
+    /// diff empty. The clock is part of the key because this is a timed
+    /// protocol: the same MRIB structure at two points of the schedule is
+    /// two different global states. The explorer dedups these globally.
     std::vector<std::uint64_t> state_hashes;
     telemetry::MribSnapshot final_mrib;
     /// No forced loss, no fault: every efficiency oracle applies.

@@ -178,6 +178,22 @@ telemetry::RouterMrib ForwardingCache::snapshot(const std::string& router_name,
     return out;
 }
 
+std::uint64_t ForwardingCache::structural_hash() const {
+    const auto entry_hash = [](const ForwardingEntry& entry) {
+        IfindexSet oifs;
+        for (const auto& [ifindex, state] : entry.oifs()) oifs.add(ifindex);
+        IfindexSet pruned;
+        for (const int ifindex : entry.pruned_oifs()) pruned.add(ifindex);
+        return entry_state_hash(entry.source_or_rp(), entry.group(),
+                                {entry.wildcard(), entry.rp_bit(), entry.spt_bit()},
+                                entry.iif(), entry.upstream_neighbor(), oifs, pruned);
+    };
+    std::uint64_t sum = 0;
+    for (const auto& [group, entry] : wc_) sum += entry_hash(*entry);
+    for (const auto& [key, entry] : sg_) sum += entry_hash(*entry);
+    return sum;
+}
+
 DataPlane::DataPlane(topo::Router& router, ForwardingCache& cache)
     : router_(&router), cache_(&cache) {
     router_->set_multicast_handler(this);

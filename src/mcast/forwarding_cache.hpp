@@ -84,6 +84,11 @@ public:
     [[nodiscard]] telemetry::RouterMrib snapshot(const std::string& router_name,
                                                  sim::Time now) const;
 
+    /// Sum of every entry's entry_state_hash(): equal for caches whose snapshots
+    /// diff empty, independent of entry order, no timer, no allocation.
+    /// The checker's per-router dedup key (scenario::StackBase::state_key).
+    [[nodiscard]] std::uint64_t structural_hash() const;
+
 private:
     // Entries live in a slab arena (stable addresses, recycled slots, no
     // per-entry heap churn at million-entry scale); the maps are sorted

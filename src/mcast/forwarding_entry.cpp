@@ -129,4 +129,20 @@ std::string ForwardingEntry::describe() const {
     return out;
 }
 
+std::uint64_t entry_state_hash(net::Ipv4Address source_or_rp, net::GroupAddress group,
+                               EntryBits bits, int iif,
+                               std::optional<net::Ipv4Address> upstream,
+                               IfindexSet oifs, IfindexSet pruned) {
+    // Each field folds in through the bijective mixer, so two entries
+    // differing in any field collide only with 64-bit hash probability.
+    const std::uint64_t flags = (bits.wildcard ? 1u : 0u) | (bits.rp ? 2u : 0u) |
+                                (bits.spt ? 4u : 0u) | (upstream ? 8u : 0u);
+    std::uint64_t h = state_mix((std::uint64_t{source_or_rp.to_uint()} << 32) |
+                                group.address().to_uint());
+    h = state_mix(h ^ ((std::uint64_t{static_cast<std::uint32_t>(iif)} << 4) | flags));
+    h = state_mix(h ^ (upstream ? upstream->to_uint() : 0u));
+    h = state_mix(h ^ oifs.digest);
+    return state_mix(h ^ pruned.digest);
+}
+
 } // namespace pimlib::mcast

@@ -11,6 +11,7 @@
 // million-entry scale.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
@@ -145,5 +146,45 @@ private:
     sim::Time rp_timer_deadline_ = 0;
     sim::Time last_data_ = 0;
 };
+
+// --- structural state hash (the model checker's dedup key, src/check) ---
+
+/// splitmix64 finalizer: the bijective mixer every state hash folds through.
+[[nodiscard]] constexpr std::uint64_t state_mix(std::uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ull;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBull;
+    x ^= x >> 31;
+    return x;
+}
+
+/// Order-independent digest of a set of interface indexes: add each member
+/// once, in any order.
+struct IfindexSet {
+    std::uint64_t digest = 0;
+    void add(int ifindex) {
+        digest += state_mix(static_cast<std::uint32_t>(ifindex) + 0x9E3779B97F4A7C15ull);
+    }
+};
+
+/// An entry's WC, RP and SPT bits.
+struct EntryBits {
+    bool wildcard = false;
+    bool rp = false;
+    bool spt = false;
+};
+
+/// Hash of one entry's structure: exactly the fields
+/// telemetry::EntrySnapshot::signature() renders — source or RP, group,
+/// WC/RP/SPT bits, iif, upstream neighbor, oif set (every stored oif,
+/// expired-but-unreaped ones too) and pruned set — and no timer. Entries
+/// with equal signatures hash equal. Summing these over a cache gives an
+/// order-independent cache hash.
+[[nodiscard]] std::uint64_t entry_state_hash(net::Ipv4Address source_or_rp,
+                                             net::GroupAddress group, EntryBits bits,
+                                             int iif,
+                                             std::optional<net::Ipv4Address> upstream,
+                                             IfindexSet oifs, IfindexSet pruned);
 
 } // namespace pimlib::mcast

@@ -8,6 +8,23 @@ namespace {
 sim::Time scale_time(sim::Time t, double factor) {
     return static_cast<sim::Time>(static_cast<double>(t) * factor);
 }
+
+/// Calls fn(ifindex, child) for each interface a CBT tree forwards on, in
+/// ascending order per kind: interfaces toward child routers (child =
+/// true), then member LANs that carry no child.
+template <typename Fn>
+void for_each_tree_oif(const cbt::CbtRouter::TreeState& state, Fn&& fn) {
+    const auto has_children = [&state](int ifindex) {
+        const auto it = state.children.find(ifindex);
+        return it != state.children.end() && !it->second.empty();
+    };
+    for (const auto& [ifindex, children] : state.children) {
+        if (!children.empty()) fn(ifindex, true);
+    }
+    for (const int ifindex : state.member_ifaces) {
+        if (!has_children(ifindex)) fn(ifindex, false);
+    }
+}
 } // namespace
 
 StackConfig StackConfig::scaled(double factor) const {
@@ -55,6 +72,21 @@ telemetry::MribSnapshot StackBase::capture_mrib() {
 
 const mcast::ForwardingCache* StackBase::cache_of(const topo::Router& /*router*/) {
     return nullptr;
+}
+
+std::uint64_t StackBase::state_key() {
+    std::uint64_t key = 0;
+    for (const auto& router : network_->routers()) {
+        key += mcast::state_mix(
+            mcast::state_mix(static_cast<std::uint64_t>(router->id()) + 1) ^
+            mrib_hash(*router));
+    }
+    return key;
+}
+
+std::uint64_t StackBase::mrib_hash(const topo::Router& router) {
+    const mcast::ForwardingCache* cache = cache_of(router);
+    return cache == nullptr ? 0 : cache->structural_hash();
 }
 
 const mcast::ForwardingCache* PimSmStack::cache_of(const topo::Router& router) {
@@ -193,34 +225,37 @@ telemetry::MribSnapshot CbtStack::capture_mrib() {
             e.group = group.to_string();
             e.wildcard = true;
             e.iif = state.parent_ifindex;
-            std::set<int> child_ifaces;
-            for (const auto& [ifindex, children] : state.children) {
-                if (!children.empty()) child_ifaces.insert(ifindex);
-            }
             sim::Time soonest_child = 0;
             for (const auto& [addr, expiry] : state.child_expiry) {
                 if (soonest_child == 0 || expiry < soonest_child) soonest_child = expiry;
             }
-            for (int ifindex : child_ifaces) {
+            for_each_tree_oif(state, [&](int ifindex, bool child) {
                 telemetry::OifSnapshot oif;
                 oif.ifindex = ifindex;
-                oif.remaining = soonest_child == 0
-                                    ? 0
-                                    : std::max<sim::Time>(0, soonest_child - out.at);
+                oif.pinned = !child;
+                if (child && soonest_child != 0) {
+                    oif.remaining = std::max<sim::Time>(0, soonest_child - out.at);
+                }
                 e.oifs.push_back(oif);
-            }
-            for (int ifindex : state.member_ifaces) {
-                if (child_ifaces.contains(ifindex)) continue;
-                telemetry::OifSnapshot oif;
-                oif.ifindex = ifindex;
-                oif.pinned = true;
-                e.oifs.push_back(oif);
-            }
+            });
             mrib.entries.push_back(std::move(e));
         }
         out.routers.push_back(std::move(mrib));
     }
     return out;
+}
+
+std::uint64_t CbtStack::mrib_hash(const topo::Router& router) {
+    // The fields capture_mrib() synthesizes above: one shared-tree entry
+    // per group, core in the source slot, parent iif and the tree's oifs.
+    std::uint64_t sum = 0;
+    for (const auto& [group, state] : cbt_.at(&router)->trees()) {
+        mcast::IfindexSet oifs;
+        for_each_tree_oif(state, [&oifs](int ifindex, bool) { oifs.add(ifindex); });
+        sum += mcast::entry_state_hash(state.core, group, {.wildcard = true},
+                                       state.parent_ifindex, std::nullopt, oifs, {});
+    }
+    return sum;
 }
 
 void DenseDomainBridge::watch(igmp::RouterAgent& agent) {

@@ -78,7 +78,19 @@ public:
     /// knowing which protocol the stack runs.
     [[nodiscard]] virtual const mcast::ForwardingCache* cache_of(const topo::Router& router);
 
+    /// The model checker's state-dedup key, read straight off the live
+    /// protocol state: each router's id mixed with its mrib_hash(), summed
+    /// so router order cannot matter. Two moments of one network get equal
+    /// keys exactly when their capture_mrib() snapshots diff empty (up to
+    /// 64-bit collisions). A router with no entries still contributes its
+    /// id. Builds no string and allocates nothing.
+    [[nodiscard]] std::uint64_t state_key();
+
 protected:
+    /// One router's structural MRIB hash: its cache's structural_hash(), 0
+    /// without a cache. CBT overrides it to hash the tree state it keeps.
+    [[nodiscard]] virtual std::uint64_t mrib_hash(const topo::Router& router);
+
     topo::Network* network_;
     StackConfig config_;
     std::map<const topo::Router*, std::unique_ptr<igmp::RouterAgent>, topo::NodeIdLess> igmp_;
@@ -157,6 +169,9 @@ public:
     /// Configures the group's core on every router.
     void set_core(net::GroupAddress group, net::Ipv4Address core);
     [[nodiscard]] telemetry::MribSnapshot capture_mrib() override;
+
+protected:
+    [[nodiscard]] std::uint64_t mrib_hash(const topo::Router& router) override;
 
 private:
     std::map<const topo::Router*, std::unique_ptr<cbt::CbtRouter>, topo::NodeIdLess> cbt_;

@@ -84,30 +84,6 @@ std::string MribSnapshot::to_text() const {
     return out;
 }
 
-std::uint64_t MribSnapshot::hash() const {
-    std::vector<std::string> lines;
-    lines.reserve(entry_count() + routers.size());
-    for (const RouterMrib& r : routers) {
-        // An entry-less router still contributes its name, so "router came
-        // up with no state yet" and "router absent" hash differently.
-        if (r.entries.empty()) lines.push_back(r.router);
-        for (const EntrySnapshot& e : r.entries) {
-            lines.push_back(r.router + " " + e.signature());
-        }
-    }
-    std::sort(lines.begin(), lines.end());
-    std::uint64_t h = 14695981039346656037ull; // FNV-1a 64-bit offset basis
-    for (const std::string& line : lines) {
-        for (const char c : line) {
-            h ^= static_cast<std::uint8_t>(c);
-            h *= 1099511628211ull;
-        }
-        h ^= 0xffu; // separator outside the signature alphabet
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 namespace {
 
 std::map<std::string, std::string> signature_index(const MribSnapshot& snap) {

@@ -7,9 +7,14 @@
 // compares a *structural* signature that deliberately excludes timer
 // remaining, so two captures of a stable tree taken seconds apart diff
 // empty even though every soft-state timer ticked down in between.
+//
+// Snapshots serve diffs, dump-state, the checker's deadline oracles and
+// its final-state report. The checker's per-checkpoint dedup key is not
+// built from them: scenario::StackBase::state_key() hashes the same
+// structural fields straight off the live forwarding caches
+// (mcast::entry_state_hash), with no string and no sort.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -58,13 +63,6 @@ struct MribSnapshot {
 
     [[nodiscard]] std::size_t entry_count() const;
     [[nodiscard]] std::string to_text() const;
-
-    /// Stable structural hash: FNV-1a over every router's entry signatures,
-    /// sorted first so capture order (which follows pointer-keyed maps)
-    /// cannot perturb the value. Excludes `at` and all timer remainders —
-    /// two captures of the same tree hash equal no matter when they were
-    /// taken. This is the state-dedup key of the model checker (src/check).
-    [[nodiscard]] std::uint64_t hash() const;
 };
 
 /// What changed between two snapshots, keyed "router key". `changed` holds

@@ -360,27 +360,12 @@ TEST(ProvenancePentagon, DropSummaryNamesRouterAndReason) {
 // a forwarding decision at every router between them, and a copy heard on
 // the wrong interface must be recorded as an RPF failure.
 TEST(ProvenanceProtocols, EveryStackRecordsTheDeliveredPathAndRpfFailures) {
-    for (const std::string protocol : {"pim-sm", "pim-dm", "dvmrp", "mospf", "cbt"}) {
+    for (const std::string& protocol : kStackProtocols) {
         SCOPED_TRACE(protocol);
         Fig3Topology topo;
         Recorder recorder(topo.net.telemetry().registry());
         topo.net.set_provenance(&recorder);
-        std::unique_ptr<scenario::StackBase> stack;
-        if (protocol == "pim-sm") {
-            auto sm = std::make_unique<scenario::PimSmStack>(topo.net, fast_config());
-            sm->set_rp(kGroup, {topo.b->router_id()});
-            stack = std::move(sm);
-        } else if (protocol == "pim-dm") {
-            stack = std::make_unique<scenario::PimDmStack>(topo.net, fast_config());
-        } else if (protocol == "dvmrp") {
-            stack = std::make_unique<scenario::DvmrpStack>(topo.net, fast_config());
-        } else if (protocol == "mospf") {
-            stack = std::make_unique<scenario::MospfStack>(topo.net, fast_config());
-        } else {
-            auto cbt = std::make_unique<scenario::CbtStack>(topo.net, fast_config());
-            cbt->set_core(kGroup, topo.b->router_id());
-            stack = std::move(cbt);
-        }
+        const std::unique_ptr<scenario::StackBase> stack = make_stack(protocol, topo);
         topo.net.run_for(200 * sim::kMillisecond);
         stack->host_agent(*topo.receiver).join(kGroup);
         // A CBT sender's DR forwards natively only from on the tree; off it,

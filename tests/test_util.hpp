@@ -3,6 +3,8 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "scenario/stacks.hpp"
 #include "topo/network.hpp"
@@ -62,5 +64,32 @@ struct Fig3Topology {
         return link == nullptr ? -1 : from.ifindex_on(*link).value_or(-1);
     }
 };
+
+/// The five multicast routing protocols make_stack() builds.
+inline const std::vector<std::string> kStackProtocols{"pim-sm", "pim-dm", "dvmrp",
+                                                      "mospf", "cbt"};
+
+/// `protocol`'s stack on `topo` with fast_config() timers; PIM-SM's RP and
+/// CBT's core for kGroup are at B.
+inline std::unique_ptr<scenario::StackBase> make_stack(const std::string& protocol,
+                                                       Fig3Topology& topo) {
+    if (protocol == "pim-sm") {
+        auto sm = std::make_unique<scenario::PimSmStack>(topo.net, fast_config());
+        sm->set_rp(kGroup, {topo.b->router_id()});
+        return sm;
+    }
+    if (protocol == "pim-dm") {
+        return std::make_unique<scenario::PimDmStack>(topo.net, fast_config());
+    }
+    if (protocol == "dvmrp") {
+        return std::make_unique<scenario::DvmrpStack>(topo.net, fast_config());
+    }
+    if (protocol == "mospf") {
+        return std::make_unique<scenario::MospfStack>(topo.net, fast_config());
+    }
+    auto cbt = std::make_unique<scenario::CbtStack>(topo.net, fast_config());
+    cbt->set_core(kGroup, topo.b->router_id());
+    return cbt;
+}
 
 } // namespace pimlib::test
