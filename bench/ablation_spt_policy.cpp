@@ -32,8 +32,8 @@ struct Run {
     std::size_t delivered = 0;
 };
 
-// Same divergent topology as examples/spt_switchover: shared path ~42 ms,
-// SPT ~4 ms.
+// Same divergent topology as examples/scenarios/spt_switchover.pimsim:
+// shared path ~42 ms, SPT ~4 ms.
 Run run_policy(pim::SptPolicy policy, int packets, sim::Time interval) {
     topo::Network net;
     auto& a = net.add_router("A");

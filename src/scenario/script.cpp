@@ -329,6 +329,10 @@ Script parse_script(std::string_view text) {
                 s.loss_possible = true;
             }
             s.actions.push_back(std::move(a));
+        } else if (word == "expect") {
+            if (w.size() != 4) fail(line, "expect takes HOST GROUP N");
+            s.expects.push_back(
+                {line, w[1], parse_group(line, w[2]), number<std::size_t>(line, w[3], "count")});
         } else if (word == "run" || word == "horizon") {
             need(1, "a time");
             (word == "run" ? s.run_until : s.horizon) = parse_time(line, w[1]);

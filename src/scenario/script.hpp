@@ -24,6 +24,7 @@
 //     at T loss-link A B RATE | loss-lan LAN RATE | partition A B [C D…] | heal-partition
 //     at T dump-state | dump-metrics [prom|json] | dump-events | snapshot
 //     at T mtrace SRC-HOST DST-HOST GROUP | dump-provenance | profile on|off
+//     expect HOST GROUP N              # at the end: >= N packets of GROUP, no duplicates
 //     run T
 //
 // Three directives describe a checker scenario; pimsim ignores them:
@@ -36,9 +37,11 @@
 //     oracle NAME [ARG…] [from=T] [crossings=N]   # see check/scenario.hpp
 //
 // Every number goes through one checked parser: errors read "line N: …",
-// and negative times, counts and rates are rejected.
+// and negative times, counts and rates are rejected. A failed `expect` is
+// not an error: run_script() reports it and returns false.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -75,6 +78,14 @@ struct OracleSpec {
     std::vector<std::string> args; // positional arguments
     sim::Time from = 0;            // from=
     int crossings = 0;             // crossings=
+};
+
+/// One `expect HOST GROUP N` line.
+struct Expect {
+    int line = 0;
+    std::string host;
+    net::GroupAddress group{};
+    std::size_t count = 0;
 };
 
 struct Script {
@@ -127,6 +138,7 @@ struct Script {
     bool loss_possible = false; // a fault, loss or leave is scripted
 
     std::vector<Action> actions; // script order
+    std::vector<Expect> expects;
     sim::Time run_until = 0;
 
     std::vector<FaultSlot> fault_slots;

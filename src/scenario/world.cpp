@@ -386,8 +386,10 @@ void World::dump_state() {
     }
 }
 
-void World::run_and_report() {
+bool World::run_and_report() {
     const Script& s = script_;
+    std::vector<const topo::Host*> expected;
+    for (const Expect& e : s.expects) at_line(e.line, [&] { expected.push_back(&host(e.host)); });
     if (s.snapshot_every > 0) {
         for (sim::Time at = s.snapshot_every; at <= s.run_until; at += s.snapshot_every) {
             net.simulator().schedule_at(at, [this] { take_snapshot(/*print=*/false); });
@@ -497,14 +499,31 @@ void World::run_and_report() {
                     "ui.perfetto.dev) ---\n",
                     s.timeline_path.c_str());
     }
+    bool held = true;
+    if (!s.expects.empty()) std::printf("--- expect ---\n");
+    for (std::size_t i = 0; i < s.expects.size(); ++i) {
+        const Expect& e = s.expects[i];
+        const std::size_t got = expected[i]->received_count(e.group);
+        const std::size_t dups = expected[i]->duplicate_count();
+        const bool ok = got >= e.count && dups == 0;
+        held = held && ok;
+        std::printf("  %-12s %s >= %zu: received %zu (%zu duplicates) ", e.host.c_str(),
+                    e.group.to_string().c_str(), e.count, got, dups);
+        if (ok) {
+            std::printf("ok\n");
+        } else {
+            std::printf("FAILED (line %d)\n", e.line);
+        }
+    }
+    return held;
 }
 
-void run_script(std::string_view text) {
+bool run_script(std::string_view text) {
     const Script script = parse_script(text);
     World world(script, World::Observers::kScript);
     world.start_workloads();
     world.schedule_actions();
-    world.run_and_report();
+    return world.run_and_report();
 }
 
 } // namespace pimlib::scenario

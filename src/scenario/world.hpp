@@ -6,7 +6,7 @@
 // caller (the checker) can install its own instruments first.
 //
 // run_script() is the whole pimsim driver: build, attach the script's
-// observers, run, print the report.
+// observers, run, print the report, judge the `expect` lines.
 #pragma once
 
 #include <memory>
@@ -74,8 +74,9 @@ public:
     /// (never when repair is 0).
     void inject(const Action& fault, sim::Time repair);
 
-    /// Runs to the script's `run` time and prints pimsim's report.
-    void run_and_report();
+    /// Runs to the script's `run` time and prints pimsim's report. Returns
+    /// whether every `expect` line held.
+    bool run_and_report();
 
     topo::Network net;
 
@@ -105,7 +106,8 @@ private:
 };
 
 /// pimsim: parses `text`, builds it with the script's observers, runs it
-/// and prints the report on stdout. Throws std::runtime_error on bad input.
-void run_script(std::string_view text);
+/// and prints the report on stdout. Returns whether every `expect` line
+/// held; throws std::runtime_error on bad input.
+[[nodiscard]] bool run_script(std::string_view text);
 
 } // namespace pimlib::scenario

@@ -2,7 +2,8 @@
 // (and can pretty-print) the frames crossing it, decoding the control
 // protocols of this library — PIM, IGMP, DVMRP, CBT, and the unicast
 // routing messages — into human-readable one-liners. Invaluable when
-// debugging protocol interactions; see examples/quickstart for usage.
+// debugging protocol interactions; `trace on` attaches one to a pimsim
+// scenario (scenario/world.cpp).
 #pragma once
 
 #include <optional>

@@ -136,7 +136,9 @@ TEST(CounterexampleRoundTrip, EmittedScriptIsLoadablePimsimScenario) {
     EXPECT_NE(script.find("at 500ms crash-router R1"), std::string::npos) << script;
     // The interpreter pimsim runs: parse + full run, throwing on any error.
     testing::internal::CaptureStdout();
-    EXPECT_NO_THROW(run_script(script));
+    bool held = false;
+    EXPECT_NO_THROW(held = run_script(script));
+    EXPECT_TRUE(held);
     (void)testing::internal::GetCapturedStdout();
 }
 
@@ -145,7 +147,7 @@ std::string script_error(const std::string& text) {
     testing::internal::CaptureStdout();
     std::string error;
     try {
-        run_script(text);
+        (void)run_script(text);
     } catch (const std::exception& e) {
         error = e.what();
     }
@@ -179,6 +181,16 @@ TEST(CounterexampleRoundTrip, PimsimParserRejectsGarbage) {
     EXPECT_EQ(script_error(head + "at 1ms join nobody 224.1.1.1\nrun 1s\n"),
               "line 6: no host named nobody");
     EXPECT_EQ(script_error(head + "at 1ms send h 224.1.1.1 count=3\nrun 1s\n"), "");
+    EXPECT_EQ(script_error(head + "expect h 224.1.1.1 -1\nrun 1s\n"), "line 6: bad count '-1'");
+    EXPECT_EQ(script_error(head + "expect nobody 224.1.1.1 1\nrun 1s\n"),
+              "line 6: no host named nobody");
+    // An unmet expect is no script error: the run reports the failing line
+    // and returns false, which pimsim turns into exit status 1.
+    testing::internal::CaptureStdout();
+    EXPECT_FALSE(run_script(head + "expect h 224.1.1.1 1\nrun 1s\n"));
+    EXPECT_NE(testing::internal::GetCapturedStdout().find(
+                  "h            224.1.1.1 >= 1: received 0 (0 duplicates) FAILED (line 6)"),
+              std::string::npos);
 }
 
 // --- every shipped script loads and runs ---------------------------------
@@ -189,7 +201,7 @@ TEST(PimsimScripts, EveryExampleAndCheckerScenarioRuns) {
         std::ifstream file(entry.path());
         scripts.emplace_back(std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>());
     }
-    EXPECT_EQ(scripts.size(), 5u);
+    EXPECT_EQ(scripts.size(), 10u);
     for (const std::string& name : pimlib::check::scenario_names()) {
         scripts.emplace_back(pimlib::check::scenario_script(name));
     }
@@ -202,7 +214,9 @@ TEST(PimsimScripts, EveryExampleAndCheckerScenarioRuns) {
     fs::current_path(scratch);
     for (const std::string& text : scripts) {
         testing::internal::CaptureStdout();
-        EXPECT_NO_THROW(run_script(text)) << text.substr(0, 200);
+        bool held = false;
+        EXPECT_NO_THROW(held = run_script(text)) << text.substr(0, 200);
+        EXPECT_TRUE(held) << text.substr(0, 200);
         EXPECT_NE(testing::internal::GetCapturedStdout().find("--- delivery report ---"),
                   std::string::npos);
     }

@@ -229,7 +229,8 @@ TEST(RouterCrash, ScheduledFaultsFireAtTheRightTime) {
 /// over to the alternate RP (§3.9) within the 3x-refresh soft-state bound,
 /// and delivery resumes — no permanent starvation.
 TEST(RpFailover, RpCrashConvergesToAlternateRpWithinHoldtime) {
-    // receiver—A—B—C(RP1), B—E(RP2), B—D—source (examples/rp_failover).
+    // receiver—A—B—C(RP1), B—E(RP2), B—D—source
+    // (examples/scenarios/rp_failover.pimsim).
     topo::Network net;
     auto& a = net.add_router("A");
     auto& b = net.add_router("B");

@@ -206,44 +206,9 @@ TEST(ProvenanceProtocolDrops, NoRouteWhenRegisterTargetUnreachable) {
 
 // --- mtrace path attribution on the walkthrough pentagon ------------------
 
-/// The five-router pentagon of the checker's walkthrough scenario
-/// (src/check/scenarios/walkthrough.pimsim): receiver
-/// behind A, source behind B, RP at C, viewer behind D. A's unicast route
-/// to the source runs A-E-B (metric 2), so the immediate SPT switchover
-/// moves the receiver's delivery path off the RP.
-struct Pentagon {
-    topo::Network net;
-    topo::Router* a;
-    topo::Router* b;
-    topo::Router* c;
-    topo::Router* d;
-    topo::Router* e;
-    topo::Host* receiver;
-    topo::Host* source;
-    topo::Host* viewer;
-    std::unique_ptr<unicast::OracleRouting> routing;
-
-    Pentagon() {
-        constexpr sim::Time kMs = sim::kMillisecond;
-        a = &net.add_router("A");
-        b = &net.add_router("B");
-        c = &net.add_router("C");
-        d = &net.add_router("D");
-        e = &net.add_router("E");
-        net.add_link(*a, *e, 1 * kMs, 1);
-        net.add_link(*e, *b, 20 * kMs, 1);
-        net.add_link(*a, *c, 1 * kMs, 1);
-        net.add_link(*b, *c, 1 * kMs, 2);
-        net.add_link(*c, *d, 1 * kMs, 1);
-        auto& lan0 = net.add_lan({a});
-        auto& lan1 = net.add_lan({b});
-        auto& lan2 = net.add_lan({d});
-        receiver = &net.add_host("receiver", lan0);
-        source = &net.add_host("source", lan1);
-        viewer = &net.add_host("viewer", lan2);
-        routing = std::make_unique<unicast::OracleRouting>(net);
-    }
-};
+// On the walkthrough pentagon (test_util.hpp), A's unicast route to the
+// source runs A-E-B (metric 2), so the immediate SPT switchover moves the
+// receiver's delivery path off the RP.
 
 std::vector<std::string> hop_nodes(const Recorder::TraceResult& result) {
     std::vector<std::string> nodes;
@@ -264,25 +229,25 @@ bool ordered_subpath(const std::vector<std::string>& nodes,
 
 TEST(ProvenancePentagon, TraceShowsSharedTreeThenSptPath) {
     constexpr sim::Time kMs = sim::kMillisecond;
-    Pentagon topo;
+    WalkthroughPentagon topo;
     Recorder recorder(topo.net.telemetry().registry());
     topo.net.set_provenance(&recorder);
     scenario::PimSmStack stack(topo.net, fast_config());
-    stack.set_rp(kGroup, {topo.c->router_id()});
+    stack.set_rp(kGroup, {topo.builder.router("C").router_id()});
     stack.set_spt_policy(pim::SptPolicy::immediate());
 
     topo.net.simulator().schedule_at(
-        120 * kMs, [&] { stack.host_agent(*topo.receiver).join(kGroup); });
+        120 * kMs, [&] { stack.host_agent(topo.builder.host("receiver")).join(kGroup); });
     topo.net.simulator().schedule_at(
-        130 * kMs, [&] { stack.host_agent(*topo.viewer).join(kGroup); });
-    topo.source->send_stream(kGroup, 30, 10 * kMs, 250 * kMs);
+        130 * kMs, [&] { stack.host_agent(topo.builder.host("viewer")).join(kGroup); });
+    topo.builder.host("source").send_stream(kGroup, 30, 10 * kMs, 250 * kMs);
 
     // Phase 1 — the first packet travels the shared tree while the
     // triggered (S,G) joins are still propagating: register at the source
     // DR, decapsulation at the RP, (*,G) down to the receiver.
     topo.net.run_for(259 * kMs);
     const Recorder::TraceResult shared =
-        recorder.trace(topo.source->address(), kGroup.address(), "receiver");
+        recorder.trace(topo.builder.host("source").address(), kGroup.address(), "receiver");
     ASSERT_TRUE(shared.found);
     EXPECT_EQ(shared.seq, 1u);
     EXPECT_TRUE(ordered_subpath(hop_nodes(shared),
@@ -306,7 +271,7 @@ TEST(ProvenancePentagon, TraceShowsSharedTreeThenSptPath) {
     // and no register hop anywhere.
     topo.net.run_for(1241 * kMs); // to t = 1.5 s
     const Recorder::TraceResult spt =
-        recorder.trace(topo.source->address(), kGroup.address(), "receiver");
+        recorder.trace(topo.builder.host("source").address(), kGroup.address(), "receiver");
     ASSERT_TRUE(spt.found);
     EXPECT_EQ(spt.seq, 30u);
     EXPECT_TRUE(ordered_subpath(hop_nodes(spt),
@@ -331,20 +296,20 @@ TEST(ProvenancePentagon, TraceShowsSharedTreeThenSptPath) {
 TEST(ProvenancePentagon, DropSummaryNamesRouterAndReason) {
     // The SPT switchover's transition window drops straggler shared-tree
     // copies at A with an rpf-fail: the one-line summary must name both.
-    Pentagon topo;
+    WalkthroughPentagon topo;
     Recorder recorder(topo.net.telemetry().registry());
     topo.net.set_provenance(&recorder);
     scenario::PimSmStack stack(topo.net, fast_config());
-    stack.set_rp(kGroup, {topo.c->router_id()});
+    stack.set_rp(kGroup, {topo.builder.router("C").router_id()});
     stack.set_spt_policy(pim::SptPolicy::immediate());
     topo.net.simulator().schedule_at(120 * sim::kMillisecond, [&] {
-        stack.host_agent(*topo.receiver).join(kGroup);
+        stack.host_agent(topo.builder.host("receiver")).join(kGroup);
     });
     topo.net.simulator().schedule_at(130 * sim::kMillisecond, [&] {
-        stack.host_agent(*topo.viewer).join(kGroup);
+        stack.host_agent(topo.builder.host("viewer")).join(kGroup);
     });
-    topo.source->send_stream(kGroup, 30, 10 * sim::kMillisecond,
-                             250 * sim::kMillisecond);
+    topo.builder.host("source").send_stream(kGroup, 30, 10 * sim::kMillisecond,
+                                            250 * sim::kMillisecond);
     topo.net.run_for(1500 * sim::kMillisecond);
     ASSERT_GT(recorder.drop_count(DropReason::kRpfFail), 0u);
     const std::string summary = recorder.drop_summary();

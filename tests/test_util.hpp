@@ -6,7 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "check/scenario.hpp"
+#include "scenario/script.hpp"
 #include "scenario/stacks.hpp"
+#include "topo/builder.hpp"
 #include "topo/network.hpp"
 #include "unicast/oracle_routing.hpp"
 
@@ -63,6 +66,19 @@ struct Fig3Topology {
         topo::Segment* link = net.find_link(from, to);
         return link == nullptr ? -1 : from.ifindex_on(*link).value_or(-1);
     }
+};
+
+/// The checker's walkthrough pentagon, built from the topology block of
+/// src/check/scenarios/walkthrough.pimsim: receiver behind A, source behind
+/// B, viewer behind D; the script's RP is C. A reaches the source via E-B
+/// (21 ms) but C directly (1 ms), so the SPT diverges from the shared tree
+/// and the switchover has a real ~20 ms in-flight window. Routers and hosts
+/// are found by name through `builder`.
+struct WalkthroughPentagon {
+    topo::Network net;
+    topo::TopologyBuilder builder = topo::TopologyBuilder::parse(
+        net, scenario::parse_script(check::scenario_script("walkthrough")).topology);
+    unicast::OracleRouting routing{net};
 };
 
 /// The five multicast routing protocols make_stack() builds.

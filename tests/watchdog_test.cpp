@@ -17,44 +17,15 @@
 namespace pimlib::test {
 namespace {
 
-/// The walkthrough pentagon (same shape pimcheck explores): A reaches the
-/// source via E-B (21 ms) but the RP directly (1 ms), so the SPT diverges
-/// from the shared tree and the switchover handshake has a real ~20 ms
-/// in-flight window — the packets the mutation deterministically loses.
-struct PentagonWorld {
-    topo::Network net;
-    topo::Router* a = nullptr;
-    topo::Router* b = nullptr;
-    topo::Router* c = nullptr; // RP
-    topo::Router* d = nullptr;
-    topo::Router* e = nullptr;
-    topo::Host* receiver = nullptr;
-    topo::Host* source = nullptr;
-    topo::Host* viewer = nullptr;
-    std::unique_ptr<unicast::OracleRouting> routing;
+/// The walkthrough pentagon (test_util.hpp) with the provenance recorder
+/// and the watchdogs armed. The ~20 ms switchover window is where the
+/// mutation deterministically loses packets.
+struct PentagonWorld : WalkthroughPentagon {
     std::unique_ptr<provenance::Recorder> recorder;
     std::unique_ptr<scenario::PimSmStack> stack;
     std::unique_ptr<check::Watchdog> watchdog;
 
     explicit PentagonWorld(bool mutate) {
-        a = &net.add_router("A");
-        b = &net.add_router("B");
-        c = &net.add_router("C");
-        d = &net.add_router("D");
-        e = &net.add_router("E");
-        net.add_link(*a, *e, 1 * sim::kMillisecond, 1);
-        net.add_link(*e, *b, 20 * sim::kMillisecond, 1);
-        net.add_link(*a, *c, 1 * sim::kMillisecond, 1);
-        net.add_link(*b, *c, 1 * sim::kMillisecond, 2);
-        net.add_link(*c, *d, 1 * sim::kMillisecond, 1);
-        auto& lan0 = net.add_lan({a});
-        auto& lan1 = net.add_lan({b});
-        auto& lan2 = net.add_lan({d});
-        receiver = &net.add_host("receiver", lan0);
-        source = &net.add_host("source", lan1);
-        viewer = &net.add_host("viewer", lan2);
-        routing = std::make_unique<unicast::OracleRouting>(net);
-
         recorder = std::make_unique<provenance::Recorder>(
             net.telemetry().registry());
         net.set_provenance(recorder.get());
@@ -62,7 +33,7 @@ struct PentagonWorld {
         scenario::StackConfig cfg = fast_config();
         cfg.pim.mutate_skip_spt_bit_handshake = mutate;
         stack = std::make_unique<scenario::PimSmStack>(net, cfg);
-        stack->set_rp(kGroup, {c->router_id()});
+        stack->set_rp(kGroup, {builder.router("C").router_id()});
         stack->set_spt_policy(pim::SptPolicy::immediate());
 
         watchdog = std::make_unique<check::Watchdog>(
@@ -75,11 +46,11 @@ struct PentagonWorld {
     /// enough quiet time for the gap grace window to expire.
     void run() {
         net.run_for(120 * sim::kMillisecond);
-        stack->host_agent(*receiver).join(kGroup);
+        stack->host_agent(builder.host("receiver")).join(kGroup);
         net.run_for(10 * sim::kMillisecond);
-        stack->host_agent(*viewer).join(kGroup);
-        source->send_stream(kGroup, 12, 10 * sim::kMillisecond,
-                            120 * sim::kMillisecond);
+        stack->host_agent(builder.host("viewer")).join(kGroup);
+        builder.host("source").send_stream(kGroup, 12, 10 * sim::kMillisecond,
+                                           120 * sim::kMillisecond);
         net.run_for(1200 * sim::kMillisecond);
     }
 };
