@@ -8,6 +8,8 @@ namespace {
 
 constexpr std::uint8_t kFlagWc = 0x01;
 constexpr std::uint8_t kFlagRp = 0x02;
+/// The single-group Join/Prune of earlier versions; no longer a message.
+constexpr std::uint8_t kRetiredJoinPruneCode = 2;
 
 void put_header(net::BufWriter& w, Code code) {
     w.put_u8(igmp::kTypePim);
@@ -37,7 +39,8 @@ EntryFlags decode_flags(std::uint8_t bits) {
 
 std::optional<Code> peek_code(std::span<const std::uint8_t> bytes) {
     if (bytes.size() < 2 || bytes[0] != igmp::kTypePim) return std::nullopt;
-    if (bytes[1] > static_cast<std::uint8_t>(Code::kCandidateRpAdvertisement)) {
+    if (bytes[1] > static_cast<std::uint8_t>(Code::kCandidateRpAdvertisement) ||
+        bytes[1] == kRetiredJoinPruneCode) {
         return std::nullopt;
     }
     return static_cast<Code>(bytes[1]);
@@ -87,54 +90,6 @@ std::optional<Register> Register::decode(std::span<const std::uint8_t> bytes) {
     msg.inner_ttl = *ttl;
     msg.inner_seq = *seq;
     msg.inner_payload = std::move(*payload);
-    return msg;
-}
-
-std::vector<std::uint8_t> JoinPrune::encode() const {
-    net::BufWriter w(18 + (joins.size() + prunes.size()) * 5);
-    put_header(w, Code::kJoinPrune);
-    w.put_addr(upstream_neighbor);
-    w.put_u32(holdtime_ms);
-    w.put_addr(group);
-    w.put_u16(static_cast<std::uint16_t>(joins.size()));
-    w.put_u16(static_cast<std::uint16_t>(prunes.size()));
-    for (const AddressEntry& e : joins) {
-        w.put_addr(e.address);
-        w.put_u8(encode_flags(e.flags));
-    }
-    for (const AddressEntry& e : prunes) {
-        w.put_addr(e.address);
-        w.put_u8(encode_flags(e.flags));
-    }
-    return w.take();
-}
-
-std::optional<JoinPrune> JoinPrune::decode(std::span<const std::uint8_t> bytes) {
-    net::BufReader r(bytes);
-    if (!check_header(r, Code::kJoinPrune)) return std::nullopt;
-    JoinPrune msg;
-    auto upstream = r.get_addr();
-    auto holdtime = r.get_u32();
-    auto group = r.get_addr();
-    auto njoin = r.get_u16();
-    auto nprune = r.get_u16();
-    if (!upstream || !holdtime || !group || !njoin || !nprune) return std::nullopt;
-    msg.upstream_neighbor = *upstream;
-    msg.holdtime_ms = *holdtime;
-    msg.group = *group;
-    for (std::uint16_t i = 0; i < *njoin; ++i) {
-        auto addr = r.get_addr();
-        auto flags = r.get_u8();
-        if (!addr || !flags.has_value()) return std::nullopt;
-        msg.joins.push_back(AddressEntry{*addr, decode_flags(*flags)});
-    }
-    for (std::uint16_t i = 0; i < *nprune; ++i) {
-        auto addr = r.get_addr();
-        auto flags = r.get_u8();
-        if (!addr || !flags.has_value()) return std::nullopt;
-        msg.prunes.push_back(AddressEntry{*addr, decode_flags(*flags)});
-    }
-    if (!r.at_end()) return std::nullopt;
     return msg;
 }
 

@@ -129,7 +129,7 @@ void PimDmRouter::on_no_entry(int ifindex, const net::Packet& packet) {
     sg->note_data(now);
     // A leaf router with nothing downstream prunes itself off (§1.1).
     if (sg->oif_list_empty(now) && sg->upstream_neighbor().has_value()) {
-        send_prune_upstream(*sg);
+        send_join_prune(*sg, /*graft=*/false);
         pruned_upstream_.insert({source, group});
     }
 }
@@ -146,7 +146,7 @@ void PimDmRouter::on_no_downstream(mcast::ForwardingEntry& entry, int ifindex,
         return;
     }
     last_prune_sent_[key] = now;
-    send_prune_upstream(entry);
+    send_join_prune(entry, /*graft=*/false);
     pruned_upstream_.insert(key);
 }
 
@@ -162,16 +162,18 @@ void PimDmRouter::on_pim_message(int ifindex, const net::Packet& packet) {
             static_cast<sim::Time>(msg->holdtime_ms) * sim::kMillisecond;
         return;
     }
-    if (*code != Code::kJoinPrune) return;
-    auto msg = JoinPrune::decode(packet.payload);
-    if (!msg || !msg->group.is_multicast()) return;
-    if (ifindex < 0 ||
+    if (*code != Code::kJoinPruneBundle) return;
+    auto msg = JoinPruneBundle::decode(packet.payload);
+    if (!msg || ifindex < 0 ||
         msg->upstream_neighbor != router_->interface(ifindex).address) {
         return;
     }
-    const net::GroupAddress group{msg->group};
-    for (const AddressEntry& e : msg->prunes) handle_prune(ifindex, group, e.address);
-    for (const AddressEntry& e : msg->joins) handle_graft(ifindex, group, e.address);
+    for (const JoinPruneBundle::GroupRecord& rec : msg->groups) {
+        if (!rec.group.is_multicast()) continue;
+        const net::GroupAddress group{rec.group};
+        for (const AddressEntry& e : rec.prunes) handle_prune(ifindex, group, e.address);
+        for (const AddressEntry& e : rec.joins) handle_graft(ifindex, group, e.address);
+    }
 }
 
 void PimDmRouter::handle_prune(int ifindex, net::GroupAddress group,
@@ -183,7 +185,7 @@ void PimDmRouter::handle_prune(int ifindex, net::GroupAddress group,
     sg->remove_oif(ifindex);
     if (sg->oif_list_empty(now) && sg->upstream_neighbor().has_value() &&
         !pruned_upstream_.contains({source, group})) {
-        send_prune_upstream(*sg);
+        send_join_prune(*sg, /*graft=*/false);
         pruned_upstream_.insert({source, group});
     }
 }
@@ -196,7 +198,7 @@ void PimDmRouter::handle_graft(int ifindex, net::GroupAddress group,
     sg->pin_oif(ifindex);
     if (pruned_upstream_.erase({source, group}) > 0 &&
         sg->upstream_neighbor().has_value()) {
-        send_graft_upstream(*sg);
+        send_join_prune(*sg, /*graft=*/true);
     }
 }
 
@@ -208,7 +210,7 @@ void PimDmRouter::on_membership(int ifindex, net::GroupAddress group, bool prese
             prunes_.erase({{sg.source_or_rp(), group}, ifindex});
             if (pruned_upstream_.erase({sg.source_or_rp(), group}) > 0 &&
                 sg.upstream_neighbor().has_value()) {
-                send_graft_upstream(sg);
+                send_join_prune(sg, /*graft=*/true);
             }
         } else if (!igmp_->has_members(ifindex, group) &&
                    neighbors_on(ifindex).empty()) {
@@ -246,13 +248,14 @@ void PimDmRouter::on_tick() {
     });
 }
 
-void PimDmRouter::send_prune_upstream(const mcast::ForwardingEntry& entry) {
-    JoinPrune msg;
+void PimDmRouter::send_join_prune(const mcast::ForwardingEntry& entry, bool graft) {
+    JoinPruneBundle::GroupRecord rec{entry.group().address(), {}, {}};
+    (graft ? rec.joins : rec.prunes).push_back(AddressEntry{entry.source_or_rp(), {}});
+    JoinPruneBundle msg;
     msg.upstream_neighbor = entry.upstream_neighbor().value_or(net::Ipv4Address{});
-    msg.holdtime_ms =
-        static_cast<std::uint32_t>(config_.prune_lifetime / sim::kMillisecond);
-    msg.group = entry.group().address();
-    msg.prunes.push_back(AddressEntry{entry.source_or_rp(), EntryFlags{}});
+    msg.holdtime_ms = static_cast<std::uint32_t>(
+        (graft ? config_.entry_lifetime : config_.prune_lifetime) / sim::kMillisecond);
+    msg.groups.push_back(std::move(rec));
     net::Packet packet;
     packet.src = router_->interface(entry.iif()).address;
     packet.dst = net::kAllRouters;
@@ -261,28 +264,9 @@ void PimDmRouter::send_prune_upstream(const mcast::ForwardingEntry& entry) {
     packet.payload = msg.encode();
     router_->network().stats().count_control_message("pim-dm");
     router_->network().telemetry().emit(
-        telemetry::EventType::kPruneSent, router_->name(), "pim-dm",
-        entry.group().to_string(), "src=" + entry.source_or_rp().to_string());
-    router_->send(entry.iif(), net::Frame{std::nullopt, std::move(packet)});
-}
-
-void PimDmRouter::send_graft_upstream(const mcast::ForwardingEntry& entry) {
-    JoinPrune msg;
-    msg.upstream_neighbor = entry.upstream_neighbor().value_or(net::Ipv4Address{});
-    msg.holdtime_ms =
-        static_cast<std::uint32_t>(config_.entry_lifetime / sim::kMillisecond);
-    msg.group = entry.group().address();
-    msg.joins.push_back(AddressEntry{entry.source_or_rp(), EntryFlags{}});
-    net::Packet packet;
-    packet.src = router_->interface(entry.iif()).address;
-    packet.dst = net::kAllRouters;
-    packet.proto = net::IpProto::kIgmp;
-    packet.ttl = 1;
-    packet.payload = msg.encode();
-    router_->network().stats().count_control_message("pim-dm");
-    router_->network().telemetry().emit(
-        telemetry::EventType::kGraftSent, router_->name(), "pim-dm",
-        entry.group().to_string(), "src=" + entry.source_or_rp().to_string());
+        graft ? telemetry::EventType::kGraftSent : telemetry::EventType::kPruneSent,
+        router_->name(), "pim-dm", entry.group().to_string(),
+        "src=" + entry.source_or_rp().to_string());
     router_->send(entry.iif(), net::Frame{std::nullopt, std::move(packet)});
 }
 

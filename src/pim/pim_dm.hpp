@@ -54,8 +54,9 @@ private:
     void on_tick();
 
     mcast::ForwardingEntry* build_entry(net::Ipv4Address source, net::GroupAddress group);
-    void send_prune_upstream(const mcast::ForwardingEntry& entry);
-    void send_graft_upstream(const mcast::ForwardingEntry& entry);
+    /// Sends the entry's upstream neighbor a one-record Join/Prune: a prune
+    /// of (S,G), or with `graft` a join that grafts the branch back on.
+    void send_join_prune(const mcast::ForwardingEntry& entry, bool graft);
     /// True if `ifindex` should carry flooded data for `group`: it has PIM
     /// neighbors (non-leaf) or local members (truncated broadcast, §1.1).
     [[nodiscard]] bool floods_to(int ifindex, net::GroupAddress group) const;

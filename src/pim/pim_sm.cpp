@@ -11,6 +11,8 @@
 namespace pimlib::pim {
 
 namespace {
+using GroupRecord = JoinPruneBundle::GroupRecord;
+
 constexpr sim::Time ms_to_time(std::uint32_t ms) {
     return static_cast<sim::Time>(ms) * sim::kMillisecond;
 }
@@ -597,8 +599,9 @@ void PimSmRouter::initiate_spt_switch(net::Ipv4Address source, net::GroupAddress
         // (S,G) join still propagates are lost.
         const auto* wc = cache_.find_wc(group);
         if (wc != nullptr && wc->iif() >= 0 && wc->iif() != sg.iif()) {
-            send_join_prune(wc->iif(), wc->upstream_neighbor(), group, {},
-                            {AddressEntry{source, EntryFlags{false, true}}});
+            send_join_prune(wc->iif(), wc->upstream_neighbor(),
+                            {GroupRecord{group.address(), {},
+                                         {AddressEntry{source, EntryFlags{false, true}}}}});
         }
     }
 }
@@ -622,8 +625,10 @@ void PimSmRouter::on_spt_bit_set(mcast::ForwardingEntry& entry) {
     if (config_.mutate_no_rp_bit_prune) return; // seeded bug: never prune
     const auto* wc = cache_.find_wc(entry.group());
     if (wc == nullptr || wc->iif() < 0 || wc->iif() == entry.iif()) return;
-    send_join_prune(wc->iif(), wc->upstream_neighbor(), entry.group(), {},
-                    {AddressEntry{entry.source_or_rp(), EntryFlags{false, true}}});
+    send_join_prune(
+        wc->iif(), wc->upstream_neighbor(),
+        {GroupRecord{entry.group().address(), {},
+                     {AddressEntry{entry.source_or_rp(), EntryFlags{false, true}}}}});
 }
 
 void PimSmRouter::on_iif_check_failed(int ifindex, const net::Packet& packet) {
@@ -929,11 +934,6 @@ void PimSmRouter::on_pim_message(int ifindex, const net::Packet& packet) {
     case Code::kRegister:
         if (auto msg = Register::decode(packet.payload)) handle_register(packet, *msg);
         break;
-    case Code::kJoinPrune:
-        if (auto msg = JoinPrune::decode(packet.payload)) {
-            handle_join_prune(ifindex, packet, *msg);
-        }
-        break;
     case Code::kRpReachability:
         if (auto msg = RpReachability::decode(packet.payload)) {
             handle_rp_reachability(ifindex, *msg);
@@ -941,7 +941,7 @@ void PimSmRouter::on_pim_message(int ifindex, const net::Packet& packet) {
         break;
     case Code::kJoinPruneBundle:
         if (auto msg = JoinPruneBundle::decode(packet.payload)) {
-            handle_join_prune_bundle(ifindex, packet, *msg);
+            handle_join_prune(ifindex, packet, *msg);
         }
         break;
     case Code::kAssert:
@@ -958,19 +958,6 @@ void PimSmRouter::on_pim_message(int ifindex, const net::Packet& packet) {
     }
 }
 
-void PimSmRouter::handle_join_prune_bundle(int ifindex, const net::Packet& packet,
-                                           const JoinPruneBundle& msg) {
-    for (const JoinPruneBundle::GroupRecord& rec : msg.groups) {
-        JoinPrune one;
-        one.upstream_neighbor = msg.upstream_neighbor;
-        one.holdtime_ms = msg.holdtime_ms;
-        one.group = rec.group;
-        one.joins = rec.joins;
-        one.prunes = rec.prunes;
-        handle_join_prune(ifindex, packet, one);
-    }
-}
-
 PimSmRouter::EntryRef PimSmRouter::ref_of(const mcast::ForwardingEntry& entry) {
     return EntryRef{entry.source_or_rp(), entry.group(), entry.wildcard()};
 }
@@ -981,32 +968,34 @@ mcast::ForwardingEntry* PimSmRouter::entry_of(const EntryRef& ref) {
 }
 
 void PimSmRouter::handle_join_prune(int ifindex, const net::Packet& packet,
-                                    const JoinPrune& msg) {
-    if (!msg.group.is_multicast()) return;
-    const net::GroupAddress group{msg.group};
+                                    const JoinPruneBundle& msg) {
     const bool targeted =
         ifindex >= 0 && (msg.upstream_neighbor == router_->interface(ifindex).address ||
                          msg.upstream_neighbor == router_->router_id());
-    if (targeted) {
-        const sim::Time hold = ms_to_time(msg.holdtime_ms);
+    const sim::Time hold = ms_to_time(msg.holdtime_ms);
+    for (const GroupRecord& rec : msg.groups) {
+        if (!rec.group.is_multicast()) continue;
+        if (!targeted) {
+            observe_peer_join(ifindex, msg.upstream_neighbor, rec);
+            observe_peer_prune(ifindex, msg.upstream_neighbor, rec);
+            continue;
+        }
+        const net::GroupAddress group{rec.group};
         telemetry::Hub& hub = hub_of(*router_);
-        if (!msg.joins.empty()) {
+        if (!rec.joins.empty()) {
             hub.emit(telemetry::EventType::kJoinReceived, router_->name(), "pim",
                      group.to_string(), "from=" + packet.src.to_string());
         }
-        if (!msg.prunes.empty()) {
+        if (!rec.prunes.empty()) {
             hub.emit(telemetry::EventType::kPruneReceived, router_->name(), "pim",
                      group.to_string(), "from=" + packet.src.to_string());
         }
-        for (const AddressEntry& entry : msg.joins) {
+        for (const AddressEntry& entry : rec.joins) {
             process_targeted_join(ifindex, group, entry, hold);
         }
-        for (const AddressEntry& entry : msg.prunes) {
+        for (const AddressEntry& entry : rec.prunes) {
             process_targeted_prune(ifindex, packet.src, group, entry);
         }
-    } else {
-        observe_peer_join(ifindex, msg);
-        observe_peer_prune(ifindex, msg);
     }
 }
 
@@ -1190,17 +1179,18 @@ void PimSmRouter::apply_prune(int ifindex, net::GroupAddress group,
     }
 }
 
-void PimSmRouter::observe_peer_join(int ifindex, const JoinPrune& msg) {
+void PimSmRouter::observe_peer_join(int ifindex, net::Ipv4Address upstream_neighbor,
+                                    const GroupRecord& rec) {
     // Suppression (§3.7): hearing a peer send the join we were about to
     // refresh, to the same upstream neighbor, silences ours for a while.
-    const net::GroupAddress group{msg.group};
+    const net::GroupAddress group{rec.group};
     const sim::Time now = router_->simulator().now();
-    for (const AddressEntry& e : msg.joins) {
+    for (const AddressEntry& e : rec.joins) {
         EntryRef ref{e.address, group, e.flags.wc_bit};
         mcast::ForwardingEntry* mine = entry_of(ref);
         if (mine == nullptr || mine->iif() != ifindex) continue;
         const auto upstream = mine->upstream_neighbor();
-        if (!upstream.has_value() || *upstream != msg.upstream_neighbor) continue;
+        if (!upstream.has_value() || *upstream != upstream_neighbor) continue;
         std::uniform_real_distribution<double> jitter(0.8, 1.2);
         suppress_until_[ref] =
             now + static_cast<sim::Time>(jitter(rng_) *
@@ -1208,12 +1198,13 @@ void PimSmRouter::observe_peer_join(int ifindex, const JoinPrune& msg) {
     }
 }
 
-void PimSmRouter::observe_peer_prune(int ifindex, const JoinPrune& msg) {
+void PimSmRouter::observe_peer_prune(int ifindex, net::Ipv4Address upstream_neighbor,
+                                     const GroupRecord& rec) {
     // Override (§3.7): a peer pruned state we still need; answer with a join
     // after a small random delay.
-    const net::GroupAddress group{msg.group};
+    const net::GroupAddress group{rec.group};
     const sim::Time now = router_->simulator().now();
-    for (const AddressEntry& e : msg.prunes) {
+    for (const AddressEntry& e : rec.prunes) {
         EntryRef ref{e.address, group, e.flags.wc_bit};
         mcast::ForwardingEntry* mine = nullptr;
         AddressEntry join = e;
@@ -1234,7 +1225,7 @@ void PimSmRouter::observe_peer_prune(int ifindex, const JoinPrune& msg) {
         }
         if (mine == nullptr || mine->iif() != ifindex) continue;
         const auto upstream = mine->upstream_neighbor();
-        if (!upstream.has_value() || *upstream != msg.upstream_neighbor) continue;
+        if (!upstream.has_value() || *upstream != upstream_neighbor) continue;
         if (!mine->oif_list_empty(now)) {
             auto key = std::make_pair(ref, ifindex);
             if (override_scheduled_.contains(key)) continue;
@@ -1255,7 +1246,8 @@ void PimSmRouter::observe_peer_prune(int ifindex, const JoinPrune& msg) {
                     still->oif_list_empty(router_->simulator().now())) {
                     return;
                 }
-                send_join_prune(ifindex, target, group, {to_join}, {});
+                send_join_prune(ifindex, target,
+                                {GroupRecord{group.address(), {to_join}, {}}});
             });
         }
     }
@@ -1428,6 +1420,7 @@ void PimSmRouter::adopt_pending_memberships() {
 // ---------------------------------------------------------------------------
 
 void PimSmRouter::on_refresh_tick() {
+    PROF_ZONE("control.pim_sm.tick");
     expire_soft_state();
     check_rp_timers();
     // A DR that could not reach any RP earlier retries while local members
@@ -1570,23 +1563,15 @@ void PimSmRouter::send_periodic_join_prune() {
     });
 
     // Regroup per (ifindex, upstream neighbor): the map above is sorted, so
-    // every group headed to the same neighbor is contiguous. One shared
-    // group stays a classic JoinPrune; two or more fold into a single
-    // JoinPruneBundle so the per-tick message count tracks neighbors, not
+    // every group headed to the same neighbor is contiguous and goes out as
+    // one message, and the per-tick message count tracks neighbors, not
     // groups (docs/TIMERS.md).
-    std::vector<JoinPruneBundle::GroupRecord> pending;
+    std::vector<GroupRecord> pending;
     int pending_if = -1;
     net::Ipv4Address pending_upstream;
     auto flush = [&] {
         if (pending.empty()) return;
-        if (pending.size() == 1) {
-            send_join_prune(pending_if, pending_upstream,
-                            net::GroupAddress{pending.front().group},
-                            std::move(pending.front().joins),
-                            std::move(pending.front().prunes));
-        } else {
-            send_join_prune_bundle(pending_if, pending_upstream, std::move(pending));
-        }
+        send_join_prune(pending_if, pending_upstream, std::move(pending));
         pending.clear();
     };
     for (auto& [key, batch] : batches) {
@@ -1598,71 +1583,33 @@ void PimSmRouter::send_periodic_join_prune() {
             pending_if = ifindex;
             pending_upstream = upstream;
         }
-        pending.push_back(JoinPruneBundle::GroupRecord{
-            std::get<2>(key).address(), std::move(batch.joins), std::move(batch.prunes)});
+        pending.push_back(GroupRecord{std::get<2>(key).address(), std::move(batch.joins),
+                                      std::move(batch.prunes)});
     }
     flush();
 }
 
 void PimSmRouter::send_triggered_join(const mcast::ForwardingEntry& entry) {
     if (entry.iif() < 0 || !entry.upstream_neighbor().has_value()) return;
-    send_join_prune(entry.iif(), entry.upstream_neighbor(), entry.group(),
-                    {join_entry_for(entry)}, {});
+    send_join_prune(entry.iif(), entry.upstream_neighbor(),
+                    {GroupRecord{entry.group().address(), {join_entry_for(entry)}, {}}});
 }
 
 void PimSmRouter::send_prune_upstream(const mcast::ForwardingEntry& entry) {
     if (entry.iif() < 0 || !entry.upstream_neighbor().has_value()) return;
     AddressEntry e = join_entry_for(entry);
     if (entry.rp_bit() && !entry.wildcard()) e.flags = EntryFlags{false, true};
-    send_join_prune(entry.iif(), entry.upstream_neighbor(), entry.group(), {}, {e});
+    send_join_prune(entry.iif(), entry.upstream_neighbor(),
+                    {GroupRecord{entry.group().address(), {}, {e}}});
 }
 
 void PimSmRouter::send_join_prune(int ifindex, std::optional<net::Ipv4Address> upstream,
-                                  net::GroupAddress group,
-                                  std::vector<AddressEntry> joins,
-                                  std::vector<AddressEntry> prunes) {
-    if (ifindex < 0 || ifindex >= router_->interface_count()) return;
-    JoinPrune msg;
-    msg.upstream_neighbor = upstream.value_or(net::Ipv4Address{});
-    msg.holdtime_ms = holdtime_ms();
-    msg.group = group.address();
-    msg.joins = std::move(joins);
-    msg.prunes = std::move(prunes);
-
-    net::Packet packet;
-    packet.src = router_->interface(ifindex).address;
-    packet.dst = net::kAllRouters;
-    packet.proto = net::IpProto::kIgmp;
-    packet.ttl = 1;
-    packet.payload = msg.encode();
-    ++join_prune_sent_;
-    router_->network().stats().count_control_message("pim");
-    {
-        telemetry::Hub& hub = hub_of(*router_);
-        if (!msg.joins.empty()) {
-            hub.emit(telemetry::EventType::kJoinSent, router_->name(), "pim",
-                     group.to_string(),
-                     "if=" + std::to_string(ifindex) +
-                         " entries=" + std::to_string(msg.joins.size()));
-        }
-        if (!msg.prunes.empty()) {
-            hub.emit(telemetry::EventType::kPruneSent, router_->name(), "pim",
-                     group.to_string(),
-                     "if=" + std::to_string(ifindex) +
-                         " entries=" + std::to_string(msg.prunes.size()));
-        }
-    }
-    router_->send(ifindex, net::Frame{std::nullopt, std::move(packet)});
-}
-
-void PimSmRouter::send_join_prune_bundle(
-    int ifindex, net::Ipv4Address upstream,
-    std::vector<JoinPruneBundle::GroupRecord> groups) {
+                                  std::vector<GroupRecord> records) {
     if (ifindex < 0 || ifindex >= router_->interface_count()) return;
     JoinPruneBundle msg;
-    msg.upstream_neighbor = upstream;
+    msg.upstream_neighbor = upstream.value_or(net::Ipv4Address{});
     msg.holdtime_ms = holdtime_ms();
-    msg.groups = std::move(groups);
+    msg.groups = std::move(records);
 
     net::Packet packet;
     packet.src = router_->interface(ifindex).address;
@@ -1672,23 +1619,19 @@ void PimSmRouter::send_join_prune_bundle(
     packet.payload = msg.encode();
     ++join_prune_sent_;
     router_->network().stats().count_control_message("pim");
-    {
-        // Per-group telemetry, exactly as if each record went out alone —
-        // observers should not care about the wire packing.
-        telemetry::Hub& hub = hub_of(*router_);
-        for (const JoinPruneBundle::GroupRecord& rec : msg.groups) {
-            if (!rec.joins.empty()) {
-                hub.emit(telemetry::EventType::kJoinSent, router_->name(), "pim",
-                         rec.group.to_string(),
-                         "if=" + std::to_string(ifindex) +
-                             " entries=" + std::to_string(rec.joins.size()));
-            }
-            if (!rec.prunes.empty()) {
-                hub.emit(telemetry::EventType::kPruneSent, router_->name(), "pim",
-                         rec.group.to_string(),
-                         "if=" + std::to_string(ifindex) +
-                             " entries=" + std::to_string(rec.prunes.size()));
-            }
+    telemetry::Hub& hub = hub_of(*router_);
+    for (const GroupRecord& rec : msg.groups) {
+        if (!rec.joins.empty()) {
+            hub.emit(telemetry::EventType::kJoinSent, router_->name(), "pim",
+                     rec.group.to_string(),
+                     "if=" + std::to_string(ifindex) +
+                         " entries=" + std::to_string(rec.joins.size()));
+        }
+        if (!rec.prunes.empty()) {
+            hub.emit(telemetry::EventType::kPruneSent, router_->name(), "pim",
+                     rec.group.to_string(),
+                     "if=" + std::to_string(ifindex) +
+                         " entries=" + std::to_string(rec.prunes.size()));
         }
     }
     router_->send(ifindex, net::Frame{std::nullopt, std::move(packet)});
@@ -1724,7 +1667,6 @@ void PimSmRouter::on_route_change() {
     cache_.for_each_wc(consider);
     cache_.for_each_sg(consider);
 
-    const sim::Time now = router_->simulator().now();
     for (const Rehome& change : changes) {
         mcast::ForwardingEntry* entry = entry_of(change.ref);
         if (entry == nullptr) continue;
@@ -1738,9 +1680,9 @@ void PimSmRouter::on_route_change() {
         // is operational."
         if (change.old_iif >= 0 && change.old_iif < router_->interface_count() &&
             router_->interface(change.old_iif).up) {
-            AddressEntry e = join_entry_for(*entry);
-            send_join_prune(change.old_iif, change.old_upstream, entry->group(), {},
-                            {e});
+            send_join_prune(change.old_iif, change.old_upstream,
+                            {GroupRecord{entry->group().address(), {},
+                                         {join_entry_for(*entry)}}});
         }
         // Negative caches follow the (*,G) path.
         if (change.ref.wildcard) {
@@ -1752,7 +1694,6 @@ void PimSmRouter::on_route_change() {
             });
         }
     }
-    (void)now;
 }
 
 std::vector<net::Ipv4Address> PimSmRouter::active_sources(net::GroupAddress group) const {

@@ -217,11 +217,10 @@ private:
     void on_pim_message(int ifindex, const net::Packet& packet);
     void handle_query(int ifindex, const net::Packet& packet, const Query& query);
     void handle_register(const net::Packet& packet, const Register& reg);
-    void handle_join_prune(int ifindex, const net::Packet& packet, const JoinPrune& msg);
-    /// Unbundles each group record through handle_join_prune, so aggregated
-    /// refreshes hit the exact same join/prune/suppression logic.
-    void handle_join_prune_bundle(int ifindex, const net::Packet& packet,
-                                  const JoinPruneBundle& msg);
+    /// Handles each group record in order: records addressed to us join and
+    /// prune state, overheard ones feed suppression/override (§3.7).
+    void handle_join_prune(int ifindex, const net::Packet& packet,
+                           const JoinPruneBundle& msg);
     void handle_rp_reachability(int ifindex, const RpReachability& msg);
     void handle_assert(int ifindex, const net::Packet& packet, const Assert& msg);
 
@@ -230,8 +229,10 @@ private:
     void process_targeted_prune(int ifindex, net::Ipv4Address from,
                                 net::GroupAddress group, const AddressEntry& entry);
     void apply_prune(int ifindex, net::GroupAddress group, const AddressEntry& entry);
-    void observe_peer_join(int ifindex, const JoinPrune& msg);
-    void observe_peer_prune(int ifindex, const JoinPrune& msg);
+    void observe_peer_join(int ifindex, net::Ipv4Address upstream,
+                           const JoinPruneBundle::GroupRecord& rec);
+    void observe_peer_prune(int ifindex, net::Ipv4Address upstream,
+                            const JoinPruneBundle::GroupRecord& rec);
 
     // --- membership (IGMP) ---
     void on_membership(int ifindex, net::GroupAddress group, bool present);
@@ -246,13 +247,10 @@ private:
     void initiate_spt_switch(net::Ipv4Address source, net::GroupAddress group);
     void send_triggered_join(const mcast::ForwardingEntry& entry);
     void send_prune_upstream(const mcast::ForwardingEntry& entry);
+    /// Sends one Join/Prune carrying `records` to `upstream` out `ifindex`
+    /// and emits join-sent/prune-sent events per record.
     void send_join_prune(int ifindex, std::optional<net::Ipv4Address> upstream,
-                         net::GroupAddress group, std::vector<AddressEntry> joins,
-                         std::vector<AddressEntry> prunes);
-    /// One wire message carrying every group's refresh for (ifindex,
-    /// upstream); emits the same per-group telemetry as individual sends.
-    void send_join_prune_bundle(int ifindex, net::Ipv4Address upstream,
-                                std::vector<JoinPruneBundle::GroupRecord> groups);
+                         std::vector<JoinPruneBundle::GroupRecord> records);
     void send_register(const net::Packet& data, net::Ipv4Address rp);
     /// Registers `packet` with the group's RPs if we are the DR of its
     /// directly-connected source and no native (S,G) path exists yet.

@@ -45,18 +45,24 @@ std::string describe_pim(const net::Packet& packet) {
                " src=" + msg->inner_src.to_string() +
                " seq=" + std::to_string(msg->inner_seq);
     }
-    case pim::Code::kJoinPrune: {
-        auto msg = pim::JoinPrune::decode(packet.payload);
-        if (!msg) return "PIM Join/Prune (malformed)";
-        return "PIM Join/Prune grp=" + msg->group.to_string() +
-               " to=" + msg->upstream_neighbor.to_string() +
-               " join=" + entry_list(msg->joins) + " prune=" + entry_list(msg->prunes);
-    }
     case pim::Code::kRpReachability: {
         auto msg = pim::RpReachability::decode(packet.payload);
         if (!msg) return "PIM RP-Reachability (malformed)";
         return "PIM RP-Reachability grp=" + msg->group.to_string() +
                " rp=" + msg->rp.to_string();
+    }
+    case pim::Code::kJoinPruneBundle: {
+        auto msg = pim::JoinPruneBundle::decode(packet.payload);
+        if (!msg) return "PIM Join/Prune (malformed)";
+        std::string out = "PIM Join/Prune to=" +
+                          msg->upstream_neighbor.to_string() +
+                          " groups=" + std::to_string(msg->groups.size());
+        for (const auto& rec : msg->groups) {
+            out += " [grp=" + rec.group.to_string() +
+                   " join=" + entry_list(rec.joins) +
+                   " prune=" + entry_list(rec.prunes) + "]";
+        }
+        return out;
     }
     case pim::Code::kAssert: {
         auto msg = pim::Assert::decode(packet.payload);
@@ -91,19 +97,6 @@ std::string describe_pim(const net::Packet& packet) {
             out += msg->ranges[i].to_string();
         }
         return out + "]";
-    }
-    case pim::Code::kJoinPruneBundle: {
-        auto msg = pim::JoinPruneBundle::decode(packet.payload);
-        if (!msg) return "PIM Join/Prune bundle (malformed)";
-        std::string out = "PIM Join/Prune bundle to=" +
-                          msg->upstream_neighbor.to_string() +
-                          " groups=" + std::to_string(msg->groups.size());
-        for (const auto& rec : msg->groups) {
-            out += " [grp=" + rec.group.to_string() +
-                   " join=" + entry_list(rec.joins) +
-                   " prune=" + entry_list(rec.prunes) + "]";
-        }
-        return out;
     }
     }
     return "PIM (unknown)";

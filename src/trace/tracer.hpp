@@ -23,7 +23,8 @@ struct Record {
 };
 
 /// Decodes `packet`'s payload into a protocol-aware one-line description,
-/// e.g. "PIM Join/Prune grp=224.1.1.1 to=10.0.1.2 join=[*,RP 192.168.0.3]".
+/// e.g. "PIM Join/Prune to=10.0.1.2 groups=1 [grp=224.1.1.1
+/// join=[192.168.0.3(WC|RP)] prune=[]]".
 [[nodiscard]] std::string describe_packet(const net::Packet& packet);
 
 class PacketTracer {

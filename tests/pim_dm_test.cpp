@@ -47,6 +47,17 @@ protected:
     PimDmTest() : stack_(topo_.net, dense_config()) {
         topo_.net.run_for(100 * sim::kMillisecond); // neighbor discovery
     }
+    /// Floods one packet to the member behind R3 and returns R2's (S,G).
+    mcast::ForwardingEntry& flood_once() {
+        stack_.host_agent(*topo_.member).join(kGroup);
+        topo_.net.run_for(100 * sim::kMillisecond);
+        topo_.source->send_data(kGroup);
+        topo_.net.run_for(100 * sim::kMillisecond);
+        auto* sg = stack_.pim_at(*topo_.r2).cache().find_sg(topo_.source->address(), kGroup);
+        EXPECT_NE(sg, nullptr);
+        return *sg;
+    }
+
     DenseTopology topo_;
     scenario::PimDmStack stack_;
 };
@@ -148,6 +159,50 @@ TEST_F(PimDmTest, EntryExpiresWhenSourceStops) {
     topo_.net.run_for(5 * sim::kSecond);
     EXPECT_EQ(stack_.pim_at(*topo_.r1).cache().find_sg(topo_.source->address(), kGroup),
               nullptr);
+}
+
+// R3's prune of the source arriving at R2: the interface it arrives on,
+// R3's address there, and the prune entry.
+struct PruneFromR3 {
+    int r2_if;
+    net::Ipv4Address r3_addr;
+    net::Ipv4Address to_r2;
+    pim::AddressEntry prune;
+};
+
+PruneFromR3 prune_from_r3(DenseTopology& topo) {
+    topo::Segment* link = topo.net.find_link(*topo.r2, *topo.r3);
+    const int r2_if = topo.r2->ifindex_on(*link).value();
+    return {r2_if, topo.r3->interface(topo.r3->ifindex_on(*link).value()).address,
+            topo.r2->interface(r2_if).address,
+            pim::AddressEntry{topo.source->address(), pim::EntryFlags{}}};
+}
+
+TEST_F(PimDmTest, NonMulticastRecordSkippedLaterRecordApplied) {
+    mcast::ForwardingEntry& sg = flood_once();
+    const PruneFromR3 p = prune_from_r3(topo_);
+    ASSERT_TRUE(sg.has_oif(p.r2_if));
+    inject_pim(*topo_.r2, p.r2_if, p.r3_addr,
+               join_prune(p.to_r2, {{net::Ipv4Address(10, 9, 9, 9), {}, {p.prune}},
+                                    {kGroup.address(), {}, {p.prune}}}));
+    EXPECT_FALSE(sg.has_oif(p.r2_if));
+}
+
+TEST_F(PimDmTest, RetiredJoinPruneCodeChangesNoState) {
+    // Code 2 was the single-group Join/Prune; a well-formed frame in that
+    // layout is an unknown message now and must not prune anything.
+    mcast::ForwardingEntry& sg = flood_once();
+    const PruneFromR3 p = prune_from_r3(topo_);
+    ASSERT_TRUE(sg.has_oif(p.r2_if));
+    const std::size_t entries = stack_.pim_at(*topo_.r2).cache().size();
+    const auto prune = join_prune(p.to_r2, {{kGroup.address(), {}, {p.prune}}});
+    inject_pim(*topo_.r2, p.r2_if, p.r3_addr, as_retired_code(prune));
+    EXPECT_TRUE(sg.has_oif(p.r2_if));
+    EXPECT_EQ(stack_.pim_at(*topo_.r2).cache().size(), entries);
+
+    // The same prune as a Join/Prune does take effect.
+    inject_pim(*topo_.r2, p.r2_if, p.r3_addr, prune);
+    EXPECT_FALSE(sg.has_oif(p.r2_if));
 }
 
 } // namespace

@@ -15,20 +15,6 @@ namespace {
 
 using pim::AddressEntry;
 using pim::EntryFlags;
-using pim::JoinPrune;
-
-/// Delivers a crafted PIM packet to `router` as if it arrived on `ifindex`
-/// from link-layer neighbor `from`.
-void inject_pim(topo::Router& router, int ifindex, net::Ipv4Address from,
-                const std::vector<std::uint8_t>& payload) {
-    net::Packet packet;
-    packet.src = from;
-    packet.dst = net::kAllRouters;
-    packet.proto = net::IpProto::kIgmp;
-    packet.ttl = 1;
-    packet.payload = payload;
-    router.receive(ifindex, packet);
-}
 
 class PimEdgeTest : public ::testing::Test {
 protected:
@@ -44,6 +30,15 @@ protected:
                 topo_.a->interface(topo_.a->ifindex_on(*link).value()).address};
     }
 
+    /// Delivers a one-record Join/Prune for `group` at B, sent by A to B.
+    void inject_from_a(net::GroupAddress group, std::vector<AddressEntry> joins,
+                       std::vector<AddressEntry> prunes) {
+        auto [ifindex, from] = b_from_a();
+        inject_pim(*topo_.b, ifindex, from,
+                   join_prune(topo_.b->interface(ifindex).address,
+                              {{group.address(), std::move(joins), std::move(prunes)}}));
+    }
+
     Fig3Topology topo_;
     scenario::PimSmStack stack_;
 };
@@ -53,13 +48,8 @@ TEST_F(PimEdgeTest, TransitRouterBuildsSharedTreeFromJoinAlone) {
     // RP address, which is all a transit router needs (§3.2: the RP address
     // is "included in upstream join messages").
     const net::GroupAddress g{net::Ipv4Address(229, 7, 7, 7)};
-    auto [ifindex, from] = b_from_a();
-    JoinPrune msg;
-    msg.upstream_neighbor = topo_.b->interface(ifindex).address;
-    msg.holdtime_ms = 1800;
-    msg.group = g.address();
-    msg.joins = {AddressEntry{topo_.c->router_id(), EntryFlags{true, true}}};
-    inject_pim(*topo_.b, ifindex, from, msg.encode());
+    const int ifindex = b_from_a().first;
+    inject_from_a(g, {AddressEntry{topo_.c->router_id(), EntryFlags{true, true}}}, {});
     topo_.net.run_for(50 * sim::kMillisecond);
 
     auto* wc_b = stack_.pim_at(*topo_.b).cache().find_wc(g);
@@ -79,29 +69,18 @@ TEST_F(PimEdgeTest, WcJoinWithDifferentReachableRpKeepsCurrent) {
 
     // A rogue/partitioned downstream claims D is the RP. C is still
     // reachable, so B must not re-root its shared tree.
-    auto [ifindex, from] = b_from_a();
-    JoinPrune msg;
-    msg.upstream_neighbor = topo_.b->interface(ifindex).address;
-    msg.holdtime_ms = 1800;
-    msg.group = kGroup.address();
-    msg.joins = {AddressEntry{topo_.d->router_id(), EntryFlags{true, true}}};
-    inject_pim(*topo_.b, ifindex, from, msg.encode());
+    inject_from_a(kGroup, {AddressEntry{topo_.d->router_id(), EntryFlags{true, true}}}, {});
     topo_.net.run_for(50 * sim::kMillisecond);
     EXPECT_EQ(stack_.pim_at(*topo_.b).cache().find_wc(kGroup)->source_or_rp(),
               topo_.c->router_id());
 }
 
 TEST_F(PimEdgeTest, PruneForUnknownStateIsHarmless) {
-    auto [ifindex, from] = b_from_a();
-    JoinPrune msg;
-    msg.upstream_neighbor = topo_.b->interface(ifindex).address;
-    msg.holdtime_ms = 1800;
-    msg.group = kGroup.address();
-    msg.prunes = {
-        AddressEntry{topo_.source->address(), EntryFlags{false, false}}, // (S,G)
-        AddressEntry{topo_.c->router_id(), EntryFlags{true, true}},      // (*,G)
-    };
-    inject_pim(*topo_.b, ifindex, from, msg.encode());
+    inject_from_a(kGroup, {},
+                  {
+                      AddressEntry{topo_.source->address(), EntryFlags{false, false}}, // (S,G)
+                      AddressEntry{topo_.c->router_id(), EntryFlags{true, true}},      // (*,G)
+                  });
     topo_.net.run_for(50 * sim::kMillisecond);
     EXPECT_EQ(stack_.pim_at(*topo_.b).cache().size(), 0u);
 }
@@ -109,13 +88,7 @@ TEST_F(PimEdgeTest, PruneForUnknownStateIsHarmless) {
 TEST_F(PimEdgeTest, RpBitPruneWithoutSharedTreeIgnored) {
     // A negative cache only makes sense relative to an existing (*,G); an
     // RP-bit prune without one must not create state (§3.3).
-    auto [ifindex, from] = b_from_a();
-    JoinPrune msg;
-    msg.upstream_neighbor = topo_.b->interface(ifindex).address;
-    msg.holdtime_ms = 1800;
-    msg.group = kGroup.address();
-    msg.prunes = {AddressEntry{topo_.source->address(), EntryFlags{false, true}}};
-    inject_pim(*topo_.b, ifindex, from, msg.encode());
+    inject_from_a(kGroup, {}, {AddressEntry{topo_.source->address(), EntryFlags{false, true}}});
     topo_.net.run_for(50 * sim::kMillisecond);
     EXPECT_EQ(stack_.pim_at(*topo_.b).cache().size(), 0u);
 }
@@ -126,13 +99,8 @@ TEST_F(PimEdgeTest, RpBitPruneCreatesNegativeCacheAndPropagates) {
     // Craft A's RP-bit prune at B (as if A had switched to the SPT and its
     // SPT iif diverged — which it does not in this topology, so we build
     // the message by hand).
-    auto [ifindex, from] = b_from_a();
-    JoinPrune msg;
-    msg.upstream_neighbor = topo_.b->interface(ifindex).address;
-    msg.holdtime_ms = 1800;
-    msg.group = kGroup.address();
-    msg.prunes = {AddressEntry{topo_.source->address(), EntryFlags{false, true}}};
-    inject_pim(*topo_.b, ifindex, from, msg.encode());
+    const int ifindex = b_from_a().first;
+    inject_from_a(kGroup, {}, {AddressEntry{topo_.source->address(), EntryFlags{false, true}}});
     topo_.net.run_for(100 * sim::kMillisecond);
 
     auto* neg = stack_.pim_at(*topo_.b).cache().find_sg(topo_.source->address(), kGroup);
@@ -148,12 +116,7 @@ TEST_F(PimEdgeTest, RpBitPruneCreatesNegativeCacheAndPropagates) {
 
     // A subsequent (*,G) join on the pruned interface reinstates delivery
     // (join overrides, §3.7 semantics).
-    JoinPrune rejoin;
-    rejoin.upstream_neighbor = topo_.b->interface(ifindex).address;
-    rejoin.holdtime_ms = 1800;
-    rejoin.group = kGroup.address();
-    rejoin.joins = {AddressEntry{topo_.c->router_id(), EntryFlags{true, true}}};
-    inject_pim(*topo_.b, ifindex, from, rejoin.encode());
+    inject_from_a(kGroup, {AddressEntry{topo_.c->router_id(), EntryFlags{true, true}}}, {});
     EXPECT_FALSE(neg->is_pruned(ifindex));
     EXPECT_TRUE(neg->has_oif(ifindex));
 }
@@ -161,26 +124,16 @@ TEST_F(PimEdgeTest, RpBitPruneCreatesNegativeCacheAndPropagates) {
 TEST_F(PimEdgeTest, NegativeCacheConvertsToRealEntryOnSgJoin) {
     stack_.host_agent(*topo_.receiver).join(kGroup);
     topo_.net.run_for(200 * sim::kMillisecond);
-    auto [ifindex, from] = b_from_a();
+    const int ifindex = b_from_a().first;
     // First create the negative cache...
-    JoinPrune prune;
-    prune.upstream_neighbor = topo_.b->interface(ifindex).address;
-    prune.holdtime_ms = 1800;
-    prune.group = kGroup.address();
-    prune.prunes = {AddressEntry{topo_.source->address(), EntryFlags{false, true}}};
-    inject_pim(*topo_.b, ifindex, from, prune.encode());
+    inject_from_a(kGroup, {}, {AddressEntry{topo_.source->address(), EntryFlags{false, true}}});
     auto* entry = stack_.pim_at(*topo_.b).cache().find_sg(topo_.source->address(), kGroup);
     ASSERT_NE(entry, nullptr);
     ASSERT_TRUE(entry->rp_bit());
 
     // ...then a genuine (S,G) join arrives: the entry becomes a real
     // shortest-path entry rooted toward the source.
-    JoinPrune join;
-    join.upstream_neighbor = topo_.b->interface(ifindex).address;
-    join.holdtime_ms = 1800;
-    join.group = kGroup.address();
-    join.joins = {AddressEntry{topo_.source->address(), EntryFlags{false, false}}};
-    inject_pim(*topo_.b, ifindex, from, join.encode());
+    inject_from_a(kGroup, {AddressEntry{topo_.source->address(), EntryFlags{false, false}}}, {});
     topo_.net.run_for(50 * sim::kMillisecond);
 
     entry = stack_.pim_at(*topo_.b).cache().find_sg(topo_.source->address(), kGroup);
@@ -196,28 +149,61 @@ TEST_F(PimEdgeTest, Footnote12WcJoinRefreshesSgOifTimers) {
     // entries which contain that interface."
     stack_.host_agent(*topo_.receiver).join(kGroup);
     topo_.net.run_for(200 * sim::kMillisecond);
-    auto [ifindex, from] = b_from_a();
+    const int ifindex = b_from_a().first;
     // Give B an (S,G) entry whose only refresh will come from (*,G) joins.
-    JoinPrune sg_join;
-    sg_join.upstream_neighbor = topo_.b->interface(ifindex).address;
-    sg_join.holdtime_ms = 1800;
-    sg_join.group = kGroup.address();
-    sg_join.joins = {AddressEntry{topo_.source->address(), EntryFlags{false, false}}};
-    inject_pim(*topo_.b, ifindex, from, sg_join.encode());
+    inject_from_a(kGroup, {AddressEntry{topo_.source->address(), EntryFlags{false, false}}}, {});
     auto* sg = stack_.pim_at(*topo_.b).cache().find_sg(topo_.source->address(), kGroup);
     ASSERT_NE(sg, nullptr);
     ASSERT_NE(sg->find_oif(ifindex), nullptr);
     const sim::Time before = sg->find_oif(ifindex)->expires;
 
     topo_.net.run_for(100 * sim::kMillisecond);
-    JoinPrune wc_join;
-    wc_join.upstream_neighbor = topo_.b->interface(ifindex).address;
-    wc_join.holdtime_ms = 1800;
-    wc_join.group = kGroup.address();
-    wc_join.joins = {AddressEntry{topo_.c->router_id(), EntryFlags{true, true}}};
-    inject_pim(*topo_.b, ifindex, from, wc_join.encode());
+    inject_from_a(kGroup, {AddressEntry{topo_.c->router_id(), EntryFlags{true, true}}}, {});
     ASSERT_NE(sg->find_oif(ifindex), nullptr);
     EXPECT_GT(sg->find_oif(ifindex)->expires, before);
+}
+
+TEST_F(PimEdgeTest, NonMulticastRecordSkippedLaterRecordApplied) {
+    // A record whose group is not multicast is skipped; the records after
+    // it in the same message still apply.
+    const net::GroupAddress g{net::Ipv4Address(229, 7, 7, 7)};
+    const AddressEntry wc_join{topo_.c->router_id(), EntryFlags{true, true}};
+    auto [ifindex, from] = b_from_a();
+    inject_pim(*topo_.b, ifindex, from,
+               join_prune(topo_.b->interface(ifindex).address,
+                          {{net::Ipv4Address(10, 9, 9, 9), {wc_join}, {}},
+                           {g.address(), {wc_join}, {}}}));
+    EXPECT_EQ(stack_.pim_at(*topo_.b).cache().size(), 1u);
+    ASSERT_NE(stack_.pim_at(*topo_.b).cache().find_wc(g), nullptr);
+    EXPECT_TRUE(stack_.pim_at(*topo_.b).cache().find_wc(g)->has_oif(ifindex));
+}
+
+TEST_F(PimEdgeTest, RetiredJoinPruneCodeChangesNoState) {
+    // Code 2 was the single-group Join/Prune. A well-formed frame in that
+    // layout is an unknown message now and must not touch any state.
+    stack_.host_agent(*topo_.receiver).join(kGroup);
+    topo_.net.run_for(200 * sim::kMillisecond);
+    auto [ifindex, from] = b_from_a();
+    const net::Ipv4Address to_b = topo_.b->interface(ifindex).address;
+    const AddressEntry wc{topo_.c->router_id(), EntryFlags{true, true}};
+    const net::GroupAddress fresh{net::Ipv4Address(229, 7, 7, 7)};
+    pim::PimSmRouter& pim_b = stack_.pim_at(*topo_.b);
+    ASSERT_TRUE(pim_b.cache().find_wc(kGroup)->has_oif(ifindex));
+    const std::size_t entries = pim_b.cache().size();
+    const auto sent = pim_b.join_prune_messages_sent();
+
+    const auto prune = join_prune(to_b, {{kGroup.address(), {}, {wc}}});
+    inject_pim(*topo_.b, ifindex, from, as_retired_code(prune));
+    inject_pim(*topo_.b, ifindex, from,
+               as_retired_code(join_prune(to_b, {{fresh.address(), {wc}, {}}})));
+    EXPECT_TRUE(pim_b.cache().find_wc(kGroup)->has_oif(ifindex));
+    EXPECT_EQ(pim_b.cache().find_wc(fresh), nullptr);
+    EXPECT_EQ(pim_b.cache().size(), entries);
+    EXPECT_EQ(pim_b.join_prune_messages_sent(), sent);
+
+    // The same prune as a Join/Prune does take effect.
+    inject_pim(*topo_.b, ifindex, from, prune);
+    EXPECT_FALSE(pim_b.cache().find_wc(kGroup)->has_oif(ifindex));
 }
 
 TEST_F(PimEdgeTest, RpReachabilityOnWrongInterfaceIgnored) {
@@ -518,14 +504,12 @@ TEST_F(LanTimingTest, OverrideAfterDepartureIsNoOp) {
     ASSERT_NE(wc_d1, nullptr) << "entry should linger in its deletion grace";
     const int d1_if = d1_->ifindex_on(*transit_).value();
     const int d2_if = d2_->ifindex_on(*transit_).value();
-    JoinPrune prune;
-    prune.upstream_neighbor = wc_d1->upstream_neighbor().value_or(
-        u_->interface(u_->ifindex_on(*transit_).value()).address);
-    prune.holdtime_ms = 1800;
-    prune.group = kGroup.address();
-    prune.prunes = {AddressEntry{rp_->router_id(), EntryFlags{true, true}}};
+    const auto prune = join_prune(
+        wc_d1->upstream_neighbor().value_or(
+            u_->interface(u_->ifindex_on(*transit_).value()).address),
+        {{kGroup.address(), {}, {AddressEntry{rp_->router_id(), EntryFlags{true, true}}}}});
     const auto d1_before = stack_->pim_at(*d1_).join_prune_messages_sent();
-    inject_pim(*d1_, d1_if, d2_->interface(d2_if).address, prune.encode());
+    inject_pim(*d1_, d1_if, d2_->interface(d2_if).address, prune);
     net_.run_for(100 * sim::kMillisecond); // >> 2 × override delay (5 ms)
     EXPECT_EQ(stack_->pim_at(*d1_).join_prune_messages_sent(), d1_before)
         << "D1 sent an override join for state it no longer wants";
@@ -554,11 +538,12 @@ TEST_F(PimEdgeTest, HandlersSurviveGarbageControlTraffic) {
         packet.ttl = 1;
         packet.payload.resize(static_cast<std::size_t>(len(rng)));
         for (auto& b : packet.payload) b = static_cast<std::uint8_t>(byte(rng));
-        // Bias half the trials toward plausible PIM/IGMP headers so the
-        // deeper decode paths get exercised.
+        // Bias half the trials toward plausible PIM headers, cycling through
+        // all eight code values (the retired 2 included), so every decoder
+        // and handler gets exercised.
         if (trial % 2 == 0 && packet.payload.size() >= 2) {
             packet.payload[0] = 0x14;
-            packet.payload[1] = static_cast<std::uint8_t>(trial % 5);
+            packet.payload[1] = static_cast<std::uint8_t>((trial / 2) % 8);
         }
         topo_.b->receive(trial % topo_.b->interface_count(), packet);
     }

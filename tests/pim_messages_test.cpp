@@ -14,18 +14,31 @@ const net::Ipv4Address kGroupAddr(224, 1, 1, 1);
 const net::Ipv4Address kRp(192, 168, 0, 3);
 const net::Ipv4Address kSrc(10, 0, 1, 3);
 
+using GroupRecord = JoinPruneBundle::GroupRecord;
+
+/// A Join/Prune carrying the one group record `rec`.
+JoinPruneBundle one_record(GroupRecord rec) {
+    JoinPruneBundle msg;
+    msg.upstream_neighbor = net::Ipv4Address(10, 0, 0, 2);
+    msg.holdtime_ms = 180000;
+    msg.groups = {std::move(rec)};
+    return msg;
+}
+
 TEST(PimMessages, PeekCode) {
     Query q{1000};
     EXPECT_EQ(peek_code(q.encode()), Code::kQuery);
-    JoinPrune jp;
-    jp.group = kGroupAddr;
-    EXPECT_EQ(peek_code(jp.encode()), Code::kJoinPrune);
+    EXPECT_EQ(peek_code(one_record(GroupRecord{kGroupAddr, {}, {}}).encode()),
+              Code::kJoinPruneBundle);
     // Wrong IGMP type byte.
     std::vector<std::uint8_t> bogus{0x12, 0x02};
     EXPECT_FALSE(peek_code(bogus).has_value());
     // Unknown PIM code.
     std::vector<std::uint8_t> unknown{igmp::kTypePim, 0x77};
     EXPECT_FALSE(peek_code(unknown).has_value());
+    // The retired single-group Join/Prune code.
+    std::vector<std::uint8_t> retired{igmp::kTypePim, 0x02, 0, 0, 0, 0};
+    EXPECT_FALSE(peek_code(retired).has_value());
     EXPECT_FALSE(peek_code(std::vector<std::uint8_t>{igmp::kTypePim}).has_value());
 }
 
@@ -62,33 +75,31 @@ TEST(PimMessages, RegisterEmptyPayload) {
 }
 
 TEST(PimMessages, JoinPruneRoundTripWithFlags) {
-    JoinPrune msg;
-    msg.upstream_neighbor = net::Ipv4Address(10, 0, 0, 2);
-    msg.holdtime_ms = 180000;
-    msg.group = kGroupAddr;
-    msg.joins = {
-        AddressEntry{kRp, EntryFlags{true, true}},   // (*,G) join: WC|RP
-        AddressEntry{kSrc, EntryFlags{false, false}}, // (S,G) SPT join
-    };
-    msg.prunes = {
-        AddressEntry{kSrc, EntryFlags{false, true}}, // RP-bit prune (§3.3)
-    };
-    auto decoded = JoinPrune::decode(msg.encode());
+    const JoinPruneBundle msg = one_record(GroupRecord{
+        kGroupAddr,
+        {
+            AddressEntry{kRp, EntryFlags{true, true}},   // (*,G) join: WC|RP
+            AddressEntry{kSrc, EntryFlags{false, false}}, // (S,G) SPT join
+            AddressEntry{kRp, EntryFlags{true, false}},   // WC alone
+        },
+        {
+            AddressEntry{kSrc, EntryFlags{false, true}}, // RP-bit prune (§3.3)
+        }});
+    auto decoded = JoinPruneBundle::decode(msg.encode());
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->upstream_neighbor, msg.upstream_neighbor);
     EXPECT_EQ(decoded->holdtime_ms, msg.holdtime_ms);
-    EXPECT_EQ(decoded->group, msg.group);
-    EXPECT_EQ(decoded->joins, msg.joins);
-    EXPECT_EQ(decoded->prunes, msg.prunes);
+    EXPECT_EQ(decoded->groups, msg.groups);
 }
 
 TEST(PimMessages, JoinPruneEmptyListsValid) {
-    JoinPrune msg;
-    msg.group = kGroupAddr;
-    auto decoded = JoinPrune::decode(msg.encode());
+    auto decoded =
+        JoinPruneBundle::decode(one_record(GroupRecord{kGroupAddr, {}, {}}).encode());
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_TRUE(decoded->joins.empty());
-    EXPECT_TRUE(decoded->prunes.empty());
+    ASSERT_EQ(decoded->groups.size(), 1u);
+    EXPECT_EQ(decoded->groups[0].group, kGroupAddr);
+    EXPECT_TRUE(decoded->groups[0].joins.empty());
+    EXPECT_TRUE(decoded->groups[0].prunes.empty());
 }
 
 TEST(PimMessages, JoinPruneBundleRoundTrip) {
@@ -156,26 +167,24 @@ TEST(PimMessages, RpReachabilityRoundTrip) {
 
 TEST(PimMessages, DecoderRejectsWrongCode) {
     Query q{5};
-    EXPECT_FALSE(JoinPrune::decode(q.encode()).has_value());
+    EXPECT_FALSE(JoinPruneBundle::decode(q.encode()).has_value());
     EXPECT_FALSE(Register::decode(q.encode()).has_value());
     EXPECT_FALSE(RpReachability::decode(q.encode()).has_value());
 }
 
 TEST(PimMessages, EveryTruncationRejected) {
-    JoinPrune msg;
-    msg.upstream_neighbor = net::Ipv4Address(10, 0, 0, 2);
-    msg.group = kGroupAddr;
-    msg.joins = {AddressEntry{kRp, EntryFlags{true, true}}};
-    msg.prunes = {AddressEntry{kSrc, EntryFlags{false, true}}};
-    const auto bytes = msg.encode();
+    const auto bytes = one_record(GroupRecord{kGroupAddr,
+                                              {AddressEntry{kRp, EntryFlags{true, true}}},
+                                              {AddressEntry{kSrc, EntryFlags{false, true}}}})
+                           .encode();
     for (std::size_t len = 0; len < bytes.size(); ++len) {
-        EXPECT_FALSE(JoinPrune::decode({bytes.data(), len}).has_value())
+        EXPECT_FALSE(JoinPruneBundle::decode({bytes.data(), len}).has_value())
             << "decoded from truncated length " << len;
     }
     // Trailing garbage also rejected.
     auto extended = bytes;
     extended.push_back(0);
-    EXPECT_FALSE(JoinPrune::decode(extended).has_value());
+    EXPECT_FALSE(JoinPruneBundle::decode(extended).has_value());
 }
 
 // Every strict prefix of a valid encoding must decode to nullopt, for all
@@ -222,14 +231,14 @@ TEST(PimMessages, RpReachabilityTruncationAndTrailingGarbageRejected) {
 }
 
 TEST(PimMessages, JoinPruneCountFieldBeyondBufferRejected) {
-    JoinPrune msg;
-    msg.group = kGroupAddr;
-    msg.joins = {AddressEntry{kRp, EntryFlags{true, true}}};
-    auto bytes = msg.encode();
-    // Inflate the join count (bytes 14..15, big-endian u16 after header +
-    // upstream + holdtime + group) without providing the entries.
-    bytes[15] = 0xFF;
-    EXPECT_FALSE(JoinPrune::decode(bytes).has_value());
+    auto bytes =
+        one_record(GroupRecord{kGroupAddr, {AddressEntry{kRp, EntryFlags{true, true}}}, {}})
+            .encode();
+    // Inflate the record's join count (bytes 16..17, big-endian u16 after
+    // header + upstream + holdtime + group count + group) without providing
+    // the entries.
+    bytes[17] = 0xFF;
+    EXPECT_FALSE(JoinPruneBundle::decode(bytes).has_value());
 }
 
 // Randomized property: encode() of arbitrary field values always decodes
@@ -274,19 +283,15 @@ TEST(PimMessages, RandomizedEncodeDecodeRoundTrip) {
         EXPECT_EQ(dr->inner_seq, reg.inner_seq);
         EXPECT_EQ(dr->inner_payload, reg.inner_payload);
 
-        JoinPrune jp;
+        JoinPruneBundle jp;
         jp.upstream_neighbor = rand_addr();
         jp.holdtime_ms = u32(rng);
-        jp.group = rand_addr();
-        jp.joins = rand_entries();
-        jp.prunes = rand_entries();
-        auto dj = JoinPrune::decode(jp.encode());
+        jp.groups = {GroupRecord{rand_addr(), rand_entries(), rand_entries()}};
+        auto dj = JoinPruneBundle::decode(jp.encode());
         ASSERT_TRUE(dj.has_value());
         EXPECT_EQ(dj->upstream_neighbor, jp.upstream_neighbor);
         EXPECT_EQ(dj->holdtime_ms, jp.holdtime_ms);
-        EXPECT_EQ(dj->group, jp.group);
-        EXPECT_EQ(dj->joins, jp.joins);
-        EXPECT_EQ(dj->prunes, jp.prunes);
+        EXPECT_EQ(dj->groups, jp.groups);
 
         const RpReachability rr{rand_addr(), rand_addr(), u32(rng)};
         auto drr = RpReachability::decode(rr.encode());
@@ -495,14 +500,15 @@ TEST(PimMessages, FuzzRandomBytesNeverCrash) {
     for (int trial = 0; trial < 5000; ++trial) {
         std::vector<std::uint8_t> bytes(static_cast<std::size_t>(len(rng)));
         for (auto& b : bytes) b = static_cast<std::uint8_t>(byte(rng));
-        // Make a fair fraction look like PIM so decoders get past the header.
+        // Make a fair fraction look like PIM so decoders get past the
+        // header, cycling through all eight code values.
         if (trial % 2 == 0 && bytes.size() >= 2) {
             bytes[0] = igmp::kTypePim;
-            bytes[1] = static_cast<std::uint8_t>(trial % 8);
+            bytes[1] = static_cast<std::uint8_t>((trial / 2) % 8);
         }
+        (void)peek_code(bytes);
         (void)Query::decode(bytes);
         (void)Register::decode(bytes);
-        (void)JoinPrune::decode(bytes);
         (void)RpReachability::decode(bytes);
         (void)JoinPruneBundle::decode(bytes);
         (void)Assert::decode(bytes);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "check/scenario.hpp"
+#include "pim/messages.hpp"
 #include "scenario/script.hpp"
 #include "scenario/stacks.hpp"
 #include "topo/builder.hpp"
@@ -67,6 +68,37 @@ struct Fig3Topology {
         return link == nullptr ? -1 : from.ifindex_on(*link).value_or(-1);
     }
 };
+
+/// Delivers a crafted PIM packet to `router` as if it arrived on `ifindex`
+/// from link-layer neighbor `from`.
+inline void inject_pim(topo::Router& router, int ifindex, net::Ipv4Address from,
+                       std::vector<std::uint8_t> payload) {
+    net::Packet packet;
+    packet.src = from;
+    packet.dst = net::kAllRouters;
+    packet.proto = net::IpProto::kIgmp;
+    packet.ttl = 1;
+    packet.payload = std::move(payload);
+    router.receive(ifindex, packet);
+}
+
+/// An encoded Join/Prune to `upstream` carrying `records`.
+inline std::vector<std::uint8_t> join_prune(
+    net::Ipv4Address upstream, std::vector<pim::JoinPruneBundle::GroupRecord> records) {
+    pim::JoinPruneBundle msg;
+    msg.upstream_neighbor = upstream;
+    msg.holdtime_ms = 1800;
+    msg.groups = std::move(records);
+    return msg.encode();
+}
+
+/// A one-record Join/Prune re-laid-out as the retired single-group format:
+/// code 2 and no group count, otherwise the same bytes.
+inline std::vector<std::uint8_t> as_retired_code(std::vector<std::uint8_t> bytes) {
+    bytes[1] = 2;
+    bytes.erase(bytes.begin() + 10, bytes.begin() + 12); // the group count
+    return bytes;
+}
 
 /// The checker's walkthrough pentagon, built from the topology block of
 /// src/check/scenarios/walkthrough.pimsim: receiver behind A, source behind

@@ -29,7 +29,8 @@ TEST_F(TraceTest, CapturesAndDecodesPimExchange) {
 
     EXPECT_GT(tracer_.count_matching("PIM Query"), 0u);
     EXPECT_GT(tracer_.count_matching("IGMP Report grp=224.1.1.1"), 0u);
-    EXPECT_GT(tracer_.count_matching("PIM Join/Prune grp=224.1.1.1"), 0u);
+    EXPECT_GT(tracer_.count_matching("PIM Join/Prune to="), 0u);
+    EXPECT_GT(tracer_.count_matching("[grp=224.1.1.1 join="), 0u);
     EXPECT_GT(tracer_.count_matching("WC|RP"), 0u); // the shared-tree join flags
     // One register message, captured once per segment it crosses (D→B, B→C).
     EXPECT_EQ(tracer_.count_matching("PIM Register grp=224.1.1.1 src=" +
@@ -122,8 +123,11 @@ TEST(TraceDescribe, DecodesAllFamilies) {
 
     // Malformed inputs decode to explicit markers, never crash.
     p.proto = net::IpProto::kIgmp;
-    p.payload = {0x14, 0x02, 0x01};
+    p.payload = {0x14, 0x04, 0x01};
     EXPECT_EQ(describe_packet(p), "PIM Join/Prune (malformed)");
+    // The retired single-group Join/Prune code is not a PIM message.
+    p.payload = {0x14, 0x02, 0x01};
+    EXPECT_EQ(describe_packet(p), "PIM (malformed)");
 }
 
 TEST(TraceDescribe, DecodesEveryPimMessage) {
@@ -143,28 +147,34 @@ TEST(TraceDescribe, DecodesEveryPimMessage) {
 
     // Join/Prune with every flag combination: a WC|RP shared-tree join, an
     // RP-bit prune (the §3.3 negative cache), and a plain (S,G) prune.
-    pim::JoinPrune jp;
+    pim::JoinPruneBundle jp;
     jp.upstream_neighbor = net::Ipv4Address(10, 0, 1, 2);
-    jp.group = kGroup.address();
-    jp.joins = {pim::AddressEntry{net::Ipv4Address(192, 168, 0, 3),
-                                  pim::EntryFlags{true, true}}};
-    jp.prunes = {pim::AddressEntry{net::Ipv4Address(10, 0, 5, 2),
-                                   pim::EntryFlags{false, true}},
-                 pim::AddressEntry{net::Ipv4Address(10, 0, 5, 2),
-                                   pim::EntryFlags{false, false}}};
+    pim::JoinPruneBundle::GroupRecord rec;
+    rec.group = kGroup.address();
+    rec.joins = {pim::AddressEntry{net::Ipv4Address(192, 168, 0, 3),
+                                   pim::EntryFlags{true, true}}};
+    rec.prunes = {pim::AddressEntry{net::Ipv4Address(10, 0, 5, 2),
+                                    pim::EntryFlags{false, true}},
+                  pim::AddressEntry{net::Ipv4Address(10, 0, 5, 2),
+                                    pim::EntryFlags{false, false}}};
+    jp.groups = {rec};
     p.payload = jp.encode();
     EXPECT_EQ(describe_packet(p),
-              "PIM Join/Prune grp=224.1.1.1 to=10.0.1.2 "
-              "join=[192.168.0.3(WC|RP)] prune=[10.0.5.2(RP) 10.0.5.2(-)]");
+              "PIM Join/Prune to=10.0.1.2 groups=1 [grp=224.1.1.1 "
+              "join=[192.168.0.3(WC|RP)] prune=[10.0.5.2(RP) 10.0.5.2(-)]]");
 
-    // WC without RP renders alone; empty prune list renders as [].
-    jp.joins = {pim::AddressEntry{net::Ipv4Address(192, 168, 0, 3),
-                                  pim::EntryFlags{true, false}}};
-    jp.prunes.clear();
+    // WC without RP renders alone; empty prune list renders as []. A second
+    // record follows the first in message order.
+    rec.joins = {pim::AddressEntry{net::Ipv4Address(192, 168, 0, 3),
+                                   pim::EntryFlags{true, false}}};
+    rec.prunes.clear();
+    jp.groups = {rec, pim::JoinPruneBundle::GroupRecord{
+                          net::Ipv4Address(224, 1, 1, 2), {}, rec.joins}};
     p.payload = jp.encode();
     EXPECT_EQ(describe_packet(p),
-              "PIM Join/Prune grp=224.1.1.1 to=10.0.1.2 "
-              "join=[192.168.0.3(WC)] prune=[]");
+              "PIM Join/Prune to=10.0.1.2 groups=2 [grp=224.1.1.1 "
+              "join=[192.168.0.3(WC)] prune=[]] [grp=224.1.1.2 join=[] "
+              "prune=[192.168.0.3(WC)]]");
 
     p.payload = pim::RpReachability{kGroup.address(),
                                     net::Ipv4Address(192, 168, 0, 3), 90000}
