@@ -1,5 +1,8 @@
 #include "igmp/host_agent.hpp"
 
+#include <algorithm>
+
+#include "telemetry/profiler/profiler.hpp"
 #include "topo/network.hpp"
 
 namespace pimlib::igmp {
@@ -40,11 +43,21 @@ void HostAgent::leave(net::GroupAddress group) {
     host_->network().telemetry().span_abort(
         telemetry::span::kJoinToData, host_->name() + "|" + group.to_string());
     host_->leave_group(group);
-    auto it = pending_.find(group);
-    if (it != pending_.end()) {
-        host_->simulator().cancel(it->second);
-        pending_.erase(it);
+    const std::size_t slot = find_slot(group);
+    if (slot_holds(slot, group)) {
+        host_->simulator().cancel(pending_[slot].event);
+        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(slot));
     }
+}
+
+std::size_t HostAgent::find_slot(net::GroupAddress group, std::size_t from) const {
+    // Callers walking groups in ascending order pass the slot after the
+    // last one they touched, which is usually the one sought.
+    if (from < pending_.size() && !(pending_[from] < group)) return from;
+    return static_cast<std::size_t>(
+        std::lower_bound(pending_.begin() + static_cast<std::ptrdiff_t>(from),
+                         pending_.end(), group) -
+        pending_.begin());
 }
 
 void HostAgent::set_rp_mapping(net::GroupAddress group,
@@ -78,17 +91,32 @@ void HostAgent::send_rp_map(net::GroupAddress group) {
     host_->send(0, net::Frame{std::nullopt, std::move(packet)});
 }
 
-void HostAgent::schedule_response(net::GroupAddress group) {
-    if (pending_.contains(group)) return;
+std::size_t HostAgent::schedule_response(net::GroupAddress group, std::size_t from) {
+    const std::size_t slot = find_slot(group, from);
+    if (!slot_holds(slot, group)) {
+        pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(slot),
+                        PendingResponse{group, {}});
+    } else if (pending_[slot].event.valid()) {
+        return slot;
+    }
     std::uniform_int_distribution<sim::Time> spread(0, config_.query_response_max);
     const sim::Time delay = spread(rng_);
-    pending_[group] = host_->simulator().schedule(delay, [this, group] {
-        pending_.erase(group);
-        if (host_->is_member(group)) send_report(group);
-    });
+    // `hint` is where the slot sits now; a join or leave may move it before
+    // the event fires. The slot itself outlives the event: only leave()
+    // erases it, after cancelling.
+    pending_[slot].event = host_->simulator().schedule(
+        delay, [this, group, hint = static_cast<std::uint32_t>(slot)] {
+            PROF_ZONE("igmp.host");
+            std::size_t at = hint;
+            if (!slot_holds(at, group)) at = find_slot(group);
+            pending_[at].event = sim::EventId{};
+            if (host_->is_member(group)) send_report(group);
+        });
+    return slot;
 }
 
 void HostAgent::on_control(int ifindex, const net::Packet& packet) {
+    PROF_ZONE("igmp.host");
     (void)ifindex;
     if (packet.proto != net::IpProto::kIgmp || packet.payload.empty()) return;
     switch (packet.payload.front()) {
@@ -96,8 +124,10 @@ void HostAgent::on_control(int ifindex, const net::Packet& packet) {
         auto query = Query::decode(packet.payload);
         if (!query) return;
         if (query->group.is_unspecified()) {
+            // Joined groups and slots are both ascending: walk them together.
+            std::size_t slot = 0;
             for (net::GroupAddress group : host_->joined_groups()) {
-                schedule_response(group);
+                slot = schedule_response(group, slot) + 1;
             }
         } else if (query->group.is_multicast()) {
             const net::GroupAddress group{query->group};
@@ -110,10 +140,10 @@ void HostAgent::on_control(int ifindex, const net::Packet& packet) {
         auto report = Report::decode(packet.payload);
         if (!report || !report->group.is_multicast()) return;
         const net::GroupAddress group{report->group};
-        auto it = pending_.find(group);
-        if (it != pending_.end()) {
-            host_->simulator().cancel(it->second);
-            pending_.erase(it);
+        const std::size_t slot = find_slot(group);
+        if (slot_holds(slot, group) && pending_[slot].event.valid()) {
+            host_->simulator().cancel(pending_[slot].event);
+            pending_[slot].event = sim::EventId{};
         }
         break;
     }

@@ -6,7 +6,6 @@
 
 #include <map>
 #include <random>
-#include <set>
 #include <vector>
 
 #include "igmp/messages.hpp"
@@ -46,13 +45,31 @@ private:
     void on_control(int ifindex, const net::Packet& packet);
     void send_report(net::GroupAddress group);
     void send_rp_map(net::GroupAddress group);
-    void schedule_response(net::GroupAddress group);
+    /// Schedules `group`'s response unless one is pending; returns its slot.
+    std::size_t schedule_response(net::GroupAddress group, std::size_t from = 0);
+
+    // One slot per group that has been queried since it was joined; `event`
+    // is the scheduled response, invalid when none is pending. A fired or
+    // cancelled response clears it in place, and only leave() removes the
+    // slot, so repeated query rounds reuse the table.
+    struct PendingResponse {
+        net::GroupAddress group;
+        sim::EventId event;
+        friend bool operator<(const PendingResponse& p, net::GroupAddress g) {
+            return p.group < g;
+        }
+    };
+    /// Index of `group`'s slot, or where it would go. Slots before `from`
+    /// must all hold smaller groups.
+    [[nodiscard]] std::size_t find_slot(net::GroupAddress group, std::size_t from = 0) const;
+    [[nodiscard]] bool slot_holds(std::size_t slot, net::GroupAddress group) const {
+        return slot < pending_.size() && pending_[slot].group == group;
+    }
 
     topo::Host* host_;
     HostConfig config_;
     std::mt19937 rng_;
-    // Pending scheduled responses per group (cancel on overheard report).
-    std::map<net::GroupAddress, sim::EventId> pending_;
+    std::vector<PendingResponse> pending_; // sorted by group
     std::map<net::GroupAddress, std::vector<net::Ipv4Address>> rp_maps_;
 };
 

@@ -5,8 +5,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "igmp/messages.hpp"
@@ -42,8 +40,9 @@ public:
     void set_rp_map_callback(RpMapCallback callback) { rp_map_cb_ = std::move(callback); }
 
     [[nodiscard]] bool has_members(int ifindex, net::GroupAddress group) const;
-    [[nodiscard]] std::set<net::GroupAddress> groups_on(int ifindex) const;
-    /// All interfaces with at least one member of `group`.
+    /// Groups with members on `ifindex`, ascending.
+    [[nodiscard]] std::vector<net::GroupAddress> groups_on(int ifindex) const;
+    /// All interfaces with at least one member of `group`, ascending.
     [[nodiscard]] std::vector<int> member_interfaces(net::GroupAddress group) const;
 
     [[nodiscard]] topo::Router& router() { return *router_; }
@@ -62,12 +61,23 @@ private:
     void send_query(int ifindex);
     void note_member(int ifindex, net::GroupAddress group);
 
+    struct Member {
+        net::GroupAddress group;
+        sim::Time expires;
+        friend bool operator<(const Member& m, net::GroupAddress g) { return m.group < g; }
+    };
+    struct Interface {
+        std::vector<Member> members; // sorted by group
+        // Suppress querying while a lower-addressed querier lives here.
+        sim::Time other_querier_until = 0;
+    };
+    Interface& interface_state(int ifindex); // grows the table to reach it
+    [[nodiscard]] const Interface* interface_at(int ifindex) const;
+    [[nodiscard]] const Member* find_member(int ifindex, net::GroupAddress group) const;
+
     topo::Router* router_;
     RouterConfig config_;
-    // membership_[ifindex][group] = expiry time
-    std::map<int, std::map<net::GroupAddress, sim::Time>> membership_;
-    // Suppress querying on interfaces where a lower-addressed querier lives.
-    std::map<int, sim::Time> other_querier_until_;
+    std::vector<Interface> interfaces_; // indexed by ifindex, grown on use
     std::vector<MembershipCallback> callbacks_;
     RpMapCallback rp_map_cb_;
     sim::PeriodicTimer tick_;

@@ -31,7 +31,7 @@ std::optional<sim::Time> Hub::span_end(const std::string& kind,
 }
 
 void Hub::on_data_delivered(const std::string& host, const std::string& group) {
-    if (!tracing_ || spans_.open_count() == 0) return;
+    if (!closes_spans_on_delivery()) return;
     spans_.end(span::kJoinToData, host + "|" + group, clock_->now());
     spans_.end(span::kRpFailover, group, clock_->now());
 }

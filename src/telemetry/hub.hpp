@@ -60,11 +60,14 @@ public:
         spans_.abort(kind, key);
     }
 
-    /// Called from the data plane on every delivered packet; closes any
+    /// Called from the data plane on a delivered packet; closes any
     /// join-to-data / rp-failover / spt-switch span waiting on this
-    /// (host, group) or group. Early-exits when no span is open, so the
-    /// per-packet cost in steady state is two integer compares.
+    /// (host, group) or group. A no-op unless closes_spans_on_delivery(),
+    /// which callers test first so they build the names only then.
     void on_data_delivered(const std::string& host, const std::string& group);
+    [[nodiscard]] bool closes_spans_on_delivery() const {
+        return tracing_ && spans_.open_count() != 0;
+    }
 
     /// Stores a snapshot (filled in by the caller; see
     /// StackBase::capture_mrib) and updates per-router entry-count gauges.

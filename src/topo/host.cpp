@@ -1,5 +1,8 @@
 #include "topo/host.hpp"
 
+#include <set>
+#include <tuple>
+
 #include "provenance/provenance.hpp"
 #include "topo/network.hpp"
 
@@ -29,7 +32,9 @@ void Host::receive(int ifindex, const net::Packet& packet) {
             received_.push_back(ReceivedRecord{packet.src, group, packet.seq,
                                                network_->simulator().now()});
             network_->stats().count_data_delivered();
-            network_->telemetry().on_data_delivered(name(), group.to_string());
+            // The group's name is built only when a span could close on it.
+            telemetry::Hub& hub = network_->telemetry();
+            if (hub.closes_spans_on_delivery()) hub.on_data_delivered(name(), group.to_string());
             record_endpoint(*network_, *this, packet, provenance::EntryKind::kDeliver);
             if (data_observer_) data_observer_(received_.back());
         }

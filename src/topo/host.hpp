@@ -3,10 +3,10 @@
 // delivery, loss and duplication.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "topo/node.hpp"
@@ -21,10 +21,19 @@ public:
 
     /// Group membership (data-plane view: which packets we accept).
     /// The IGMP host agent additionally reports membership to routers.
-    void join_group(net::GroupAddress group) { joined_.insert(group); }
-    void leave_group(net::GroupAddress group) { joined_.erase(group); }
-    [[nodiscard]] bool is_member(net::GroupAddress group) const { return joined_.contains(group); }
-    [[nodiscard]] const std::set<net::GroupAddress>& joined_groups() const { return joined_; }
+    void join_group(net::GroupAddress group) {
+        auto it = std::lower_bound(joined_.begin(), joined_.end(), group);
+        if (it == joined_.end() || *it != group) joined_.insert(it, group);
+    }
+    void leave_group(net::GroupAddress group) {
+        auto it = std::lower_bound(joined_.begin(), joined_.end(), group);
+        if (it != joined_.end() && *it == group) joined_.erase(it);
+    }
+    [[nodiscard]] bool is_member(net::GroupAddress group) const {
+        return std::binary_search(joined_.begin(), joined_.end(), group);
+    }
+    /// Joined groups, ascending.
+    [[nodiscard]] const std::vector<net::GroupAddress>& joined_groups() const { return joined_; }
 
     /// Sends one data packet to `group` out of interface 0. Sequence numbers
     /// increase per (host, group) so receivers can detect loss/duplication.
@@ -61,7 +70,7 @@ public:
     [[nodiscard]] net::Ipv4Address address() const { return interface(0).address; }
 
 private:
-    std::set<net::GroupAddress> joined_;
+    std::vector<net::GroupAddress> joined_; // sorted
     std::map<std::uint32_t, std::uint64_t> next_seq_; // per group
     std::vector<ReceivedRecord> received_;
     PacketHandler control_handler_;

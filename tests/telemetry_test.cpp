@@ -1,8 +1,8 @@
 // Unit tests for the telemetry layer: histogram bucket placement and
 // quantiles, label-set interning, counter epochs (the NetworkStats reset
 // semantics ride on these), NetworkStats' allocation-free counting calls,
-// the structured event log, causal spans, snapshot diffing, and all three
-// exporters.
+// allocation-free member delivery, the structured event log, causal spans,
+// snapshot diffing, and all three exporters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -497,6 +497,33 @@ TEST(Hub, JoinToDataSpanMeasuresEndToEndLatency) {
     }
     EXPECT_TRUE(saw_report);
     EXPECT_TRUE(saw_join);
+}
+
+TEST(Hub, MemberDeliveryWithNoSpanToCloseAllocatesNothing) {
+    topo::Network net;
+    topo::Router& router = net.add_router("r");
+    topo::Host& host = net.add_host("h", net.add_lan({&router}));
+    host.join_group(kGroup);
+    net::Packet data;
+    data.src = net::Ipv4Address(10, 9, 9, 9);
+    data.dst = kGroup.address();
+    data.proto = net::IpProto::kUdp;
+    data.ttl = 64;
+    data.seq = 1;
+    data.payload.assign(64, 0xAB);
+    // Warm up: resolve the delivery counter and size received()'s buffer.
+    for (int i = 0; i < 8; ++i) host.receive(0, data);
+
+    for (const bool tracing : {false, true}) {
+        net.telemetry().set_tracing(tracing);
+        host.clear_received();
+        const std::uint64_t before = g_alloc_count.load();
+        for (int i = 0; i < 8; ++i) host.receive(0, data);
+        EXPECT_EQ(g_alloc_count.load(), before)
+            << "delivering with tracing " << (tracing ? "on" : "off")
+            << " and no span open must not allocate";
+        EXPECT_EQ(host.received_count(kGroup), 8u);
+    }
 }
 
 TEST(Hub, MribSnapshotsDiffAcrossJoin) {
