@@ -1,6 +1,5 @@
 #include "check/watchdog.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "check/invariants.hpp"
@@ -15,11 +14,27 @@ namespace {
 // anything past this per-stream cap is dropped (and a real protocol bug
 // shows up long before 64 consecutive losses).
 constexpr std::size_t kMaxPendingGaps = 64;
+/// Sim-time between watchdog ticks (delivery accounting runs on every
+/// tick — gap deadlines need this resolution).
+constexpr sim::Time kInterval = 100 * sim::kMillisecond;
+/// Structural (iif-rpf / stale-entry) sweeps advance only on every Nth
+/// tick: entries change on protocol timescales, not per-packet, and the
+/// two-sweep confirmation already tolerates the extra latency.
+constexpr std::uint64_t kEntrySweepEvery = 4;
+/// Forwarding entries examined per structural tick across all routers.
+constexpr std::size_t kEntryBudget = 2048;
+/// How long a missing sequence number may stay missing before it counts
+/// as lost (reordering and in-flight switchover need slack).
+constexpr sim::Time kGapGrace = 300 * sim::kMillisecond;
+/// Slack past ForwardingEntry::delete_at before a leak is flagged.
+constexpr sim::Time kStaleSlack = 250 * sim::kMillisecond;
+/// Full flight-recorder JSON attached to at most this many violations
+/// (the drop summary is attached to all of them).
+constexpr std::size_t kMaxPostmortems = 3;
 } // namespace
 
-Watchdog::Watchdog(topo::Network& network, CacheResolver resolver,
-                   WatchdogConfig config)
-    : network_(&network), resolver_(std::move(resolver)), config_(config) {
+Watchdog::Watchdog(topo::Network& network, CacheResolver resolver)
+    : network_(&network), resolver_(std::move(resolver)) {
     telemetry::Registry& reg = network_->telemetry().registry();
     const char* help = "Online invariant watchdog violations, by watchdog";
     violations_lan_ = &reg.counter("pimlib_watchdog_violations_total",
@@ -35,7 +50,7 @@ Watchdog::~Watchdog() { stop(); }
 void Watchdog::start() {
     if (running_) return;
     running_ = true;
-    tick_event_ = network_->simulator().schedule(config_.interval, [this] { tick(); });
+    tick_event_ = network_->simulator().schedule(kInterval, [this] { tick(); });
 }
 
 void Watchdog::stop() {
@@ -47,11 +62,10 @@ void Watchdog::stop() {
 void Watchdog::tick() {
     const sim::Time now = network_->simulator().now();
     sweep_hosts(now);
-    const std::size_t every = std::max<std::size_t>(1, config_.entry_sweep_every);
-    if (tick_count_++ % every == 0) sweep_entries(now);
+    if (tick_count_++ % kEntrySweepEvery == 0) sweep_entries(now);
     if (running_) {
         tick_event_ =
-            network_->simulator().schedule(config_.interval, [this] { tick(); });
+            network_->simulator().schedule(kInterval, [this] { tick(); });
     }
 }
 
@@ -65,7 +79,7 @@ void Watchdog::raise(const std::string& watchdog, const std::string& node,
     v.detail = detail;
     if (recorder_ != nullptr) {
         v.postmortem_summary = recorder_->drop_summary();
-        if (postmortems_emitted_ < config_.max_postmortems) {
+        if (postmortems_emitted_ < kMaxPostmortems) {
             v.postmortem_json = recorder_->dump_json();
             ++postmortems_emitted_;
         }
@@ -124,7 +138,7 @@ void Watchdog::sweep_hosts(sim::Time now) {
                                 st.gaps_untracked = true;
                                 break;
                             }
-                            st.pending.emplace(s, rec.at + config_.gap_grace);
+                            st.pending.emplace(s, rec.at + kGapGrace);
                         }
                     }
                 }
@@ -148,12 +162,12 @@ void Watchdog::sweep_hosts(sim::Time now) {
 
         const auto dup_it = host_dupes_.find(host.id());
         const std::size_t dupes = dup_it == host_dupes_.end() ? 0 : dup_it->second;
-        if (dupes > config_.duplicate_bound && !dup_reported_.contains(host.id())) {
+        if (dupes > kDuplicateBound && !dup_reported_.contains(host.id())) {
             dup_reported_[host.id()] = dupes;
             raise("lan-delivery", host.name(), "",
                   "saw " + std::to_string(dupes) +
                       " duplicate data packets (bound " +
-                      std::to_string(config_.duplicate_bound) +
+                      std::to_string(kDuplicateBound) +
                       ") -- forwarding loop or missing prune");
         }
     }
@@ -184,14 +198,14 @@ void Watchdog::sweep_hosts(sim::Time now) {
         raise("lan-delivery", name, group.to_string(),
               "never received seq(s) " + lost + " from " + source.to_string() +
                   " (gap outlived " +
-                  std::to_string(config_.gap_grace / sim::kMillisecond) +
+                  std::to_string(kGapGrace / sim::kMillisecond) +
                   "ms grace) -- packets lost on a clean run");
     }
 }
 
 void Watchdog::sweep_entries(sim::Time now) {
     const auto& routers = network_->routers();
-    std::size_t budget = config_.entry_budget;
+    std::size_t budget = kEntryBudget;
     bool finished = false;
     while (budget > 0 && !finished) {
         if (router_cursor_ >= routers.size()) {
@@ -246,7 +260,7 @@ void Watchdog::check_entry(const topo::Router& router,
         if (route && route->ifindex != entry.iif()) iif_suspect = true;
     }
     const bool stale =
-        entry.delete_at() > 0 && now > entry.delete_at() + config_.stale_slack;
+        entry.delete_at() > 0 && now > entry.delete_at() + kStaleSlack;
     if (!iif_suspect && !stale) return;
 
     EntryView view;
@@ -277,7 +291,7 @@ void Watchdog::check_entry(const topo::Router& router,
 
     // Soft-state leak: the delete deadline passed long ago and the entry is
     // still here — the reaper lost track of it (§3.6's 3× refresh bound).
-    if (entry.delete_at() > 0 && now > entry.delete_at() + config_.stale_slack) {
+    if (entry.delete_at() > 0 && now > entry.delete_at() + kStaleSlack) {
         const sim::Time overdue = now - entry.delete_at();
         if (confirm("stale|" + id)) {
             raise("stale-entry", router.name(), entry.group().to_string(),

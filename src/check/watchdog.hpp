@@ -43,29 +43,6 @@
 
 namespace pimlib::check {
 
-struct WatchdogConfig {
-    /// Sim-time between watchdog ticks (delivery accounting runs on every
-    /// tick — gap deadlines need this resolution).
-    sim::Time interval = 100 * sim::kMillisecond;
-    /// Structural (iif-rpf / stale-entry) sweeps advance only on every Nth
-    /// tick: entries change on protocol timescales, not per-packet, and the
-    /// two-sweep confirmation already tolerates the extra latency.
-    std::size_t entry_sweep_every = 4;
-    /// Forwarding entries examined per structural tick across all routers.
-    std::size_t entry_budget = 2048;
-    /// How long a missing sequence number may stay missing before it
-    /// counts as lost (reordering and in-flight switchover need slack).
-    sim::Time gap_grace = 300 * sim::kMillisecond;
-    /// Per-host (source,seq) duplicate bound — same constant the offline
-    /// duplicate-bound oracle uses.
-    std::size_t duplicate_bound = 6;
-    /// Slack past ForwardingEntry::delete_at before a leak is flagged.
-    sim::Time stale_slack = 250 * sim::kMillisecond;
-    /// Full flight-recorder JSON attached to at most this many violations
-    /// (the drop summary is attached to all of them).
-    std::size_t max_postmortems = 3;
-};
-
 struct WatchdogViolation {
     sim::Time at = 0;
     std::string watchdog; // "lan-delivery", "iif-rpf", "stale-entry"
@@ -73,7 +50,7 @@ struct WatchdogViolation {
     std::string group;
     std::string detail;
     /// Provenance post-mortem: one-line per-router drop aggregate, and the
-    /// merged flight-recorder JSON for the first max_postmortems findings.
+    /// merged flight-recorder JSON for the first few findings.
     std::string postmortem_summary;
     std::string postmortem_json;
 };
@@ -83,8 +60,7 @@ public:
     using CacheResolver =
         std::function<const mcast::ForwardingCache*(const topo::Router&)>;
 
-    Watchdog(topo::Network& network, CacheResolver resolver,
-             WatchdogConfig config = {});
+    Watchdog(topo::Network& network, CacheResolver resolver);
     ~Watchdog();
 
     Watchdog(const Watchdog&) = delete;
@@ -128,7 +104,6 @@ private:
 
     topo::Network* network_;
     CacheResolver resolver_;
-    WatchdogConfig config_;
     const provenance::Recorder* recorder_ = nullptr;
     bool loss_expected_ = false;
 

@@ -10,15 +10,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <span>
+#include <vector>
 
-#include "igmp/router_agent.hpp"
-#include "mcast/forwarding_cache.hpp"
-#include "sim/simulator.hpp"
-#include "topo/router.hpp"
+#include "mcast/flood_prune.hpp"
 
 namespace pimlib::dvmrp {
 
@@ -52,54 +48,31 @@ struct GraftMsg {
 
 [[nodiscard]] std::optional<Code> peek_code(std::span<const std::uint8_t> bytes);
 
-struct DvmrpConfig {
-    sim::Time prune_lifetime = 120 * sim::kSecond;
-    sim::Time probe_interval = 10 * sim::kSecond;
-    sim::Time neighbor_holdtime = 35 * sim::kSecond;
-    sim::Time entry_lifetime = 120 * sim::kSecond;
-
-    [[nodiscard]] DvmrpConfig scaled(double factor) const;
+/// DVMRP's timers: a Probe every 10 s, neighbors held 35 s, prunes and
+/// idle entries kept 120 s.
+inline constexpr mcast::FloodPruneConfig kDvmrpConfig{
+    .hello_interval = 10 * sim::kSecond,
+    .neighbor_holdtime = 35 * sim::kSecond,
+    .prune_lifetime = 120 * sim::kSecond,
+    .entry_lifetime = 120 * sim::kSecond,
 };
 
-class DvmrpRouter final : public mcast::DataPlane::Delegate {
+/// The flood-and-prune state machine is mcast::FloodPrune; this class is
+/// its DVMRP wire: Probe hellos, Prunes and Grafts.
+class DvmrpRouter final : public mcast::FloodPrune {
 public:
-    DvmrpRouter(topo::Router& router, igmp::RouterAgent& igmp, DvmrpConfig config = {});
-
-    DvmrpRouter(const DvmrpRouter&) = delete;
-    DvmrpRouter& operator=(const DvmrpRouter&) = delete;
-
-    [[nodiscard]] mcast::ForwardingCache& cache() { return cache_; }
-    [[nodiscard]] std::vector<net::Ipv4Address> neighbors_on(int ifindex) const;
-
-    void on_no_entry(int ifindex, const net::Packet& packet) override;
-    void on_no_downstream(mcast::ForwardingEntry& entry, int ifindex,
-                          const net::Packet& packet) override;
+    DvmrpRouter(topo::Router& router, igmp::RouterAgent& igmp,
+                mcast::FloodPruneConfig config = kDvmrpConfig);
 
 private:
-    using SgKey = std::pair<net::Ipv4Address, net::GroupAddress>;
-
+    /// Applies a Probe, Prune or Graft; a prune lasts the lifetime it carries.
     void on_message(int ifindex, const net::Packet& packet);
-    void on_membership(int ifindex, net::GroupAddress group, bool present);
-    void on_tick();
-    void send_probes();
-    mcast::ForwardingEntry* build_entry(net::Ipv4Address source, net::GroupAddress group);
-    void send_prune_upstream(const mcast::ForwardingEntry& entry);
-    void send_graft_upstream(const mcast::ForwardingEntry& entry);
-    [[nodiscard]] bool floods_to(int ifindex, net::GroupAddress group) const;
 
-    topo::Router* router_;
-    igmp::RouterAgent* igmp_;
-    DvmrpConfig config_;
-    mcast::ForwardingCache cache_;
-    mcast::DataPlane data_plane_;
-
-    std::map<int, std::map<net::Ipv4Address, sim::Time>> neighbors_;
-    std::map<std::pair<SgKey, int>, sim::Time> prunes_;
-    std::set<SgKey> pruned_upstream_;
-    std::map<SgKey, sim::Time> last_prune_sent_;
-
-    sim::PeriodicTimer probe_timer_;
-    sim::PeriodicTimer tick_timer_;
+    [[nodiscard]] std::vector<std::uint8_t> hello_payload() const override;
+    [[nodiscard]] std::vector<std::uint8_t> prune_payload(
+        const mcast::ForwardingEntry& entry) const override;
+    [[nodiscard]] std::vector<std::uint8_t> graft_payload(
+        const mcast::ForwardingEntry& entry) const override;
 };
 
 } // namespace pimlib::dvmrp

@@ -67,6 +67,11 @@ void StackBase::wire_faults(fault::FaultInjector& injector) {
 telemetry::MribSnapshot StackBase::capture_mrib() {
     telemetry::MribSnapshot out;
     out.at = network_->simulator().now();
+    for (const auto& router : network_->routers()) {
+        if (const mcast::ForwardingCache* cache = cache_of(*router)) {
+            out.routers.push_back(cache->snapshot(router->name(), out.at));
+        }
+    }
     return out;
 }
 
@@ -154,15 +159,6 @@ void PimSmStack::wire_faults(fault::FaultInjector& injector) {
     }
 }
 
-telemetry::MribSnapshot PimSmStack::capture_mrib() {
-    telemetry::MribSnapshot out = StackBase::capture_mrib();
-    for (const auto& router : network_->routers()) {
-        out.routers.push_back(
-            pim_.at(router.get())->cache().snapshot(router->name(), out.at));
-    }
-    return out;
-}
-
 PimDmStack::PimDmStack(topo::Network& network, StackConfig config)
     : StackBase(network, config) {
     for (const auto& router : network.routers()) {
@@ -171,30 +167,12 @@ PimDmStack::PimDmStack(topo::Network& network, StackConfig config)
     }
 }
 
-telemetry::MribSnapshot PimDmStack::capture_mrib() {
-    telemetry::MribSnapshot out = StackBase::capture_mrib();
-    for (const auto& router : network_->routers()) {
-        out.routers.push_back(
-            pim_.at(router.get())->cache().snapshot(router->name(), out.at));
-    }
-    return out;
-}
-
 DvmrpStack::DvmrpStack(topo::Network& network, StackConfig config)
     : StackBase(network, config) {
     for (const auto& router : network.routers()) {
         dvmrp_.emplace(router.get(), std::make_unique<dvmrp::DvmrpRouter>(
                                          *router, igmp_at(*router), config_.dvmrp));
     }
-}
-
-telemetry::MribSnapshot DvmrpStack::capture_mrib() {
-    telemetry::MribSnapshot out = StackBase::capture_mrib();
-    for (const auto& router : network_->routers()) {
-        out.routers.push_back(
-            dvmrp_.at(router.get())->cache().snapshot(router->name(), out.at));
-    }
-    return out;
 }
 
 CbtStack::CbtStack(topo::Network& network, StackConfig config)
@@ -286,15 +264,6 @@ MospfStack::MospfStack(topo::Network& network, StackConfig config)
         mospf_.emplace(router.get(), std::make_unique<mospf::MospfRouter>(
                                          *router, igmp_at(*router), config_.mospf));
     }
-}
-
-telemetry::MribSnapshot MospfStack::capture_mrib() {
-    telemetry::MribSnapshot out = StackBase::capture_mrib();
-    for (const auto& router : network_->routers()) {
-        out.routers.push_back(
-            mospf_.at(router.get())->cache().snapshot(router->name(), out.at));
-    }
-    return out;
 }
 
 } // namespace pimlib::scenario

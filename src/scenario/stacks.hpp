@@ -31,8 +31,8 @@ struct StackConfig {
     double time_scale = 1.0;
     pim::PimConfig pim{};
     pim::BootstrapConfig bootstrap{};
-    pim::PimDmConfig pim_dm{};
-    dvmrp::DvmrpConfig dvmrp{};
+    mcast::FloodPruneConfig pim_dm = pim::kPimDmConfig;
+    mcast::FloodPruneConfig dvmrp = dvmrp::kDvmrpConfig;
     cbt::CbtConfig cbt{};
     mospf::MospfConfig mospf{};
     igmp::RouterConfig igmp{};
@@ -65,10 +65,11 @@ public:
     virtual void wire_faults(fault::FaultInjector& injector);
 
     /// Captures every router's multicast forwarding state (the MRIB) as one
-    /// diffable telemetry snapshot, stamped with the current sim-time. The
-    /// base captures nothing (no routing protocol); each stack overrides it
-    /// via its protocol agents, so all five protocols export through the
-    /// same shape. Pair with network().telemetry().store_snapshot().
+    /// diffable telemetry snapshot, stamped with the current sim-time: each
+    /// cache_of() cache's snapshot, in router order; a router without a
+    /// cache contributes nothing. CBT overrides it to synthesize the same
+    /// shape from its tree state, so all five protocols export alike. Pair
+    /// with network().telemetry().store_snapshot().
     [[nodiscard]] virtual telemetry::MribSnapshot capture_mrib();
 
     /// The router's live multicast forwarding cache, or nullptr for stacks
@@ -123,7 +124,6 @@ public:
                           std::uint8_t priority);
 
     void wire_faults(fault::FaultInjector& injector) override;
-    [[nodiscard]] telemetry::MribSnapshot capture_mrib() override;
     [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) override;
 
 private:
@@ -138,7 +138,6 @@ public:
     [[nodiscard]] pim::PimDmRouter& pim_at(const topo::Router& router) {
         return *pim_.at(&router);
     }
-    [[nodiscard]] telemetry::MribSnapshot capture_mrib() override;
     [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) override;
 
 private:
@@ -152,7 +151,6 @@ public:
     [[nodiscard]] dvmrp::DvmrpRouter& dvmrp_at(const topo::Router& router) {
         return *dvmrp_.at(&router);
     }
-    [[nodiscard]] telemetry::MribSnapshot capture_mrib() override;
     [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) override;
 
 private:
@@ -226,7 +224,6 @@ public:
     [[nodiscard]] mospf::MospfRouter& mospf_at(const topo::Router& router) {
         return *mospf_.at(&router);
     }
-    [[nodiscard]] telemetry::MribSnapshot capture_mrib() override;
     [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) override;
 
 private:

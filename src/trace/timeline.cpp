@@ -65,6 +65,10 @@ FlowRole flow_role(EventType type) {
     }
 }
 
+/// Nominal width of instant decisions: wide enough to click in Perfetto,
+/// narrow against protocol timescales (ms..s).
+constexpr long long kSliceDuration = 10; // µs
+
 struct PendingFlow {
     sim::Time ts = 0;
     int tid = 0;
@@ -73,13 +77,10 @@ struct PendingFlow {
 } // namespace
 
 std::string chrome_timeline_json(const telemetry::Hub& hub,
-                                 const provenance::Recorder* recorder,
-                                 TimelineConfig config) {
+                                 const provenance::Recorder* recorder) {
     const auto& events = hub.events().events();
     std::vector<provenance::HopRecord> hops;
-    if (recorder != nullptr && config.include_provenance) {
-        hops = recorder->all_records();
-    }
+    if (recorder != nullptr) hops = recorder->all_records();
 
     // Track assignment: one tid per node name, alphabetical so the Perfetto
     // track order is stable across runs.
@@ -107,7 +108,6 @@ std::string chrome_timeline_json(const telemetry::Hub& hub,
                    tid, json_escape(name).c_str()));
     }
 
-    const auto dur = static_cast<long long>(config.slice_duration);
     std::uint64_t next_flow = 1;
     std::map<std::pair<std::string, std::string>, std::deque<PendingFlow>> pending;
 
@@ -128,7 +128,7 @@ std::string chrome_timeline_json(const telemetry::Hub& hub,
         }
         em.add(fmt("{\"name\":\"%s\",\"cat\":\"control\",\"ph\":\"X\",\"ts\":%lld,"
                    "\"dur\":%lld,\"pid\":1,\"tid\":%d,\"args\":{%s}}",
-                   telemetry::to_string(e.type), ts, dur, tid, args.c_str()));
+                   telemetry::to_string(e.type), ts, kSliceDuration, tid, args.c_str()));
 
         const FlowRole role = flow_role(e.type);
         if (role.kind == nullptr) continue;
@@ -205,7 +205,7 @@ std::string chrome_timeline_json(const telemetry::Hub& hub,
                    "\"dur\":%lld,\"pid\":1,\"tid\":%d,\"args\":{"
                    "\"pid\":\"%016" PRIx64 "\",\"src\":\"%s\",\"group\":\"%s\","
                    "\"seq\":%" PRIu64 ",\"iif\":%d,\"ttl\":%u,\"oifs\":%u}}",
-                   json_escape(name).c_str(), ts, dur, tid, h.pid,
+                   json_escape(name).c_str(), ts, kSliceDuration, tid, h.pid,
                    h.src.to_string().c_str(), h.group.to_string().c_str(), h.seq,
                    static_cast<int>(h.iif), static_cast<unsigned>(h.ttl),
                    static_cast<unsigned>(h.oif_count)));
@@ -228,8 +228,7 @@ std::string chrome_timeline_json(const telemetry::Hub& hub,
     // so these slices live on their own process, rebased to the earliest
     // retained record and scaled to Chrome's microsecond `ts`. Nesting is
     // well-formed per thread because the records come from a stack.
-    std::vector<prof::TraceSlice> slices;
-    if (config.include_profile) slices = prof::trace_slices();
+    const std::vector<prof::TraceSlice> slices = prof::trace_slices();
     if (!slices.empty()) {
         em.add(fmt("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":3,\"tid\":0,"
                    "\"args\":{\"name\":\"cpu profile (host time)\"}}"));

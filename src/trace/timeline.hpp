@@ -23,30 +23,19 @@
 #include <string>
 
 #include "provenance/provenance.hpp"
-#include "sim/simulator.hpp"
 #include "telemetry/hub.hpp"
 
 namespace pimlib::trace {
 
-struct TimelineConfig {
-    /// Nominal width of instant decisions: wide enough to click in
-    /// Perfetto, narrow against protocol timescales (ms..s).
-    sim::Time slice_duration = 10; // µs
-    /// Include data-plane hop slices from the provenance recorder (bounded
-    /// by its ring capacity per node).
-    bool include_provenance = true;
-    /// Include CPU profiler zone slices (pid 3) when the profiler holds
-    /// records. Profiler timestamps are host nanoseconds, not sim-time, so
-    /// they render on their own process track with a timebase starting at
-    /// the earliest retained record; each slice's sim-time is in args.
-    bool include_profile = true;
-};
-
 /// Builds the Chrome trace-event JSON ({"traceEvents":[...]}) from the
-/// hub's event log + spans and, optionally, the attached flight recorder.
-/// Pure function of its inputs — call at end of run (or any checkpoint).
+/// hub's event log + spans, the data-plane hop slices of `recorder` when it
+/// is not null (bounded by its ring capacity per node), and the CPU
+/// profiler's zone slices (pid 3) when the profiler holds records.
+/// Profiler timestamps are host nanoseconds, not sim-time, so they render
+/// on their own process track with a timebase starting at the earliest
+/// retained record; each slice's sim-time is in args. Pure function of its
+/// inputs — call at end of run (or any checkpoint).
 [[nodiscard]] std::string chrome_timeline_json(const telemetry::Hub& hub,
-                                               const provenance::Recorder* recorder,
-                                               TimelineConfig config = {});
+                                               const provenance::Recorder* recorder);
 
 } // namespace pimlib::trace

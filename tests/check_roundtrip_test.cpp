@@ -201,7 +201,7 @@ TEST(PimsimScripts, EveryExampleAndCheckerScenarioRuns) {
         std::ifstream file(entry.path());
         scripts.emplace_back(std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>());
     }
-    EXPECT_EQ(scripts.size(), 10u);
+    EXPECT_EQ(scripts.size(), 11u);
     for (const std::string& name : pimlib::check::scenario_names()) {
         scripts.emplace_back(pimlib::check::scenario_script(name));
     }
