@@ -501,7 +501,7 @@ void CbtRouter::on_multicast_data(int ifindex, const net::Packet& packet) {
     encap.inner_src = packet.src;
     encap.inner_ttl = packet.ttl;
     encap.inner_seq = packet.seq;
-    encap.inner_payload = packet.payload;
+    encap.inner_payload.assign(packet.payload.begin(), packet.payload.end());
     net::Packet out;
     out.dst = *core;
     out.proto = net::IpProto::kUdp; // accounted as data on every link crossed

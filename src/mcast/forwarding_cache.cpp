@@ -268,7 +268,6 @@ void DataPlane::on_multicast_data(int ifindex, const net::Packet& packet) {
     const net::Ipv4Address source = packet.src;
 
     ForwardingEntry* sg = cache_->find_sg(source, group);
-    ForwardingEntry* wc = cache_->find_wc(group);
 
     if (sg != nullptr) {
         sg->note_data(router_->simulator().now());
@@ -307,6 +306,7 @@ void DataPlane::on_multicast_data(int ifindex, const net::Packet& packet) {
         }
         // First exception: fall back to the (*,G) entry while the SPT
         // branch is still being built.
+        ForwardingEntry* wc = cache_->find_wc(group);
         if (wc != nullptr && ifindex == wc->iif()) {
             forward_recorded(*wc, ifindex, packet,
                              provenance::EntryKind::kSgFallbackWc);
@@ -322,7 +322,9 @@ void DataPlane::on_multicast_data(int ifindex, const net::Packet& packet) {
         return;
     }
 
-    if (wc != nullptr) {
+    // No (S,G) entry: the (*,G) entry decides. It is looked up only here
+    // and in the first exception, never on the SPT fast path.
+    if (ForwardingEntry* wc = cache_->find_wc(group); wc != nullptr) {
         if (ifindex == wc->iif()) {
             forward_recorded(*wc, ifindex, packet,
                              provenance::EntryKind::kWildcard);

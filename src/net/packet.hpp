@@ -1,13 +1,15 @@
 // Network-layer packets and link-layer frames as exchanged over simulated
-// segments. Payloads are opaque byte vectors produced by the per-protocol
-// codecs (see pim/messages.hpp etc.).
+// segments. Payloads are the immutable, shared wire bytes the per-protocol
+// codecs produce (see net/payload.hpp and pim/messages.hpp etc.), so copying
+// a packet copies only its header fields.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "net/ipv4.hpp"
+#include "net/payload.hpp"
 
 namespace pimlib::net {
 
@@ -23,13 +25,14 @@ enum class IpProto : std::uint8_t {
     kRip = 200,       // distance-vector unicast routing (private number)
 };
 
-/// A network-layer packet. `payload` is already-encoded wire bytes.
+/// A network-layer packet. `payload` is already-encoded wire bytes, shared
+/// by every copy of the packet; the other fields are per copy.
 struct Packet {
     Ipv4Address src;
     Ipv4Address dst;
     IpProto proto = IpProto::kUdp;
     std::uint8_t ttl = 64;
-    std::vector<std::uint8_t> payload;
+    Payload payload;
 
     /// Sequence number stamped by traffic sources so receivers can detect
     /// loss/duplication in tests; 0 for control traffic.

@@ -255,7 +255,7 @@ void BootstrapAgent::originate_bootstrap() {
 
 void BootstrapAgent::flood(const Bootstrap& msg, int except_ifindex) {
     topo::Router& router = pim_->router();
-    const std::vector<std::uint8_t> payload = msg.encode();
+    const net::Payload payload = msg.encode(); // one block, shared by every copy
     for (const auto& iface : router.interfaces()) {
         if (!iface.up || iface.segment == nullptr) continue;
         if (iface.ifindex == except_ifindex) continue;

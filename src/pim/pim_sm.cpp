@@ -445,7 +445,7 @@ void PimSmRouter::maybe_register(int ifindex, const net::Packet& packet,
             reg.inner_src = packet.src;
             reg.inner_ttl = packet.ttl;
             reg.inner_seq = packet.seq;
-            reg.inner_payload = packet.payload;
+            reg.inner_payload.assign(packet.payload.begin(), packet.payload.end());
             net::Packet self;
             self.src = router_->router_id();
             self.dst = router_->router_id();
@@ -462,7 +462,7 @@ void PimSmRouter::send_register(const net::Packet& data, net::Ipv4Address rp) {
     reg.inner_src = data.src;
     reg.inner_ttl = data.ttl;
     reg.inner_seq = data.seq;
-    reg.inner_payload = data.payload;
+    reg.inner_payload.assign(data.payload.begin(), data.payload.end());
     net::Packet packet;
     packet.dst = rp;
     packet.proto = net::IpProto::kIgmp;

@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "provenance/provenance.hpp"
+#include "telemetry/profiler/profiler.hpp"
 #include "topo/network.hpp"
 
 namespace pimlib::topo {
@@ -25,6 +26,7 @@ Host::Host(Network& network, std::string name, int id)
     : Node(network, std::move(name), id) {}
 
 void Host::receive(int ifindex, const net::Packet& packet) {
+    PROF_ZONE("host.receive");
     if (packet.proto == net::IpProto::kUdp && packet.dst.is_multicast() &&
         !packet.dst.is_link_local_multicast()) {
         const net::GroupAddress group{packet.dst};

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "provenance/provenance.hpp"
+#include "sim/arena.hpp"
 #include "sim/simulator.hpp"
 #include "stats/counters.hpp"
 #include "telemetry/hub.hpp"
@@ -154,6 +155,7 @@ private:
     net::Prefix next_segment_prefix();
 
     friend class TopologyBatch;
+    friend class Segment; // takes and returns delivery slots
 
     sim::Simulator sim_;
     // Declaration order matters: the hub is bound to sim_, and stats_ writes
@@ -174,6 +176,9 @@ private:
     int next_node_id_ = 0;
     int next_router_number_ = 1;
     std::uint64_t seed_ = 0;
+    // Frames in flight on every segment. Deliveries still pending when the
+    // network is torn down are destroyed with the arena.
+    sim::Arena<PendingDelivery> deliveries_;
 };
 
 } // namespace pimlib::topo

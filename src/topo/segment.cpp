@@ -1,6 +1,7 @@
 #include "topo/segment.hpp"
 
 #include "provenance/provenance.hpp"
+#include "telemetry/profiler/profiler.hpp"
 #include "topo/network.hpp"
 #include "topo/node.hpp"
 
@@ -104,14 +105,22 @@ void Segment::transmit(const Node& sender, const net::Frame& frame) {
 }
 
 void Segment::deliver(const Attachment& to, const net::Packet& packet) {
-    Node* node = to.node;
-    const int ifindex = to.ifindex;
-    net::Packet copy = packet;
-    network_->simulator().schedule(delay_, [this, node, ifindex, copy = std::move(copy)] {
-        if (!up_) return;
-        if (!node->interface(ifindex).up) return;
-        node->receive(ifindex, copy);
-    });
+    PendingDelivery* slot =
+        network_->deliveries_.create(PendingDelivery{to.node, to.ifindex, packet});
+    network_->simulator().schedule(delay_, [this, slot] { land(slot); });
+}
+
+void Segment::land(PendingDelivery* slot) {
+    PROF_ZONE("topo.deliver");
+    Node* node = slot->node;
+    const int ifindex = slot->ifindex;
+    const net::Packet packet = std::move(slot->packet);
+    // Free the slot before receive() runs, so a forward from inside it can
+    // reuse the slot.
+    network_->deliveries_.destroy(slot);
+    if (!up_) return;
+    if (!node->interface(ifindex).up) return;
+    node->receive(ifindex, packet);
 }
 
 } // namespace pimlib::topo

@@ -18,6 +18,17 @@ namespace pimlib::topo {
 class Network;
 class Node;
 
+/// One frame in flight to one attachment: what a delivery event hands to
+/// the receiving node. Lives in a recycled slot of the network's arena from
+/// transmit until the event fires, so scheduling a delivery allocates
+/// nothing (the event's closure is two pointers, which std::function keeps
+/// inline).
+struct PendingDelivery {
+    Node* node;
+    int ifindex;
+    net::Packet packet;
+};
+
 class Segment {
 public:
     Segment(Network& network, int id, net::Prefix prefix, sim::Time delay, int metric);
@@ -66,6 +77,10 @@ private:
     friend class Node; // Node::attach registers the attachment
     void add_attachment(Node& node, int ifindex);
     void deliver(const Attachment& to, const net::Packet& packet);
+    /// The delivery event's body: takes the packet out of `slot`, returns
+    /// the slot to the arena, then hands the packet to the node if the
+    /// segment and the interface are still up.
+    void land(PendingDelivery* slot);
 
     Network* network_;
     int id_;

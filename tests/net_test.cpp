@@ -1,11 +1,17 @@
-// Unit tests for net: addresses, prefixes, wire-format buffers.
+// Unit tests for net: addresses, prefixes, wire-format buffers, shared
+// packet payloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <random>
+#include <vector>
 
+#include "alloc_count.hpp"
 #include "net/buffer.hpp"
 #include "net/ipv4.hpp"
 #include "net/packet.hpp"
+#include "net/payload.hpp"
 
 namespace pimlib::net {
 namespace {
@@ -158,6 +164,66 @@ TEST(Packet, Describe) {
     EXPECT_NE(d.find("10.0.0.1"), std::string::npos);
     EXPECT_NE(d.find("224.1.1.1"), std::string::npos);
     EXPECT_NE(d.find("seq=3"), std::string::npos);
+}
+
+TEST(Payload, EmptyAllocatesNothing) {
+    const std::uint64_t before = test::g_alloc_count.load();
+    Payload p;
+    Payload copy = p;
+    p = std::vector<std::uint8_t>{};
+    copy.assign(0, 0xAB);
+    EXPECT_EQ(test::g_alloc_count.load(), before);
+    EXPECT_TRUE(p.empty());
+    EXPECT_TRUE(copy.empty());
+    EXPECT_EQ(p.size(), 0u);
+    EXPECT_EQ(p.begin(), p.end());
+    EXPECT_TRUE(p.span().empty());
+}
+
+TEST(Payload, CopySharesBytesAndOutlivesOriginal) {
+    auto original = std::make_unique<Payload>(std::vector<std::uint8_t>{1, 2, 3, 4});
+    const std::uint64_t before = test::g_alloc_count.load();
+    Payload copy = *original;
+    Packet packet;
+    packet.payload = copy;
+    EXPECT_EQ(test::g_alloc_count.load(), before); // copies only bump a count
+    EXPECT_EQ(copy.span().data(), original->span().data());
+    EXPECT_EQ(packet.payload.span().data(), original->span().data());
+    original.reset();
+    EXPECT_EQ(copy, (Payload{1, 2, 3, 4}));
+    EXPECT_EQ(packet.payload[3], 4);
+}
+
+TEST(Payload, AssignFillsLikeVector) {
+    Payload p{9, 9};
+    const Payload kept = p;
+    p.assign(5, 0xAB);
+    const std::vector<std::uint8_t> expected(5, 0xAB);
+    EXPECT_EQ(p.size(), 5u);
+    EXPECT_EQ(p.front(), 0xAB);
+    EXPECT_TRUE(std::equal(p.begin(), p.end(), expected.begin(), expected.end()));
+    EXPECT_EQ(kept, (Payload{9, 9})); // assign never writes through to a copy
+}
+
+TEST(Payload, ComparesByBytes) {
+    const Payload a = std::vector<std::uint8_t>{7, 8, 9};
+    const Payload b{7, 8, 9};
+    EXPECT_NE(a.span().data(), b.span().data());
+    EXPECT_EQ(a, b);
+    EXPECT_NE(a, (Payload{7, 8}));
+    EXPECT_NE(a, (Payload{7, 8, 0}));
+    EXPECT_EQ(Payload{}, Payload(std::vector<std::uint8_t>{}));
+}
+
+TEST(Payload, DecodesThroughItsSpan) {
+    BufWriter w;
+    w.put_u16(0xBEEF);
+    w.put_addr(Ipv4Address(10, 1, 2, 3));
+    const Payload p = w.take();
+    BufReader r(p);
+    EXPECT_EQ(r.get_u16(), 0xBEEF);
+    EXPECT_EQ(r.get_addr(), Ipv4Address(10, 1, 2, 3));
+    EXPECT_TRUE(r.at_end());
 }
 
 } // namespace

@@ -536,15 +536,16 @@ TEST_F(PimEdgeTest, HandlersSurviveGarbageControlTraffic) {
                                     : net::Ipv4Address(224, 0, 0, 1);
         packet.proto = protos[proto_pick(rng)];
         packet.ttl = 1;
-        packet.payload.resize(static_cast<std::size_t>(len(rng)));
-        for (auto& b : packet.payload) b = static_cast<std::uint8_t>(byte(rng));
+        std::vector<std::uint8_t> bytes(static_cast<std::size_t>(len(rng)));
+        for (auto& b : bytes) b = static_cast<std::uint8_t>(byte(rng));
         // Bias half the trials toward plausible PIM headers, cycling through
         // all eight code values (the retired 2 included), so every decoder
         // and handler gets exercised.
-        if (trial % 2 == 0 && packet.payload.size() >= 2) {
-            packet.payload[0] = 0x14;
-            packet.payload[1] = static_cast<std::uint8_t>((trial / 2) % 8);
+        if (trial % 2 == 0 && bytes.size() >= 2) {
+            bytes[0] = 0x14;
+            bytes[1] = static_cast<std::uint8_t>((trial / 2) % 8);
         }
+        packet.payload = bytes; // payloads are immutable: build, then assign
         topo_.b->receive(trial % topo_.b->interface_count(), packet);
     }
     topo_.net.run_for(200 * sim::kMillisecond);

@@ -1,7 +1,9 @@
 // Topology substrate tests: segments, frame delivery semantics, unicast
-// forwarding, TTL, link failure, address plan.
+// forwarding, TTL, link failure, address plan, and the zero-copy,
+// allocation-free multicast data path.
 #include <gtest/gtest.h>
 
+#include "alloc_count.hpp"
 #include "test_util.hpp"
 #include "topo/network.hpp"
 #include "topo/segment.hpp"
@@ -244,6 +246,95 @@ TEST(Stats, FlowAndPacketAccounting) {
     EXPECT_EQ(net.stats().total_data_packets(), 4u);
     net.stats().reset_data_counters();
     EXPECT_EQ(net.stats().total_data_packets(), 0u);
+}
+
+// A source host, one PIM-DM router, and a LAN of four member hosts. After
+// warm-up every forwarding decision, segment delivery and host receive is
+// allocation-free: a batch of K packets allocates one payload per packet
+// sent, plus the amortized growth of each member's received_ log.
+TEST(DataPath, SteadyStateAllocatesOnePayloadPerPacket) {
+    topo::Network net;
+    auto& r = net.add_router("r");
+    auto& src_lan = net.add_lan({&r});
+    auto& source = net.add_host("source", src_lan);
+    auto& dst_lan = net.add_lan({&r});
+    std::vector<topo::Host*> members;
+    for (int i = 0; i < 4; ++i) {
+        members.push_back(&net.add_host("m" + std::to_string(i), dst_lan));
+    }
+    unicast::OracleRouting routing(net);
+    scenario::PimDmStack stack(net, fast_config());
+    for (topo::Host* m : members) stack.host_agent(*m).join(kGroup);
+    net.run_for(50 * sim::kMillisecond);
+
+    // 1000 packets 5 us apart: 5 ms, well inside the 100 ms IGMP query and
+    // 300 ms hello periods. The warm-up batch grows every pool the counted
+    // batch reuses (timer wheel, delivery slots, received_ logs).
+    constexpr int kPackets = 1000;
+    const sim::Time spacing = 5 * sim::kMicrosecond;
+    const sim::Time batch = kPackets * spacing + sim::kMillisecond;
+    source.send_stream(kGroup, kPackets, spacing);
+    net.run_for(batch);
+    ASSERT_EQ(members[0]->received_count(kGroup), std::size_t{kPackets});
+
+    const std::uint64_t control_before = net.stats().total_control_messages();
+    source.send_stream(kGroup, kPackets, spacing);
+    const std::uint64_t allocs_before = g_alloc_count.load();
+    net.run_for(batch);
+    const std::uint64_t allocs = g_alloc_count.load() - allocs_before;
+
+    // No control timer fired inside the counted window.
+    EXPECT_EQ(net.stats().total_control_messages(), control_before);
+    for (topo::Host* m : members) {
+        EXPECT_EQ(m->received_count(kGroup), std::size_t{2 * kPackets});
+        EXPECT_EQ(m->duplicate_count(), 0u);
+    }
+    EXPECT_LE(allocs, std::uint64_t{kPackets + 64});
+}
+
+// Over two router hops every transmission of one packet carries the same
+// payload bytes (one block, shared), while the per-copy header moves on:
+// ttl drops by one per router and the provenance id stays put.
+TEST(DataPath, ReplicasShareOnePayloadAcrossHops) {
+    topo::Network net;
+    auto& r1 = net.add_router("r1");
+    auto& r2 = net.add_router("r2");
+    auto& src_lan = net.add_lan({&r1});
+    auto& source = net.add_host("source", src_lan);
+    net.add_link(r1, r2);
+    auto& dst_lan = net.add_lan({&r2});
+    auto& member = net.add_host("member", dst_lan);
+    unicast::OracleRouting routing(net);
+    scenario::PimDmStack stack(net, fast_config());
+    stack.host_agent(member).join(kGroup);
+    net.run_for(50 * sim::kMillisecond);
+
+    struct Seen {
+        int segment;
+        const std::uint8_t* bytes;
+        std::uint8_t ttl;
+        std::uint64_t pid;
+    };
+    std::vector<Seen> seen;
+    net.add_packet_tap([&](const topo::Segment& segment, const net::Frame& frame) {
+        if (frame.packet.proto != net::IpProto::kUdp) return;
+        seen.push_back(Seen{segment.id(), frame.packet.payload.span().data(),
+                            frame.packet.ttl, frame.packet.pid});
+    });
+    source.send_data(kGroup, 1400);
+    net.run_for(10 * sim::kMillisecond);
+
+    ASSERT_EQ(member.received_count(kGroup), 1u);
+    ASSERT_EQ(seen.size(), 3u); // source LAN, r1-r2 link, member LAN
+    EXPECT_EQ(seen[0].segment, src_lan.id());
+    EXPECT_EQ(seen[2].segment, dst_lan.id());
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_NE(seen[i].bytes, nullptr);
+        EXPECT_EQ(seen[i].bytes, seen[0].bytes);
+        EXPECT_EQ(seen[i].pid, seen[0].pid);
+        EXPECT_EQ(seen[i].ttl, 64 - i);
+    }
+    EXPECT_NE(seen[0].pid, 0u);
 }
 
 } // namespace
