@@ -212,17 +212,12 @@ void CbtRouter::start_join(net::GroupAddress group) {
 void CbtRouter::send_join_request(net::GroupAddress group, TreeState& state) {
     auto route = router_->route_to(state.core);
     if (!route || route->next_hop.is_unspecified()) return;
-    net::Packet packet;
-    packet.src = router_->interface(route->ifindex).address;
-    packet.dst = route->next_hop; // hop-by-hop: processed at each CBT router
-    packet.proto = net::IpProto::kCbt;
-    packet.ttl = 1;
-    packet.payload = JoinRequest{group.address(), state.core}.encode();
-    router_->network().stats().count_control_message("cbt");
     router_->network().telemetry().emit(telemetry::EventType::kJoinSent,
                                         router_->name(), "cbt", group.to_string(),
                                         "core=" + state.core.to_string());
-    router_->send(route->ifindex, net::Frame{route->next_hop, std::move(packet)});
+    // Hop-by-hop: processed at each CBT router.
+    router_->send_control(route->ifindex, route->next_hop, net::IpProto::kCbt, "cbt",
+                          JoinRequest{group.address(), state.core}.encode());
 }
 
 void CbtRouter::ack_pending_children(net::GroupAddress group, TreeState& state) {
@@ -230,14 +225,8 @@ void CbtRouter::ack_pending_children(net::GroupAddress group, TreeState& state) 
     for (const auto& [ifindex, addr] : state.pending_children) {
         state.children[ifindex].insert(addr);
         state.child_expiry[addr] = now + config_.child_timeout;
-        net::Packet packet;
-        packet.src = router_->interface(ifindex).address;
-        packet.dst = addr;
-        packet.proto = net::IpProto::kCbt;
-        packet.ttl = 1;
-        packet.payload = JoinAck{group.address(), state.core}.encode();
-        router_->network().stats().count_control_message("cbt");
-        router_->send(ifindex, net::Frame{addr, std::move(packet)});
+        router_->send_control(ifindex, addr, net::IpProto::kCbt, "cbt",
+                              JoinAck{group.address(), state.core}.encode());
     }
     state.pending_children.clear();
 }
@@ -302,14 +291,8 @@ void CbtRouter::on_control(int ifindex, const net::Packet& packet) {
         auto it = trees_.find(group);
         if (it == trees_.end()) return;
         it->second.child_expiry[packet.src] = now + config_.child_timeout;
-        net::Packet reply;
-        reply.src = router_->interface(ifindex).address;
-        reply.dst = packet.src;
-        reply.proto = net::IpProto::kCbt;
-        reply.ttl = 1;
-        reply.payload = GroupOnly{Code::kEchoReply, msg->group}.encode();
-        router_->network().stats().count_control_message("cbt");
-        router_->send(ifindex, net::Frame{packet.src, std::move(reply)});
+        router_->send_control(ifindex, packet.src, net::IpProto::kCbt, "cbt",
+                              GroupOnly{Code::kEchoReply, msg->group}.encode());
         break;
     }
     case Code::kEchoReply: {
@@ -335,14 +318,8 @@ void CbtRouter::on_control(int ifindex, const net::Packet& packet) {
 void CbtRouter::flush_subtree(net::GroupAddress group, TreeState& state) {
     for (const auto& [ifindex, addrs] : state.children) {
         for (net::Ipv4Address addr : addrs) {
-            net::Packet packet;
-            packet.src = router_->interface(ifindex).address;
-            packet.dst = addr;
-            packet.proto = net::IpProto::kCbt;
-            packet.ttl = 1;
-            packet.payload = GroupOnly{Code::kFlush, group.address()}.encode();
-            router_->network().stats().count_control_message("cbt");
-            router_->send(ifindex, net::Frame{addr, std::move(packet)});
+            router_->send_control(ifindex, addr, net::IpProto::kCbt, "cbt",
+                                  GroupOnly{Code::kFlush, group.address()}.encode());
         }
     }
     const bool had_members = !state.member_ifaces.empty();
@@ -371,15 +348,8 @@ void CbtRouter::maybe_quit(net::GroupAddress group) {
         return;
     }
     if (state.status == TreeState::Status::kOnTree && state.parent_ifindex >= 0) {
-        net::Packet packet;
-        packet.src = router_->interface(state.parent_ifindex).address;
-        packet.dst = state.parent_address;
-        packet.proto = net::IpProto::kCbt;
-        packet.ttl = 1;
-        packet.payload = GroupOnly{Code::kQuit, group.address()}.encode();
-        router_->network().stats().count_control_message("cbt");
-        router_->send(state.parent_ifindex,
-                      net::Frame{state.parent_address, std::move(packet)});
+        router_->send_control(state.parent_ifindex, state.parent_address, net::IpProto::kCbt,
+                              "cbt", GroupOnly{Code::kQuit, group.address()}.encode());
     }
     trees_.erase(it);
 }
@@ -412,15 +382,9 @@ void CbtRouter::on_tick() {
                 to_flush.push_back(group);
                 continue;
             }
-            net::Packet packet;
-            packet.src = router_->interface(state.parent_ifindex).address;
-            packet.dst = state.parent_address;
-            packet.proto = net::IpProto::kCbt;
-            packet.ttl = 1;
-            packet.payload = GroupOnly{Code::kEchoRequest, group.address()}.encode();
-            router_->network().stats().count_control_message("cbt");
-            router_->send(state.parent_ifindex,
-                          net::Frame{state.parent_address, std::move(packet)});
+            router_->send_control(state.parent_ifindex, state.parent_address,
+                                  net::IpProto::kCbt, "cbt",
+                                  GroupOnly{Code::kEchoRequest, group.address()}.encode());
         }
     }
     for (net::GroupAddress group : to_flush) {

@@ -80,9 +80,10 @@ std::optional<GraftMsg> GraftMsg::decode(std::span<const std::uint8_t> bytes) {
 DvmrpRouter::DvmrpRouter(topo::Router& router, igmp::RouterAgent& igmp,
                          mcast::FloodPruneConfig config)
     : FloodPrune(router, igmp, config, "dvmrp") {
-    router.register_igmp_type(igmp::kTypeDvmrp, [this](int ifindex, const net::Packet& packet) {
-        on_message(ifindex, packet);
-    });
+    router.register_protocol(net::IpProto::kIgmp, igmp::kTypeDvmrp,
+                             [this](int ifindex, const net::Packet& packet) {
+                                 on_message(ifindex, packet);
+                             });
 }
 
 void DvmrpRouter::on_message(int ifindex, const net::Packet& packet) {

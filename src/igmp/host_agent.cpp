@@ -67,28 +67,17 @@ void HostAgent::set_rp_mapping(net::GroupAddress group,
 }
 
 void HostAgent::send_report(net::GroupAddress group) {
-    net::Packet packet;
-    packet.src = host_->address();
-    packet.dst = group.address(); // RFC 1112: reports go to the group itself
-    packet.proto = net::IpProto::kIgmp;
-    packet.ttl = 1;
-    packet.payload = Report{group.address()}.encode();
-    host_->network().stats().count_control_message("igmp");
-    host_->send(0, net::Frame{std::nullopt, std::move(packet)});
+    // RFC 1112: reports go to the group itself.
+    host_->send_control(0, group.address(), net::IpProto::kIgmp, "igmp",
+                        Report{group.address()}.encode());
     if (rp_maps_.contains(group)) send_rp_map(group);
 }
 
 void HostAgent::send_rp_map(net::GroupAddress group) {
     auto it = rp_maps_.find(group);
     if (it == rp_maps_.end()) return;
-    net::Packet packet;
-    packet.src = host_->address();
-    packet.dst = net::kAllRouters;
-    packet.proto = net::IpProto::kIgmp;
-    packet.ttl = 1;
-    packet.payload = RpMapReport{group.address(), it->second}.encode();
-    host_->network().stats().count_control_message("igmp");
-    host_->send(0, net::Frame{std::nullopt, std::move(packet)});
+    host_->send_control(0, net::kAllRouters, net::IpProto::kIgmp, "igmp",
+                        RpMapReport{group.address(), it->second}.encode());
 }
 
 std::size_t HostAgent::schedule_response(net::GroupAddress group, std::size_t from) {

@@ -13,9 +13,9 @@ RouterAgent::RouterAgent(topo::Router& router, RouterConfig config)
     auto handler = [this](int ifindex, const net::Packet& packet) {
         on_message(ifindex, packet);
     };
-    router_->register_igmp_type(kTypeQuery, handler);
-    router_->register_igmp_type(kTypeReport, handler);
-    router_->register_igmp_type(kTypeRpMap, handler);
+    router_->register_protocol(net::IpProto::kIgmp, kTypeQuery, handler);
+    router_->register_protocol(net::IpProto::kIgmp, kTypeReport, handler);
+    router_->register_protocol(net::IpProto::kIgmp, kTypeRpMap, handler);
     tick_.start(config_.query_interval);
     router_->simulator().schedule(0, [this] { on_tick(); });
 }
@@ -57,14 +57,8 @@ void RouterAgent::reboot() {
 }
 
 void RouterAgent::send_query(int ifindex) {
-    net::Packet packet;
-    packet.src = router_->interface(ifindex).address;
-    packet.dst = net::kAllSystems;
-    packet.proto = net::IpProto::kIgmp;
-    packet.ttl = 1;
-    packet.payload = Query{net::Ipv4Address{}}.encode();
-    router_->network().stats().count_control_message("igmp");
-    router_->send(ifindex, net::Frame{std::nullopt, std::move(packet)});
+    router_->send_control(ifindex, net::kAllSystems, net::IpProto::kIgmp, "igmp",
+                          Query{net::Ipv4Address{}}.encode());
 }
 
 RouterAgent::Interface& RouterAgent::interface_state(int ifindex) {

@@ -185,41 +185,28 @@ void FloodPrune::on_tick() {
 }
 
 void FloodPrune::prune_upstream(const ForwardingEntry& entry) {
-    send(entry.iif(), prune_payload(entry), &entry);
+    send_upstream(entry, /*graft=*/false);
     pruned_upstream_.insert({entry.source_or_rp(), entry.group()});
 }
 
 void FloodPrune::graft_upstream(const ForwardingEntry& entry) {
     if (pruned_upstream_.erase({entry.source_or_rp(), entry.group()}) > 0 &&
         entry.upstream_neighbor().has_value()) {
-        send(entry.iif(), graft_payload(entry), &entry, /*graft=*/true);
+        send_upstream(entry, /*graft=*/true);
     }
 }
 
 void FloodPrune::send_hellos() {
-    for (const auto& iface : router_->interfaces()) {
-        if (!iface.up || iface.segment == nullptr) continue;
-        send(iface.ifindex, hello_payload());
-    }
+    router_->flood_control(net::kAllRouters, net::IpProto::kIgmp, control_, hello_payload());
 }
 
-void FloodPrune::send(int ifindex, std::vector<std::uint8_t> payload,
-                      const ForwardingEntry* entry, bool graft) {
-    net::Packet packet;
-    packet.src = router_->interface(ifindex).address;
-    packet.dst = net::kAllRouters;
-    packet.proto = net::IpProto::kIgmp;
-    packet.ttl = 1;
-    packet.payload = std::move(payload);
-    topo::Network& network = router_->network();
-    network.stats().count_control_message(control_);
-    if (entry != nullptr) {
-        network.telemetry().emit(
-            graft ? telemetry::EventType::kGraftSent : telemetry::EventType::kPruneSent,
-            router_->name(), protocol_, entry->group().to_string(),
-            "src=" + entry->source_or_rp().to_string());
-    }
-    router_->send(ifindex, net::Frame{std::nullopt, std::move(packet)});
+void FloodPrune::send_upstream(const ForwardingEntry& entry, bool graft) {
+    router_->network().telemetry().emit(
+        graft ? telemetry::EventType::kGraftSent : telemetry::EventType::kPruneSent,
+        router_->name(), protocol_, entry.group().to_string(),
+        "src=" + entry.source_or_rp().to_string());
+    router_->send_control(entry.iif(), net::kAllRouters, net::IpProto::kIgmp, control_,
+                          graft ? graft_payload(entry) : prune_payload(entry));
 }
 
 } // namespace pimlib::mcast

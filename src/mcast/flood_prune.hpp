@@ -105,11 +105,9 @@ private:
     void graft_upstream(const ForwardingEntry& entry);
 
     void send_hellos();
-    /// The one send path: frames `payload` from our address on `ifindex`,
-    /// counts it and sends it. A prune or graft names its `entry`, whose
-    /// event is emitted after the count and before the send.
-    void send(int ifindex, std::vector<std::uint8_t> payload,
-              const ForwardingEntry* entry = nullptr, bool graft = false);
+    /// Emits `entry`'s prune or graft event, then sends the message out of
+    /// its iif.
+    void send_upstream(const ForwardingEntry& entry, bool graft);
 
     topo::Router* router_;
     igmp::RouterAgent* igmp_;

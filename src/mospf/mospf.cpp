@@ -52,7 +52,7 @@ MospfRouter::MospfRouter(topo::Router& router, igmp::RouterAgent& igmp,
       data_plane_(router, cache_),
       refresh_timer_(router.simulator(), [this] { originate_lsa(); }) {
     data_plane_.set_delegate(this);
-    router_->register_protocol(net::IpProto::kOspf,
+    router_->register_protocol(net::IpProto::kOspf, kTypeMembershipLsa,
                                [this](int ifindex, const net::Packet& packet) {
                                    on_message(ifindex, packet);
                                });
@@ -107,18 +107,8 @@ void MospfRouter::flood(const MembershipLsa& lsa, int except_ifindex) {
             "seq=" + std::to_string(lsa.seq) +
                 " groups=" + std::to_string(lsa.groups.size()));
     }
-    for (const auto& iface : router_->interfaces()) {
-        if (!iface.up || iface.segment == nullptr) continue;
-        if (iface.ifindex == except_ifindex) continue;
-        net::Packet packet;
-        packet.src = iface.address;
-        packet.dst = net::kAllRouters;
-        packet.proto = net::IpProto::kOspf;
-        packet.ttl = 1;
-        packet.payload = lsa.encode();
-        router_->network().stats().count_control_message("mospf-lsa");
-        router_->send(iface.ifindex, net::Frame{std::nullopt, std::move(packet)});
-    }
+    router_->flood_control(net::kAllRouters, net::IpProto::kOspf, "mospf-lsa", lsa.encode(),
+                           except_ifindex);
 }
 
 void MospfRouter::on_message(int ifindex, const net::Packet& packet) {

@@ -254,20 +254,8 @@ void BootstrapAgent::originate_bootstrap() {
 }
 
 void BootstrapAgent::flood(const Bootstrap& msg, int except_ifindex) {
-    topo::Router& router = pim_->router();
-    const net::Payload payload = msg.encode(); // one block, shared by every copy
-    for (const auto& iface : router.interfaces()) {
-        if (!iface.up || iface.segment == nullptr) continue;
-        if (iface.ifindex == except_ifindex) continue;
-        net::Packet packet;
-        packet.src = iface.address;
-        packet.dst = net::kAllRouters;
-        packet.proto = net::IpProto::kIgmp;
-        packet.ttl = 1;
-        packet.payload = payload;
-        router.network().stats().count_control_message("pim-bootstrap");
-        router.send(iface.ifindex, net::Frame{std::nullopt, std::move(packet)});
-    }
+    pim_->router().flood_control(net::kAllRouters, net::IpProto::kIgmp, "pim-bootstrap",
+                                 msg.encode(), except_ifindex);
 }
 
 void BootstrapAgent::send_crp_adv() {

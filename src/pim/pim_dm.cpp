@@ -24,9 +24,10 @@ std::vector<std::uint8_t> join_prune(const mcast::ForwardingEntry& entry, bool g
 PimDmRouter::PimDmRouter(topo::Router& router, igmp::RouterAgent& igmp,
                          mcast::FloodPruneConfig config)
     : FloodPrune(router, igmp, config, "pim-dm") {
-    router.register_igmp_type(igmp::kTypePim, [this](int ifindex, const net::Packet& packet) {
-        on_pim_message(ifindex, packet);
-    });
+    router.register_protocol(net::IpProto::kIgmp, igmp::kTypePim,
+                             [this](int ifindex, const net::Packet& packet) {
+                                 on_pim_message(ifindex, packet);
+                             });
 }
 
 void PimDmRouter::on_pim_message(int ifindex, const net::Packet& packet) {

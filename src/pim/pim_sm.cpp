@@ -54,10 +54,10 @@ PimSmRouter::PimSmRouter(topo::Router& router, igmp::RouterAgent& igmp, PimConfi
       query_timer_(router.simulator(), [this] { on_query_tick(); }),
       rp_reach_timer_(router.simulator(), [this] { on_rp_reachability_tick(); }) {
     data_plane_.set_delegate(this);
-    router_->register_igmp_type(igmp::kTypePim,
-                                [this](int ifindex, const net::Packet& packet) {
-                                    on_pim_message(ifindex, packet);
-                                });
+    router_->register_protocol(net::IpProto::kIgmp, igmp::kTypePim,
+                               [this](int ifindex, const net::Packet& packet) {
+                                   on_pim_message(ifindex, packet);
+                               });
     igmp_->subscribe([this](int ifindex, net::GroupAddress group, bool present) {
         on_membership(ifindex, group, present);
     });
@@ -186,17 +186,8 @@ void PimSmRouter::on_query_tick() {
 void PimSmRouter::send_queries() {
     const auto holdtime =
         static_cast<std::uint32_t>(config_.neighbor_holdtime / sim::kMillisecond);
-    for (const auto& iface : router_->interfaces()) {
-        if (!iface.up || iface.segment == nullptr) continue;
-        net::Packet packet;
-        packet.src = iface.address;
-        packet.dst = net::kAllRouters;
-        packet.proto = net::IpProto::kIgmp;
-        packet.ttl = 1;
-        packet.payload = Query{holdtime}.encode();
-        router_->network().stats().count_control_message("pim");
-        router_->send(iface.ifindex, net::Frame{std::nullopt, std::move(packet)});
-    }
+    router_->flood_control(net::kAllRouters, net::IpProto::kIgmp, "pim",
+                           Query{holdtime}.encode());
 }
 
 void PimSmRouter::handle_query(int ifindex, const net::Packet& packet, const Query& query) {
@@ -708,14 +699,8 @@ void PimSmRouter::send_assert(int ifindex, net::Ipv4Address source,
     msg.source = source;
     msg.wc_bit = role.wc;
     msg.metric = role.metric;
-    net::Packet packet;
-    packet.src = router_->interface(ifindex).address;
-    packet.dst = net::kAllRouters;
-    packet.proto = net::IpProto::kIgmp;
-    packet.ttl = 1;
-    packet.payload = msg.encode();
-    router_->network().stats().count_control_message("pim-assert");
-    router_->send(ifindex, net::Frame{std::nullopt, std::move(packet)});
+    router_->send_control(ifindex, net::kAllRouters, net::IpProto::kIgmp, "pim-assert",
+                          msg.encode());
 }
 
 void PimSmRouter::handle_assert(int ifindex, const net::Packet& packet,
@@ -762,14 +747,8 @@ void PimSmRouter::handle_assert(int ifindex, const net::Packet& packet,
                 reply.source = source;
                 reply.wc_bit = role->wc;
                 reply.metric = role->metric;
-                net::Packet out;
-                out.src = ours;
-                out.dst = net::kAllRouters;
-                out.proto = net::IpProto::kIgmp;
-                out.ttl = 1;
-                out.payload = reply.encode();
-                router_->network().stats().count_control_message("pim-assert");
-                router_->send(ifindex, net::Frame{std::nullopt, std::move(out)});
+                router_->send_control(ifindex, net::kAllRouters, net::IpProto::kIgmp,
+                                      "pim-assert", reply.encode());
             }
             return;
         }
@@ -1278,16 +1257,11 @@ void PimSmRouter::on_rp_reachability_tick() {
     const sim::Time now = router_->simulator().now();
     cache_.for_each_wc([&](mcast::ForwardingEntry& wc) {
         if (wc.source_or_rp() != router_->router_id()) return;
-        RpReachability msg{wc.group().address(), router_->router_id(), holdtime};
+        const net::Payload payload =
+            RpReachability{wc.group().address(), router_->router_id(), holdtime}.encode();
         for (int oif : wc.live_oifs(now)) {
-            net::Packet packet;
-            packet.src = router_->interface(oif).address;
-            packet.dst = net::kAllRouters;
-            packet.proto = net::IpProto::kIgmp;
-            packet.ttl = 1;
-            packet.payload = msg.encode();
-            router_->network().stats().count_control_message("pim-rp-reach");
-            router_->send(oif, net::Frame{std::nullopt, std::move(packet)});
+            router_->send_control(oif, net::kAllRouters, net::IpProto::kIgmp, "pim-rp-reach",
+                                  payload);
         }
     });
 }
@@ -1301,16 +1275,11 @@ void PimSmRouter::handle_rp_reachability(int ifindex, const RpReachability& msg)
     const sim::Time now = router_->simulator().now();
     wc->set_rp_timer_deadline(now + ms_to_time(msg.holdtime_ms));
     // Propagate down the shared tree.
+    const net::Payload payload = msg.encode();
     for (int oif : wc->live_oifs(now)) {
         if (oif == ifindex) continue;
-        net::Packet packet;
-        packet.src = router_->interface(oif).address;
-        packet.dst = net::kAllRouters;
-        packet.proto = net::IpProto::kIgmp;
-        packet.ttl = 1;
-        packet.payload = msg.encode();
-        router_->network().stats().count_control_message("pim-rp-reach");
-        router_->send(oif, net::Frame{std::nullopt, std::move(packet)});
+        router_->send_control(oif, net::kAllRouters, net::IpProto::kIgmp, "pim-rp-reach",
+                              payload);
     }
 }
 
@@ -1611,14 +1580,8 @@ void PimSmRouter::send_join_prune(int ifindex, std::optional<net::Ipv4Address> u
     msg.holdtime_ms = holdtime_ms();
     msg.groups = std::move(records);
 
-    net::Packet packet;
-    packet.src = router_->interface(ifindex).address;
-    packet.dst = net::kAllRouters;
-    packet.proto = net::IpProto::kIgmp;
-    packet.ttl = 1;
-    packet.payload = msg.encode();
+    net::Payload payload = msg.encode();
     ++join_prune_sent_;
-    router_->network().stats().count_control_message("pim");
     telemetry::Hub& hub = hub_of(*router_);
     for (const GroupRecord& rec : msg.groups) {
         if (!rec.joins.empty()) {
@@ -1634,7 +1597,8 @@ void PimSmRouter::send_join_prune(int ifindex, std::optional<net::Ipv4Address> u
                          " entries=" + std::to_string(rec.prunes.size()));
         }
     }
-    router_->send(ifindex, net::Frame{std::nullopt, std::move(packet)});
+    router_->send_control(ifindex, net::kAllRouters, net::IpProto::kIgmp, "pim",
+                          std::move(payload));
 }
 
 // ---------------------------------------------------------------------------

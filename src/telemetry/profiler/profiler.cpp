@@ -78,7 +78,9 @@ struct ThreadState {
 };
 
 /// Global state behind a function-local static, so zone registration is
-/// safe during static initialization of other translation units.
+/// safe during static initialization of other translation units. It is
+/// never destroyed: the thread states it lists stay reachable (and zones
+/// stay usable) through static destruction at exit.
 struct Global {
     std::mutex mu;
     std::vector<std::string> zone_names{""}; // id 0 reserved
@@ -90,7 +92,7 @@ struct Global {
 };
 
 Global& global() {
-    static Global g;
+    static Global& g = *new Global;
     return g;
 }
 
@@ -100,8 +102,9 @@ ThreadState& state() {
     if (t_state == nullptr) {
         Global& g = global();
         const std::lock_guard<std::mutex> lock(g.mu);
-        // Thread states intentionally leak: a worker thread may exit while
-        // its data is still waiting to be merged into the final report.
+        // Thread states outlive their threads: a worker thread may exit
+        // while its data is still waiting to be merged into the final
+        // report. Global keeps them for the life of the process.
         auto* s = new ThreadState();
         s->index = static_cast<std::uint32_t>(g.threads.size());
         s->ring.resize(g.ring_capacity);

@@ -21,6 +21,27 @@ void Node::send(int ifindex, const net::Frame& frame) {
     iface.segment->transmit(*this, frame);
 }
 
+void Node::send_control(int ifindex, net::Ipv4Address dst, net::IpProto proto,
+                        stats::ControlName name, net::Payload payload) {
+    net::Frame frame;
+    if (!dst.is_multicast()) frame.link_dst = dst;
+    frame.packet.src = interface(ifindex).address;
+    frame.packet.dst = dst;
+    frame.packet.proto = proto;
+    frame.packet.ttl = 1;
+    frame.packet.payload = std::move(payload);
+    network_->stats().count_control_message(name);
+    send(ifindex, frame);
+}
+
+void Node::flood_control(net::Ipv4Address dst, net::IpProto proto, stats::ControlName name,
+                         const net::Payload& payload, int except_ifindex) {
+    for (const Interface& iface : interfaces_) {
+        if (!iface.up || iface.segment == nullptr || iface.ifindex == except_ifindex) continue;
+        send_control(iface.ifindex, dst, proto, name, payload);
+    }
+}
+
 bool Node::owns_address(net::Ipv4Address addr) const {
     for (const Interface& iface : interfaces_) {
         if (iface.address == addr) return true;

@@ -8,6 +8,7 @@
 
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "stats/counters.hpp"
 
 namespace pimlib::topo {
 
@@ -43,6 +44,19 @@ public:
     /// segment is down (the caller finds out through soft-state timeouts,
     /// exactly as a real router would).
     void send(int ifindex, const net::Frame& frame);
+
+    /// The one send path for link-local control: frames `payload` from
+    /// `ifindex`'s address to `dst` with TTL 1 (link-layer addressed to
+    /// `dst` when it is unicast), counts it once under `name` and sends it.
+    /// The count stands even when the interface is down and send() drops
+    /// the frame.
+    void send_control(int ifindex, net::Ipv4Address dst, net::IpProto proto,
+                      stats::ControlName name, net::Payload payload);
+    /// send_control() of one shared `payload` on every interface that is up,
+    /// has a segment and is not `except_ifindex`; skipped interfaces count
+    /// nothing.
+    void flood_control(net::Ipv4Address dst, net::IpProto proto, stats::ControlName name,
+                       const net::Payload& payload, int except_ifindex = -1);
 
     [[nodiscard]] const std::vector<Interface>& interfaces() const { return interfaces_; }
     [[nodiscard]] Interface& interface(int ifindex) { return interfaces_.at(static_cast<std::size_t>(ifindex)); }

@@ -20,6 +20,11 @@ void record_unicast_leg(Network& network, const Router& router, const net::Packe
     network.provenance()->commit(*hop);
 }
 
+/// IGMP and OSPF receivers are keyed by the first payload byte too.
+bool is_multiplexed(net::IpProto proto) {
+    return proto == net::IpProto::kIgmp || proto == net::IpProto::kOspf;
+}
+
 } // namespace
 
 Router::Router(Network& network, std::string name, int id, net::Ipv4Address router_id)
@@ -48,11 +53,21 @@ std::optional<net::Ipv4Address> Router::rpf_neighbor(net::Ipv4Address dst) const
 }
 
 void Router::register_protocol(net::IpProto proto, PacketHandler handler) {
-    handlers_[proto] = std::move(handler);
+    add_receiver(proto, -1, std::move(handler));
 }
 
-void Router::register_igmp_type(std::uint8_t type_code, PacketHandler handler) {
-    igmp_handlers_[type_code] = std::move(handler);
+void Router::register_protocol(net::IpProto proto, std::uint8_t type, PacketHandler handler) {
+    add_receiver(proto, type, std::move(handler));
+}
+
+void Router::add_receiver(net::IpProto proto, int type, PacketHandler handler) {
+    for (Receiver& r : receivers_) {
+        if (r.proto == proto && r.type == type) {
+            r.handler = std::move(handler);
+            return;
+        }
+    }
+    receivers_.push_back(Receiver{proto, type, std::move(handler)});
 }
 
 void Router::receive(int ifindex, const net::Packet& packet) {
@@ -78,14 +93,17 @@ void Router::receive(int ifindex, const net::Packet& packet) {
 }
 
 void Router::deliver_local(int ifindex, const net::Packet& packet) {
-    if (packet.proto == net::IpProto::kIgmp) {
+    int type = -1;
+    if (is_multiplexed(packet.proto)) {
         if (packet.payload.empty()) return;
-        auto it = igmp_handlers_.find(packet.payload.front());
-        if (it != igmp_handlers_.end()) it->second(ifindex, packet);
-        return;
+        type = packet.payload.front();
     }
-    auto it = handlers_.find(packet.proto);
-    if (it != handlers_.end()) it->second(ifindex, packet);
+    for (const Receiver& r : receivers_) {
+        if (r.proto == packet.proto && r.type == type) {
+            r.handler(ifindex, packet);
+            return;
+        }
+    }
 }
 
 void Router::forward_unicast(net::Packet packet) {
@@ -122,13 +140,6 @@ void Router::originate_unicast(net::Packet packet) {
     if (packet.src.is_unspecified()) packet.src = interface(route->ifindex).address;
     const net::Ipv4Address hop = route->next_hop.is_unspecified() ? packet.dst : route->next_hop;
     send(route->ifindex, net::Frame{hop, std::move(packet)});
-}
-
-void Router::send_on(int ifindex, std::optional<net::Ipv4Address> next_hop,
-                     const net::Packet& packet) {
-    net::Frame frame{next_hop, packet};
-    if (frame.packet.src.is_unspecified()) frame.packet.src = interface(ifindex).address;
-    send(ifindex, frame);
 }
 
 } // namespace pimlib::topo

@@ -5,8 +5,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "topo/node.hpp"
 
@@ -53,17 +53,16 @@ public:
 
     /// Sends a locally originated unicast packet (consults the route table).
     void originate_unicast(net::Packet packet);
-    /// Sends a packet out a specific interface to a specific link-layer
-    /// neighbor (next_hop unset => link-layer multicast/broadcast).
-    void send_on(int ifindex, std::optional<net::Ipv4Address> next_hop, const net::Packet& packet);
 
-    /// Registers a handler for an IP protocol (non-IGMP control planes).
+    /// Registers the handler for packets of `proto` delivered to this
+    /// router. Registering a key again replaces its handler.
     using PacketHandler = std::function<void(int ifindex, const net::Packet&)>;
     void register_protocol(net::IpProto proto, PacketHandler handler);
-
-    /// IGMP demultiplex: the 1994 protocol family (IGMP itself, PIM, DVMRP)
-    /// shares IP protocol 2 and is distinguished by the first payload byte.
-    void register_igmp_type(std::uint8_t type_code, PacketHandler handler);
+    /// The same for the two protocols that multiplex message types on one
+    /// number, keyed by (protocol, first payload byte): IGMP, which the 1994
+    /// family (IGMP itself, PIM, DVMRP) shares, and OSPF, which carries
+    /// link-state hellos and LSAs beside MOSPF's membership LSAs.
+    void register_protocol(net::IpProto proto, std::uint8_t type, PacketHandler handler);
 
     void set_unicast(UnicastLookup* lookup) { unicast_ = lookup; }
     [[nodiscard]] UnicastLookup* unicast() const { return unicast_; }
@@ -93,8 +92,14 @@ private:
     net::Ipv4Address router_id_;
     UnicastLookup* unicast_ = nullptr;
     MulticastDataHandler* mcast_ = nullptr;
-    std::map<net::IpProto, PacketHandler> handlers_;
-    std::map<std::uint8_t, PacketHandler> igmp_handlers_;
+    /// The receive table: a few entries per router, scanned per delivery.
+    struct Receiver {
+        net::IpProto proto;
+        int type; // first payload byte, or -1 for a protocol that is not multiplexed
+        PacketHandler handler;
+    };
+    void add_receiver(net::IpProto proto, int type, PacketHandler handler);
+    std::vector<Receiver> receivers_;
 };
 
 } // namespace pimlib::topo

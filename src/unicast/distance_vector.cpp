@@ -93,14 +93,8 @@ void DvAgent::send_updates() {
             update.entries.push_back(
                 DvUpdate::Entry{prefix, std::min(metric, config_.infinity)});
         }
-        net::Packet packet;
-        packet.src = iface.address;
-        packet.dst = net::kAllRouters;
-        packet.proto = net::IpProto::kRip;
-        packet.ttl = 1;
-        packet.payload = update.encode();
-        router_->network().stats().count_control_message("dv");
-        router_->send(iface.ifindex, net::Frame{std::nullopt, std::move(packet)});
+        router_->send_control(iface.ifindex, net::kAllRouters, net::IpProto::kRip, "dv",
+                              update.encode());
     }
 }
 

@@ -73,10 +73,11 @@ LsAgent::LsAgent(topo::Router& router, LsConfig config)
           run_spf();
       }) {
     router_->set_unicast(&rib_);
-    router_->register_protocol(net::IpProto::kOspf,
-                               [this](int ifindex, const net::Packet& packet) {
-                                   on_message(ifindex, packet);
-                               });
+    auto handler = [this](int ifindex, const net::Packet& packet) {
+        on_message(ifindex, packet);
+    };
+    router_->register_protocol(net::IpProto::kOspf, kTypeHello, handler);
+    router_->register_protocol(net::IpProto::kOspf, kTypeLsa, handler);
     hello_timer_.start(config_.hello_interval);
     refresh_timer_.start(config_.lsa_refresh);
     router_->simulator().schedule(0, [this] {
@@ -91,20 +92,10 @@ void LsAgent::on_hello_tick() {
 }
 
 void LsAgent::send_hellos() {
-    for (const auto& iface : router_->interfaces()) {
-        if (!iface.up || iface.segment == nullptr) continue;
-        net::BufWriter w(5);
-        w.put_u8(kTypeHello);
-        w.put_addr(router_->router_id());
-        net::Packet packet;
-        packet.src = iface.address;
-        packet.dst = net::kAllRouters;
-        packet.proto = net::IpProto::kOspf;
-        packet.ttl = 1;
-        packet.payload = w.take();
-        router_->network().stats().count_control_message("ls-hello");
-        router_->send(iface.ifindex, net::Frame{std::nullopt, std::move(packet)});
-    }
+    net::BufWriter w(5);
+    w.put_u8(kTypeHello);
+    w.put_addr(router_->router_id());
+    router_->flood_control(net::kAllRouters, net::IpProto::kOspf, "ls-hello", w.take());
 }
 
 void LsAgent::expire_neighbors() {
@@ -160,18 +151,8 @@ void LsAgent::originate_lsa() {
 }
 
 void LsAgent::flood(const Lsa& lsa, int except_ifindex) {
-    for (const auto& iface : router_->interfaces()) {
-        if (!iface.up || iface.segment == nullptr) continue;
-        if (iface.ifindex == except_ifindex) continue;
-        net::Packet packet;
-        packet.src = iface.address;
-        packet.dst = net::kAllRouters;
-        packet.proto = net::IpProto::kOspf;
-        packet.ttl = 1;
-        packet.payload = lsa.encode();
-        router_->network().stats().count_control_message("ls-lsa");
-        router_->send(iface.ifindex, net::Frame{std::nullopt, std::move(packet)});
-    }
+    router_->flood_control(net::kAllRouters, net::IpProto::kOspf, "ls-lsa", lsa.encode(),
+                           except_ifindex);
 }
 
 void LsAgent::on_message(int ifindex, const net::Packet& packet) {

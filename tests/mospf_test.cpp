@@ -7,6 +7,7 @@
 #include "mospf/mospf.hpp"
 #include "test_util.hpp"
 #include "topo/segment.hpp"
+#include "unicast/link_state.hpp"
 
 namespace pimlib::test {
 namespace {
@@ -117,6 +118,42 @@ TEST_F(MospfFixture, NoMembersMeansNoForwarding) {
     // Data dies at the first-hop router; nothing crosses the backbone.
     const auto* link_r1_r2 = net.find_link(*r1, *r2);
     EXPECT_EQ(net.stats().data_packets_on(link_r1_r2->id()), 0u);
+}
+
+// MOSPF membership LSAs ride OSPF's protocol number beside the link-state
+// hellos and LSAs; each router's receive table routes each message type to
+// its own agent, so MOSPF on top of LsRoutingDomain leaves unicast routing
+// intact: source—LAN—R1—R2—R3—LAN—member.
+TEST(MospfOverLinkState, UnicastConvergesAndMembersGetData) {
+    topo::Network net;
+    auto& r1 = net.add_router("R1");
+    auto& r2 = net.add_router("R2");
+    auto& r3 = net.add_router("R3");
+    auto& source = net.add_host("source", net.add_lan({&r1}));
+    net.add_link(r1, r2);
+    net.add_link(r2, r3);
+    auto& member = net.add_host("member", net.add_lan({&r3}));
+    unicast::LsConfig ls_cfg;
+    ls_cfg.hello_interval = 50 * sim::kMillisecond;
+    ls_cfg.dead_interval = 150 * sim::kMillisecond;
+    ls_cfg.lsa_refresh = 300 * sim::kMillisecond;
+    ls_cfg.lsa_max_age = 900 * sim::kMillisecond;
+    ls_cfg.spf_delay = 5 * sim::kMillisecond;
+    unicast::LsRoutingDomain ls(net, ls_cfg);
+    scenario::MospfStack stack(net, fast_config());
+    net.run_for(3 * sim::kSecond);
+
+    EXPECT_EQ(ls.agent_for(r1).lsdb_size(), 3u);
+    EXPECT_TRUE(r1.route_to(r3.router_id()).has_value());
+    EXPECT_EQ(stack.mospf_at(r1).member_routers(kGroup).size(), 0u);
+
+    stack.host_agent(member).join(kGroup);
+    net.run_for(300 * sim::kMillisecond);
+    EXPECT_TRUE(stack.mospf_at(r1).member_routers(kGroup).contains(r3.router_id()));
+    source.send_stream(kGroup, 3, 20 * sim::kMillisecond);
+    net.run_for(300 * sim::kMillisecond);
+    EXPECT_EQ(member.received_count(kGroup), 3u);
+    EXPECT_EQ(member.duplicate_count(), 0u);
 }
 
 } // namespace

@@ -117,27 +117,34 @@ struct WalkthroughPentagon {
 inline const std::vector<std::string> kStackProtocols{"pim-sm", "pim-dm", "dvmrp",
                                                       "mospf", "cbt"};
 
-/// `protocol`'s stack on `topo` with fast_config() timers; PIM-SM's RP and
-/// CBT's core for kGroup are at B.
+/// `protocol`'s stack on `net` with fast_config() timers; PIM-SM's RP and
+/// CBT's core for kGroup are at `core`.
 inline std::unique_ptr<scenario::StackBase> make_stack(const std::string& protocol,
-                                                       Fig3Topology& topo) {
+                                                       topo::Network& net,
+                                                       const topo::Router& core) {
     if (protocol == "pim-sm") {
-        auto sm = std::make_unique<scenario::PimSmStack>(topo.net, fast_config());
-        sm->set_rp(kGroup, {topo.b->router_id()});
+        auto sm = std::make_unique<scenario::PimSmStack>(net, fast_config());
+        sm->set_rp(kGroup, {core.router_id()});
         return sm;
     }
     if (protocol == "pim-dm") {
-        return std::make_unique<scenario::PimDmStack>(topo.net, fast_config());
+        return std::make_unique<scenario::PimDmStack>(net, fast_config());
     }
     if (protocol == "dvmrp") {
-        return std::make_unique<scenario::DvmrpStack>(topo.net, fast_config());
+        return std::make_unique<scenario::DvmrpStack>(net, fast_config());
     }
     if (protocol == "mospf") {
-        return std::make_unique<scenario::MospfStack>(topo.net, fast_config());
+        return std::make_unique<scenario::MospfStack>(net, fast_config());
     }
-    auto cbt = std::make_unique<scenario::CbtStack>(topo.net, fast_config());
-    cbt->set_core(kGroup, topo.b->router_id());
+    auto cbt = std::make_unique<scenario::CbtStack>(net, fast_config());
+    cbt->set_core(kGroup, core.router_id());
     return cbt;
+}
+
+/// `protocol`'s stack on `topo`, with the RP or core at B.
+inline std::unique_ptr<scenario::StackBase> make_stack(const std::string& protocol,
+                                                       Fig3Topology& topo) {
+    return make_stack(protocol, topo.net, *topo.b);
 }
 
 } // namespace pimlib::test

@@ -1,5 +1,6 @@
 // Topology substrate tests: segments, frame delivery semantics, unicast
-// forwarding, TTL, link failure, address plan, and the zero-copy,
+// forwarding, TTL, link failure, address plan, the receive table, the
+// control-message send path and its accounting, and the zero-copy,
 // allocation-free multicast data path.
 #include <gtest/gtest.h>
 
@@ -7,6 +8,8 @@
 #include "test_util.hpp"
 #include "topo/network.hpp"
 #include "topo/segment.hpp"
+#include "unicast/distance_vector.hpp"
+#include "unicast/link_state.hpp"
 #include "unicast/oracle_routing.hpp"
 
 namespace pimlib::test {
@@ -335,6 +338,189 @@ TEST(DataPath, ReplicasShareOnePayloadAcrossHops) {
         EXPECT_EQ(seen[i].ttl, 64 - i);
     }
     EXPECT_NE(seen[0].pid, 0u);
+}
+
+// IGMP and OSPF multiplex message types on one protocol number: their
+// receivers are keyed by the first payload byte too, so two agents sharing
+// the number each get only their own types. Other protocols match on the
+// number alone, and registering a key again replaces its handler.
+TEST(Router, ReceiveTableKeysMultiplexedProtocolsByType) {
+    topo::Network net;
+    auto& r1 = net.add_router("r1");
+    auto& r2 = net.add_router("r2");
+    net.add_link(r1, r2);
+    std::vector<std::string> got;
+    auto record = [&](std::string who) {
+        return [&got, who](int, const net::Packet&) { got.push_back(who); };
+    };
+    r2.register_protocol(net::IpProto::kOspf, 1, record("hello"));
+    r2.register_protocol(net::IpProto::kOspf, 3, record("mospf"));
+    r2.register_protocol(net::IpProto::kCbt, record("cbt-old"));
+    r2.register_protocol(net::IpProto::kCbt, record("cbt"));
+
+    r1.send_control(0, net::kAllRouters, net::IpProto::kOspf, "ls-hello", {3, 0});
+    r1.send_control(0, net::kAllRouters, net::IpProto::kOspf, "ls-hello", {1, 0});
+    r1.send_control(0, net::kAllRouters, net::IpProto::kOspf, "ls-lsa", {2, 0});
+    r1.send_control(0, net::kAllRouters, net::IpProto::kCbt, "cbt", {9});
+    r1.send_control(0, net::kAllRouters, net::IpProto::kIgmp, "igmp", {0x11});
+    net.simulator().run();
+    EXPECT_EQ(got, (std::vector<std::string>{"mospf", "hello", "cbt"}));
+}
+
+// send_control frames one TTL-1 packet from the interface's address, sets
+// the link-layer destination only for a unicast `dst`, and counts it once
+// under its name, also when the interface is down and nothing leaves.
+TEST(ControlSend, FramesCountsAndSendsOnce) {
+    topo::Network net;
+    auto& r1 = net.add_router("r1");
+    auto& r2 = net.add_router("r2");
+    auto& r3 = net.add_router("r3");
+    net.add_lan({&r1, &r2, &r3});
+    std::vector<net::Frame> tapped;
+    net.add_packet_tap(
+        [&](const topo::Segment&, const net::Frame& frame) { tapped.push_back(frame); });
+    int r2_count = 0;
+    int r3_count = 0;
+    r2.register_protocol(net::IpProto::kCbt, [&](int, const net::Packet&) { ++r2_count; });
+    r3.register_protocol(net::IpProto::kCbt, [&](int, const net::Packet&) { ++r3_count; });
+
+    r1.send_control(0, net::kAllRouters, net::IpProto::kIgmp, "pim", {0x14, 0});
+    ASSERT_EQ(tapped.size(), 1u);
+    EXPECT_FALSE(tapped[0].link_dst.has_value());
+    EXPECT_EQ(tapped[0].packet.src, r1.interface(0).address);
+    EXPECT_EQ(tapped[0].packet.dst, net::kAllRouters);
+    EXPECT_EQ(tapped[0].packet.proto, net::IpProto::kIgmp);
+    EXPECT_EQ(tapped[0].packet.ttl, 1);
+    EXPECT_EQ(net.stats().control_messages("pim"), 1u);
+
+    const net::Ipv4Address to = r2.interface(0).address;
+    r1.send_control(0, to, net::IpProto::kCbt, "cbt", {4});
+    ASSERT_EQ(tapped.size(), 2u);
+    ASSERT_TRUE(tapped[1].link_dst.has_value());
+    EXPECT_EQ(*tapped[1].link_dst, to);
+    EXPECT_EQ(tapped[1].packet.dst, to);
+    EXPECT_EQ(tapped[1].packet.ttl, 1);
+    net.simulator().run();
+    EXPECT_EQ(r2_count, 1);
+    EXPECT_EQ(r3_count, 0);
+    EXPECT_EQ(net.stats().control_messages("cbt"), 1u);
+
+    r1.set_interface_up(0, false);
+    r1.send_control(0, net::kAllSystems, net::IpProto::kIgmp, "igmp", {0x11});
+    EXPECT_EQ(tapped.size(), 2u);
+    EXPECT_EQ(net.stats().control_messages("igmp"), 1u);
+    EXPECT_EQ(net.stats().total_control_messages(), 3u);
+}
+
+// flood_control sends on every interface that is up, has a segment and is
+// not excluded; the interfaces it skips neither send nor count.
+TEST(ControlSend, FloodSkipsDownSegmentlessAndExcludedInterfaces) {
+    topo::Network net;
+    auto& r = net.add_router("r");
+    std::vector<topo::Segment*> links;
+    for (int i = 0; i < 4; ++i) {
+        links.push_back(&net.add_link(r, net.add_router("n" + std::to_string(i))));
+    }
+    std::vector<int> tapped_on;
+    net.add_packet_tap([&](const topo::Segment& segment, const net::Frame& frame) {
+        EXPECT_EQ(frame.packet.src, r.interface(*r.ifindex_on(segment)).address);
+        tapped_on.push_back(segment.id());
+    });
+    r.set_interface_up(2, false);
+    r.interface(3).segment = nullptr;
+
+    r.flood_control(net::kAllRouters, net::IpProto::kIgmp, "pim-bootstrap", {0x14, 4},
+                    /*except_ifindex=*/1);
+    EXPECT_EQ(tapped_on, std::vector<int>{links[0]->id()});
+    EXPECT_EQ(net.stats().control_messages("pim-bootstrap"), 1u);
+
+    r.flood_control(net::kAllRouters, net::IpProto::kIgmp, "pim-bootstrap", {0x14, 4});
+    EXPECT_EQ(tapped_on, (std::vector<int>{links[0]->id(), links[0]->id(), links[1]->id()}));
+    EXPECT_EQ(net.stats().control_messages("pim-bootstrap"), 3u);
+}
+
+// A flood encodes its message once: every copy of B's first PIM hello (one
+// per link: A, C and D) carries the same payload block.
+TEST(ControlSend, FloodSharesOnePayloadAcrossInterfaces) {
+    Fig3Topology topo;
+    std::vector<const std::uint8_t*> hellos;
+    topo.net.add_packet_tap([&](const topo::Segment&, const net::Frame& frame) {
+        const net::Packet& p = frame.packet;
+        if (p.proto != net::IpProto::kIgmp || !topo.b->owns_address(p.src)) return;
+        if (p.payload.size() < 2 || p.payload[0] != igmp::kTypePim ||
+            p.payload[1] != static_cast<std::uint8_t>(pim::Code::kQuery)) {
+            return;
+        }
+        hellos.push_back(p.payload.span().data());
+    });
+    const auto stack = make_stack("pim-sm", topo);
+    topo.net.run_for(sim::kMillisecond);
+    ASSERT_EQ(hellos.size(), 3u);
+    EXPECT_NE(hellos[0], nullptr);
+    EXPECT_EQ(hellos[1], hellos[0]);
+    EXPECT_EQ(hellos[2], hellos[0]);
+}
+
+// Every link-local control message is counted exactly once where it is
+// sent: on an all-up network, under every stack and over both routing
+// protocols, the control counts (less the two routed kinds, Register and
+// C-RP-Adv) equal the TTL-1 control frames the segments carried.
+TEST(ControlSend, CountsEqualLinkLocalControlFramesOnTheWire) {
+    enum class Routing { kLinkState, kDistanceVector };
+    for (const Routing routing : {Routing::kLinkState, Routing::kDistanceVector}) {
+        for (const std::string& protocol : kStackProtocols) {
+            SCOPED_TRACE(protocol + (routing == Routing::kLinkState ? " over LS" : " over DV"));
+            // receiver — LAN — A — B — C, B — D — LAN — source, plus a
+            // transit LAN joining A, C and D.
+            topo::Network net;
+            auto& a = net.add_router("A");
+            auto& b = net.add_router("B");
+            auto& c = net.add_router("C");
+            auto& d = net.add_router("D");
+            auto& receiver = net.add_host("receiver", net.add_lan({&a}));
+            net.add_link(a, b);
+            net.add_link(b, c);
+            net.add_link(b, d);
+            net.add_lan({&a, &c, &d});
+            auto& source = net.add_host("source", net.add_lan({&d}));
+
+            std::uint64_t frames = 0;
+            net.add_packet_tap([&](const topo::Segment&, const net::Frame& frame) {
+                if (frame.packet.ttl == 1 && frame.packet.proto != net::IpProto::kUdp) ++frames;
+            });
+            std::unique_ptr<unicast::LsRoutingDomain> ls;
+            std::unique_ptr<unicast::DvRoutingDomain> dv;
+            if (routing == Routing::kLinkState) {
+                unicast::LsConfig cfg;
+                cfg.hello_interval = 50 * sim::kMillisecond;
+                cfg.dead_interval = 150 * sim::kMillisecond;
+                cfg.lsa_refresh = 300 * sim::kMillisecond;
+                cfg.lsa_max_age = 900 * sim::kMillisecond;
+                cfg.spf_delay = 5 * sim::kMillisecond;
+                ls = std::make_unique<unicast::LsRoutingDomain>(net, cfg);
+            } else {
+                unicast::DvConfig cfg;
+                cfg.update_interval = 100 * sim::kMillisecond;
+                cfg.route_timeout = 300 * sim::kMillisecond;
+                cfg.gc_delay = 200 * sim::kMillisecond;
+                cfg.triggered_delay = 5 * sim::kMillisecond;
+                dv = std::make_unique<unicast::DvRoutingDomain>(net, cfg);
+            }
+            const auto stack = make_stack(protocol, net, b);
+            net.run_for(sim::kSecond);
+            stack->host_agent(receiver).join(kGroup);
+            net.run_for(300 * sim::kMillisecond);
+            source.send_stream(kGroup, 5, 20 * sim::kMillisecond);
+            net.run_for(sim::kSecond);
+
+            const stats::NetworkStats& st = net.stats();
+            const std::uint64_t counted = st.total_control_messages() -
+                                          st.control_messages("pim-register") -
+                                          st.control_messages("pim-crp-adv");
+            EXPECT_GT(frames, 0u);
+            EXPECT_EQ(counted, frames);
+        }
+    }
 }
 
 } // namespace
