@@ -148,7 +148,7 @@ PhaseTimes run_wheel(int n, int rounds) {
     sim::Time at = 0;
     while (wheel.next_time(&at)) {
         wheel.open_batch(at);
-        while (wheel.batch_live() > 0) wheel.take(0)();
+        while (wheel.batch_live() > 0) wheel.fire(0);
     }
     t.fire_s = seconds_since(start);
     t.fired = fired;

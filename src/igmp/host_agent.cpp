@@ -34,7 +34,9 @@ void HostAgent::join(net::GroupAddress group) {
     for (int i = 0; i < config_.unsolicited_report_count; ++i) {
         host_->simulator().schedule(i * config_.unsolicited_report_interval,
                                     [this, group] {
-                                        if (host_->is_member(group)) send_report(group);
+                                        if (host_->is_member(group)) {
+                                            send_report(ensure_slot(group));
+                                        }
                                     });
     }
 }
@@ -60,16 +62,26 @@ std::size_t HostAgent::find_slot(net::GroupAddress group, std::size_t from) cons
         pending_.begin());
 }
 
+std::size_t HostAgent::ensure_slot(net::GroupAddress group, std::size_t from) {
+    const std::size_t slot = find_slot(group, from);
+    if (!slot_holds(slot, group)) {
+        pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(slot),
+                        PendingResponse{group, {}, Report{group.address()}.encode()});
+    }
+    return slot;
+}
+
 void HostAgent::set_rp_mapping(net::GroupAddress group,
                                std::vector<net::Ipv4Address> rps) {
     rp_maps_[group] = std::move(rps);
     send_rp_map(group);
 }
 
-void HostAgent::send_report(net::GroupAddress group) {
+void HostAgent::send_report(std::size_t slot) {
+    const net::GroupAddress group = pending_[slot].group;
     // RFC 1112: reports go to the group itself.
     host_->send_control(0, group.address(), net::IpProto::kIgmp, "igmp",
-                        Report{group.address()}.encode());
+                        pending_[slot].report);
     if (rp_maps_.contains(group)) send_rp_map(group);
 }
 
@@ -81,13 +93,8 @@ void HostAgent::send_rp_map(net::GroupAddress group) {
 }
 
 std::size_t HostAgent::schedule_response(net::GroupAddress group, std::size_t from) {
-    const std::size_t slot = find_slot(group, from);
-    if (!slot_holds(slot, group)) {
-        pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(slot),
-                        PendingResponse{group, {}});
-    } else if (pending_[slot].event.valid()) {
-        return slot;
-    }
+    const std::size_t slot = ensure_slot(group, from);
+    if (pending_[slot].event.valid()) return slot;
     std::uniform_int_distribution<sim::Time> spread(0, config_.query_response_max);
     const sim::Time delay = spread(rng_);
     // `hint` is where the slot sits now; a join or leave may move it before
@@ -99,7 +106,7 @@ std::size_t HostAgent::schedule_response(net::GroupAddress group, std::size_t fr
             std::size_t at = hint;
             if (!slot_holds(at, group)) at = find_slot(group);
             pending_[at].event = sim::EventId{};
-            if (host_->is_member(group)) send_report(group);
+            if (host_->is_member(group)) send_report(at);
         });
     return slot;
 }

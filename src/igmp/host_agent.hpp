@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "igmp/messages.hpp"
+#include "net/payload.hpp"
 #include "sim/simulator.hpp"
 #include "topo/host.hpp"
 
@@ -43,18 +44,22 @@ public:
 
 private:
     void on_control(int ifindex, const net::Packet& packet);
-    void send_report(net::GroupAddress group);
+    /// Sends the report held in `slot`, then the group's RP map if any.
+    void send_report(std::size_t slot);
     void send_rp_map(net::GroupAddress group);
     /// Schedules `group`'s response unless one is pending; returns its slot.
     std::size_t schedule_response(net::GroupAddress group, std::size_t from = 0);
 
-    // One slot per group that has been queried since it was joined; `event`
-    // is the scheduled response, invalid when none is pending. A fired or
-    // cancelled response clears it in place, and only leave() removes the
-    // slot, so repeated query rounds reuse the table.
+    // One slot per group that has been reported or queried since it was
+    // joined: `report` is the group's Report, encoded once when the slot is
+    // made and sent as a shared copy every time; `event` is the scheduled
+    // response, invalid when none is pending. A fired or cancelled response
+    // clears it in place, and only leave() removes the slot, so repeated
+    // query rounds reuse the table and the payload.
     struct PendingResponse {
         net::GroupAddress group;
         sim::EventId event;
+        net::Payload report;
         friend bool operator<(const PendingResponse& p, net::GroupAddress g) {
             return p.group < g;
         }
@@ -62,6 +67,8 @@ private:
     /// Index of `group`'s slot, or where it would go. Slots before `from`
     /// must all hold smaller groups.
     [[nodiscard]] std::size_t find_slot(net::GroupAddress group, std::size_t from = 0) const;
+    /// Index of `group`'s slot, made (with its encoded report) if missing.
+    std::size_t ensure_slot(net::GroupAddress group, std::size_t from = 0);
     [[nodiscard]] bool slot_holds(std::size_t slot, net::GroupAddress group) const {
         return slot < pending_.size() && pending_[slot].group == group;
     }

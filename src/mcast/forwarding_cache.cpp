@@ -7,52 +7,50 @@
 namespace pimlib::mcast {
 
 ForwardingEntry* ForwardingCache::find_sg(net::Ipv4Address source, net::GroupAddress group) {
-    auto it = sg_.find(SgKey{source, group});
-    return it == sg_.end() ? nullptr : it->second;
+    return find_in(sg_, SgKey{source, group});
 }
 
 const ForwardingEntry* ForwardingCache::find_sg(net::Ipv4Address source,
                                                 net::GroupAddress group) const {
-    auto it = sg_.find(SgKey{source, group});
-    return it == sg_.end() ? nullptr : it->second;
+    return find_in(sg_, SgKey{source, group});
 }
 
 ForwardingEntry* ForwardingCache::find_wc(net::GroupAddress group) {
-    auto it = wc_.find(group);
-    return it == wc_.end() ? nullptr : it->second;
+    return find_in(wc_, group);
 }
 
 const ForwardingEntry* ForwardingCache::find_wc(net::GroupAddress group) const {
-    auto it = wc_.find(group);
-    return it == wc_.end() ? nullptr : it->second;
+    return find_in(wc_, group);
 }
 
 ForwardingEntry& ForwardingCache::ensure_sg(net::Ipv4Address source, net::GroupAddress group) {
-    auto it = sg_.find(SgKey{source, group});
-    if (it != sg_.end()) return *it->second;
+    const SgKey key{source, group};
+    auto it = lower(sg_, key);
+    if (it != sg_.end() && it->first == key) return *it->second;
     ForwardingEntry* entry = arena_.create(ForwardingEntry::make_sg(source, group));
-    sg_.emplace(SgKey{source, group}, entry);
+    sg_.emplace(it, key, entry);
     return *entry;
 }
 
 ForwardingEntry& ForwardingCache::ensure_wc(net::Ipv4Address rp, net::GroupAddress group) {
-    auto it = wc_.find(group);
-    if (it != wc_.end()) return *it->second;
+    auto it = lower(wc_, group);
+    if (it != wc_.end() && it->first == group) return *it->second;
     ForwardingEntry* entry = arena_.create(ForwardingEntry::make_wc(rp, group));
-    wc_.emplace(group, entry);
+    wc_.emplace(it, group, entry);
     return *entry;
 }
 
 void ForwardingCache::remove_sg(net::Ipv4Address source, net::GroupAddress group) {
-    auto it = sg_.find(SgKey{source, group});
-    if (it == sg_.end()) return;
+    const SgKey key{source, group};
+    auto it = lower(sg_, key);
+    if (it == sg_.end() || it->first != key) return;
     arena_.destroy(it->second);
     sg_.erase(it);
 }
 
 void ForwardingCache::remove_wc(net::GroupAddress group) {
-    auto it = wc_.find(group);
-    if (it == wc_.end()) return;
+    auto it = lower(wc_, group);
+    if (it == wc_.end() || it->first != group) return;
     arena_.destroy(it->second);
     wc_.erase(it);
 }
@@ -90,10 +88,16 @@ void ForwardingCache::for_each_sg_of(
 std::size_t ForwardingCache::visit_entries(
     VisitCursor& cursor, std::size_t budget,
     const std::function<void(const ForwardingEntry&)>& fn) const {
+    // Resumes at the first key after the cursor's (upper bound), so entries
+    // added or removed between calls are picked up or skipped in key order.
+    const auto after = [](const auto& index, const auto& key) {
+        return std::upper_bound(index.begin(), index.end(), key,
+                                [](const auto& k, const auto& slot) { return k < slot.first; });
+    };
     std::size_t visited = 0;
     cursor.wrapped = false;
     if (!cursor.on_sg) {
-        auto it = cursor.have_key ? wc_.upper_bound(cursor.wc_after) : wc_.begin();
+        auto it = cursor.have_key ? after(wc_, cursor.wc_after) : wc_.begin();
         for (; it != wc_.end() && visited < budget; ++it) {
             fn(*it->second);
             ++visited;
@@ -106,7 +110,7 @@ std::size_t ForwardingCache::visit_entries(
         }
     }
     if (cursor.on_sg) {
-        auto it = cursor.have_key ? sg_.upper_bound(cursor.sg_after) : sg_.begin();
+        auto it = cursor.have_key ? after(sg_, cursor.sg_after) : sg_.begin();
         for (; it != sg_.end() && visited < budget; ++it) {
             fn(*it->second);
             ++visited;
@@ -123,16 +127,13 @@ std::size_t ForwardingCache::visit_entries(
 
 std::vector<ForwardingCache::SgKey> ForwardingCache::reap_expired_entries(sim::Time now) {
     std::vector<SgKey> removed;
-    for (auto it = sg_.begin(); it != sg_.end();) {
-        const sim::Time at = it->second->delete_at();
-        if (at != 0 && now >= at) {
-            removed.push_back(it->first);
-            arena_.destroy(it->second);
-            it = sg_.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    std::erase_if(sg_, [&](const auto& slot) {
+        const sim::Time at = slot.second->delete_at();
+        if (at == 0 || now < at) return false;
+        removed.push_back(slot.first);
+        arena_.destroy(slot.second);
+        return true;
+    });
     return removed;
 }
 

@@ -5,10 +5,12 @@
 // the delegate callbacks.
 #pragma once
 
+#include <algorithm>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mcast/forwarding_entry.hpp"
 #include "net/packet.hpp"
@@ -42,8 +44,9 @@ public:
     [[nodiscard]] std::size_t sg_count() const { return sg_.size(); }
     [[nodiscard]] std::size_t wc_count() const { return wc_.size(); }
 
-    /// Iteration helpers. The callback may mutate the entry but must not
-    /// add/remove entries.
+    /// Iteration helpers, in key order. The callback may mutate the entry
+    /// but must not add or remove entries: the indexes are vectors, so an
+    /// insert or erase would invalidate the walk.
     void for_each_sg(const std::function<void(ForwardingEntry&)>& fn);
     void for_each_wc(const std::function<void(ForwardingEntry&)>& fn);
     /// (S,G) entries for one group.
@@ -90,13 +93,32 @@ public:
     [[nodiscard]] std::uint64_t structural_hash() const;
 
 private:
+    template <typename Key>
+    using Index = std::vector<std::pair<Key, ForwardingEntry*>>;
+
+    /// Position of `key` in `index` (const or not), or where it would go.
+    template <typename IndexT, typename Key>
+    [[nodiscard]] static auto lower(IndexT& index, const Key& key) {
+        return std::lower_bound(index.begin(), index.end(), key,
+                                [](const auto& slot, const Key& k) { return slot.first < k; });
+    }
+    /// The entry under `key`, or nullptr.
+    template <typename Key>
+    [[nodiscard]] static ForwardingEntry* find_in(const Index<Key>& index, const Key& key) {
+        auto it = lower(index, key);
+        return it != index.end() && it->first == key ? it->second : nullptr;
+    }
+
     // Entries live in a slab arena (stable addresses, recycled slots, no
-    // per-entry heap churn at million-entry scale); the maps are sorted
-    // *indexes* over the arena, which keeps snapshot()/for_each iteration
-    // order deterministic for pimcheck replay hashing.
+    // per-entry heap churn at million-entry scale). The indexes over it are
+    // key-sorted vectors: a lookup is a binary search over contiguous
+    // memory, and iteration in key order keeps snapshot()/for_each
+    // deterministic for pimcheck replay hashing. An insert or erase moves
+    // the tail; the largest per-router cache in any workload is a few
+    // hundred entries, a memmove of a few KB.
     sim::Arena<ForwardingEntry> arena_;
-    std::map<SgKey, ForwardingEntry*> sg_;
-    std::map<net::GroupAddress, ForwardingEntry*> wc_;
+    Index<SgKey> sg_;
+    Index<net::GroupAddress> wc_;
 };
 
 /// Data-plane engine: receives every non-link-local multicast packet the

@@ -961,13 +961,17 @@ void PimSmRouter::handle_join_prune(int ifindex, const net::Packet& packet,
         }
         const net::GroupAddress group{rec.group};
         telemetry::Hub& hub = hub_of(*router_);
+        // The event text is built only for the log; the count always bumps.
+        const bool tracing = hub.tracing();
+        const std::string group_text = tracing ? group.to_string() : std::string{};
+        const std::string detail = tracing ? "from=" + packet.src.to_string() : std::string{};
         if (!rec.joins.empty()) {
-            hub.emit(telemetry::EventType::kJoinReceived, router_->name(), "pim",
-                     group.to_string(), "from=" + packet.src.to_string());
+            hub.emit(telemetry::EventType::kJoinReceived, router_->name(), "pim", group_text,
+                     detail);
         }
         if (!rec.prunes.empty()) {
-            hub.emit(telemetry::EventType::kPruneReceived, router_->name(), "pim",
-                     group.to_string(), "from=" + packet.src.to_string());
+            hub.emit(telemetry::EventType::kPruneReceived, router_->name(), "pim", group_text,
+                     detail);
         }
         for (const AddressEntry& entry : rec.joins) {
             process_targeted_join(ifindex, group, entry, hold);
@@ -1583,18 +1587,21 @@ void PimSmRouter::send_join_prune(int ifindex, std::optional<net::Ipv4Address> u
     net::Payload payload = msg.encode();
     ++join_prune_sent_;
     telemetry::Hub& hub = hub_of(*router_);
+    const bool tracing = hub.tracing();
+    // The event text is built only for the log; the count always bumps.
+    const auto detail = [&](std::size_t entries) {
+        return tracing ? "if=" + std::to_string(ifindex) + " entries=" + std::to_string(entries)
+                       : std::string{};
+    };
     for (const GroupRecord& rec : msg.groups) {
+        const std::string group = tracing ? rec.group.to_string() : std::string{};
         if (!rec.joins.empty()) {
-            hub.emit(telemetry::EventType::kJoinSent, router_->name(), "pim",
-                     rec.group.to_string(),
-                     "if=" + std::to_string(ifindex) +
-                         " entries=" + std::to_string(rec.joins.size()));
+            hub.emit(telemetry::EventType::kJoinSent, router_->name(), "pim", group,
+                     detail(rec.joins.size()));
         }
         if (!rec.prunes.empty()) {
-            hub.emit(telemetry::EventType::kPruneSent, router_->name(), "pim",
-                     rec.group.to_string(),
-                     "if=" + std::to_string(ifindex) +
-                         " entries=" + std::to_string(rec.prunes.size()));
+            hub.emit(telemetry::EventType::kPruneSent, router_->name(), "pim", group,
+                     detail(rec.prunes.size()));
         }
     }
     router_->send_control(ifindex, net::kAllRouters, net::IpProto::kIgmp, "pim",

@@ -1,23 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
-
-#include "telemetry/profiler/profiler.hpp"
-
 namespace pimlib::sim {
-
-EventId Simulator::schedule(Time delay, Action action) {
-    if (delay < 0) delay = 0;
-    return schedule_at(now_ + delay, std::move(action));
-}
-
-EventId Simulator::schedule_at(Time when, Action action) {
-    assert(when >= now_ && "cannot schedule into the past");
-    if (when < now_) when = now_;
-    const std::uint64_t seq = next_seq_++;
-    TimerWheel::Node* node = wheel_.schedule(when, seq, std::move(action));
-    return EventId{when, seq, node};
-}
 
 bool Simulator::cancel(EventId id) {
     if (!id.valid()) return false;
@@ -46,11 +29,7 @@ std::size_t Simulator::run_loop(Time deadline, bool bounded) {
                     n, ChoicePoint{ChoicePoint::Kind::kEventOrder, 0});
                 if (pick >= n) pick = 0;
             }
-            Action action = wheel_.take(pick);
-            {
-                PROF_ZONE("sim.dispatch");
-                action();
-            }
+            wheel_.fire(pick);
             ++executed_;
             ++count;
         }

@@ -4,6 +4,7 @@
 // performance model and the determinism contract.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -73,15 +74,25 @@ private:
 /// The simulation kernel. Not thread-safe; one simulator per scenario.
 class Simulator {
 public:
-    using Action = std::function<void()>;
-
-    /// Schedules `action` to run `delay` after the current time.
-    /// Negative delays clamp to zero (run "now", after currently queued
-    /// same-time events).
-    EventId schedule(Time delay, Action action);
+    /// Schedules `action` (any callable taking no arguments) to run `delay`
+    /// after the current time. Negative delays clamp to zero (run "now",
+    /// after currently queued same-time events). The action is built in its
+    /// wheel node (sim::InplaceAction) and runs there.
+    template <typename F>
+    EventId schedule(Time delay, F&& action) {
+        if (delay < 0) delay = 0;
+        return schedule_at(now_ + delay, std::forward<F>(action));
+    }
 
     /// Schedules at an absolute simulated time (must be >= now()).
-    EventId schedule_at(Time when, Action action);
+    template <typename F>
+    EventId schedule_at(Time when, F&& action) {
+        assert(when >= now_ && "cannot schedule into the past");
+        if (when < now_) when = now_;
+        const std::uint64_t seq = next_seq_++;
+        TimerWheel::Node* node = wheel_.schedule(when, seq, std::forward<F>(action));
+        return EventId{when, seq, node};
+    }
 
     /// Cancels a previously scheduled event; no-op if it already ran or the
     /// id is null. Returns true if an event was actually removed.

@@ -23,7 +23,7 @@ void TimerWheel::release(Node* node) {
     node->level = kFree;
     node->prev = nullptr;
     node->next = nullptr;
-    node->action = nullptr;
+    node->action.reset();
     free_.push_back(node);
 }
 
@@ -65,12 +65,10 @@ void TimerWheel::unlink(Node* node) {
     node->next = nullptr;
 }
 
-TimerWheel::Node* TimerWheel::schedule(Time at, std::uint64_t seq, Action action) {
+void TimerWheel::file(Node* node, Time at, std::uint64_t seq) {
     assert(seq != 0);
-    Node* node = acquire();
     node->at = at;
     node->seq = seq;
-    node->action = std::move(action);
     ++size_;
     if (batch_live_ > 0 && at == batch_time_) {
         // Joins the instant currently draining; seqs only grow, so appending
@@ -81,7 +79,6 @@ TimerWheel::Node* TimerWheel::schedule(Time at, std::uint64_t seq, Action action
     } else {
         place(node);
     }
-    return node;
 }
 
 bool TimerWheel::cancel(Node* node, std::uint64_t seq) {
@@ -92,7 +89,7 @@ bool TimerWheel::cancel(Node* node, std::uint64_t seq) {
         // it returns to the pool when the batch sweeps past it. Dropping the
         // action now keeps cancellation's resource semantics eager.
         node->seq = 0;
-        node->action = nullptr;
+        node->action.reset();
         --batch_live_;
         return true;
     }
@@ -239,7 +236,7 @@ void TimerWheel::open_batch(Time at) {
     batch_live_ = batch_.size();
 }
 
-TimerWheel::Action TimerWheel::take(std::size_t k) {
+TimerWheel::Node* TimerWheel::detach(std::size_t k) {
     // Sweep consumed/cancelled entries off the front so the common case —
     // no choice source, k == 0 — stays O(1) amortized.
     while (batch_cursor_ < batch_.size()) {
@@ -253,16 +250,27 @@ TimerWheel::Action TimerWheel::take(std::size_t k) {
         Node* node = batch_[i];
         if (node == nullptr || node->seq == 0) continue;
         if (live++ < k) continue;
-        Action action = std::move(node->action);
         node->seq = 0;
-        release(node);
         batch_[i] = nullptr;
         --batch_live_;
         --size_;
-        return action;
+        return node;
     }
-    assert(false && "take(k) out of range");
+    assert(false && "fire(k) out of range");
     return nullptr;
+}
+
+void TimerWheel::fire(std::size_t k) {
+    Node* node = detach(k);
+    // The node is off the batch and off the free list while its action
+    // runs, so events the action schedules take other nodes. (If the
+    // action throws, the node is simply never recycled; the pool still
+    // owns it.)
+    {
+        PROF_ZONE("sim.dispatch");
+        node->action.run();
+    }
+    release(node);
 }
 
 TimerWheel::Stats TimerWheel::stats() const {

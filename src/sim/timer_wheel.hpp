@@ -32,19 +32,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <map>
+#include <utility>
 #include <vector>
 
+#include "sim/inplace_action.hpp"
 #include "sim/time.hpp"
 
 namespace pimlib::sim {
 
 class TimerWheel {
 public:
-    using Action = std::function<void()>;
-
     static constexpr int kSlotBits = 8;
     static constexpr int kSlots = 1 << kSlotBits; // 256 slots per level
     static constexpr int kLevels = 5;             // horizon: 2^40 ticks
@@ -55,8 +54,9 @@ public:
     static constexpr std::int16_t kOverflow = -3; // beyond the wheel horizon
 
     /// One scheduled event. Nodes are pool-allocated and reused; `seq == 0`
-    /// marks a node that holds no live event (free or cancelled), which is
-    /// what makes stale handles safe to probe.
+    /// marks a node that holds no live event (free, cancelled or running),
+    /// which is what makes stale handles safe to probe. The action is built
+    /// in the node by schedule() and runs there (fire()); it never moves.
     struct Node {
         Node* prev = nullptr;
         Node* next = nullptr;
@@ -64,17 +64,27 @@ public:
         std::uint64_t seq = 0;
         std::int16_t level = kFree;
         std::uint16_t slot = 0;
-        Action action;
+        InplaceAction action;
     };
+    // 40 bytes of links and keys plus the 32-byte action: the pool's
+    // footprint is what the refresh workload's peak RSS measures.
+    static_assert(sizeof(Node) == 72);
 
     TimerWheel() = default;
     TimerWheel(const TimerWheel&) = delete;
     TimerWheel& operator=(const TimerWheel&) = delete;
 
-    /// Files an event; `at` must be >= the time of the last opened batch.
-    /// `seq` must be unique and increasing (the simulator's event counter).
-    /// The returned node stays owned by the wheel.
-    Node* schedule(Time at, std::uint64_t seq, Action action);
+    /// Files an event whose action is built from `action` in the node; `at`
+    /// must be >= the time of the last opened batch. `seq` must be unique
+    /// and increasing (the simulator's event counter). The returned node
+    /// stays owned by the wheel.
+    template <typename F>
+    Node* schedule(Time at, std::uint64_t seq, F&& action) {
+        Node* node = acquire();
+        node->action.emplace(std::forward<F>(action));
+        file(node, at, seq);
+        return node;
+    }
 
     /// Cancels the event iff `node` still holds exactly sequence `seq`.
     /// Returns true when an event was actually removed — false for null,
@@ -105,9 +115,12 @@ public:
     [[nodiscard]] std::size_t batch_live() const { return batch_live_; }
     [[nodiscard]] Time batch_time() const { return batch_time_; }
 
-    /// Removes the k-th live batch event in seq order (k < batch_live())
-    /// and returns its action.
-    Action take(std::size_t k);
+    /// Runs the k-th live batch event in seq order (k < batch_live()) in
+    /// its node, under the `sim.dispatch` profiler zone. The event leaves
+    /// the batch and its id goes dead before the action runs (cancelling it
+    /// from inside returns false); the node returns to the pool only after
+    /// the action has returned and its captures are destroyed.
+    void fire(std::size_t k);
 
     /// Occupancy and cascade statistics, cheap enough to read on demand
     /// (one pass over the occupancy bitmaps). Published as pimlib_timer_*
@@ -142,6 +155,11 @@ private:
     /// First occupied slot >= `from` in this level's current rotation, or -1.
     [[nodiscard]] static int scan_from(const Level& level, int from);
 
+    /// Stamps `node` with (at, seq) and links it into the open batch or the
+    /// wheel: the non-template half of schedule().
+    void file(Node* node, Time at, std::uint64_t seq);
+    /// Detaches the k-th live batch event (see fire) and returns its node.
+    Node* detach(std::size_t k);
     void place(Node* node);
     void unlink(Node* node);
     void release(Node* node);

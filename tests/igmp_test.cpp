@@ -5,36 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_count.hpp"
 #include "igmp/host_agent.hpp"
 #include "igmp/messages.hpp"
 #include "igmp/router_agent.hpp"
 #include "test_util.hpp"
 #include "topo/segment.hpp"
-
-// Global operator-new interposition for the zero-allocation assertions.
-// Counting (not failing) keeps the hook harmless for every other test in
-// the binary.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-} // namespace
-
-void* operator new(std::size_t size) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size)) return p;
-    throw std::bad_alloc();
-}
-
-// The replaced operator new above is malloc-based, so free() here is the
-// matched deallocator — the compiler cannot see through the replacement.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace pimlib::test {
 namespace {
@@ -458,6 +435,29 @@ TEST(IgmpAllocation, RepeatGeneralQueryAllocatesNothing) {
     EXPECT_EQ(allocations, 0u) << "a repeat general query must not allocate";
     q.t.net.run_for(20 * sim::kMillisecond);
     EXPECT_EQ(q.reports.size(), 6u);
+}
+
+// The report is encoded once per joined group and sent as a shared copy:
+// after the first round, answering more general queries (each response
+// scheduled, fired and sent on the LAN) allocates nothing at all, so in
+// particular no payload block.
+TEST(IgmpAllocation, AnsweringQueriesEncodesTheReportOnce) {
+    QueriedHost q;
+    q.join({kG1});
+    constexpr int kQueries = 50;
+    q.reports.reserve(kQueries + 1);
+    const net::Packet query = general_query();
+    q.host->receive(0, query);
+    q.t.net.run_for(20 * sim::kMillisecond); // the first round fires
+
+    const std::uint64_t before = g_alloc_count.load();
+    for (int i = 0; i < kQueries; ++i) {
+        q.host->receive(0, query);
+        q.t.net.run_for(20 * sim::kMillisecond);
+    }
+    const std::uint64_t allocations = g_alloc_count.load() - before;
+    EXPECT_EQ(allocations, 0u) << "a report must not be re-encoded per response";
+    EXPECT_EQ(q.reports.size(), std::size_t{kQueries + 1});
 }
 
 TEST(IgmpAllocation, ReReportOfKnownGroupAllocatesNothing) {

@@ -1,7 +1,14 @@
 // Forwarding-entry and data-plane tests: oif timers, pinning, the §3.5
-// forwarding rules including both SPT-bit transition exceptions, and the
-// negative-cache prune bookkeeping.
+// forwarding rules including both SPT-bit transition exceptions, the
+// negative-cache prune bookkeeping, and the cache's key-ordered indexes
+// checked against an ordered-map model.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "mcast/forwarding_cache.hpp"
 #include "test_util.hpp"
@@ -107,6 +114,189 @@ TEST(ForwardingCache, ReapExpiredEntries) {
     ASSERT_EQ(removed.size(), 1u);
     EXPECT_EQ(removed[0].first, kSrc);
     EXPECT_EQ(cache.sg_count(), 1u);
+}
+
+// A randomized ensure/remove/expire/reap sequence against std::map models
+// of both indexes. After every step each iteration surface (for_each_*,
+// snapshot, reap) must visit exactly the model's keys in the model's order,
+// and a visit_entries walk with budgets 1-3, with keys removed between its
+// calls, must resume where the model's upper_bound says.
+class CacheModel {
+public:
+    using SgKey = ForwardingCache::SgKey;
+
+    void ensure_sg(net::Ipv4Address s, net::GroupAddress g) {
+        cache.ensure_sg(s, g);
+        sg.try_emplace({s, g}, 0);
+    }
+    void ensure_wc(net::GroupAddress g) {
+        cache.ensure_wc(kRp, g);
+        wc.insert(g);
+    }
+    void remove_sg(net::Ipv4Address s, net::GroupAddress g) {
+        cache.remove_sg(s, g);
+        sg.erase({s, g});
+    }
+    void remove_wc(net::GroupAddress g) {
+        cache.remove_wc(g);
+        wc.erase(g);
+    }
+    void expire(const SgKey& key, sim::Time at) {
+        cache.find_sg(key.first, key.second)->set_delete_at(at);
+        sg[key] = at;
+    }
+    void reap(sim::Time now) {
+        std::vector<SgKey> expected;
+        for (auto it = sg.begin(); it != sg.end();) {
+            if (it->second != 0 && now >= it->second) {
+                expected.push_back(it->first);
+                it = sg.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        EXPECT_EQ(cache.reap_expired_entries(now), expected);
+    }
+
+    void check() {
+        std::vector<SgKey> sg_seen;
+        cache.for_each_sg([&](ForwardingEntry& e) {
+            sg_seen.emplace_back(e.source_or_rp(), e.group());
+        });
+        std::vector<SgKey> sg_want;
+        for (const auto& [key, at] : sg) sg_want.push_back(key);
+        EXPECT_EQ(sg_seen, sg_want);
+
+        std::vector<net::GroupAddress> wc_seen;
+        cache.for_each_wc([&](ForwardingEntry& e) { wc_seen.push_back(e.group()); });
+        EXPECT_EQ(wc_seen, std::vector<net::GroupAddress>(wc.begin(), wc.end()));
+
+        for (net::GroupAddress g : kGroups) {
+            std::vector<SgKey> of_seen;
+            cache.for_each_sg_of(g, [&](ForwardingEntry& e) {
+                of_seen.emplace_back(e.source_or_rp(), e.group());
+            });
+            std::vector<SgKey> of_want;
+            for (const auto& [key, at] : sg) {
+                if (key.second == g) of_want.push_back(key);
+            }
+            EXPECT_EQ(of_seen, of_want);
+            EXPECT_EQ(cache.find_wc(g) != nullptr, wc.contains(g));
+            for (net::Ipv4Address s : kSources) {
+                EXPECT_EQ(cache.find_sg(s, g) != nullptr, sg.contains({s, g}));
+            }
+        }
+
+        const telemetry::RouterMrib mrib = cache.snapshot("r", 0);
+        std::vector<std::string> snap_seen;
+        for (const auto& e : mrib.entries) {
+            snap_seen.push_back((e.wildcard ? "*" : e.source_or_rp) + "," + e.group);
+        }
+        std::vector<std::string> snap_want;
+        for (net::GroupAddress g : wc) snap_want.push_back("*," + g.to_string());
+        for (const auto& [key, at] : sg) {
+            snap_want.push_back(key.first.to_string() + "," + key.second.to_string());
+        }
+        EXPECT_EQ(snap_seen, snap_want);
+        EXPECT_EQ(cache.size(), sg.size() + wc.size());
+    }
+
+    /// One visit_entries call, checked against the model's own cursor.
+    void visit(std::size_t budget) {
+        std::vector<std::string> seen;
+        const std::size_t n = cache.visit_entries(cursor, budget, [&](const ForwardingEntry& e) {
+            seen.push_back(name(e.wildcard(), e.source_or_rp(), e.group()));
+        });
+        std::vector<std::string> want;
+        bool wrapped = false;
+        if (!model_on_sg) {
+            auto it = have_wc ? wc.upper_bound(wc_after) : wc.begin();
+            for (; it != wc.end() && want.size() < budget; ++it) {
+                want.push_back(name(true, kRp, *it));
+                wc_after = *it;
+                have_wc = true;
+            }
+            if (it == wc.end()) model_on_sg = true;
+        }
+        if (model_on_sg) {
+            auto it = have_sg ? sg.upper_bound(sg_after) : sg.begin();
+            for (; it != sg.end() && want.size() < budget; ++it) {
+                want.push_back(name(false, it->first.first, it->first.second));
+                sg_after = it->first;
+                have_sg = true;
+            }
+            if (it == sg.end()) {
+                model_on_sg = have_wc = have_sg = false;
+                wrapped = true;
+            }
+        }
+        EXPECT_EQ(seen, want);
+        EXPECT_EQ(n, want.size());
+        EXPECT_EQ(cursor.wrapped, wrapped);
+        walked += want.size();
+    }
+
+    static std::string name(bool wildcard, net::Ipv4Address s, net::GroupAddress g) {
+        return (wildcard ? "*" : s.to_string()) + "," + g.to_string();
+    }
+
+    static inline const std::vector<net::Ipv4Address> kSources = {
+        net::Ipv4Address(10, 0, 0, 9), net::Ipv4Address(10, 0, 0, 1),
+        net::Ipv4Address(10, 0, 2, 5), net::Ipv4Address(172, 16, 0, 1),
+        net::Ipv4Address(10, 0, 1, 7)};
+    static inline const std::vector<net::GroupAddress> kGroups = {
+        net::GroupAddress(net::Ipv4Address(224, 1, 1, 3)),
+        net::GroupAddress(net::Ipv4Address(224, 1, 1, 1)),
+        net::GroupAddress(net::Ipv4Address(239, 0, 0, 2)),
+        net::GroupAddress(net::Ipv4Address(224, 1, 2, 1))};
+
+    ForwardingCache cache;
+    std::map<SgKey, sim::Time> sg;
+    std::set<net::GroupAddress> wc;
+    ForwardingCache::VisitCursor cursor;
+    bool model_on_sg = false;
+    bool have_wc = false;
+    bool have_sg = false;
+    net::GroupAddress wc_after{};
+    SgKey sg_after{};
+    std::size_t walked = 0;
+};
+
+TEST(ForwardingCache, IndexesMatchAnOrderedMapModel) {
+    CacheModel m;
+    std::mt19937 rng(20240611);
+    const auto pick = [&](const auto& v) { return v[rng() % v.size()]; };
+    for (int step = 0; step < 3000; ++step) {
+        const net::Ipv4Address s = pick(CacheModel::kSources);
+        const net::GroupAddress g = pick(CacheModel::kGroups);
+        switch (rng() % 8) {
+        case 0:
+        case 1:
+            m.ensure_sg(s, g);
+            break;
+        case 2:
+            m.ensure_wc(g);
+            break;
+        case 3:
+            m.remove_sg(s, g);
+            break;
+        case 4:
+            m.remove_wc(g);
+            break;
+        case 5:
+            if (m.sg.contains({s, g})) m.expire({s, g}, 1 + static_cast<sim::Time>(rng() % 100));
+            break;
+        case 6:
+            m.reap(static_cast<sim::Time>(rng() % 100));
+            break;
+        default:
+            m.visit(1 + rng() % 3);
+            break;
+        }
+        m.check();
+        if (::testing::Test::HasFailure()) FAIL() << "diverged at step " << step;
+    }
+    EXPECT_GT(m.walked, 500u);
 }
 
 // --- Data-plane tests on a tiny real topology ---

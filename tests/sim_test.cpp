@@ -1,10 +1,14 @@
-// Unit tests for the discrete-event simulation kernel.
+// Unit tests for the discrete-event simulation kernel, including the
+// lifetime and allocation rules of the in-place event action.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "sim/simulator.hpp"
 
 namespace pimlib::sim {
@@ -266,6 +270,158 @@ TEST(Simulator, ClearingChoiceSourceRestoresSchedulingOrder) {
     sim.run_until(50);
     EXPECT_EQ(log, "ab");
     EXPECT_TRUE(picker.consulted.empty());
+}
+
+// --- the in-place action --------------------------------------------------
+
+/// A capture that counts its own destruction. Moved-from copies are not
+/// counted, so `destroyed` tells how often the live capture died.
+struct DropCounter {
+    int* destroyed;
+    bool live = true;
+    explicit DropCounter(int* d) : destroyed(d) {}
+    DropCounter(DropCounter&& other) noexcept : destroyed(other.destroyed), live(other.live) {
+        other.live = false;
+    }
+    DropCounter(const DropCounter& other) = default;
+    ~DropCounter() {
+        if (live) ++*destroyed;
+    }
+};
+
+TEST(InplaceAction, CaptureIsDestroyedOnceWhenItFires) {
+    Simulator sim;
+    int destroyed = 0;
+    int destroyed_while_running = -1;
+    sim.schedule(10, [counter = DropCounter{&destroyed}, &destroyed, &destroyed_while_running] {
+        destroyed_while_running = destroyed;
+    });
+    EXPECT_EQ(destroyed, 0);
+    sim.run();
+    EXPECT_EQ(destroyed_while_running, 0); // alive while it runs
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(InplaceAction, CaptureIsDestroyedWhenCancelled) {
+    Simulator sim;
+    int destroyed = 0;
+    const EventId id = sim.schedule(10, [counter = DropCounter{&destroyed}] {});
+    EXPECT_EQ(destroyed, 0);
+    EXPECT_TRUE(sim.cancel(id));
+    EXPECT_EQ(destroyed, 1); // at the cancel, not when the slot is swept
+    sim.run();
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(InplaceAction, CaptureCancelledInsideItsBatchIsDestroyedAtTheCancel) {
+    Simulator sim;
+    int destroyed = 0;
+    EventId victim;
+    sim.schedule_at(10, [&] {
+        EXPECT_TRUE(sim.cancel(victim));
+        EXPECT_EQ(destroyed, 1);
+    });
+    victim = sim.schedule_at(10, [counter = DropCounter{&destroyed}] { ADD_FAILURE(); });
+    sim.run();
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(InplaceAction, PendingCaptureIsDestroyedWithTheSimulator) {
+    int destroyed = 0;
+    {
+        Simulator sim;
+        sim.schedule(10, [counter = DropCounter{&destroyed}] {});
+        sim.schedule(sim::kSecond * 86400 * 30, [counter = DropCounter{&destroyed}] {});
+        sim.run_until(5);
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 2);
+}
+
+TEST(InplaceAction, LargeCaptureFiresAndIsFreed) {
+    Simulator sim;
+    int destroyed = 0;
+    std::array<int, 16> big{};
+    big[15] = 42;
+    int seen = 0;
+    auto action = [big, counter = DropCounter{&destroyed}, &seen] { seen = big[15]; };
+    static_assert(!InplaceAction::kStoredInline<decltype(action)>);
+    sim.schedule(10, std::move(action));
+    sim.run();
+    EXPECT_EQ(seen, 42);
+    EXPECT_EQ(destroyed, 1);
+
+    // Cancelled before it runs, a heap-held capture is freed too.
+    sim.cancel(sim.schedule(10, [big, counter = DropCounter{&destroyed}] {}));
+    EXPECT_EQ(destroyed, 2);
+}
+
+TEST(InplaceAction, SmallCaptureSchedulesWithoutAllocating) {
+    struct Owner {
+        Simulator sim;
+        int hits = 0;
+        void hit(const int* p) { hits += *p; }
+    } owner;
+    const int one = 1;
+    const int* ptr = &one;
+    const auto action = [self = &owner, ptr] { self->hit(ptr); };
+    static_assert(InplaceAction::kStoredInline<decltype(action)>);
+    auto schedule = [&] { owner.sim.schedule(10, action); };
+    schedule(); // grows the node pool and the batch vector once
+    owner.sim.run();
+
+    const std::uint64_t before = pimlib::test::g_alloc_count.load();
+    for (int i = 0; i < 100; ++i) {
+        schedule();
+        owner.sim.run();
+    }
+    EXPECT_EQ(pimlib::test::g_alloc_count.load() - before, 0u);
+    EXPECT_EQ(owner.hits, 101);
+}
+
+TEST(InplaceAction, RunningEventCannotCancelItself) {
+    Simulator sim;
+    EventId self;
+    bool cancelled = true;
+    self = sim.schedule(10, [&] { cancelled = sim.cancel(self); });
+    sim.run();
+    EXPECT_FALSE(cancelled);
+    EXPECT_EQ(sim.executed(), 1u);
+}
+
+TEST(InplaceAction, SameInstantEventFromRunningActionJoinsTheBatchInSeqOrder) {
+    Simulator sim;
+    std::string log;
+    sim.schedule_at(10, [&] {
+        log += 'a';
+        sim.schedule(0, [&] { log += 'c'; });
+    });
+    sim.schedule_at(10, [&] { log += 'b'; });
+    sim.run();
+    EXPECT_EQ(log, "abc"); // c's seq is after b's
+
+    // With a choice source, the new event is one more contender, last in
+    // seq order.
+    class FirstPicker final : public ChoiceSource {
+    public:
+        std::size_t choose(std::size_t n, ChoicePoint) override {
+            consulted.push_back(n);
+            return 0;
+        }
+        std::vector<std::size_t> consulted;
+    } picker;
+    sim.set_choice_source(&picker);
+    log.clear();
+    sim.schedule_at(20, [&] {
+        log += 'a';
+        sim.schedule(0, [&] { log += 'c'; });
+    });
+    sim.schedule_at(20, [&] { log += 'b'; });
+    sim.schedule_at(20, [&] { log += 'd'; });
+    sim.run();
+    EXPECT_EQ(log, "abdc");
+    EXPECT_EQ(picker.consulted, (std::vector<std::size_t>{3, 3, 2}));
+    sim.set_choice_source(nullptr);
 }
 
 } // namespace

@@ -46,7 +46,7 @@ TEST(TimerWheel, FiresAcrossEveryCascadeBoundary) {
     while (wheel.next_time(&at)) {
         wheel.open_batch(at);
         while (wheel.batch_live() > 0) {
-            wheel.take(0)();
+            wheel.fire(0);
             fire_times.push_back(at);
         }
     }
@@ -81,7 +81,7 @@ TEST(TimerWheel, FarFutureOverflowBeyondHorizonFires) {
     while (wheel.next_time(&at)) {
         wheel.open_batch(at);
         while (wheel.batch_live() > 0) {
-            wheel.take(0)();
+            wheel.fire(0);
             fire_times.push_back(at);
         }
     }
@@ -113,7 +113,7 @@ TEST(TimerWheel, CancelFromWheelOverflowAndBatch) {
     EXPECT_EQ(wheel.batch_live(), 2u);
     EXPECT_TRUE(wheel.cancel(late, 4));
     EXPECT_EQ(wheel.batch_live(), 1u);
-    wheel.take(0)();
+    wheel.fire(0);
     ASSERT_EQ(fired.size(), 1u);
     EXPECT_EQ(fired[0].second, 3);
     EXPECT_EQ(wheel.size(), 0u);
@@ -133,7 +133,7 @@ TEST(TimerWheel, StaleHandleNeverCancelsReusedNode) {
     Time at = 0;
     ASSERT_TRUE(wheel.next_time(&at));
     wheel.open_batch(at);
-    wheel.take(0)();
+    wheel.fire(0);
     EXPECT_EQ(fired.size(), 1u);
     EXPECT_EQ(fired[0].second, 2);
 }
@@ -150,10 +150,10 @@ TEST(TimerWheel, SameInstantBatchSurfacesInSeqOrderAndTakesByIndex) {
     EXPECT_EQ(at, 50);
     wheel.open_batch(at);
     ASSERT_EQ(wheel.batch_live(), 3u);
-    // take(1) of live {3,5,7} is seq 5; then take(1) of {3,7} is seq 7.
-    wheel.take(1)();
-    wheel.take(1)();
-    wheel.take(0)();
+    // fire(1) of live {3,5,7} is seq 5; then fire(1) of {3,7} is seq 7.
+    wheel.fire(1);
+    wheel.fire(1);
+    wheel.fire(0);
     std::vector<int> tags;
     for (auto& [t, tag] : fired) tags.push_back(tag);
     EXPECT_EQ(tags, (std::vector<int>{5, 7, 3}));
@@ -229,7 +229,7 @@ TEST(TimerWheel, CancelRescheduleStormMatchesReferenceModel) {
             wheel.open_batch(at);
             now = at;
             while (wheel.batch_live() > 0) {
-                wheel.take(0)();
+                wheel.fire(0);
                 ASSERT_FALSE(fired.empty());
                 fired.back().first = at;
                 const std::uint64_t seq = fired.back().second;
@@ -248,7 +248,7 @@ TEST(TimerWheel, CancelRescheduleStormMatchesReferenceModel) {
     while (wheel.next_time(&at)) {
         wheel.open_batch(at);
         while (wheel.batch_live() > 0) {
-            wheel.take(0)();
+            wheel.fire(0);
             fired.back().first = at;
             const std::uint64_t seq = fired.back().second;
             ASSERT_TRUE(expected.contains(seq));
@@ -378,7 +378,7 @@ TEST(TimerWheelStats, TracksOccupancyCascadesAndOverflow) {
     Time at = 0;
     while (wheel.next_time(&at, level1)) {
         wheel.open_batch(at);
-        while (wheel.batch_live() > 0) wheel.take(0)();
+        while (wheel.batch_live() > 0) wheel.fire(0);
     }
     s = wheel.stats();
     EXPECT_EQ(s.pending, 1u);
