@@ -1263,10 +1263,10 @@ void PimSmRouter::on_rp_reachability_tick() {
         if (wc.source_or_rp() != router_->router_id()) return;
         const net::Payload payload =
             RpReachability{wc.group().address(), router_->router_id(), holdtime}.encode();
-        for (int oif : wc.live_oifs(now)) {
+        wc.for_each_live_oif(now, [&](int oif) {
             router_->send_control(oif, net::kAllRouters, net::IpProto::kIgmp, "pim-rp-reach",
                                   payload);
-        }
+        });
     });
 }
 
@@ -1278,13 +1278,14 @@ void PimSmRouter::handle_rp_reachability(int ifindex, const RpReachability& msg)
     if (ifindex != wc->iif()) return; // must arrive from the RP direction
     const sim::Time now = router_->simulator().now();
     wc->set_rp_timer_deadline(now + ms_to_time(msg.holdtime_ms));
-    // Propagate down the shared tree.
+    // Propagate down the shared tree. Sending only schedules deliveries, so
+    // the oif list cannot change under the walk.
     const net::Payload payload = msg.encode();
-    for (int oif : wc->live_oifs(now)) {
-        if (oif == ifindex) continue;
+    wc->for_each_live_oif(now, [&](int oif) {
+        if (oif == ifindex) return;
         router_->send_control(oif, net::kAllRouters, net::IpProto::kIgmp, "pim-rp-reach",
                               payload);
-    }
+    });
 }
 
 void PimSmRouter::check_rp_timers() {

@@ -98,6 +98,11 @@ void Recorder::register_node(int node_id, std::string name, bool is_host) {
     const auto id = static_cast<std::size_t>(node_id);
     if (nodes_.size() <= id) nodes_.resize(id + 1);
     nodes_[id] = NodeInfo{std::move(name), is_host};
+    add_rings(id + 1);
+}
+
+void Recorder::add_rings(std::size_t count) {
+    while (rings_.size() < count) rings_.emplace_back().buf.resize(kRingCapacity);
 }
 
 std::uint64_t Recorder::drop_count(DropReason reason) const {
@@ -116,7 +121,9 @@ const std::string& Recorder::node_name(int node_id) const {
 void Recorder::for_each_record(
     const std::function<void(const HopRecord&)>& fn) const {
     for (const Ring& ring : rings_) {
-        for (const HopRecord& rec : ring.buf) fn(rec);
+        const auto held = static_cast<std::size_t>(
+            std::min<std::uint64_t>(ring.total, kRingCapacity));
+        for (std::size_t i = 0; i < held; ++i) fn(ring.buf[i]);
     }
 }
 

@@ -128,8 +128,9 @@ inline constexpr std::size_t kRingCapacity = 512;
 
 /// The flight recorder: per-node bounded rings plus the labeled drop
 /// counters. One Recorder serves one Network (attach via
-/// topo::Network::set_provenance); hooks check the attachment pointer
-/// before paying any recording cost.
+/// topo::Network::set_provenance, which registers every node and so sizes
+/// every ring); hooks check the attachment pointer before paying any
+/// recording cost.
 class Recorder {
 public:
     explicit Recorder(telemetry::Registry& registry);
@@ -137,7 +138,8 @@ public:
     Recorder(const Recorder&) = delete;
     Recorder& operator=(const Recorder&) = delete;
 
-    /// Name lookup for traces/dumps; hosts are trace endpoints.
+    /// Name lookup for traces/dumps; hosts are trace endpoints. Also sizes
+    /// the node's ring.
     void register_node(int node_id, std::string name, bool is_host);
 
     /// The one way to append: returns `node`'s next ring slot, reset to
@@ -149,27 +151,30 @@ public:
     [[nodiscard]] HopRecord* begin(int node, const net::Packet& packet, sim::Time now) {
         if (packet.pid == 0 || node < 0) return nullptr;
         const auto id = static_cast<std::size_t>(node);
-        if (rings_.size() <= id) rings_.resize(id + 1);
+        if (id >= rings_.size()) [[unlikely]] add_rings(id + 1); // an unregistered node
         Ring& ring = rings_[id];
-        if (ring.buf.empty()) ring.buf.reserve(kRingCapacity);
-        HopRecord* slot;
-        if (ring.buf.size() < kRingCapacity) {
-            slot = &ring.buf.emplace_back();
-        } else {
-            slot = &ring.buf[ring.next];
-            *slot = HopRecord{};
-            ring.next = ring.next + 1 == kRingCapacity ? 0 : ring.next + 1;
-        }
-        slot->pid = packet.pid;
-        slot->at = now;
-        slot->order = order_++;
-        slot->seq = packet.seq;
-        slot->src = packet.src;
-        slot->group = packet.dst;
-        slot->node = node;
-        slot->ttl = packet.ttl;
-        ++ring.total;
-        return slot;
+        HopRecord& slot = ring.buf[ring.total++ % kRingCapacity];
+        // Every field once, straight into the slot: a HopRecord temporary
+        // assembled on the stack and copied in costs store-forwarding
+        // stalls on each hop. The defaults are HopRecord's.
+        slot.pid = packet.pid;
+        slot.at = now;
+        slot.order = order_++;
+        slot.seq = packet.seq;
+        slot.src = packet.src;
+        slot.group = packet.dst;
+        slot.node = node;
+        slot.iif = -1;
+        slot.segment = -1;
+        slot.kind = EntryKind::kNone;
+        slot.drop = DropReason::kNone;
+        slot.rpf_ok = true;
+        slot.spt_bit = false;
+        slot.rp_bit = false;
+        slot.ttl = packet.ttl;
+        slot.oif_count = 0;
+        slot.oifs = {};
+        return &slot;
     }
 
     /// Closes a begin(): a non-kNone drop increments
@@ -228,15 +233,17 @@ public:
 
 private:
     struct Ring {
-        std::vector<HopRecord> buf; // size() < capacity while filling
-        std::size_t next = 0;       // overwrite cursor once full
-        std::uint64_t total = 0;
+        std::vector<HopRecord> buf; // kRingCapacity slots; the next is total % capacity
+        std::uint64_t total = 0;    // records ever begun; min(total, capacity) are held
     };
     struct NodeInfo {
         std::string name;
         bool is_host = false;
     };
 
+    /// Grows rings_ to `count` rings, each sized up front so begin() only
+    /// writes its slot.
+    void add_rings(std::size_t count);
     void for_each_record(const std::function<void(const HopRecord&)>& fn) const;
     [[nodiscard]] std::vector<const HopRecord*> merged_records() const;
 

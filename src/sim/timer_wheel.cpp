@@ -1,6 +1,5 @@
 #include "sim/timer_wheel.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -21,13 +20,41 @@ TimerWheel::Node* TimerWheel::acquire() {
 void TimerWheel::release(Node* node) {
     node->seq = 0;
     node->level = kFree;
-    node->prev = nullptr;
-    node->next = nullptr;
     node->action.reset();
     free_.push_back(node);
 }
 
-void TimerWheel::place(Node* node) {
+void TimerWheel::link(Node*& head, Node* node, End end) {
+    if (head == nullptr) {
+        node->prev = node;
+        node->next = nullptr;
+        head = node;
+        return;
+    }
+    Node* tail = head->prev;
+    node->prev = tail;
+    head->prev = node;
+    if (end == End::kBack) {
+        node->next = nullptr;
+        tail->next = node;
+    } else {
+        node->next = head;
+        head = node;
+    }
+}
+
+void TimerWheel::unlink(Node*& head, Node* node) {
+    Node* next = node->next;
+    if (node == head) {
+        head = next;
+        if (next != nullptr) next->prev = node->prev;
+    } else {
+        node->prev->next = next;
+        (next != nullptr ? next : head)->prev = node->prev;
+    }
+}
+
+void TimerWheel::place(Node* node, End end) {
     const Time delta = node->at - base_;
     assert(delta >= 0 && "wheel position passed a pending event");
     if (delta >= span(kLevels)) {
@@ -41,62 +68,50 @@ void TimerWheel::place(Node* node) {
     Level& l = levels_[level];
     node->level = static_cast<std::int16_t>(level);
     node->slot = static_cast<std::uint16_t>(slot);
-    node->prev = nullptr;
-    node->next = l.head[slot];
-    if (node->next != nullptr) node->next->prev = node;
-    l.head[slot] = node;
+    link(l.head[slot], node, end);
     l.bitmap[slot >> 6] |= std::uint64_t{1} << (slot & 63);
     ++l.count;
+    if (level == 0) ++instant_count_[slot];
 }
 
-void TimerWheel::unlink(Node* node) {
+void TimerWheel::remove(Node* node) {
     Level& l = levels_[node->level];
-    if (node->prev != nullptr) {
-        node->prev->next = node->next;
-    } else {
-        l.head[node->slot] = node->next;
-    }
-    if (node->next != nullptr) node->next->prev = node->prev;
-    if (l.head[node->slot] == nullptr) {
+    Node*& head = l.head[node->slot];
+    unlink(head, node);
+    if (head == nullptr) {
         l.bitmap[node->slot >> 6] &= ~(std::uint64_t{1} << (node->slot & 63));
     }
     --l.count;
-    node->prev = nullptr;
-    node->next = nullptr;
+    if (node->level == 0) --instant_count_[node->slot];
 }
 
 void TimerWheel::file(Node* node, Time at, std::uint64_t seq) {
-    assert(seq != 0);
+    assert(seq > last_seq_ && "seq must be unique and increasing");
+    last_seq_ = seq;
     node->at = at;
     node->seq = seq;
     ++size_;
+    // The largest seq so far: the back of its list keeps the list ascending.
     if (batch_live_ > 0 && at == batch_time_) {
-        // Joins the instant currently draining; seqs only grow, so appending
-        // keeps the batch sorted in scheduling order.
-        node->level = kBatch;
-        batch_.push_back(node);
+        node->level = 0;
+        node->slot = static_cast<std::uint16_t>(at & (kSlots - 1));
+        link(batch_, node, End::kBack);
         ++batch_live_;
     } else {
-        place(node);
+        place(node, End::kBack);
     }
 }
 
 bool TimerWheel::cancel(Node* node, std::uint64_t seq) {
     if (node == nullptr || seq == 0 || node->seq != seq) return false;
     --size_;
-    if (node->level == kBatch) {
-        // Tombstone in place: the batch vector still points at the node, so
-        // it returns to the pool when the batch sweeps past it. Dropping the
-        // action now keeps cancellation's resource semantics eager.
-        node->seq = 0;
-        node->action.reset();
+    if (in_batch(node)) {
+        unlink(batch_, node);
         --batch_live_;
-        return true;
-    }
-    if (node->level == kOverflow) {
+    } else if (node->level == kOverflow) {
         overflow_.erase({node->at, node->seq});
     } else {
-        unlink(node);
+        remove(node);
     }
     release(node);
     return true;
@@ -115,39 +130,42 @@ int TimerWheel::scan_from(const Level& level, int from) {
 void TimerWheel::cascade_current() {
     PROF_ZONE("sim.wheel.cascade");
     ++cascades_;
-    for (int levelno = kLevels - 1; levelno >= 1; --levelno) {
+    // Bottom-up: a same-instant node at a higher level was filed earlier,
+    // so it must end up ahead of those cascaded from lower levels, and
+    // pushing it at the front after them puts it there. A node due in this
+    // rotation of the slot re-homes strictly below this level (its delta is
+    // under span(levelno)); one due in the slot's next rotation lands back
+    // in the same slot.
+    for (int levelno = 1; levelno < kLevels; ++levelno) {
         const int slot = index_at(levelno);
         Level& level = levels_[levelno];
-        Node* node = level.head[slot];
-        if (node == nullptr) continue;
+        Node* head = level.head[slot];
+        if (head == nullptr) continue;
         level.head[slot] = nullptr;
         level.bitmap[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-        // Every node re-homes strictly below this level: its slot contains
-        // base_, so its delta is under span(levelno), and a node whose delta
-        // puts it back at level K always lands in a slot != index_at(K).
-        while (node != nullptr) {
-            Node* next = node->next;
+        // Tail to head, each to the front of its new slot: every run that
+        // shares a target slot keeps its order there.
+        for (Node* node = head->prev;;) {
+            Node* prev = node->prev;
             --level.count;
             ++cascaded_nodes_;
-            node->prev = nullptr;
-            node->next = nullptr;
-            place(node);
-            node = next;
+            place(node, End::kFront);
+            if (node == head) break;
+            node = prev;
         }
     }
 }
 
 void TimerWheel::migrate_overflow() {
-    while (!overflow_.empty()) {
-        auto it = overflow_.begin();
-        if (it->first.first - base_ >= span(kLevels)) break;
-        Node* node = it->second;
-        overflow_.erase(it);
+    const auto end = overflow_.lower_bound({base_ + span(kLevels), 0});
+    // Overflow nodes are the oldest of their instants: descending, each to
+    // the front, lands them ahead of the wheel's in ascending order.
+    for (auto it = end; it != overflow_.begin();) {
+        --it;
         ++overflow_migrations_;
-        node->prev = nullptr;
-        node->next = nullptr;
-        place(node);
+        place(it->second, End::kFront);
     }
+    overflow_.erase(overflow_.begin(), end);
 }
 
 void TimerWheel::roll(int level) {
@@ -161,7 +179,6 @@ bool TimerWheel::next_time(Time* at, Time limit) {
         *at = batch_time_;
         return true;
     }
-    sweep_batch();
     if (size_ == 0) return false;
     for (;;) {
         if (wheel_count() == 0) {
@@ -210,54 +227,40 @@ bool TimerWheel::next_time(Time* at, Time limit) {
 
 void TimerWheel::open_batch(Time at) {
     assert(batch_live_ == 0 && "previous batch must drain first");
-    sweep_batch();
     base_ = at;
     Level& level = levels_[0];
     const int slot = static_cast<int>(at & (kSlots - 1));
-    Node* node = level.head[slot];
-    assert(node != nullptr && "open_batch requires next_time's result");
+    Node* head = level.head[slot];
+    assert(head != nullptr && "open_batch requires next_time's result");
     level.head[slot] = nullptr;
     level.bitmap[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-    while (node != nullptr) {
+    const std::size_t n = instant_count_[slot];
+    instant_count_[slot] = 0;
+    level.count -= n;
+#ifndef NDEBUG
+    std::size_t walked = 0;
+    for (Node* node = head; node != nullptr; node = node->next, ++walked) {
         // Level-0 nodes all sit inside the current 256-tick window, so one
         // slot holds exactly one instant.
         assert(node->at == at);
-        Node* next = node->next;
-        --level.count;
-        node->prev = nullptr;
-        node->next = nullptr;
-        node->level = kBatch;
-        batch_.push_back(node);
-        node = next;
+        assert((node == head || node->prev->seq < node->seq) && "batch out of seq order");
     }
-    std::sort(batch_.begin(), batch_.end(),
-              [](const Node* a, const Node* b) { return a->seq < b->seq; });
+    assert(walked == n);
+#endif
+    batch_ = head;
     batch_time_ = at;
-    batch_live_ = batch_.size();
+    batch_live_ = n;
 }
 
 TimerWheel::Node* TimerWheel::detach(std::size_t k) {
-    // Sweep consumed/cancelled entries off the front so the common case —
-    // no choice source, k == 0 — stays O(1) amortized.
-    while (batch_cursor_ < batch_.size()) {
-        Node* node = batch_[batch_cursor_];
-        if (node != nullptr && node->seq != 0) break;
-        if (node != nullptr) release(node);
-        ++batch_cursor_;
-    }
-    std::size_t live = 0;
-    for (std::size_t i = batch_cursor_; i < batch_.size(); ++i) {
-        Node* node = batch_[i];
-        if (node == nullptr || node->seq == 0) continue;
-        if (live++ < k) continue;
-        node->seq = 0;
-        batch_[i] = nullptr;
-        --batch_live_;
-        --size_;
-        return node;
-    }
-    assert(false && "fire(k) out of range");
-    return nullptr;
+    assert(k < batch_live_ && "fire(k) out of range");
+    Node* node = batch_;
+    for (; k > 0; --k) node = node->next;
+    unlink(batch_, node);
+    node->seq = 0;
+    --batch_live_;
+    --size_;
+    return node;
 }
 
 void TimerWheel::fire(std::size_t k) {
@@ -288,15 +291,6 @@ TimerWheel::Stats TimerWheel::stats() const {
     s.cascaded_nodes = cascaded_nodes_;
     s.overflow_migrations = overflow_migrations_;
     return s;
-}
-
-void TimerWheel::sweep_batch() {
-    // Only tombstones (or already-nulled slots) can remain once live == 0.
-    for (std::size_t i = batch_cursor_; i < batch_.size(); ++i) {
-        if (batch_[i] != nullptr) release(batch_[i]);
-    }
-    batch_.clear();
-    batch_cursor_ = 0;
 }
 
 } // namespace pimlib::sim

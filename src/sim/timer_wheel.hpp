@@ -17,7 +17,9 @@
 // advances. Each slot is an intrusive doubly-linked list with a 256-bit
 // occupancy bitmap per level, so "find next event" is a handful of word
 // scans and the discrete-event clock can jump over empty regions without
-// walking them tick by tick.
+// walking them tick by tick. Every slot list is kept in seq order as it is
+// filed (docs/TIMERS.md, "Slot order"), so an instant's level-0 list is its
+// batch as it stands: opening it sorts nothing.
 //
 // Determinism contract (relied on by src/check):
 //   - all events due at one instant are surfaced as a single batch, ordered
@@ -48,15 +50,19 @@ public:
     static constexpr int kSlots = 1 << kSlotBits; // 256 slots per level
     static constexpr int kLevels = 5;             // horizon: 2^40 ticks
 
-    /// Where a node currently lives; values >= 0 are wheel levels.
+    /// Where a node currently lives; values >= 0 are wheel levels. A node
+    /// in the open batch keeps level 0: it is the one level-0 node due at
+    /// the batch instant while the batch is open.
     static constexpr std::int16_t kFree = -1;     // on the free list
-    static constexpr std::int16_t kBatch = -2;    // in the open batch
     static constexpr std::int16_t kOverflow = -3; // beyond the wheel horizon
 
     /// One scheduled event. Nodes are pool-allocated and reused; `seq == 0`
     /// marks a node that holds no live event (free, cancelled or running),
     /// which is what makes stale handles safe to probe. The action is built
     /// in the node by schedule() and runs there (fire()); it never moves.
+    /// In a list (a wheel slot or the open batch) `next` runs head to tail
+    /// and ends in null, and the head's `prev` is the tail, so both ends are
+    /// O(1) without a tail array.
     struct Node {
         Node* prev = nullptr;
         Node* next = nullptr;
@@ -76,8 +82,9 @@ public:
 
     /// Files an event whose action is built from `action` in the node; `at`
     /// must be >= the time of the last opened batch. `seq` must be unique
-    /// and increasing (the simulator's event counter). The returned node
-    /// stays owned by the wheel.
+    /// and increasing (the simulator's event counter; debug builds assert
+    /// it), since slot order relies on it. The returned node stays owned by
+    /// the wheel.
     template <typename F>
     Node* schedule(Time at, std::uint64_t seq, F&& action) {
         Node* node = acquire();
@@ -106,8 +113,10 @@ public:
     /// Returns false when no event is pending at or before `limit`.
     [[nodiscard]] bool next_time(Time* at, Time limit = kNoLimit);
 
-    /// Detaches every event due at `at` (which must be the value just
-    /// returned by next_time) into the execution batch, ordered by seq.
+    /// Makes the level-0 slot list of `at` (which must be the value just
+    /// returned by next_time) the execution batch, in O(1): the list is
+    /// already in seq order (debug builds assert it) and its length is
+    /// counted as it is filed.
     void open_batch(Time at);
 
     /// Live events in the open batch. Events scheduled *for the batch
@@ -140,7 +149,7 @@ public:
 
 private:
     struct Level {
-        std::array<Node*, kSlots> head{};
+        std::array<Node*, kSlots> head{}; // seq-ascending lists; prev of head = tail
         std::array<std::uint64_t, kSlots / 64> bitmap{};
         std::size_t count = 0;
     };
@@ -155,27 +164,44 @@ private:
     /// First occupied slot >= `from` in this level's current rotation, or -1.
     [[nodiscard]] static int scan_from(const Level& level, int from);
 
+    /// The end of a list a node is linked at. A fresh filing carries the
+    /// largest seq so far and goes to the back; a cascaded or migrated node
+    /// is older than every node already in its target slot for the same
+    /// instant and goes to the front.
+    enum class End : bool { kBack, kFront };
+    static void link(Node*& head, Node* node, End end);
+    static void unlink(Node*& head, Node* node);
+
     /// Stamps `node` with (at, seq) and links it into the open batch or the
     /// wheel: the non-template half of schedule().
     void file(Node* node, Time at, std::uint64_t seq);
     /// Detaches the k-th live batch event (see fire) and returns its node.
     Node* detach(std::size_t k);
-    void place(Node* node);
-    void unlink(Node* node);
+    /// Links `node` into the slot (or overflow) its delta from base_ names.
+    void place(Node* node, End end);
+    /// Takes `node` out of its wheel slot.
+    void remove(Node* node);
+    /// While a batch is open, the level-0 nodes due at its instant are
+    /// exactly its members (filing routes them there, and nothing cascades
+    /// until it drains).
+    [[nodiscard]] bool in_batch(const Node* node) const {
+        return node->level == 0 && batch_live_ > 0 && node->at == batch_time_;
+    }
     void release(Node* node);
     Node* acquire();
 
     /// Re-homes every node in the current slot of levels >= 1 after base_
-    /// moved to an aligned boundary; nodes always land strictly below their
-    /// old level, so one top-down pass settles everything.
+    /// moved to an aligned boundary. Bottom-up, each slot walked from tail
+    /// to head with every node pushed at the front of its new slot, which
+    /// is what keeps every slot seq-ascending (docs/TIMERS.md, "Slot
+    /// order").
     void cascade_current();
     /// Moves overflow events whose deadline now falls inside the horizon
-    /// into the wheels.
+    /// into the wheels, latest (at, seq) first, each at the front of its
+    /// slot; called after the cascade.
     void migrate_overflow();
     /// Advances base_ to the next multiple of span(level) and re-homes.
     void roll(int level);
-    /// Frees tombstoned leftovers of a fully drained batch.
-    void sweep_batch();
 
     [[nodiscard]] std::size_t wheel_count() const {
         std::size_t n = 0;
@@ -185,14 +211,16 @@ private:
 
     Time base_ = 0; // wheel position; all wheel/overflow nodes have at >= base_
     std::array<Level, kLevels> levels_{};
+    std::array<std::uint32_t, kSlots> instant_count_{}; // nodes per level-0 slot
     std::map<std::pair<Time, std::uint64_t>, Node*> overflow_;
     std::size_t size_ = 0;
     std::uint64_t cascades_ = 0;
     std::uint64_t cascaded_nodes_ = 0;
     std::uint64_t overflow_migrations_ = 0;
 
-    std::vector<Node*> batch_; // seq-sorted; seq==0 entries are tombstones
-    std::size_t batch_cursor_ = 0; // batch_ entries below this are consumed
+    std::uint64_t last_seq_ = 0; // largest seq filed, for the order assert
+
+    Node* batch_ = nullptr; // the open batch: the detached level-0 slot list
     std::size_t batch_live_ = 0;
     Time batch_time_ = 0;
 

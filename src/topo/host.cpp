@@ -46,6 +46,7 @@ void Host::receive(int ifindex, const net::Packet& packet) {
 }
 
 void Host::send_data(net::GroupAddress group, std::size_t payload_size) {
+    PROF_ZONE("host.send");
     net::Packet packet;
     packet.src = address();
     packet.dst = group.address();

@@ -5,6 +5,7 @@
 // EventId lifetimes) are covered in sim_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -139,31 +140,66 @@ TEST(TimerWheel, StaleHandleNeverCancelsReusedNode) {
 }
 
 TEST(TimerWheel, SameInstantBatchSurfacesInSeqOrderAndTakesByIndex) {
+    // One instant reached, in increasing seq, from every place a node can
+    // come from: two overflow filings, then level 2, level 1, a direct
+    // level-0 filing and a join while the batch drains. Helper events move
+    // the wheel position between the filings. Each slot list must stay
+    // seq-ascending on its own: a top-down cascade, an ascending overflow
+    // migration or a filing pushed at the head of its slot breaks the order.
+    constexpr Time kHorizon = Time{1} << (TimerWheel::kSlotBits * TimerWheel::kLevels);
+    constexpr Time kT = kHorizon + 5; // a multiple of 256^2 plus 5
     TimerWheel wheel;
     std::vector<std::pair<Time, int>> fired;
-    // Scheduled out of seq order on purpose; the batch must sort by seq.
-    push_marker(wheel, 50, 7, fired, 7);
-    push_marker(wheel, 50, 3, fired, 3);
-    push_marker(wheel, 50, 5, fired, 5);
+    std::uint64_t seq = 1;
+    auto drain_to = [&](Time helper) {
+        push_marker(wheel, helper, seq++, fired, -1);
+        Time at = 0;
+        ASSERT_TRUE(wheel.next_time(&at));
+        ASSERT_EQ(at, helper);
+        wheel.open_batch(at);
+        ASSERT_EQ(wheel.batch_live(), 1u);
+        wheel.fire(0);
+    };
+
+    push_marker(wheel, kT, seq++, fired, 1); // overflow
+    push_marker(wheel, kT, seq++, fired, 2); // overflow
+    drain_to(kT - (Time{1} << 20));          // both migrate, to level 4
+    push_marker(wheel, kT, seq++, fired, 3); // level 2
+    drain_to(kT - 1000);
+    push_marker(wheel, kT, seq++, fired, 4); // level 1
+    drain_to(kT - 4); // one roll cascades levels 1, 2 and 4 into one slot
+    push_marker(wheel, kT, seq++, fired, 5); // level 0
+    EXPECT_EQ(wheel.stats().overflow_migrations, 2u);
+
     Time at = 0;
     ASSERT_TRUE(wheel.next_time(&at));
-    EXPECT_EQ(at, 50);
+    EXPECT_EQ(at, kT);
     wheel.open_batch(at);
-    ASSERT_EQ(wheel.batch_live(), 3u);
-    // fire(1) of live {3,5,7} is seq 5; then fire(1) of {3,7} is seq 7.
+    ASSERT_EQ(wheel.batch_live(), 5u);
+    push_marker(wheel, kT, seq++, fired, 6); // joins the open batch
+    ASSERT_EQ(wheel.batch_live(), 6u);
+    // fire(1) of live {1..6} is 2; fire(1) of {1,3,4,5,6} is 3; then the
+    // rest in order.
     wheel.fire(1);
     wheel.fire(1);
-    wheel.fire(0);
+    while (wheel.batch_live() > 0) wheel.fire(0);
     std::vector<int> tags;
-    for (auto& [t, tag] : fired) tags.push_back(tag);
-    EXPECT_EQ(tags, (std::vector<int>{5, 7, 3}));
+    for (auto& [t, tag] : fired) {
+        if (tag > 0) tags.push_back(tag);
+    }
+    EXPECT_EQ(tags, (std::vector<int>{2, 3, 1, 4, 5, 6}));
+    EXPECT_EQ(wheel.size(), 0u);
 }
 
 // Randomized storm against a reference model: thousands of interleaved
 // schedule/cancel/reschedule operations with deadlines spanning all levels
 // and the overflow map must fire exactly the surviving events, in (time,
 // seq) order. This is the workload shape the soft-state protocols generate
-// (every refresh is a cancel + reschedule).
+// (every refresh is a cancel + reschedule). A quarter of the schedules reuse
+// the deadline of a pending event, so instants gather nodes filed from
+// different levels and the overflow map; while a batch drains, events join
+// it and batch members are cancelled. Every opened batch must hold exactly
+// the instant's surviving events and fire them in seq order.
 TEST(TimerWheel, CancelRescheduleStormMatchesReferenceModel) {
     TimerWheel wheel;
     std::mt19937 rng(20260807);
@@ -191,13 +227,60 @@ TEST(TimerWheel, CancelRescheduleStormMatchesReferenceModel) {
     std::uint64_t next_seq = 1;
     Time now = 0;
 
-    auto schedule_one = [&] {
-        const Time at = now + rand_delay();
+    std::uniform_int_distribution<int> quarter(0, 3);
+    auto schedule_at = [&](Time at) {
         const std::uint64_t seq = next_seq++;
         TimerWheel::Node* node =
             wheel.schedule(at, seq, [&fired, seq] { fired.push_back({0, seq}); });
         live.push_back(Live{node, seq});
         expected[seq] = at;
+    };
+    auto schedule_one = [&] {
+        if (!live.empty() && quarter(rng) == 0) {
+            const std::size_t k =
+                std::uniform_int_distribution<std::size_t>(0, live.size() - 1)(rng);
+            schedule_at(expected[live[k].seq]);
+        } else {
+            schedule_at(now + rand_delay());
+        }
+    };
+    auto cancel_live = [&](std::size_t k) {
+        const Live victim = live[k];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+        EXPECT_TRUE(wheel.cancel(victim.node, victim.seq));
+        EXPECT_FALSE(wheel.cancel(victim.node, victim.seq));
+        expected.erase(victim.seq);
+    };
+    // Drains the open batch at `at` with fire(0), checking it against the
+    // model and mixing in joins and cancellations of batch members.
+    auto drain_batch = [&](Time at) {
+        const auto due = static_cast<std::size_t>(std::count_if(
+            expected.begin(), expected.end(), [at](const auto& e) { return e.second == at; }));
+        EXPECT_EQ(wheel.batch_live(), due) << "batch at " << at << " is not the whole instant";
+        std::uint64_t last = 0;
+        while (wheel.batch_live() > 0) {
+            wheel.fire(0);
+            ASSERT_FALSE(fired.empty());
+            fired.back().first = at;
+            const std::uint64_t seq = fired.back().second;
+            EXPECT_GT(seq, last) << "batch at " << at << " out of seq order";
+            last = seq;
+            ASSERT_TRUE(expected.contains(seq));
+            EXPECT_EQ(expected[seq], at) << "event fired at the wrong time";
+            expected.erase(seq);
+            std::erase_if(live, [seq](const Live& l) { return l.seq == seq; });
+            switch (op(rng) % 8) {
+            case 0: schedule_at(at); break; // joins the batch
+            case 1: {
+                const auto it = std::find_if(live.begin(), live.end(), [&](const Live& l) {
+                    return expected[l.seq] == at;
+                });
+                if (it != live.end()) cancel_live(static_cast<std::size_t>(it - live.begin()));
+                break;
+            }
+            default: break;
+            }
+        }
     };
 
     for (int round = 0; round < 200; ++round) {
@@ -209,13 +292,8 @@ TEST(TimerWheel, CancelRescheduleStormMatchesReferenceModel) {
             } else {
                 // Cancel a random live event; half the time reschedule it
                 // (the soft-state refresh pattern).
-                const std::size_t k =
-                    std::uniform_int_distribution<std::size_t>(0, live.size() - 1)(rng);
-                const Live victim = live[k];
-                live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
-                EXPECT_TRUE(wheel.cancel(victim.node, victim.seq));
-                EXPECT_FALSE(wheel.cancel(victim.node, victim.seq));
-                expected.erase(victim.seq);
+                cancel_live(
+                    std::uniform_int_distribution<std::size_t>(0, live.size() - 1)(rng));
                 if (r < 80) schedule_one();
             }
         }
@@ -228,16 +306,7 @@ TEST(TimerWheel, CancelRescheduleStormMatchesReferenceModel) {
         while (wheel.next_time(&at, slice_end)) {
             wheel.open_batch(at);
             now = at;
-            while (wheel.batch_live() > 0) {
-                wheel.fire(0);
-                ASSERT_FALSE(fired.empty());
-                fired.back().first = at;
-                const std::uint64_t seq = fired.back().second;
-                ASSERT_TRUE(expected.contains(seq));
-                EXPECT_EQ(expected[seq], at) << "event fired at the wrong time";
-                expected.erase(seq);
-                std::erase_if(live, [seq](const Live& l) { return l.seq == seq; });
-            }
+            drain_batch(at);
         }
         now = std::max(now, slice_end);
     }
@@ -247,14 +316,8 @@ TEST(TimerWheel, CancelRescheduleStormMatchesReferenceModel) {
     Time at = 0;
     while (wheel.next_time(&at)) {
         wheel.open_batch(at);
-        while (wheel.batch_live() > 0) {
-            wheel.fire(0);
-            fired.back().first = at;
-            const std::uint64_t seq = fired.back().second;
-            ASSERT_TRUE(expected.contains(seq));
-            EXPECT_EQ(expected[seq], at);
-            expected.erase(seq);
-        }
+        now = at;
+        drain_batch(at);
     }
     EXPECT_TRUE(expected.empty()) << expected.size() << " events never fired";
     EXPECT_EQ(wheel.size(), 0u);
