@@ -93,7 +93,7 @@ struct World {
         probe = std::make_unique<fault::ConvergenceProbe>(net);
         // Flight recorder: a trial that misses its recovery bound dumps the
         // last packets' per-hop fate instead of just a number.
-        recorder = std::make_unique<provenance::Recorder>(net.telemetry().registry());
+        recorder = std::make_unique<provenance::Recorder>();
         net.set_provenance(recorder.get());
         probe->attach_recorder(recorder.get());
 

@@ -76,8 +76,7 @@ std::uint64_t run_once(bool record, int packets) {
 
     std::unique_ptr<provenance::Recorder> recorder;
     if (record) {
-        recorder = std::make_unique<provenance::Recorder>(
-            net.telemetry().registry());
+        recorder = std::make_unique<provenance::Recorder>();
         net.set_provenance(recorder.get());
     }
 

@@ -83,7 +83,7 @@ constexpr BenchSpec kBenches[] = {
     {"ablation_spt_policy", ""},
     {"fault_convergence", "--trials 2"},
     {"churn_scale", "--receivers 4000 --rate 400"},
-    {"provenance_overhead", "--packets 5000",
+    {"provenance_overhead", "--packets 25000",
      {{"recorder_on", "--recorder on"}}},
     {"timer_scale", "--max-entries 100000"},
 };

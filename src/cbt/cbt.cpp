@@ -10,18 +10,18 @@ namespace pimlib::cbt {
 namespace {
 constexpr std::uint8_t kCbtVersion = 1;
 
-/// CBT forwards outside the shared DataPlane engine, so it records its own
-/// decisions: a tree-state decision at `iif` that ends in `drop` (kNone for
-/// a kRegister hand-off to the core).
+/// CBT forwards outside the shared DataPlane engine, so it counts and
+/// records its own decisions: a tree-state decision at `iif` that ends in
+/// `drop` (kNone for a kRegister hand-off to the core).
 void record_decision(topo::Router& router, const net::Packet& packet, int iif,
                      provenance::EntryKind kind, provenance::DropReason drop) {
+    router.network().stats().count_drop(drop);
     provenance::HopRecord* hop = router.network().begin_hop(router, packet);
     if (hop == nullptr) return;
     hop->iif = static_cast<std::int16_t>(iif);
     hop->kind = kind;
     hop->drop = drop;
     hop->rpf_ok = drop != provenance::DropReason::kRpfFail;
-    router.network().provenance()->commit(*hop);
 }
 
 void put_header(net::BufWriter& w, Code code) {
@@ -400,7 +400,6 @@ void CbtRouter::on_tick() {
 void CbtRouter::flood_tree(net::GroupAddress /*group*/, TreeState& state,
                            int arrival_ifindex, const net::Packet& packet) {
     if (packet.ttl <= 1) {
-        router_->network().stats().count_data_dropped_ttl();
         record_decision(*router_, packet, arrival_ifindex, provenance::EntryKind::kTree,
                         provenance::DropReason::kTtl);
         return;
@@ -418,14 +417,16 @@ void CbtRouter::flood_tree(net::GroupAddress /*group*/, TreeState& state,
     // One frame per forwarding decision, sent by reference on every target.
     net::Frame out{std::nullopt, packet};
     out.packet.ttl -= 1;
+    bool sent = false;
     for (int ifindex : targets) {
         if (ifindex == arrival_ifindex) continue;
         if (hop != nullptr) hop->add_oif(ifindex);
         router_->send(ifindex, out);
+        sent = true;
     }
-    if (hop == nullptr) return;
-    if (hop->oif_count == 0) hop->drop = provenance::DropReason::kNoOif;
-    network.provenance()->commit(*hop);
+    if (sent) return;
+    network.stats().count_drop(provenance::DropReason::kNoOif);
+    if (hop != nullptr) hop->drop = provenance::DropReason::kNoOif;
 }
 
 void CbtRouter::on_multicast_data(int ifindex, const net::Packet& packet) {
@@ -453,7 +454,6 @@ void CbtRouter::on_multicast_data(int ifindex, const net::Packet& packet) {
     if (ifindex < 0 || ifindex >= router_->interface_count()) return;
     const auto& iface = router_->interface(ifindex);
     if (iface.segment == nullptr || !iface.segment->prefix().contains(packet.src)) {
-        router_->network().stats().count_data_dropped_iif();
         record_decision(*router_, packet, ifindex, provenance::EntryKind::kNone,
                         provenance::DropReason::kRpfFail);
         return;

@@ -230,8 +230,7 @@ struct Driver {
             net.telemetry().set_tracing(true); // timeline needs events + spans
         }
         if (cfg.collect_trace || cfg.collect_provenance) {
-            flight_recorder =
-                std::make_unique<provenance::Recorder>(net.telemetry().registry());
+            flight_recorder = std::make_unique<provenance::Recorder>();
             net.set_provenance(flight_recorder.get());
         }
     }
@@ -523,6 +522,13 @@ std::string describe_choice(const Scenario& sc, std::uint32_t index, const Choic
            ": " + what;
 }
 
+/// Every iif-check failure, whichever reason the protocol gave it: a plain
+/// RPF failure or a LAN assert loser ceding the copy to the winner.
+std::uint64_t iif_drops(const stats::NetworkStats& stats) {
+    return stats.drops(provenance::DropReason::kRpfFail) +
+           stats.drops(provenance::DropReason::kAssertLoser);
+}
+
 } // namespace
 
 const std::vector<std::string>& scenario_names() {
@@ -646,10 +652,10 @@ RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
     for (const scenario::OracleSpec& o : script.oracles) {
         if (o.name != "steady-iif") continue;
         driver.checkpoint_until(o.from, world.stack());
-        iif_base = world.net.stats().data_dropped_iif();
+        iif_base = iif_drops(world.net.stats());
     }
     driver.checkpoint_until(script.horizon, world.stack());
-    const std::uint64_t steady_iif_drops = world.net.stats().data_dropped_iif() - iif_base;
+    const std::uint64_t steady_iif_drops = iif_drops(world.net.stats()) - iif_base;
     const bool deadline_oracles =
         std::any_of(script.oracles.begin(), script.oracles.end(),
                     [](const scenario::OracleSpec& o) {
@@ -661,7 +667,7 @@ RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
 
     // Oracles every scenario gets, then the script's own in script order.
     append(out, loop_violations(driver.crossings, sc.segment_names,
-                                world.net.stats().data_dropped_ttl()));
+                                world.net.stats().drops(provenance::DropReason::kTtl)));
     for (const std::string& member : sc.members) {
         append(out, duplicate_bound_violations(member, world.host(member).duplicate_count()));
     }

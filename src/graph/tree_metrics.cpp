@@ -90,12 +90,6 @@ std::size_t FlowLoad::max_flows() const {
     return best;
 }
 
-std::size_t FlowLoad::total_flows() const {
-    std::size_t total = 0;
-    for (std::size_t n : flows_) total += n;
-    return total;
-}
-
 std::size_t FlowLoad::links_used() const {
     std::size_t used = 0;
     for (std::size_t n : flows_) used += n > 0 ? 1 : 0;

@@ -75,7 +75,6 @@ class FlowLoad {
 public:
     void add(int edge_id, std::size_t count = 1);
     [[nodiscard]] std::size_t max_flows() const;
-    [[nodiscard]] std::size_t total_flows() const;
     /// Links carrying at least one flow.
     [[nodiscard]] std::size_t links_used() const;
     [[nodiscard]] const std::vector<std::size_t>& per_edge() const { return flows_; }

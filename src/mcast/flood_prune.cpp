@@ -77,7 +77,6 @@ void FloodPrune::on_no_entry(int ifindex, const net::Packet& packet) {
         return;
     }
     if (ifindex != sg->iif()) {
-        router_->network().stats().count_data_dropped_iif();
         data_plane_.record_hop(ifindex, packet, sg, provenance::EntryKind::kSg,
                                /*rpf_ok=*/false, provenance::DropReason::kRpfFail);
         return;

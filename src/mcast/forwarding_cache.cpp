@@ -200,17 +200,15 @@ DataPlane::DataPlane(topo::Router& router, ForwardingCache& cache)
     router_->set_multicast_handler(this);
 }
 
-void DataPlane::replicate(const ForwardingEntry& entry, int ifindex,
-                          const net::Packet& packet, provenance::HopRecord* hop) {
+int DataPlane::replicate(const ForwardingEntry& entry, int ifindex,
+                         const net::Packet& packet, provenance::HopRecord* hop) {
     PROF_ZONE("dataplane.replicate");
-    if (packet.ttl <= 1) {
-        router_->network().stats().count_data_dropped_ttl();
-        return;
-    }
+    if (packet.ttl <= 1) return 0;
     // One frame per forwarding decision, sent by reference on every oif.
     net::Frame out{std::nullopt, packet};
     out.packet.ttl -= 1;
     const sim::Time now = router_->simulator().now();
+    int sent = 0;
     // Allocation-free walk of the flat oif list — this is the per-packet
     // replication path.
     entry.for_each_live_oif(now, [&](int oif) {
@@ -218,7 +216,9 @@ void DataPlane::replicate(const ForwardingEntry& entry, int ifindex,
         if (oif < 0 || oif >= router_->interface_count()) return;
         if (hop != nullptr) hop->add_oif(oif);
         router_->send(oif, out);
+        ++sent;
     });
+    return sent;
 }
 
 void DataPlane::forward_recorded(const ForwardingEntry& entry, int ifindex,
@@ -232,24 +232,23 @@ void DataPlane::forward_recorded(const ForwardingEntry& entry, int ifindex,
         hop->spt_bit = entry.spt_bit();
         hop->rp_bit = entry.rp_bit();
     }
-    replicate(entry, ifindex, packet, hop);
-    if (hop == nullptr) return;
-    if (packet.ttl <= 1) {
-        hop->drop = provenance::DropReason::kTtl;
-    } else if (hop->oif_count == 0) {
-        // An empty oif set discards the packet here: an RP-bit negative
-        // cache does so by design, any other entry is a pruned leaf with no
-        // downstream interest.
-        hop->drop = entry.rp_bit() ? provenance::DropReason::kNegCache
-                                   : provenance::DropReason::kNoOif;
-    }
-    network.provenance()->commit(*hop);
+    if (replicate(entry, ifindex, packet, hop) > 0) return;
+    // Nothing sent discards the packet here: an expiring TTL, or an empty
+    // oif set, which an RP-bit negative cache has by design and any other
+    // entry has as a pruned leaf with no downstream interest.
+    const provenance::DropReason drop =
+        packet.ttl <= 1  ? provenance::DropReason::kTtl
+        : entry.rp_bit() ? provenance::DropReason::kNegCache
+                         : provenance::DropReason::kNoOif;
+    network.stats().count_drop(drop);
+    if (hop != nullptr) hop->drop = drop;
 }
 
 void DataPlane::record_hop(int ifindex, const net::Packet& packet,
                            const ForwardingEntry* entry, provenance::EntryKind kind,
                            bool rpf_ok, provenance::DropReason drop) {
     topo::Network& network = router_->network();
+    network.stats().count_drop(drop);
     provenance::HopRecord* hop = network.begin_hop(*router_, packet);
     if (hop == nullptr) return;
     hop->iif = static_cast<std::int16_t>(ifindex);
@@ -260,7 +259,14 @@ void DataPlane::record_hop(int ifindex, const net::Packet& packet,
         hop->spt_bit = entry->spt_bit();
         hop->rp_bit = entry->rp_bit();
     }
-    network.provenance()->commit(*hop);
+}
+
+void DataPlane::drop_wrong_iif(int ifindex, const net::Packet& packet,
+                               const ForwardingEntry& entry, provenance::EntryKind kind) {
+    record_hop(ifindex, packet, &entry, kind, /*rpf_ok=*/false,
+               delegate_ != nullptr ? delegate_->classify_iif_drop(ifindex, packet)
+                                    : provenance::DropReason::kRpfFail);
+    if (delegate_ != nullptr) delegate_->on_iif_check_failed(ifindex, packet);
 }
 
 void DataPlane::on_multicast_data(int ifindex, const net::Packet& packet) {
@@ -283,13 +289,7 @@ void DataPlane::on_multicast_data(int ifindex, const net::Packet& packet) {
                     }
                 }
             } else {
-                router_->network().stats().count_data_dropped_iif();
-                record_hop(ifindex, packet, sg, provenance::EntryKind::kSg,
-                           /*rpf_ok=*/false,
-                           delegate_ != nullptr
-                               ? delegate_->classify_iif_drop(ifindex, packet)
-                               : provenance::DropReason::kRpfFail);
-                if (delegate_ != nullptr) delegate_->on_iif_check_failed(ifindex, packet);
+                drop_wrong_iif(ifindex, packet, *sg, provenance::EntryKind::kSg);
             }
             return;
         }
@@ -314,12 +314,7 @@ void DataPlane::on_multicast_data(int ifindex, const net::Packet& packet) {
             if (delegate_ != nullptr) delegate_->on_wildcard_forward(ifindex, packet);
             return;
         }
-        router_->network().stats().count_data_dropped_iif();
-        record_hop(ifindex, packet, sg, provenance::EntryKind::kSg,
-                   /*rpf_ok=*/false,
-                   delegate_ != nullptr ? delegate_->classify_iif_drop(ifindex, packet)
-                                        : provenance::DropReason::kRpfFail);
-        if (delegate_ != nullptr) delegate_->on_iif_check_failed(ifindex, packet);
+        drop_wrong_iif(ifindex, packet, *sg, provenance::EntryKind::kSg);
         return;
     }
 
@@ -331,13 +326,7 @@ void DataPlane::on_multicast_data(int ifindex, const net::Packet& packet) {
                              provenance::EntryKind::kWildcard);
             if (delegate_ != nullptr) delegate_->on_wildcard_forward(ifindex, packet);
         } else {
-            router_->network().stats().count_data_dropped_iif();
-            record_hop(ifindex, packet, wc, provenance::EntryKind::kWildcard,
-                       /*rpf_ok=*/false,
-                       delegate_ != nullptr
-                           ? delegate_->classify_iif_drop(ifindex, packet)
-                           : provenance::DropReason::kRpfFail);
-            if (delegate_ != nullptr) delegate_->on_iif_check_failed(ifindex, packet);
+            drop_wrong_iif(ifindex, packet, *wc, provenance::EntryKind::kWildcard);
         }
         return;
     }

@@ -180,8 +180,8 @@ public:
     /// The one forward call: sends `packet` out every live oif of `entry`
     /// except `ifindex` and records the decision in the same walk — the
     /// oifs captured are exactly the interfaces sent on. `kind` names which
-    /// MRIB entry matched; an empty oif set or an expiring TTL is recorded
-    /// as the matching drop. Protocols that forward outside
+    /// MRIB entry matched; an empty oif set or an expiring TTL is counted
+    /// and recorded as the matching drop. Protocols that forward outside
     /// on_multicast_data (dense-mode floods, the RP forwarding
     /// register-decapsulated data down the shared tree) call it too.
     void forward_recorded(const ForwardingEntry& entry, int ifindex,
@@ -189,8 +189,9 @@ public:
 
     /// Records a decision at this router that sends nothing natively: a
     /// typed `drop`, or a kRegister hand-off to the encapsulation path.
-    /// `entry` (may be null) supplies the SPT/RP bits. No-op without a
-    /// recorder or for unstamped packets, so call sites need no guard.
+    /// `entry` (may be null) supplies the SPT/RP bits. Counts the drop
+    /// always; records nothing without a recorder or for unstamped packets,
+    /// so call sites need no guard.
     void record_hop(int ifindex, const net::Packet& packet, const ForwardingEntry* entry,
                     provenance::EntryKind kind, bool rpf_ok, provenance::DropReason drop);
 
@@ -200,9 +201,13 @@ public:
 private:
     /// Sends one TTL-decremented copy of `packet` on each live oif of
     /// `entry` except `ifindex`, appending each oif sent on to `hop` (null
-    /// when nothing is recorded).
-    void replicate(const ForwardingEntry& entry, int ifindex, const net::Packet& packet,
-                   provenance::HopRecord* hop);
+    /// when nothing is recorded). Returns how many copies it sent.
+    int replicate(const ForwardingEntry& entry, int ifindex, const net::Packet& packet,
+                  provenance::HopRecord* hop);
+    /// The iif check failed against `entry`: counts and records the drop
+    /// (its reason refined by the delegate) and tells the delegate.
+    void drop_wrong_iif(int ifindex, const net::Packet& packet, const ForwardingEntry& entry,
+                        provenance::EntryKind kind);
 
     topo::Router* router_;
     ForwardingCache* cache_;

@@ -45,7 +45,6 @@ struct Packet {
     std::uint64_t pid = 0;
 
     [[nodiscard]] bool is_multicast() const { return dst.is_multicast(); }
-    [[nodiscard]] std::string describe() const;
 };
 
 /// A link-layer frame: a packet plus where on the segment it is going.

@@ -84,15 +84,6 @@ std::uint64_t packet_id(net::Ipv4Address src, net::Ipv4Address dst,
     return x == 0 ? 1 : x;
 }
 
-Recorder::Recorder(telemetry::Registry& registry) : registry_(&registry) {
-    for (std::size_t i = 1; i < kDropReasonCount; ++i) {
-        drop_counters_[i] = &registry_->counter(
-            "pimlib_forward_drops_total",
-            telemetry::LabelSet{{"reason", kDropLabels[i]}},
-            "Data packets discarded, by typed DropReason");
-    }
-}
-
 void Recorder::register_node(int node_id, std::string name, bool is_host) {
     if (node_id < 0) return;
     const auto id = static_cast<std::size_t>(node_id);
@@ -103,11 +94,6 @@ void Recorder::register_node(int node_id, std::string name, bool is_host) {
 
 void Recorder::add_rings(std::size_t count) {
     while (rings_.size() < count) rings_.emplace_back().buf.resize(kRingCapacity);
-}
-
-std::uint64_t Recorder::drop_count(DropReason reason) const {
-    const auto i = static_cast<std::size_t>(reason);
-    return i < kDropReasonCount ? drop_totals_[i] : 0;
 }
 
 const std::string& Recorder::node_name(int node_id) const {

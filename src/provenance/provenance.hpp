@@ -1,5 +1,5 @@
-// Packet provenance: a bounded per-router flight recorder plus typed drop
-// accounting, the causal layer under the aggregate telemetry of PR 2.
+// Packet provenance: a bounded per-router flight recorder, the causal layer
+// under the aggregate telemetry.
 //
 // Every data packet is stamped at origination with a provenance id derived
 // from (src, group, seq) — the id survives replication, register/DataEncap
@@ -16,15 +16,18 @@
 //                           per-router drop aggregates and the packets that
 //                           vanished without reaching any host
 //
-// Recording has one shape: begin() hands out a ring slot with the packet's
-// common fields stamped, the hook fills in its decision, commit() counts a
-// typed drop. topo::Network::begin_hop is the stack's only caller.
+// Recording has one shape, begin and fill: begin() hands out a ring slot
+// with the packet's common fields stamped and the hook fills in its
+// decision. topo::Network::begin_hop is the stack's only caller. The
+// recorder only writes records; drops are counted whether or not one is
+// attached, by stats::NetworkStats::count_drop under
+// pimlib_data_dropped_total{reason=<drop_reason_label>}, and DropReason is
+// that series' vocabulary too.
 //
 // Cost model: with no Recorder attached to the Network, every hook is a
 // single pointer test. An attached Recorder always records: appends are
 // O(1) into preallocated rings (<8% CPU; bench_runner gates it through
-// bench/provenance_overhead). Typed drops also increment labeled
-// `pimlib_forward_drops_total{reason=...}` counters in the shared registry.
+// bench/provenance_overhead).
 #pragma once
 
 #include <array>
@@ -36,7 +39,6 @@
 #include "net/ipv4.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace pimlib::provenance {
 
@@ -126,14 +128,13 @@ static_assert(sizeof(HopRecord) == 64, "HopRecord must stay one cache line");
 /// past its <8% CPU budget (see bench/provenance_overhead).
 inline constexpr std::size_t kRingCapacity = 512;
 
-/// The flight recorder: per-node bounded rings plus the labeled drop
-/// counters. One Recorder serves one Network (attach via
-/// topo::Network::set_provenance, which registers every node and so sizes
-/// every ring); hooks check the attachment pointer before paying any
-/// recording cost.
+/// The flight recorder: per-node bounded rings. One Recorder serves one
+/// Network (attach via topo::Network::set_provenance, which registers every
+/// node and so sizes every ring); hooks check the attachment pointer before
+/// paying any recording cost.
 class Recorder {
 public:
-    explicit Recorder(telemetry::Registry& registry);
+    Recorder() = default;
 
     Recorder(const Recorder&) = delete;
     Recorder& operator=(const Recorder&) = delete;
@@ -145,8 +146,7 @@ public:
     /// The one way to append: returns `node`'s next ring slot, reset to
     /// defaults with the merge order and `packet`'s common fields (pid, src,
     /// group, seq, ttl) stamped at `now`, for the caller to fill its
-    /// decision in place. Call commit() after filling so a typed drop lands
-    /// in the counters. nullptr for an unstamped packet (pid 0: control
+    /// decision in place. nullptr for an unstamped packet (pid 0: control
     /// traffic). Defined inline so per-hop call sites pay no cross-TU call.
     [[nodiscard]] HopRecord* begin(int node, const net::Packet& packet, sim::Time now) {
         if (packet.pid == 0 || node < 0) return nullptr;
@@ -177,18 +177,7 @@ public:
         return &slot;
     }
 
-    /// Closes a begin(): a non-kNone drop increments
-    /// pimlib_forward_drops_total{reason=...}.
-    void commit(const HopRecord& slot) {
-        const auto reason = static_cast<std::size_t>(slot.drop);
-        if (reason != 0 && reason < kDropReasonCount) {
-            drop_counters_[reason]->inc();
-            ++drop_totals_[reason];
-        }
-    }
-
     [[nodiscard]] std::uint64_t total_records() const { return order_; }
-    [[nodiscard]] std::uint64_t drop_count(DropReason reason) const;
 
     /// Every retained record for `pid`, time-ordered. Post-mortem use.
     [[nodiscard]] std::vector<HopRecord> records_for(std::uint64_t pid) const;
@@ -247,10 +236,7 @@ private:
     void for_each_record(const std::function<void(const HopRecord&)>& fn) const;
     [[nodiscard]] std::vector<const HopRecord*> merged_records() const;
 
-    telemetry::Registry* registry_;
     std::uint64_t order_ = 0;
-    std::array<telemetry::Counter*, kDropReasonCount> drop_counters_{};
-    std::array<std::uint64_t, kDropReasonCount> drop_totals_{};
     std::vector<Ring> rings_;     // indexed by node id
     std::vector<NodeInfo> nodes_; // indexed by node id
 };

@@ -66,7 +66,7 @@ World::World(const Script& script, Observers observers, const std::string& mutat
     routing_ = std::make_unique<unicast::OracleRouting>(net);
     if (observe && script.trace) tracer_ = std::make_unique<trace::PacketTracer>(net);
     if (observe && script.provenance) {
-        recorder_ = std::make_unique<provenance::Recorder>(net.telemetry().registry());
+        recorder_ = std::make_unique<provenance::Recorder>();
         net.set_provenance(recorder_.get());
     }
 

@@ -12,16 +12,7 @@ std::uint64_t value_or_zero(const telemetry::Counter* c) { return c != nullptr ?
 NetworkStats::NetworkStats(telemetry::Registry& registry)
     : registry_(&registry),
       data_delivered_(&registry.counter("pimlib_data_delivered_total", {},
-                                        "Data packets delivered to member hosts")),
-      dropped_iif_(&registry.counter("pimlib_data_dropped_total",
-                                     {{"reason", "iif"}},
-                                     "Data packets dropped, by reason")),
-      dropped_ttl_(&registry.counter("pimlib_data_dropped_total",
-                                     {{"reason", "ttl"}})),
-      dropped_no_route_(&registry.counter("pimlib_data_dropped_total",
-                                          {{"reason", "no_route"}})),
-      dropped_loss_(&registry.counter("pimlib_data_dropped_total",
-                                      {{"reason", "loss"}})) {}
+                                        "Data packets delivered to member hosts")) {}
 
 telemetry::Counter& NetworkStats::segment_counter(SegmentSeries series, int segment_id) {
     const telemetry::LabelSet labels{{"segment", std::to_string(segment_id)}};
@@ -36,6 +27,12 @@ telemetry::Counter& NetworkStats::protocol_counter(ControlProtocol protocol) {
     return registry_->counter("pimlib_control_messages_total",
                               {{"protocol", std::string(name)}},
                               "Control messages processed, per protocol");
+}
+
+telemetry::Counter& NetworkStats::drop_counter(provenance::DropReason reason) {
+    return registry_->counter("pimlib_data_dropped_total",
+                              {{"reason", provenance::drop_reason_label(reason)}},
+                              "Data packets discarded, by typed DropReason");
 }
 
 void NetworkStats::note_flow(int segment_id, net::Ipv4Address source,
@@ -90,6 +87,10 @@ std::uint64_t NetworkStats::control_messages(ControlName name) const {
     return value_or_zero(by_protocol_[static_cast<std::size_t>(name.protocol)]);
 }
 
+std::uint64_t NetworkStats::drops(provenance::DropReason reason) const {
+    return value_or_zero(drops_[static_cast<std::size_t>(reason)]);
+}
+
 std::uint64_t NetworkStats::total_control_messages() const {
     std::uint64_t total = 0;
     for (const telemetry::Counter* c : by_protocol_) total += value_or_zero(c);
@@ -98,10 +99,9 @@ std::uint64_t NetworkStats::total_control_messages() const {
 
 void NetworkStats::reset_data_counters() {
     data_delivered_->begin_epoch();
-    dropped_iif_->begin_epoch();
-    dropped_ttl_->begin_epoch();
-    dropped_no_route_->begin_epoch();
-    dropped_loss_->begin_epoch();
+    for (telemetry::Counter* c : drops_) {
+        if (c != nullptr) c->begin_epoch();
+    }
     for (SegmentSlot& s : segments_) {
         for (telemetry::Counter* c : s.counters) {
             if (c != nullptr) c->begin_epoch();

@@ -1,12 +1,13 @@
 // Network-wide accounting: data packets, control messages and distinct
 // (source, group) flows per segment, and control messages per protocol — the
 // paper's "state, control message processing, and data packet processing
-// required across the entire network" (§1). Every count lands in a labeled
+// required across the entire network" (§1), plus every discarded packet by
+// its provenance::DropReason. Every count lands in a labeled
 // telemetry::Registry instrument (pimlib_data_*, pimlib_control_*), so the
 // query API and the exporters read the same numbers. The first count that
 // touches a series creates it; from then on a count indexes a dense
-// per-segment slot or a ControlProtocol, with no map, string or registry
-// lookup.
+// per-segment slot, a ControlProtocol or a DropReason, with no map, string
+// or registry lookup.
 #pragma once
 
 #include <array>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "net/ipv4.hpp"
+#include "provenance/provenance.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace pimlib::stats {
@@ -62,11 +64,17 @@ public:
     // ---- data plane ----
     void count_data_packet(int segment_id) { count_on_segment(kData, segment_id); }
     void count_data_delivered() { data_delivered_->inc(); }
-    void count_data_dropped_iif() { dropped_iif_->inc(); }
-    void count_data_dropped_ttl() { dropped_ttl_->inc(); }
-    void count_data_dropped_no_route() { dropped_no_route_->inc(); }
-    /// A frame (data or control) destroyed by injected segment loss.
-    void count_dropped_loss() { dropped_loss_->inc(); }
+    /// One discarded packet, exported as
+    /// pimlib_data_dropped_total{reason=<drop_reason_label>}. kSegmentLoss
+    /// counts every frame the wire destroyed, control frames included.
+    /// kNone (a forwarding decision) counts nothing, so a hop helper can
+    /// pass whatever it records.
+    void count_drop(provenance::DropReason reason) {
+        if (reason == provenance::DropReason::kNone) return;
+        telemetry::Counter*& c = drops_[static_cast<std::size_t>(reason)];
+        if (c == nullptr) c = &drop_counter(reason);
+        c->inc();
+    }
 
     /// Records that a (source, group) flow crossed a segment, for
     /// traffic-concentration measurements (Fig. 2(b) style). The flow gauge
@@ -85,10 +93,7 @@ public:
     [[nodiscard]] std::uint64_t data_packets_on(int segment_id) const;
     [[nodiscard]] std::uint64_t total_data_packets() const;
     [[nodiscard]] std::uint64_t data_delivered() const { return data_delivered_->value(); }
-    [[nodiscard]] std::uint64_t data_dropped_iif() const { return dropped_iif_->value(); }
-    [[nodiscard]] std::uint64_t data_dropped_ttl() const { return dropped_ttl_->value(); }
-    [[nodiscard]] std::uint64_t data_dropped_no_route() const { return dropped_no_route_->value(); }
-    [[nodiscard]] std::uint64_t dropped_loss() const { return dropped_loss_->value(); }
+    [[nodiscard]] std::uint64_t drops(provenance::DropReason reason) const;
     [[nodiscard]] std::size_t flows_on(int segment_id) const;
     [[nodiscard]] std::size_t max_flows_on_any_segment() const;
     [[nodiscard]] std::size_t segments_carrying_data() const;
@@ -96,7 +101,7 @@ public:
     [[nodiscard]] std::uint64_t total_control_messages() const;
 
     /// Starts a new measurement phase: zeroes (via counter epochs) all data
-    /// counters, loss drops, per-segment control counts, and flow sets.
+    /// counters, drops, per-segment control counts, and flow sets.
     /// Per-protocol control totals are deliberately cumulative (see class
     /// comment).
     void reset_data_counters();
@@ -125,15 +130,13 @@ private:
     // the registry.
     telemetry::Counter& segment_counter(SegmentSeries series, int segment_id);
     telemetry::Counter& protocol_counter(ControlProtocol protocol);
+    telemetry::Counter& drop_counter(provenance::DropReason reason);
 
     telemetry::Registry* registry_;
     telemetry::Counter* data_delivered_;
-    telemetry::Counter* dropped_iif_;
-    telemetry::Counter* dropped_ttl_;
-    telemetry::Counter* dropped_no_route_;
-    telemetry::Counter* dropped_loss_;
     std::vector<SegmentSlot> segments_;
     std::array<telemetry::Counter*, kControlProtocolNames.size()> by_protocol_{};
+    std::array<telemetry::Counter*, provenance::kDropReasonCount> drops_{}; // [0] unused
 };
 
 } // namespace pimlib::stats

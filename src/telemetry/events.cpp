@@ -40,11 +40,6 @@ void EventLog::emit(Event event) {
     events_.push_back(std::move(event));
 }
 
-void EventLog::clear() {
-    events_.clear();
-    dropped_ = 0;
-}
-
 std::string EventLog::dump(const std::function<bool(const Event&)>& filter) const {
     std::string out;
     char line[160];

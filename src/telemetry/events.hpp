@@ -77,7 +77,6 @@ public:
 
     [[nodiscard]] const std::vector<Event>& events() const { return events_; }
     [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-    void clear();
 
     /// Formatted one-line-per-event dump, optionally filtered.
     [[nodiscard]] std::string dump(

@@ -211,31 +211,4 @@ std::string to_json(const Registry& registry) {
     return out;
 }
 
-void TimeSeries::sample(sim::Time now) {
-    Row row;
-    row.at = now;
-    row.values.reserve(columns_.size());
-    for (const Column& col : columns_) {
-        row.values.push_back(col.counter
-                                 ? static_cast<double>(col.counter->value())
-                                 : col.gauge->value());
-    }
-    rows_.push_back(std::move(row));
-}
-
-std::string TimeSeries::to_csv() const {
-    std::string out = "time_s";
-    for (const Column& col : columns_) out += "," + col.name;
-    out += '\n';
-    char buf[48];
-    for (const Row& row : rows_) {
-        std::snprintf(buf, sizeof(buf), "%.6f",
-                      static_cast<double>(row.at) / sim::kSecond);
-        out += buf;
-        for (double v : row.values) out += "," + format_double(v);
-        out += '\n';
-    }
-    return out;
-}
-
 } // namespace pimlib::telemetry

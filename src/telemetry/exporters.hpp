@@ -1,13 +1,10 @@
 // Render the registry for consumers: Prometheus text exposition for
-// scraping-style tooling, JSON for the benches (machine-diffable results),
-// and a compact CSV time-series for plotting a handful of instruments over
-// simulated time.
+// scraping-style tooling and JSON for the benches (machine-diffable
+// results).
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "sim/simulator.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace pimlib::telemetry {
@@ -27,36 +24,5 @@ namespace pimlib::telemetry {
 /// JSON object keyed by metric name; labeled instruments nest an array of
 /// {labels, ...} entries. Histograms carry count/sum/min/max/p50/p90/p99.
 [[nodiscard]] std::string to_json(const Registry& registry);
-
-/// A compact CSV time-series: pick instruments as columns, call sample()
-/// at each tick, then render. Counters are sampled as since-epoch values;
-/// gauges as-is.
-class TimeSeries {
-public:
-    void add_counter(const std::string& column, const Counter& counter) {
-        columns_.push_back({column, &counter, nullptr});
-    }
-    void add_gauge(const std::string& column, const Gauge& gauge) {
-        columns_.push_back({column, nullptr, &gauge});
-    }
-
-    void sample(sim::Time now);
-
-    [[nodiscard]] std::size_t rows() const { return rows_.size(); }
-    [[nodiscard]] std::string to_csv() const;
-
-private:
-    struct Column {
-        std::string name;
-        const Counter* counter;
-        const Gauge* gauge;
-    };
-    struct Row {
-        sim::Time at;
-        std::vector<double> values;
-    };
-    std::vector<Column> columns_;
-    std::vector<Row> rows_;
-};
 
 } // namespace pimlib::telemetry

@@ -17,7 +17,6 @@ void record_endpoint(Network& network, const Host& host, const net::Packet& pack
     provenance::HopRecord* hop = network.begin_hop(host, packet);
     if (hop == nullptr) return;
     hop->kind = kind;
-    network.provenance()->commit(*hop);
 }
 
 } // namespace

@@ -80,7 +80,8 @@ public:
     /// `node` with `packet`'s common fields stamped at the current sim
     /// time, or nullptr when no recorder is attached or the packet is
     /// unstamped. The hook sets only its decision fields (kind, iif, drop,
-    /// oifs, ...) and then calls provenance()->commit().
+    /// oifs, ...); it counts a drop through stats().count_drop() itself,
+    /// recorder or not.
     [[nodiscard]] provenance::HopRecord* begin_hop(const Node& node,
                                                    const net::Packet& packet) {
         if (provenance_ == nullptr) return nullptr;

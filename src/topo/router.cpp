@@ -7,17 +7,17 @@
 namespace pimlib::topo {
 namespace {
 
-/// Unicast legs matter to provenance only when the packet carries a pid —
-/// i.e. it is (or encapsulates) a traced data packet, like a PIM Register
-/// tunnelling toward the RP.
+/// Counts a unicast leg's drop. The leg matters to provenance only when the
+/// packet carries a pid — i.e. it is (or encapsulates) a traced data
+/// packet, like a PIM Register tunnelling toward the RP.
 void record_unicast_leg(Network& network, const Router& router, const net::Packet& packet,
                         int oif, provenance::DropReason drop) {
+    network.stats().count_drop(drop);
     provenance::HopRecord* hop = network.begin_hop(router, packet);
     if (hop == nullptr) return;
     hop->kind = provenance::EntryKind::kUnicast;
     hop->drop = drop;
     if (drop == provenance::DropReason::kNone && oif >= 0) hop->add_oif(oif);
-    network.provenance()->commit(*hop);
 }
 
 /// IGMP and OSPF receivers are keyed by the first payload byte too.
@@ -43,13 +43,6 @@ std::optional<int> Router::rpf_interface(net::Ipv4Address source) const {
     auto route = route_to(source);
     if (!route) return std::nullopt;
     return route->ifindex;
-}
-
-std::optional<net::Ipv4Address> Router::rpf_neighbor(net::Ipv4Address dst) const {
-    auto route = route_to(dst);
-    if (!route) return std::nullopt;
-    return route->next_hop.is_unspecified() ? std::optional<net::Ipv4Address>{}
-                                            : std::optional<net::Ipv4Address>{route->next_hop};
 }
 
 void Router::register_protocol(net::IpProto proto, PacketHandler handler) {
@@ -108,14 +101,12 @@ void Router::deliver_local(int ifindex, const net::Packet& packet) {
 
 void Router::forward_unicast(net::Packet packet) {
     if (packet.ttl <= 1) {
-        network_->stats().count_data_dropped_ttl();
         record_unicast_leg(*network_, *this, packet, -1, provenance::DropReason::kTtl);
         return;
     }
     packet.ttl -= 1;
     auto route = route_to(packet.dst);
     if (!route) {
-        network_->stats().count_data_dropped_no_route();
         record_unicast_leg(*network_, *this, packet, -1, provenance::DropReason::kNoRoute);
         return;
     }
@@ -133,7 +124,6 @@ void Router::originate_unicast(net::Packet packet) {
     }
     auto route = route_to(packet.dst);
     if (!route) {
-        network_->stats().count_data_dropped_no_route();
         record_unicast_leg(*network_, *this, packet, -1, provenance::DropReason::kNoRoute);
         return;
     }

@@ -81,9 +81,6 @@ public:
     /// RPF helper: the interface this router would use to send toward
     /// `source` (i.e. the expected incoming interface for packets from it).
     [[nodiscard]] std::optional<int> rpf_interface(net::Ipv4Address source) const;
-    /// The link-layer next hop toward `dst` (for addressing joins to the
-    /// correct upstream neighbor on a LAN). Unspecified address => on-link.
-    [[nodiscard]] std::optional<net::Ipv4Address> rpf_neighbor(net::Ipv4Address dst) const;
 
 private:
     void forward_unicast(net::Packet packet);

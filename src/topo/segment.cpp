@@ -9,14 +9,15 @@ namespace pimlib::topo {
 namespace {
 
 /// Both loss paths (checker-forced and injected) destroy the frame on the
-/// wire: record the drop against the sender, naming the segment.
+/// wire: count it and record the drop against the sender, naming the
+/// segment.
 void record_segment_loss(Network& network, const Node& sender, int segment_id,
                          const net::Packet& packet) {
+    network.stats().count_drop(provenance::DropReason::kSegmentLoss);
     provenance::HopRecord* hop = network.begin_hop(sender, packet);
     if (hop == nullptr) return;
     hop->segment = static_cast<std::int16_t>(segment_id);
     hop->drop = provenance::DropReason::kSegmentLoss;
-    network.provenance()->commit(*hop);
 }
 
 } // namespace
@@ -29,14 +30,6 @@ Segment::Segment(Network& network, int id, net::Prefix prefix, sim::Time delay, 
 
 void Segment::add_attachment(Node& node, int ifindex) {
     attachments_.push_back(Attachment{&node, ifindex});
-}
-
-std::vector<Node*> Segment::peers_of(const Node& node) const {
-    std::vector<Node*> out;
-    for (const Attachment& att : attachments_) {
-        if (att.node != &node) out.push_back(att.node);
-    }
-    return out;
 }
 
 void Segment::set_up(bool up) {
@@ -76,7 +69,6 @@ void Segment::transmit(const Node& sender, const net::Frame& frame) {
                                     frame.packet.proto != net::IpProto::kUdp}) ==
             1) {
             ++frames_lost_;
-            network_->stats().count_dropped_loss();
             record_segment_loss(*network_, sender, id_, frame.packet);
             return;
         }
@@ -88,7 +80,6 @@ void Segment::transmit(const Node& sender, const net::Frame& frame) {
         std::uniform_real_distribution<double> coin(0.0, 1.0);
         if (coin(loss_rng_) < loss_rate_) {
             ++frames_lost_;
-            network_->stats().count_dropped_loss();
             record_segment_loss(*network_, sender, id_, frame.packet);
             return;
         }

@@ -70,8 +70,6 @@ public:
         int ifindex;
     };
     [[nodiscard]] const std::vector<Attachment>& attachments() const { return attachments_; }
-    /// Nodes attached to this segment other than `node`.
-    [[nodiscard]] std::vector<Node*> peers_of(const Node& node) const;
 
 private:
     friend class Node; // Node::attach registers the attachment

@@ -193,8 +193,4 @@ DvRoutingDomain::DvRoutingDomain(topo::Network& network, DvConfig config) {
     }
 }
 
-DvAgent& DvRoutingDomain::agent_for(const topo::Router& router) {
-    return *agents_.at(&router);
-}
-
 } // namespace pimlib::unicast

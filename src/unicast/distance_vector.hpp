@@ -82,7 +82,6 @@ private:
 class DvRoutingDomain {
 public:
     explicit DvRoutingDomain(topo::Network& network, DvConfig config = {});
-    [[nodiscard]] DvAgent& agent_for(const topo::Router& router);
 
 private:
     std::map<const topo::Router*, std::unique_ptr<DvAgent>, topo::NodeIdLess> agents_;

@@ -55,15 +55,6 @@ const Route* Rib::find(net::Prefix prefix) const {
     return it == level.end() ? nullptr : &it->second;
 }
 
-std::vector<Route> Rib::all_routes() const {
-    std::vector<Route> out;
-    out.reserve(count_);
-    for (const auto& level : routes_) {
-        for (const auto& [addr, route] : level) out.push_back(route);
-    }
-    return out;
-}
-
 int Rib::subscribe(Observer observer) {
     const int token = next_token_++;
     observers_.emplace(token, std::move(observer));

@@ -46,7 +46,6 @@ public:
     [[nodiscard]] const Route* find(net::Prefix prefix) const;
 
     [[nodiscard]] std::size_t size() const { return count_; }
-    [[nodiscard]] std::vector<Route> all_routes() const;
 
     /// Observers run synchronously after each batch of changes.
     using Observer = std::function<void()>;

@@ -164,7 +164,7 @@ TEST(AssertTest, TransitionCountersRecordWinnerAndLoser) {
 
 TEST(AssertTest, LoserDropsAreClassifiedAsAssertLoser) {
     AssertWorld w;
-    provenance::Recorder recorder(w.net.telemetry().registry());
+    provenance::Recorder recorder;
     w.net.set_provenance(&recorder);
     w.net.run_for(1300 * sim::kMillisecond);
     // The winner's copies keep arriving on the loser's pruned LAN

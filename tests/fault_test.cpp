@@ -113,7 +113,7 @@ TEST(SegmentLoss, FullLossDestroysEveryFrameAndCounts) {
     topo.net.run_for(500 * sim::kMillisecond);
     EXPECT_EQ(topo.receiver->received_count(kGroup), 0u);
     EXPECT_GE(lan1.frames_lost(), 10u);
-    EXPECT_GE(topo.net.stats().dropped_loss(), 10u);
+    EXPECT_GE(topo.net.stats().drops(provenance::DropReason::kSegmentLoss), 10u);
 
     faults.set_loss(lan1, 0.0);
     topo.source->send_stream(kGroup, 5, 10 * sim::kMillisecond);

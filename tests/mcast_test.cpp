@@ -370,7 +370,7 @@ TEST_F(DataPlaneTest, IifCheckDropsWrongInterface) {
     send_from_source();
     EXPECT_EQ(iif_failed, 1);
     EXPECT_EQ(member_b->received_count(kGroup), 0u);
-    EXPECT_EQ(net.stats().data_dropped_iif(), 1u);
+    EXPECT_EQ(net.stats().drops(provenance::DropReason::kRpfFail), 1u);
 }
 
 TEST_F(DataPlaneTest, WildcardMatchForwardsAndNotifies) {
@@ -449,7 +449,7 @@ TEST_F(DataPlaneTest, TtlOneNotReplicated) {
     source->send(0, net::Frame{std::nullopt, std::move(p)});
     net.run_for(10 * sim::kMillisecond);
     EXPECT_EQ(member_a->received_count(kGroup), 0u);
-    EXPECT_EQ(net.stats().data_dropped_ttl(), 1u);
+    EXPECT_EQ(net.stats().drops(provenance::DropReason::kTtl), 1u);
 }
 
 TEST_F(DataPlaneTest, ReplicateNeverSendsBackOutArrivalInterface) {

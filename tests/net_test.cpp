@@ -155,17 +155,6 @@ TEST(Buffer, PropertyRandomRoundTrip) {
     }
 }
 
-TEST(Packet, Describe) {
-    Packet p;
-    p.src = Ipv4Address(10, 0, 0, 1);
-    p.dst = Ipv4Address(224, 1, 1, 1);
-    p.seq = 3;
-    const std::string d = p.describe();
-    EXPECT_NE(d.find("10.0.0.1"), std::string::npos);
-    EXPECT_NE(d.find("224.1.1.1"), std::string::npos);
-    EXPECT_NE(d.find("seq=3"), std::string::npos);
-}
-
 TEST(Payload, EmptyAllocatesNothing) {
     const std::uint64_t before = test::g_alloc_count.load();
     Payload p;

@@ -146,7 +146,7 @@ TEST_F(PimDmTest, RpfCheckStopsLoops) {
     // Exactly one delivery despite the cycle; RPF discarded the echoes.
     EXPECT_EQ(topo_.member->received_count(kGroup), 1u);
     EXPECT_EQ(topo_.member->duplicate_count(), 0u);
-    EXPECT_GT(topo_.net.stats().data_dropped_iif(), 0u);
+    EXPECT_GT(topo_.net.stats().drops(provenance::DropReason::kRpfFail), 0u);
 }
 
 TEST_F(PimDmTest, EntryExpiresWhenSourceStops) {

@@ -1,8 +1,9 @@
 // Flight-recorder and typed-drop-accounting tests: one scenario per
-// DropReason asserting that (a) the labeled pimlib_forward_drops_total
-// counter increments and (b) the recorded HopRecord carries the reason —
-// plus the mtrace-style path attribution on the walkthrough pentagon,
-// covering both the shared-tree and the post-switchover SPT phase.
+// DropReason asserting that (a) the labeled pimlib_data_dropped_total
+// series rises by exactly one per discarded packet, recorder attached or
+// not, and (b) the recorded HopRecord carries the reason — plus the
+// mtrace-style path attribution on the walkthrough pentagon, covering both
+// the shared-tree and the post-switchover SPT phase.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,11 @@
 #include "test_util.hpp"
 #include "topo/segment.hpp"
 
+namespace pimlib::provenance {
+// Test parameters print as their labels, not as raw bytes.
+void PrintTo(DropReason reason, std::ostream* os) { *os << drop_reason_label(reason); }
+} // namespace pimlib::provenance
+
 namespace pimlib::test {
 namespace {
 
@@ -22,7 +28,7 @@ using provenance::Recorder;
 
 std::uint64_t drops_counter(telemetry::Registry& reg, DropReason reason) {
     return reg
-        .counter("pimlib_forward_drops_total",
+        .counter("pimlib_data_dropped_total",
                  {{"reason", provenance::drop_reason_label(reason)}})
         .value();
 }
@@ -39,7 +45,7 @@ bool dump_names_reason(const Recorder& rec, DropReason reason) {
 
 class DropRecorderTest : public ::testing::Test, public mcast::DataPlane::Delegate {
 protected:
-    DropRecorderTest() : recorder(net.telemetry().registry()) {
+    DropRecorderTest() {
         r = &net.add_router("r");
         lan_in = &net.add_lan({r});  // ifindex 0
         lan_out = &net.add_lan({r}); // ifindex 1
@@ -77,7 +83,6 @@ TEST_F(DropRecorderTest, RpfFailIsCountedAndRecorded) {
     sg.set_spt_bit(true);
     sg.pin_oif(1);
     send_from_source();
-    EXPECT_EQ(recorder.drop_count(DropReason::kRpfFail), 1u);
     EXPECT_EQ(drops_counter(registry(), DropReason::kRpfFail), 1u);
     EXPECT_TRUE(dump_names_reason(recorder, DropReason::kRpfFail));
     EXPECT_EQ(member->received_count(kGroup), 0u);
@@ -89,10 +94,9 @@ TEST_F(DropRecorderTest, NegCacheIsCountedAndRecorded) {
     auto& wc = cache.ensure_wc(net::Ipv4Address(192, 168, 0, 9), kGroup);
     wc.set_iif(0);
     send_from_source();
-    EXPECT_EQ(recorder.drop_count(DropReason::kNegCache), 1u);
     EXPECT_EQ(drops_counter(registry(), DropReason::kNegCache), 1u);
     EXPECT_TRUE(dump_names_reason(recorder, DropReason::kNegCache));
-    EXPECT_EQ(recorder.drop_count(DropReason::kNoOif), 0u);
+    EXPECT_EQ(net.stats().drops(DropReason::kNoOif), 0u);
 }
 
 TEST_F(DropRecorderTest, NoOifIsCountedAndRecorded) {
@@ -100,10 +104,9 @@ TEST_F(DropRecorderTest, NoOifIsCountedAndRecorded) {
     sg.set_iif(0);
     sg.set_spt_bit(true); // no live oifs, not an RP-bit entry
     send_from_source();
-    EXPECT_EQ(recorder.drop_count(DropReason::kNoOif), 1u);
     EXPECT_EQ(drops_counter(registry(), DropReason::kNoOif), 1u);
     EXPECT_TRUE(dump_names_reason(recorder, DropReason::kNoOif));
-    EXPECT_EQ(recorder.drop_count(DropReason::kNegCache), 0u);
+    EXPECT_EQ(net.stats().drops(DropReason::kNegCache), 0u);
 }
 
 TEST_F(DropRecorderTest, TtlExpiryIsCountedAndRecorded) {
@@ -118,7 +121,6 @@ TEST_F(DropRecorderTest, TtlExpiryIsCountedAndRecorded) {
     packet.seq = 7;
     packet.pid = provenance::packet_id(packet.src, packet.dst, packet.seq);
     plane->on_multicast_data(0, packet);
-    EXPECT_EQ(recorder.drop_count(DropReason::kTtl), 1u);
     EXPECT_EQ(drops_counter(registry(), DropReason::kTtl), 1u);
     EXPECT_TRUE(dump_names_reason(recorder, DropReason::kTtl));
 }
@@ -127,7 +129,6 @@ TEST_F(DropRecorderTest, SegmentLossIsCountedAndRecorded) {
     fault::FaultInjector faults(net);
     faults.set_loss(*lan_in, 1.0); // every frame on the source LAN vanishes
     send_from_source();
-    EXPECT_GE(recorder.drop_count(DropReason::kSegmentLoss), 1u);
     EXPECT_GE(drops_counter(registry(), DropReason::kSegmentLoss), 1u);
     EXPECT_TRUE(dump_names_reason(recorder, DropReason::kSegmentLoss));
     EXPECT_EQ(member->received_count(kGroup), 0u);
@@ -137,14 +138,13 @@ TEST_F(DropRecorderTest, SegmentLossIsCountedAndRecorded) {
 
 TEST(ProvenanceProtocolDrops, NoStateWhenGroupHasNoRpMapping) {
     Fig3Topology topo;
-    Recorder recorder(topo.net.telemetry().registry());
+    Recorder recorder;
     topo.net.set_provenance(&recorder);
     scenario::PimSmStack stack(topo.net, fast_config());
     // No set_rp: the source's DR can neither register nor build state.
     topo.net.run_for(500 * sim::kMillisecond);
     topo.source->send_data(kGroup);
     topo.net.run_for(50 * sim::kMillisecond);
-    EXPECT_GE(recorder.drop_count(DropReason::kNoState), 1u);
     EXPECT_GE(drops_counter(topo.net.telemetry().registry(), DropReason::kNoState),
               1u);
     EXPECT_TRUE(dump_names_reason(recorder, DropReason::kNoState));
@@ -169,7 +169,7 @@ TEST(ProvenanceProtocolDrops, AssertLoserOnSharedSourceLan) {
     auto& lan1 = net.add_lan({&d, &x});
     topo::Host& source = net.add_host("source", lan1);
     unicast::OracleRouting routing(net);
-    Recorder recorder(net.telemetry().registry());
+    Recorder recorder;
     net.set_provenance(&recorder);
     scenario::PimSmStack stack(net, fast_config());
     stack.set_rp(kGroup, {c.router_id()});
@@ -178,7 +178,6 @@ TEST(ProvenanceProtocolDrops, AssertLoserOnSharedSourceLan) {
     net.run_for(200 * sim::kMillisecond);
     source.send_stream(kGroup, 5, 10 * sim::kMillisecond);
     net.run_for(200 * sim::kMillisecond);
-    EXPECT_GE(recorder.drop_count(DropReason::kAssertLoser), 1u);
     EXPECT_GE(drops_counter(net.telemetry().registry(), DropReason::kAssertLoser),
               1u);
     EXPECT_TRUE(dump_names_reason(recorder, DropReason::kAssertLoser));
@@ -187,7 +186,7 @@ TEST(ProvenanceProtocolDrops, AssertLoserOnSharedSourceLan) {
 
 TEST(ProvenanceProtocolDrops, NoRouteWhenRegisterTargetUnreachable) {
     Fig3Topology topo;
-    Recorder recorder(topo.net.telemetry().registry());
+    Recorder recorder;
     topo.net.set_provenance(&recorder);
     scenario::PimSmStack stack(topo.net, fast_config());
     stack.set_rp(kGroup, {topo.c->router_id()});
@@ -198,11 +197,142 @@ TEST(ProvenanceProtocolDrops, NoRouteWhenRegisterTargetUnreachable) {
     topo.net.run_for(100 * sim::kMillisecond);
     topo.source->send_data(kGroup);
     topo.net.run_for(100 * sim::kMillisecond);
-    EXPECT_GE(recorder.drop_count(DropReason::kNoRoute), 1u);
     EXPECT_GE(drops_counter(topo.net.telemetry().registry(), DropReason::kNoRoute),
               1u);
     EXPECT_TRUE(dump_names_reason(recorder, DropReason::kNoRoute));
 }
+
+// --- one discarded packet, one count, recorder or not ---------------------
+
+/// Builds the world that discards a packet for `reason`, warms it up,
+/// attaches a Recorder when `record` is set, then discards exactly one
+/// packet. Returns how far pimlib_data_dropped_total{reason} rose across
+/// that packet, checking the NetworkStats query reads the same series.
+std::uint64_t one_discard_delta(DropReason reason, bool record) {
+    Recorder recorder;
+    std::uint64_t before = 0;
+    const auto series = [&](topo::Network& net) {
+        const std::uint64_t exported = drops_counter(net.telemetry().registry(), reason);
+        EXPECT_EQ(net.stats().drops(reason), exported);
+        return exported;
+    };
+    const auto attach = [&](topo::Network& net) {
+        if (record) net.set_provenance(&recorder);
+        before = series(net);
+    };
+
+    switch (reason) {
+    case DropReason::kRpfFail:
+    case DropReason::kNegCache:
+    case DropReason::kNoOif:
+    case DropReason::kTtl:
+    case DropReason::kSegmentLoss: {
+        // One router, bare DataPlane: the cache entry alone decides.
+        topo::Network net;
+        topo::Router& r = net.add_router("r");
+        topo::Segment& lan_in = net.add_lan({&r});   // ifindex 0
+        topo::Segment& lan_out = net.add_lan({&r});  // ifindex 1
+        topo::Host& source = net.add_host("src", lan_in);
+        net.add_host("m", lan_out).join_group(kGroup);
+        mcast::ForwardingCache cache;
+        mcast::DataPlane plane(r, cache);
+        fault::FaultInjector faults(net);
+        net::Packet packet;
+        packet.src = source.address();
+        packet.dst = kGroup.address();
+        packet.proto = net::IpProto::kUdp;
+        packet.seq = 1;
+        packet.pid = provenance::packet_id(packet.src, packet.dst, packet.seq);
+        if (reason == DropReason::kNegCache) {
+            cache.ensure_wc(net::Ipv4Address(192, 168, 0, 9), kGroup).set_iif(0);
+        } else {
+            auto& sg = cache.ensure_sg(source.address(), kGroup);
+            sg.set_iif(reason == DropReason::kRpfFail ? 1 : 0);
+            sg.set_spt_bit(true);
+            if (reason != DropReason::kNoOif) sg.pin_oif(1);
+        }
+        if (reason == DropReason::kTtl) packet.ttl = 1;
+        if (reason == DropReason::kSegmentLoss) faults.set_loss(lan_in, 1.0);
+        attach(net);
+        source.send(0, net::Frame{std::nullopt, packet});
+        net.run_for(10 * sim::kMillisecond);
+        return series(net) - before;
+    }
+    case DropReason::kNoState: {
+        Fig3Topology topo;
+        scenario::PimSmStack stack(topo.net, fast_config());
+        // No set_rp: the source's DR can neither register nor build state.
+        topo.net.run_for(500 * sim::kMillisecond);
+        attach(topo.net);
+        topo.source->send_data(kGroup);
+        topo.net.run_for(50 * sim::kMillisecond);
+        return series(topo.net) - before;
+    }
+    case DropReason::kAssertLoser: {
+        // X shares the source LAN with the DR D and cedes the packet to it.
+        topo::Network net;
+        topo::Router& a = net.add_router("A");
+        topo::Router& b = net.add_router("B");
+        topo::Router& c = net.add_router("C");
+        topo::Router& d = net.add_router("D");
+        topo::Router& x = net.add_router("X");
+        topo::Host& receiver = net.add_host("receiver", net.add_lan({&a}));
+        net.add_link(a, b);
+        net.add_link(b, c);
+        net.add_link(b, d);
+        topo::Host& source = net.add_host("source", net.add_lan({&d, &x}));
+        unicast::OracleRouting routing(net);
+        scenario::PimSmStack stack(net, fast_config());
+        stack.set_rp(kGroup, {c.router_id()});
+        net.run_for(800 * sim::kMillisecond);
+        stack.host_agent(receiver).join(kGroup);
+        net.run_for(200 * sim::kMillisecond);
+        attach(net);
+        source.send_data(kGroup);
+        net.run_for(200 * sim::kMillisecond);
+        return series(net) - before;
+    }
+    case DropReason::kNoRoute: {
+        Fig3Topology topo;
+        scenario::PimSmStack stack(topo.net, fast_config());
+        stack.set_rp(kGroup, {topo.c->router_id()});
+        fault::FaultInjector faults(topo.net);
+        stack.wire_faults(faults);
+        topo.net.run_for(500 * sim::kMillisecond);
+        faults.crash_router(*topo.c); // the register has nowhere to go
+        topo.net.run_for(100 * sim::kMillisecond);
+        attach(topo.net);
+        topo.source->send_data(kGroup);
+        topo.net.run_for(100 * sim::kMillisecond);
+        return series(topo.net) - before;
+    }
+    case DropReason::kNone:
+        break;
+    }
+    ADD_FAILURE() << "no scenario for " << provenance::drop_reason_label(reason);
+    return 0;
+}
+
+class OneDiscardOneCount
+    : public ::testing::TestWithParam<std::tuple<DropReason, bool>> {};
+
+TEST_P(OneDiscardOneCount, RaisesItsReasonByExactlyOne) {
+    const auto [reason, record] = GetParam();
+    EXPECT_EQ(one_discard_delta(reason, record), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryReachableReason, OneDiscardOneCount,
+    ::testing::Combine(::testing::Values(DropReason::kRpfFail, DropReason::kNegCache,
+                                         DropReason::kNoOif, DropReason::kTtl,
+                                         DropReason::kSegmentLoss, DropReason::kNoState,
+                                         DropReason::kAssertLoser, DropReason::kNoRoute),
+                       ::testing::Bool()),
+    [](const auto& info) {
+        std::string name = provenance::drop_reason_label(std::get<0>(info.param));
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name + (std::get<1>(info.param) ? "_recorded" : "_unrecorded");
+    });
 
 // --- mtrace path attribution on the walkthrough pentagon ------------------
 
@@ -230,7 +360,7 @@ bool ordered_subpath(const std::vector<std::string>& nodes,
 TEST(ProvenancePentagon, TraceShowsSharedTreeThenSptPath) {
     constexpr sim::Time kMs = sim::kMillisecond;
     WalkthroughPentagon topo;
-    Recorder recorder(topo.net.telemetry().registry());
+    Recorder recorder;
     topo.net.set_provenance(&recorder);
     scenario::PimSmStack stack(topo.net, fast_config());
     stack.set_rp(kGroup, {topo.builder.router("C").router_id()});
@@ -297,7 +427,7 @@ TEST(ProvenancePentagon, DropSummaryNamesRouterAndReason) {
     // The SPT switchover's transition window drops straggler shared-tree
     // copies at A with an rpf-fail: the one-line summary must name both.
     WalkthroughPentagon topo;
-    Recorder recorder(topo.net.telemetry().registry());
+    Recorder recorder;
     topo.net.set_provenance(&recorder);
     scenario::PimSmStack stack(topo.net, fast_config());
     stack.set_rp(kGroup, {topo.builder.router("C").router_id()});
@@ -311,7 +441,7 @@ TEST(ProvenancePentagon, DropSummaryNamesRouterAndReason) {
     topo.builder.host("source").send_stream(kGroup, 30, 10 * sim::kMillisecond,
                                             250 * sim::kMillisecond);
     topo.net.run_for(1500 * sim::kMillisecond);
-    ASSERT_GT(recorder.drop_count(DropReason::kRpfFail), 0u);
+    ASSERT_GT(topo.net.stats().drops(DropReason::kRpfFail), 0u);
     const std::string summary = recorder.drop_summary();
     EXPECT_NE(summary.find("A"), std::string::npos) << summary;
     EXPECT_NE(summary.find("rpf-fail"), std::string::npos) << summary;
@@ -328,7 +458,7 @@ TEST(ProvenanceProtocols, EveryStackRecordsTheDeliveredPathAndRpfFailures) {
     for (const std::string& protocol : kStackProtocols) {
         SCOPED_TRACE(protocol);
         Fig3Topology topo;
-        Recorder recorder(topo.net.telemetry().registry());
+        Recorder recorder;
         topo.net.set_provenance(&recorder);
         const std::unique_ptr<scenario::StackBase> stack = make_stack(protocol, topo);
         topo.net.run_for(200 * sim::kMillisecond);
@@ -390,14 +520,13 @@ TEST(ProvenanceProtocols, EveryStackRecordsTheDeliveredPathAndRpfFailures) {
 // --- recorder mechanics ---------------------------------------------------
 
 TEST(ProvenanceRecorder, RingStaysBounded) {
-    telemetry::Registry reg;
-    Recorder rec(reg);
+    Recorder rec;
     rec.register_node(0, "r", false);
     const std::uint64_t total = 2 * provenance::kRingCapacity + 3;
     for (std::uint64_t i = 0; i < total; ++i) {
         net::Packet packet;
         packet.pid = 1000 + i;
-        rec.commit(*rec.begin(0, packet, static_cast<sim::Time>(i)));
+        ASSERT_NE(rec.begin(0, packet, static_cast<sim::Time>(i)), nullptr);
     }
     EXPECT_EQ(rec.total_records(), total);
     // Only the kRingCapacity newest survive.
@@ -410,8 +539,7 @@ TEST(ProvenanceRecorder, RingStaysBounded) {
 }
 
 TEST(ProvenanceRecorder, ReusedSlotCarriesNothingFromItsPreviousOccupant) {
-    telemetry::Registry reg;
-    Recorder rec(reg);
+    Recorder rec;
     net::Packet old_packet;
     old_packet.pid = 7;
     for (std::size_t i = 0; i < provenance::kRingCapacity; ++i) {
@@ -425,7 +553,6 @@ TEST(ProvenanceRecorder, ReusedSlotCarriesNothingFromItsPreviousOccupant) {
         hop->rp_bit = true;
         hop->add_oif(1);
         hop->add_oif(2);
-        rec.commit(*hop);
     }
     // The ring is full: the next hop overwrites the oldest slot.
     net::Packet packet;
@@ -452,10 +579,8 @@ TEST(ProvenanceRecorder, ReusedSlotCarriesNothingFromItsPreviousOccupant) {
     EXPECT_TRUE(hop->rpf_ok);
     EXPECT_FALSE(hop->spt_bit);
     EXPECT_FALSE(hop->rp_bit);
-    rec.commit(*hop);
     EXPECT_EQ(rec.records_for(8).size(), 1u);
     EXPECT_EQ(rec.records_for(7).size(), provenance::kRingCapacity - 1);
-    EXPECT_EQ(rec.drop_count(DropReason::kNoOif), provenance::kRingCapacity);
 }
 
 TEST(ProvenanceRecorder, PacketIdIsDeterministicAndNeverZero) {

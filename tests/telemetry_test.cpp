@@ -155,7 +155,7 @@ TEST(NetworkStats, ResetCoversPerSegmentControlAndLossDrops) {
     stats::NetworkStats& stats = net.stats();
     stats.count_control_on_segment(0);
     stats.count_data_packet(0);
-    stats.count_dropped_loss();
+    stats.count_drop(provenance::DropReason::kSegmentLoss);
     stats.count_data_delivered();
     stats.count_control_message("pim");
 
@@ -167,7 +167,7 @@ TEST(NetworkStats, ResetCoversPerSegmentControlAndLossDrops) {
     EXPECT_EQ(seg_control.value(), 0u);
     EXPECT_EQ(seg_control.lifetime(), 1u); // registry keeps the whole-run count
     EXPECT_EQ(stats.data_packets_on(0), 0u);
-    EXPECT_EQ(stats.dropped_loss(), 0u);
+    EXPECT_EQ(stats.drops(provenance::DropReason::kSegmentLoss), 0u);
     EXPECT_EQ(stats.data_delivered(), 0u);
     // Per-protocol totals deliberately survive (whole-run control cost).
     EXPECT_EQ(stats.total_control_messages(), 1u);
@@ -218,10 +218,9 @@ TEST(NetworkStats, CountingCallsAllocateNothingOnceResolved) {
         stats.count_control_message("pim");
         stats.count_control_message("igmp");
         stats.count_data_delivered();
-        stats.count_data_dropped_iif();
-        stats.count_data_dropped_ttl();
-        stats.count_data_dropped_no_route();
-        stats.count_dropped_loss();
+        for (std::size_t r = 1; r < provenance::kDropReasonCount; ++r) {
+            stats.count_drop(static_cast<provenance::DropReason>(r));
+        }
     };
     count_everything(); // first use resolves every series
 
@@ -233,6 +232,7 @@ TEST(NetworkStats, CountingCallsAllocateNothingOnceResolved) {
     EXPECT_EQ(stats.data_packets_on(3), 1001u);
     EXPECT_EQ(stats.control_messages("igmp"), 1001u);
     EXPECT_EQ(stats.flows_on(3), 1u);
+    EXPECT_EQ(stats.drops(provenance::DropReason::kNoRoute), 1001u);
 }
 
 // --- event log ------------------------------------------------------------
@@ -428,28 +428,6 @@ TEST(Exporters, JsonGroupsLabeledSeriesAndHistogramPercentiles) {
     EXPECT_NE(json.find("\"value\":7"), std::string::npos);
     EXPECT_NE(json.find("\"p99\""), std::string::npos);
     EXPECT_NE(json.find("\"count\":1"), std::string::npos);
-}
-
-TEST(Exporters, TimeSeriesCsvSamplesCountersSinceEpoch) {
-    Registry reg;
-    telemetry::Counter& c = reg.counter("pimlib_data_delivered_total");
-    telemetry::Gauge& g = reg.gauge("pimlib_state_mrib_entries");
-    telemetry::TimeSeries ts;
-    ts.add_counter("delivered", c);
-    ts.add_gauge("entries", g);
-
-    c.inc(5);
-    g.set(2);
-    ts.sample(1 * sim::kSecond);
-    c.inc(5);
-    g.set(3);
-    ts.sample(2 * sim::kSecond);
-    EXPECT_EQ(ts.rows(), 2u);
-
-    const std::string csv = ts.to_csv();
-    EXPECT_NE(csv.find("time_s,delivered,entries"), std::string::npos);
-    EXPECT_NE(csv.find("1.000000,5,2"), std::string::npos);
-    EXPECT_NE(csv.find("2.000000,10,3"), std::string::npos);
 }
 
 // --- hub + end-to-end -----------------------------------------------------

@@ -163,7 +163,7 @@ std::size_t count_of(const std::string& text, const std::string& needle) {
 TEST(Timeline, WalkthroughRunEmitsValidChromeTraceJson) {
     Fig3Topology topo;
     topo.net.telemetry().set_tracing(true);
-    provenance::Recorder recorder(topo.net.telemetry().registry());
+    provenance::Recorder recorder;
     topo.net.set_provenance(&recorder);
     scenario::PimSmStack stack(topo.net, fast_config());
     stack.set_rp(kGroup, {topo.c->router_id()});

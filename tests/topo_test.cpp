@@ -182,7 +182,7 @@ TEST(Router, TtlExpiryDropsPacket) {
     r1.originate_unicast(std::move(p));
     net.simulator().run();
     EXPECT_EQ(delivered, 0);
-    EXPECT_EQ(net.stats().data_dropped_ttl(), 1u);
+    EXPECT_EQ(net.stats().drops(provenance::DropReason::kTtl), 1u);
 }
 
 TEST(Router, NoRouteDropsAndCounts) {
@@ -196,7 +196,7 @@ TEST(Router, NoRouteDropsAndCounts) {
     p.proto = net::IpProto::kCbt;
     r1.originate_unicast(std::move(p));
     net.simulator().run();
-    EXPECT_EQ(net.stats().data_dropped_no_route(), 1u);
+    EXPECT_EQ(net.stats().drops(provenance::DropReason::kNoRoute), 1u);
 }
 
 TEST(Router, LocalAddressRecognition) {

@@ -26,8 +26,7 @@ struct PentagonWorld : WalkthroughPentagon {
     std::unique_ptr<check::Watchdog> watchdog;
 
     explicit PentagonWorld(bool mutate) {
-        recorder = std::make_unique<provenance::Recorder>(
-            net.telemetry().registry());
+        recorder = std::make_unique<provenance::Recorder>();
         net.set_provenance(recorder.get());
 
         scenario::StackConfig cfg = fast_config();
