@@ -411,7 +411,8 @@ Deadline capture_deadline(const Scenario& sc, scenario::World& world) {
         if (world.faults().is_crashed(*router)) continue;
         pim::BootstrapAgent& agent = pim->bootstrap_at(*router);
         d.views[router->name()] = {agent.elected_bsr(), agent.is_elected_bsr()};
-        d.derived[router->name()] = pim->pim_at(*router).rp_set().rps_for(sc.group);
+        const pim::RpList rps = pim->pim_at(*router).rp_set().rps_for(sc.group);
+        d.derived[router->name()].assign(rps.begin(), rps.end());
     }
     return d;
 }

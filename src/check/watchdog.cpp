@@ -269,7 +269,7 @@ void Watchdog::check_entry(const topo::Router& router,
     view.iif = entry.iif();
     view.root = entry.source_or_rp();
     view.root_known = true;
-    view.oifs = entry.live_oifs(now);
+    entry.for_each_live_oif(now, [&](int oif) { view.oifs.push_back(oif); });
 
     EntryView shadow;
     const mcast::ForwardingEntry* wc = nullptr;

@@ -87,15 +87,6 @@ bool ForwardingEntry::is_pruned(int ifindex) const {
     return std::binary_search(pruned_oifs_.begin(), pruned_oifs_.end(), ifindex);
 }
 
-std::vector<int> ForwardingEntry::live_oifs(sim::Time now) const {
-    std::vector<int> out;
-    out.reserve(oifs_.size());
-    for (const auto& [ifindex, state] : oifs_) {
-        if (state.alive(now)) out.push_back(ifindex);
-    }
-    return out;
-}
-
 std::vector<int> ForwardingEntry::expire_oifs(sim::Time now) {
     std::vector<int> removed;
     auto keep = oifs_.begin();

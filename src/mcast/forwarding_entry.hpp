@@ -90,9 +90,6 @@ public:
             if (state.alive(now)) fn(ifindex);
         }
     }
-    /// Interfaces alive at `now` (pinned or unexpired). Allocates; tests and
-    /// slow paths only — the data plane uses for_each_live_oif.
-    [[nodiscard]] std::vector<int> live_oifs(sim::Time now) const;
     /// Drops oifs whose timers have expired; returns the removed interfaces.
     [[nodiscard]] std::vector<int> expire_oifs(sim::Time now);
     [[nodiscard]] bool oif_list_empty(sim::Time now) const {

@@ -112,8 +112,7 @@ std::uint32_t PimSmRouter::holdtime_ms() const {
 }
 
 bool PimSmRouter::is_rp_for(net::GroupAddress group) const {
-    const auto rps = rp_set_.rps_for(group);
-    return std::find(rps.begin(), rps.end(), router_->router_id()) != rps.end();
+    return rp_set_.rps_for(group).contains(router_->router_id());
 }
 
 net::Ipv4Address PimSmRouter::primary_reachable_rp(net::GroupAddress group) const {
@@ -127,24 +126,31 @@ net::Ipv4Address PimSmRouter::primary_reachable_rp(net::GroupAddress group) cons
 // Neighbor discovery and DR election (§3.7, footnote 14)
 // ---------------------------------------------------------------------------
 
-std::vector<net::Ipv4Address> PimSmRouter::neighbors_on(int ifindex) const {
-    std::vector<net::Ipv4Address> out;
+template <typename F>
+void PimSmRouter::for_each_live_neighbor(int ifindex, F&& f) const {
     auto it = neighbors_.find(ifindex);
-    if (it == neighbors_.end()) return out;
+    if (it == neighbors_.end()) return;
     const sim::Time now = const_cast<topo::Router*>(router_)->simulator().now();
     for (const auto& [addr, deadline] : it->second) {
-        if (deadline > now) out.push_back(addr);
+        if (deadline > now) f(addr);
     }
+}
+
+std::vector<net::Ipv4Address> PimSmRouter::neighbors_on(int ifindex) const {
+    std::vector<net::Ipv4Address> out;
+    for_each_live_neighbor(ifindex, [&](net::Ipv4Address addr) { out.push_back(addr); });
     return out;
 }
 
 int PimSmRouter::pim_neighbor_count(int ifindex) const {
-    return static_cast<int>(neighbors_on(ifindex).size());
+    int count = 0;
+    for_each_live_neighbor(ifindex, [&](net::Ipv4Address) { ++count; });
+    return count;
 }
 
 net::Ipv4Address PimSmRouter::dr_address_on(int ifindex) const {
     net::Ipv4Address best = router_->interface(ifindex).address;
-    for (net::Ipv4Address addr : neighbors_on(ifindex)) best = std::max(best, addr);
+    for_each_live_neighbor(ifindex, [&](net::Ipv4Address addr) { best = std::max(best, addr); });
     return best;
 }
 
@@ -382,9 +388,8 @@ void PimSmRouter::maybe_register(int ifindex, const net::Packet& packet,
     // and only while no (S,G) state exists (the RP's join ends the register
     // phase). This must fire regardless of whether unrelated (*,G) state
     // matched the packet — a transit router on the shared tree can also be
-    // a source DR.
-    const net::GroupAddress group{packet.dst};
-    if (!rp_set_.has_mapping(group)) return;
+    // a source DR. The interface checks come first: they are what turns
+    // away a transit router, on every packet it forwards on (*,G).
     if (ifindex < 0 || ifindex >= router_->interface_count()) return;
     const auto& iface = router_->interface(ifindex);
     if (iface.segment == nullptr) return;
@@ -396,12 +401,14 @@ void PimSmRouter::maybe_register(int ifindex, const net::Packet& packet,
         if (!iface.segment->prefix().contains(packet.src)) return;
         if (!is_dr_on(ifindex)) return;
     }
+    const net::GroupAddress group{packet.dst};
+    const RpList rps = rp_set_.rps_for(group);
+    if (rps.empty()) return;
     const SgKey key{packet.src, group};
     mcast::ForwardingEntry* sg = cache_.find_sg(packet.src, group);
     if (sg != nullptr && !sg->rp_bit() && !registering_.contains(key)) {
         return; // native path established (a join has arrived)
     }
-    const auto rps = rp_set_.rps_for(group);
     const bool has_remote_rp =
         std::any_of(rps.begin(), rps.end(),
                     [&](net::Ipv4Address rp) { return rp != router_->router_id(); });
@@ -915,7 +922,7 @@ void PimSmRouter::on_pim_message(int ifindex, const net::Packet& packet) {
         break;
     case Code::kRpReachability:
         if (auto msg = RpReachability::decode(packet.payload)) {
-            handle_rp_reachability(ifindex, *msg);
+            handle_rp_reachability(ifindex, *msg, packet.payload);
         }
         break;
     case Code::kJoinPruneBundle:
@@ -1270,7 +1277,8 @@ void PimSmRouter::on_rp_reachability_tick() {
     });
 }
 
-void PimSmRouter::handle_rp_reachability(int ifindex, const RpReachability& msg) {
+void PimSmRouter::handle_rp_reachability(int ifindex, const RpReachability& msg,
+                                         const net::Payload& received) {
     if (!msg.group.is_multicast()) return;
     const net::GroupAddress group{msg.group};
     mcast::ForwardingEntry* wc = cache_.find_wc(group);
@@ -1278,13 +1286,14 @@ void PimSmRouter::handle_rp_reachability(int ifindex, const RpReachability& msg)
     if (ifindex != wc->iif()) return; // must arrive from the RP direction
     const sim::Time now = router_->simulator().now();
     wc->set_rp_timer_deadline(now + ms_to_time(msg.holdtime_ms));
-    // Propagate down the shared tree. Sending only schedules deliveries, so
-    // the oif list cannot change under the walk.
-    const net::Payload payload = msg.encode();
+    // Propagate down the shared tree as received: the codec is fixed-width
+    // and decode() accepted exactly these bytes, so re-encoding `msg` would
+    // rebuild them byte for byte. Sending only schedules deliveries, so the
+    // oif list cannot change under the walk.
     wc->for_each_live_oif(now, [&](int oif) {
         if (oif == ifindex) return;
         router_->send_control(oif, net::kAllRouters, net::IpProto::kIgmp, "pim-rp-reach",
-                              payload);
+                              received);
     });
 }
 
@@ -1360,9 +1369,9 @@ void PimSmRouter::reconcile_rp_mappings() {
     std::vector<std::pair<net::GroupAddress, net::Ipv4Address>> stale;
     cache_.for_each_wc([&](mcast::ForwardingEntry& wc) {
         const net::GroupAddress group = wc.group();
-        const auto rps = rp_set_.rps_for(group);
+        const RpList rps = rp_set_.rps_for(group);
         if (rps.empty()) return; // no mapping left; soft state ages out
-        if (std::find(rps.begin(), rps.end(), wc.source_or_rp()) != rps.end()) return;
+        if (rps.contains(wc.source_or_rp())) return;
         stale.emplace_back(group, wc.source_or_rp());
     });
     for (const auto& [group, old_rp] : stale) failover_to_alternate_rp(group, old_rp);

@@ -221,7 +221,10 @@ private:
     /// prune state, overheard ones feed suppression/override (§3.7).
     void handle_join_prune(int ifindex, const net::Packet& packet,
                            const JoinPruneBundle& msg);
-    void handle_rp_reachability(int ifindex, const RpReachability& msg);
+    /// Refreshes the RP timer and forwards `received` (the message's own
+    /// bytes) down the shared tree.
+    void handle_rp_reachability(int ifindex, const RpReachability& msg,
+                                const net::Payload& received);
     void handle_assert(int ifindex, const net::Packet& packet, const Assert& msg);
 
     void process_targeted_join(int ifindex, net::GroupAddress group,
@@ -319,6 +322,10 @@ private:
     void on_route_change();
 
     // --- small helpers ---
+    /// Calls `f(address)` for each PIM neighbor on `ifindex` whose Hello
+    /// has not timed out, in address order, without allocating.
+    template <typename F>
+    void for_each_live_neighbor(int ifindex, F&& f) const;
     [[nodiscard]] int pim_neighbor_count(int ifindex) const;
     [[nodiscard]] std::uint32_t holdtime_ms() const;
     void cancel_pending_prune(const EntryRef& ref, int ifindex);

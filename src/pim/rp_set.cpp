@@ -66,9 +66,9 @@ std::optional<net::Ipv4Address> RpSet::dynamic_rp_for(net::GroupAddress group) c
     return best != nullptr ? std::optional{best->rp} : std::nullopt;
 }
 
-std::vector<net::Ipv4Address> RpSet::rps_for(net::GroupAddress group) const {
-    if (auto it = static_.find(group); it != static_.end()) return it->second;
-    if (auto it = learned_.find(group); it != learned_.end()) return it->second;
+RpList RpSet::rps_for(net::GroupAddress group) const {
+    if (auto it = static_.find(group); it != static_.end()) return RpList{it->second};
+    if (auto it = learned_.find(group); it != learned_.end()) return RpList{it->second};
     const std::vector<net::Ipv4Address>* best = nullptr;
     int best_len = -1;
     for (const auto& [range, rps] : ranges_) {
@@ -77,8 +77,8 @@ std::vector<net::Ipv4Address> RpSet::rps_for(net::GroupAddress group) const {
             best_len = range.length();
         }
     }
-    if (best != nullptr) return *best;
-    if (auto rp = dynamic_rp_for(group)) return {*rp};
+    if (best != nullptr) return RpList{*best};
+    if (auto rp = dynamic_rp_for(group)) return RpList{*rp};
     return {};
 }
 

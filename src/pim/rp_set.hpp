@@ -10,6 +10,8 @@
 // and fail over down the list.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -18,6 +20,32 @@
 #include "net/ipv4.hpp"
 
 namespace pimlib::pim {
+
+/// One group's ordered RP list, read without a copy: a view of a stored
+/// list, or the single BSR-elected RP held inline. A view is valid until
+/// its RpSet next changes.
+class RpList {
+public:
+    RpList() = default;
+    explicit RpList(const std::vector<net::Ipv4Address>& stored)
+        : stored_(stored.data()), size_(stored.size()) {}
+    explicit RpList(net::Ipv4Address elected) : elected_(elected), size_(1) {}
+
+    [[nodiscard]] const net::Ipv4Address* begin() const {
+        return stored_ != nullptr ? stored_ : &elected_;
+    }
+    [[nodiscard]] const net::Ipv4Address* end() const { return begin() + size_; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] bool contains(net::Ipv4Address rp) const {
+        return std::find(begin(), end(), rp) != end();
+    }
+
+private:
+    const net::Ipv4Address* stored_ = nullptr;
+    net::Ipv4Address elected_;
+    std::size_t size_ = 0;
+};
 
 class RpSet {
 public:
@@ -63,7 +91,7 @@ public:
     /// dynamic election (a single RP — the whole domain hashes to the same
     /// one). Empty when the group has no sparse-mode mapping (the paper's
     /// signal to fall back to dense mode, §3.1).
-    [[nodiscard]] std::vector<net::Ipv4Address> rps_for(net::GroupAddress group) const;
+    [[nodiscard]] RpList rps_for(net::GroupAddress group) const;
 
     /// True if the group is to be handled in sparse mode at all.
     [[nodiscard]] bool has_mapping(net::GroupAddress group) const {

@@ -94,7 +94,7 @@ TEST(BootstrapTest, RpSetAgreesDomainWideAndElectsByPriority) {
     const std::vector<net::Ipv4Address> want{w.r1->router_id()};
     for (topo::Router* r : w.routers()) {
         pim::RpSet& set = w.stack->pim_at(*r).rp_set();
-        EXPECT_EQ(set.rps_for(kGroup), want) << r->name();
+        EXPECT_EQ(test::rps_of(set, kGroup), want) << r->name();
         EXPECT_EQ(set.dynamic_rp_for(kGroup), w.r1->router_id()) << r->name();
         EXPECT_EQ(set.dynamic_entries().size(), 2u) << r->name();
     }
@@ -126,7 +126,8 @@ TEST(BootstrapTest, BsrCrashTriggersTakeoverRepublishAndRehoming) {
     for (topo::Router* r : {w.m, w.r2, w.b}) {
         EXPECT_EQ(w.stack->bootstrap_at(*r).elected_bsr(), w.b->router_id())
             << r->name();
-        EXPECT_EQ(w.stack->pim_at(*r).rp_set().rps_for(kGroup), want) << r->name();
+        EXPECT_EQ(test::rps_of(w.stack->pim_at(*r).rp_set(), kGroup), want)
+            << r->name();
     }
     // The member's shared tree re-homed to the surviving candidate RP.
     auto* wc = w.stack->pim_at(*w.m).cache().find_wc(kGroup);

@@ -125,13 +125,13 @@ TEST_P(DenseModeTest, PruneOnOwnIifChangesNoOifAndSendsNothing) {
     // At R2 the iif faces R1, and R3 is still downstream.
     const DenseWorld::Hop up = w.hop(*w.r2, *w.r1);
     ASSERT_EQ(w.sg_at(*w.r2)->iif(), up.ifindex);
-    const std::vector<int> oifs = w.sg_at(*w.r2)->live_oifs(now);
+    const std::vector<int> oifs = live_oifs(*w.sg_at(*w.r2), now);
     ASSERT_FALSE(oifs.empty());
     std::uint64_t sent = w.net.stats().total_control_messages();
     inject_pim(*w.r2, up.ifindex, up.peer,
                prune_bytes(GetParam(), false, up.local, w.source->address(),
                            kGroup.address()));
-    EXPECT_EQ(w.sg_at(*w.r2)->live_oifs(now), oifs);
+    EXPECT_EQ(live_oifs(*w.sg_at(*w.r2), now), oifs);
     EXPECT_EQ(w.net.stats().total_control_messages(), sent);
 
     // R3 with its member gone has nothing downstream and has not pruned

@@ -40,10 +40,10 @@ TEST(ForwardingEntry, OifTimersExpireAndRefresh) {
     auto e = ForwardingEntry::make_sg(kSrc, kGroup);
     e.add_oif(1, 100);
     e.add_oif(2, 200);
-    EXPECT_EQ(e.live_oifs(50).size(), 2u);
-    EXPECT_EQ(e.live_oifs(150).size(), 1u);
+    EXPECT_EQ(live_oifs(e, 50).size(), 2u);
+    EXPECT_EQ(live_oifs(e, 150).size(), 1u);
     e.refresh_oif(1, 300);
-    EXPECT_EQ(e.live_oifs(150).size(), 2u);
+    EXPECT_EQ(live_oifs(e, 150).size(), 2u);
     // refresh never shortens a timer
     e.refresh_oif(1, 120);
     ASSERT_NE(e.find_oif(1), nullptr);
@@ -56,7 +56,7 @@ TEST(ForwardingEntry, OifTimersExpireAndRefresh) {
 TEST(ForwardingEntry, PinnedOifsNeverExpire) {
     auto e = ForwardingEntry::make_wc(kRp, kGroup);
     e.pin_oif(1);
-    EXPECT_EQ(e.live_oifs(1'000'000).size(), 1u);
+    EXPECT_EQ(live_oifs(e, 1'000'000).size(), 1u);
     EXPECT_TRUE(e.expire_oifs(1'000'000).empty());
     e.unpin_oif(1);
     EXPECT_FALSE(e.has_oif(1));
@@ -65,8 +65,8 @@ TEST(ForwardingEntry, PinnedOifsNeverExpire) {
     e.pin_oif(2);
     e.unpin_oif(2);
     EXPECT_TRUE(e.has_oif(2));
-    EXPECT_EQ(e.live_oifs(400).size(), 1u);
-    EXPECT_EQ(e.live_oifs(600).size(), 0u);
+    EXPECT_EQ(live_oifs(e, 400).size(), 1u);
+    EXPECT_EQ(live_oifs(e, 600).size(), 0u);
 }
 
 TEST(ForwardingEntry, AddOifClearsDeletionTimer) {

@@ -247,14 +247,14 @@ TEST(RpSetTest, PrecedenceExactLearnedRange) {
     EXPECT_FALSE(set.has_mapping(g1));
     set.configure_range(net::Prefix{net::Ipv4Address(224, 0, 0, 0), 4}, {rp_wide});
     set.configure_range(net::Prefix{net::Ipv4Address(224, 1, 0, 0), 16}, {rp_range});
-    EXPECT_EQ(set.rps_for(g1), std::vector<net::Ipv4Address>{rp_range}); // longest range
+    EXPECT_EQ(rps_of(set, g1), std::vector<net::Ipv4Address>{rp_range}); // longest range
     const net::GroupAddress other{net::Ipv4Address(230, 0, 0, 1)};
-    EXPECT_EQ(set.rps_for(other), std::vector<net::Ipv4Address>{rp_wide});
+    EXPECT_EQ(rps_of(set, other), std::vector<net::Ipv4Address>{rp_wide});
 
     set.learn(g1, {rp_learned});
-    EXPECT_EQ(set.rps_for(g1), std::vector<net::Ipv4Address>{rp_learned});
+    EXPECT_EQ(rps_of(set, g1), std::vector<net::Ipv4Address>{rp_learned});
     set.configure(g1, {rp_static});
-    EXPECT_EQ(set.rps_for(g1), std::vector<net::Ipv4Address>{rp_static}); // config wins
+    EXPECT_EQ(rps_of(set, g1), std::vector<net::Ipv4Address>{rp_static}); // config wins
 }
 
 TEST(RpSetTest, DynamicLayerIsConsultedLast) {
@@ -268,12 +268,12 @@ TEST(RpSetTest, DynamicLayerIsConsultedLast) {
 
     EXPECT_TRUE(set.set_dynamic(
         {{net::Prefix{net::Ipv4Address(224, 0, 0, 0), 4}, rp_dynamic, 0}}));
-    EXPECT_EQ(set.rps_for(g), std::vector<net::Ipv4Address>{rp_dynamic});
+    EXPECT_EQ(rps_of(set, g), std::vector<net::Ipv4Address>{rp_dynamic});
 
     set.configure_range(net::Prefix{net::Ipv4Address(224, 1, 0, 0), 16}, {rp_range});
-    EXPECT_EQ(set.rps_for(g), std::vector<net::Ipv4Address>{rp_range});
+    EXPECT_EQ(rps_of(set, g), std::vector<net::Ipv4Address>{rp_range});
     set.configure(g, {rp_static});
-    EXPECT_EQ(set.rps_for(g), std::vector<net::Ipv4Address>{rp_static});
+    EXPECT_EQ(rps_of(set, g), std::vector<net::Ipv4Address>{rp_static});
 
     // Replacing the layer with the same contents is not a change; clearing
     // it is.

@@ -1,8 +1,15 @@
 // PIM sparse mode behavior tests on the paper's Fig. 3–5 topology: shared
 // tree setup (§3.2), the register path, SPT switchover (§3.3), soft-state
-// expiry (§3.6), RP failover (§3.9), and unicast rerouting (§3.8).
+// expiry (§3.6), RP failover (§3.9), unicast rerouting (§3.8), and the
+// shared tree's per-hop work (RP-Reachability forwarded as received, no
+// allocation on a transit hop).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "alloc_count.hpp"
+#include "pim/messages.hpp"
 #include "test_util.hpp"
 
 namespace pimlib::test {
@@ -306,6 +313,155 @@ TEST_F(PimSmRpFailoverTest, RpDeathTriggersFailoverToAlternate) {
     source->send_stream(kGroup, 5, 20 * sim::kMillisecond);
     net.run_for(1 * sim::kSecond);
     EXPECT_GE(receiver->received_count(kGroup), 5u);
+}
+
+// --- the shared tree's per-hop work ---------------------------------------
+
+/// One RP-Reachability frame seen on the wire.
+struct RpReachFrame {
+    const topo::Segment* segment;
+    net::Ipv4Address from;
+    net::Payload payload;
+};
+
+/// Every RP-Reachability frame `net`'s segments transmit from now on.
+void tap_rp_reachability(topo::Network& net, std::vector<RpReachFrame>& frames) {
+    net.add_packet_tap([&frames](const topo::Segment& segment, const net::Frame& frame) {
+        if (pim::RpReachability::decode(frame.packet.payload)) {
+            frames.push_back({&segment, frame.packet.src, frame.packet.payload});
+        }
+    });
+}
+
+// The RP's RP-Reachability reaches every router down the shared tree byte for
+// byte as the RP encoded it — one shared payload, the RP's holdtime kept at
+// every hop — and no router sends it back out the interface it arrived on.
+void check_rp_reachability_forwarded_as_sent(bool fragile_holdtime) {
+    Fig3Topology topo;
+    scenario::StackConfig cfg = fast_config();
+    cfg.pim.mutate_fragile_rp_holdtime = fragile_holdtime;
+    scenario::PimSmStack stack(topo.net, cfg);
+    stack.set_rp(kGroup, {topo.c->router_id()});
+    stack.set_spt_policy(SptPolicy::never());
+    topo.net.run_for(100 * sim::kMillisecond);
+    stack.host_agent(*topo.receiver).join(kGroup);
+    topo.net.run_for(200 * sim::kMillisecond);
+
+    std::vector<RpReachFrame> frames;
+    tap_rp_reachability(topo.net, frames);
+    // Two RP ticks, ending mid-period so the last wave has gone all the way.
+    topo.net.run_for(2 * cfg.pim.rp_reachability_interval +
+                     cfg.pim.rp_reachability_interval / 2);
+
+    const topo::Segment* c_b = topo.net.find_link(*topo.c, *topo.b);
+    const topo::Segment* b_a = topo.net.find_link(*topo.b, *topo.a);
+    const topo::Segment* lan0 = topo.receiver->interface(0).segment;
+    const auto advertised = static_cast<std::uint32_t>(
+        (fragile_holdtime ? cfg.pim.rp_reachability_interval * 11 / 10 : cfg.pim.rp_timeout) /
+        sim::kMillisecond);
+    const std::vector<std::uint8_t> sent =
+        pim::RpReachability{kGroup.address(), topo.c->router_id(), advertised}.encode();
+    // Frames grouped by the payload block they carry; a block the RP sent is
+    // one wave down the tree.
+    std::map<const std::uint8_t*, std::vector<const RpReachFrame*>> waves;
+    for (const RpReachFrame& f : frames) {
+        // C sends toward B, B toward A, A onto the receiver LAN: never back
+        // toward the RP.
+        const topo::Segment* expected = topo.c->owns_address(f.from)   ? c_b
+                                        : topo.b->owns_address(f.from) ? b_a
+                                        : topo.a->owns_address(f.from) ? lan0
+                                                                       : nullptr;
+        EXPECT_EQ(f.segment, expected) << "from " << f.from.to_string();
+        EXPECT_TRUE(std::ranges::equal(f.payload.span(), sent)) << "from " << f.from.to_string();
+        waves[f.payload.data()].push_back(&f);
+    }
+    int rp_waves = 0;
+    for (const auto& [block, wave] : waves) {
+        if (wave.front()->segment != c_b) continue; // began before the tap
+        ++rp_waves;
+        ASSERT_EQ(wave.size(), 3u) << "a hop forwarded a copy, or nothing";
+        EXPECT_EQ(wave[1]->segment, b_a);
+        EXPECT_EQ(wave[2]->segment, lan0);
+    }
+    EXPECT_EQ(rp_waves, 2);
+}
+
+TEST(PimSmSharedTreeHop, RpReachabilityForwardedAsTheRpSentIt) {
+    check_rp_reachability_forwarded_as_sent(/*fragile_holdtime=*/false);
+}
+
+TEST(PimSmSharedTreeHop, FragileHoldtimeForwardedUnchanged) {
+    check_rp_reachability_forwarded_as_sent(/*fragile_holdtime=*/true);
+}
+
+TEST_F(PimSmTest, RpReachabilityOffTheTreeIsNotForwarded) {
+    join_receiver();
+    std::vector<RpReachFrame> frames;
+    tap_rp_reachability(topo_.net, frames);
+    const int b_to_c = topo_.ifindex_toward(*topo_.b, *topo_.c);
+    const int b_to_a = topo_.ifindex_toward(*topo_.b, *topo_.a);
+    const auto* wc_b = stack_.pim_at(*topo_.b).cache().find_wc(kGroup);
+    ASSERT_NE(wc_b, nullptr);
+    ASSERT_EQ(wc_b->iif(), b_to_c);
+    const sim::Time deadline = wc_b->rp_timer_deadline();
+
+    // Frames B sends while handling one message that names `rp`.
+    auto forwarded = [&](int ifindex, net::Ipv4Address rp) {
+        frames.clear();
+        inject_pim(*topo_.b, ifindex, topo_.c->router_id(),
+                   pim::RpReachability{kGroup.address(), rp, 900000}.encode());
+        return frames.size();
+    };
+    EXPECT_EQ(forwarded(b_to_a, topo_.c->router_id()), 0u) << "arrived off the iif";
+    EXPECT_EQ(forwarded(b_to_c, topo_.d->router_id()), 0u) << "names another RP";
+    EXPECT_EQ(wc_b->rp_timer_deadline(), deadline);
+    // The same message from the RP direction goes on, to A only.
+    ASSERT_EQ(forwarded(b_to_c, topo_.c->router_id()), 1u);
+    EXPECT_EQ(frames[0].segment, topo_.net.find_link(*topo_.b, *topo_.a));
+    EXPECT_GT(wc_b->rp_timer_deadline(), deadline);
+}
+
+// After warm-up, a transit router's shared-tree hops allocate nothing: an
+// RP-Reachability forwarded down the tree, and a data packet forwarded on
+// (*,G) (DataPlane → on_wildcard_forward → maybe_register, which turns the
+// non-DR transit router away before any RP lookup).
+TEST_F(PimSmTest, SharedTreeHopsAllocateNothing) {
+    join_receiver();
+    const int b_to_c = topo_.ifindex_toward(*topo_.b, *topo_.c);
+    ASSERT_EQ(stack_.pim_at(*topo_.b).cache().find_wc(kGroup)->iif(), b_to_c);
+
+    net::Packet reach;
+    reach.src = topo_.c->router_id();
+    reach.dst = net::kAllRouters;
+    reach.proto = net::IpProto::kIgmp;
+    reach.ttl = 1;
+    reach.payload =
+        pim::RpReachability{kGroup.address(), topo_.c->router_id(), 900000}.encode();
+    net::Packet data;
+    data.src = topo_.source->address();
+    data.dst = kGroup.address();
+    data.proto = net::IpProto::kUdp;
+    data.ttl = 16;
+    data.payload = std::vector<std::uint8_t>(64, 0xab);
+
+    // Warm-up grows every pool the counted hops reuse (timer wheel,
+    // delivery slots, the receiver's log).
+    for (int i = 0; i < 4; ++i) {
+        topo_.b->receive(b_to_c, reach);
+        topo_.b->receive(b_to_c, data);
+        topo_.net.run_for(10 * sim::kMillisecond);
+    }
+    ASSERT_EQ(topo_.receiver->received_count(kGroup), 4u);
+    ASSERT_EQ(stack_.pim_at(*topo_.b).cache().find_sg(data.src, kGroup), nullptr);
+
+    std::uint64_t before = g_alloc_count.load();
+    topo_.b->receive(b_to_c, reach);
+    EXPECT_EQ(g_alloc_count.load() - before, 0u) << "RP-Reachability hop allocated";
+    before = g_alloc_count.load();
+    topo_.b->receive(b_to_c, data);
+    EXPECT_EQ(g_alloc_count.load() - before, 0u) << "(*,G) data hop allocated";
+    topo_.net.run_for(10 * sim::kMillisecond);
+    EXPECT_EQ(topo_.receiver->received_count(kGroup), 5u);
 }
 
 // Aggregated periodic refresh (JoinPruneBundle): with many groups sharing

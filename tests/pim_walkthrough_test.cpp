@@ -41,7 +41,7 @@ TEST_F(WalkthroughTest, Fig4SharedTreeSetup) {
     ASSERT_NE(wc_a, nullptr);
     EXPECT_TRUE(wc_a->wildcard());
     EXPECT_EQ(wc_a->source_or_rp(), topo_.c->router_id());
-    EXPECT_EQ(wc_a->live_oifs(topo_.net.simulator().now()), std::vector<int>{0});
+    EXPECT_EQ(live_oifs(*wc_a, topo_.net.simulator().now()), std::vector<int>{0});
     EXPECT_EQ(wc_a->iif(), topo_.ifindex_toward(*topo_.a, *topo_.b));
     EXPECT_GT(wc_a->rp_timer_deadline(), 0); // "RP-Timer: Started"
 
@@ -51,7 +51,7 @@ TEST_F(WalkthroughTest, Fig4SharedTreeSetup) {
     ASSERT_NE(wc_b, nullptr);
     const int b_to_a = topo_.ifindex_toward(*topo_.b, *topo_.a);
     const int b_to_c = topo_.ifindex_toward(*topo_.b, *topo_.c);
-    EXPECT_EQ(wc_b->live_oifs(topo_.net.simulator().now()), std::vector<int>{b_to_a});
+    EXPECT_EQ(live_oifs(*wc_b, topo_.net.simulator().now()), std::vector<int>{b_to_a});
     EXPECT_EQ(wc_b->iif(), b_to_c);
     EXPECT_EQ(wc_b->source_or_rp(), topo_.c->router_id());
 
@@ -60,7 +60,7 @@ TEST_F(WalkthroughTest, Fig4SharedTreeSetup) {
     auto* wc_c = stack_.pim_at(*topo_.c).cache().find_wc(kGroup);
     ASSERT_NE(wc_c, nullptr);
     const int c_to_b = topo_.ifindex_toward(*topo_.c, *topo_.b);
-    EXPECT_EQ(wc_c->live_oifs(topo_.net.simulator().now()), std::vector<int>{c_to_b});
+    EXPECT_EQ(live_oifs(*wc_c, topo_.net.simulator().now()), std::vector<int>{c_to_b});
     EXPECT_EQ(wc_c->iif(), -1);
 }
 
@@ -112,7 +112,7 @@ TEST_F(WalkthroughTest, Fig5SptSwitch) {
     topo_.net.run_for(30 * sim::kMillisecond); // enough for A to see data
     auto* sg_a = stack_.pim_at(*topo_.a).cache().find_sg(topo_.source->address(), kGroup);
     ASSERT_NE(sg_a, nullptr);
-    EXPECT_EQ(sg_a->live_oifs(topo_.net.simulator().now()), std::vector<int>{0});
+    EXPECT_EQ(live_oifs(*sg_a, topo_.net.simulator().now()), std::vector<int>{0});
 
     // Actions 2–4: join {Sn} propagated toward the source; B created (Sn,G)
     // with oif {toward A} and iif {toward D}.

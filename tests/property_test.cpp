@@ -100,9 +100,9 @@ TEST_P(PimSmPropertyTest, EntryInvariantsHoldEverywhere) {
         auto& cache = stack.pim_at(*router).cache();
         auto check = [&](mcast::ForwardingEntry& e) {
             // iif never appears among the live oifs (no reflection).
-            for (int oif : e.live_oifs(now)) {
+            e.for_each_live_oif(now, [&](int oif) {
                 EXPECT_NE(oif, e.iif()) << router->name() << " " << e.describe();
-            }
+            });
             // The iif matches the router's current RPF interface.
             if (e.iif() >= 0) {
                 auto route = router->route_to(e.source_or_rp());

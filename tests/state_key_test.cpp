@@ -6,36 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <functional>
 #include <map>
-#include <new>
 #include <string_view>
 
+#include "alloc_count.hpp"
 #include "check/scenario.hpp"
 #include "mcast/forwarding_cache.hpp"
 #include "scenario/world.hpp"
 #include "telemetry/snapshot.hpp"
 #include "test_util.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-} // namespace
-
-void* operator new(std::size_t size) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size)) return p;
-    throw std::bad_alloc();
-}
-
-// The replaced operator new above is malloc-based, so free() here is the
-// matched deallocator — the compiler cannot see through the replacement.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace pimlib::test {
 namespace {

@@ -69,6 +69,19 @@ struct Fig3Topology {
     }
 };
 
+/// `entry`'s interfaces alive at `now`, in ifindex order.
+inline std::vector<int> live_oifs(const mcast::ForwardingEntry& entry, sim::Time now) {
+    std::vector<int> out;
+    entry.for_each_live_oif(now, [&](int oif) { out.push_back(oif); });
+    return out;
+}
+
+/// `set`'s RP list for `group`, copied out for comparison.
+inline std::vector<net::Ipv4Address> rps_of(const pim::RpSet& set, net::GroupAddress group) {
+    const pim::RpList rps = set.rps_for(group);
+    return {rps.begin(), rps.end()};
+}
+
 /// Delivers a crafted PIM packet to `router` as if it arrived on `ifindex`
 /// from link-layer neighbor `from`.
 inline void inject_pim(topo::Router& router, int ifindex, net::Ipv4Address from,
