@@ -10,8 +10,9 @@
 // search. Every run's timed-state keys — (sim clock, structural MRIB
 // key) pairs, see scenario.hpp; the structural key is
 // scenario::StackBase::state_key(), read straight off the forwarding
-// caches — land in one global dedup set: the "distinct protocol states
-// visited" metric.
+// caches and recomputed only at checkpoints that follow an executed event
+// — land in one global dedup set: the "distinct protocol states visited"
+// metric.
 //
 // A branch whose oracles fail is shrunk (greedy pick-dropping, re-running
 // each candidate) to a minimal failing choice set and packaged as a

@@ -309,10 +309,20 @@ struct Driver {
         }
     }
 
-    /// The global MRIB's structural key, in its own profiler zone.
-    static std::uint64_t state_key(scenario::StackBase& stack) {
+    /// The global MRIB's structural key. Protocol state changes only inside
+    /// simulator events, and between run_until calls the driver only reads,
+    /// so the key taken at the last checkpoint holds until an event runs;
+    /// it is recomputed (in its own profiler zone) only then.
+    std::uint64_t state_key(scenario::StackBase& stack) {
+        const std::uint64_t executed = net.simulator().executed();
+        if (executed == key_executed_) {
+            assert(key_ == stack.state_key() && "MRIB changed outside an event");
+            return key_;
+        }
         PROF_ZONE("check.state_key");
-        return stack.state_key();
+        key_ = stack.state_key();
+        key_executed_ = executed;
+        return key_;
     }
 
     /// Advances the simulation to `until`, keying the global MRIB every
@@ -378,6 +388,12 @@ struct Driver {
                 trace::chrome_timeline_json(net.telemetry(), flight_recorder.get());
         }
     }
+
+private:
+    // state_key()'s memo: the last key and the executed-event count it
+    // was taken at (none yet: a count no simulator reaches).
+    std::uint64_t key_ = 0;
+    std::uint64_t key_executed_ = ~std::uint64_t{0};
 };
 
 // ---------------------------------------------------------------------------

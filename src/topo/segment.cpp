@@ -24,7 +24,7 @@ void record_segment_loss(Network& network, const Node& sender, int segment_id,
 
 Segment::Segment(Network& network, int id, net::Prefix prefix, sim::Time delay, int metric)
     : network_(&network), id_(id), prefix_(prefix), delay_(delay), metric_(metric),
-      loss_rng_(network.derived_seed(
+      loss_seed_(network.derived_seed(
           static_cast<std::uint32_t>(id),
           Network::kSegmentStreamTag + static_cast<std::uint64_t>(id))) {}
 
@@ -77,8 +77,9 @@ void Segment::transmit(const Node& sender, const net::Frame& frame) {
     // Injected loss: the transmission happened (and was accounted and
     // tapped), but no station hears it.
     if (loss_rate_ > 0.0) {
+        if (!loss_rng_) loss_rng_ = std::make_unique<std::mt19937>(loss_seed_);
         std::uniform_real_distribution<double> coin(0.0, 1.0);
-        if (coin(loss_rng_) < loss_rate_) {
+        if (coin(*loss_rng_) < loss_rate_) {
             ++frames_lost_;
             record_segment_loss(*network_, sender, id_, frame.packet);
             return;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -54,7 +55,10 @@ public:
     void set_loss_rate(double rate);
     /// Restarts the loss RNG stream; called by Network::set_seed so one
     /// global seed makes whole runs reproducible end-to-end.
-    void reseed_loss(std::uint32_t seed) { loss_rng_.seed(seed); }
+    void reseed_loss(std::uint32_t seed) {
+        loss_seed_ = seed;
+        loss_rng_.reset();
+    }
     [[nodiscard]] double loss_rate() const { return loss_rate_; }
     /// Frames dropped by injected loss so far.
     [[nodiscard]] std::uint64_t frames_lost() const { return frames_lost_; }
@@ -88,7 +92,10 @@ private:
     bool up_ = true;
     double loss_rate_ = 0.0;
     std::uint64_t frames_lost_ = 0;
-    std::mt19937 loss_rng_;
+    // The loss engine (5 kB of state) is built from loss_seed_ on the first
+    // lossy transmit: most segments never draw from it.
+    std::uint32_t loss_seed_;
+    std::unique_ptr<std::mt19937> loss_rng_;
     std::vector<Attachment> attachments_;
 };
 

@@ -11,6 +11,7 @@
 
 #include "check/backward.hpp"
 #include "check/explorer.hpp"
+#include "mcast/forwarding_entry.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/snapshot.hpp"
@@ -87,6 +88,32 @@ TEST(CheckScenario, ReplayIsDeterministic) {
     EXPECT_EQ(first.state_hashes, second.state_hashes);
     EXPECT_EQ(first.trace.size(), second.trace.size());
     EXPECT_TRUE(telemetry::diff(first.final_mrib, second.final_mrib).empty());
+}
+
+TEST(CheckScenario, BaselineStateHashesUnchanged) {
+    // Every checkpoint's timed state key of each baseline replay, pinned as
+    // (count, ordered fold). The dedup set and every explorer report are
+    // built from these keys; a change that only makes keying cheaper must
+    // not move one of them.
+    struct Pinned {
+        std::string scenario;
+        std::size_t count;
+        std::uint64_t fold;
+    };
+    const std::vector<Pinned> pinned = {
+        {"walkthrough", 1901, 0x847e0d236a1bc67dull},
+        {"rp-failover", 2301, 0x0a43f0cbc6da0941ull},
+        {"lan-assert", 1651, 0x8b1fc16082dfc95full},
+        {"bsr-failover", 3301, 0xe65dde2bda256378ull},
+    };
+    ASSERT_EQ(pinned.size(), scenario_names().size());
+    for (const Pinned& p : pinned) {
+        const RunResult result = run_scenario(p.scenario, RunConfig{});
+        std::uint64_t fold = 0;
+        for (const std::uint64_t h : result.state_hashes) fold = mcast::state_mix(fold ^ h);
+        EXPECT_EQ(result.state_hashes.size(), p.count) << p.scenario;
+        EXPECT_EQ(fold, p.fold) << p.scenario << std::hex << " fold 0x" << fold;
+    }
 }
 
 TEST(CheckScenario, MutationsFailTheTriggeredBranch) {

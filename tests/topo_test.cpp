@@ -1,8 +1,10 @@
-// Topology substrate tests: segments, frame delivery semantics, unicast
-// forwarding, TTL, link failure, address plan, the receive table, the
-// control-message send path and its accounting, and the zero-copy,
-// allocation-free multicast data path.
+// Topology substrate tests: segments, frame delivery semantics, seeded
+// segment loss, unicast forwarding, TTL, link failure, address plan, the
+// receive table, the control-message send path and its accounting, and the
+// zero-copy, allocation-free multicast data path.
 #include <gtest/gtest.h>
+
+#include <random>
 
 #include "alloc_count.hpp"
 #include "test_util.hpp"
@@ -139,6 +141,44 @@ TEST(Segment, PropagationDelayApplied) {
     r1.send(0, net::Frame{std::nullopt, p});
     net.simulator().run();
     EXPECT_EQ(arrival, 5 * sim::kMillisecond);
+}
+
+TEST(Segment, LossPatternFollowsTheDerivedSeedAcrossReseed) {
+    topo::Network net;
+    auto& r1 = net.add_router("r1");
+    auto& r2 = net.add_router("r2");
+    auto& link = net.add_link(r1, r2);
+    link.set_loss_rate(0.5);
+    int received = 0;
+    r2.register_protocol(net::IpProto::kCbt, [&](int, const net::Packet&) { ++received; });
+    net::Packet p;
+    p.src = r1.interface(0).address;
+    p.dst = net::kAllRouters;
+    p.proto = net::IpProto::kCbt;
+
+    // Each frame's fate is one draw of the segment's engine, which must be
+    // a std::mt19937 seeded with the segment's derived seed, restarted by
+    // Network::set_seed.
+    const auto check_stream = [&] {
+        const auto id = static_cast<std::uint32_t>(link.id());
+        std::mt19937 expected(
+            net.derived_seed(id, topo::Network::kSegmentStreamTag + id));
+        for (int i = 0; i < 64; ++i) {
+            std::uniform_real_distribution<double> coin(0.0, 1.0);
+            const bool lost = coin(expected) < 0.5;
+            received = 0;
+            r1.send(0, net::Frame{std::nullopt, p});
+            net.simulator().run();
+            EXPECT_EQ(received, lost ? 0 : 1) << "frame " << i;
+        }
+    };
+    check_stream();
+    const std::uint64_t lost_before = link.frames_lost();
+    EXPECT_GT(lost_before, 0u);
+    EXPECT_LT(lost_before, 64u);
+    net.set_seed(42);
+    check_stream();
+    EXPECT_GT(link.frames_lost(), lost_before);
 }
 
 TEST(Router, ForwardsUnicastAlongShortestPath) {
