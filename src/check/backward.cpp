@@ -206,6 +206,7 @@ ChoiceSet shrink_to_target(const std::string& scenario,
         cfg.choices = candidate;
         cfg.mutation = options.mutation;
         cfg.checkpoint_every = options.checkpoint_every;
+        cfg.key_from = kKeyNothing; // nothing dedups backward replays
         ++*replays;
         PROF_ZONE("check.explore");
         return target_matches(options.target,
@@ -291,6 +292,7 @@ BackwardReport backward_search(const BackwardOptions& options) {
         cfg.mutation = options.mutation;
         cfg.collect_trace = collect_trace;
         cfg.checkpoint_every = options.checkpoint_every;
+        cfg.key_from = kKeyNothing;
         ++report.replays;
         PROF_ZONE("check.explore");
         return run_scenario(report.scenario, cfg);

@@ -5,9 +5,9 @@
 #include <chrono>
 #include <random>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
+#include "check/state_set.hpp"
 #include "telemetry/profiler/profiler.hpp"
 
 namespace pimlib::check {
@@ -15,16 +15,33 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Replays one branch, keying its checkpoints from `key_from` on.
 RunResult run_branch(const ExploreOptions& options, const ChoiceSet& choices,
-                     bool collect_trace) {
+                     bool collect_trace, sim::Time key_from) {
     RunConfig cfg;
     cfg.choices = choices;
     cfg.mutation = options.mutation;
     cfg.collect_trace = collect_trace;
     cfg.checkpoint_every = options.checkpoint_every;
+    cfg.key_from = key_from;
     PROF_ZONE("check.explore");
     return run_scenario(options.scenario, cfg);
 }
+
+/// A frontier entry: its forced picks and its fork instant, the clock of its
+/// last pick in its parent's run. Up to that instant the branch replays its
+/// parent exactly, so its checkpoint keys before it are the parent's, which
+/// the dedup set already holds.
+struct Branch {
+    ChoiceSet choices;
+    sim::Time fork_at = 0;
+};
+
+/// A sampled child of a finished run: the flipped pick and its fork instant.
+struct Fork {
+    Pick flip;
+    sim::Time at = 0;
+};
 
 /// Candidate children of a completed run: flip one decision point after the
 /// last already-forced pick. Loss and fault picks are rationed to one each
@@ -79,10 +96,13 @@ std::uint64_t branch_seed(std::uint64_t seed, const ChoiceSet& branch) {
 /// are exempt from the sampling cap: there are only a handful per scenario
 /// and each is a first-class branch dimension (some seeded bugs only
 /// manifest after a fault), so they must never lose the shuffle to the
-/// thousands of message-order flips.
-std::vector<Pick> sample_children(const ExploreOptions& options,
+/// thousands of message-order flips. When no next-wave slot can run
+/// (`next_wave_runs` false) the sample is skipped: at most one child is
+/// kept, exactly when the full sample would be non-empty, so a frontier the
+/// run budget cut still reads as open.
+std::vector<Fork> sample_children(const ExploreOptions& options,
                                   const ChoiceSet& current,
-                                  const RunResult& result) {
+                                  const RunResult& result, bool next_wave_runs) {
     std::vector<Pick> flips = child_flips(current, result);
     const auto is_fault = [&result](const Pick& p) {
         return p.index < result.trace.size() &&
@@ -91,20 +111,32 @@ std::vector<Pick> sample_children(const ExploreOptions& options,
     auto fault_end = std::stable_partition(flips.begin(), flips.end(), is_fault);
     const auto fault_count =
         static_cast<std::size_t>(std::distance(flips.begin(), fault_end));
-    std::mt19937_64 rng(branch_seed(options.seed, current));
-    std::shuffle(fault_end, flips.end(), rng);
-    if (flips.size() > options.children_per_run + fault_count) {
-        flips.resize(options.children_per_run + fault_count);
+    std::size_t keep = options.children_per_run + fault_count;
+    if (next_wave_runs) {
+        std::mt19937_64 rng(branch_seed(options.seed, current));
+        std::shuffle(fault_end, flips.end(), rng);
+    } else {
+        keep = std::min<std::size_t>(keep, 1);
     }
-    return flips;
+    if (flips.size() > keep) flips.resize(keep);
+    std::vector<Fork> children;
+    children.reserve(flips.size());
+    for (const Pick& flip : flips) {
+        children.push_back(Fork{flip, result.trace[flip.index].at});
+    }
+    return children;
 }
 
 /// One wave slot's outcome, filled by whichever worker claimed it and read
-/// back strictly in slot order by the merge step.
+/// back strictly in slot order by the merge step. It keeps only what the
+/// merge reads: a run's choice trace and final MRIB capture are dropped
+/// once its children are sampled.
 struct Slot {
     bool ran = false;
-    RunResult result;
-    std::vector<Pick> children;
+    bool choices_applied = false;
+    std::vector<std::uint64_t> new_states; // keys the dedup set lacked
+    std::vector<Violation> violations;
+    std::vector<Fork> children;
 };
 
 } // namespace
@@ -116,7 +148,8 @@ ChoiceSet shrink_counterexample(const ExploreOptions& options, ChoiceSet failing
         for (std::size_t i = 0; i < failing.size(); ++i) {
             ChoiceSet candidate = failing;
             candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-            const RunResult result = run_branch(options, candidate, false);
+            const RunResult result =
+                run_branch(options, candidate, false, kKeyNothing);
             if (!result.violations.empty()) {
                 failing = std::move(candidate);
                 shrunk = true;
@@ -134,8 +167,8 @@ ExploreReport explore(const ExploreOptions& options) {
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(options.time_budget_seconds));
 
-    std::vector<ChoiceSet> frontier{ChoiceSet{}};
-    std::unordered_set<std::uint64_t> states;
+    std::vector<Branch> frontier{Branch{}};
+    StateSet states;
     bool stopped = false;
 
     while (!frontier.empty() && !stopped && report.runs < options.max_runs &&
@@ -150,7 +183,10 @@ ExploreReport explore(const ExploreOptions& options) {
         // are discarded by the merge anyway), earlier ones always run.
         std::atomic<std::size_t> first_violating{frontier.size()};
         const std::size_t runs_before = report.runs;
-        const bool expand = frontier.front().size() < options.max_depth;
+        const bool expand = frontier.front().choices.size() < options.max_depth;
+        // Past the run budget no next-wave slot runs (the search ends with
+        // this wave), so its children need not be sampled.
+        const bool next_wave_runs = runs_before + frontier.size() < options.max_runs;
 
         const auto worker = [&] {
             for (std::size_t i = cursor.fetch_add(1); i < frontier.size();
@@ -162,24 +198,29 @@ ExploreReport explore(const ExploreOptions& options) {
                     continue;
                 }
                 Slot& slot = slots[i];
-                slot.result = run_branch(options, frontier[i], false);
+                const Branch& branch = frontier[i];
+                RunResult result =
+                    run_branch(options, branch.choices, false, branch.fork_at);
+                PROF_ZONE("check.slot");
                 // `states` is read-only until the merge: drop the keys
-                // earlier waves already hold (the prefix shared with the
-                // parent branch) here, in parallel, so the serial merge
-                // inserts only what may be new.
-                std::erase_if(slot.result.state_hashes, [&states](std::uint64_t key) {
+                // earlier waves already hold here, in parallel, so the
+                // serial merge inserts only what may be new.
+                std::erase_if(result.state_hashes, [&states](std::uint64_t key) {
                     return states.contains(key);
                 });
+                slot.new_states = std::move(result.state_hashes);
+                slot.choices_applied = result.choices_applied;
                 slot.ran = true;
-                if (!slot.result.violations.empty()) {
+                if (!result.violations.empty()) {
+                    slot.violations = std::move(result.violations);
                     std::size_t prev =
                         first_violating.load(std::memory_order_relaxed);
                     while (i < prev && !first_violating.compare_exchange_weak(
                                            prev, i, std::memory_order_relaxed)) {
                     }
-                } else if (expand && slot.result.choices_applied) {
-                    slot.children =
-                        sample_children(options, frontier[i], slot.result);
+                } else if (expand && result.choices_applied) {
+                    slot.children = sample_children(options, branch.choices,
+                                                    result, next_wave_runs);
                 }
             }
         };
@@ -196,37 +237,35 @@ ExploreReport explore(const ExploreOptions& options) {
         }
 
         // --- merge in branch order ---------------------------------------
-        std::vector<ChoiceSet> next;
+        PROF_ZONE("check.merge");
+        std::vector<Branch> next;
         for (std::size_t i = 0; i < slots.size(); ++i) {
             if (report.runs >= options.max_runs) break;
             Slot& slot = slots[i];
             if (!slot.ran) break; // deadline truncation (or a discarded tail)
             ++report.runs;
-            states.insert(slot.result.state_hashes.begin(),
-                          slot.result.state_hashes.end());
-            if (!slot.result.choices_applied) {
+            for (const std::uint64_t key : slot.new_states) states.insert(key);
+            if (!slot.choices_applied) {
                 // The flipped prefix reshaped the execution so a later
                 // forced pick was never reached (or shrank out of range):
                 // not a real branch of the state space.
                 ++report.skipped_branches;
                 continue;
             }
-            if (!slot.result.violations.empty()) {
+            if (!slot.violations.empty()) {
                 ++report.violating_runs;
                 if (report.counterexamples.size() < options.max_counterexamples) {
-                    const ChoiceSet minimal =
-                        shrink_counterexample(options, frontier[i]);
-                    RunResult replay = run_branch(options, minimal, true);
+                    const ChoiceSet& failing = frontier[i].choices;
+                    const ChoiceSet minimal = shrink_counterexample(options, failing);
+                    RunResult replay = run_branch(options, minimal, true, kKeyNothing);
                     if (replay.violations.empty()) {
                         // Shrinking is best-effort; fall back to the original.
-                        replay = run_branch(options, frontier[i], true);
+                        replay = run_branch(options, failing, true, kKeyNothing);
                     }
                     Counterexample ce;
-                    ce.choices =
-                        replay.violations.empty() ? frontier[i] : minimal;
-                    ce.violations = replay.violations.empty()
-                                        ? slot.result.violations
-                                        : replay.violations;
+                    ce.choices = replay.violations.empty() ? failing : minimal;
+                    ce.violations = replay.violations.empty() ? slot.violations
+                                                              : replay.violations;
                     ce.script = replay_script(options.scenario, options.mutation,
                                               replay);
                     ce.trace_dump = std::move(replay.trace_dump);
@@ -245,10 +284,10 @@ ExploreReport explore(const ExploreOptions& options) {
             const std::size_t next_cap = std::min(
                 options.max_frontier,
                 std::max<std::size_t>(1, options.max_runs - report.runs));
-            for (Pick& flip : slot.children) {
+            for (const Fork& fork : slot.children) {
                 if (next.size() >= next_cap) break;
-                ChoiceSet child = frontier[i];
-                child.push_back(flip);
+                Branch child{frontier[i].choices, fork.at};
+                child.choices.push_back(fork.flip);
                 next.push_back(std::move(child));
             }
         }

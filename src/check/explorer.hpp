@@ -11,8 +11,18 @@
 // key) pairs, see scenario.hpp; the structural key is
 // scenario::StackBase::state_key(), read straight off the forwarding
 // caches and recomputed only at checkpoints that follow an executed event
-// — land in one global dedup set: the "distinct protocol states visited"
-// metric.
+// — land in one global dedup set (a flat open-addressing table,
+// state_set.hpp): the "distinct protocol states visited" metric.
+//
+// The search skips every piece of work whose result it already holds, and
+// each cut is exact. A child replays its parent exactly up to its flipped
+// pick, so it keys only the checkpoints from that pick's instant (its fork
+// instant) on: the keys before it are the parent's, already in the set.
+// Shrinking and counterexample replays key nothing. A wave that the run
+// budget makes the last samples no children (one flip is kept so the
+// frontier still reads as open), and a finished slot keeps only what the
+// merge reads: its new keys, violations and children with their fork
+// instants, not the run's choice trace or MRIB capture.
 //
 // A branch whose oracles fail is shrunk (greedy pick-dropping, re-running
 // each candidate) to a minimal failing choice set and packaged as a

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string_view>
@@ -326,11 +327,24 @@ struct Driver {
     }
 
     /// Advances the simulation to `until`, keying the global MRIB every
-    /// checkpoint interval along the way.
+    /// checkpoint interval along the way from cfg.key_from on. Nothing
+    /// stops at the checkpoints before cfg.key_from: the run goes through
+    /// them in one stretch (an instant's events always run in one batch,
+    /// so where run_until stops does not change the execution).
     void checkpoint_until(sim::Time until, scenario::StackBase& stack) {
+        PROF_ZONE("check.checkpoints");
         sim::Time t = net.simulator().now();
         const sim::Time step = cfg.checkpoint_every > 0 ? cfg.checkpoint_every
                                                         : 10 * kMs;
+        if (t < until && t < cfg.key_from) {
+            // The last unkeyed checkpoint: `until` itself, or the last one
+            // on the grid before key_from.
+            const sim::Time last = until < cfg.key_from
+                                       ? until
+                                       : t + (cfg.key_from - 1 - t) / step * step;
+            out.events += net.simulator().run_until(last);
+            t = last;
+        }
         while (t < until) {
             t = std::min(until, t + step);
             out.events += net.simulator().run_until(t);
@@ -342,15 +356,17 @@ struct Driver {
     /// state: either it is stable (the key repeats at once) or it is in a
     /// recurrent soft-state orbit — decaying caches re-established by
     /// periodic joins cycle through a small state set; that still counts
-    /// as converged. Leaves a capture of the final state in out.final_mrib.
+    /// as converged.
     void probe_convergence(scenario::StackBase& stack, sim::Time probe_interval) {
+        PROF_ZONE("check.checkpoints");
         std::vector<std::uint64_t> probe_keys{state_key(stack)};
         bool converged = false;
         for (int round = 0; round < kConvergenceProbes && !converged; ++round) {
             out.events +=
                 net.simulator().run_until(net.simulator().now() + probe_interval);
             const std::uint64_t key = state_key(stack);
-            out.state_hashes.push_back(timed_state_key(net.simulator().now(), key));
+            const sim::Time t = net.simulator().now();
+            if (t >= cfg.key_from) out.state_hashes.push_back(timed_state_key(t, key));
             converged = std::find(probe_keys.begin(), probe_keys.end(), key) !=
                         probe_keys.end();
             probe_keys.push_back(key);
@@ -363,7 +379,6 @@ struct Driver {
                               std::to_string(kConvergenceProbes) +
                               " probe intervals after stimuli stopped");
         }
-        out.final_mrib = stack.capture_mrib();
     }
 
     void finish() {
@@ -655,15 +670,23 @@ RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
 
     // Construction order is part of the branch identity: it fixes the
     // sequence numbers of same-instant events, so every choice index.
-    scenario::World world(script, scenario::World::Observers::kNone, cfg.mutation);
-    Driver driver(world.net, out, cfg,
-                  sc.source.empty() ? net::Ipv4Address{} : world.host(sc.source).address(),
-                  sc.group);
-    driver.attach_watchdog(world.stack());
-    driver.arm_forced_loss(sc.segment_names);
-    world.start_workloads();
-    world.schedule_actions();
-    driver.arm_fault_slots(world, script.fault_slots);
+    std::optional<scenario::World> built;
+    std::optional<Driver> attached;
+    {
+        PROF_ZONE("check.world");
+        built.emplace(script, scenario::World::Observers::kNone, cfg.mutation);
+        attached.emplace(built->net, out, cfg,
+                         sc.source.empty() ? net::Ipv4Address{}
+                                           : built->host(sc.source).address(),
+                         sc.group);
+        attached->attach_watchdog(built->stack());
+        attached->arm_forced_loss(sc.segment_names);
+        built->start_workloads();
+        built->schedule_actions();
+        attached->arm_fault_slots(*built, script.fault_slots);
+    }
+    scenario::World& world = *built;
+    Driver& driver = *attached;
 
     std::uint64_t iif_base = 0;
     for (const scenario::OracleSpec& o : script.oracles) {
@@ -678,21 +701,34 @@ RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
                     [](const scenario::OracleSpec& o) {
                         return kDeadlineOracles.contains(o.name);
                     });
-    const Deadline deadline = deadline_oracles ? capture_deadline(sc, world) : Deadline{};
+    Deadline deadline;
+    if (deadline_oracles) {
+        PROF_ZONE("check.oracles");
+        deadline = capture_deadline(sc, world);
+    }
     driver.probe_convergence(world.stack(), world.config().pim.join_prune_interval);
-    driver.finish();
 
-    // Oracles every scenario gets, then the script's own in script order.
-    append(out, loop_violations(driver.crossings, sc.segment_names,
-                                world.net.stats().drops(provenance::DropReason::kTtl)));
-    for (const std::string& member : sc.members) {
-        append(out, duplicate_bound_violations(member, world.host(member).duplicate_count()));
+    {
+        PROF_ZONE("check.oracles");
+        out.final_mrib = world.stack().capture_mrib();
+        driver.finish();
+        // Oracles every scenario gets, then the script's own in script order.
+        append(out, loop_violations(driver.crossings, sc.segment_names,
+                                    world.net.stats().drops(provenance::DropReason::kTtl)));
+        for (const std::string& member : sc.members) {
+            append(out, duplicate_bound_violations(member,
+                                                   world.host(member).duplicate_count()));
+        }
+        check_iif_consistency(out, out.final_mrib, world);
+        for (const scenario::OracleSpec& o : script.oracles) {
+            judge(sc, o, world, driver, deadline, steady_iif_drops, out);
+        }
+        driver.emit_postmortem();
     }
-    check_iif_consistency(out, out.final_mrib, world);
-    for (const scenario::OracleSpec& o : script.oracles) {
-        judge(sc, o, world, driver, deadline, steady_iif_drops, out);
-    }
-    driver.emit_postmortem();
+
+    PROF_ZONE("check.world");
+    attached.reset();
+    built.reset();
     return out;
 }
 

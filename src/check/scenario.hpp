@@ -47,6 +47,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -96,7 +97,17 @@ struct RunConfig {
     bool watchdog = false;
     /// Cadence of MRIB state-key checkpoints.
     sim::Time checkpoint_every = sim::kMillisecond;
+    /// Checkpoints before this instant run but are not keyed: no state
+    /// key, no state_hashes entry. The forward explorer sets a child
+    /// branch's fork instant here (before it the child replays its parent,
+    /// whose keys the dedup set already holds), and kKeyNothing on replays
+    /// whose keys nothing dedups. The convergence probes still compute
+    /// their keys, which the convergence oracle reads.
+    sim::Time key_from = 0;
 };
+
+/// RunConfig::key_from for a replay that keys no checkpoint.
+inline constexpr sim::Time kKeyNothing = std::numeric_limits<sim::Time>::max();
 
 struct RunResult {
     std::vector<ChoiceRec> trace;
@@ -108,6 +119,8 @@ struct RunResult {
     /// diff empty. The clock is part of the key because this is a timed
     /// protocol: the same MRIB structure at two points of the schedule is
     /// two different global states. The explorer dedups these globally.
+    /// Only checkpoints at or after RunConfig::key_from are keyed, so a
+    /// forward-search child holds the keys from its fork instant on.
     std::vector<std::uint64_t> state_hashes;
     telemetry::MribSnapshot final_mrib;
     /// No forced loss, no fault: every efficiency oracle applies.

@@ -11,6 +11,7 @@
 
 #include "check/backward.hpp"
 #include "check/explorer.hpp"
+#include "check/state_set.hpp"
 #include "mcast/forwarding_entry.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/metrics.hpp"
@@ -25,6 +26,62 @@ std::string render(const std::vector<Violation>& violations) {
         out += v.oracle + ": " + v.detail + "\n";
     }
     return out;
+}
+
+std::string render(const std::vector<ChoiceRec>& trace) {
+    std::string out;
+    for (const ChoiceRec& rec : trace) {
+        out += std::to_string(static_cast<int>(rec.point.kind)) + "/" +
+               std::to_string(rec.point.detail) + (rec.point.control ? "c" : "d") + " " +
+               std::to_string(rec.pick) + "of" + std::to_string(rec.alternatives) + "@" +
+               std::to_string(rec.at) + "\n";
+    }
+    return out;
+}
+
+TEST(StateSet, HoldsTheZeroKey) {
+    StateSet set;
+    EXPECT_FALSE(set.contains(0));
+    EXPECT_TRUE(set.insert(0));
+    EXPECT_FALSE(set.insert(0));
+    EXPECT_TRUE(set.contains(0));
+    EXPECT_EQ(set.size(), 1u);
+    // 0 is the empty-slot marker; holding it must not hide a real key.
+    EXPECT_FALSE(set.contains(1024));
+    EXPECT_TRUE(set.insert(1024));
+    EXPECT_TRUE(set.contains(1024));
+    EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(StateSet, GrowsPastItsLoadLimitAndFindsEveryKeyAfterRehash) {
+    StateSet set;
+    std::mt19937_64 rng(7);
+    std::vector<std::uint64_t> keys;
+    // Random keys, like the splitmix outputs the explorer stores, plus a
+    // run of small integers that all collide in the low bits' first slots.
+    for (int i = 0; i < 20000; ++i) keys.push_back(rng() | 1);
+    for (std::uint64_t k = 1; k <= 3000; ++k) keys.push_back(k);
+    std::size_t capacity = 0;
+    std::size_t rehashes = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_TRUE(set.insert(keys[i])) << i;
+        if (set.capacity() != capacity) {
+            ++rehashes;
+            capacity = set.capacity();
+            // Every key so far survives the rehash.
+            for (std::size_t j = 0; j <= i; ++j) ASSERT_TRUE(set.contains(keys[j])) << j;
+        }
+        ASSERT_LE(2 * set.size(), set.capacity()) << "past the load limit";
+    }
+    EXPECT_GE(rehashes, 5u);
+    EXPECT_EQ(set.size(), keys.size());
+    for (const std::uint64_t k : keys) {
+        EXPECT_FALSE(set.insert(k));
+        EXPECT_TRUE(set.contains(k));
+    }
+    EXPECT_EQ(set.size(), keys.size());
+    for (std::uint64_t k = 3001; k <= 6000; ++k) EXPECT_FALSE(set.contains(k)) << k;
+    EXPECT_FALSE(set.contains(0));
 }
 
 TEST(ChoiceCodec, FormatParseRoundTrip) {
@@ -114,6 +171,89 @@ TEST(CheckScenario, BaselineStateHashesUnchanged) {
         EXPECT_EQ(result.state_hashes.size(), p.count) << p.scenario;
         EXPECT_EQ(fold, p.fold) << p.scenario << std::hex << " fold 0x" << fold;
     }
+}
+
+TEST(CheckScenario, ChildKeysBeforeTheForkAreTheParents) {
+    // The explorer keys a child only from its fork instant (the clock of its
+    // flipped pick in the parent's run): up to that instant the child
+    // replays its parent, so the keys it skips are the parent's. Check it on
+    // children spread over each baseline's decision points, keying the child
+    // fully.
+    for (const std::string& name : scenario_names()) {
+        const RunResult parent = run_scenario(name, RunConfig{});
+        std::vector<std::uint32_t> flippable;
+        for (std::uint32_t i = 0; i < parent.trace.size(); ++i) {
+            if (parent.trace[i].alternatives > 1) flippable.push_back(i);
+        }
+        ASSERT_GE(flippable.size(), 8u) << name;
+        for (std::size_t n = 0; n < 8; ++n) {
+            const std::uint32_t index = flippable[n * (flippable.size() - 1) / 7];
+            const sim::Time fork_at = parent.trace[index].at;
+            RunConfig full;
+            full.choices = {Pick{index, 1}};
+            RunConfig forked = full;
+            forked.key_from = fork_at;
+            const RunResult child = run_scenario(name, full);
+            const RunResult keyed_from_fork = run_scenario(name, forked);
+            ASSERT_TRUE(child.choices_applied) << name << " " << index;
+            // The forked run keys exactly the full run's tail ...
+            const std::size_t tail = keyed_from_fork.state_hashes.size();
+            ASSERT_LE(tail, child.state_hashes.size());
+            const std::size_t prefix = child.state_hashes.size() - tail;
+            EXPECT_TRUE(std::equal(keyed_from_fork.state_hashes.begin(),
+                                   keyed_from_fork.state_hashes.end(),
+                                   child.state_hashes.begin() +
+                                       static_cast<std::ptrdiff_t>(prefix)))
+                << name << " " << index;
+            // ... and the skipped head is the parent's.
+            ASSERT_LE(prefix, parent.state_hashes.size());
+            EXPECT_TRUE(std::equal(child.state_hashes.begin(),
+                                   child.state_hashes.begin() +
+                                       static_cast<std::ptrdiff_t>(prefix),
+                                   parent.state_hashes.begin()))
+                << name << " " << index << " fork at " << fork_at;
+            // Up to the horizon the checkpoints sit on the 1 ms grid: the
+            // forked run skips exactly those before the fork instant.
+            if (fork_at <= scenario_info(name).horizon) {
+                const auto before = static_cast<std::size_t>(
+                    fork_at > 0 ? (fork_at - 1) / sim::kMillisecond : 0);
+                EXPECT_EQ(prefix, before) << name << " fork at " << fork_at;
+            }
+        }
+    }
+}
+
+TEST(CheckScenario, KeyFreeReplayRunsTheSameExecution) {
+    // Keying only reads the MRIB: a replay that keys nothing must run the
+    // same events, take the same choices and find the same violations. The
+    // mutation triggers give every scenario a violating branch to compare.
+    std::vector<std::pair<std::string, RunConfig>> runs;
+    for (const std::string& name : scenario_names()) runs.emplace_back(name, RunConfig{});
+    for (const std::string& mutation : known_mutations()) {
+        RunConfig cfg;
+        cfg.mutation = mutation;
+        cfg.forced_fault = forced_fault_for_mutation(mutation);
+        cfg.forced_loss = trigger_for_mutation(mutation).losses;
+        runs.emplace_back(scenario_for_mutation(mutation), cfg);
+    }
+    std::size_t violating = 0;
+    for (const auto& [name, keyed_cfg] : runs) {
+        RunConfig unkeyed_cfg = keyed_cfg;
+        unkeyed_cfg.key_from = kKeyNothing;
+        const RunResult keyed = run_scenario(name, keyed_cfg);
+        const RunResult unkeyed = run_scenario(name, unkeyed_cfg);
+        const std::string what = name + " " + keyed_cfg.mutation;
+        EXPECT_FALSE(keyed.state_hashes.empty()) << what;
+        EXPECT_TRUE(unkeyed.state_hashes.empty()) << what;
+        EXPECT_EQ(render(unkeyed.violations), render(keyed.violations)) << what;
+        EXPECT_EQ(render(unkeyed.trace), render(keyed.trace)) << what;
+        EXPECT_EQ(unkeyed.events, keyed.events) << what;
+        EXPECT_EQ(unkeyed.end_time, keyed.end_time) << what;
+        EXPECT_EQ(unkeyed.converged, keyed.converged) << what;
+        EXPECT_TRUE(telemetry::diff(unkeyed.final_mrib, keyed.final_mrib).empty()) << what;
+        if (!keyed.violations.empty()) ++violating;
+    }
+    EXPECT_EQ(violating, known_mutations().size());
 }
 
 TEST(CheckScenario, MutationsFailTheTriggeredBranch) {
@@ -338,6 +478,41 @@ TEST(CheckExplorer, RunBudgetLeavesTheFrontierOpen) {
         const ExploreReport report = explore(options);
         EXPECT_EQ(report.runs, budget);
         EXPECT_FALSE(report.frontier_exhausted) << budget;
+    }
+}
+
+TEST(CheckExplorer, SearchFingerprintsUnchanged) {
+    // Each scenario's search at a budget that reaches depth 2 (16 children
+    // per run), pinned as recorded before children keyed from their fork
+    // instant and the slots dropped what the merge does not read: those
+    // cuts skip only work whose result is known, so no count may move.
+    struct Pinned {
+        std::string scenario;
+        std::size_t runs;
+        std::size_t deduped_states;
+        std::size_t violating_runs;
+        std::size_t skipped_branches;
+        bool frontier_exhausted;
+    };
+    const std::vector<Pinned> pinned = {
+        {"walkthrough", 300, 8781, 0, 0, false},
+        {"rp-failover", 300, 4103, 0, 0, true},
+        {"lan-assert", 300, 2903, 0, 0, true},
+        {"bsr-failover", 300, 6103, 0, 0, false},
+    };
+    ASSERT_EQ(pinned.size(), scenario_names().size());
+    for (const Pinned& p : pinned) {
+        ExploreOptions options;
+        options.scenario = p.scenario;
+        options.max_runs = 300;
+        options.children_per_run = 16;
+        options.time_budget_seconds = 3600;
+        const ExploreReport report = explore(options);
+        EXPECT_EQ(report.runs, p.runs) << p.scenario;
+        EXPECT_EQ(report.deduped_states, p.deduped_states) << p.scenario;
+        EXPECT_EQ(report.violating_runs, p.violating_runs) << p.scenario;
+        EXPECT_EQ(report.skipped_branches, p.skipped_branches) << p.scenario;
+        EXPECT_EQ(report.frontier_exhausted, p.frontier_exhausted) << p.scenario;
     }
 }
 
