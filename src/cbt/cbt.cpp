@@ -10,20 +10,6 @@ namespace pimlib::cbt {
 namespace {
 constexpr std::uint8_t kCbtVersion = 1;
 
-/// CBT forwards outside the shared DataPlane engine, so it counts and
-/// records its own decisions: a tree-state decision at `iif` that ends in
-/// `drop` (kNone for a kRegister hand-off to the core).
-void record_decision(topo::Router& router, const net::Packet& packet, int iif,
-                     provenance::EntryKind kind, provenance::DropReason drop) {
-    router.network().stats().count_drop(drop);
-    provenance::HopRecord* hop = router.network().begin_hop(router, packet);
-    if (hop == nullptr) return;
-    hop->iif = static_cast<std::int16_t>(iif);
-    hop->kind = kind;
-    hop->drop = drop;
-    hop->rpf_ok = drop != provenance::DropReason::kRpfFail;
-}
-
 void put_header(net::BufWriter& w, Code code) {
     w.put_u8(kCbtVersion);
     w.put_u8(static_cast<std::uint8_t>(code));
@@ -120,7 +106,7 @@ std::optional<DataEncap> DataEncap::decode(std::span<const std::uint8_t> bytes) 
     out.inner_src = *src;
     out.inner_ttl = *ttl;
     out.inner_seq = *seq;
-    out.inner_payload = std::move(*payload);
+    out.inner_payload = *payload;
     return out;
 }
 
@@ -140,8 +126,9 @@ CbtRouter::CbtRouter(topo::Router& router, igmp::RouterAgent& igmp, CbtConfig co
     : router_(&router),
       igmp_(&igmp),
       config_(config),
+      data_plane_(router, cache_),
       tick_timer_(router.simulator(), [this] { on_tick(); }) {
-    router_->set_multicast_handler(this);
+    data_plane_.set_delegate(this);
     router_->register_protocol(net::IpProto::kCbt,
                                [this](int ifindex, const net::Packet& packet) {
                                    on_control(ifindex, packet);
@@ -192,14 +179,16 @@ void CbtRouter::on_membership(int ifindex, net::GroupAddress group, bool present
         state.member_ifaces.insert(ifindex);
         if (is_core(group)) {
             state.status = TreeState::Status::kOnTree;
-            return;
+        } else if (state.status != TreeState::Status::kOnTree) {
+            start_join(group);
         }
-        if (state.status != TreeState::Status::kOnTree) start_join(group);
+        sync_entry(group);
         return;
     }
     auto it = trees_.find(group);
     if (it == trees_.end()) return;
     it->second.member_ifaces.erase(ifindex);
+    sync_entry(group);
     maybe_quit(group);
 }
 
@@ -229,6 +218,22 @@ void CbtRouter::ack_pending_children(net::GroupAddress group, TreeState& state) 
                               JoinAck{group.address(), state.core}.encode());
     }
     state.pending_children.clear();
+    sync_entry(group);
+}
+
+void CbtRouter::sync_entry(net::GroupAddress group) {
+    cache_.remove_wc(group);
+    auto it = trees_.find(group);
+    if (it == trees_.end() || it->second.status != TreeState::Status::kOnTree) return;
+    const TreeState& state = it->second;
+    mcast::ForwardingEntry& entry = cache_.ensure_wc(state.core, group);
+    entry.set_rp_bit(false); // the core is no RP: no §3.3 negative caches
+    entry.set_bidirectional(true);
+    entry.set_iif(state.parent_ifindex);
+    // Branches are hard state: pinned until a Quit, the echo sweep or a
+    // Flush takes them out of the TreeState.
+    for (const auto& [ifindex, addrs] : state.children) entry.pin_oif(ifindex);
+    for (const int ifindex : state.member_ifaces) entry.pin_oif(ifindex);
 }
 
 void CbtRouter::on_control(int ifindex, const net::Packet& packet) {
@@ -281,6 +286,7 @@ void CbtRouter::on_control(int ifindex, const net::Packet& packet) {
             if (cit->second.empty()) state.children.erase(cit);
         }
         state.child_expiry.erase(packet.src);
+        sync_entry(group);
         maybe_quit(group);
         break;
     }
@@ -322,13 +328,10 @@ void CbtRouter::flush_subtree(net::GroupAddress group, TreeState& state) {
                                   GroupOnly{Code::kFlush, group.address()}.encode());
         }
     }
-    const bool had_members = !state.member_ifaces.empty();
     const auto member_ifaces = state.member_ifaces;
     trees_.erase(group);
-    if (had_members) {
-        // Rebuild: rejoin toward the core.
-        auto core = core_of(group);
-        if (!core.has_value()) return;
+    // Rebuild: members rejoin toward the core.
+    if (auto core = core_of(group); core.has_value() && !member_ifaces.empty()) {
         TreeState& fresh = trees_[group];
         fresh.core = *core;
         fresh.member_ifaces = member_ifaces;
@@ -338,6 +341,7 @@ void CbtRouter::flush_subtree(net::GroupAddress group, TreeState& state) {
             start_join(group);
         }
     }
+    sync_entry(group);
 }
 
 void CbtRouter::maybe_quit(net::GroupAddress group) {
@@ -352,6 +356,7 @@ void CbtRouter::maybe_quit(net::GroupAddress group) {
                               "cbt", GroupOnly{Code::kQuit, group.address()}.encode());
     }
     trees_.erase(it);
+    sync_entry(group);
 }
 
 void CbtRouter::on_tick() {
@@ -364,6 +369,7 @@ void CbtRouter::on_tick() {
             continue;
         }
         // Child liveness.
+        bool expired = false;
         for (auto it = state.child_expiry.begin(); it != state.child_expiry.end();) {
             if (it->second <= now) {
                 for (auto cit = state.children.begin(); cit != state.children.end();) {
@@ -371,10 +377,12 @@ void CbtRouter::on_tick() {
                     cit = cit->second.empty() ? state.children.erase(cit) : std::next(cit);
                 }
                 it = state.child_expiry.erase(it);
+                expired = true;
             } else {
                 ++it;
             }
         }
+        if (expired) sync_entry(group);
         // Parent keepalive.
         if (!is_core(group) && state.parent_ifindex >= 0) {
             if (state.parent_last_echo != 0 &&
@@ -397,75 +405,29 @@ void CbtRouter::on_tick() {
     for (net::GroupAddress group : candidates) maybe_quit(group);
 }
 
-void CbtRouter::flood_tree(net::GroupAddress /*group*/, TreeState& state,
-                           int arrival_ifindex, const net::Packet& packet) {
-    if (packet.ttl <= 1) {
-        record_decision(*router_, packet, arrival_ifindex, provenance::EntryKind::kTree,
-                        provenance::DropReason::kTtl);
-        return;
-    }
-    std::set<int> targets;
-    if (state.parent_ifindex >= 0) targets.insert(state.parent_ifindex);
-    for (const auto& [ifindex, addrs] : state.children) targets.insert(ifindex);
-    for (int ifindex : state.member_ifaces) targets.insert(ifindex);
-    topo::Network& network = router_->network();
-    provenance::HopRecord* hop = network.begin_hop(*router_, packet);
-    if (hop != nullptr) {
-        hop->iif = static_cast<std::int16_t>(arrival_ifindex);
-        hop->kind = provenance::EntryKind::kTree;
-    }
-    // One frame per forwarding decision, sent by reference on every target.
-    net::Frame out{std::nullopt, packet};
-    out.packet.ttl -= 1;
-    bool sent = false;
-    for (int ifindex : targets) {
-        if (ifindex == arrival_ifindex) continue;
-        if (hop != nullptr) hop->add_oif(ifindex);
-        router_->send(ifindex, out);
-        sent = true;
-    }
-    if (sent) return;
-    network.stats().count_drop(provenance::DropReason::kNoOif);
-    if (hop != nullptr) hop->drop = provenance::DropReason::kNoOif;
-}
-
-void CbtRouter::on_multicast_data(int ifindex, const net::Packet& packet) {
-    PROF_ZONE("dataplane.forward");
+void CbtRouter::on_no_entry(int ifindex, const net::Packet& packet) {
     const net::GroupAddress group{packet.dst};
-    auto it = trees_.find(group);
-    if (it != trees_.end() && it->second.status == TreeState::Status::kOnTree) {
-        TreeState& state = it->second;
-        const bool tree_iface = ifindex == state.parent_ifindex ||
-                                state.children.contains(ifindex) ||
-                                state.member_ifaces.contains(ifindex);
-        if (tree_iface) {
-            flood_tree(group, state, ifindex, packet);
-            return;
-        }
-    }
-    // Not on the tree (or off-tree arrival): if we are the DR for a directly
-    // connected sender, encapsulate toward the core.
     auto core = core_of(group);
     if (!core.has_value()) {
-        record_decision(*router_, packet, ifindex, provenance::EntryKind::kNone,
-                        provenance::DropReason::kNoState);
+        data_plane_.record_hop(ifindex, packet, nullptr, provenance::EntryKind::kNone,
+                               /*rpf_ok=*/true, provenance::DropReason::kNoState);
         return;
     }
     if (ifindex < 0 || ifindex >= router_->interface_count()) return;
     const auto& iface = router_->interface(ifindex);
     if (iface.segment == nullptr || !iface.segment->prefix().contains(packet.src)) {
-        record_decision(*router_, packet, ifindex, provenance::EntryKind::kNone,
-                        provenance::DropReason::kRpfFail);
+        data_plane_.record_hop(ifindex, packet, nullptr, provenance::EntryKind::kNone,
+                               /*rpf_ok=*/false, provenance::DropReason::kRpfFail);
         return;
     }
-    record_decision(*router_, packet, ifindex, provenance::EntryKind::kRegister,
-                    provenance::DropReason::kNone);
+    data_plane_.record_hop(ifindex, packet, nullptr, provenance::EntryKind::kRegister,
+                           /*rpf_ok=*/true, provenance::DropReason::kNone);
     DataEncap encap;
     encap.group = packet.dst;
     encap.inner_src = packet.src;
     encap.inner_ttl = packet.ttl;
     encap.inner_seq = packet.seq;
-    encap.inner_payload.assign(packet.payload.begin(), packet.payload.end());
+    encap.inner_payload = packet.payload;
     net::Packet out;
     out.dst = *core;
     out.proto = net::IpProto::kUdp; // accounted as data on every link crossed
@@ -479,19 +441,19 @@ void CbtRouter::on_data_encap(const net::Packet& packet) {
     auto encap = DataEncap::decode(packet.payload);
     if (!encap || !encap->group.is_multicast()) return;
     const net::GroupAddress group{encap->group};
-    auto it = trees_.find(group);
-    if (it == trees_.end() || it->second.status != TreeState::Status::kOnTree) return;
+    const mcast::ForwardingEntry* entry = cache_.find_wc(group); // on-tree groups only
+    if (entry == nullptr) return;
     net::Packet inner;
     inner.src = encap->inner_src;
     inner.dst = encap->group;
     inner.proto = net::IpProto::kUdp;
     inner.ttl = encap->inner_ttl;
     inner.seq = encap->inner_seq;
-    inner.payload = encap->inner_payload;
+    inner.payload = std::move(encap->inner_payload);
     // pid is a pure function of (src, dst, seq): decapsulation restamps the
     // same id the sender's DR stamped, keeping the trace one packet.
     inner.pid = provenance::packet_id(inner.src, inner.dst, inner.seq);
-    flood_tree(group, it->second, /*arrival_ifindex=*/-1, inner);
+    data_plane_.forward_recorded(*entry, /*ifindex=*/-1, inner, provenance::EntryKind::kTree);
 }
 
 } // namespace pimlib::cbt

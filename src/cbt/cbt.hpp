@@ -9,8 +9,12 @@
 // rebuilt — instead of PIM's periodic soft-state refreshes.
 //
 // Non-member senders' packets are encapsulated hop-by-hop to the core
-// (counted as data traffic), which injects them into the tree; on-tree
-// routers flood over all tree interfaces except the arrival one.
+// (counted as data traffic), which injects them into the tree. Data moves
+// through the shared mcast::DataPlane like every other protocol's: an
+// on-tree group is one bidirectional (*,G) entry (the core in the source
+// slot, the parent interface as iif, child and member interfaces as pinned
+// oifs), which forwards a packet heard on any tree interface out of all
+// the others.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +25,9 @@
 #include <vector>
 
 #include "igmp/router_agent.hpp"
+#include "mcast/forwarding_cache.hpp"
 #include "net/buffer.hpp"
+#include "net/payload.hpp"
 #include "sim/simulator.hpp"
 #include "topo/router.hpp"
 
@@ -64,7 +70,7 @@ struct DataEncap {
     net::Ipv4Address inner_src;
     std::uint8_t inner_ttl = 0;
     std::uint64_t inner_seq = 0;
-    std::vector<std::uint8_t> inner_payload;
+    net::Payload inner_payload; // shares the data packet's block
     [[nodiscard]] std::vector<std::uint8_t> encode() const;
     static std::optional<DataEncap> decode(std::span<const std::uint8_t> bytes);
 };
@@ -80,7 +86,7 @@ struct CbtConfig {
     [[nodiscard]] CbtConfig scaled(double factor) const;
 };
 
-class CbtRouter final : public topo::MulticastDataHandler {
+class CbtRouter final : public mcast::DataPlane::Delegate {
 public:
     CbtRouter(topo::Router& router, igmp::RouterAgent& igmp, CbtConfig config = {});
 
@@ -108,14 +114,14 @@ public:
     };
     [[nodiscard]] const TreeState* tree_state(net::GroupAddress group) const;
     [[nodiscard]] bool on_tree(net::GroupAddress group) const;
-    /// All per-group tree state (MRIB snapshots iterate this — CBT keeps
-    /// parent/children state instead of a ForwardingCache).
-    [[nodiscard]] const std::map<net::GroupAddress, TreeState>& trees() const {
-        return trees_;
-    }
+    /// The forwarding entries data follows: one bidirectional (*,G) per
+    /// on-tree group, rebuilt from its TreeState after every change.
+    [[nodiscard]] mcast::ForwardingCache& cache() { return cache_; }
 
-    // --- topo::MulticastDataHandler ---
-    void on_multicast_data(int ifindex, const net::Packet& packet) override;
+    // --- mcast::DataPlane::Delegate ---
+    /// Data off the tree: a DR for a directly connected sender encapsulates
+    /// it toward the core.
+    void on_no_entry(int ifindex, const net::Packet& packet) override;
 
 private:
     void on_control(int ifindex, const net::Packet& packet);
@@ -126,8 +132,9 @@ private:
     void start_join(net::GroupAddress group);
     void send_join_request(net::GroupAddress group, TreeState& state);
     void ack_pending_children(net::GroupAddress group, TreeState& state);
-    void flood_tree(net::GroupAddress group, TreeState& state, int arrival_ifindex,
-                    const net::Packet& packet);
+    /// Rebuilds the group's forwarding entry from its TreeState: present
+    /// exactly while the tree is kOnTree. Runs after every change.
+    void sync_entry(net::GroupAddress group);
     void flush_subtree(net::GroupAddress group, TreeState& state);
     void maybe_quit(net::GroupAddress group);
     [[nodiscard]] std::optional<net::Ipv4Address> core_of(net::GroupAddress group) const;
@@ -138,6 +145,8 @@ private:
     CbtConfig config_;
     std::map<net::GroupAddress, net::Ipv4Address> cores_;
     std::map<net::GroupAddress, TreeState> trees_;
+    mcast::ForwardingCache cache_;
+    mcast::DataPlane data_plane_;
     sim::PeriodicTimer tick_timer_;
 };
 

@@ -170,6 +170,10 @@ ExploreReport explore(const ExploreOptions& options) {
     std::vector<Branch> frontier{Branch{}};
     StateSet states;
     bool stopped = false;
+    // The merge dropped a branch (a wave slot or a child) that the run
+    // budget or the deadline left no room for: an empty frontier then means
+    // the search was cut, not that it ran out.
+    bool cut = false;
 
     while (!frontier.empty() && !stopped && report.runs < options.max_runs &&
            Clock::now() < deadline) {
@@ -240,9 +244,12 @@ ExploreReport explore(const ExploreOptions& options) {
         PROF_ZONE("check.merge");
         std::vector<Branch> next;
         for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (report.runs >= options.max_runs) break;
             Slot& slot = slots[i];
-            if (!slot.ran) break; // deadline truncation (or a discarded tail)
+            if (!slot.ran) {
+                // Past the run budget or the deadline: the wave's tail is cut.
+                cut = true;
+                break;
+            }
             ++report.runs;
             for (const std::uint64_t key : slot.new_states) states.insert(key);
             if (!slot.choices_applied) {
@@ -285,7 +292,10 @@ ExploreReport explore(const ExploreOptions& options) {
                 options.max_frontier,
                 std::max<std::size_t>(1, options.max_runs - report.runs));
             for (const Fork& fork : slot.children) {
-                if (next.size() >= next_cap) break;
+                if (next.size() >= next_cap) {
+                    cut = true;
+                    break;
+                }
                 Branch child{frontier[i].choices, fork.at};
                 child.choices.push_back(fork.flip);
                 next.push_back(std::move(child));
@@ -294,7 +304,7 @@ ExploreReport explore(const ExploreOptions& options) {
         if (!stopped) frontier = std::move(next);
     }
 
-    report.frontier_exhausted = frontier.empty() && !stopped;
+    report.frontier_exhausted = frontier.empty() && !stopped && !cut;
     report.deduped_states = states.size();
     report.elapsed_seconds =
         std::chrono::duration<double>(Clock::now() - start).count();

@@ -9,7 +9,7 @@ std::vector<std::string> entry_iif_problems(const topo::Router& router,
                                             const EntryView* wc_shadow) {
     std::vector<std::string> problems;
     for (const int oif : entry.oifs) {
-        if (oif == entry.iif && entry.iif >= 0) {
+        if (oif == entry.iif && entry.iif >= 0 && !entry.bidirectional) {
             problems.push_back("iif " + std::to_string(entry.iif) +
                                " also appears in its own oif list");
         }

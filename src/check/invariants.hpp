@@ -7,6 +7,7 @@
 //   §2.3/§3.8  an entry's iif must agree with the unicast RPF interface
 //              toward its root (the source for (S,G), the RP for (*,G))
 //   §3         the iif must never appear in the entry's own oif list
+//              (unless the entry is bidirectional, as CBT's are)
 //   §3.3 fn13  an (S,G)RP-bit negative cache must shadow a live (*,G) and
 //              share its iif
 #pragma once
@@ -55,6 +56,9 @@ struct EntryView {
     bool root_known = false; // false skips the RPF-agreement check
     /// Oifs currently in the list (live ones for online checks).
     std::vector<int> oifs;
+    /// A bidirectional (CBT) entry's iif is a tree interface like its oifs,
+    /// so a member LAN on it lists it as an oif too.
+    bool bidirectional = false;
 };
 
 /// Evaluates one entry against `router`'s unicast RPF state. Returns one

@@ -243,7 +243,7 @@ void Watchdog::check_entry(const topo::Router& router,
     // entry_iif_problems allocation-free; the string-building diagnosis is
     // reached only once an entry has already failed one of them.
     bool iif_suspect = false;
-    if (entry.iif() >= 0) {
+    if (entry.iif() >= 0 && !entry.bidirectional()) {
         entry.for_each_live_oif(now, [&](int oif) {
             if (oif == entry.iif()) iif_suspect = true;
         });
@@ -269,6 +269,7 @@ void Watchdog::check_entry(const topo::Router& router,
     view.iif = entry.iif();
     view.root = entry.source_or_rp();
     view.root_known = true;
+    view.bidirectional = entry.bidirectional();
     entry.for_each_live_oif(now, [&](int oif) { view.oifs.push_back(oif); });
 
     EntryView shadow;

@@ -209,15 +209,30 @@ int DataPlane::replicate(const ForwardingEntry& entry, int ifindex,
     out.packet.ttl -= 1;
     const sim::Time now = router_->simulator().now();
     int sent = 0;
-    // Allocation-free walk of the flat oif list — this is the per-packet
-    // replication path.
-    entry.for_each_live_oif(now, [&](int oif) {
+    const auto send = [&](int oif) {
         if (oif == ifindex) return; // never back out the arrival interface
         if (oif < 0 || oif >= router_->interface_count()) return;
         if (hop != nullptr) hop->add_oif(oif);
         router_->send(oif, out);
         ++sent;
+    };
+    // Allocation-free walk of the flat oif list — this is the per-packet
+    // replication path.
+    if (!entry.bidirectional()) {
+        entry.for_each_live_oif(now, send);
+        return sent;
+    }
+    // A bidirectional entry's iif is one more tree interface: it joins the
+    // ascending walk in its place, once, even when it is an oif as well.
+    int up = entry.iif();
+    entry.for_each_live_oif(now, [&](int oif) {
+        if (up >= 0 && up <= oif) {
+            if (up < oif) send(up);
+            up = -1;
+        }
+        send(oif);
     });
+    if (up >= 0) send(up);
     return sent;
 }
 
@@ -321,6 +336,16 @@ void DataPlane::on_multicast_data(int ifindex, const net::Packet& packet) {
     // No (S,G) entry: the (*,G) entry decides. It is looked up only here
     // and in the first exception, never on the SPT fast path.
     if (ForwardingEntry* wc = cache_->find_wc(group); wc != nullptr) {
+        if (wc->bidirectional()) {
+            // A tree interface is any of them; the delegate decides what an
+            // arrival off the tree means.
+            if (ifindex == wc->iif() || wc->has_oif(ifindex)) {
+                forward_recorded(*wc, ifindex, packet, provenance::EntryKind::kTree);
+            } else if (delegate_ != nullptr) {
+                delegate_->on_no_entry(ifindex, packet);
+            }
+            return;
+        }
         if (ifindex == wc->iif()) {
             forward_recorded(*wc, ifindex, packet,
                              provenance::EntryKind::kWildcard);

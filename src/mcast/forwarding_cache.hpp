@@ -1,8 +1,9 @@
 // Per-router multicast forwarding cache plus the shared data-plane engine
 // implementing the forwarding rules of §3.5, including both SPT-bit
-// transition exceptions. Every multicast routing protocol in this library
-// (PIM-SM, PIM-DM, DVMRP, CBT, MOSPF) installs entries here and reacts to
-// the delegate callbacks.
+// transition exceptions. It is the one forwarding engine: all five
+// protocols in this library (PIM-SM, PIM-DM, DVMRP, CBT, MOSPF) keep their
+// entries here and react to the delegate callbacks. CBT's per-group
+// bidirectional tree is a (*,G) entry with the bidirectional flag set.
 #pragma once
 
 #include <algorithm>
@@ -130,8 +131,10 @@ public:
     class Delegate {
     public:
         virtual ~Delegate() = default;
-        /// No (S,G) and no (*,G) matched. Dense-mode protocols flood from
-        /// here; a PIM-SM DR for the source registers from here.
+        /// No (S,G) and no (*,G) matched, or a bidirectional (*,G) matched
+        /// on an interface off its tree. Dense-mode protocols flood from
+        /// here; a PIM-SM DR for the source registers from here, and a CBT
+        /// DR encapsulates toward the core.
         virtual void on_no_entry(int ifindex, const net::Packet& packet) { (void)ifindex; (void)packet; }
         /// Packet was forwarded using the (*,G) entry (shared tree). Gives
         /// the DR the §3.3 trigger: data from a source it has no (S,G) for.
@@ -183,7 +186,8 @@ public:
     /// MRIB entry matched; an empty oif set or an expiring TTL is counted
     /// and recorded as the matching drop. Protocols that forward outside
     /// on_multicast_data (dense-mode floods, the RP forwarding
-    /// register-decapsulated data down the shared tree) call it too.
+    /// register-decapsulated data down the shared tree, the CBT core
+    /// injecting decapsulated data into its tree) call it too.
     void forward_recorded(const ForwardingEntry& entry, int ifindex,
                           const net::Packet& packet, provenance::EntryKind kind);
 
@@ -201,7 +205,9 @@ public:
 private:
     /// Sends one TTL-decremented copy of `packet` on each live oif of
     /// `entry` except `ifindex`, appending each oif sent on to `hop` (null
-    /// when nothing is recorded). Returns how many copies it sent.
+    /// when nothing is recorded). A bidirectional entry sends on its iif
+    /// too, in ascending ifindex order with the oifs and at most once.
+    /// Returns how many copies it sent.
     int replicate(const ForwardingEntry& entry, int ifindex, const net::Packet& packet,
                   provenance::HopRecord* hop);
     /// The iif check failed against `entry`: counts and records the drop

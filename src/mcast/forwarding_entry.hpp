@@ -26,8 +26,10 @@ namespace pimlib::mcast {
 struct OifState {
     /// Soft-state expiry (absolute sim time); refreshed by received joins.
     sim::Time expires = 0;
-    /// Pinned by directly-connected membership (IGMP); never times out while
-    /// pinned — only an explicit membership loss unpins it.
+    /// Hard state: never times out while pinned. Directly-connected
+    /// membership (IGMP) pins an oif until the membership is lost; CBT pins
+    /// every tree interface until a Quit, the echo sweep or a Flush removes
+    /// the branch.
     bool pinned = false;
 
     [[nodiscard]] bool alive(sim::Time now) const { return pinned || expires > now; }
@@ -55,6 +57,11 @@ public:
     [[nodiscard]] bool spt_bit() const { return spt_bit_; }   // SPT fully set up
     void set_rp_bit(bool v) { rp_bit_ = v; }
     void set_spt_bit(bool v) { spt_bit_ = v; }
+    /// A bidirectional (CBT) tree entry: the iif is one more tree
+    /// interface. Data arriving on the iif or on any oif is forwarded out
+    /// of all the others (DataPlane).
+    [[nodiscard]] bool bidirectional() const { return bidir_; }
+    void set_bidirectional(bool v) { bidir_ = v; }
 
     // --- incoming interface ---
     [[nodiscard]] int iif() const { return iif_; }
@@ -135,6 +142,7 @@ private:
     bool wc_bit_ = false;
     bool rp_bit_ = false;
     bool spt_bit_ = false;
+    bool bidir_ = false;
     int iif_ = -1;
     std::optional<net::Ipv4Address> upstream_neighbor_;
     OifList oifs_;
@@ -143,6 +151,8 @@ private:
     sim::Time rp_timer_deadline_ = 0;
     sim::Time last_data_ = 0;
 };
+static_assert(sizeof(ForwardingEntry) <= 96,
+              "the flags share one padded word; a million-entry MRIB pays per byte");
 
 // --- structural state hash (the model checker's dedup key, src/check) ---
 

@@ -1,29 +1,10 @@
 #include "scenario/stacks.hpp"
 
-#include <algorithm>
-
 namespace pimlib::scenario {
 
 namespace {
 sim::Time scale_time(sim::Time t, double factor) {
     return static_cast<sim::Time>(static_cast<double>(t) * factor);
-}
-
-/// Calls fn(ifindex, child) for each interface a CBT tree forwards on, in
-/// ascending order per kind: interfaces toward child routers (child =
-/// true), then member LANs that carry no child.
-template <typename Fn>
-void for_each_tree_oif(const cbt::CbtRouter::TreeState& state, Fn&& fn) {
-    const auto has_children = [&state](int ifindex) {
-        const auto it = state.children.find(ifindex);
-        return it != state.children.end() && !it->second.empty();
-    };
-    for (const auto& [ifindex, children] : state.children) {
-        if (!children.empty()) fn(ifindex, true);
-    }
-    for (const int ifindex : state.member_ifaces) {
-        if (!has_children(ifindex)) fn(ifindex, false);
-    }
 }
 } // namespace
 
@@ -110,6 +91,10 @@ const mcast::ForwardingCache* MospfStack::cache_of(const topo::Router& router) {
     return &mospf_.at(&router)->cache();
 }
 
+const mcast::ForwardingCache* CbtStack::cache_of(const topo::Router& router) {
+    return &cbt_.at(&router)->cache();
+}
+
 PimSmStack::PimSmStack(topo::Network& network, StackConfig config)
     : StackBase(network, config) {
     for (const auto& router : network.routers()) {
@@ -185,55 +170,6 @@ CbtStack::CbtStack(topo::Network& network, StackConfig config)
 
 void CbtStack::set_core(net::GroupAddress group, net::Ipv4Address core) {
     for (auto& [router, cbt] : cbt_) cbt->set_core(group, core);
-}
-
-telemetry::MribSnapshot CbtStack::capture_mrib() {
-    // CBT keeps per-group parent/children tree state rather than a
-    // ForwardingCache; synthesize the same snapshot shape: one shared-tree
-    // entry per group, core in the source slot, children + member LANs as
-    // oifs (pinned = local members, soft = child routers).
-    telemetry::MribSnapshot out = StackBase::capture_mrib();
-    for (const auto& router : network_->routers()) {
-        const cbt::CbtRouter& agent = *cbt_.at(router.get());
-        telemetry::RouterMrib mrib;
-        mrib.router = router->name();
-        for (const auto& [group, state] : agent.trees()) {
-            telemetry::EntrySnapshot e;
-            e.source_or_rp = state.core.to_string();
-            e.group = group.to_string();
-            e.wildcard = true;
-            e.iif = state.parent_ifindex;
-            sim::Time soonest_child = 0;
-            for (const auto& [addr, expiry] : state.child_expiry) {
-                if (soonest_child == 0 || expiry < soonest_child) soonest_child = expiry;
-            }
-            for_each_tree_oif(state, [&](int ifindex, bool child) {
-                telemetry::OifSnapshot oif;
-                oif.ifindex = ifindex;
-                oif.pinned = !child;
-                if (child && soonest_child != 0) {
-                    oif.remaining = std::max<sim::Time>(0, soonest_child - out.at);
-                }
-                e.oifs.push_back(oif);
-            });
-            mrib.entries.push_back(std::move(e));
-        }
-        out.routers.push_back(std::move(mrib));
-    }
-    return out;
-}
-
-std::uint64_t CbtStack::mrib_hash(const topo::Router& router) {
-    // The fields capture_mrib() synthesizes above: one shared-tree entry
-    // per group, core in the source slot, parent iif and the tree's oifs.
-    std::uint64_t sum = 0;
-    for (const auto& [group, state] : cbt_.at(&router)->trees()) {
-        mcast::IfindexSet oifs;
-        for_each_tree_oif(state, [&oifs](int ifindex, bool) { oifs.add(ifindex); });
-        sum += mcast::entry_state_hash(state.core, group, {.wildcard = true},
-                                       state.parent_ifindex, std::nullopt, oifs, {});
-    }
-    return sum;
 }
 
 void DenseDomainBridge::watch(igmp::RouterAgent& agent) {

@@ -67,16 +67,16 @@ public:
     /// Captures every router's multicast forwarding state (the MRIB) as one
     /// diffable telemetry snapshot, stamped with the current sim-time: each
     /// cache_of() cache's snapshot, in router order; a router without a
-    /// cache contributes nothing. CBT overrides it to synthesize the same
-    /// shape from its tree state, so all five protocols export alike. Pair
-    /// with network().telemetry().store_snapshot().
-    [[nodiscard]] virtual telemetry::MribSnapshot capture_mrib();
+    /// cache contributes nothing. All five protocols forward from a
+    /// ForwardingCache, so they export alike. Pair with
+    /// network().telemetry().store_snapshot().
+    [[nodiscard]] telemetry::MribSnapshot capture_mrib();
 
-    /// The router's live multicast forwarding cache, or nullptr for stacks
-    /// whose protocol keeps tree state outside a ForwardingCache (CBT holds
-    /// parent/children state) and for the protocol-less base. Lets the tree
-    /// monitor and the invariant watchdogs walk MRIBs incrementally without
-    /// knowing which protocol the stack runs.
+    /// The router's live multicast forwarding cache: every protocol stack
+    /// returns the one its DataPlane forwards from, and only the
+    /// protocol-less base returns nullptr. Lets the tree monitor and the
+    /// invariant watchdogs walk MRIBs incrementally without knowing which
+    /// protocol the stack runs.
     [[nodiscard]] virtual const mcast::ForwardingCache* cache_of(const topo::Router& router);
 
     /// The model checker's state-dedup key, read straight off the live
@@ -89,8 +89,8 @@ public:
 
 protected:
     /// One router's structural MRIB hash: its cache's structural_hash(), 0
-    /// without a cache. CBT overrides it to hash the tree state it keeps.
-    [[nodiscard]] virtual std::uint64_t mrib_hash(const topo::Router& router);
+    /// without a cache.
+    [[nodiscard]] std::uint64_t mrib_hash(const topo::Router& router);
 
     topo::Network* network_;
     StackConfig config_;
@@ -166,10 +166,7 @@ public:
     }
     /// Configures the group's core on every router.
     void set_core(net::GroupAddress group, net::Ipv4Address core);
-    [[nodiscard]] telemetry::MribSnapshot capture_mrib() override;
-
-protected:
-    [[nodiscard]] std::uint64_t mrib_hash(const topo::Router& router) override;
+    [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) override;
 
 private:
     std::map<const topo::Router*, std::unique_ptr<cbt::CbtRouter>, topo::NodeIdLess> cbt_;
