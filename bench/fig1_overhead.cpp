@@ -92,16 +92,19 @@ struct Result {
     double delay_b_to_c_ms = -1;            // Y→Z latency (Fig. 1(c) concern)
 };
 
-template <typename StackT, typename SetupFn, typename StateFn>
-Result run(const char* name, SetupFn setup, StateFn state_of, int packets) {
+/// One row: `protocol`'s stack with `config`, the group rooted in domain A
+/// (CBT's core, as in Fig. 1(c), and PIM's RP; DVMRP ignores the root).
+Result run(const char* name, std::string_view protocol, const scenario::StackConfig& config,
+           int packets) {
     Fig1Net f;
-    StackT stack(f.net, fast_config());
-    setup(f, stack);
+    const std::unique_ptr<scenario::StackBase> stack =
+        scenario::make_stack(protocol, f.net, config);
+    stack->set_rp(kGroup, {f.border_a->router_id()});
     f.net.run_for(300 * sim::kMillisecond);
 
-    stack.host_agent(*f.member_a).join(kGroup);
-    stack.host_agent(*f.member_b).join(kGroup);
-    stack.host_agent(*f.member_c).join(kGroup);
+    stack->host_agent(*f.member_a).join(kGroup);
+    stack->host_agent(*f.member_b).join(kGroup);
+    stack->host_agent(*f.member_c).join(kGroup);
     f.net.run_for(500 * sim::kMillisecond);
 
     // Warm-up: one packet per sender establishes trees / floods+prunes.
@@ -143,7 +146,9 @@ Result run(const char* name, SetupFn setup, StateFn state_of, int packets) {
     }
     r.control = f.net.stats().total_control_messages();
     r.state_entries = 0;
-    for (const auto& router : f.net.routers()) r.state_entries += state_of(stack, *router);
+    for (const auto& router : f.net.routers()) {
+        r.state_entries += stack->cache_of(*router)->size();
+    }
 
     // B→C latency: time a fresh packet from src_b to member_c.
     f.member_c->clear_received();
@@ -190,49 +195,13 @@ int main(int argc, char** argv) {
                 "control", "state", "B->C_ms");
     bench::Report report("fig1_overhead");
 
-    print(run<scenario::DvmrpStack>(
-              "DVMRP", [](Fig1Net&, scenario::DvmrpStack&) {},
-              [](scenario::DvmrpStack& s, const topo::Router& r) {
-                  return s.dvmrp_at(r).cache().size();
-              },
-              packets),
-          packets, report);
-
-    print(run<scenario::CbtStack>(
-              "CBT",
-              [](Fig1Net& f, scenario::CbtStack& s) {
-                  // Core in domain A, as in Fig. 1(c).
-                  s.set_core(kGroup, f.border_a->router_id());
-              },
-              [](scenario::CbtStack& s, const topo::Router& r) {
-                  return s.cbt_at(r).tree_state(kGroup) != nullptr ? 1u : 0u;
-              },
-              packets),
-          packets, report);
-
-    print(run<scenario::PimSmStack>(
-              "PIM-SPT",
-              [](Fig1Net& f, scenario::PimSmStack& s) {
-                  s.set_rp(kGroup, {f.border_a->router_id()});
-                  s.set_spt_policy(pim::SptPolicy::immediate());
-              },
-              [](scenario::PimSmStack& s, const topo::Router& r) {
-                  return s.pim_at(r).cache().size();
-              },
-              packets),
-          packets, report);
-
-    print(run<scenario::PimSmStack>(
-              "PIM-RP",
-              [](Fig1Net& f, scenario::PimSmStack& s) {
-                  s.set_rp(kGroup, {f.border_a->router_id()});
-                  s.set_spt_policy(pim::SptPolicy::never());
-              },
-              [](scenario::PimSmStack& s, const topo::Router& r) {
-                  return s.pim_at(r).cache().size();
-              },
-              packets),
-          packets, report);
+    scenario::StackConfig rp_tree = fast_config();
+    rp_tree.pim.spt_policy = pim::SptPolicy::never();
+    print(run("DVMRP", "dvmrp", fast_config(), packets), packets, report);
+    print(run("CBT", "cbt", fast_config(), packets), packets, report);
+    // PIM-SM's default policy switches to the SPT on the first packet.
+    print(run("PIM-SPT", "pim-sm", fast_config(), packets), packets, report);
+    print(run("PIM-RP", "pim-sm", rp_tree, packets), packets, report);
 
     std::printf(
         "# Expected shape: DVMRP touches (nearly) every segment and spends the\n"

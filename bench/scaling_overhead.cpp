@@ -87,16 +87,17 @@ net::GroupAddress group_n(int n) {
                                               static_cast<std::uint8_t>(n % 256))};
 }
 
-template <typename StackT, typename SetupFn, typename StateFn>
-Row run(int groups, int members_per_group, int packets, SetupFn setup,
-        StateFn state_of) {
+/// One row: `protocol`'s stack, every group rooted at router 0 (PIM-SM's RP,
+/// CBT's core; the source-tree protocols ignore the root).
+Row run(std::string_view protocol, int groups, int members_per_group, int packets) {
     World w;
     w.net.telemetry().set_tracing(g_tracing);
-    StackT stack(w.net, fast_config());
+    const std::unique_ptr<scenario::StackBase> stack =
+        scenario::make_stack(protocol, w.net, fast_config());
     std::unique_ptr<telemetry::TreeMonitor> monitor;
     std::unique_ptr<check::Watchdog> watchdog;
     if (g_observe) {
-        auto caches = [&stack](const topo::Router& r) { return stack.cache_of(r); };
+        auto caches = [&stack](const topo::Router& r) { return stack->cache_of(r); };
         monitor = std::make_unique<telemetry::TreeMonitor>(w.net, caches);
         monitor->start();
         watchdog = std::make_unique<check::Watchdog>(w.net, caches);
@@ -109,13 +110,13 @@ Row run(int groups, int members_per_group, int packets, SetupFn setup,
         auto idx = graph::sample_nodes(static_cast<int>(w.hosts.size()),
                                        members_per_group + 1, rng);
         group_hosts.emplace_back(idx.begin(), idx.end());
-        setup(w, stack, group_n(gi));
+        stack->set_rp(group_n(gi), {w.routers[0]->router_id()});
     }
     w.net.run_for(300 * sim::kMillisecond);
     for (int gi = 0; gi < groups; ++gi) {
         // Members are all but the first pick; the first pick sends.
         for (std::size_t k = 1; k < group_hosts[gi].size(); ++k) {
-            stack.host_agent(*w.hosts[group_hosts[gi][k]]).join(group_n(gi));
+            stack->host_agent(*w.hosts[group_hosts[gi][k]]).join(group_n(gi));
         }
     }
     w.net.run_for(500 * sim::kMillisecond);
@@ -132,7 +133,7 @@ Row run(int groups, int members_per_group, int packets, SetupFn setup,
     // Measure state mid-stream (it is soft state: it dissolves afterwards).
     w.net.run_for(packets * 100 * sim::kMillisecond);
     Row row;
-    for (auto* router : w.routers) row.state += state_of(stack, *router);
+    for (auto* router : w.routers) row.state += stack->cache_of(*router)->size();
     w.net.run_for(2 * sim::kSecond); // drain in-flight deliveries
     row.data_tx = w.net.stats().total_data_packets();
     row.delivered = w.net.stats().data_delivered();
@@ -162,45 +163,13 @@ void print_row(const char* protocol, int groups, int members, const Row& row) {
 }
 
 void sweep(int packets) {
+    const std::pair<const char*, const char*> rows[] = {
+        {"PIM-SM", "pim-sm"}, {"DVMRP", "dvmrp"}, {"MOSPF", "mospf"}, {"CBT", "cbt"}};
     for (int groups : {1, 4, 16}) {
         for (int members : {2, 7}) {
-            print_row("PIM-SM", groups, members,
-                      run<scenario::PimSmStack>(
-                          groups, members, packets,
-                          [](World& w, scenario::PimSmStack& s, net::GroupAddress g) {
-                              s.set_rp(g, {w.routers[0]->router_id()});
-                              s.set_spt_policy(pim::SptPolicy::immediate());
-                          },
-                          [](scenario::PimSmStack& s, const topo::Router& r) {
-                              return s.pim_at(r).cache().size();
-                          }));
-            print_row("DVMRP", groups, members,
-                      run<scenario::DvmrpStack>(
-                          groups, members, packets,
-                          [](World&, scenario::DvmrpStack&, net::GroupAddress) {},
-                          [](scenario::DvmrpStack& s, const topo::Router& r) {
-                              return s.dvmrp_at(r).cache().size();
-                          }));
-            print_row("MOSPF", groups, members,
-                      run<scenario::MospfStack>(
-                          groups, members, packets,
-                          [](World&, scenario::MospfStack&, net::GroupAddress) {},
-                          [](scenario::MospfStack& s, const topo::Router& r) {
-                              return s.mospf_at(r).cache().size();
-                          }));
-            print_row("CBT", groups, members,
-                      run<scenario::CbtStack>(
-                          groups, members, packets,
-                          [](World& w, scenario::CbtStack& s, net::GroupAddress g) {
-                              s.set_core(g, w.routers[0]->router_id());
-                          },
-                          [](scenario::CbtStack& s, const topo::Router& r) {
-                              std::size_t n = 0;
-                              for (int gi = 0; gi < 64; ++gi) {
-                                  if (s.cbt_at(r).tree_state(group_n(gi)) != nullptr) ++n;
-                              }
-                              return n;
-                          }));
+            for (const auto& [label, protocol] : rows) {
+                print_row(label, groups, members, run(protocol, groups, members, packets));
+            }
         }
     }
 }

@@ -142,6 +142,12 @@ CbtRouter::CbtRouter(topo::Router& router, igmp::RouterAgent& igmp, CbtConfig co
     igmp_->subscribe([this](int ifindex, net::GroupAddress group, bool present) {
         on_membership(ifindex, group, present);
     });
+    reboot(); // a fresh router boots like a rebooted one
+}
+
+void CbtRouter::reboot() {
+    trees_.clear();
+    cache_.clear();
     tick_timer_.start(config_.echo_interval);
 }
 

@@ -99,6 +99,11 @@ public:
 
     [[nodiscard]] topo::Router& router() { return *router_; }
 
+    /// Simulates a crash+restart: every tree and the forwarding cache are
+    /// lost, and the tick timer restarts; members rejoin once IGMP reports
+    /// them again. The configured cores survive.
+    void reboot();
+
     struct TreeState {
         enum class Status { kPending, kOnTree };
         Status status = Status::kPending;

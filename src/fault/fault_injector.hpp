@@ -70,8 +70,8 @@ public:
     // --- protocol wiring --------------------------------------------------
 
     /// Registers a reset hook for `router`, run on crash and on restart.
-    /// Scenario stacks register their protocol reboots here, e.g.
-    /// `injector.on_crash(r, [&] { pim.reboot(); igmp.reboot(); });`.
+    /// scenario::StackBase::wire_faults registers one per router, running
+    /// that router's protocol reboots (IGMP, the routing protocol, …).
     /// Several hooks per router compose (run in registration order).
     void on_crash(const topo::Router& router, std::function<void()> reset);
 

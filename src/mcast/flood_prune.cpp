@@ -29,6 +29,15 @@ FloodPrune::FloodPrune(topo::Router& router, igmp::RouterAgent& igmp,
     igmp_->subscribe([this](int ifindex, net::GroupAddress group, bool present) {
         on_membership(ifindex, group, present);
     });
+    reboot(); // a fresh router boots like a rebooted one
+}
+
+void FloodPrune::reboot() {
+    neighbors_.clear();
+    prunes_.clear();
+    pruned_upstream_.clear();
+    last_prune_sent_.clear();
+    cache_.clear();
     hello_timer_.start(config_.hello_interval);
     tick_timer_.start(config_.prune_lifetime / 3);
     router_->simulator().schedule(0, [this] { send_hellos(); });

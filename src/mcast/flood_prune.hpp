@@ -55,15 +55,19 @@ public:
     [[nodiscard]] topo::Router& router() { return *router_; }
     [[nodiscard]] std::vector<net::Ipv4Address> neighbors_on(int ifindex) const;
 
+    /// Simulates a crash+restart: neighbors, prune state and the forwarding
+    /// cache are lost; the hello timer, then the tick timer restart, and the
+    /// first hellos go out at once. The configuration survives.
+    void reboot();
+
     // --- DataPlane::Delegate ---
     void on_no_entry(int ifindex, const net::Packet& packet) override;
     void on_no_downstream(ForwardingEntry& entry, int ifindex,
                           const net::Packet& packet) override;
 
 protected:
-    /// Starts the hello timer, then the tick timer, then sends the first
-    /// hellos at once. `control` counts every message sent, and its name
-    /// labels the prune and graft events.
+    /// Boots the protocol (reboot()). `control` counts every message sent,
+    /// and its name labels the prune and graft events.
     FloodPrune(topo::Router& router, igmp::RouterAgent& igmp, FloodPruneConfig config,
                stats::ControlName control);
     ~FloodPrune() override = default;

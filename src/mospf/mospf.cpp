@@ -59,6 +59,12 @@ MospfRouter::MospfRouter(topo::Router& router, igmp::RouterAgent& igmp,
     igmp_->subscribe([this](int ifindex, net::GroupAddress group, bool present) {
         on_membership(ifindex, group, present);
     });
+    reboot(); // a fresh router boots like a rebooted one
+}
+
+void MospfRouter::reboot() {
+    lsdb_.clear();
+    cache_.clear();
     refresh_timer_.start(config_.lsa_refresh);
     router_->simulator().schedule(0, [this] { originate_lsa(); });
 }

@@ -59,6 +59,12 @@ public:
     [[nodiscard]] std::set<net::Ipv4Address> member_routers(net::GroupAddress group) const;
     [[nodiscard]] std::size_t spf_runs() const { return spf_runs_; }
 
+    /// Simulates a crash+restart: the membership database and the
+    /// forwarding cache are lost; the refresh timer restarts and our LSA
+    /// goes out at once. The LSA sequence number survives (stable
+    /// storage): peers drop an LSA that is not newer.
+    void reboot();
+
     void on_no_entry(int ifindex, const net::Packet& packet) override;
 
 private:

@@ -545,7 +545,8 @@ void PimSmRouter::on_no_downstream(mcast::ForwardingEntry& entry, int ifindex,
 
 void PimSmRouter::on_wildcard_forward(int ifindex, const net::Packet& packet) {
     maybe_register(ifindex, packet, /*already_forwarded=*/true);
-    if (spt_policy_.mode == SptPolicy::Mode::kNever) return;
+    const SptPolicy& policy = config_.spt_policy;
+    if (policy.mode == SptPolicy::Mode::kNever) return;
     const net::GroupAddress group{packet.dst};
     const net::Ipv4Address source = packet.src;
     if (source == router_->router_id()) return;
@@ -569,14 +570,14 @@ void PimSmRouter::on_wildcard_forward(int ifindex, const net::Packet& packet) {
     const mcast::ForwardingEntry* sg = cache_.find_sg(source, group);
     if (sg != nullptr && !sg->rp_bit()) return; // already switching/switched
 
-    if (spt_policy_.mode == SptPolicy::Mode::kThreshold) {
+    if (policy.mode == SptPolicy::Mode::kThreshold) {
         const sim::Time now = router_->simulator().now();
         SptCounter& counter = spt_counters_[{source, group}];
-        if (counter.window_start == 0 || now - counter.window_start > spt_policy_.window) {
+        if (counter.window_start == 0 || now - counter.window_start > policy.window) {
             counter.window_start = now;
             counter.packets = 0;
         }
-        if (++counter.packets < spt_policy_.packets) return;
+        if (++counter.packets < policy.packets) return;
         spt_counters_.erase({source, group});
     }
     initiate_spt_switch(source, group);

@@ -75,6 +75,9 @@ struct PimConfig {
     /// (interface, source, group) without being re-triggered by duplicate
     /// data. Matches the holdtime convention: 3 × refresh.
     sim::Time assert_holdtime = 180 * sim::kSecond;
+    /// When a last-hop router leaves the shared tree for a source's SPT
+    /// (§3.3). scaled() leaves its window as set.
+    SptPolicy spt_policy = SptPolicy::immediate();
 
     /// Seeded-bug switches for the model checker's mutation gate (pimcheck
     /// --mutate …). Both default off; production behavior is unmodified.
@@ -126,8 +129,8 @@ public:
     [[nodiscard]] topo::Router& router() { return *router_; }
     [[nodiscard]] const PimConfig& config() const { return config_; }
 
-    void set_spt_policy(SptPolicy policy) { spt_policy_ = policy; }
-    [[nodiscard]] SptPolicy spt_policy() const { return spt_policy_; }
+    void set_spt_policy(SptPolicy policy) { config_.spt_policy = policy; }
+    [[nodiscard]] SptPolicy spt_policy() const { return config_.spt_policy; }
 
     // --- dense-mode interfaces (§3.1, §4 "interoperation with dense mode
     // regions") ---
@@ -182,7 +185,6 @@ public:
     /// among us and our PIM neighbors).
     [[nodiscard]] net::Ipv4Address dr_address_on(int ifindex) const;
     [[nodiscard]] bool is_dr_on(int ifindex) const;
-    [[nodiscard]] std::size_t state_entry_count() const { return cache_.size(); }
     /// Sources this RP currently knows to be active for `group` (§3 "PIM
     /// ... does require enumeration of sources").
     [[nodiscard]] std::vector<net::Ipv4Address> active_sources(net::GroupAddress group) const;
@@ -336,7 +338,6 @@ private:
     topo::Router* router_;
     igmp::RouterAgent* igmp_;
     PimConfig config_;
-    SptPolicy spt_policy_ = SptPolicy::immediate();
     RpSet rp_set_;
     mcast::ForwardingCache cache_;
     mcast::DataPlane data_plane_;

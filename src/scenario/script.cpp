@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "check/scenario.hpp"
+#include "scenario/stacks.hpp"
 
 namespace pimlib::scenario {
 namespace {
@@ -257,9 +258,9 @@ Script parse_script(std::string_view text) {
                 fail(line, "unknown workload '" + w[1] + "' (churn|flash|sender)");
             }
         } else if (word == "protocol") {
-            need(1, "pim-sm|pim-dm|dvmrp|cbt|mospf");
-            static const Words kProtocols = {"pim-sm", "pim-dm", "dvmrp", "cbt", "mospf"};
-            if (std::find(kProtocols.begin(), kProtocols.end(), w[1]) == kProtocols.end()) {
+            need(1, "PROTOCOL");
+            if (std::none_of(kStackProtocols.begin(), kStackProtocols.end(),
+                             [&](const StackProtocol& p) { return p.name == w[1]; })) {
                 fail(line, "unknown protocol '" + w[1] + "'");
             }
             s.protocol = w[1];

@@ -1,16 +1,22 @@
 #include "scenario/stacks.hpp"
 
+#include <stdexcept>
+
 namespace pimlib::scenario {
 
 namespace {
 sim::Time scale_time(sim::Time t, double factor) {
     return static_cast<sim::Time>(static_cast<double>(t) * factor);
 }
+
+template <typename S>
+std::unique_ptr<StackBase> construct(topo::Network& network, const StackConfig& config) {
+    return std::make_unique<S>(network, config);
+}
 } // namespace
 
 StackConfig StackConfig::scaled(double factor) const {
     StackConfig out = *this;
-    out.time_scale = time_scale * factor;
     out.pim = pim.scaled(factor);
     out.bootstrap = bootstrap.scaled(factor);
     out.pim_dm = pim_dm.scaled(factor);
@@ -28,9 +34,14 @@ StackConfig StackConfig::scaled(double factor) const {
 
 StackBase::StackBase(topo::Network& network, const StackConfig& config)
     : network_(&network), config_(config) {
+    // Routers are numbered in id order, so the last id bounds them all.
+    if (!network.routers().empty()) {
+        recorded_.resize(static_cast<std::size_t>(network.routers().back()->id()) + 1);
+    }
     for (const auto& router : network.routers()) {
-        igmp_.emplace(router.get(),
-                      std::make_unique<igmp::RouterAgent>(*router, config_.igmp));
+        igmp::RouterAgent& agent =
+            *(igmp_[router.get()] = std::make_unique<igmp::RouterAgent>(*router, config_.igmp));
+        record_reboot(*router, [&agent] { agent.reboot(); });
     }
     for (const auto& host : network.hosts()) {
         host_agents_.emplace(host.get(),
@@ -39,9 +50,10 @@ StackBase::StackBase(topo::Network& network, const StackConfig& config)
 }
 
 void StackBase::wire_faults(fault::FaultInjector& injector) {
-    for (auto& [router, agent] : igmp_) {
-        igmp::RouterAgent* raw = agent.get();
-        injector.on_crash(*router, [raw] { raw->reboot(); });
+    for (const auto& router : network_->routers()) {
+        injector.on_crash(*router, [this, id = router->id()] {
+            for (const auto& reboot : recorded_[static_cast<std::size_t>(id)].reboots) reboot();
+        });
     }
 }
 
@@ -56,51 +68,20 @@ telemetry::MribSnapshot StackBase::capture_mrib() {
     return out;
 }
 
-const mcast::ForwardingCache* StackBase::cache_of(const topo::Router& /*router*/) {
-    return nullptr;
-}
-
 std::uint64_t StackBase::state_key() {
     std::uint64_t key = 0;
     for (const auto& router : network_->routers()) {
+        const mcast::ForwardingCache* cache = cache_of(*router);
         key += mcast::state_mix(
             mcast::state_mix(static_cast<std::uint64_t>(router->id()) + 1) ^
-            mrib_hash(*router));
+            (cache == nullptr ? 0 : cache->structural_hash()));
     }
     return key;
 }
 
-std::uint64_t StackBase::mrib_hash(const topo::Router& router) {
-    const mcast::ForwardingCache* cache = cache_of(router);
-    return cache == nullptr ? 0 : cache->structural_hash();
-}
-
-const mcast::ForwardingCache* PimSmStack::cache_of(const topo::Router& router) {
-    return &pim_.at(&router)->cache();
-}
-
-const mcast::ForwardingCache* PimDmStack::cache_of(const topo::Router& router) {
-    return &pim_.at(&router)->cache();
-}
-
-const mcast::ForwardingCache* DvmrpStack::cache_of(const topo::Router& router) {
-    return &dvmrp_.at(&router)->cache();
-}
-
-const mcast::ForwardingCache* MospfStack::cache_of(const topo::Router& router) {
-    return &mospf_.at(&router)->cache();
-}
-
-const mcast::ForwardingCache* CbtStack::cache_of(const topo::Router& router) {
-    return &cbt_.at(&router)->cache();
-}
-
 PimSmStack::PimSmStack(topo::Network& network, StackConfig config)
     : StackBase(network, config) {
-    for (const auto& router : network.routers()) {
-        pim_.emplace(router.get(), std::make_unique<pim::PimSmRouter>(
-                                       *router, igmp_at(*router), config_.pim));
-    }
+    build(pim_, config_.pim);
 }
 
 void PimSmStack::set_rp(net::GroupAddress group, std::vector<net::Ipv4Address> rps) {
@@ -114,8 +95,9 @@ void PimSmStack::set_spt_policy(pim::SptPolicy policy) {
 void PimSmStack::enable_bootstrap() {
     if (!bootstrap_.empty()) return;
     for (auto& [router, pim] : pim_) {
-        bootstrap_.emplace(router, std::make_unique<pim::BootstrapAgent>(
-                                       *pim, config_.bootstrap));
+        pim::BootstrapAgent& agent = *(bootstrap_[router] = std::make_unique<pim::BootstrapAgent>(
+                                           *pim, config_.bootstrap));
+        record_reboot(*router, [&agent] { agent.reboot(); });
     }
 }
 
@@ -130,46 +112,45 @@ void PimSmStack::set_candidate_rp(const topo::Router& router, net::Prefix range,
     bootstrap_.at(&router)->add_candidate_rp(range, priority);
 }
 
-void PimSmStack::wire_faults(fault::FaultInjector& injector) {
-    StackBase::wire_faults(injector);
-    for (auto& [router, pim] : pim_) {
-        pim::PimSmRouter* raw = pim.get();
-        injector.on_crash(*router, [raw] { raw->reboot(); });
-        // A crash also drops the bootstrap soft state — but only if the
-        // agent exists by the time the fault fires, hence the lookup inside.
-        injector.on_crash(*router, [this, r = router] {
-            auto it = bootstrap_.find(r);
-            if (it != bootstrap_.end()) it->second->reboot();
-        });
-    }
-}
-
 PimDmStack::PimDmStack(topo::Network& network, StackConfig config)
     : StackBase(network, config) {
-    for (const auto& router : network.routers()) {
-        pim_.emplace(router.get(), std::make_unique<pim::PimDmRouter>(
-                                       *router, igmp_at(*router), config_.pim_dm));
-    }
+    build(pim_, config_.pim_dm);
 }
 
 DvmrpStack::DvmrpStack(topo::Network& network, StackConfig config)
     : StackBase(network, config) {
-    for (const auto& router : network.routers()) {
-        dvmrp_.emplace(router.get(), std::make_unique<dvmrp::DvmrpRouter>(
-                                         *router, igmp_at(*router), config_.dvmrp));
-    }
+    build(dvmrp_, config_.dvmrp);
 }
 
 CbtStack::CbtStack(topo::Network& network, StackConfig config)
     : StackBase(network, config) {
-    for (const auto& router : network.routers()) {
-        cbt_.emplace(router.get(), std::make_unique<cbt::CbtRouter>(
-                                       *router, igmp_at(*router), config_.cbt));
-    }
+    build(cbt_, config_.cbt);
 }
 
-void CbtStack::set_core(net::GroupAddress group, net::Ipv4Address core) {
-    for (auto& [router, cbt] : cbt_) cbt->set_core(group, core);
+void CbtStack::set_rp(net::GroupAddress group, std::vector<net::Ipv4Address> rps) {
+    if (rps.empty()) return;
+    for (auto& [router, cbt] : cbt_) cbt->set_core(group, rps.front());
+}
+
+MospfStack::MospfStack(topo::Network& network, StackConfig config)
+    : StackBase(network, config) {
+    build(mospf_, config_.mospf);
+}
+
+const std::array<StackProtocol, 5> kStackProtocols{{
+    {"pim-sm", construct<PimSmStack>},
+    {"pim-dm", construct<PimDmStack>},
+    {"dvmrp", construct<DvmrpStack>},
+    {"cbt", construct<CbtStack>},
+    {"mospf", construct<MospfStack>},
+}};
+
+std::unique_ptr<StackBase> make_stack(std::string_view protocol, topo::Network& network,
+                                      const StackConfig& config) {
+    for (const StackProtocol& p : kStackProtocols) {
+        if (p.name == protocol) return p.make(network, config);
+    }
+    throw std::invalid_argument("unknown protocol '" + std::string(protocol) + "'");
 }
 
 void DenseDomainBridge::watch(igmp::RouterAgent& agent) {
@@ -191,14 +172,6 @@ void DenseDomainBridge::on_membership(const igmp::RouterAgent* agent, int ifinde
     const bool has_members = !who.empty();
     if (has_members != had_members) {
         border_->set_dense_membership(dense_ifindex_, group, has_members);
-    }
-}
-
-MospfStack::MospfStack(topo::Network& network, StackConfig config)
-    : StackBase(network, config) {
-    for (const auto& router : network.routers()) {
-        mospf_.emplace(router.get(), std::make_unique<mospf::MospfRouter>(
-                                         *router, igmp_at(*router), config_.mospf));
     }
 }
 

@@ -3,14 +3,21 @@
 // agents onto every host. Used throughout tests, examples and benchmarks —
 // and the natural entry point for library users.
 //
+// StackBase is the one protocol-neutral interface (set_rp, cache_of,
+// wire_faults); make_stack() builds any of the five stacks by its script
+// name, and the typed subclasses add only their protocol's own accessors.
+//
 // Unicast routing must be installed on the routers *before* constructing a
 // stack (e.g. unicast::OracleRouting, DvRoutingDomain or LsRoutingDomain),
 // because PIM subscribes to route changes at construction (§3.8).
 #pragma once
 
+#include <array>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <string_view>
 
 #include "cbt/cbt.hpp"
 #include "dvmrp/dvmrp.hpp"
@@ -28,7 +35,6 @@ namespace pimlib::scenario {
 /// Scales protocol timers uniformly so tests can compress hours of protocol
 /// time into milliseconds of simulated time.
 struct StackConfig {
-    double time_scale = 1.0;
     pim::PimConfig pim{};
     pim::BootstrapConfig bootstrap{};
     mcast::FloodPruneConfig pim_dm = pim::kPimDmConfig;
@@ -41,7 +47,9 @@ struct StackConfig {
     [[nodiscard]] StackConfig scaled(double factor) const;
 };
 
-/// Common base: IGMP router agents on all routers, host agents on all hosts.
+/// IGMP router agents on all routers, host agents on all hosts, and per
+/// router the routing protocol's forwarding cache and crash reboots, which
+/// each protocol stack's constructor records once.
 class StackBase {
 public:
     explicit StackBase(topo::Network& network, const StackConfig& config);
@@ -58,44 +66,72 @@ public:
     }
     [[nodiscard]] topo::Network& network() { return *network_; }
 
-    /// Registers this stack's protocol reboots as the injector's crash
-    /// resets, so crash_router()/restart_router() drop and rebuild protocol
-    /// state. Derived stacks extend this with their routing protocol's
-    /// reboot (call the base first).
-    virtual void wire_faults(fault::FaultInjector& injector);
+    /// Roots `group` on every router (static configuration, §3.1): PIM-SM
+    /// takes `rps` as the group's RP list, CBT its first entry as the core.
+    /// The dense-mode and link-state stacks build source trees and ignore it.
+    virtual void set_rp(net::GroupAddress /*group*/, std::vector<net::Ipv4Address> /*rps*/) {}
+
+    /// Registers one crash reset per router with `injector`. It runs the
+    /// router's recorded reboots (IGMP, the routing protocol, then any
+    /// bootstrap agent), looked up when it fires.
+    void wire_faults(fault::FaultInjector& injector);
 
     /// Captures every router's multicast forwarding state (the MRIB) as one
     /// diffable telemetry snapshot, stamped with the current sim-time: each
     /// cache_of() cache's snapshot, in router order; a router without a
-    /// cache contributes nothing. All five protocols forward from a
-    /// ForwardingCache, so they export alike. Pair with
+    /// cache contributes nothing. Pair with
     /// network().telemetry().store_snapshot().
     [[nodiscard]] telemetry::MribSnapshot capture_mrib();
 
-    /// The router's live multicast forwarding cache: every protocol stack
-    /// returns the one its DataPlane forwards from, and only the
-    /// protocol-less base returns nullptr. Lets the tree monitor and the
-    /// invariant watchdogs walk MRIBs incrementally without knowing which
-    /// protocol the stack runs.
-    [[nodiscard]] virtual const mcast::ForwardingCache* cache_of(const topo::Router& router);
+    /// The router's live multicast forwarding cache, the one its protocol's
+    /// DataPlane forwards from; nullptr when none was recorded. Lets the
+    /// tree monitor and the invariant watchdogs walk MRIBs incrementally
+    /// without knowing which protocol the stack runs.
+    [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) const {
+        const auto id = static_cast<std::size_t>(router.id());
+        return id < recorded_.size() ? recorded_[id].cache : nullptr;
+    }
 
     /// The model checker's state-dedup key, read straight off the live
-    /// protocol state: each router's id mixed with its mrib_hash(), summed
-    /// so router order cannot matter. Two moments of one network get equal
-    /// keys exactly when their capture_mrib() snapshots diff empty (up to
-    /// 64-bit collisions). A router with no entries still contributes its
-    /// id. Builds no string and allocates nothing.
+    /// protocol state: each router's id mixed with its cache's structural
+    /// hash, summed so router order cannot matter. Two moments of one network
+    /// get equal keys exactly when their capture_mrib() snapshots diff empty
+    /// (up to 64-bit collisions). A router with no entries still contributes
+    /// its id. Builds no string and allocates nothing.
     [[nodiscard]] std::uint64_t state_key();
 
 protected:
-    /// One router's structural MRIB hash: its cache's structural_hash(), 0
-    /// without a cache.
-    [[nodiscard]] std::uint64_t mrib_hash(const topo::Router& router);
+    template <typename P>
+    using PerRouter = std::map<const topo::Router*, std::unique_ptr<P>, topo::NodeIdLess>;
+
+    /// Appends `reboot` to what a crash or restart of `router` runs.
+    void record_reboot(const topo::Router& router, std::function<void()> reboot) {
+        recorded_.at(static_cast<std::size_t>(router.id())).reboots.push_back(std::move(reboot));
+    }
+
+    /// Builds protocol P on every router in router-id order, each over the
+    /// router's IGMP agent, and records its cache and reboot().
+    template <typename P, typename Config>
+    void build(PerRouter<P>& out, const Config& config) {
+        for (const auto& router : network_->routers()) {
+            P& p = *(out[router.get()] = std::make_unique<P>(*router, igmp_at(*router), config));
+            recorded_.at(static_cast<std::size_t>(router->id())).cache = &p.cache();
+            record_reboot(*router, [&p] { p.reboot(); });
+        }
+    }
 
     topo::Network* network_;
     StackConfig config_;
-    std::map<const topo::Router*, std::unique_ptr<igmp::RouterAgent>, topo::NodeIdLess> igmp_;
+
+private:
+    struct Recorded {
+        const mcast::ForwardingCache* cache = nullptr;
+        std::vector<std::function<void()>> reboots;
+    };
+
+    PerRouter<igmp::RouterAgent> igmp_;
     std::map<const topo::Host*, std::unique_ptr<igmp::HostAgent>, topo::NodeIdLess> host_agents_;
+    std::vector<Recorded> recorded_; // indexed by node id
 };
 
 /// PIM sparse mode on every router (the paper's §3 protocol).
@@ -107,7 +143,7 @@ public:
         return *pim_.at(&router);
     }
     /// Configures the group's RP list on every router (static config, §3.1).
-    void set_rp(net::GroupAddress group, std::vector<net::Ipv4Address> rps);
+    void set_rp(net::GroupAddress group, std::vector<net::Ipv4Address> rps) override;
     void set_spt_policy(pim::SptPolicy policy);
 
     /// Starts a BootstrapAgent on every router (idempotent) so the RP set
@@ -123,12 +159,9 @@ public:
     void set_candidate_rp(const topo::Router& router, net::Prefix range,
                           std::uint8_t priority);
 
-    void wire_faults(fault::FaultInjector& injector) override;
-    [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) override;
-
 private:
-    std::map<const topo::Router*, std::unique_ptr<pim::PimSmRouter>, topo::NodeIdLess> pim_;
-    std::map<const topo::Router*, std::unique_ptr<pim::BootstrapAgent>, topo::NodeIdLess> bootstrap_;
+    PerRouter<pim::PimSmRouter> pim_;
+    PerRouter<pim::BootstrapAgent> bootstrap_;
 };
 
 /// PIM dense mode everywhere (the companion protocol [13]).
@@ -138,10 +171,9 @@ public:
     [[nodiscard]] pim::PimDmRouter& pim_at(const topo::Router& router) {
         return *pim_.at(&router);
     }
-    [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) override;
 
 private:
-    std::map<const topo::Router*, std::unique_ptr<pim::PimDmRouter>, topo::NodeIdLess> pim_;
+    PerRouter<pim::PimDmRouter> pim_;
 };
 
 /// DVMRP everywhere (dense-mode baseline).
@@ -151,10 +183,9 @@ public:
     [[nodiscard]] dvmrp::DvmrpRouter& dvmrp_at(const topo::Router& router) {
         return *dvmrp_.at(&router);
     }
-    [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) override;
 
 private:
-    std::map<const topo::Router*, std::unique_ptr<dvmrp::DvmrpRouter>, topo::NodeIdLess> dvmrp_;
+    PerRouter<dvmrp::DvmrpRouter> dvmrp_;
 };
 
 /// CBT everywhere (shared-tree baseline).
@@ -164,13 +195,40 @@ public:
     [[nodiscard]] cbt::CbtRouter& cbt_at(const topo::Router& router) {
         return *cbt_.at(&router);
     }
-    /// Configures the group's core on every router.
-    void set_core(net::GroupAddress group, net::Ipv4Address core);
-    [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) override;
+    /// Configures `rps.front()` as the group's core on every router.
+    void set_rp(net::GroupAddress group, std::vector<net::Ipv4Address> rps) override;
 
 private:
-    std::map<const topo::Router*, std::unique_ptr<cbt::CbtRouter>, topo::NodeIdLess> cbt_;
+    PerRouter<cbt::CbtRouter> cbt_;
 };
+
+/// MOSPF everywhere (link-state baseline).
+class MospfStack : public StackBase {
+public:
+    explicit MospfStack(topo::Network& network, StackConfig config = {});
+    [[nodiscard]] mospf::MospfRouter& mospf_at(const topo::Router& router) {
+        return *mospf_.at(&router);
+    }
+
+private:
+    PerRouter<mospf::MospfRouter> mospf_;
+};
+
+/// One multicast routing protocol: the name a pimsim `protocol` line uses,
+/// and its stack's constructor.
+struct StackProtocol {
+    std::string_view name;
+    std::unique_ptr<StackBase> (*make)(topo::Network& network, const StackConfig& config);
+};
+
+/// The five protocols, the one list scripts, tests and benches choose from.
+extern const std::array<StackProtocol, 5> kStackProtocols;
+
+/// The kStackProtocols stack named `protocol`, built on `network`. Throws
+/// std::invalid_argument on any other name.
+[[nodiscard]] std::unique_ptr<StackBase> make_stack(std::string_view protocol,
+                                                    topo::Network& network,
+                                                    const StackConfig& config = {});
 
 /// Splices a dense-mode region onto a sparse-mode border router (§4
 /// "Interoperation with dense mode networks / regions").
@@ -212,19 +270,6 @@ private:
     std::map<net::GroupAddress,
              std::set<std::pair<const igmp::RouterAgent*, int>, ReporterLess>>
         reporters_;
-};
-
-/// MOSPF everywhere (link-state baseline).
-class MospfStack : public StackBase {
-public:
-    explicit MospfStack(topo::Network& network, StackConfig config = {});
-    [[nodiscard]] mospf::MospfRouter& mospf_at(const topo::Router& router) {
-        return *mospf_.at(&router);
-    }
-    [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) override;
-
-private:
-    std::map<const topo::Router*, std::unique_ptr<mospf::MospfRouter>, topo::NodeIdLess> mospf_;
 };
 
 } // namespace pimlib::scenario

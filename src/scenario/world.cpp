@@ -75,35 +75,21 @@ World::World(const Script& script, Observers observers, const std::string& mutat
     if (!check::apply_mutation(mutation, config_)) {
         throw std::runtime_error("unknown mutation '" + mutation + "'");
     }
-    const std::string& protocol = script.protocol;
-    if (protocol == "pim-sm") {
-        auto sm = std::make_unique<PimSmStack>(net, config_);
-        sm->set_spt_policy(script.spt_policy);
-        for (const Script::Rp& rp : script.rps) {
-            std::vector<net::Ipv4Address> addrs;
-            for (const std::string& name : rp.routers) addrs.push_back(router(name).router_id());
-            sm->set_rp(rp.group, addrs);
-        }
+    config_.pim.spt_policy = script.spt_policy;
+    stack_ = make_stack(script.protocol, net, config_);
+    for (const Script::Rp& rp : script.rps) {
+        std::vector<net::Ipv4Address> addrs;
+        for (const std::string& name : rp.routers) addrs.push_back(router(name).router_id());
+        stack_->set_rp(rp.group, addrs);
+    }
+    pim_sm_ = dynamic_cast<PimSmStack*>(stack_.get());
+    if (pim_sm_ != nullptr) {
         for (const Script::Candidate& c : script.candidate_bsrs) {
-            sm->set_candidate_bsr(router(c.router), c.priority);
+            pim_sm_->set_candidate_bsr(router(c.router), c.priority);
         }
         for (const Script::Candidate& c : script.candidate_rps) {
-            sm->set_candidate_rp(router(c.router), c.range, c.priority);
+            pim_sm_->set_candidate_rp(router(c.router), c.range, c.priority);
         }
-        pim_sm_ = sm.get();
-        stack_ = std::move(sm);
-    } else if (protocol == "pim-dm") {
-        stack_ = std::make_unique<PimDmStack>(net, config_);
-    } else if (protocol == "dvmrp") {
-        stack_ = std::make_unique<DvmrpStack>(net, config_);
-    } else if (protocol == "cbt") {
-        auto cbt = std::make_unique<CbtStack>(net, config_);
-        for (const Script::Rp& rp : script.rps) {
-            cbt->set_core(rp.group, router(rp.routers.front()).router_id());
-        }
-        stack_ = std::move(cbt);
-    } else {
-        stack_ = std::make_unique<MospfStack>(net, config_);
     }
     faults_ = std::make_unique<fault::FaultInjector>(net);
     stack_->wire_faults(*faults_);
@@ -211,25 +197,17 @@ void World::start_workloads() {
         // Catalog groups without an explicit rp/core directive get one
         // auto-assigned: transit routers round-robin on generated
         // topologies (the wide-area core), router 0 on scripted ones.
-        auto* cbt = dynamic_cast<CbtStack*>(stack_.get());
-        if (pim_sm_ != nullptr || cbt != nullptr) {
-            const std::vector<topo::Router*> anchors =
-                generated_ ? generated_->transit_routers()
-                           : std::vector<topo::Router*>{&net.router(0)};
-            for (int r = 0; r < script_.churn_config.groups; ++r) {
-                const net::GroupAddress g = churn_->group(r);
-                const bool covered =
-                    std::any_of(script_.rps.begin(), script_.rps.end(),
-                                [g](const Script::Rp& rp) { return rp.group == g; });
-                if (covered) continue;
-                const topo::Router& anchor =
-                    *anchors[static_cast<std::size_t>(r) % anchors.size()];
-                if (pim_sm_ != nullptr) {
-                    pim_sm_->set_rp(g, {anchor.router_id()});
-                } else {
-                    cbt->set_core(g, anchor.router_id());
-                }
-            }
+        const std::vector<topo::Router*> anchors =
+            generated_ ? generated_->transit_routers()
+                       : std::vector<topo::Router*>{&net.router(0)};
+        for (int r = 0; r < script_.churn_config.groups; ++r) {
+            const net::GroupAddress g = churn_->group(r);
+            const bool covered =
+                std::any_of(script_.rps.begin(), script_.rps.end(),
+                            [g](const Script::Rp& rp) { return rp.group == g; });
+            if (covered) continue;
+            const topo::Router& anchor = *anchors[static_cast<std::size_t>(r) % anchors.size()];
+            stack_->set_rp(g, {anchor.router_id()});
         }
         churn_->start();
     }
@@ -366,23 +344,12 @@ void World::dump_provenance() {
 
 void World::dump_state() {
     std::printf("--- state at t=%.1fms ---\n", ms(net.simulator().now()));
-    const auto print = [](const topo::Router& router) {
-        return [&router](mcast::ForwardingEntry& e) {
-            std::printf("  %-10s %s\n", router.name().c_str(), e.describe().c_str());
-        };
-    };
-    auto* dm = dynamic_cast<PimDmStack*>(stack_.get());
-    auto* dvmrp = dynamic_cast<DvmrpStack*>(stack_.get());
     for (const auto& router : net.routers()) {
-        if (pim_sm_ != nullptr) {
-            auto& cache = pim_sm_->pim_at(*router).cache();
-            cache.for_each_wc(print(*router));
-            cache.for_each_sg(print(*router));
-        } else if (dm != nullptr) {
-            dm->pim_at(*router).cache().for_each_sg(print(*router));
-        } else if (dvmrp != nullptr) {
-            dvmrp->dvmrp_at(*router).cache().for_each_sg(print(*router));
-        }
+        const mcast::ForwardingCache& cache = *stack_->cache_of(*router);
+        mcast::ForwardingCache::VisitCursor all;
+        cache.visit_entries(all, cache.size(), [&router](const mcast::ForwardingEntry& e) {
+            std::printf("  %-10s %s\n", router->name().c_str(), e.describe().c_str());
+        });
     }
 }
 

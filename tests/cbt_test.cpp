@@ -75,7 +75,7 @@ struct CbtFixture : public ::testing::Test {
         sender = &net.add_host("sender", lan3);
         routing = std::make_unique<unicast::OracleRouting>(net);
         stack = std::make_unique<scenario::CbtStack>(net, fast_config());
-        stack->set_core(kGroup, b->router_id());
+        stack->set_rp(kGroup, {b->router_id()});
         net.run_for(100 * sim::kMillisecond);
     }
 
@@ -218,7 +218,7 @@ struct CbtBranchFixture : public ::testing::Test {
         net.set_provenance(&recorder);
         routing = std::make_unique<unicast::OracleRouting>(net);
         stack = std::make_unique<scenario::CbtStack>(net, fast_config());
-        stack->set_core(kGroup, x->router_id());
+        stack->set_rp(kGroup, {x->router_id()});
         net.run_for(100 * sim::kMillisecond);
         for (topo::Host* h : {h1, h2, hm, hp}) stack->host_agent(*h).join(kGroup);
         net.run_for(200 * sim::kMillisecond);

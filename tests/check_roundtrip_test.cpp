@@ -224,4 +224,60 @@ TEST(PimsimScripts, EveryExampleAndCheckerScenarioRuns) {
     fs::remove_all(scratch);
 }
 
+// --- crash-router under every protocol -----------------------------------
+
+/// The walkthrough pentagon under `protocol`: two bursts to A's receiver,
+/// with A crashed between them and restarted before the second.
+std::string pentagon_crash_script(std::string_view protocol) {
+    using pimlib::scenario::parse_script;
+    return "topology\n" + parse_script(pimlib::check::scenario_script("walkthrough")).topology +
+           "end\n"
+           "protocol " + std::string(protocol) + "\n"
+           "rp 224.1.1.1 C\n"
+           "at 120ms join receiver 224.1.1.1\n"
+           "at 250ms send source 224.1.1.1 count=30 interval=10ms\n"
+           "at 500ms dump-state\n"
+           "at 600ms snapshot\n"
+           "at 650ms crash-router A\n"
+           "at 660ms snapshot\n"
+           "at 700ms restart-router A\n"
+           "at 1200ms send source 224.1.1.1 count=30 interval=10ms\n"
+           "run 2000ms\n";
+}
+
+/// The report section that starts with `header`, up to the next one.
+std::string section(const std::string& report, const std::string& header) {
+    const std::size_t at = report.find(header);
+    if (at == std::string::npos) return {};
+    return report.substr(at, report.find("\n---", at) - at);
+}
+
+TEST(PimsimScripts, CrashRouterRebootsEveryProtocol) {
+    using pimlib::scenario::World;
+    for (const auto& [protocol, make] : pimlib::scenario::kStackProtocols) {
+        SCOPED_TRACE(protocol);
+        const pimlib::scenario::Script script =
+            pimlib::scenario::parse_script(pentagon_crash_script(protocol));
+        World world(script, World::Observers::kScript);
+        world.start_workloads();
+        world.schedule_actions();
+        testing::internal::CaptureStdout();
+        world.run_and_report();
+        const std::string report = testing::internal::GetCapturedStdout();
+
+        EXPECT_NE(section(report, "--- state at t=500.0ms").find("\n  A "), std::string::npos)
+            << report;
+        // The crash drops A's protocol state with it.
+        EXPECT_NE(section(report, "--- mrib snapshot at t=660.0ms").find("\n- A "),
+                  std::string::npos)
+            << report;
+        // Rebooted, A rebuilds its tree and the second burst gets through.
+        std::size_t after_restart = 0;
+        for (const auto& rec : world.host("receiver").received()) {
+            if (rec.at > 700 * pimlib::sim::kMillisecond) ++after_restart;
+        }
+        EXPECT_GT(after_restart, 0u);
+    }
+}
+
 } // namespace

@@ -137,7 +137,7 @@ TEST(CbtCorner, JoinRetriesUntilCoreReachable) {
     auto& source = net.add_host("s", src_lan);
     unicast::OracleRouting routing(net);
     scenario::CbtStack stack(net, fast_config());
-    stack.set_core(kGroup, core.router_id());
+    stack.set_rp(kGroup, {core.router_id()});
     net.run_for(100 * sim::kMillisecond);
 
     link.set_up(false);
@@ -165,8 +165,8 @@ TEST(CbtCorner, MultipleGroupsDistinctCores) {
     unicast::OracleRouting routing(net);
     scenario::CbtStack stack(net, fast_config());
     const net::GroupAddress g2{net::Ipv4Address(224, 2, 2, 2)};
-    stack.set_core(kGroup, a.router_id());
-    stack.set_core(g2, b.router_id());
+    stack.set_rp(kGroup, {a.router_id()});
+    stack.set_rp(g2, {b.router_id()});
     net.run_for(100 * sim::kMillisecond);
     stack.host_agent(member).join(kGroup);
     stack.host_agent(member).join(g2);

@@ -39,11 +39,7 @@ struct DenseWorld {
         member = &net.add_host("member", member_lan);
         net.add_lan({r4});
         routing = std::make_unique<unicast::OracleRouting>(net);
-        if (protocol == "pim-dm") {
-            stack = std::make_unique<scenario::PimDmStack>(net, fast_config());
-        } else {
-            stack = std::make_unique<scenario::DvmrpStack>(net, fast_config());
-        }
+        stack = scenario::make_stack(protocol, net, fast_config());
         net.run_for(100 * sim::kMillisecond); // neighbor discovery
     }
 

@@ -157,14 +157,14 @@ TEST(RouterCrash, DropsAllProtocolStateAndRestartsClean) {
     topo.net.run_for(900 * sim::kMillisecond);
 
     // Steady state: B is on the shared tree and knows its neighbors.
-    ASSERT_GT(stack.pim_at(*topo.b).state_entry_count(), 0u);
+    ASSERT_GT(stack.pim_at(*topo.b).cache().size(), 0u);
     ASSERT_FALSE(stack.pim_at(*topo.b).neighbors_on(0).empty());
     ASSERT_GT(topo.receiver->received_count(kGroup), 0u);
 
     const sim::Time crash_at = topo.net.simulator().now();
     faults.crash_router(*topo.b);
     EXPECT_TRUE(faults.is_crashed(*topo.b));
-    EXPECT_EQ(stack.pim_at(*topo.b).state_entry_count(), 0u);
+    EXPECT_EQ(stack.pim_at(*topo.b).cache().size(), 0u);
     EXPECT_TRUE(stack.pim_at(*topo.b).neighbors_on(0).empty());
     // B is a cut vertex: the receiver is starved while B is down.
     const std::size_t received_at_crash = topo.receiver->received_count(kGroup);
@@ -176,7 +176,7 @@ TEST(RouterCrash, DropsAllProtocolStateAndRestartsClean) {
     topo.net.run_for(2 * sim::kSecond);
 
     // B relearned everything from hellos, IGMP and refreshes; stream heals.
-    EXPECT_GT(stack.pim_at(*topo.b).state_entry_count(), 0u);
+    EXPECT_GT(stack.pim_at(*topo.b).cache().size(), 0u);
     EXPECT_GT(topo.receiver->received_count(kGroup), received_at_crash);
 
     const auto report = probe.measure(kGroup, {topo.receiver}, crash_at);

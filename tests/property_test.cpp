@@ -140,7 +140,7 @@ TEST_P(PimSmPropertyTest, AllStateDissolvesAfterEveryoneLeaves) {
     // (250 ms), oif timers expire (1.8 s), entries delete at 3 × refresh.
     t.net.run_for(8 * sim::kSecond);
     for (auto* router : t.routers) {
-        EXPECT_EQ(stack.pim_at(*router).state_entry_count(), 0u)
+        EXPECT_EQ(stack.pim_at(*router).cache().size(), 0u)
             << router->name() << " seed " << GetParam();
     }
 }
@@ -186,7 +186,7 @@ TEST_P(DensePropertyTest, CbtExactlyOnceOnRandomTopology) {
     scenario::CbtStack stack(t.net, fast_config());
     std::mt19937 rng(GetParam());
     std::uniform_int_distribution<std::size_t> pick(0, t.routers.size() - 1);
-    stack.set_core(kGroup, t.routers[pick(rng)]->router_id());
+    stack.set_rp(kGroup, {t.routers[pick(rng)]->router_id()});
     t.net.run_for(200 * sim::kMillisecond);
     for (std::size_t i = 1; i < t.hosts.size(); ++i) {
         stack.host_agent(*t.hosts[i]).join(kGroup);

@@ -455,12 +455,13 @@ TEST(ProvenancePentagon, DropSummaryNamesRouterAndReason) {
 // a forwarding decision at every router between them, and a copy heard on
 // the wrong interface must be recorded as an RPF failure.
 TEST(ProvenanceProtocols, EveryStackRecordsTheDeliveredPathAndRpfFailures) {
-    for (const std::string& protocol : kStackProtocols) {
+    for (const auto& [protocol, make] : scenario::kStackProtocols) {
         SCOPED_TRACE(protocol);
         Fig3Topology topo;
         Recorder recorder;
         topo.net.set_provenance(&recorder);
-        const std::unique_ptr<scenario::StackBase> stack = make_stack(protocol, topo);
+        const std::unique_ptr<scenario::StackBase> stack = make(topo.net, fast_config());
+        stack->set_rp(kGroup, {topo.b->router_id()});
         topo.net.run_for(200 * sim::kMillisecond);
         stack->host_agent(*topo.receiver).join(kGroup);
         // A CBT sender's DR forwards natively only from on the tree; off it,

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <string_view>
 
 #include "alloc_count.hpp"
@@ -106,27 +105,15 @@ TEST(StateKey, CacheHashIgnoresInsertionOrder) {
 
 // --- whole stacks ----------------------------------------------------------
 
-/// A protocol-less stack whose per-router caches the test fills by hand.
-class HandFilledStack : public scenario::StackBase {
-public:
-    explicit HandFilledStack(topo::Network& network) : StackBase(network, {}) {}
-
-    const mcast::ForwardingCache* cache_of(const topo::Router& router) override {
-        const auto it = caches.find(&router);
-        return it == caches.end() ? nullptr : &it->second;
-    }
-
-    std::map<const topo::Router*, mcast::ForwardingCache, topo::NodeIdLess> caches;
-};
-
+// The stack's caches filled by hand, before any protocol event runs.
 TEST(StateKey, TheSameEntriesAtAnotherRouterKeyDifferently) {
     Fig3Topology topo;
-    HandFilledStack stack(topo.net);
+    scenario::PimSmStack stack(topo.net, fast_config());
     const std::uint64_t empty = stack.state_key();
-    add_wc(stack.caches[topo.a]);
+    add_wc(stack.pim_at(*topo.a).cache());
     const std::uint64_t at_a = stack.state_key();
-    stack.caches.clear();
-    add_wc(stack.caches[topo.b]);
+    stack.pim_at(*topo.a).cache().clear();
+    add_wc(stack.pim_at(*topo.b).cache());
     const std::uint64_t at_b = stack.state_key();
     EXPECT_NE(at_a, empty);
     EXPECT_NE(at_b, empty);
@@ -217,7 +204,7 @@ TEST(StateKey, RpFailoverEndStatesKeyDifferently) {
 /// The provenance tests' five-stack world, then the receiver leaves and
 /// the tree decays: joins, data, prunes and expiry under every protocol.
 std::vector<Checkpoint> run_fig3_checkpoints(Fig3Topology& topo, scenario::StackBase& stack,
-                                             const std::string& protocol) {
+                                             std::string_view protocol) {
     std::vector<Checkpoint> points;
     checkpoint(topo.net, stack, 200 * kMs, points);
     stack.host_agent(*topo.receiver).join(kGroup);
@@ -231,10 +218,11 @@ std::vector<Checkpoint> run_fig3_checkpoints(Fig3Topology& topo, scenario::Stack
 }
 
 TEST(StateKey, AgreesWithDiffUnderEveryStack) {
-    for (const std::string& protocol : kStackProtocols) {
+    for (const auto& [protocol, make] : scenario::kStackProtocols) {
         SCOPED_TRACE(protocol);
         Fig3Topology topo;
-        const std::unique_ptr<scenario::StackBase> stack = make_stack(protocol, topo);
+        const std::unique_ptr<scenario::StackBase> stack = make(topo.net, fast_config());
+        stack->set_rp(kGroup, {topo.b->router_id()});
         expect_key_matches_diff(run_fig3_checkpoints(topo, *stack, protocol));
     }
 }
@@ -242,14 +230,14 @@ TEST(StateKey, AgreesWithDiffUnderEveryStack) {
 /// R2 is transit for R1's member and has a member LAN of its own; that
 /// member leaves while R2 stays on the tree, so the only change at R2 is
 /// its member LAN dropping out of the oif set.
-std::string transit_member_script(const std::string& protocol) {
+std::string transit_member_script(std::string_view protocol) {
     return "topology\n"
            "router R1\nrouter R2\nrouter R3\n"
            "link R1 R2 delay=1ms\nlink R2 R3 delay=1ms\n"
            "lan lan1 R1\nlan lan2 R2\nlan lan3 R3\n"
            "host h1 lan1\nhost h2 lan2\nhost src lan3\n"
            "end\n"
-           "protocol " + protocol + "\n"
+           "protocol " + std::string(protocol) + "\n"
            "rp 224.9.9.9 R3\n"
            "at 100ms join h1 224.9.9.9\n"
            "at 100ms join src 224.9.9.9\n"
@@ -260,17 +248,18 @@ std::string transit_member_script(const std::string& protocol) {
 }
 
 TEST(StateKey, AgreesWithDiffWhenATransitRoutersMemberLeaves) {
-    for (const std::string& protocol : kStackProtocols) {
+    for (const auto& [protocol, make] : scenario::kStackProtocols) {
         SCOPED_TRACE(protocol);
         expect_key_matches_diff(run_script_checkpoints(transit_member_script(protocol)));
     }
 }
 
 TEST(StateKey, ComputingTheKeyAllocatesNothing) {
-    for (const std::string& protocol : kStackProtocols) {
+    for (const auto& [protocol, make] : scenario::kStackProtocols) {
         SCOPED_TRACE(protocol);
         Fig3Topology topo;
-        const std::unique_ptr<scenario::StackBase> stack = make_stack(protocol, topo);
+        const std::unique_ptr<scenario::StackBase> stack = make(topo.net, fast_config());
+        stack->set_rp(kGroup, {topo.b->router_id()});
         stack->host_agent(*topo.receiver).join(kGroup);
         if (protocol == "cbt") stack->host_agent(*topo.source).join(kGroup);
         topo.net.run_for(500 * kMs);

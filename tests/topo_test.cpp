@@ -493,7 +493,7 @@ TEST(ControlSend, FloodSharesOnePayloadAcrossInterfaces) {
         }
         hellos.push_back(p.payload.span().data());
     });
-    const auto stack = make_stack("pim-sm", topo);
+    const scenario::PimSmStack stack(topo.net, fast_config());
     topo.net.run_for(sim::kMillisecond);
     ASSERT_EQ(hellos.size(), 3u);
     EXPECT_NE(hellos[0], nullptr);
@@ -508,8 +508,9 @@ TEST(ControlSend, FloodSharesOnePayloadAcrossInterfaces) {
 TEST(ControlSend, CountsEqualLinkLocalControlFramesOnTheWire) {
     enum class Routing { kLinkState, kDistanceVector };
     for (const Routing routing : {Routing::kLinkState, Routing::kDistanceVector}) {
-        for (const std::string& protocol : kStackProtocols) {
-            SCOPED_TRACE(protocol + (routing == Routing::kLinkState ? " over LS" : " over DV"));
+        for (const auto& [protocol, make] : scenario::kStackProtocols) {
+            SCOPED_TRACE(std::string(protocol) +
+                         (routing == Routing::kLinkState ? " over LS" : " over DV"));
             // receiver — LAN — A — B — C, B — D — LAN — source, plus a
             // transit LAN joining A, C and D.
             topo::Network net;
@@ -546,7 +547,8 @@ TEST(ControlSend, CountsEqualLinkLocalControlFramesOnTheWire) {
                 cfg.triggered_delay = 5 * sim::kMillisecond;
                 dv = std::make_unique<unicast::DvRoutingDomain>(net, cfg);
             }
-            const auto stack = make_stack(protocol, net, b);
+            const auto stack = make(net, fast_config());
+            stack->set_rp(kGroup, {b.router_id()});
             net.run_for(sim::kSecond);
             stack->host_agent(receiver).join(kGroup);
             net.run_for(300 * sim::kMillisecond);
