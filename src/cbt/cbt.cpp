@@ -207,9 +207,10 @@ void CbtRouter::start_join(net::GroupAddress group) {
 void CbtRouter::send_join_request(net::GroupAddress group, TreeState& state) {
     auto route = router_->route_to(state.core);
     if (!route || route->next_hop.is_unspecified()) return;
-    router_->network().telemetry().emit(telemetry::EventType::kJoinSent,
-                                        router_->name(), "cbt", group.to_string(),
-                                        "core=" + state.core.to_string());
+    router_->network().telemetry().emit({.type = telemetry::EventType::kJoinSent,
+                                         .protocol = telemetry::Protocol::kCbt,
+                                         .node = router_->id(), .group = group,
+                                         .addr = state.core});
     // Hop-by-hop: processed at each CBT router.
     router_->send_control(route->ifindex, route->next_hop, net::IpProto::kCbt, "cbt",
                           JoinRequest{group.address(), state.core}.encode());

@@ -400,7 +400,7 @@ struct Driver {
         }
         if (cfg.collect_trace) {
             out.timeline_json =
-                trace::chrome_timeline_json(net.telemetry(), flight_recorder.get());
+                trace::chrome_timeline_json(net, flight_recorder.get());
         }
     }
 

@@ -31,18 +31,23 @@ constexpr sim::Time kStaleSlack = 250 * sim::kMillisecond;
 /// Full flight-recorder JSON attached to at most this many violations
 /// (the drop summary is attached to all of them).
 constexpr std::size_t kMaxPostmortems = 3;
+
+const char* to_string(WatchdogKind kind) {
+    static constexpr std::array<const char*, kWatchdogKindCount> kNames{
+        "lan-delivery", "iif-rpf", "stale-entry"};
+    return kNames[static_cast<std::size_t>(kind)];
+}
 } // namespace
 
 Watchdog::Watchdog(topo::Network& network, CacheResolver resolver)
     : network_(&network), resolver_(std::move(resolver)) {
     telemetry::Registry& reg = network_->telemetry().registry();
-    const char* help = "Online invariant watchdog violations, by watchdog";
-    violations_lan_ = &reg.counter("pimlib_watchdog_violations_total",
-                                   {{"watchdog", "lan-delivery"}}, help);
-    violations_iif_ = &reg.counter("pimlib_watchdog_violations_total",
-                                   {{"watchdog", "iif-rpf"}}, help);
-    violations_stale_ = &reg.counter("pimlib_watchdog_violations_total",
-                                     {{"watchdog", "stale-entry"}}, help);
+    for (std::size_t k = 0; k < kWatchdogKindCount; ++k) {
+        violations_total_[k] = &reg.counter(
+            "pimlib_watchdog_violations_total",
+            {{"watchdog", to_string(static_cast<WatchdogKind>(k))}},
+            "Online invariant watchdog violations, by watchdog");
+    }
 }
 
 Watchdog::~Watchdog() { stop(); }
@@ -69,14 +74,14 @@ void Watchdog::tick() {
     }
 }
 
-void Watchdog::raise(const std::string& watchdog, const std::string& node,
-                     const std::string& group, const std::string& detail) {
+void Watchdog::raise(WatchdogKind kind, const topo::Node& node, net::GroupAddress group,
+                     std::string detail) {
     WatchdogViolation v;
     v.at = network_->simulator().now();
-    v.watchdog = watchdog;
-    v.node = node;
-    v.group = group;
-    v.detail = detail;
+    v.watchdog = to_string(kind);
+    v.node = node.name();
+    if (group != net::GroupAddress{}) v.group = group.to_string();
+    v.detail = std::move(detail);
     if (recorder_ != nullptr) {
         v.postmortem_summary = recorder_->drop_summary();
         if (postmortems_emitted_ < kMaxPostmortems) {
@@ -84,15 +89,11 @@ void Watchdog::raise(const std::string& watchdog, const std::string& node,
             ++postmortems_emitted_;
         }
     }
-    if (watchdog == "lan-delivery") {
-        violations_lan_->inc();
-    } else if (watchdog == "iif-rpf") {
-        violations_iif_->inc();
-    } else {
-        violations_stale_->inc();
-    }
-    network_->telemetry().emit(telemetry::EventType::kWatchdogViolation, node,
-                               "watchdog", group, watchdog + ": " + detail);
+    violations_total_[static_cast<std::size_t>(kind)]->inc();
+    telemetry::Hub& hub = network_->telemetry();
+    hub.emit({.type = telemetry::EventType::kWatchdogViolation,
+              .protocol = telemetry::Protocol::kWatchdog, .node = node.id(), .group = group,
+              .note = hub.tracing() ? v.watchdog + ": " + v.detail : std::string{}});
     violations_.push_back(std::move(v));
 }
 
@@ -113,60 +114,63 @@ bool Watchdog::confirm(const std::string& key) {
 
 void Watchdog::sweep_hosts(sim::Time now) {
     const auto& hosts = network_->hosts();
-    if (host_cursor_.size() < hosts.size()) host_cursor_.resize(hosts.size(), 0);
+    if (host_state_.size() < hosts.size()) host_state_.resize(hosts.size());
     for (std::size_t i = 0; i < hosts.size(); ++i) {
         const topo::Host& host = *hosts[i];
+        HostState& hs = host_state_[i];
         const auto& recs = host.received();
-        for (std::size_t j = host_cursor_[i]; j < recs.size(); ++j) {
+        // A host's records come in runs of one stream: look the stream up
+        // only when the (source, group) changes from the previous record.
+        StreamState* st = nullptr;
+        std::pair<net::Ipv4Address, net::GroupAddress> stream;
+        for (std::size_t j = hs.cursor; j < recs.size(); ++j) {
             const topo::Host::ReceivedRecord& rec = recs[j];
-            StreamState& st = streams_[{host.id(), rec.source, rec.group}];
-            if (st.max_seq == 0) {
+            if (st == nullptr || stream.first != rec.source || stream.second != rec.group) {
+                stream = {rec.source, rec.group};
+                st = &hs.streams[stream];
+            }
+            if (st->max_seq == 0) {
                 // First packet of this stream the watchdog sees: anchor
                 // here, don't backfill gaps from before it was watching.
-                st.anchor = rec.seq;
-                st.max_seq = rec.seq;
+                st->anchor = rec.seq;
+                st->max_seq = rec.seq;
                 continue;
             }
-            if (rec.seq > st.max_seq) {
+            if (rec.seq > st->max_seq) {
                 // In-order fast path: nothing below needs touching.
-                if (rec.seq > st.max_seq + 1) {
+                if (rec.seq > st->max_seq + 1) {
                     if (loss_expected_) {
-                        st.gaps_untracked = true;
+                        st->gaps_untracked = true;
                     } else {
-                        for (std::uint64_t s = st.max_seq + 1; s < rec.seq; ++s) {
-                            if (st.pending.size() >= kMaxPendingGaps) {
-                                st.gaps_untracked = true;
+                        for (std::uint64_t s = st->max_seq + 1; s < rec.seq; ++s) {
+                            if (st->pending.size() >= kMaxPendingGaps) {
+                                st->gaps_untracked = true;
                                 break;
                             }
-                            st.pending.emplace(s, rec.at + kGapGrace);
+                            st->pending.emplace(s, rec.at + kGapGrace);
                         }
                     }
                 }
-                st.max_seq = rec.seq;
+                st->max_seq = rec.seq;
                 continue;
             }
-            if (const auto gap = st.pending.find(rec.seq); gap != st.pending.end()) {
-                st.pending.erase(gap); // arrived late — reordering, not loss
+            if (const auto gap = st->pending.find(rec.seq); gap != st->pending.end()) {
+                st->pending.erase(gap); // arrived late — reordering, not loss
                 continue;
             }
-            if (rec.seq < st.anchor) continue; // pre-anchor straggler
+            if (rec.seq < st->anchor) continue; // pre-anchor straggler
             // At or below max_seq, not a tracked gap, not pre-anchor: this
             // seq was delivered before — unless gap tracking was incomplete,
             // in which case a late arrival is indistinguishable and we stay
             // conservative.
-            if (!st.gaps_untracked) {
-                ++host_dupes_[host.id()]; // exact (source,group,seq) repeat
-            }
+            if (!st->gaps_untracked) ++hs.dupes; // exact (source,group,seq) repeat
         }
-        host_cursor_[i] = recs.size();
+        hs.cursor = recs.size();
 
-        const auto dup_it = host_dupes_.find(host.id());
-        const std::size_t dupes = dup_it == host_dupes_.end() ? 0 : dup_it->second;
-        if (dupes > kDuplicateBound && !dup_reported_.contains(host.id())) {
-            dup_reported_[host.id()] = dupes;
-            raise("lan-delivery", host.name(), "",
-                  "saw " + std::to_string(dupes) +
-                      " duplicate data packets (bound " +
+        if (hs.dupes > kDuplicateBound && !hs.dupes_reported) {
+            hs.dupes_reported = true;
+            raise(WatchdogKind::kLanDelivery, host, {},
+                  "saw " + std::to_string(hs.dupes) + " duplicate data packets (bound " +
                       std::to_string(kDuplicateBound) +
                       ") -- forwarding loop or missing prune");
         }
@@ -175,31 +179,24 @@ void Watchdog::sweep_hosts(sim::Time now) {
     if (loss_expected_) return;
     // Expired gaps are lost packets: the §3.3 lossless-switchover claim
     // (and plain tree integrity) violated on a clean run.
-    for (auto& [key, st] : streams_) {
-        std::string lost;
-        for (auto it = st.pending.begin(); it != st.pending.end();) {
-            if (it->second <= now) {
-                lost += (lost.empty() ? "" : ",") + std::to_string(it->first);
-                it = st.pending.erase(it);
-            } else {
-                ++it;
+    for (std::size_t i = 0; i < host_state_.size(); ++i) {
+        for (auto& [key, st] : host_state_[i].streams) {
+            std::string lost;
+            for (auto it = st.pending.begin(); it != st.pending.end();) {
+                if (it->second <= now) {
+                    lost += (lost.empty() ? "" : ",") + std::to_string(it->first);
+                    it = st.pending.erase(it);
+                } else {
+                    ++it;
+                }
             }
+            if (lost.empty()) continue;
+            const auto& [source, group] = key;
+            raise(WatchdogKind::kLanDelivery, *hosts[i], group,
+                  "never received seq(s) " + lost + " from " + source.to_string() +
+                      " (gap outlived " + std::to_string(kGapGrace / sim::kMillisecond) +
+                      "ms grace) -- packets lost on a clean run");
         }
-        if (lost.empty()) continue;
-        const auto& [host_id, source, group] = key;
-        const std::string host_name =
-            recorder_ != nullptr ? recorder_->node_name(host_id) : std::string();
-        std::string name = host_name;
-        if (name.empty()) {
-            for (const auto& h : network_->hosts()) {
-                if (h->id() == host_id) name = h->name();
-            }
-        }
-        raise("lan-delivery", name, group.to_string(),
-              "never received seq(s) " + lost + " from " + source.to_string() +
-                  " (gap outlived " +
-                  std::to_string(kGapGrace / sim::kMillisecond) +
-                  "ms grace) -- packets lost on a clean run");
     }
 }
 
@@ -285,8 +282,7 @@ void Watchdog::check_entry(const topo::Router& router,
     for (const std::string& problem :
          entry_iif_problems(router, view, wc != nullptr ? &shadow : nullptr)) {
         if (confirm("iif-rpf|" + id + "|" + problem)) {
-            raise("iif-rpf", router.name(), entry.group().to_string(),
-                  id + ": " + problem);
+            raise(WatchdogKind::kIifRpf, router, entry.group(), id + ": " + problem);
         }
     }
 
@@ -295,7 +291,7 @@ void Watchdog::check_entry(const topo::Router& router,
     if (entry.delete_at() > 0 && now > entry.delete_at() + kStaleSlack) {
         const sim::Time overdue = now - entry.delete_at();
         if (confirm("stale|" + id)) {
-            raise("stale-entry", router.name(), entry.group().to_string(),
+            raise(WatchdogKind::kStaleEntry, router, entry.group(),
                   id + ": overdue for deletion by " +
                       std::to_string(overdue / sim::kMillisecond) + "ms");
         }

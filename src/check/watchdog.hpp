@@ -27,12 +27,13 @@
 // the full flight-recorder JSON dump.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mcast/forwarding_cache.hpp"
@@ -43,9 +44,13 @@
 
 namespace pimlib::check {
 
+/// Labelled "lan-delivery", "iif-rpf", "stale-entry" (WatchdogViolation::watchdog).
+enum class WatchdogKind : std::uint8_t { kLanDelivery, kIifRpf, kStaleEntry };
+inline constexpr std::size_t kWatchdogKindCount = 3;
+
 struct WatchdogViolation {
     sim::Time at = 0;
-    std::string watchdog; // "lan-delivery", "iif-rpf", "stale-entry"
+    std::string watchdog; // the WatchdogKind's label
     std::string node;
     std::string group;
     std::string detail;
@@ -92,8 +97,8 @@ public:
     [[nodiscard]] std::string dump() const;
 
 private:
-    void raise(const std::string& watchdog, const std::string& node,
-               const std::string& group, const std::string& detail);
+    void raise(WatchdogKind kind, const topo::Node& node, net::GroupAddress group,
+               std::string detail);
     void sweep_hosts(sim::Time now);
     void sweep_entries(sim::Time now);
     void check_entry(const topo::Router& router, const mcast::ForwardingCache& cache,
@@ -135,17 +140,18 @@ private:
         /// an untracked late arrival is indistinguishable from a repeat.
         bool gaps_untracked = false;
     };
-    std::vector<std::size_t> host_cursor_; // consumed received() records
-    std::map<std::tuple<int, net::Ipv4Address, net::GroupAddress>, StreamState>
-        streams_;
-    /// Duplicates counted incrementally as records are consumed — a full
-    /// Host::duplicate_count() rescan per tick is quadratic over a run.
-    std::map<int, std::size_t> host_dupes_;
-    std::map<int, std::size_t> dup_reported_; // host id → dupes already flagged
+    struct HostState {
+        std::size_t cursor = 0; // consumed received() records
+        /// Duplicates counted incrementally as records are consumed — a
+        /// full Host::duplicate_count() rescan per tick is quadratic.
+        std::size_t dupes = 0;
+        bool dupes_reported = false;
+        std::map<std::pair<net::Ipv4Address, net::GroupAddress>, StreamState> streams;
+    };
+    std::vector<HostState> host_state_; // indexed like Network::hosts()
 
-    telemetry::Counter* violations_lan_ = nullptr;
-    telemetry::Counter* violations_iif_ = nullptr;
-    telemetry::Counter* violations_stale_ = nullptr;
+    /// pimlib_watchdog_violations_total{watchdog} per WatchdogKind.
+    std::array<telemetry::Counter*, kWatchdogKindCount> violations_total_{};
     std::size_t postmortems_emitted_ = 0;
 
     std::vector<WatchdogViolation> violations_;

@@ -25,10 +25,10 @@ void HostAgent::join(net::GroupAddress group) {
     // The join-to-data span: opened when interest is expressed, closed by
     // the data plane when the first packet for the group reaches this host.
     telemetry::Hub& hub = host_->network().telemetry();
-    const std::uint64_t span = hub.span_begin(
-        telemetry::span::kJoinToData, host_->name() + "|" + group.to_string());
-    hub.emit(telemetry::EventType::kIgmpReport, host_->name(), "igmp",
-             group.to_string(), "join", span);
+    const std::uint64_t span = hub.span_begin(telemetry::SpanKind::kJoinToData,
+                                              {.node = host_->id(), .group = group});
+    hub.emit({.type = telemetry::EventType::kIgmpReport, .protocol = telemetry::Protocol::kIgmp,
+              .node = host_->id(), .group = group, .span = span});
     host_->join_group(group);
     if (rp_maps_.contains(group)) send_rp_map(group);
     for (int i = 0; i < config_.unsolicited_report_count; ++i) {
@@ -42,8 +42,8 @@ void HostAgent::join(net::GroupAddress group) {
 }
 
 void HostAgent::leave(net::GroupAddress group) {
-    host_->network().telemetry().span_abort(
-        telemetry::span::kJoinToData, host_->name() + "|" + group.to_string());
+    host_->network().telemetry().span_abort(telemetry::SpanKind::kJoinToData,
+                                            {.node = host_->id(), .group = group});
     host_->leave_group(group);
     const std::size_t slot = find_slot(group);
     if (slot_holds(slot, group)) {

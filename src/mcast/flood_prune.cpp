@@ -21,7 +21,6 @@ FloodPrune::FloodPrune(topo::Router& router, igmp::RouterAgent& igmp,
       igmp_(&igmp),
       config_(config),
       control_(control),
-      protocol_(stats::kControlProtocolNames[static_cast<std::size_t>(control.protocol)]),
       data_plane_(router, cache_),
       hello_timer_(router.simulator(), [this] { on_hello_timer(); }),
       tick_timer_(router.simulator(), [this] { on_tick(); }) {
@@ -210,9 +209,11 @@ void FloodPrune::send_hellos() {
 
 void FloodPrune::send_upstream(const ForwardingEntry& entry, bool graft) {
     router_->network().telemetry().emit(
-        graft ? telemetry::EventType::kGraftSent : telemetry::EventType::kPruneSent,
-        router_->name(), protocol_, entry.group().to_string(),
-        "src=" + entry.source_or_rp().to_string());
+        {.type = graft ? telemetry::EventType::kGraftSent : telemetry::EventType::kPruneSent,
+         .protocol = control_.protocol == stats::ControlProtocol::kDvmrp
+                         ? telemetry::Protocol::kDvmrp
+                         : telemetry::Protocol::kPimDm,
+         .node = router_->id(), .group = entry.group(), .addr = entry.source_or_rp()});
     router_->send_control(entry.iif(), net::kAllRouters, net::IpProto::kIgmp, control_,
                           graft ? graft_payload(entry) : prune_payload(entry));
 }

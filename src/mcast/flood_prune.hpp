@@ -117,7 +117,6 @@ private:
     igmp::RouterAgent* igmp_;
     FloodPruneConfig config_;
     stats::ControlName control_;
-    std::string protocol_;
     ForwardingCache cache_;
     DataPlane data_plane_;
 

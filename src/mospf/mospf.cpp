@@ -109,9 +109,9 @@ void MospfRouter::flood(const MembershipLsa& lsa, int except_ifindex) {
     if (except_ifindex < 0) {
         // Origination (not re-flooding a neighbor's copy).
         router_->network().telemetry().emit(
-            telemetry::EventType::kLsaOriginated, router_->name(), "mospf", "",
-            "seq=" + std::to_string(lsa.seq) +
-                " groups=" + std::to_string(lsa.groups.size()));
+            {.type = telemetry::EventType::kLsaOriginated, .protocol = telemetry::Protocol::kMospf,
+             .node = router_->id(), .count = lsa.seq,
+             .count2 = static_cast<std::uint32_t>(lsa.groups.size())});
     }
     router_->flood_control(net::kAllRouters, net::IpProto::kOspf, "mospf-lsa", lsa.encode(),
                            except_ifindex);

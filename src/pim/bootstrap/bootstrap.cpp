@@ -196,9 +196,9 @@ bool BootstrapAgent::adopt_bsr(net::Ipv4Address addr, std::uint8_t priority,
         return false; // the incumbent outranks the claimant
     }
     bsr_view_ = BsrView{addr, priority, deadline};
-    telemetry::Hub& hub = pim_->router().network().telemetry();
-    hub.emit(telemetry::EventType::kBsrElected, pim_->router().name(), "pim", "",
-             "bsr=" + addr.to_string() + " pri=" + std::to_string(priority));
+    pim_->router().network().telemetry().emit({.type = telemetry::EventType::kBsrElected,
+                                               .node = pim_->router().id(), .addr = addr,
+                                               .count = priority});
     return true;
 }
 
@@ -316,9 +316,8 @@ void BootstrapAgent::apply_learned_set() {
         .counter("pimlib_rp_set_changes_total", {},
                  "Dynamic (BSR-learned) RP-set replacements that changed the set")
         .inc();
-    hub.emit(telemetry::EventType::kRpSetChanged, pim_->router().name(), "pim", "",
-             "entries=" + std::to_string(learned_.size()) +
-                 " bsr=" + bsr_view_.addr.to_string());
+    hub.emit({.type = telemetry::EventType::kRpSetChanged, .node = pim_->router().id(),
+              .addr = bsr_view_.addr, .count = static_cast<std::uint32_t>(learned_.size())});
     // Existing shared trees rooted at RPs that fell out of the set re-home
     // now instead of waiting for their RP timers.
     pim_->reconcile_rp_mappings();

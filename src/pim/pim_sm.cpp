@@ -19,11 +19,14 @@ constexpr sim::Time ms_to_time(std::uint32_t ms) {
 
 telemetry::Hub& hub_of(topo::Router& router) { return router.network().telemetry(); }
 
-/// Span key for the shared-tree → SPT switch: opened and closed on the same
-/// router, so the router name disambiguates concurrent switches.
-std::string spt_span_key(const topo::Router& router, net::Ipv4Address source,
-                         net::GroupAddress group) {
-    return router.name() + "|" + source.to_string() + "|" + group.to_string();
+using telemetry::EventType;
+using telemetry::Variant;
+
+/// Records a PIM event emitted by `router`.
+void emit(topo::Router& router, telemetry::Event event) {
+    event.protocol = telemetry::Protocol::kPim;
+    event.node = router.id();
+    hub_of(router).emit(std::move(event));
 }
 } // namespace
 
@@ -177,10 +180,7 @@ void PimSmRouter::on_query_tick() {
     }
     for (const auto& iface : router_->interfaces()) {
         if (!was_dr[iface.ifindex] && is_dr_on(iface.ifindex)) {
-            hub_of(*router_).emit(telemetry::EventType::kDrElected, router_->name(),
-                                  "pim", "",
-                                  "became DR on if=" + std::to_string(iface.ifindex) +
-                                      " (neighbor expired)");
+            emit(*router_, {.type = EventType::kDrElected, .ifindex = iface.ifindex});
             for (net::GroupAddress group : igmp_->groups_on(iface.ifindex)) {
                 on_membership(iface.ifindex, group, true);
             }
@@ -202,10 +202,8 @@ void PimSmRouter::handle_query(int ifindex, const net::Packet& packet, const Que
     neighbors_[ifindex][packet.src] =
         router_->simulator().now() + ms_to_time(query.holdtime_ms);
     if (was_dr && !is_dr_on(ifindex)) {
-        hub_of(*router_).emit(telemetry::EventType::kDrElected, router_->name(),
-                              "pim", "",
-                              "ceded DR on if=" + std::to_string(ifindex) + " to " +
-                                  dr_address_on(ifindex).to_string());
+        emit(*router_, {.type = EventType::kDrElected, .variant = Variant::kCededDr,
+                        .addr = dr_address_on(ifindex), .ifindex = ifindex});
         // A higher-addressed neighbor appeared: it is now the DR. Unpin our
         // local-member oifs on this interface; the new DR re-creates them,
         // and our redundant state ages out (avoids LAN duplicates — the '94
@@ -278,8 +276,8 @@ mcast::ForwardingEntry* PimSmRouter::establish_wc(net::GroupAddress group,
     if (rp == router_->router_id()) {
         // We are the RP: the incoming interface is null (§3.2).
         mcast::ForwardingEntry& wc = cache_.ensure_wc(rp, group);
-        hub_of(*router_).emit(telemetry::EventType::kEntryCreated, router_->name(),
-                              "pim", group.to_string(), "(*,G) at RP");
+        emit(*router_,
+             {.type = EventType::kEntryCreated, .variant = Variant::kWildcardAtRp, .group = group});
         wc.set_iif(-1);
         wc.set_rp_timer_deadline(0);
         // Attach sources already registering with us so the new shared tree
@@ -295,8 +293,8 @@ mcast::ForwardingEntry* PimSmRouter::establish_wc(net::GroupAddress group,
     auto route = router_->route_to(rp);
     if (!route) return nullptr;
     mcast::ForwardingEntry& wc = cache_.ensure_wc(rp, group);
-    hub_of(*router_).emit(telemetry::EventType::kEntryCreated, router_->name(),
-                          "pim", group.to_string(), "(*,G) rp=" + rp.to_string());
+    emit(*router_, {.type = EventType::kEntryCreated, .variant = Variant::kWildcard,
+                    .group = group, .addr = rp});
     wc.set_iif(route->ifindex);
     wc.set_upstream_neighbor(route->next_hop.is_unspecified()
                                  ? std::optional<net::Ipv4Address>{}
@@ -313,10 +311,9 @@ mcast::ForwardingEntry& PimSmRouter::establish_sg(net::Ipv4Address source,
     if (existing != nullptr && !existing->rp_bit()) return *existing;
 
     mcast::ForwardingEntry& sg = cache_.ensure_sg(source, group);
-    hub_of(*router_).emit(telemetry::EventType::kEntryCreated, router_->name(),
-                          "pim", group.to_string(),
-                          "(S,G) src=" + source.to_string() +
-                              (existing != nullptr ? " from negative cache" : ""));
+    emit(*router_, {.type = EventType::kEntryCreated,
+                    .variant = existing ? Variant::kFromNegativeCache : Variant::kDefault,
+                    .group = group, .addr = source});
     // Either brand new, or converting a negative-cache entry into a real
     // shortest-path entry.
     sg.set_rp_bit(false);
@@ -468,10 +465,8 @@ void PimSmRouter::send_register(const net::Packet& data, net::Ipv4Address rp) {
     packet.payload = reg.encode();
     packet.pid = data.pid; // the tunnel leg inherits the payload's trace id
     router_->network().stats().count_control_message("pim-register");
-    hub_of(*router_).emit(telemetry::EventType::kRegisterSent, router_->name(),
-                          "pim", net::GroupAddress{reg.group}.to_string(),
-                          "src=" + reg.inner_src.to_string() +
-                              " rp=" + rp.to_string());
+    emit(*router_, {.type = EventType::kRegisterSent, .group = net::GroupAddress{reg.group},
+                    .addr = reg.inner_src, .addr2 = rp});
     router_->originate_unicast(std::move(packet));
 }
 
@@ -481,9 +476,8 @@ void PimSmRouter::handle_register(const net::Packet& packet, const Register& reg
     const net::GroupAddress group{reg.group};
     if (!is_rp_for(group)) return;
     const sim::Time now = router_->simulator().now();
-    hub_of(*router_).emit(telemetry::EventType::kRegisterReceived, router_->name(),
-                          "pim", group.to_string(),
-                          "src=" + reg.inner_src.to_string());
+    emit(*router_,
+         {.type = EventType::kRegisterReceived, .group = group, .addr = reg.inner_src});
     rp_source_active_[{reg.inner_src, group}] = now;
 
     // Decapsulate and forward down the shared tree (if it exists).
@@ -584,11 +578,11 @@ void PimSmRouter::on_wildcard_forward(int ifindex, const net::Packet& packet) {
 }
 
 void PimSmRouter::initiate_spt_switch(net::Ipv4Address source, net::GroupAddress group) {
-    telemetry::Hub& hub = hub_of(*router_);
-    const std::uint64_t span =
-        hub.span_begin(telemetry::span::kSptSwitch, spt_span_key(*router_, source, group));
-    hub.emit(telemetry::EventType::kSptSwitchStarted, router_->name(), "pim",
-             group.to_string(), "src=" + source.to_string(), span);
+    // Opened and closed on this router: its id tells concurrent switches apart.
+    const std::uint64_t span = hub_of(*router_).span_begin(
+        telemetry::SpanKind::kSptSwitch, {.node = router_->id(), .source = source, .group = group});
+    emit(*router_,
+         {.type = EventType::kSptSwitchStarted, .group = group, .addr = source, .span = span});
     mcast::ForwardingEntry& sg = establish_sg(source, group);
     send_triggered_join(sg);
     if (config_.mutate_skip_spt_bit_handshake) {
@@ -607,17 +601,16 @@ void PimSmRouter::initiate_spt_switch(net::Ipv4Address source, net::GroupAddress
 
 void PimSmRouter::on_spt_bit_set(mcast::ForwardingEntry& entry) {
     telemetry::Hub& hub = hub_of(*router_);
-    const std::string key =
-        spt_span_key(*router_, entry.source_or_rp(), entry.group());
+    const telemetry::SpanKey key{
+        .node = router_->id(), .source = entry.source_or_rp(), .group = entry.group()};
     // Close the spt-switch span if this router opened one (a first-hop
     // router sets the bit without ever initiating a switch — no span then).
-    const bool switching = hub.spans().is_open(telemetry::span::kSptSwitch, key);
+    const bool switching = hub.spans().is_open(telemetry::SpanKind::kSptSwitch, key);
     const std::uint64_t span =
-        switching ? hub.span_begin(telemetry::span::kSptSwitch, key) : 0;
-    hub.emit(telemetry::EventType::kSptBitSet, router_->name(), "pim",
-             entry.group().to_string(), "src=" + entry.source_or_rp().to_string(),
-             span);
-    if (switching) hub.span_end(telemetry::span::kSptSwitch, key);
+        switching ? hub.span_begin(telemetry::SpanKind::kSptSwitch, key) : 0;
+    emit(*router_, {.type = EventType::kSptBitSet, .group = entry.group(),
+                    .addr = entry.source_or_rp(), .span = span});
+    if (switching) hub.span_end(telemetry::SpanKind::kSptSwitch, key);
     // "…sends a PIM prune toward RP if its shared tree incoming interface
     // differs from its shortest path tree incoming interface" (§3.3).
     if (entry.rp_bit()) return;
@@ -739,10 +732,8 @@ void PimSmRouter::handle_assert(int ifindex, const net::Packet& packet,
                     .counter("pimlib_assert_transitions_total", {{"role", "winner"}},
                              "LAN forwarder elections resolved, by this router's role")
                     .inc();
-                hub.emit(telemetry::EventType::kAssertWon, router_->name(), "pim",
-                         group.to_string(),
-                         "src=" + source.to_string() + " if=" + std::to_string(ifindex) +
-                             " beat=" + packet.src.to_string());
+                emit(*router_, {.type = EventType::kAssertWon, .group = group, .addr = source,
+                                .addr2 = packet.src, .ifindex = ifindex});
             }
             // Answer so the inferior forwarder (and everyone downstream)
             // learns who won; rate-limited like the data-triggered path.
@@ -773,10 +764,8 @@ void PimSmRouter::handle_assert(int ifindex, const net::Packet& packet,
                 .counter("pimlib_assert_transitions_total", {{"role", "loser"}},
                          "LAN forwarder elections resolved, by this router's role")
                 .inc();
-            hub.emit(telemetry::EventType::kAssertLost, router_->name(), "pim",
-                     group.to_string(),
-                     "src=" + source.to_string() + " if=" + std::to_string(ifindex) +
-                         " winner=" + packet.src.to_string());
+            emit(*router_, {.type = EventType::kAssertLost, .group = group, .addr = source,
+                            .addr2 = packet.src, .ifindex = ifindex});
         }
         // Re-applied even for a standing loss: the prune action is
         // idempotent, and downstream joins may have rebuilt the oif since
@@ -968,18 +957,13 @@ void PimSmRouter::handle_join_prune(int ifindex, const net::Packet& packet,
             continue;
         }
         const net::GroupAddress group{rec.group};
-        telemetry::Hub& hub = hub_of(*router_);
-        // The event text is built only for the log; the count always bumps.
-        const bool tracing = hub.tracing();
-        const std::string group_text = tracing ? group.to_string() : std::string{};
-        const std::string detail = tracing ? "from=" + packet.src.to_string() : std::string{};
         if (!rec.joins.empty()) {
-            hub.emit(telemetry::EventType::kJoinReceived, router_->name(), "pim", group_text,
-                     detail);
+            emit(*router_,
+                 {.type = EventType::kJoinReceived, .group = group, .addr = packet.src});
         }
         if (!rec.prunes.empty()) {
-            hub.emit(telemetry::EventType::kPruneReceived, router_->name(), "pim", group_text,
-                     detail);
+            emit(*router_,
+                 {.type = EventType::kPruneReceived, .group = group, .addr = packet.src});
         }
         for (const AddressEntry& entry : rec.joins) {
             process_targeted_join(ifindex, group, entry, hold);
@@ -1135,10 +1119,8 @@ void PimSmRouter::apply_prune(int ifindex, net::GroupAddress group,
             sg = &neg;
         }
         if (sg->rp_bit()) {
-            hub_of(*router_).emit(telemetry::EventType::kRpBitPrune, router_->name(),
-                                  "pim", group.to_string(),
-                                  "src=" + entry.address.to_string() +
-                                      " if=" + std::to_string(ifindex));
+            emit(*router_, {.type = EventType::kRpBitPrune, .group = group,
+                            .addr = entry.address, .ifindex = ifindex});
             sg->mark_pruned(ifindex);
             sg->set_delete_at(now + 3 * config_.join_prune_interval);
             if (sg->oif_list_empty(now)) {
@@ -1337,15 +1319,12 @@ void PimSmRouter::failover_to_alternate_rp(net::GroupAddress group,
         return;
     }
     {
-        telemetry::Hub& hub = hub_of(*router_);
         // The failover span closes when the next data packet for the group
         // reaches a member host (tree re-healed end to end).
         const std::uint64_t span =
-            hub.span_begin(telemetry::span::kRpFailover, group.to_string());
-        hub.emit(telemetry::EventType::kRpFailover, router_->name(), "pim",
-                 group.to_string(),
-                 "dead_rp=" + dead_rp.to_string() + " next=" + next.to_string(),
-                 span);
+            hub_of(*router_).span_begin(telemetry::SpanKind::kRpFailover, {.group = group});
+        emit(*router_, {.type = EventType::kRpFailover, .group = group, .addr = dead_rp,
+                        .addr2 = next, .span = span});
     }
     // "A new (*,G) entry is established with the incoming interface set to
     // the interface used to reach the new RP. The outgoing interface list
@@ -1427,8 +1406,8 @@ void PimSmRouter::expire_soft_state() {
         if (wc.delete_at() != 0 && now >= wc.delete_at()) dead_wc.push_back(wc.group());
     });
     for (net::GroupAddress group : dead_wc) {
-        hub_of(*router_).emit(telemetry::EventType::kEntryExpired, router_->name(),
-                              "pim", group.to_string(), "(*,G)");
+        emit(*router_,
+             {.type = EventType::kEntryExpired, .variant = Variant::kWildcard, .group = group});
         cache_.remove_wc(group);
     }
 
@@ -1474,9 +1453,8 @@ void PimSmRouter::expire_soft_state() {
         }
     });
     for (const auto& key : dead_sg) {
-        hub_of(*router_).emit(telemetry::EventType::kEntryExpired, router_->name(),
-                              "pim", key.second.to_string(),
-                              "(S,G) src=" + key.first.to_string());
+        emit(*router_,
+             {.type = EventType::kEntryExpired, .group = key.second, .addr = key.first});
         cache_.remove_sg(key.first, key.second);
         registering_.erase(SgKey{key.first, key.second});
     }
@@ -1597,22 +1575,15 @@ void PimSmRouter::send_join_prune(int ifindex, std::optional<net::Ipv4Address> u
 
     net::Payload payload = msg.encode();
     ++join_prune_sent_;
-    telemetry::Hub& hub = hub_of(*router_);
-    const bool tracing = hub.tracing();
-    // The event text is built only for the log; the count always bumps.
-    const auto detail = [&](std::size_t entries) {
-        return tracing ? "if=" + std::to_string(ifindex) + " entries=" + std::to_string(entries)
-                       : std::string{};
-    };
     for (const GroupRecord& rec : msg.groups) {
-        const std::string group = tracing ? rec.group.to_string() : std::string{};
+        const net::GroupAddress group{rec.group};
         if (!rec.joins.empty()) {
-            hub.emit(telemetry::EventType::kJoinSent, router_->name(), "pim", group,
-                     detail(rec.joins.size()));
+            emit(*router_, {.type = EventType::kJoinSent, .group = group, .ifindex = ifindex,
+                            .count = static_cast<std::uint32_t>(rec.joins.size())});
         }
         if (!rec.prunes.empty()) {
-            hub.emit(telemetry::EventType::kPruneSent, router_->name(), "pim", group,
-                     detail(rec.prunes.size()));
+            emit(*router_, {.type = EventType::kPruneSent, .group = group, .ifindex = ifindex,
+                            .count = static_cast<std::uint32_t>(rec.prunes.size())});
         }
     }
     router_->send_control(ifindex, net::kAllRouters, net::IpProto::kIgmp, "pim",

@@ -260,7 +260,7 @@ void World::schedule_actions() {
                 sim.schedule_at(a.at, [this] {
                     std::printf("--- event log at t=%.1fms ---\n%s",
                                 ms(net.simulator().now()),
-                                net.telemetry().events().dump().c_str());
+                                net.telemetry().events().dump(net.node_names()).c_str());
                 });
             } else if (v == "snapshot") {
                 sim.schedule_at(a.at, [this] { take_snapshot(/*print=*/true); });
@@ -397,9 +397,10 @@ bool World::run_and_report() {
                 static_cast<unsigned long long>(net.stats().total_control_messages()));
     if (!net.telemetry().spans().completed().empty()) {
         std::printf("--- span latencies ---\n");
+        const telemetry::NodeNames names = net.node_names();
         for (const auto& span : net.telemetry().spans().completed()) {
-            std::printf("  %-14s %-28s %.1fms\n", span.kind.c_str(), span.key.c_str(),
-                        ms(span.latency()));
+            std::printf("  %-14s %-28s %.1fms\n", telemetry::to_string(span.kind),
+                        telemetry::span_key_text(span.key, names).c_str(), ms(span.latency()));
         }
     }
     const auto& snaps = net.telemetry().snapshots();
@@ -461,7 +462,7 @@ bool World::run_and_report() {
     if (!s.timeline_path.empty()) {
         std::ofstream out(s.timeline_path);
         if (!out) throw std::runtime_error("cannot write " + s.timeline_path);
-        out << trace::chrome_timeline_json(net.telemetry(), recorder_.get());
+        out << trace::chrome_timeline_json(net, recorder_.get());
         std::printf("--- timeline: %s (chrome trace-event JSON; open in "
                     "ui.perfetto.dev) ---\n",
                     s.timeline_path.c_str());

@@ -17,28 +17,16 @@ std::string format_double(double v) {
     return buf;
 }
 
-std::string label_block(const LabelSet& labels) {
-    if (labels.empty()) return "";
-    std::string out = "{";
-    bool first = true;
-    for (const auto& [k, v] : labels.pairs()) {
-        if (!first) out += ',';
-        first = false;
-        out += k + "=\"" + prometheus_escape(v) + "\"";
-    }
-    out += '}';
-    return out;
-}
-
-/// Like label_block but with one extra pair appended (for histogram le=).
-std::string label_block_with(const LabelSet& labels, const std::string& extra_key,
-                             const std::string& extra_value) {
-    std::string out = "{";
-    for (const auto& [k, v] : labels.pairs()) {
-        out += k + "=\"" + prometheus_escape(v) + "\",";
-    }
-    out += extra_key + "=\"" + prometheus_escape(extra_value) + "\"}";
-    return out;
+/// `{k="v",...}`, with a histogram bucket's `le` pair appended when given;
+/// empty when there is no pair at all.
+std::string label_block(const LabelSet& labels, const std::string* le = nullptr) {
+    std::string out;
+    const auto pair = [&out](const std::string& k, const std::string& v) {
+        out += (out.empty() ? "{" : ",") + k + "=\"" + prometheus_escape(v) + "\"";
+    };
+    for (const auto& [k, v] : labels.pairs()) pair(k, v);
+    if (le != nullptr) pair("le", *le);
+    return out.empty() ? out : out + "}";
 }
 
 std::string json_labels(const LabelSet& labels) {
@@ -159,16 +147,12 @@ std::string to_prometheus(const Registry& registry) {
             const auto& bounds = h.bounds();
             const auto& counts = h.bucket_counts();
             std::uint64_t cumulative = 0;
-            for (std::size_t i = 0; i < bounds.size(); ++i) {
+            for (std::size_t i = 0; i <= bounds.size(); ++i) {
                 cumulative += counts[i];
-                out += inst->name + "_bucket" +
-                       label_block_with(inst->labels, "le", format_double(bounds[i])) +
-                       " " + std::to_string(cumulative) + "\n";
+                const std::string le = i < bounds.size() ? format_double(bounds[i]) : "+Inf";
+                out += inst->name + "_bucket" + label_block(inst->labels, &le) + " " +
+                       std::to_string(cumulative) + "\n";
             }
-            cumulative += counts.back();
-            out += inst->name + "_bucket" +
-                   label_block_with(inst->labels, "le", "+Inf") + " " +
-                   std::to_string(cumulative) + "\n";
             out += inst->name + "_sum" + label_block(inst->labels) + " " +
                    format_double(h.sum()) + "\n";
             out += inst->name + "_count" + label_block(inst->labels) + " " +

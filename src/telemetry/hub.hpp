@@ -9,13 +9,16 @@
 // Metrics are always live: callers resolve an instrument once and keep the
 // handle (NetworkStats indexes its handles by segment id and protocol
 // enum), so a count is one increment.
+//
+// Events and spans go in as typed records (events.hpp) and an event's
+// counter is one array slot per (type, protocol): the emit path builds no
+// name or string. Text exists only where it is printed (`dump-events`, the
+// timeline, World's span list), with node names resolved from the network.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -34,39 +37,29 @@ public:
 
     [[nodiscard]] Registry& registry() { return registry_; }
     [[nodiscard]] const Registry& registry() const { return registry_; }
-    [[nodiscard]] EventLog& events() { return events_; }
     [[nodiscard]] const EventLog& events() const { return events_; }
-    [[nodiscard]] SpanTracker& spans() { return spans_; }
     [[nodiscard]] const SpanTracker& spans() const { return spans_; }
 
     /// Enables/disables the event log and span tracking together.
-    void set_tracing(bool on) {
-        tracing_ = on;
-        events_.set_enabled(on);
-    }
-    [[nodiscard]] bool tracing() const { return tracing_; }
+    void set_tracing(bool on) { events_.set_enabled(on); }
+    [[nodiscard]] bool tracing() const { return events_.enabled(); }
 
     /// Records a protocol state transition: stamps the current sim-time,
-    /// appends to the event log (if tracing) and bumps
-    /// `pimlib_control_events_total{type,protocol}` (always).
-    void emit(EventType type, const std::string& node, const std::string& protocol,
-              const std::string& group = "", const std::string& detail = "",
-              std::uint64_t span = 0);
+    /// bumps `pimlib_control_events_total{type,protocol}` (always) and
+    /// appends to the event log (if tracing). The record is typed; its text
+    /// is rendered only by the writers (see events.hpp).
+    void emit(Event event);
 
     /// Span helpers; no-ops (returning 0 / nullopt) unless tracing.
-    std::uint64_t span_begin(const std::string& kind, const std::string& key);
-    std::optional<sim::Time> span_end(const std::string& kind, const std::string& key);
-    void span_abort(const std::string& kind, const std::string& key) {
-        spans_.abort(kind, key);
-    }
+    std::uint64_t span_begin(SpanKind kind, const SpanKey& key);
+    std::optional<sim::Time> span_end(SpanKind kind, const SpanKey& key);
+    void span_abort(SpanKind kind, const SpanKey& key) { spans_.abort(kind, key); }
 
     /// Called from the data plane on a delivered packet; closes any
-    /// join-to-data / rp-failover / spt-switch span waiting on this
-    /// (host, group) or group. A no-op unless closes_spans_on_delivery(),
-    /// which callers test first so they build the names only then.
-    void on_data_delivered(const std::string& host, const std::string& group);
-    [[nodiscard]] bool closes_spans_on_delivery() const {
-        return tracing_ && spans_.open_count() != 0;
+    /// join-to-data span waiting on this (host, group) and any rp-failover
+    /// span waiting on the group.
+    void on_data_delivered(int host, net::GroupAddress group) {
+        if (tracing() && spans_.open_count() != 0) close_delivery_spans(host, group);
     }
 
     /// Stores a snapshot (filled in by the caller; see
@@ -86,21 +79,16 @@ public:
     void refresh_timer_gauges();
 
 private:
+    void close_delivery_spans(int host, net::GroupAddress group);
+
     const sim::Simulator* clock_;
     Registry registry_;
     EventLog events_;
     SpanTracker spans_;
-    bool tracing_ = false;
     std::vector<MribSnapshot> snapshots_;
-    // Hot-path cache: event-counter pointer per (type, protocol).
-    std::map<std::pair<int, std::string>, Counter*> event_counters_;
+    /// `pimlib_control_events_total` handle per (type, protocol), resolved
+    /// on the pair's first emit so the exported series keep that order.
+    std::array<Counter*, kEventTypeCount * kProtocolCount> type_counters_{};
 };
-
-/// Span kind constants, so openers and closers can't drift apart.
-namespace span {
-inline constexpr const char* kJoinToData = "join-to-data";
-inline constexpr const char* kRpFailover = "rp-failover";
-inline constexpr const char* kSptSwitch = "spt-switch";
-} // namespace span
 
 } // namespace pimlib::telemetry

@@ -1,5 +1,6 @@
 #include "topo/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "provenance/provenance.hpp"
@@ -64,6 +65,16 @@ Host& Network::add_host(const std::string& name, Segment& lan) {
         provenance_->register_node(host.id(), name, /*is_host=*/true);
     }
     return host;
+}
+
+const Node& Network::node(int id) const {
+    // Ids are handed out in creation order, so both vectors are id-sorted.
+    const auto by_id = [](const auto& n, int v) { return n->id() < v; };
+    const auto r = std::lower_bound(routers_.begin(), routers_.end(), id, by_id);
+    if (r != routers_.end() && (*r)->id() == id) return **r;
+    const auto h = std::lower_bound(hosts_.begin(), hosts_.end(), id, by_id);
+    if (h != hosts_.end() && (*h)->id() == id) return **h;
+    throw std::out_of_range("no node with id " + std::to_string(id));
 }
 
 void Network::set_provenance(provenance::Recorder* recorder) {

@@ -56,6 +56,13 @@ public:
     [[nodiscard]] Host& host(std::size_t i) { return *hosts_.at(i); }
     [[nodiscard]] Segment& segment(std::size_t i) { return *segments_.at(i); }
 
+    /// The router or host with node id `id` (throws std::out_of_range).
+    [[nodiscard]] const Node& node(int id) const;
+    /// Node names for the telemetry writers, resolved when they render.
+    [[nodiscard]] telemetry::NodeNames node_names() const {
+        return [this](int id) -> const std::string& { return node(id).name(); };
+    }
+
     /// Finds the segment (if any) that directly connects routers a and b.
     [[nodiscard]] Segment* find_link(const Router& a, const Router& b);
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -22,18 +23,6 @@ using telemetry::Event;
 using telemetry::EventType;
 using telemetry::json_escape;
 
-/// Comma-separated accumulation of trace-event objects.
-struct Emitter {
-    std::string out;
-    bool first = true;
-
-    void add(const std::string& obj) {
-        out += first ? "  " : ",\n  ";
-        first = false;
-        out += obj;
-    }
-};
-
 std::string fmt(const char* format, ...) {
     char buf[768];
     va_list ap;
@@ -42,6 +31,36 @@ std::string fmt(const char* format, ...) {
     va_end(ap);
     return buf;
 }
+
+struct PendingFlow {
+    sim::Time ts = 0;
+    int tid = 0;
+};
+
+/// Comma-separated accumulation of trace-event objects.
+struct Emitter {
+    std::string out;
+    bool first = true;
+    unsigned long long next_flow = 1;
+
+    void add(const std::string& obj) {
+        out += first ? "  " : ",\n  ";
+        first = false;
+        out += obj;
+    }
+
+    /// A flow arrow from `from` to the slice at (ts, tid) on pid 1: an "s"
+    /// start and an "f" finish bound to the enclosing slice.
+    void arrow(const char* name, const char* cat, PendingFlow from, sim::Time ts, int tid) {
+        const unsigned long long id = next_flow++;
+        add(fmt("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"s\",\"ts\":%lld,\"pid\":1,"
+                "\"tid\":%d,\"id\":%llu}",
+                name, cat, static_cast<long long>(from.ts), from.tid, id));
+        add(fmt("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"f\",\"bp\":\"e\",\"ts\":%lld,"
+                "\"pid\":1,\"tid\":%d,\"id\":%llu}",
+                name, cat, static_cast<long long>(ts), tid, id));
+    }
+};
 
 /// Which flow queue a control event participates in, if any. Queues are
 /// FIFO per (kind, group): a hop-by-hop join travels DR → RP as a chain of
@@ -69,15 +88,12 @@ FlowRole flow_role(EventType type) {
 /// narrow against protocol timescales (ms..s).
 constexpr long long kSliceDuration = 10; // µs
 
-struct PendingFlow {
-    sim::Time ts = 0;
-    int tid = 0;
-};
-
 } // namespace
 
-std::string chrome_timeline_json(const telemetry::Hub& hub,
+std::string chrome_timeline_json(const topo::Network& net,
                                  const provenance::Recorder* recorder) {
+    const telemetry::Hub& hub = net.telemetry();
+    const telemetry::NodeNames names_of = net.node_names();
     const auto& events = hub.events().events();
     std::vector<provenance::HopRecord> hops;
     if (recorder != nullptr) hops = recorder->all_records();
@@ -85,15 +101,10 @@ std::string chrome_timeline_json(const telemetry::Hub& hub,
     // Track assignment: one tid per node name, alphabetical so the Perfetto
     // track order is stable across runs.
     std::set<std::string> names;
-    for (const Event& e : events) names.insert(e.node);
-    for (const provenance::HopRecord& h : hops) {
-        names.insert(recorder->node_name(h.node));
-    }
+    for (const Event& e : events) names.insert(names_of(e.node));
+    for (const provenance::HopRecord& h : hops) names.insert(names_of(h.node));
     std::map<std::string, int> tids;
-    for (const std::string& n : names) {
-        const int tid = static_cast<int>(tids.size()) + 1;
-        tids.emplace(n, tid);
-    }
+    for (const std::string& n : names) tids.emplace(n, static_cast<int>(tids.size()) + 1);
 
     Emitter em;
 
@@ -108,20 +119,28 @@ std::string chrome_timeline_json(const telemetry::Hub& hub,
                    tid, json_escape(name).c_str()));
     }
 
-    std::uint64_t next_flow = 1;
-    std::map<std::pair<std::string, std::string>, std::deque<PendingFlow>> pending;
+    std::map<std::pair<std::string, net::GroupAddress>, std::deque<PendingFlow>> pending;
+    const auto pop_sender = [&pending](const char* kind,
+                                       net::GroupAddress group) -> std::optional<PendingFlow> {
+        const auto it = pending.find({kind, group});
+        if (it == pending.end() || it->second.empty()) return std::nullopt;
+        const PendingFlow from = it->second.front();
+        it->second.pop_front();
+        return from;
+    };
 
     // Control-plane decisions: one slice per event, flow arrows pairing
     // sends with receives (and IGMP reports with the joins they trigger).
     for (const Event& e : events) {
-        const int tid = tids.at(e.node);
+        const int tid = tids.at(names_of(e.node));
         const auto ts = static_cast<long long>(e.at);
-        std::string args = fmt("\"protocol\":\"%s\"", json_escape(e.protocol).c_str());
-        if (!e.group.empty()) {
-            args += fmt(",\"group\":\"%s\"", json_escape(e.group).c_str());
+        std::string args = fmt("\"protocol\":\"%s\"", telemetry::to_string(e.protocol));
+        if (e.has_group()) {
+            args += fmt(",\"group\":\"%s\"", e.group.to_string().c_str());
         }
-        if (!e.detail.empty()) {
-            args += fmt(",\"detail\":\"%s\"", json_escape(e.detail).c_str());
+        const std::string detail = telemetry::detail_text(e);
+        if (!detail.empty()) {
+            args += fmt(",\"detail\":\"%s\"", json_escape(detail).c_str());
         }
         if (e.span != 0) {
             args += fmt(",\"span\":%llu", static_cast<unsigned long long>(e.span));
@@ -134,43 +153,21 @@ std::string chrome_timeline_json(const telemetry::Hub& hub,
         if (role.kind == nullptr) continue;
         if (role.sender) {
             pending[{role.kind, e.group}].push_back({e.at, tid});
-        } else {
-            auto it = pending.find({role.kind, e.group});
-            if (it != pending.end() && !it->second.empty()) {
-                const PendingFlow from = it->second.front();
-                it->second.pop_front();
-                const std::uint64_t id = next_flow++;
-                em.add(fmt("{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"s\","
-                           "\"ts\":%lld,\"pid\":1,\"tid\":%d,\"id\":%llu}",
-                           role.kind, static_cast<long long>(from.ts), from.tid,
-                           static_cast<unsigned long long>(id)));
-                em.add(fmt("{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
-                           "\"ts\":%lld,\"pid\":1,\"tid\":%d,\"id\":%llu}",
-                           role.kind, ts, tid, static_cast<unsigned long long>(id)));
-            }
+        } else if (const auto from = pop_sender(role.kind, e.group)) {
+            em.arrow(role.kind, "flow", *from, e.at, tid);
         }
         // An IGMP report causes the DR's next triggered join for the group:
         // the report is the sender, join-sent the receiver end of the arrow.
         if (e.type == EventType::kJoinSent) {
-            auto igmp = pending.find({"igmp", e.group});
-            if (igmp != pending.end() && !igmp->second.empty()) {
-                const PendingFlow from = igmp->second.front();
-                igmp->second.pop_front();
-                const std::uint64_t id = next_flow++;
-                em.add(fmt("{\"name\":\"igmp-to-join\",\"cat\":\"flow\",\"ph\":\"s\","
-                           "\"ts\":%lld,\"pid\":1,\"tid\":%d,\"id\":%llu}",
-                           static_cast<long long>(from.ts), from.tid,
-                           static_cast<unsigned long long>(id)));
-                em.add(fmt("{\"name\":\"igmp-to-join\",\"cat\":\"flow\",\"ph\":\"f\","
-                           "\"bp\":\"e\",\"ts\":%lld,\"pid\":1,\"tid\":%d,\"id\":%llu}",
-                           ts, tid, static_cast<unsigned long long>(id)));
+            if (const auto from = pop_sender("igmp", e.group)) {
+                em.arrow("igmp-to-join", "flow", *from, e.at, tid);
             }
         }
     }
 
     // Completed causal spans (join-to-data, spt-switch, rp-failover) as
     // async bars on the transactions process, one tid per span kind.
-    std::map<std::string, int> span_tids;
+    std::map<telemetry::SpanKind, int> span_tids;
     for (const auto& c : hub.spans().completed()) {
         auto [it, inserted] =
             span_tids.emplace(c.kind, static_cast<int>(span_tids.size()) + 1);
@@ -178,15 +175,16 @@ std::string chrome_timeline_json(const telemetry::Hub& hub,
         if (inserted) {
             em.add(fmt("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":%d,"
                        "\"args\":{\"name\":\"%s\"}}",
-                       tid, json_escape(c.kind).c_str()));
+                       tid, telemetry::to_string(c.kind)));
         }
         em.add(fmt("{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"b\",\"ts\":%lld,"
                    "\"pid\":2,\"tid\":%d,\"id\":%llu,\"args\":{\"key\":\"%s\"}}",
-                   json_escape(c.kind).c_str(), static_cast<long long>(c.begin), tid,
-                   static_cast<unsigned long long>(c.id), json_escape(c.key).c_str()));
+                   telemetry::to_string(c.kind), static_cast<long long>(c.begin), tid,
+                   static_cast<unsigned long long>(c.id),
+                   json_escape(telemetry::span_key_text(c.key, names_of)).c_str()));
         em.add(fmt("{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"e\",\"ts\":%lld,"
                    "\"pid\":2,\"tid\":%d,\"id\":%llu}",
-                   json_escape(c.kind).c_str(), static_cast<long long>(c.end), tid,
+                   telemetry::to_string(c.kind), static_cast<long long>(c.end), tid,
                    static_cast<unsigned long long>(c.id)));
     }
 
@@ -195,7 +193,7 @@ std::string chrome_timeline_json(const telemetry::Hub& hub,
     // path a packet took down the tree (or the drop that ended it).
     std::map<std::uint64_t, PendingFlow> last_hop;
     for (const provenance::HopRecord& h : hops) {
-        const int tid = tids.at(recorder->node_name(h.node));
+        const int tid = tids.at(names_of(h.node));
         const auto ts = static_cast<long long>(h.at);
         const bool dropped = h.drop != provenance::DropReason::kNone;
         const std::string name =
@@ -210,16 +208,7 @@ std::string chrome_timeline_json(const telemetry::Hub& hub,
                    static_cast<int>(h.iif), static_cast<unsigned>(h.ttl),
                    static_cast<unsigned>(h.oif_count)));
         const auto prev = last_hop.find(h.pid);
-        if (prev != last_hop.end()) {
-            const std::uint64_t id = next_flow++;
-            em.add(fmt("{\"name\":\"pkt\",\"cat\":\"dataflow\",\"ph\":\"s\","
-                       "\"ts\":%lld,\"pid\":1,\"tid\":%d,\"id\":%llu}",
-                       static_cast<long long>(prev->second.ts), prev->second.tid,
-                       static_cast<unsigned long long>(id)));
-            em.add(fmt("{\"name\":\"pkt\",\"cat\":\"dataflow\",\"ph\":\"f\","
-                       "\"bp\":\"e\",\"ts\":%lld,\"pid\":1,\"tid\":%d,\"id\":%llu}",
-                       ts, tid, static_cast<unsigned long long>(id)));
-        }
+        if (prev != last_hop.end()) em.arrow("pkt", "dataflow", prev->second, h.at, tid);
         last_hop[h.pid] = {h.at, tid};
     }
 

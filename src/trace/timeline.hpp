@@ -15,27 +15,27 @@
 //     IGMP report → (*,G) joins → register → SPT switchover → first
 //     delivery sequence reads left-to-right as one end-to-end story
 //
-// Everything user-controlled (node names, groups, details) passes through
-// telemetry::json_escape; sim-time is µs, which is exactly Chrome's `ts`
+// Everything user-controlled (node names, details, span keys) passes
+// through telemetry::json_escape; sim-time is µs, which is exactly Chrome's `ts`
 // unit, so timestamps are copied through unscaled.
 #pragma once
 
 #include <string>
 
 #include "provenance/provenance.hpp"
-#include "telemetry/hub.hpp"
+#include "topo/network.hpp"
 
 namespace pimlib::trace {
 
 /// Builds the Chrome trace-event JSON ({"traceEvents":[...]}) from the
-/// hub's event log + spans, the data-plane hop slices of `recorder` when it
+/// event log + spans of `net`'s hub (node names resolved from `net`), the data-plane hop slices of `recorder` when it
 /// is not null (bounded by its ring capacity per node), and the CPU
 /// profiler's zone slices (pid 3) when the profiler holds records.
 /// Profiler timestamps are host nanoseconds, not sim-time, so they render
 /// on their own process track with a timebase starting at the earliest
 /// retained record; each slice's sim-time is in args. Pure function of its
 /// inputs — call at end of run (or any checkpoint).
-[[nodiscard]] std::string chrome_timeline_json(const telemetry::Hub& hub,
+[[nodiscard]] std::string chrome_timeline_json(const topo::Network& net,
                                                const provenance::Recorder* recorder);
 
 } // namespace pimlib::trace

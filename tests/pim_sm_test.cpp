@@ -464,6 +464,48 @@ TEST_F(PimSmTest, SharedTreeHopsAllocateNothing) {
     EXPECT_EQ(topo_.receiver->received_count(kGroup), 5u);
 }
 
+// With tracing off, the SPT-bit hop formats nothing: a data packet arriving
+// on a last-hop router's (S,G) iif before the SPT bit is set runs
+// on_spt_bit_set (its spt-switch span lookup and kSptBitSet event) and
+// forwards to the receiver LAN without one allocation. A second group is
+// switched first so every pool and counter the hop uses is warm.
+TEST_F(PimSmTest, SptBitHopWithTracingOffAllocatesNothing) {
+    const net::GroupAddress warm{net::Ipv4Address(224, 1, 1, 2)};
+    stack_.set_rp(warm, {topo_.c->router_id()});
+    stack_.set_spt_policy(SptPolicy::immediate());
+    join_receiver();
+    stack_.host_agent(*topo_.receiver).join(warm);
+    topo_.net.run_for(200 * sim::kMillisecond);
+    topo_.source->send_stream(warm, 4, 20 * sim::kMillisecond);
+    topo_.net.run_for(300 * sim::kMillisecond);
+    topo_.source->send_stream(kGroup, 1, 20 * sim::kMillisecond);
+    topo_.net.run_for(300 * sim::kMillisecond);
+
+    // A switched kGroup to the SPT on the first packet; the second one,
+    // arriving on the (S,G) iif, sets the SPT bit.
+    const int a_to_b = topo_.ifindex_toward(*topo_.a, *topo_.b);
+    const net::Ipv4Address source = topo_.source->address();
+    const auto* sg = stack_.pim_at(*topo_.a).cache().find_sg(source, kGroup);
+    ASSERT_NE(sg, nullptr);
+    ASSERT_EQ(sg->iif(), a_to_b);
+    ASSERT_FALSE(sg->spt_bit());
+    ASSERT_TRUE(stack_.pim_at(*topo_.a).cache().find_sg(source, warm)->spt_bit());
+
+    net::Packet data;
+    data.src = source;
+    data.dst = kGroup.address();
+    data.proto = net::IpProto::kUdp;
+    data.ttl = 16;
+    data.seq = 2;
+    data.payload = std::vector<std::uint8_t>(64, 0xab);
+    const std::uint64_t before = g_alloc_count.load();
+    topo_.a->receive(a_to_b, data);
+    EXPECT_EQ(g_alloc_count.load() - before, 0u) << "SPT-bit hop allocated";
+    EXPECT_TRUE(sg->spt_bit());
+    topo_.net.run_for(10 * sim::kMillisecond);
+    EXPECT_EQ(topo_.receiver->received_count(kGroup), 2u);
+}
+
 // Aggregated periodic refresh (JoinPruneBundle): with many groups sharing
 // one upstream neighbor, the per-tick message count collapses to one while
 // downstream soft state stays refreshed.

@@ -2,18 +2,23 @@
 // quantiles, label-set interning, counter epochs (the NetworkStats reset
 // semantics ride on these), NetworkStats' allocation-free counting calls,
 // allocation-free member delivery, the structured event log, causal spans,
-// snapshot diffing, and all three exporters.
+// allocation-free emits with tracing off, snapshot diffing, all three
+// exporters, and the pentagon's rendered events and spans under every stack.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "alloc_count.hpp"
+#include "scenario/script.hpp"
+#include "scenario/stacks.hpp"
+#include "scenario/world.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/hub.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/snapshot.hpp"
 #include "test_util.hpp"
+#include "trace/timeline.hpp"
 
 namespace pimlib::test {
 namespace {
@@ -215,31 +220,21 @@ TEST(NetworkStats, CountingCallsAllocateNothingOnceResolved) {
 // --- event log ------------------------------------------------------------
 
 TEST(EventLog, DisabledByDefaultAndBoundedWhenEnabled) {
+    const std::string name = "A";
+    const telemetry::NodeNames names = [&name](int) -> const std::string& { return name; };
     telemetry::EventLog log;
-    log.emit({0, telemetry::EventType::kJoinSent, "A", "pim", "224.1.1.1", "", 0});
+    log.emit({.type = telemetry::EventType::kJoinSent, .node = 0, .group = kGroup});
     EXPECT_TRUE(log.events().empty());
 
     log.set_enabled(true);
     log.set_capacity(3);
     for (int i = 0; i < 5; ++i) {
-        log.emit({i, telemetry::EventType::kJoinSent, "A", "pim", "", "", 0});
+        log.emit({.at = i, .type = telemetry::EventType::kJoinSent, .node = 0});
     }
     EXPECT_EQ(log.events().size(), 3u);
     EXPECT_EQ(log.dropped(), 2u);
-    EXPECT_NE(log.dump().find("join-sent"), std::string::npos);
-    EXPECT_NE(log.dump().find("2 event(s) dropped at capacity"), std::string::npos);
-}
-
-TEST(EventLog, DumpFilterSelectsEventTypes) {
-    telemetry::EventLog log;
-    log.set_enabled(true);
-    log.emit({0, telemetry::EventType::kSptBitSet, "A", "pim", "g", "", 0});
-    log.emit({1, telemetry::EventType::kPruneSent, "B", "pim", "g", "", 0});
-    const std::string only_spt = log.dump([](const telemetry::Event& e) {
-        return e.type == telemetry::EventType::kSptBitSet;
-    });
-    EXPECT_NE(only_spt.find("spt-bit-set"), std::string::npos);
-    EXPECT_EQ(only_spt.find("prune-sent"), std::string::npos);
+    EXPECT_NE(log.dump(names).find("join-sent"), std::string::npos);
+    EXPECT_NE(log.dump(names).find("2 event(s) dropped at capacity"), std::string::npos);
 }
 
 // --- spans ----------------------------------------------------------------
@@ -247,16 +242,18 @@ TEST(EventLog, DumpFilterSelectsEventTypes) {
 TEST(SpanTracker, CompletedSpansFeedTheLatencyHistogram) {
     Registry reg;
     telemetry::SpanTracker spans(reg);
-    const std::uint64_t id = spans.begin("join-to-data", "h|g", 1 * sim::kSecond);
+    const auto kind = telemetry::SpanKind::kJoinToData;
+    const telemetry::SpanKey key{.node = 1, .group = kGroup};
+    const std::uint64_t id = spans.begin(kind, key, 1 * sim::kSecond);
     EXPECT_NE(id, 0u);
-    EXPECT_TRUE(spans.is_open("join-to-data", "h|g"));
+    EXPECT_TRUE(spans.is_open(kind, key));
     // Re-opening keeps the original start (first cause wins).
-    EXPECT_EQ(spans.begin("join-to-data", "h|g", 2 * sim::kSecond), id);
-    auto latency = spans.end("join-to-data", "h|g", 3 * sim::kSecond);
+    EXPECT_EQ(spans.begin(kind, key, 2 * sim::kSecond), id);
+    auto latency = spans.end(kind, key, 3 * sim::kSecond);
     ASSERT_TRUE(latency.has_value());
     EXPECT_EQ(*latency, 2 * sim::kSecond);
-    EXPECT_FALSE(spans.is_open("join-to-data", "h|g"));
-    EXPECT_FALSE(spans.end("join-to-data", "h|g", 4 * sim::kSecond).has_value());
+    EXPECT_FALSE(spans.is_open(kind, key));
+    EXPECT_FALSE(spans.end(kind, key, 4 * sim::kSecond).has_value());
 
     const telemetry::Histogram& h = reg.histogram(
         "pimlib_control_span_seconds", Buckets::exponential(0.001, 2.0, 24),
@@ -268,9 +265,10 @@ TEST(SpanTracker, CompletedSpansFeedTheLatencyHistogram) {
 TEST(SpanTracker, AbortDiscardsWithoutObserving) {
     Registry reg;
     telemetry::SpanTracker spans(reg);
-    spans.begin("join-to-data", "h|g", 0);
-    spans.abort("join-to-data", "h|g");
-    EXPECT_FALSE(spans.is_open("join-to-data", "h|g"));
+    const telemetry::SpanKey key{.node = 1, .group = kGroup};
+    spans.begin(telemetry::SpanKind::kJoinToData, key, 0);
+    spans.abort(telemetry::SpanKind::kJoinToData, key);
+    EXPECT_FALSE(spans.is_open(telemetry::SpanKind::kJoinToData, key));
     EXPECT_TRUE(spans.completed().empty());
 }
 
@@ -412,8 +410,8 @@ TEST(Exporters, JsonGroupsLabeledSeriesAndHistogramPercentiles) {
 TEST(Hub, EventCountersAreLiveEvenWithTracingOff) {
     sim::Simulator simulator;
     telemetry::Hub hub(simulator);
-    hub.emit(telemetry::EventType::kJoinSent, "A", "pim", "224.1.1.1");
-    hub.emit(telemetry::EventType::kJoinSent, "B", "pim", "224.1.1.1");
+    hub.emit({.type = telemetry::EventType::kJoinSent, .node = 0, .group = kGroup});
+    hub.emit({.type = telemetry::EventType::kJoinSent, .node = 1, .group = kGroup});
     EXPECT_TRUE(hub.events().events().empty()); // tracing off: no log entries
     EXPECT_EQ(hub.registry()
                   .counter("pimlib_control_events_total",
@@ -421,7 +419,8 @@ TEST(Hub, EventCountersAreLiveEvenWithTracingOff) {
                   .value(),
               2u);
     // Spans are no-ops while tracing is off.
-    EXPECT_EQ(hub.span_begin(telemetry::span::kJoinToData, "h|g"), 0u);
+    EXPECT_EQ(hub.span_begin(telemetry::SpanKind::kJoinToData, {.node = 0, .group = kGroup}),
+              0u);
 }
 
 TEST(Hub, JoinToDataSpanMeasuresEndToEndLatency) {
@@ -440,7 +439,9 @@ TEST(Hub, JoinToDataSpanMeasuresEndToEndLatency) {
     ASSERT_EQ(topo.receiver->received_count(kGroup), 3u);
     const auto& completed = topo.net.telemetry().spans().completed();
     ASSERT_EQ(completed.size(), 1u);
-    EXPECT_EQ(completed[0].kind, telemetry::span::kJoinToData);
+    EXPECT_EQ(completed[0].kind, telemetry::SpanKind::kJoinToData);
+    EXPECT_EQ(telemetry::span_key_text(completed[0].key, topo.net.node_names()),
+              "receiver|224.1.1.1");
     EXPECT_GT(completed[0].latency(), 0);
     // The event log saw the IGMP report and at least one join toward the RP.
     const auto& events = topo.net.telemetry().events().events();
@@ -479,6 +480,45 @@ TEST(Hub, MemberDeliveryWithNoSpanToCloseAllocatesNothing) {
             << " and no span open must not allocate";
         EXPECT_EQ(host.received_count(kGroup), 8u);
     }
+}
+
+// With tracing off the hub only counts: once an event type's counter is
+// resolved, emitting it, opening/closing/aborting a span and a member
+// delivery allocate nothing (no names, keys or detail text are built).
+TEST(Hub, TracingOffEmitsAndSpansAllocateNothing) {
+    topo::Network net;
+    const topo::Router& router = net.add_router("r");
+    const topo::Host& host = net.add_host("h", net.add_lan({&net.router(0)}));
+    telemetry::Hub& hub = net.telemetry();
+    const auto emit_every_type = [&] {
+        for (std::size_t t = 0; t < telemetry::kEventTypeCount; ++t) {
+            hub.emit({.type = static_cast<telemetry::EventType>(t),
+                      .node = router.id(),
+                      .group = kGroup,
+                      .addr = router.router_id(),
+                      .ifindex = 0,
+                      .count = 3});
+        }
+    };
+    emit_every_type(); // resolves each type's counter
+    const telemetry::SpanKey key{.node = host.id(), .group = kGroup};
+
+    const std::uint64_t before = g_alloc_count.load();
+    emit_every_type();
+    for (std::size_t k = 0; k < telemetry::kSpanKindCount; ++k) {
+        const auto kind = static_cast<telemetry::SpanKind>(k);
+        EXPECT_EQ(hub.span_begin(kind, key), 0u);
+        EXPECT_FALSE(hub.span_end(kind, key).has_value());
+        hub.span_abort(kind, key);
+    }
+    hub.on_data_delivered(host.id(), kGroup);
+    EXPECT_EQ(g_alloc_count.load(), before) << "telemetry allocated with tracing off";
+    EXPECT_TRUE(hub.events().events().empty());
+    EXPECT_EQ(hub.registry()
+                  .counter("pimlib_control_events_total",
+                           {{"type", "watchdog-violation"}, {"protocol", "pim"}})
+                  .value(),
+              2u);
 }
 
 TEST(Hub, MribSnapshotsDiffAcrossJoin) {
@@ -543,6 +583,106 @@ TEST(Hub, RefreshTimerGaugesPublishesWheelStats) {
         if (inst->name == "pimlib_timer_pending_events") {
             EXPECT_EQ(inst->gauge->value(), 0.0);
         }
+    }
+}
+
+// --- golden events --------------------------------------------------------
+
+// The walkthrough pentagon (examples/scenarios/walkthrough_pentagon.pimsim)
+// under every stack with tracing on: the rendered event log, the completed
+// span list (kind, key, begin, end, id), the control-event and span series
+// of the prom dump, and the Chrome timeline (with a provenance recorder, so
+// hop tracks merge with event tracks) folded into one FNV-1a digest per
+// protocol. Pinned before events and spans became typed records; a change
+// to how they are stored or rendered must not move one byte.
+std::string pentagon_script(const std::string& protocol) {
+    return "topology\n"
+           "  router A B C D E\n"
+           "  link A E delay=1ms metric=1\n"
+           "  link E B delay=20ms metric=1\n"
+           "  link A C delay=1ms metric=1\n"
+           "  link B C delay=1ms metric=2\n"
+           "  link C D delay=1ms metric=1\n"
+           "  lan lan0 A\n"
+           "  lan lan1 B\n"
+           "  lan lan2 D\n"
+           "  host receiver lan0\n"
+           "  host source lan1\n"
+           "  host viewer lan2\n"
+           "end\n"
+           "protocol " + protocol + "\n" +
+           "rp 224.1.1.1 C\n" +
+           (protocol == "pim-sm" ? "spt-policy immediate\n" : "") +
+           "watchdog on\n"
+           "at 120ms join receiver 224.1.1.1\n"
+           "at 130ms join viewer 224.1.1.1\n"
+           "at 250ms send source 224.1.1.1 count=30 interval=10ms\n"
+           "at 260ms send source 224.2.2.2 count=2 interval=10ms\n"
+           "at 400ms leave viewer 224.1.1.1\n"
+           "run 1200ms\n";
+}
+
+std::uint64_t fnv1a(std::uint64_t digest, const std::string& text) {
+    for (const char ch : text) {
+        digest ^= static_cast<unsigned char>(ch);
+        digest *= 0x100000001b3ull;
+    }
+    return digest;
+}
+
+TEST(EventGolden, PentagonEventsAndSpansUnchanged) {
+    struct Golden {
+        const char* protocol;
+        std::size_t events;
+        std::size_t spans;
+        std::uint64_t digest;
+    };
+    const Golden golden[] = {
+        {"pim-sm", 56, 4, 16606346328794911512ull},
+        {"pim-dm", 3, 2, 9333966746992050617ull},
+        {"dvmrp", 3, 2, 2697696561373573762ull},
+        {"cbt", 4, 2, 943946666403557010ull},
+        {"mospf", 30, 2, 18065403513211636481ull},
+    };
+    ASSERT_EQ(std::size(golden), scenario::kStackProtocols.size());
+    for (std::size_t i = 0; i < std::size(golden); ++i) {
+        const std::string protocol(scenario::kStackProtocols[i].name);
+        SCOPED_TRACE(protocol);
+        const scenario::Script script = scenario::parse_script(pentagon_script(protocol));
+        scenario::World world(script, scenario::World::Observers::kScript);
+        provenance::Recorder recorder;
+        world.net.set_provenance(&recorder);
+        world.schedule_actions();
+        world.net.run_for(script.run_until);
+
+        const telemetry::Hub& hub = world.net.telemetry();
+        const telemetry::NodeNames names = world.net.node_names();
+        std::string spans;
+        for (const auto& c : hub.spans().completed()) {
+            spans += std::string(telemetry::to_string(c.kind)) + ' ' +
+                     telemetry::span_key_text(c.key, names) + ' ' + std::to_string(c.begin) + ' ' +
+                     std::to_string(c.end) + ' ' + std::to_string(c.id) + '\n';
+        }
+        std::string series;
+        const std::string prom = telemetry::to_prometheus(hub.registry());
+        for (std::size_t at = 0; at < prom.size();) {
+            const std::size_t eol = prom.find('\n', at);
+            const std::string line = prom.substr(at, eol - at);
+            if (line.find("pimlib_control_events_total") != std::string::npos ||
+                line.find("pimlib_control_span_seconds") != std::string::npos) {
+                series += line + '\n';
+            }
+            at = eol + 1;
+        }
+        std::uint64_t digest = 0xcbf29ce484222325ull;
+        digest = fnv1a(digest, hub.events().dump(names));
+        digest = fnv1a(digest, spans);
+        digest = fnv1a(digest, series);
+        digest = fnv1a(digest, trace::chrome_timeline_json(world.net, &recorder));
+        EXPECT_EQ(golden[i].protocol, protocol);
+        EXPECT_EQ(hub.events().events().size(), golden[i].events);
+        EXPECT_EQ(hub.spans().completed().size(), golden[i].spans);
+        EXPECT_EQ(digest, golden[i].digest);
     }
 }
 

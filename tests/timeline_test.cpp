@@ -175,8 +175,7 @@ TEST(Timeline, WalkthroughRunEmitsValidChromeTraceJson) {
                              150 * sim::kMillisecond);
     topo.net.run_for(1 * sim::kSecond);
 
-    const std::string json = trace::chrome_timeline_json(
-        topo.net.telemetry(), &recorder);
+    const std::string json = trace::chrome_timeline_json(topo.net, &recorder);
 
     EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -218,25 +217,36 @@ TEST(Timeline, HostileLabelsAreEscaped) {
     topo::Network net;
     net.telemetry().set_tracing(true);
     const std::string evil_node = "ev\"il\\node";
-    const std::string evil_detail = "line1\nline2\ttab \"quoted\" \x01 end";
-    net.telemetry().emit(telemetry::EventType::kJoinSent, evil_node, "pim",
-                         "224.1.1.1", evil_detail);
-    net.telemetry().emit(telemetry::EventType::kJoinReceived, "peer", "pim",
-                         "224.1.1.1", "ok");
+    const std::string evil_note = "line1\nline2\ttab \"quoted\" \x01 end";
+    const topo::Router& evil = net.add_router(evil_node);
+    const topo::Router& peer = net.add_router("peer");
+    net.telemetry().emit({.type = telemetry::EventType::kJoinSent,
+                          .node = evil.id(),
+                          .group = kGroup,
+                          .ifindex = 0,
+                          .count = 1});
+    net.telemetry().emit({.type = telemetry::EventType::kJoinReceived,
+                          .node = peer.id(),
+                          .group = kGroup,
+                          .addr = evil.router_id()});
+    net.telemetry().emit({.type = telemetry::EventType::kWatchdogViolation,
+                          .protocol = telemetry::Protocol::kWatchdog,
+                          .node = evil.id(),
+                          .note = evil_note});
 
-    const std::string json = trace::chrome_timeline_json(net.telemetry(), nullptr);
+    const std::string json = trace::chrome_timeline_json(net, nullptr);
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
     // The escaped forms are present; the raw quote-in-string form is not.
     EXPECT_NE(json.find("ev\\\"il\\\\node"), std::string::npos);
     EXPECT_NE(json.find("line1\\nline2"), std::string::npos);
-    EXPECT_EQ(json.find(evil_detail), std::string::npos);
+    EXPECT_EQ(json.find(evil_note), std::string::npos);
 }
 
 // --- empty hub ------------------------------------------------------------
 
 TEST(Timeline, EmptyHubStillValid) {
     topo::Network net;
-    const std::string json = trace::chrome_timeline_json(net.telemetry(), nullptr);
+    const std::string json = trace::chrome_timeline_json(net, nullptr);
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 }

@@ -56,6 +56,7 @@ struct PentagonWorld : WalkthroughPentagon {
 
 TEST(Watchdog, CatchesSkipSptBitHandshakeInOrdinaryRun) {
     PentagonWorld world(/*mutate=*/true);
+    world.net.telemetry().set_tracing(true);
     world.run();
 
     const auto& violations = world.watchdog->violations();
@@ -77,6 +78,16 @@ TEST(Watchdog, CatchesSkipSptBitHandshakeInOrdinaryRun) {
                            {{"watchdog", "lan-delivery"}})
                   .value(),
               1u);
+    // ... as a watchdog-violation event rendered with its note, exactly as
+    // when events carried their text.
+    const std::string dump = world.net.telemetry().events().dump(world.net.node_names());
+    const std::size_t at = dump.find("watchdog-violation");
+    ASSERT_NE(at, std::string::npos) << dump;
+    const std::size_t bol = dump.rfind('\n', at) + 1;
+    EXPECT_EQ(dump.substr(bol, dump.find('\n', at) - bol),
+              "  0.700000  watchdog-violation receiver watchdog 224.1.1.1  lan-delivery: never "
+              "received seq(s) 2,3 from 10.0.6.2 (gap outlived 300ms grace) -- packets lost on "
+              "a clean run");
 }
 
 TEST(Watchdog, CleanRunStaysQuiet) {
