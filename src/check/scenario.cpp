@@ -111,20 +111,24 @@ const std::set<std::string> kCleanOracles = {"delivery", "steady-redundancy",
 const std::set<std::string> kDeadlineOracles = {"rp-failover", "bsr-rp-rehoming",
                                                 "exactly-one-bsr", "rp-set-agreement"};
 
-/// A checker scenario: its parsed script plus what the oracles read from it.
+/// A checker scenario: its blueprint (the parsed script, topology and
+/// initial routes every run builds from) plus what the oracles read from
+/// it. Built once per process; read-only afterwards, from any thread.
 struct Scenario {
-    scenario::Script script;
-    ScenarioInfo info;
-    std::vector<std::string> segment_names; // by segment id
-    std::vector<std::string> members;       // joined hosts, first-join order
-    std::string source;                     // the data source host, "" if none
-    net::GroupAddress group{};              // the joined group
-    std::uint64_t seq_count = 0;            // packets the source sends
+    scenario::Blueprint plan;
+    ScenarioInfo info{};
+    std::vector<std::string> segment_names{}; // by segment id
+    std::vector<std::string> members{};       // joined hosts, first-join order
+    std::string source{};                     // the data source host, "" if none
+    net::GroupAddress group{};                // the joined group
+    std::uint64_t seq_count = 0;              // packets the source sends
+
+    [[nodiscard]] const scenario::Script& script() const { return plan.script(); }
 
     /// The first sequence number the source sends at or after `from`.
     [[nodiscard]] std::uint64_t first_seq_from(sim::Time from) const {
         std::uint64_t seq = 1;
-        for (const scenario::Action& a : script.actions) {
+        for (const scenario::Action& a : script().actions) {
             if (a.verb != "send" || a.args[0] != source) continue;
             for (int i = 0; i < a.count; ++i) {
                 if (a.at + i * a.interval < from) ++seq;
@@ -135,9 +139,8 @@ struct Scenario {
 };
 
 Scenario load(std::string_view name, std::string_view text) {
-    Scenario sc;
-    sc.script = scenario::parse_script(text);
-    const scenario::Script& s = sc.script;
+    Scenario sc{.plan = scenario::Blueprint(scenario::parse_script(text))};
+    const scenario::Script& s = sc.script();
     for (const scenario::OracleSpec& o : s.oracles) {
         if (!kCleanOracles.contains(o.name) && !kDeadlineOracles.contains(o.name)) {
             throw std::runtime_error(std::string(name) + " line " +
@@ -157,7 +160,7 @@ Scenario load(std::string_view name, std::string_view text) {
     }
 
     // One throwaway world names the segments and finds the member routers.
-    scenario::World world(s);
+    scenario::World world(sc.plan);
     sc.info.name = std::string(name);
     sc.info.segments = world.segments();
     sc.info.fault_slots = s.fault_slots;
@@ -330,10 +333,13 @@ struct Driver {
     /// checkpoint interval along the way from cfg.key_from on. Nothing
     /// stops at the checkpoints before cfg.key_from: the run goes through
     /// them in one stretch (an instant's events always run in one batch,
-    /// so where run_until stops does not change the execution).
+    /// so where run_until stops does not change the execution). Nor does
+    /// anything stop at a keyed checkpoint before the next pending event:
+    /// no event runs there, so it is stamped with the key as it stands.
     void checkpoint_until(sim::Time until, scenario::StackBase& stack) {
         PROF_ZONE("check.checkpoints");
-        sim::Time t = net.simulator().now();
+        sim::Simulator& sim = net.simulator();
+        sim::Time t = sim.now();
         const sim::Time step = cfg.checkpoint_every > 0 ? cfg.checkpoint_every
                                                         : 10 * kMs;
         if (t < until && t < cfg.key_from) {
@@ -342,14 +348,26 @@ struct Driver {
             const sim::Time last = until < cfg.key_from
                                        ? until
                                        : t + (cfg.key_from - 1 - t) / step * step;
-            out.events += net.simulator().run_until(last);
+            out.events += sim.run_until(last);
             t = last;
         }
         while (t < until) {
+            const std::optional<sim::Time> due = sim.next_pending(until);
+            if (!due || std::min(until, t + step) < *due) {
+                const std::uint64_t key = state_key(stack);
+                do {
+                    t = std::min(until, t + step);
+                    out.state_hashes.push_back(timed_state_key(t, key));
+                } while (t < until && (!due || std::min(until, t + step) < *due));
+                continue;
+            }
             t = std::min(until, t + step);
-            out.events += net.simulator().run_until(t);
+            out.events += sim.run_until(t);
             out.state_hashes.push_back(timed_state_key(t, state_key(stack)));
         }
+        // Stamped checkpoints leave the clock behind them; nothing is due
+        // by `until`, so this only moves it there.
+        if (sim.now() < until) out.events += sim.run_until(until);
     }
 
     /// Runs probe intervals until the global MRIB revisits an earlier probe
@@ -431,7 +449,7 @@ Deadline capture_deadline(const Scenario& sc, scenario::World& world) {
     d.mrib = world.stack().capture_mrib();
     scenario::PimSmStack* pim = world.pim_sm();
     const bool bsr = std::any_of(
-        sc.script.oracles.begin(), sc.script.oracles.end(),
+        sc.script().oracles.begin(), sc.script().oracles.end(),
         [](const scenario::OracleSpec& o) {
             return o.name == "exactly-one-bsr" || o.name == "rp-set-agreement";
         });
@@ -665,7 +683,7 @@ bool mutation_requires_search(const std::string& mutation) {
 
 RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
     const Scenario& sc = find_scenario(name);
-    const scenario::Script& script = sc.script;
+    const scenario::Script& script = sc.script();
     RunResult out;
 
     // Construction order is part of the branch identity: it fixes the
@@ -674,7 +692,7 @@ RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
     std::optional<Driver> attached;
     {
         PROF_ZONE("check.world");
-        built.emplace(script, scenario::World::Observers::kNone, cfg.mutation);
+        built.emplace(sc.plan, scenario::World::Observers::kNone, cfg.mutation);
         attached.emplace(built->net, out, cfg,
                          sc.source.empty() ? net::Ipv4Address{}
                                            : built->host(sc.source).address(),
@@ -750,9 +768,9 @@ std::string replay_script(const std::string& name, const std::string& mutation,
         forced.push_back(Pick{static_cast<std::uint32_t>(i), rec.pick});
         const auto slot = static_cast<std::size_t>(rec.point.detail);
         if (rec.point.kind == sim::ChoicePoint::Kind::kFault &&
-            slot < sc.script.fault_slots.size() &&
-            rec.pick <= sc.script.fault_slots[slot].candidates.size()) {
-            const scenario::FaultSlot& fs = sc.script.fault_slots[slot];
+            slot < sc.script().fault_slots.size() &&
+            rec.pick <= sc.script().fault_slots[slot].candidates.size()) {
+            const scenario::FaultSlot& fs = sc.script().fault_slots[slot];
             fault_lines += scenario::render_fault(fs, fs.candidates[rec.pick - 1]);
         }
     }
@@ -771,7 +789,7 @@ std::string replay_script(const std::string& name, const std::string& mutation,
         out += "# fault injections replay at the end; pimsim cannot force "
                "message-level order/loss\n";
     }
-    out += sc.script.text;
+    out += sc.script().text;
     if (!out.empty() && out.back() != '\n') out += "\n";
     out += fault_lines;
     return out;

@@ -4,9 +4,10 @@
 // build time and parsed once per process): a small world (topology + PIM-SM
 // stack + oracle unicast routing + stimuli), its fault slots, its judgment
 // horizon and the oracles that judge it. Each run builds a fresh world from
-// the parsed script and replays it under a ChoiceRecorder. The first four
-// oracles below judge every scenario; the rest run when the script names
-// them in an `oracle` line, with their constants as arguments:
+// the scenario's scenario::Blueprint (topology, name tables and initial
+// routes, built once per process) and replays it under a ChoiceRecorder.
+// The first four oracles below judge every scenario; the rest run when the
+// script names them in an `oracle` line, with their constants as arguments:
 //
 //   duplicate-bound      no host sees more than a handful of (source,seq)
 //                        duplicates; a forwarding loop dupes every packet

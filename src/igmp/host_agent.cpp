@@ -13,7 +13,7 @@ HostAgent::HostAgent(topo::Host& host, HostConfig config)
       // Report-spread RNG derives from the network's global seed (legacy
       // per-id stream when no seed is set), so `pimsim seed N` reproduces
       // host report timing end-to-end.
-      rng_(host.network().derived_seed(
+      rng_seed_(host.network().derived_seed(
           static_cast<std::uint32_t>(host.id()),
           topo::Network::kHostAgentStreamTag + static_cast<std::uint64_t>(host.id()))) {
     host_->set_control_handler([this](int ifindex, const net::Packet& packet) {
@@ -96,7 +96,8 @@ std::size_t HostAgent::schedule_response(net::GroupAddress group, std::size_t fr
     const std::size_t slot = ensure_slot(group, from);
     if (pending_[slot].event.valid()) return slot;
     std::uniform_int_distribution<sim::Time> spread(0, config_.query_response_max);
-    const sim::Time delay = spread(rng_);
+    if (!rng_) rng_ = std::make_unique<std::mt19937>(rng_seed_);
+    const sim::Time delay = spread(*rng_);
     // `hint` is where the slot sits now; a join or leave may move it before
     // the event fires. The slot itself outlives the event: only leave()
     // erases it, after cancelling.

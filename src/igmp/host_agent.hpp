@@ -5,6 +5,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -75,7 +76,10 @@ private:
 
     topo::Host* host_;
     HostConfig config_;
-    std::mt19937 rng_;
+    // The report-spread engine (5 kB of state) is built from rng_seed_ on
+    // the first draw: most hosts of a short run never answer a query.
+    std::uint32_t rng_seed_;
+    std::unique_ptr<std::mt19937> rng_;
     std::vector<PendingResponse> pending_; // sorted by group
     std::map<net::GroupAddress, std::vector<net::Ipv4Address>> rp_maps_;
 };

@@ -57,8 +57,8 @@ void RouterAgent::reboot() {
 }
 
 void RouterAgent::send_query(int ifindex) {
-    router_->send_control(ifindex, net::kAllSystems, net::IpProto::kIgmp, "igmp",
-                          Query{net::Ipv4Address{}}.encode());
+    if (query_.empty()) query_ = Query{net::Ipv4Address{}}.encode();
+    router_->send_control(ifindex, net::kAllSystems, net::IpProto::kIgmp, "igmp", query_);
 }
 
 RouterAgent::Interface& RouterAgent::interface_state(int ifindex) {

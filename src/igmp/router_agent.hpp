@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "igmp/messages.hpp"
+#include "net/payload.hpp"
 #include "sim/simulator.hpp"
 #include "topo/router.hpp"
 
@@ -80,6 +81,9 @@ private:
     std::vector<Interface> interfaces_; // indexed by ifindex, grown on use
     std::vector<MembershipCallback> callbacks_;
     RpMapCallback rp_map_cb_;
+    /// The general Query, encoded on the first send: every query this agent
+    /// sends shares its bytes.
+    net::Payload query_;
     sim::PeriodicTimer tick_;
 };
 

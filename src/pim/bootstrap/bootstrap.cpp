@@ -312,10 +312,12 @@ void BootstrapAgent::apply_learned_set() {
     if (!pim_->rp_set().set_dynamic(std::move(dynamic))) return;
     if (nonempty) applied_nonempty_ = true;
     telemetry::Hub& hub = pim_->router().network().telemetry();
-    hub.registry()
-        .counter("pimlib_rp_set_changes_total", {},
-                 "Dynamic (BSR-learned) RP-set replacements that changed the set")
-        .inc();
+    if (rp_set_changes_ == nullptr) {
+        rp_set_changes_ = &hub.registry().counter(
+            "pimlib_rp_set_changes_total", {},
+            "Dynamic (BSR-learned) RP-set replacements that changed the set");
+    }
+    rp_set_changes_->inc();
     hub.emit({.type = telemetry::EventType::kRpSetChanged, .node = pim_->router().id(),
               .addr = bsr_view_.addr, .count = static_cast<std::uint32_t>(learned_.size())});
     // Existing shared trees rooted at RPs that fell out of the set re-home

@@ -37,6 +37,10 @@
 #include "pim/rp_set.hpp"
 #include "sim/simulator.hpp"
 
+namespace pimlib::telemetry {
+class Counter;
+} // namespace pimlib::telemetry
+
 namespace pimlib::pim {
 
 class PimSmRouter;
@@ -141,6 +145,8 @@ private:
     /// Receiver side: the learned RP set with per-entry expiry.
     std::vector<LearnedEntry> learned_;
     bool applied_nonempty_ = false; // for mutate_stale_rp_set
+    /// pimlib_rp_set_changes_total, resolved on the first change.
+    telemetry::Counter* rp_set_changes_ = nullptr;
     std::uint32_t seq_ = 0;
     sim::Time last_crp_adv_ = 0;
     sim::Time last_origination_ = 0;

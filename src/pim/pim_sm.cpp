@@ -52,7 +52,7 @@ PimSmRouter::PimSmRouter(topo::Router& router, igmp::RouterAgent& igmp, PimConfi
       igmp_(&igmp),
       config_(config),
       data_plane_(router, cache_),
-      rng_(static_cast<std::uint32_t>(router.id()) * 2246822519u + 3),
+      rng_seed_(static_cast<std::uint32_t>(router.id()) * 2246822519u + 3),
       refresh_timer_(router.simulator(), [this] { on_refresh_tick(); }),
       query_timer_(router.simulator(), [this] { on_query_tick(); }),
       rp_reach_timer_(router.simulator(), [this] { on_rp_reachability_tick(); }) {
@@ -110,6 +110,11 @@ void PimSmRouter::reboot() {
     });
 }
 
+std::mt19937& PimSmRouter::rng() {
+    if (!rng_) rng_ = std::make_unique<std::mt19937>(rng_seed_);
+    return *rng_;
+}
+
 std::uint32_t PimSmRouter::holdtime_ms() const {
     return static_cast<std::uint32_t>(config_.holdtime / sim::kMillisecond);
 }
@@ -163,11 +168,12 @@ bool PimSmRouter::is_dr_on(int ifindex) const {
 
 void PimSmRouter::on_query_tick() {
     const sim::Time now = router_->simulator().now();
+    const auto& interfaces = router_->interfaces();
     // Capture DR status per interface before expiring neighbors, so we can
     // detect a DR change and take over stranded local memberships.
-    std::map<int, bool> was_dr;
-    for (const auto& iface : router_->interfaces()) {
-        was_dr[iface.ifindex] = is_dr_on(iface.ifindex);
+    was_dr_.resize(interfaces.size());
+    for (std::size_t i = 0; i < interfaces.size(); ++i) {
+        was_dr_[i] = is_dr_on(interfaces[i].ifindex);
     }
     for (auto& [ifindex, nbrs] : neighbors_) {
         for (auto it = nbrs.begin(); it != nbrs.end();) {
@@ -178,11 +184,12 @@ void PimSmRouter::on_query_tick() {
             }
         }
     }
-    for (const auto& iface : router_->interfaces()) {
-        if (!was_dr[iface.ifindex] && is_dr_on(iface.ifindex)) {
-            emit(*router_, {.type = EventType::kDrElected, .ifindex = iface.ifindex});
-            for (net::GroupAddress group : igmp_->groups_on(iface.ifindex)) {
-                on_membership(iface.ifindex, group, true);
+    for (std::size_t i = 0; i < interfaces.size(); ++i) {
+        const int ifindex = interfaces[i].ifindex;
+        if (!was_dr_[i] && is_dr_on(ifindex)) {
+            emit(*router_, {.type = EventType::kDrElected, .ifindex = ifindex});
+            for (net::GroupAddress group : igmp_->groups_on(ifindex)) {
+                on_membership(ifindex, group, true);
             }
         }
     }
@@ -190,10 +197,11 @@ void PimSmRouter::on_query_tick() {
 }
 
 void PimSmRouter::send_queries() {
-    const auto holdtime =
-        static_cast<std::uint32_t>(config_.neighbor_holdtime / sim::kMillisecond);
-    router_->flood_control(net::kAllRouters, net::IpProto::kIgmp, "pim",
-                           Query{holdtime}.encode());
+    if (query_.empty()) {
+        query_ = Query{static_cast<std::uint32_t>(config_.neighbor_holdtime / sim::kMillisecond)}
+                     .encode();
+    }
+    router_->flood_control(net::kAllRouters, net::IpProto::kIgmp, "pim", query_);
 }
 
 void PimSmRouter::handle_query(int ifindex, const net::Packet& packet, const Query& query) {
@@ -704,6 +712,16 @@ void PimSmRouter::send_assert(int ifindex, net::Ipv4Address source,
                           msg.encode());
 }
 
+void PimSmRouter::count_assert_transition(bool won) {
+    telemetry::Counter*& counter = assert_transitions_[won ? 0 : 1];
+    if (counter == nullptr) {
+        counter = &hub_of(*router_).registry().counter(
+            "pimlib_assert_transitions_total", {{"role", won ? "winner" : "loser"}},
+            "LAN forwarder elections resolved, by this router's role");
+    }
+    counter->inc();
+}
+
 void PimSmRouter::handle_assert(int ifindex, const net::Packet& packet,
                                 const Assert& msg) {
     if (!msg.group.is_multicast()) return;
@@ -714,7 +732,6 @@ void PimSmRouter::handle_assert(int ifindex, const net::Packet& packet,
     const net::Ipv4Address source = msg.source;
     const sim::Time now = router_->simulator().now();
     const AssertKey key{ifindex, source, group};
-    telemetry::Hub& hub = hub_of(*router_);
 
     if (auto role = forwarder_role_on(ifindex, source, group)) {
         // We forward this traffic onto the LAN too: compare ranks.
@@ -728,10 +745,7 @@ void PimSmRouter::handle_assert(int ifindex, const net::Packet& packet,
             st.we_lost = false;
             st.expires = now + config_.assert_holdtime;
             if (!was_winner) {
-                hub.registry()
-                    .counter("pimlib_assert_transitions_total", {{"role", "winner"}},
-                             "LAN forwarder elections resolved, by this router's role")
-                    .inc();
+                count_assert_transition(/*won=*/true);
                 emit(*router_, {.type = EventType::kAssertWon, .group = group, .addr = source,
                                 .addr2 = packet.src, .ifindex = ifindex});
             }
@@ -760,10 +774,7 @@ void PimSmRouter::handle_assert(int ifindex, const net::Packet& packet,
         st.we_lost = true;
         st.expires = now + config_.assert_holdtime;
         if (!already_lost) {
-            hub.registry()
-                .counter("pimlib_assert_transitions_total", {{"role", "loser"}},
-                         "LAN forwarder elections resolved, by this router's role")
-                .inc();
+            count_assert_transition(/*won=*/false);
             emit(*router_, {.type = EventType::kAssertLost, .group = group, .addr = source,
                             .addr2 = packet.src, .ifindex = ifindex});
         }
@@ -1166,7 +1177,7 @@ void PimSmRouter::observe_peer_join(int ifindex, net::Ipv4Address upstream_neigh
         if (!upstream.has_value() || *upstream != upstream_neighbor) continue;
         std::uniform_real_distribution<double> jitter(0.8, 1.2);
         suppress_until_[ref] =
-            now + static_cast<sim::Time>(jitter(rng_) *
+            now + static_cast<sim::Time>(jitter(rng()) *
                                          static_cast<double>(config_.join_suppression));
     }
 }
@@ -1207,7 +1218,7 @@ void PimSmRouter::observe_peer_prune(int ifindex, net::Ipv4Address upstream_neig
             const AddressEntry to_join = join;
             const net::Ipv4Address target = *upstream;
             const std::uint64_t epoch = epoch_;
-            router_->simulator().schedule(delay(rng_), [this, key, ifindex, group,
+            router_->simulator().schedule(delay(rng()), [this, key, ifindex, group,
                                                         to_join, target, epoch] {
                 if (epoch != epoch_) return; // rebooted meanwhile
                 override_scheduled_.erase(key);

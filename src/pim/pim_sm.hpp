@@ -17,6 +17,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <random>
 #include <set>
@@ -28,6 +29,10 @@
 #include "pim/rp_set.hpp"
 #include "sim/simulator.hpp"
 #include "topo/router.hpp"
+
+namespace pimlib::telemetry {
+class Counter;
+} // namespace pimlib::telemetry
 
 namespace pimlib::pim {
 
@@ -227,6 +232,9 @@ private:
     /// bytes) down the shared tree.
     void handle_rp_reachability(int ifindex, const RpReachability& msg,
                                 const net::Payload& received);
+    /// Bumps pimlib_assert_transitions_total{role}, resolving the role's
+    /// handle on its first transition.
+    void count_assert_transition(bool won);
     void handle_assert(int ifindex, const net::Packet& packet, const Assert& msg);
 
     void process_targeted_join(int ifindex, net::GroupAddress group,
@@ -334,6 +342,7 @@ private:
     [[nodiscard]] static EntryRef ref_of(const mcast::ForwardingEntry& entry);
     mcast::ForwardingEntry* entry_of(const EntryRef& ref);
     [[nodiscard]] net::Ipv4Address primary_reachable_rp(net::GroupAddress group) const;
+    std::mt19937& rng();
 
     topo::Router* router_;
     igmp::RouterAgent* igmp_;
@@ -341,7 +350,11 @@ private:
     RpSet rp_set_;
     mcast::ForwardingCache cache_;
     mcast::DataPlane data_plane_;
-    std::mt19937 rng_;
+    // Join-suppression jitter and override delays. The engine (5 kB of
+    // state) is built from rng_seed_ on the first draw (rng()): most
+    // routers of a short run never draw.
+    std::uint32_t rng_seed_;
+    std::unique_ptr<std::mt19937> rng_;
 
     // neighbors_[ifindex][address] = liveness deadline
     std::map<int, std::map<net::Ipv4Address, sim::Time>> neighbors_;
@@ -393,6 +406,14 @@ private:
     /// Region memberships announced via set_dense_membership, so they can be
     /// re-established after RP failover like IGMP memberships are.
     std::map<int, std::set<net::GroupAddress>> dense_members_;
+
+    /// The Query (Hello) this router floods, encoded on the first send;
+    /// its holdtime comes from the config, so it never changes.
+    net::Payload query_;
+    /// Per-interface DR status scratch for on_query_tick, by position.
+    std::vector<bool> was_dr_;
+    /// pimlib_assert_transitions_total{role=winner|loser}.
+    telemetry::Counter* assert_transitions_[2] = {};
 
     sim::PeriodicTimer refresh_timer_;
     sim::PeriodicTimer query_timer_;

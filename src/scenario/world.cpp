@@ -32,16 +32,24 @@ double ms(sim::Time t) { return static_cast<double>(t) / sim::kMillisecond; }
 
 } // namespace
 
-World::World(const Script& script, Observers observers, const std::string& mutation)
-    : script_(script) {
+Blueprint::Blueprint(Script script) : script_(std::move(script)) {
+    if (script_.transit_stub) return;
+    topology_ = topo::TopologySpec::parse(script_.topology);
+    topo::Network net;
+    (void)topo::TopologyBuilder::build(net, *topology_);
+    routes_ = unicast::OracleRouting(net).tables();
+}
+
+World::World(const Blueprint& plan, Observers observers, const std::string& mutation)
+    : script_(plan.script()) {
+    const Script& script = script_;
     if (script.seed != 0) net.set_seed(script.seed);
     if (script.transit_stub) {
         std::mt19937 rng(static_cast<std::mt19937::result_type>(script.graph_seed));
         generated_ = std::make_unique<workload::TransitStubNetwork>(
             workload::build_transit_stub(net, script.transit, rng, script.materialize));
     } else {
-        topo_ = std::make_unique<topo::TopologyBuilder>(
-            topo::TopologyBuilder::parse(net, script.topology));
+        topo_.emplace(topo::TopologyBuilder::build(net, *plan.topology()));
     }
 
     const bool observe = observers == Observers::kScript;
@@ -63,7 +71,7 @@ World::World(const Script& script, Observers observers, const std::string& mutat
         }
     }
 
-    routing_ = std::make_unique<unicast::OracleRouting>(net);
+    routing_ = std::make_unique<unicast::OracleRouting>(net, plan.routes());
     if (observe && script.trace) tracer_ = std::make_unique<trace::PacketTracer>(net);
     if (observe && script.provenance) {
         recorder_ = std::make_unique<provenance::Recorder>();
@@ -146,7 +154,9 @@ topo::Segment& World::link(const std::string& a, const std::string& b) {
 std::vector<SegmentInfo> World::segments() {
     std::map<const topo::Segment*, std::string> lan_names;
     if (topo_) {
-        for (const auto& [name, seg] : topo_->lans()) lan_names[seg] = name;
+        for (const auto& [name, id] : topo_->spec().lans) {
+            lan_names[&net.segment(static_cast<std::size_t>(id))] = name;
+        }
     }
     std::vector<SegmentInfo> out;
     for (const auto& seg : net.segments()) {
@@ -487,8 +497,8 @@ bool World::run_and_report() {
 }
 
 bool run_script(std::string_view text) {
-    const Script script = parse_script(text);
-    World world(script, World::Observers::kScript);
+    const Blueprint plan(parse_script(text));
+    World world(plan, World::Observers::kScript);
     world.start_workloads();
     world.schedule_actions();
     return world.run_and_report();

@@ -1,15 +1,26 @@
-// The build step of the scenario language: a fresh simulated world from a
-// parsed Script (scenario/script.hpp). Network, topology, oracle unicast
-// routing, the protocol stack and a fault injector wired for crash resets
-// are built in that order; the script's observers are optional. Nothing is
-// scheduled until start_workloads() / schedule_actions() are called, so a
-// caller (the checker) can install its own instruments first.
+// The build step of the scenario language: a simulated world from a parsed
+// Script (scenario/script.hpp), in two parts.
+//
+// A Blueprint is what every world built from one script shares, built once
+// and read-only afterwards: the script, its parsed topology block (with the
+// router, host and LAN name tables) and every router's initial unicast
+// routes. The checker builds one per scenario at load time and its worker
+// threads share it without locks.
+//
+// A World is one run's mutable part, built from a blueprint: network,
+// topology (built from the parsed block, tokenizing nothing), oracle
+// unicast routing (started from the blueprint's routes; faults recompute
+// them), the protocol stack and a fault injector wired for crash resets, in
+// that order; the script's observers are optional. Nothing is scheduled
+// until start_workloads() / schedule_actions() are called, so a caller (the
+// checker) can install its own instruments first.
 //
 // run_script() is the whole pimsim driver: build, attach the script's
 // observers, run, print the report, judge the `expect` lines.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,16 +45,42 @@ struct SegmentInfo {
     bool lan = false;
 };
 
+class Blueprint {
+public:
+    /// Parses the topology block and routes it once. A generated
+    /// (transit-stub) topology is built and routed by each world, so its
+    /// blueprint holds the script alone. Throws std::runtime_error on a bad
+    /// topology block.
+    explicit Blueprint(Script script);
+
+    [[nodiscard]] const Script& script() const { return script_; }
+    /// The parsed topology block; nullptr for a generated topology.
+    [[nodiscard]] const topo::TopologySpec* topology() const {
+        return topology_ ? &*topology_ : nullptr;
+    }
+    /// Every router's unicast routes before any fault; nullptr for a
+    /// generated topology.
+    [[nodiscard]] const unicast::RouteTables* routes() const {
+        return routes_ ? &*routes_ : nullptr;
+    }
+
+private:
+    Script script_;
+    std::optional<topo::TopologySpec> topology_;
+    std::optional<unicast::RouteTables> routes_;
+};
+
 class World {
 public:
     /// kScript attaches what the script asks for (trace, provenance,
     /// telemetry, profile, watchdog, tree monitor), as pimsim does.
     enum class Observers { kNone, kScript };
 
-    /// Builds the world. `mutation` (a check::known_mutations() name or "")
-    /// is applied on top of the script's own `mutate` lines. Throws
-    /// std::runtime_error on unknown names in the script.
-    explicit World(const Script& script, Observers observers = Observers::kNone,
+    /// Builds the world from `plan`, which must outlive it. `mutation` (a
+    /// check::known_mutations() name or "") is applied on top of the
+    /// script's own `mutate` lines. Throws std::runtime_error on unknown
+    /// names in the script.
+    explicit World(const Blueprint& plan, Observers observers = Observers::kNone,
                    const std::string& mutation = {});
 
     World(const World&) = delete;
@@ -88,7 +125,7 @@ private:
     void dump_provenance();
 
     const Script& script_;
-    std::unique_ptr<topo::TopologyBuilder> topo_;
+    std::optional<topo::TopologyBuilder> topo_;
     std::unique_ptr<workload::TransitStubNetwork> generated_;
     std::unique_ptr<unicast::OracleRouting> routing_;
     std::unique_ptr<trace::PacketTracer> tracer_;

@@ -7,6 +7,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -105,6 +106,16 @@ public:
 
     /// Runs until the queue drains completely.
     std::size_t run();
+
+    /// The earliest pending event's time if it is at or before `limit`,
+    /// else nullopt. Runs nothing and leaves the clock alone; the wheel
+    /// position moves no further than run_until(limit) would move it before
+    /// its first event.
+    [[nodiscard]] std::optional<Time> next_pending(Time limit) {
+        Time at = 0;
+        if (!wheel_.next_time(&at, limit)) return std::nullopt;
+        return at;
+    }
 
     [[nodiscard]] Time now() const { return now_; }
     [[nodiscard]] std::size_t pending() const { return wheel_.size(); }

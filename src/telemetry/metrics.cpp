@@ -81,77 +81,71 @@ double Histogram::quantile(double q) const {
 }
 
 std::size_t Registry::intern(const LabelSet& labels) {
-    const std::string key = labels.key();
-    auto it = label_index_.find(key);
-    if (it != label_index_.end()) return it->second;
-    const std::size_t id = label_sets_.size();
-    label_sets_.push_back(std::make_unique<LabelSet>(labels));
-    label_index_.emplace(key, id);
-    return id;
+    const auto [it, fresh] = label_index_.try_emplace(labels, label_sets_.size());
+    if (fresh) label_sets_.push_back(&it->first);
+    return it->second;
 }
 
-Registry::Instrument& Registry::find_or_create(const std::string& name,
+Registry::Instrument& Registry::find_or_create(std::string_view name,
                                                const LabelSet& labels, Kind kind,
-                                               const std::string& help) {
+                                               std::string_view help) {
+    auto family = families_.find(name);
+    if (family == families_.end()) {
+        family = families_.emplace(std::string(name), Family{kind, {}, {}}).first;
+    } else if (family->second.kind != kind) {
+        // A name keeps one kind across all label sets (Prometheus family
+        // semantics).
+        throw std::logic_error("telemetry: instrument '" + family->first +
+                               "' re-registered with a different kind");
+    }
+    Family& f = family->second;
     const std::size_t label_id = intern(labels);
-    auto it = index_.find({name, label_id});
-    if (it != index_.end()) {
-        if (it->second->kind != kind) {
-            throw std::logic_error("telemetry: instrument '" + name +
-                                   "' re-registered with a different kind");
-        }
-        return *it->second;
+    const auto at = std::lower_bound(
+        f.series.begin(), f.series.end(), label_id,
+        [](const std::pair<std::size_t, Instrument*>& s, std::size_t id) { return s.first < id; });
+    if (at != f.series.end() && at->first == label_id) return *at->second;
+
+    auto text = std::find(f.helps.begin(), f.helps.end(), help);
+    if (text == f.helps.end()) {
+        f.helps.emplace_front(help);
+        text = f.helps.begin();
     }
-    // A name must keep one kind across all label sets (Prometheus family
-    // semantics).
-    for (const auto& existing : instruments_) {
-        if (existing->name == name && existing->kind != kind) {
-            throw std::logic_error("telemetry: instrument '" + name +
-                                   "' re-registered with a different kind");
-        }
-    }
-    auto inst = std::make_unique<Instrument>();
-    inst->name = name;
-    inst->help = help;
-    inst->kind = kind;
-    inst->labels = labels_of(label_id);
-    Instrument& ref = *inst;
-    index_.emplace(std::make_pair(name, label_id), &ref);
-    instruments_.push_back(std::move(inst));
-    return ref;
+    Instrument& inst =
+        instruments_.emplace_back(family->first, *text, kind, labels_of(label_id));
+    f.series.insert(at, {label_id, &inst});
+    return inst;
 }
 
-Counter& Registry::counter(const std::string& name, const LabelSet& labels,
-                           const std::string& help) {
+Counter& Registry::counter(std::string_view name, const LabelSet& labels,
+                           std::string_view help) {
     Instrument& inst = find_or_create(name, labels, Kind::kCounter, help);
-    if (!inst.counter) inst.counter = std::make_unique<Counter>();
+    if (!inst.counter) inst.counter.emplace();
     return *inst.counter;
 }
 
-Gauge& Registry::gauge(const std::string& name, const LabelSet& labels,
-                       const std::string& help) {
+Gauge& Registry::gauge(std::string_view name, const LabelSet& labels, std::string_view help) {
     Instrument& inst = find_or_create(name, labels, Kind::kGauge, help);
-    if (!inst.gauge) inst.gauge = std::make_unique<Gauge>();
+    if (!inst.gauge) inst.gauge.emplace();
     return *inst.gauge;
 }
 
-Histogram& Registry::histogram(const std::string& name, const Buckets& buckets,
-                               const LabelSet& labels, const std::string& help) {
+Histogram& Registry::histogram(std::string_view name, const Buckets& buckets,
+                               const LabelSet& labels, std::string_view help) {
     Instrument& inst = find_or_create(name, labels, Kind::kHistogram, help);
-    if (!inst.histogram) inst.histogram = std::make_unique<Histogram>(buckets);
+    if (!inst.histogram) inst.histogram.emplace(buckets);
     return *inst.histogram;
 }
 
 void Registry::begin_epoch() {
-    for (const auto& inst : instruments_) {
-        if (inst->counter) inst->counter->begin_epoch();
+    for (Instrument& inst : instruments_) {
+        if (inst.counter) inst.counter->begin_epoch();
     }
 }
 
 std::vector<const Registry::Instrument*> Registry::sorted() const {
     std::vector<const Instrument*> out;
     out.reserve(instruments_.size());
-    for (const auto& inst : instruments_) out.push_back(inst.get());
+    for (const Instrument& inst : instruments_) out.push_back(&inst);
     std::sort(out.begin(), out.end(), [](const Instrument* a, const Instrument* b) {
         if (a->name != b->name) return a->name < b->name;
         return a->labels.key() < b->labels.key();

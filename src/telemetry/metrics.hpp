@@ -9,16 +9,19 @@
 // `pimlib_<plane>_<noun>_<unit>` where <plane> is data | control | state |
 // fault, e.g. `pimlib_control_messages_total{protocol="pim"}`.
 //
-// Hot-path discipline: call sites resolve an instrument once (a map lookup
-// with label interning) and keep the returned pointer; per-event cost is
-// then a single add. Instruments are owned by the Registry and live as long
-// as it does.
+// Hot-path discipline: call sites resolve an instrument once (a family
+// lookup with label interning) and keep the returned pointer; per-event cost
+// is then a single add. Instruments are owned by the Registry and live as
+// long as it does.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <forward_list>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,6 +42,7 @@ public:
     [[nodiscard]] std::string key() const;
 
     friend bool operator==(const LabelSet&, const LabelSet&) = default;
+    friend bool operator<(const LabelSet& a, const LabelSet& b) { return a.pairs_ < b.pairs_; }
 
 private:
     std::vector<std::pair<std::string, std::string>> pairs_;
@@ -126,30 +130,41 @@ private:
 /// Re-requesting the same (name, labels) returns the same instrument;
 /// requesting an existing name with a different instrument kind throws
 /// std::logic_error.
+///
+/// Instruments of one name form a family that holds the name once and
+/// knows its kind, so a request is one family lookup, one label lookup and
+/// one search among the family's series; a name or help literal is never
+/// copied into a temporary string.
 class Registry {
 public:
     enum class Kind { kCounter, kGauge, kHistogram };
 
+    /// One series. Its name, help and labels are stored once, by the
+    /// registry; the value lives in the instrument itself.
     struct Instrument {
-        std::string name;
-        std::string help;
+        Instrument(const std::string& name, const std::string& help, Kind kind,
+                   const LabelSet& labels)
+            : name(name), help(help), kind(kind), labels(labels) {}
+
+        const std::string& name;
+        const std::string& help;
         Kind kind;
-        LabelSet labels;
-        std::unique_ptr<Counter> counter;
-        std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
+        const LabelSet& labels;
+        std::optional<Counter> counter;
+        std::optional<Gauge> gauge;
+        std::optional<Histogram> histogram;
     };
 
     Registry() = default;
     Registry(const Registry&) = delete;
     Registry& operator=(const Registry&) = delete;
 
-    Counter& counter(const std::string& name, const LabelSet& labels = {},
-                     const std::string& help = "");
-    Gauge& gauge(const std::string& name, const LabelSet& labels = {},
-                 const std::string& help = "");
-    Histogram& histogram(const std::string& name, const Buckets& buckets,
-                         const LabelSet& labels = {}, const std::string& help = "");
+    Counter& counter(std::string_view name, const LabelSet& labels = {},
+                     std::string_view help = {});
+    Gauge& gauge(std::string_view name, const LabelSet& labels = {},
+                 std::string_view help = {});
+    Histogram& histogram(std::string_view name, const Buckets& buckets,
+                         const LabelSet& labels = {}, std::string_view help = {});
 
     /// Interns `labels`, returning a dense id; identical sets (regardless of
     /// construction order) share one id.
@@ -169,13 +184,21 @@ public:
     [[nodiscard]] std::vector<const Instrument*> sorted() const;
 
 private:
-    Instrument& find_or_create(const std::string& name, const LabelSet& labels,
-                               Kind kind, const std::string& help);
+    struct Family {
+        Kind kind;
+        /// The family's series by label id, ascending.
+        std::vector<std::pair<std::size_t, Instrument*>> series;
+        /// Each distinct help text the family's series were created with.
+        std::forward_list<std::string> helps;
+    };
 
-    std::vector<std::unique_ptr<Instrument>> instruments_;
-    std::map<std::pair<std::string, std::size_t>, Instrument*> index_;
-    std::vector<std::unique_ptr<LabelSet>> label_sets_;
-    std::map<std::string, std::size_t> label_index_;
+    Instrument& find_or_create(std::string_view name, const LabelSet& labels, Kind kind,
+                               std::string_view help);
+
+    std::map<std::string, Family, std::less<>> families_;
+    std::deque<Instrument> instruments_; // creation order; never moved
+    std::map<LabelSet, std::size_t> label_index_;
+    std::vector<const LabelSet*> label_sets_; // by id, into label_index_'s keys
 };
 
 } // namespace pimlib::telemetry

@@ -1,7 +1,10 @@
 #include "unicast/oracle_routing.hpp"
 
+#include <cassert>
 #include <limits>
+#include <map>
 #include <queue>
+#include <stdexcept>
 
 #include "topo/segment.hpp"
 
@@ -38,33 +41,56 @@ std::vector<Edge> edges_of(const topo::Router& router) {
 
 } // namespace
 
-OracleRouting::OracleRouting(topo::Network& network) : network_(&network) {
-    for (const auto& router : network_->routers()) {
-        auto rib = std::make_unique<Rib>();
-        router->set_unicast(rib.get());
-        ribs_.emplace(router.get(), std::move(rib));
+OracleRouting::OracleRouting(topo::Network& network, const RouteTables* initial)
+    : network_(&network) {
+    if (initial != nullptr) {
+        assert(initial->size() == network_->routers().size());
+        for (std::size_t i = 0; i < initial->size(); ++i) {
+            auto& rib = ribs_.emplace_back(std::make_unique<Rib>());
+            rib->assign((*initial)[i]);
+            network_->router(i).set_unicast(rib.get());
+        }
+    } else {
+        recompute();
     }
-    recompute();
     topo_token_ = network_->add_topology_observer([this] { recompute(); });
 }
 
 OracleRouting::~OracleRouting() { network_->remove_topology_observer(topo_token_); }
 
-Rib& OracleRouting::rib_for(const topo::Router& router) { return *ribs_.at(&router); }
+Rib* OracleRouting::find_rib(const topo::Router& router) const {
+    const auto& routers = network_->routers();
+    for (std::size_t i = 0; i < ribs_.size(); ++i) {
+        if (routers[i].get() == &router) return ribs_[i].get();
+    }
+    return nullptr;
+}
+
+Rib& OracleRouting::rib_for(const topo::Router& router) {
+    Rib* rib = find_rib(router);
+    if (rib == nullptr) throw std::out_of_range("no rib for router " + router.name());
+    return *rib;
+}
+
+RouteTables OracleRouting::tables() const {
+    RouteTables out;
+    out.reserve(ribs_.size());
+    for (const auto& rib : ribs_) out.push_back(rib->routes());
+    return out;
+}
 
 void OracleRouting::recompute() {
-    for (const auto& router : network_->routers()) {
+    const auto& routers = network_->routers();
+    for (std::size_t i = 0; i < routers.size(); ++i) {
         // A router may have been added after construction; adopt it.
-        if (!ribs_.contains(router.get())) {
-            auto rib = std::make_unique<Rib>();
-            router->set_unicast(rib.get());
-            ribs_.emplace(router.get(), std::move(rib));
+        if (i == ribs_.size()) {
+            routers[i]->set_unicast(ribs_.emplace_back(std::make_unique<Rib>()).get());
         }
-        compute_for(*router);
+        compute_for(*routers[i], *ribs_[i]);
     }
 }
 
-void OracleRouting::compute_for(topo::Router& source) {
+void OracleRouting::compute_for(const topo::Router& source, Rib& rib) {
     // Dijkstra over the router graph; edge weight = segment metric.
     // Deterministic tie-break: lower router node id wins.
     std::map<const topo::Router*, int> dist;
@@ -93,7 +119,6 @@ void OracleRouting::compute_for(topo::Router& source) {
         }
     }
 
-    Rib& rib = *ribs_.at(&source);
     Rib::UpdateBatch batch{rib};
     rib.clear();
 
@@ -140,10 +165,10 @@ void OracleRouting::compute_for(topo::Router& source) {
 
 std::optional<int> OracleRouting::distance(const topo::Router& from,
                                            const topo::Router& to) const {
-    auto it = ribs_.find(&from);
-    if (it == ribs_.end()) return std::nullopt;
+    const Rib* rib = find_rib(from);
+    if (rib == nullptr) return std::nullopt;
     if (&from == &to) return 0;
-    const Route* route = it->second->lookup_route(to.router_id());
+    const Route* route = rib->lookup_route(to.router_id());
     if (route == nullptr || route->prefix.length() != 32) return std::nullopt;
     return route->metric;
 }

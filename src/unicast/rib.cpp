@@ -1,44 +1,57 @@
 #include "unicast/rib.hpp"
 
+#include <algorithm>
+
 namespace pimlib::unicast {
 
+std::vector<Route>::const_iterator Rib::position(net::Prefix prefix) const {
+    const std::uint64_t key = key_of(prefix);
+    return std::lower_bound(routes_.begin(), routes_.end(), key,
+                            [](const Route& r, std::uint64_t k) { return key_of(r.prefix) < k; });
+}
+
 void Rib::set_route(const Route& route) {
-    auto& level = routes_[static_cast<std::size_t>(route.prefix.length())];
-    auto it = level.find(route.prefix.address().to_uint());
-    if (it != level.end()) {
-        if (it->second == route) return; // no-op refresh: keep observers quiet
-        it->second = route;
+    const auto at = position(route.prefix);
+    if (at != routes_.end() && at->prefix == route.prefix) {
+        if (*at == route) return; // no-op refresh: keep observers quiet
+        routes_[static_cast<std::size_t>(at - routes_.begin())] = route;
     } else {
-        level.emplace(route.prefix.address().to_uint(), route);
-        ++count_;
+        routes_.insert(at, route);
+        lengths_ |= std::uint64_t{1} << route.prefix.length();
     }
     changed();
 }
 
 bool Rib::remove_route(net::Prefix prefix) {
-    auto& level = routes_[static_cast<std::size_t>(prefix.length())];
-    if (level.erase(prefix.address().to_uint()) > 0) {
-        --count_;
-        changed();
-        return true;
-    }
-    return false;
+    const auto at = position(prefix);
+    if (at == routes_.end() || at->prefix != prefix) return false;
+    routes_.erase(at);
+    changed();
+    return true;
 }
 
 void Rib::clear() {
-    if (count_ == 0) return;
-    for (auto& level : routes_) level.clear();
-    count_ = 0;
+    if (routes_.empty()) return;
+    routes_.clear();
+    lengths_ = 0;
+    changed();
+}
+
+void Rib::assign(const std::vector<Route>& routes) {
+    if (routes == routes_) return;
+    routes_ = routes;
+    lengths_ = 0;
+    for (const Route& r : routes_) lengths_ |= std::uint64_t{1} << r.prefix.length();
     changed();
 }
 
 const Route* Rib::lookup_route(net::Ipv4Address dst) const {
+    // A length bit may outlive its last route (remove_route keeps it): the
+    // search then just misses.
     for (int len = 32; len >= 0; --len) {
-        const auto& level = routes_[static_cast<std::size_t>(len)];
-        if (level.empty()) continue;
-        const net::Prefix probe{dst, len};
-        auto it = level.find(probe.address().to_uint());
-        if (it != level.end()) return &it->second;
+        if ((lengths_ >> len & 1) == 0) continue;
+        const Route* route = find(net::Prefix{dst, len});
+        if (route != nullptr) return route;
     }
     return nullptr;
 }
@@ -50,9 +63,8 @@ std::optional<topo::RouteLookupResult> Rib::lookup(net::Ipv4Address dst) const {
 }
 
 const Route* Rib::find(net::Prefix prefix) const {
-    const auto& level = routes_[static_cast<std::size_t>(prefix.length())];
-    auto it = level.find(prefix.address().to_uint());
-    return it == level.end() ? nullptr : &it->second;
+    const auto at = position(prefix);
+    return at != routes_.end() && at->prefix == prefix ? &*at : nullptr;
 }
 
 int Rib::subscribe(Observer observer) {

@@ -5,7 +5,6 @@
 // or a static oracle filled it in.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <map>
 #include <optional>
@@ -40,12 +39,20 @@ public:
     [[nodiscard]] std::optional<topo::RouteLookupResult>
     lookup(net::Ipv4Address dst) const override;
 
-    /// The stored route whose prefix best matches dst, if any.
+    /// The stored route whose prefix best matches dst, if any. The pointer
+    /// is valid until the next change.
     [[nodiscard]] const Route* lookup_route(net::Ipv4Address dst) const;
-    /// Exact-match fetch.
+    /// Exact-match fetch; valid until the next change.
     [[nodiscard]] const Route* find(net::Prefix prefix) const;
 
-    [[nodiscard]] std::size_t size() const { return count_; }
+    [[nodiscard]] std::size_t size() const { return routes_.size(); }
+
+    /// Every route, in the table's own order. Replacing a whole table with
+    /// assign() of another table's routes() copies one block.
+    [[nodiscard]] const std::vector<Route>& routes() const { return routes_; }
+    /// Replaces every route; observers notified once if anything changed.
+    /// `routes` must be another Rib's routes().
+    void assign(const std::vector<Route>& routes);
 
     /// Observers run synchronously after each batch of changes.
     using Observer = std::function<void()>;
@@ -81,10 +88,18 @@ private:
     void changed();
     void notify();
 
-    // routes_[len] maps masked network address -> route, so longest-prefix
-    // match is a scan from /32 downward with O(log n) per level.
-    std::array<std::map<std::uint32_t, Route>, 33> routes_;
-    std::size_t count_ = 0;
+    /// Sort key: longer prefixes first, then by network address.
+    [[nodiscard]] static std::uint64_t key_of(net::Prefix prefix) {
+        return static_cast<std::uint64_t>(32 - prefix.length()) << 32 |
+               prefix.address().to_uint();
+    }
+    [[nodiscard]] std::vector<Route>::const_iterator position(net::Prefix prefix) const;
+
+    // One sorted block (key_of order), so longest-prefix match is a binary
+    // search per prefix length present (lengths_, bit per length) from /32
+    // down, and copying a table is one allocation.
+    std::vector<Route> routes_;
+    std::uint64_t lengths_ = 0;
     std::map<int, Observer> observers_;
     int next_token_ = 1;
     int suspend_depth_ = 0;

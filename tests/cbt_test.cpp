@@ -345,7 +345,7 @@ TEST_F(CbtBranchFixture, TransitHopsAllocateNothing) {
 // pinned as recorded before CBT moved onto the shared DataPlane. A change to
 // CBT's data path must not move one.
 TEST(CbtGolden, PentagonHopsAndDropsUnchanged) {
-    const scenario::Script script = scenario::parse_script(R"(topology
+    const scenario::Blueprint plan(scenario::parse_script(R"(topology
   router A B C D E
   link A E delay=1ms metric=1
   link E B delay=20ms metric=1
@@ -367,8 +367,9 @@ at 250ms send source 224.1.1.1 count=30 interval=10ms
 at 260ms send source 224.2.2.2 count=2 interval=10ms
 at 400ms leave viewer 224.1.1.1
 run 1200ms
-)");
-    scenario::World world(script);
+)"));
+    const scenario::Script& script = plan.script();
+    scenario::World world(plan);
     provenance::Recorder recorder;
     world.net.set_provenance(&recorder);
     world.schedule_actions();

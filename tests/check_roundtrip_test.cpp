@@ -256,9 +256,9 @@ TEST(PimsimScripts, CrashRouterRebootsEveryProtocol) {
     using pimlib::scenario::World;
     for (const auto& [protocol, make] : pimlib::scenario::kStackProtocols) {
         SCOPED_TRACE(protocol);
-        const pimlib::scenario::Script script =
-            pimlib::scenario::parse_script(pentagon_crash_script(protocol));
-        World world(script, World::Observers::kScript);
+        const pimlib::scenario::Blueprint plan(
+            pimlib::scenario::parse_script(pentagon_crash_script(protocol)));
+        World world(plan, World::Observers::kScript);
         world.start_workloads();
         world.schedule_actions();
         testing::internal::CaptureStdout();

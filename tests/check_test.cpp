@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 
+#include "alloc_count.hpp"
 #include "check/backward.hpp"
 #include "check/explorer.hpp"
 #include "check/state_set.hpp"
@@ -171,6 +172,108 @@ TEST(CheckScenario, BaselineStateHashesUnchanged) {
         EXPECT_EQ(result.state_hashes.size(), p.count) << p.scenario;
         EXPECT_EQ(fold, p.fold) << p.scenario << std::hex << " fold 0x" << fold;
     }
+}
+
+TEST(CheckScenario, BulkKeyedCheckpointsMatchStepped) {
+    // A keyed checkpoint before the next pending event runs nothing, so the
+    // driver stamps it with the key as it stands instead of stopping there.
+    // Each replay's keys (count and ordered fold) and event count below
+    // were recorded with a driver that stopped at every checkpoint: every
+    // scenario's baseline and a child keyed from its fork instant mid-run,
+    // at cadences of 1, 3 and 7 ms (no horizon sits on the 3 or 7 ms
+    // grid) and of 100 and 1100 us, whose grids also hit the instants
+    // where LAN deliveries (0.1 ms) change the MRIB.
+    struct Pinned {
+        std::string scenario;
+        sim::Time every;
+        bool child;
+        std::size_t count;
+        std::uint64_t fold;
+        std::size_t events;
+    };
+    const std::vector<Pinned> pinned = {
+        {"walkthrough", 1000, false, 1901, 0x847e0d236a1bc67dull, 866},
+        {"walkthrough", 1000, true, 702, 0x2ce0bb69aa71dd3full, 866},
+        {"walkthrough", 3000, false, 635, 0xcd5e43ac74b6d426ull, 866},
+        {"walkthrough", 3000, true, 236, 0xe66163ae3244cc36ull, 866},
+        {"walkthrough", 7000, false, 273, 0x2a8f113d276f1eebull, 866},
+        {"walkthrough", 7000, true, 102, 0xbdf3bcd81891e09aull, 866},
+        {"walkthrough", 100, false, 19001, 0xd5d847e8e33ee4c8ull, 866},
+        {"walkthrough", 100, true, 7002, 0xad8462e0c5a1359eull, 866},
+        {"walkthrough", 1100, false, 1730, 0x2d85ce99d66b6e1bull, 866},
+        {"walkthrough", 1100, true, 640, 0xddae833f91ed0142ull, 866},
+        {"rp-failover", 1000, false, 2301, 0x0a43f0cbc6da0941ull, 707},
+        {"rp-failover", 1000, true, 902, 0xc068485cc68e753eull, 706},
+        {"rp-failover", 3000, false, 768, 0x8c205597e8dbe7c2ull, 707},
+        {"rp-failover", 3000, true, 302, 0x5f3d98c216952a39ull, 706},
+        {"rp-failover", 7000, false, 330, 0xd3c75d5aac1f58dfull, 707},
+        {"rp-failover", 7000, true, 131, 0x67155d77d0d88f0aull, 706},
+        {"rp-failover", 100, false, 23001, 0xd0748a201208364bull, 707},
+        {"rp-failover", 100, true, 9002, 0x6fc41a6d1bf9c680ull, 706},
+        {"rp-failover", 1100, false, 2092, 0x8ab97820f94decd4ull, 707},
+        {"rp-failover", 1100, true, 820, 0xde2d9d38b51d0049ull, 706},
+        {"lan-assert", 1000, false, 1651, 0x8b1fc16082dfc95full, 979},
+        {"lan-assert", 1000, true, 750, 0x45f12e40d482b3ddull, 979},
+        {"lan-assert", 3000, false, 551, 0x9800bef37baf3132ull, 979},
+        {"lan-assert", 3000, true, 251, 0x4404558f51923e39ull, 979},
+        {"lan-assert", 7000, false, 237, 0x7b1931343bcdd07full, 979},
+        {"lan-assert", 7000, true, 109, 0x4695a8c4aefac4b6ull, 979},
+        {"lan-assert", 100, false, 16501, 0xe2e6c478c144e2e1ull, 979},
+        {"lan-assert", 100, true, 7490, 0xa637645a87e1a0f3ull, 979},
+        {"lan-assert", 1100, false, 1501, 0x9f7ffe0a8ce437ddull, 979},
+        {"lan-assert", 1100, true, 682, 0x40cc40d8699797e2ull, 979},
+        {"bsr-failover", 1000, false, 3301, 0xe65dde2bda256378ull, 1409},
+        {"bsr-failover", 1000, true, 1501, 0x6ec0c09cd0eb5c7cull, 1409},
+        {"bsr-failover", 3000, false, 1101, 0x8e357a37ffd2f2bdull, 1409},
+        {"bsr-failover", 3000, true, 501, 0x55ae7cdd66c0808dull, 1409},
+        {"bsr-failover", 7000, false, 473, 0x47213f5e0419256dull, 1409},
+        {"bsr-failover", 7000, true, 216, 0x1674acf00e40f27bull, 1409},
+        {"bsr-failover", 100, false, 33001, 0x463664df0ae74297ull, 1409},
+        {"bsr-failover", 100, true, 14992, 0x12ccccecc2d64d38ull, 1409},
+        {"bsr-failover", 1100, false, 3001, 0x6a8a5292d2e58e30ull, 1409},
+        {"bsr-failover", 1100, true, 1364, 0x6fd50ad69d0731acull, 1409},
+    };
+    ASSERT_EQ(pinned.size(), scenario_names().size() * 10);
+    for (const Pinned& p : pinned) {
+        RunConfig cfg;
+        cfg.checkpoint_every = p.every;
+        if (p.child) {
+            // Flip the middle decision point of the baseline; the child
+            // keys from the flipped pick's instant, as the explorer does.
+            const RunResult parent = run_scenario(p.scenario, RunConfig{});
+            std::vector<std::uint32_t> flippable;
+            for (std::uint32_t i = 0; i < parent.trace.size(); ++i) {
+                if (parent.trace[i].alternatives > 1) flippable.push_back(i);
+            }
+            ASSERT_FALSE(flippable.empty()) << p.scenario;
+            const std::uint32_t index = flippable[flippable.size() / 2];
+            cfg.choices = {Pick{index, 1}};
+            cfg.key_from = parent.trace[index].at;
+        }
+        const RunResult result = run_scenario(p.scenario, cfg);
+        std::uint64_t fold = 0;
+        for (const std::uint64_t h : result.state_hashes) fold = mcast::state_mix(fold ^ h);
+        const std::string what = p.scenario + " every " + std::to_string(p.every) + "us" +
+                                 (p.child ? " child" : "");
+        EXPECT_EQ(result.state_hashes.size(), p.count) << what;
+        EXPECT_EQ(fold, p.fold) << what << std::hex << " fold 0x" << fold;
+        EXPECT_EQ(result.events, p.events) << what;
+    }
+}
+
+TEST(CheckScenario, ReplayAllocationsBounded) {
+    // A replay builds only its mutable part: the topology, names and
+    // initial routes come from the scenario's blueprint, RNG engines are
+    // built on first draw and registry series cost no string temporaries.
+    // The bound leaves ~10% over the 1172 allocations one walkthrough
+    // baseline replay makes; rebuilding the world's invariant part per run
+    // takes it past 2000.
+    (void)run_scenario("walkthrough", RunConfig{}); // loads every scenario
+    const std::uint64_t before = test::g_alloc_count.load();
+    const RunResult result = run_scenario("walkthrough", RunConfig{});
+    const std::uint64_t allocs = test::g_alloc_count.load() - before;
+    EXPECT_TRUE(result.violations.empty()) << render(result.violations);
+    EXPECT_LE(allocs, 1300u) << allocs << " allocations";
 }
 
 TEST(CheckScenario, ChildKeysBeforeTheForkAreTheParents) {

@@ -166,8 +166,9 @@ void expect_key_matches_diff(const std::vector<Checkpoint>& points) {
 /// Runs `text` to its `run` time with checkpoints every 1 ms, firing
 /// candidate `fault` of fault slot 0 (none when negative).
 std::vector<Checkpoint> run_script_checkpoints(std::string_view text, int fault = -1) {
-    const scenario::Script script = scenario::parse_script(text);
-    scenario::World world(script);
+    const scenario::Blueprint plan(scenario::parse_script(text));
+    const scenario::Script& script = plan.script();
+    scenario::World world(plan);
     world.start_workloads();
     world.schedule_actions();
     if (fault >= 0) {

@@ -648,8 +648,9 @@ TEST(EventGolden, PentagonEventsAndSpansUnchanged) {
     for (std::size_t i = 0; i < std::size(golden); ++i) {
         const std::string protocol(scenario::kStackProtocols[i].name);
         SCOPED_TRACE(protocol);
-        const scenario::Script script = scenario::parse_script(pentagon_script(protocol));
-        scenario::World world(script, scenario::World::Observers::kScript);
+        const scenario::Blueprint plan(scenario::parse_script(pentagon_script(protocol)));
+        const scenario::Script& script = plan.script();
+        scenario::World world(plan, scenario::World::Observers::kScript);
         provenance::Recorder recorder;
         world.net.set_provenance(&recorder);
         world.schedule_actions();
