@@ -116,8 +116,7 @@ struct World {
         // Bound-miss reports carry a tree-health snapshot (depth, stretch,
         // member ports) next to the per-hop drop record: the measure_group
         // walk is on-demand, so the monitor costs nothing between misses.
-        monitor = std::make_unique<telemetry::TreeMonitor>(
-            net, [this](const topo::Router& r) { return stack->cache_of(r); });
+        monitor = std::make_unique<telemetry::TreeMonitor>(net, stack->caches());
         probe->set_tree_health_source([this](net::GroupAddress g) {
             return monitor->measure_group(g).to_json();
         });

@@ -97,10 +97,9 @@ Row run(std::string_view protocol, int groups, int members_per_group, int packet
     std::unique_ptr<telemetry::TreeMonitor> monitor;
     std::unique_ptr<check::Watchdog> watchdog;
     if (g_observe) {
-        auto caches = [&stack](const topo::Router& r) { return stack->cache_of(r); };
-        monitor = std::make_unique<telemetry::TreeMonitor>(w.net, caches);
+        monitor = std::make_unique<telemetry::TreeMonitor>(w.net, stack->caches());
         monitor->start();
-        watchdog = std::make_unique<check::Watchdog>(w.net, caches);
+        watchdog = std::make_unique<check::Watchdog>(w.net, stack->caches());
         watchdog->start();
     }
     std::mt19937 rng(777);

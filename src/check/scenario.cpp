@@ -249,8 +249,8 @@ struct Driver {
     /// mortem, plus a one-line per-router drop summary.
     void emit_postmortem() {
         if (!flight_recorder || out.violations.empty()) return;
-        out.provenance_dump = flight_recorder->dump_json();
-        out.provenance_summary = flight_recorder->drop_summary();
+        out.provenance_dump = flight_recorder->dump_json(net.node_names());
+        out.provenance_summary = flight_recorder->drop_summary(net.node_names());
     }
 
     /// Runs the online invariant watchdogs alongside the offline oracles.
@@ -260,8 +260,7 @@ struct Driver {
     /// stay live everywhere).
     void attach_watchdog(scenario::StackBase& stack) {
         if (!cfg.watchdog) return;
-        watchdog = std::make_unique<Watchdog>(
-            net, [&stack](const topo::Router& r) { return stack.cache_of(r); });
+        watchdog = std::make_unique<Watchdog>(net, stack.caches());
         if (flight_recorder) watchdog->set_recorder(flight_recorder.get());
         bool loss_possible = !cfg.forced_fault.empty();
         for (const Pick& pick : cfg.choices) {

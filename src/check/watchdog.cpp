@@ -39,8 +39,8 @@ const char* to_string(WatchdogKind kind) {
 }
 } // namespace
 
-Watchdog::Watchdog(topo::Network& network, CacheResolver resolver)
-    : network_(&network), resolver_(std::move(resolver)) {
+Watchdog::Watchdog(topo::Network& network, mcast::CacheTable caches)
+    : network_(&network), timer_(network.simulator(), [this] { tick(); }), walk_(caches) {
     telemetry::Registry& reg = network_->telemetry().registry();
     for (std::size_t k = 0; k < kWatchdogKindCount; ++k) {
         violations_total_[k] = &reg.counter(
@@ -50,28 +50,12 @@ Watchdog::Watchdog(topo::Network& network, CacheResolver resolver)
     }
 }
 
-Watchdog::~Watchdog() { stop(); }
-
-void Watchdog::start() {
-    if (running_) return;
-    running_ = true;
-    tick_event_ = network_->simulator().schedule(kInterval, [this] { tick(); });
-}
-
-void Watchdog::stop() {
-    if (!running_) return;
-    running_ = false;
-    network_->simulator().cancel(tick_event_);
-}
+void Watchdog::start() { timer_.start(kInterval); }
 
 void Watchdog::tick() {
     const sim::Time now = network_->simulator().now();
     sweep_hosts(now);
     if (tick_count_++ % kEntrySweepEvery == 0) sweep_entries(now);
-    if (running_) {
-        tick_event_ =
-            network_->simulator().schedule(kInterval, [this] { tick(); });
-    }
 }
 
 void Watchdog::raise(WatchdogKind kind, const topo::Node& node, net::GroupAddress group,
@@ -83,9 +67,9 @@ void Watchdog::raise(WatchdogKind kind, const topo::Node& node, net::GroupAddres
     if (group != net::GroupAddress{}) v.group = group.to_string();
     v.detail = std::move(detail);
     if (recorder_ != nullptr) {
-        v.postmortem_summary = recorder_->drop_summary();
+        v.postmortem_summary = recorder_->drop_summary(network_->node_names());
         if (postmortems_emitted_ < kMaxPostmortems) {
-            v.postmortem_json = recorder_->dump_json();
+            v.postmortem_json = recorder_->dump_json(network_->node_names());
             ++postmortems_emitted_;
         }
     }
@@ -201,35 +185,13 @@ void Watchdog::sweep_hosts(sim::Time now) {
 }
 
 void Watchdog::sweep_entries(sim::Time now) {
-    const auto& routers = network_->routers();
-    std::size_t budget = kEntryBudget;
-    bool finished = false;
-    while (budget > 0 && !finished) {
-        if (router_cursor_ >= routers.size()) {
-            router_cursor_ = 0;
-            entry_cursor_ = {};
-            ++sweep_;
-            finished = true;
-            break;
-        }
-        const topo::Router& router = *routers[router_cursor_];
-        const mcast::ForwardingCache* cache = resolver_ ? resolver_(router) : nullptr;
-        if (cache == nullptr) {
-            ++router_cursor_;
-            entry_cursor_ = {};
-            continue;
-        }
-        const std::size_t visited = cache->visit_entries(
-            entry_cursor_, budget, [&](const mcast::ForwardingEntry& e) {
-                check_entry(router, *cache, e, now);
-            });
-        budget -= visited;
-        entries_scanned_total_ += visited;
-        if (entry_cursor_.wrapped) {
-            ++router_cursor_;
-            entry_cursor_ = {};
-        }
-    }
+    const bool wrapped = walk_.step(
+        kEntryBudget, [&](int node, const mcast::ForwardingCache& cache,
+                          const mcast::ForwardingEntry& e) {
+            check_entry(static_cast<const topo::Router&>(network_->node(node)), cache, e, now);
+            ++entries_scanned_total_;
+        });
+    if (wrapped) ++sweep_;
 }
 
 void Watchdog::check_entry(const topo::Router& router,

@@ -29,7 +29,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -62,11 +61,9 @@ struct WatchdogViolation {
 
 class Watchdog {
 public:
-    using CacheResolver =
-        std::function<const mcast::ForwardingCache*(const topo::Router&)>;
-
-    Watchdog(topo::Network& network, CacheResolver resolver);
-    ~Watchdog();
+    /// Sweeps `caches` (indexed by node id; must outlive the watchdog),
+    /// typically scenario::StackBase::caches().
+    Watchdog(topo::Network& network, mcast::CacheTable caches);
 
     Watchdog(const Watchdog&) = delete;
     Watchdog& operator=(const Watchdog&) = delete;
@@ -82,11 +79,7 @@ public:
     [[nodiscard]] bool loss_expected() const { return loss_expected_; }
 
     void start();
-    void stop();
-    [[nodiscard]] bool running() const { return running_; }
-
-    /// One sweep increment (what the periodic timer runs).
-    void tick();
+    void stop() { timer_.stop(); }
 
     [[nodiscard]] const std::vector<WatchdogViolation>& violations() const {
         return violations_;
@@ -97,6 +90,8 @@ public:
     [[nodiscard]] std::string dump() const;
 
 private:
+    /// One sweep increment (what the periodic timer runs).
+    void tick();
     void raise(WatchdogKind kind, const topo::Node& node, net::GroupAddress group,
                std::string detail);
     void sweep_hosts(sim::Time now);
@@ -108,17 +103,14 @@ private:
     bool confirm(const std::string& key);
 
     topo::Network* network_;
-    CacheResolver resolver_;
     const provenance::Recorder* recorder_ = nullptr;
     bool loss_expected_ = false;
 
-    bool running_ = false;
-    sim::EventId tick_event_{};
+    sim::PeriodicTimer timer_;
     std::uint64_t tick_count_ = 0;
 
     // Budgeted structural sweep state.
-    std::size_t router_cursor_ = 0;
-    mcast::ForwardingCache::VisitCursor entry_cursor_;
+    mcast::MribWalk walk_;
     std::uint64_t sweep_ = 0; // completed full sweeps
     /// suspect key → sweep number it was last observed in. Confirmed (and
     /// raised) when seen again in the immediately following sweep.

@@ -93,7 +93,7 @@ void ConvergenceProbe::record(const Report& report, telemetry::Registry& registr
 std::string ConvergenceProbe::postmortem(const Report& report, sim::Time bound) const {
     if (recorder_ == nullptr) return {};
     if (report.converged && (bound <= 0 || report.recovery <= bound)) return {};
-    return recorder_->dump_json();
+    return recorder_->dump_json(network_->node_names());
 }
 
 std::string ConvergenceProbe::Report::to_json() const {

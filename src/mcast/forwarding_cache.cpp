@@ -125,6 +125,25 @@ std::size_t ForwardingCache::visit_entries(
     return visited;
 }
 
+bool MribWalk::step(std::size_t budget, const Visitor& visit) {
+    while (budget > 0) {
+        if (node_ >= caches_.size()) {
+            node_ = 0;
+            cursor_ = {};
+            return true;
+        }
+        if (const ForwardingCache* cache = caches_[node_]) {
+            const int id = static_cast<int>(node_);
+            budget -= cache->visit_entries(
+                cursor_, budget, [&](const ForwardingEntry& e) { visit(id, *cache, e); });
+            if (!cursor_.wrapped) continue; // out of budget mid-cache
+        }
+        ++node_;
+        cursor_ = {};
+    }
+    return false;
+}
+
 std::vector<ForwardingCache::SgKey> ForwardingCache::reap_expired_entries(sim::Time now) {
     std::vector<SgKey> removed;
     std::erase_if(sg_, [&](const auto& slot) {

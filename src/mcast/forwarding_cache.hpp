@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -120,6 +121,43 @@ private:
     sim::Arena<ForwardingEntry> arena_;
     Index<SgKey> sg_;
     Index<net::GroupAddress> wc_;
+};
+
+/// Every router's forwarding cache, indexed by node id; nullptr for a node
+/// without one (hosts, routers no stack recorded). Router ids ascend in
+/// topo::Network::routers() order, so index order is router order.
+/// scenario::StackBase::caches() is the one producer.
+using CacheTable = std::span<const ForwardingCache* const>;
+
+/// The budgeted walk over every cache of a CacheTable that the tree monitor
+/// and the invariant watchdog each step on their own cadence: a router
+/// cursor plus the current cache's VisitCursor, so a pass over a
+/// million-entry MRIB spreads across many steps.
+class MribWalk {
+public:
+    using Visitor =
+        std::function<void(int node_id, const ForwardingCache&, const ForwardingEntry&)>;
+
+    explicit MribWalk(CacheTable caches) : caches_(caches) {}
+
+    /// `node_id`'s cache, or nullptr.
+    [[nodiscard]] const ForwardingCache* cache(int node_id) const {
+        const auto id = static_cast<std::size_t>(node_id);
+        return node_id >= 0 && id < caches_.size() ? caches_[id] : nullptr;
+    }
+
+    /// Visits up to `budget` entries, resuming where the last step stopped:
+    /// router by router in node-id order, each cache in visit_entries order.
+    /// A null or empty cache costs no budget. Returns true when this step
+    /// finished a pass and rewound to the first router. The pass finishes
+    /// only with budget left over, so one whose last entry takes the last
+    /// unit of budget finishes at the start of the next step.
+    bool step(std::size_t budget, const Visitor& visit);
+
+private:
+    CacheTable caches_;
+    std::size_t node_ = 0;
+    ForwardingCache::VisitCursor cursor_;
 };
 
 /// Data-plane engine: receives every non-link-local multicast packet the

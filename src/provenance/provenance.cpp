@@ -16,8 +16,6 @@ constexpr const char* kKindLabels[] = {
     "none",      "(*,G)",    "(S,G)",   "(S,G)->(*,G)", "neg-cache",
     "cbt-tree",  "unicast",  "register", "origin",       "deliver"};
 
-const std::string kUnknownNode = "?";
-
 std::string json_escape(const std::string& in) {
     std::string out;
     out.reserve(in.size());
@@ -84,24 +82,8 @@ std::uint64_t packet_id(net::Ipv4Address src, net::Ipv4Address dst,
     return x == 0 ? 1 : x;
 }
 
-void Recorder::register_node(int node_id, std::string name, bool is_host) {
-    if (node_id < 0) return;
-    const auto id = static_cast<std::size_t>(node_id);
-    if (nodes_.size() <= id) nodes_.resize(id + 1);
-    nodes_[id] = NodeInfo{std::move(name), is_host};
-    add_rings(id + 1);
-}
-
 void Recorder::add_rings(std::size_t count) {
     while (rings_.size() < count) rings_.emplace_back().buf.resize(kRingCapacity);
-}
-
-const std::string& Recorder::node_name(int node_id) const {
-    const auto id = static_cast<std::size_t>(node_id);
-    if (node_id < 0 || id >= nodes_.size() || nodes_[id].name.empty()) {
-        return kUnknownNode;
-    }
-    return nodes_[id].name;
 }
 
 void Recorder::for_each_record(
@@ -139,14 +121,15 @@ std::vector<HopRecord> Recorder::records_for(std::uint64_t pid) const {
 }
 
 Recorder::TraceResult Recorder::trace(net::Ipv4Address src, net::Ipv4Address group,
-                                      const std::string& dst_node) const {
+                                      const std::string& dst_node,
+                                      const telemetry::NodeNames& names) const {
     TraceResult result;
     // Find the most recent delivery of a matching packet at the target host.
     const HopRecord* last = nullptr;
     for_each_record([&](const HopRecord& rec) {
         if (rec.kind != EntryKind::kDeliver) return;
         if (rec.src != src || rec.group != group) return;
-        if (node_name(rec.node) != dst_node) return;
+        if (names(rec.node) != dst_node) return;
         if (last == nullptr || rec.order > last->order) last = &rec;
     });
     if (last == nullptr) return result;
@@ -160,7 +143,7 @@ Recorder::TraceResult Recorder::trace(net::Ipv4Address src, net::Ipv4Address gro
         TraceHop hop;
         hop.rec = rec;
         hop.latency = first ? 0 : rec.at - prev;
-        hop.node_name = node_name(rec.node);
+        hop.node_name = names(rec.node);
         prev = rec.at;
         first = false;
         result.hops.push_back(std::move(hop));
@@ -197,7 +180,7 @@ std::string Recorder::format_trace(const TraceResult& result) const {
     return out;
 }
 
-std::string Recorder::drop_summary() const {
+std::string Recorder::drop_summary(const telemetry::NodeNames& names) const {
     // (node, reason) -> count, from the retained records.
     std::map<std::pair<int, std::uint8_t>, std::uint64_t> agg;
     for_each_record([&](const HopRecord& rec) {
@@ -208,7 +191,7 @@ std::string Recorder::drop_summary() const {
     std::string out;
     for (const auto& [key, count] : agg) {
         if (!out.empty()) out += ", ";
-        out += node_name(key.first);
+        out += names(key.first);
         out += " ";
         out += drop_reason_label(static_cast<DropReason>(key.second));
         out += " x" + std::to_string(count);
@@ -216,7 +199,7 @@ std::string Recorder::drop_summary() const {
     return out;
 }
 
-std::string Recorder::dump_json() const {
+std::string Recorder::dump_json(const telemetry::NodeNames& names) const {
     const std::vector<const HopRecord*> merged = merged_records();
 
     std::string out = "{\n  \"records\": [\n";
@@ -230,7 +213,7 @@ std::string Recorder::dump_json() const {
             "\"seq\":%" PRIu64 ",\"kind\":\"%s\",\"iif\":%d,\"oifs\":%s,"
             "\"rpf_ok\":%s,\"spt\":%s,\"rp\":%s,\"ttl\":%u,\"drop\":\"%s\"}",
             rec.order, static_cast<long long>(rec.at),
-            json_escape(node_name(rec.node)).c_str(), rec.pid,
+            json_escape(names(rec.node)).c_str(), rec.pid,
             rec.src.to_string().c_str(), rec.group.to_string().c_str(), rec.seq,
             entry_kind_label(rec.kind), rec.iif, oif_list(rec).c_str(),
             rec.rpf_ok ? "true" : "false", rec.spt_bit ? "true" : "false",
@@ -251,7 +234,7 @@ std::string Recorder::dump_json() const {
         char buf[160];
         std::snprintf(buf, sizeof(buf),
                       "    {\"node\":\"%s\",\"reason\":\"%s\",\"count\":%" PRIu64 "}",
-                      json_escape(node_name(key.first)).c_str(),
+                      json_escape(names(key.first)).c_str(),
                       drop_reason_label(static_cast<DropReason>(key.second)), count);
         out += buf;
         out += ++n < agg.size() ? ",\n" : "\n";
@@ -283,7 +266,7 @@ std::string Recorder::dump_json() const {
                       "\"drop\":\"%s\",\"oifs\":%s}",
                       rec.pid, rec.src.to_string().c_str(),
                       rec.group.to_string().c_str(), rec.seq,
-                      json_escape(node_name(rec.node)).c_str(),
+                      json_escape(names(rec.node)).c_str(),
                       static_cast<long long>(rec.at), drop_reason_label(rec.drop),
                       oif_list(rec).c_str());
         out += buf;

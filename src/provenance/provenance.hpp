@@ -18,9 +18,12 @@
 //
 // Recording has one shape, begin and fill: begin() hands out a ring slot
 // with the packet's common fields stamped and the hook fills in its
-// decision. topo::Network::begin_hop is the stack's only caller. The
-// recorder only writes records; drops are counted whether or not one is
-// attached, by stats::NetworkStats::count_drop under
+// decision. topo::Network::begin_hop is the stack's only caller, so every
+// record's node is a node of the network that wrote it. The recorder keeps
+// no names: a query that prints nodes takes that network's
+// telemetry::NodeNames (topo::Network::node_names()), as the event log and
+// the timeline do. The recorder only writes records; drops are counted
+// whether or not one is attached, by stats::NetworkStats::count_drop under
 // pimlib_data_dropped_total{reason=<drop_reason_label>}, and DropReason is
 // that series' vocabulary too.
 //
@@ -39,6 +42,7 @@
 #include "net/ipv4.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/events.hpp"
 
 namespace pimlib::provenance {
 
@@ -129,9 +133,9 @@ static_assert(sizeof(HopRecord) == 64, "HopRecord must stay one cache line");
 inline constexpr std::size_t kRingCapacity = 512;
 
 /// The flight recorder: per-node bounded rings. One Recorder serves one
-/// Network (attach via topo::Network::set_provenance, which registers every
-/// node and so sizes every ring); hooks check the attachment pointer before
-/// paying any recording cost.
+/// Network (attach via topo::Network::set_provenance, which sizes a ring
+/// for every node); hooks check the attachment pointer before paying any
+/// recording cost.
 class Recorder {
 public:
     Recorder() = default;
@@ -139,9 +143,9 @@ public:
     Recorder(const Recorder&) = delete;
     Recorder& operator=(const Recorder&) = delete;
 
-    /// Name lookup for traces/dumps; hosts are trace endpoints. Also sizes
-    /// the node's ring.
-    void register_node(int node_id, std::string name, bool is_host);
+    /// Sizes a ring for every node id below `count` up front, so begin()
+    /// only writes its slot.
+    void add_rings(std::size_t count);
 
     /// The one way to append: returns `node`'s next ring slot, reset to
     /// defaults with the merge order and `packet`'s common fields (pid, src,
@@ -200,10 +204,11 @@ public:
     };
 
     /// The mtrace-style query: finds the last packet from `src` to `group`
-    /// delivered to host `dst_node` (by registered name) and reconstructs
-    /// its full hop path with per-hop sim-time latency.
+    /// delivered to host `dst_node` (by name) and reconstructs its full hop
+    /// path with per-hop sim-time latency.
     [[nodiscard]] TraceResult trace(net::Ipv4Address src, net::Ipv4Address group,
-                                    const std::string& dst_node) const;
+                                    const std::string& dst_node,
+                                    const telemetry::NodeNames& names) const;
 
     /// Human-readable rendering of a trace (mtrace-like, one line per hop).
     [[nodiscard]] std::string format_trace(const TraceResult& result) const;
@@ -212,33 +217,22 @@ public:
     /// vanished}. `drops` aggregates per (node, reason); `vanished` lists
     /// packets whose last retained record is not a host delivery — with the
     /// node and DropReason (or forwarding oifs) where the trail ends.
-    [[nodiscard]] std::string dump_json() const;
+    [[nodiscard]] std::string dump_json(const telemetry::NodeNames& names) const;
 
     /// One-line per-router drop aggregate ("A rpf-fail x12, ..."), empty
     /// when nothing was dropped. The post-mortem headline.
-    [[nodiscard]] std::string drop_summary() const;
-
-    [[nodiscard]] const std::string& node_name(int node_id) const;
+    [[nodiscard]] std::string drop_summary(const telemetry::NodeNames& names) const;
 
 private:
     struct Ring {
         std::vector<HopRecord> buf; // kRingCapacity slots; the next is total % capacity
         std::uint64_t total = 0;    // records ever begun; min(total, capacity) are held
     };
-    struct NodeInfo {
-        std::string name;
-        bool is_host = false;
-    };
-
-    /// Grows rings_ to `count` rings, each sized up front so begin() only
-    /// writes its slot.
-    void add_rings(std::size_t count);
     void for_each_record(const std::function<void(const HopRecord&)>& fn) const;
     [[nodiscard]] std::vector<const HopRecord*> merged_records() const;
 
     std::uint64_t order_ = 0;
-    std::vector<Ring> rings_;     // indexed by node id
-    std::vector<NodeInfo> nodes_; // indexed by node id
+    std::vector<Ring> rings_; // indexed by node id
 };
 
 } // namespace pimlib::provenance

@@ -36,7 +36,8 @@ StackBase::StackBase(topo::Network& network, const StackConfig& config)
     : network_(&network), config_(config) {
     // Routers are numbered in id order, so the last id bounds them all.
     if (!network.routers().empty()) {
-        recorded_.resize(static_cast<std::size_t>(network.routers().back()->id()) + 1);
+        caches_.resize(static_cast<std::size_t>(network.routers().back()->id()) + 1);
+        reboots_.resize(caches_.size());
     }
     for (const auto& router : network.routers()) {
         igmp::RouterAgent& agent =
@@ -52,7 +53,7 @@ StackBase::StackBase(topo::Network& network, const StackConfig& config)
 void StackBase::wire_faults(fault::FaultInjector& injector) {
     for (const auto& router : network_->routers()) {
         injector.on_crash(*router, [this, id = router->id()] {
-            for (const auto& reboot : recorded_[static_cast<std::size_t>(id)].reboots) reboot();
+            for (const auto& reboot : reboots_[static_cast<std::size_t>(id)]) reboot();
         });
     }
 }

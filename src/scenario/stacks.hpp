@@ -3,7 +3,7 @@
 // agents onto every host. Used throughout tests, examples and benchmarks —
 // and the natural entry point for library users.
 //
-// StackBase is the one protocol-neutral interface (set_rp, cache_of,
+// StackBase is the one protocol-neutral interface (set_rp, caches,
 // wire_faults); make_stack() builds any of the five stacks by its script
 // name, and the typed subclasses add only their protocol's own accessors.
 //
@@ -78,18 +78,21 @@ public:
 
     /// Captures every router's multicast forwarding state (the MRIB) as one
     /// diffable telemetry snapshot, stamped with the current sim-time: each
-    /// cache_of() cache's snapshot, in router order; a router without a
+    /// recorded cache's snapshot, in router order; a router without a
     /// cache contributes nothing. Pair with
     /// network().telemetry().store_snapshot().
     [[nodiscard]] telemetry::MribSnapshot capture_mrib();
 
-    /// The router's live multicast forwarding cache, the one its protocol's
-    /// DataPlane forwards from; nullptr when none was recorded. Lets the
-    /// tree monitor and the invariant watchdogs walk MRIBs incrementally
-    /// without knowing which protocol the stack runs.
+    /// Every router's live multicast forwarding cache, the one its
+    /// protocol's DataPlane forwards from, indexed by node id (nullptr where
+    /// none was recorded). Sized once at construction, so the tree monitor
+    /// and the invariant watchdog hold it for the stack's lifetime and walk
+    /// MRIBs without knowing which protocol the stack runs.
+    [[nodiscard]] mcast::CacheTable caches() const { return caches_; }
+    /// One router's entry of caches().
     [[nodiscard]] const mcast::ForwardingCache* cache_of(const topo::Router& router) const {
         const auto id = static_cast<std::size_t>(router.id());
-        return id < recorded_.size() ? recorded_[id].cache : nullptr;
+        return id < caches_.size() ? caches_[id] : nullptr;
     }
 
     /// The model checker's state-dedup key, read straight off the live
@@ -106,7 +109,7 @@ protected:
 
     /// Appends `reboot` to what a crash or restart of `router` runs.
     void record_reboot(const topo::Router& router, std::function<void()> reboot) {
-        recorded_.at(static_cast<std::size_t>(router.id())).reboots.push_back(std::move(reboot));
+        reboots_.at(static_cast<std::size_t>(router.id())).push_back(std::move(reboot));
     }
 
     /// Builds protocol P on every router in router-id order, each over the
@@ -115,7 +118,7 @@ protected:
     void build(PerRouter<P>& out, const Config& config) {
         for (const auto& router : network_->routers()) {
             P& p = *(out[router.get()] = std::make_unique<P>(*router, igmp_at(*router), config));
-            recorded_.at(static_cast<std::size_t>(router->id())).cache = &p.cache();
+            caches_.at(static_cast<std::size_t>(router->id())) = &p.cache();
             record_reboot(*router, [&p] { p.reboot(); });
         }
     }
@@ -124,14 +127,11 @@ protected:
     StackConfig config_;
 
 private:
-    struct Recorded {
-        const mcast::ForwardingCache* cache = nullptr;
-        std::vector<std::function<void()>> reboots;
-    };
-
     PerRouter<igmp::RouterAgent> igmp_;
     std::map<const topo::Host*, std::unique_ptr<igmp::HostAgent>, topo::NodeIdLess> host_agents_;
-    std::vector<Recorded> recorded_; // indexed by node id
+    // Both indexed by node id.
+    std::vector<const mcast::ForwardingCache*> caches_;
+    std::vector<std::vector<std::function<void()>>> reboots_;
 };
 
 /// PIM sparse mode on every router (the paper's §3 protocol).

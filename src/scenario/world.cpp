@@ -102,17 +102,15 @@ World::World(const Blueprint& plan, Observers observers, const std::string& muta
     faults_ = std::make_unique<fault::FaultInjector>(net);
     stack_->wire_faults(*faults_);
 
-    const auto resolver = [this](const topo::Router& r) { return stack_->cache_of(r); };
     if (observe && script.watchdog) {
-        watchdog_ = std::make_unique<check::Watchdog>(net, resolver);
+        watchdog_ = std::make_unique<check::Watchdog>(net, stack_->caches());
         if (recorder_) watchdog_->set_recorder(recorder_.get());
         watchdog_->set_loss_expected(script.loss_possible || script.churn);
         watchdog_->start();
     }
     if (observe && script.monitor_interval > 0) {
-        telemetry::TreeMonitorConfig mon;
-        mon.interval = script.monitor_interval;
-        monitor_ = std::make_unique<telemetry::TreeMonitor>(net, resolver, mon);
+        monitor_ = std::make_unique<telemetry::TreeMonitor>(net, stack_->caches(),
+                                                            script.monitor_interval);
         monitor_->start();
     }
 }
@@ -337,7 +335,8 @@ void World::mtrace(const Action& a) {
         return;
     }
     const provenance::Recorder::TraceResult result =
-        recorder_->trace(host(a.args[0]).address(), a.group.address(), a.args[1]);
+        recorder_->trace(host(a.args[0]).address(), a.group.address(), a.args[1],
+                         net.node_names());
     std::printf("%s", recorder_->format_trace(result).c_str());
 }
 
@@ -347,8 +346,8 @@ void World::dump_provenance() {
         std::printf("  (provenance off; add 'provenance on' to the script)\n");
         return;
     }
-    std::printf("%s\n", recorder_->dump_json().c_str());
-    const std::string drops = recorder_->drop_summary();
+    std::printf("%s\n", recorder_->dump_json(net.node_names()).c_str());
+    const std::string drops = recorder_->drop_summary(net.node_names());
     if (!drops.empty()) std::printf("drops: %s\n", drops.c_str());
 }
 

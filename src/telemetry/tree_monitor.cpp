@@ -19,11 +19,20 @@ Buckets hop_buckets() { return Buckets::exponential(1.0, 2.0, 10); }
 constexpr int kUpstreamNone = -1;   // no router upstream: this is the root
 constexpr int kUpstreamBroken = -2; // ambiguous or unresolvable upstream
 
+/// Cache entries visited per tick, across all routers.
+constexpr std::size_t kEntryBudget = 4096;
+/// Leaf→root stretch walks sampled per pass (each costs O(tree depth));
+/// entries beyond the budget still contribute fanout/concentration.
+constexpr std::size_t kWalkBudget = 512;
+/// Safety cap on one upward walk (cycles in corrupted state).
+constexpr int kMaxWalkHops = 64;
+
 } // namespace
 
-TreeMonitor::TreeMonitor(topo::Network& network, CacheResolver resolver,
-                         TreeMonitorConfig config)
-    : network_(&network), resolver_(std::move(resolver)), config_(config) {
+TreeMonitor::TreeMonitor(topo::Network& network, mcast::CacheTable caches,
+                         sim::Time interval)
+    : network_(&network), interval_(interval),
+      timer_(network.simulator(), [this] { tick(); }), walk_(caches) {
     Registry& reg = network_->telemetry().registry();
     fanout_hist_ = &reg.histogram(
         "pimlib_tree_oif_fanout", hop_buckets(), {},
@@ -85,22 +94,7 @@ TreeMonitor::TreeMonitor(topo::Network& network, CacheResolver resolver,
     topo_token_ = network_->add_topology_observer([this] { graph_dirty_ = true; });
 }
 
-TreeMonitor::~TreeMonitor() {
-    stop();
-    network_->remove_topology_observer(topo_token_);
-}
-
-void TreeMonitor::start() {
-    if (running_) return;
-    running_ = true;
-    tick_event_ = network_->simulator().schedule(config_.interval, [this] { tick(); });
-}
-
-void TreeMonitor::stop() {
-    if (!running_) return;
-    running_ = false;
-    network_->simulator().cancel(tick_event_);
-}
+TreeMonitor::~TreeMonitor() { network_->remove_topology_observer(topo_token_); }
 
 void TreeMonitor::ensure_graph() {
     const auto& routers = network_->routers();
@@ -191,7 +185,7 @@ TreeMonitor::Walk TreeMonitor::walk_to_root(int router_idx,
     const net::Ipv4Address source = leaf.source_or_rp();
     int cur = router_idx;
     const mcast::ForwardingEntry* e = &leaf;
-    for (int hops = 0; hops <= config_.max_walk_hops; ++hops) {
+    for (int hops = 0; hops <= kMaxWalkHops; ++hops) {
         if (e->iif() < 0) { // the RP's own (*,G): no upstream interface
             w.ok = true;
             w.root = cur;
@@ -209,7 +203,7 @@ TreeMonitor::Walk TreeMonitor::walk_to_root(int router_idx,
         w.depth += 1;
         cur = up;
         const mcast::ForwardingCache* cache =
-            resolver_(*network_->routers()[static_cast<std::size_t>(cur)]);
+            walk_.cache(network_->routers()[static_cast<std::size_t>(cur)]->id());
         if (cache == nullptr) return w;
         e = wildcard ? cache->find_wc(group) : cache->find_sg(source, group);
         // An (S,G) branch still being built falls back onto the shared tree
@@ -278,7 +272,7 @@ TreeMonitor::CollectResult TreeMonitor::collect(int router_idx,
 void TreeMonitor::visit_entry(int router_idx, const mcast::ForwardingEntry& entry,
                               sim::Time now) {
     const bool walk_allowed =
-        current_.walks + current_.broken_walks < config_.walk_budget;
+        current_.walks + current_.broken_walks < kWalkBudget;
     GroupAccum& ga = accum_[entry.group()];
     const CollectResult res =
         collect(router_idx, entry, now, ga, walk_allowed, /*record_flows=*/true);
@@ -344,7 +338,6 @@ void TreeMonitor::finish_pass(sim::Time now) {
     current_ = PassStats{};
     accum_.clear();
     link_flows_.clear();
-    pass_started_at_ = -1;
 }
 
 void TreeMonitor::publish(sim::Time now) {
@@ -374,38 +367,12 @@ void TreeMonitor::publish(sim::Time now) {
 void TreeMonitor::tick() {
     ensure_graph();
     const sim::Time now = network_->simulator().now();
-    if (pass_started_at_ < 0) pass_started_at_ = now;
-    const auto& routers = network_->routers();
-    std::size_t budget = config_.entry_budget;
-    bool finished = false;
-    while (budget > 0 && !finished) {
-        if (router_cursor_ >= routers.size()) {
-            finish_pass(now);
-            router_cursor_ = 0;
-            entry_cursor_ = {};
-            finished = true;
-            break;
-        }
-        const topo::Router& r = *routers[router_cursor_];
-        const mcast::ForwardingCache* cache = resolver_ ? resolver_(r) : nullptr;
-        if (cache == nullptr) {
-            ++router_cursor_;
-            entry_cursor_ = {};
-            continue;
-        }
-        const int idx = static_cast<int>(router_cursor_);
-        const std::size_t visited = cache->visit_entries(
-            entry_cursor_, budget,
-            [&](const mcast::ForwardingEntry& e) { visit_entry(idx, e, now); });
-        budget -= visited;
-        if (entry_cursor_.wrapped) {
-            ++router_cursor_;
-            entry_cursor_ = {};
-        }
-    }
-    if (running_) {
-        tick_event_ = network_->simulator().schedule(config_.interval, [this] { tick(); });
-    }
+    const bool wrapped = walk_.step(
+        kEntryBudget,
+        [&](int node, const mcast::ForwardingCache&, const mcast::ForwardingEntry& e) {
+            visit_entry(router_index(node), e, now);
+        });
+    if (wrapped) finish_pass(now);
 }
 
 std::optional<graph::DelayRatio>
@@ -423,8 +390,7 @@ TreeMonitor::GroupHealth TreeMonitor::measure_group(net::GroupAddress group) {
     GroupAccum ga;
     const auto& routers = network_->routers();
     for (std::size_t i = 0; i < routers.size(); ++i) {
-        const mcast::ForwardingCache* cache =
-            resolver_ ? resolver_(*routers[i]) : nullptr;
+        const mcast::ForwardingCache* cache = walk_.cache(routers[i]->id());
         if (cache == nullptr) continue;
         const int idx = static_cast<int>(i);
         if (const mcast::ForwardingEntry* wc = cache->find_wc(group)) {

@@ -1,9 +1,9 @@
 // Live tree-health analytics: a periodic, sampling tree walker that turns
 // the paper's offline tree-quality study (Figure 2, §1.3) into always-on
-// runtime gauges. Each pass walks every router's forwarding cache under an
-// incremental budget — visit_entries() resumes from a key cursor, so a
-// million-entry MRIB is covered across many ticks without ever paying a
-// full scan in one event — and publishes, per pass:
+// runtime gauges. Each tick steps one mcast::MribWalk over every router's
+// forwarding cache under a fixed entry budget, so a million-entry MRIB is
+// covered across many ticks without ever paying a full scan in one event,
+// and each completed pass publishes:
 //
 //   pimlib_tree_stretch_ratio        delay stretch vs. unicast shortest
 //                                    path, through the same
@@ -17,12 +17,11 @@
 //   pimlib_tree_register_per_second  RP register/decap load
 //
 // Lives above mcast/graph/unicast in the layering (pimlib_monitor library),
-// below the protocol stacks: it reaches caches through a CacheResolver
-// callback, typically scenario::StackBase::cache_of.
+// below the protocol stacks: it reads caches from an mcast::CacheTable,
+// typically scenario::StackBase::caches().
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -38,44 +37,23 @@
 
 namespace pimlib::telemetry {
 
-struct TreeMonitorConfig {
-    /// Sim-time between budgeted walk increments. Tree shape changes on
-    /// join/prune timescales, so the default samples well below the
-    /// protocol's own refresh period; scenarios wanting finer curves pass
-    /// their own interval (`monitor trees 100ms`).
-    sim::Time interval = 2 * sim::kSecond;
-    /// Cache entries visited per tick, across all routers.
-    std::size_t entry_budget = 4096;
-    /// Leaf→root stretch walks sampled per pass (each costs O(tree depth));
-    /// entries beyond the budget still contribute fanout/concentration.
-    std::size_t walk_budget = 512;
-    /// Safety cap on one upward walk (cycles in corrupted state).
-    int max_walk_hops = 64;
-};
-
 class TreeMonitor {
 public:
-    /// Resolves a router's live forwarding cache; nullptr to skip the
-    /// router. Typically `[&stack](const topo::Router& r) { return
-    /// stack.cache_of(r); }`.
-    using CacheResolver =
-        std::function<const mcast::ForwardingCache*(const topo::Router&)>;
-
-    TreeMonitor(topo::Network& network, CacheResolver resolver,
-                TreeMonitorConfig config = {});
+    /// Walks `caches` (indexed by node id; must outlive the monitor) every
+    /// `interval` once started. Tree shape changes on join/prune
+    /// timescales, so the default samples well below the protocol's own
+    /// refresh period; scenarios wanting finer curves pass their own
+    /// (`monitor trees 100ms`).
+    TreeMonitor(topo::Network& network, mcast::CacheTable caches,
+                sim::Time interval = 2 * sim::kSecond);
     ~TreeMonitor();
 
     TreeMonitor(const TreeMonitor&) = delete;
     TreeMonitor& operator=(const TreeMonitor&) = delete;
 
-    /// Schedules periodic ticks on the network's simulator.
-    void start();
-    void stop();
-    [[nodiscard]] bool running() const { return running_; }
-
-    /// One budgeted walk increment (what the periodic timer runs). Exposed
-    /// so tests and one-shot callers can drive passes explicitly.
-    void tick();
+    /// Ticks every interval on the network's simulator.
+    void start() { timer_.start(interval_); }
+    void stop() { timer_.stop(); }
 
     /// Aggregates of the last *completed* pass.
     struct PassStats {
@@ -88,7 +66,7 @@ public:
         std::size_t member_ports = 0;  // pinned (IGMP-held) live oifs
         std::size_t walks = 0;         // leaf→root walks completed
         std::size_t broken_walks = 0;  // walks hitting missing upstream state
-        std::size_t skipped_walks = 0; // leaves beyond walk_budget
+        std::size_t skipped_walks = 0; // leaves beyond the per-pass walk budget
         int depth_max = 0;
         std::size_t fanout_max = 0;
         double stretch_max = 0.0;      // max per-group stretch ratio
@@ -153,6 +131,8 @@ private:
         int depth = 0;
     };
 
+    /// One budgeted walk step; finishes the pass when the walk wraps.
+    void tick();
     void ensure_graph();
     [[nodiscard]] const graph::ShortestPathTree& delay_tree(int router_idx);
     [[nodiscard]] int router_index(int node_id) const;
@@ -172,8 +152,9 @@ private:
     void publish(sim::Time now);
 
     topo::Network* network_;
-    CacheResolver resolver_;
-    TreeMonitorConfig config_;
+    sim::Time interval_;
+    sim::PeriodicTimer timer_;
+    mcast::MribWalk walk_;
 
     // Instruments resolved once at construction (hot-path discipline).
     Histogram* fanout_hist_ = nullptr;
@@ -204,17 +185,10 @@ private:
     std::map<net::Ipv4Address, int> router_by_address_;
     int topo_token_ = 0;
 
-    // Walk state: router cursor + per-cache key cursor.
-    std::size_t router_cursor_ = 0;
-    mcast::ForwardingCache::VisitCursor entry_cursor_;
-    bool running_ = false;
-    sim::EventId tick_event_{};
-
     // Current-pass accumulators, swapped into results at pass end.
     std::map<net::GroupAddress, GroupAccum> accum_;
     graph::FlowLoad link_flows_;
     PassStats current_;
-    sim::Time pass_started_at_ = -1;
     std::uint64_t register_rx_base_ = 0;
     std::uint64_t register_tx_base_ = 0;
     sim::Time rate_window_start_ = 0;

@@ -21,9 +21,7 @@ Router& Network::add_router(const std::string& name) {
     const net::Ipv4Address rid(192, 168, static_cast<std::uint8_t>(n / 256),
                                static_cast<std::uint8_t>(n % 256));
     routers_.push_back(std::make_unique<Router>(*this, name, next_node_id_++, rid));
-    if (provenance_ != nullptr) {
-        provenance_->register_node(routers_.back()->id(), name, /*is_host=*/false);
-    }
+    if (provenance_ != nullptr) provenance_->add_rings(static_cast<std::size_t>(next_node_id_));
     return *routers_.back();
 }
 
@@ -61,9 +59,7 @@ Host& Network::add_host(const std::string& name, Segment& lan) {
     hosts_.push_back(std::make_unique<Host>(*this, name, next_node_id_++));
     Host& host = *hosts_.back();
     host.attach(lan, net::Ipv4Address{base + slot});
-    if (provenance_ != nullptr) {
-        provenance_->register_node(host.id(), name, /*is_host=*/true);
-    }
+    if (provenance_ != nullptr) provenance_->add_rings(static_cast<std::size_t>(next_node_id_));
     return host;
 }
 
@@ -79,13 +75,7 @@ const Node& Network::node(int id) const {
 
 void Network::set_provenance(provenance::Recorder* recorder) {
     provenance_ = recorder;
-    if (recorder == nullptr) return;
-    for (const auto& r : routers_) {
-        recorder->register_node(r->id(), r->name(), /*is_host=*/false);
-    }
-    for (const auto& h : hosts_) {
-        recorder->register_node(h->id(), h->name(), /*is_host=*/true);
-    }
+    if (recorder != nullptr) recorder->add_rings(static_cast<std::size_t>(next_node_id_));
 }
 
 int Network::add_packet_tap(PacketTap tap) {

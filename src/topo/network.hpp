@@ -77,8 +77,8 @@ public:
     [[nodiscard]] const telemetry::Hub& telemetry() const { return telemetry_; }
 
     /// Attaches (or detaches, with nullptr) a provenance flight recorder.
-    /// Registers every existing node's name with it; nodes added later
-    /// register as they are created. With no recorder attached every
+    /// Sizes its rings for every existing node; nodes added later get
+    /// theirs as they are created. With no recorder attached every
     /// provenance hook in the stack is a single pointer test.
     void set_provenance(provenance::Recorder* recorder);
     [[nodiscard]] provenance::Recorder* provenance() const { return provenance_; }

@@ -169,8 +169,8 @@ TEST(AssertTest, LoserDropsAreClassifiedAsAssertLoser) {
     w.net.run_for(1300 * sim::kMillisecond);
     // The winner's copies keep arriving on the loser's pruned LAN
     // interface; those drops carry the typed reason, not a generic one.
-    EXPECT_NE(recorder.drop_summary().find("assert-loser"), std::string::npos)
-        << recorder.drop_summary();
+    const std::string summary = recorder.drop_summary(w.net.node_names());
+    EXPECT_NE(summary.find("assert-loser"), std::string::npos) << summary;
 }
 
 TEST(AssertTest, SeededMutationKeepsTheLoserForwarding) {

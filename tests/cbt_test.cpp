@@ -255,7 +255,7 @@ TEST_F(CbtBranchFixture, TreeIsTheLayoutAbove) {
 
 TEST_F(CbtBranchFixture, WatchdogAcceptsAMemberLanOnTheParent) {
     // M's iif is also an oif, which a one-way entry must never have.
-    check::Watchdog watchdog(net, [this](const topo::Router& r) { return stack->cache_of(r); });
+    check::Watchdog watchdog(net, stack->caches());
     watchdog.start();
     net.run_for(2 * sim::kSecond);
     EXPECT_GT(watchdog.entries_scanned(), 0u);
@@ -379,7 +379,7 @@ run 1200ms
     std::uint64_t digest = 0xcbf29ce484222325ull;
     const std::vector<provenance::HopRecord> records = recorder.all_records();
     for (const provenance::HopRecord& rec : records) {
-        std::string line = recorder.node_name(rec.node) + ' ' +
+        std::string line = world.net.node(rec.node).name() + ' ' +
                            provenance::entry_kind_label(rec.kind) + ' ' +
                            std::to_string(rec.iif) + ' ';
         for (int i = 0; i < std::min<int>(rec.oif_count, provenance::kMaxRecordedOifs); ++i) {

@@ -1,9 +1,12 @@
 // Forwarding-entry and data-plane tests: oif timers, pinning, the §3.5
 // forwarding rules including both SPT-bit transition exceptions, the
-// negative-cache prune bookkeeping, and the cache's key-ordered indexes
-// checked against an ordered-map model.
+// negative-cache prune bookkeeping, the cache's key-ordered indexes
+// checked against an ordered-map model, and the budgeted MribWalk over a
+// table of caches checked against a reference walk over those models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <random>
 #include <set>
@@ -297,6 +300,170 @@ TEST(ForwardingCache, IndexesMatchAnOrderedMapModel) {
         if (::testing::Test::HasFailure()) FAIL() << "diverged at step " << step;
     }
     EXPECT_GT(m.walked, 500u);
+}
+
+// --- MribWalk: one budgeted walk over every router's cache ----------------
+
+// Six node-id slots as a stack lays them out: four routers' caches, one of
+// them (slot 2) empty, and two slots without a cache (hosts at 1 and 4).
+// Routers 0, 3 and 5 hold the MRIB; the last slot is a router's, as in
+// every StackBase::caches() table.
+struct WalkWorld {
+    std::array<CacheModel, 4> routers;
+    std::array<CacheModel*, 6> slots{&routers[0], nullptr,     &routers[1],
+                                     &routers[2], nullptr, &routers[3]};
+    std::vector<const ForwardingCache*> table;
+
+    WalkWorld() {
+        for (CacheModel* m : slots) table.push_back(m != nullptr ? &m->cache : nullptr);
+    }
+    /// A router that may hold entries (not the empty one).
+    CacheModel& filled(std::size_t i) { return routers[i == 1 ? 3 : i]; }
+
+    static std::string name(int node, const ForwardingEntry& e) {
+        return std::to_string(node) + ":" +
+               CacheModel::name(e.wildcard(), e.source_or_rp(), e.group());
+    }
+
+    /// The reference walk over the models: node by node, (*,G) keys then
+    /// (S,G) keys, resuming after the last visited key, finishing a pass
+    /// only with budget to spare.
+    std::size_t node = 0;
+    bool on_sg = false;
+    bool have_key = false;
+    net::GroupAddress wc_after{};
+    CacheModel::SgKey sg_after{};
+
+    bool model_step(std::size_t budget, std::vector<std::string>& seen) {
+        while (budget > 0) {
+            if (node >= slots.size()) {
+                node = 0;
+                on_sg = have_key = false;
+                return true;
+            }
+            if (const CacheModel* m = slots[node]) {
+                const std::string at = std::to_string(node) + ":";
+                if (!on_sg) {
+                    auto it = have_key ? m->wc.upper_bound(wc_after) : m->wc.begin();
+                    for (; it != m->wc.end() && budget > 0; ++it, --budget) {
+                        seen.push_back(at + CacheModel::name(true, kRp, *it));
+                        wc_after = *it;
+                        have_key = true;
+                    }
+                    if (it != m->wc.end()) return false;
+                    on_sg = true;
+                    have_key = false;
+                }
+                auto it = have_key ? m->sg.upper_bound(sg_after) : m->sg.begin();
+                for (; it != m->sg.end() && budget > 0; ++it, --budget) {
+                    seen.push_back(at + CacheModel::name(false, it->first.first, it->first.second));
+                    sg_after = it->first;
+                    have_key = true;
+                }
+                if (it != m->sg.end()) return false;
+            }
+            ++node;
+            on_sg = have_key = false;
+        }
+        return false;
+    }
+};
+
+TEST(MribWalk, StaticMribVisitsEachEntryOncePerPassInRouterThenKeyOrder) {
+    const auto& src = CacheModel::kSources;
+    const auto& grp = CacheModel::kGroups;
+    for (const std::size_t budget : {1u, 2u, 3u, 7u, 8u}) {
+        SCOPED_TRACE(budget);
+        WalkWorld w;
+        w.filled(0).ensure_sg(src[0], grp[1]);
+        w.filled(0).ensure_wc(grp[0]);
+        w.filled(0).ensure_sg(src[1], grp[1]);
+        w.filled(2).ensure_wc(grp[2]);
+        w.filled(2).ensure_wc(grp[1]);
+        w.filled(3).ensure_sg(src[2], grp[3]);
+        w.filled(3).ensure_sg(src[3], grp[0]);
+        // Router then key order: (*,G) before (S,G), each index sorted.
+        const std::vector<std::string> order = {
+            "0:*,224.1.1.3",        "0:10.0.0.1,224.1.1.1", "0:10.0.0.9,224.1.1.1",
+            "3:*,224.1.1.1",        "3:*,239.0.0.2",        "5:10.0.2.5,224.1.2.1",
+            "5:172.16.0.1,224.1.1.3"};
+
+        mcast::MribWalk walk(w.table);
+        std::vector<std::string> pass;
+        std::size_t left = order.size(); // entries the current pass has yet to visit
+        int passes = 0;
+        for (std::size_t step = 0; step < 4 * order.size(); ++step) {
+            std::vector<std::string> seen;
+            const bool wrapped = walk.step(budget, [&](int node, const ForwardingCache& cache,
+                                                       const ForwardingEntry& e) {
+                EXPECT_EQ(&cache, w.table[static_cast<std::size_t>(node)]);
+                seen.push_back(WalkWorld::name(node, e));
+            });
+            // A step visits what its budget allows; the pass finishes only
+            // with budget to spare, so a pass whose last entry takes the
+            // last unit finishes on the next step, which visits nothing.
+            const std::size_t want = std::min(budget, left);
+            EXPECT_EQ(seen.size(), want);
+            left -= want;
+            EXPECT_EQ(wrapped, left == 0 && want < budget) << "step " << step;
+            pass.insert(pass.end(), seen.begin(), seen.end());
+            if (wrapped) {
+                EXPECT_EQ(pass, order);
+                pass.clear();
+                left = order.size();
+                ++passes;
+            }
+        }
+        EXPECT_GE(passes, 3);
+    }
+}
+
+TEST(MribWalk, MatchesTheReferenceWalkWhileEntriesComeAndGo) {
+    WalkWorld w;
+    mcast::MribWalk walk(w.table);
+    std::mt19937 rng(20261020);
+    const auto pick = [&](const auto& v) { return v[rng() % v.size()]; };
+    std::size_t walked = 0;
+    int wraps = 0;
+    int exact_wraps = 0; // wraps on a step that visited nothing
+    for (int step = 0; step < 4000; ++step) {
+        CacheModel& m = w.filled(rng() % 3);
+        const net::Ipv4Address s = pick(CacheModel::kSources);
+        const net::GroupAddress g = pick(CacheModel::kGroups);
+        switch (rng() % 6) {
+        case 0:
+            m.ensure_sg(s, g);
+            break;
+        case 1:
+            m.ensure_wc(g);
+            break;
+        case 2:
+            m.remove_sg(s, g);
+            break;
+        case 3:
+            m.remove_wc(g);
+            break;
+        default: {
+            const std::size_t budget = 1 + rng() % 3;
+            std::vector<std::string> seen;
+            const bool wrapped = walk.step(budget, [&](int node, const ForwardingCache&,
+                                                       const ForwardingEntry& e) {
+                seen.push_back(WalkWorld::name(node, e));
+            });
+            std::vector<std::string> want;
+            EXPECT_EQ(wrapped, w.model_step(budget, want));
+            EXPECT_EQ(seen, want);
+            walked += seen.size();
+            if (wrapped) ++wraps;
+            if (wrapped && seen.empty()) ++exact_wraps;
+            break;
+        }
+        }
+        if (::testing::Test::HasFailure()) FAIL() << "diverged at step " << step;
+    }
+    EXPECT_GT(walked, 500u);
+    EXPECT_GT(wraps, 20);
+    EXPECT_GT(exact_wraps, 5);
 }
 
 // --- Data-plane tests on a tiny real topology ---

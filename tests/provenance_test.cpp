@@ -35,10 +35,10 @@ std::uint64_t drops_counter(telemetry::Registry& reg, DropReason reason) {
 
 /// The dump names the reason on a per-record basis; asserting on the JSON
 /// checks the record itself, not just the aggregate counter.
-bool dump_names_reason(const Recorder& rec, DropReason reason) {
+bool dump_names_reason(const Recorder& rec, const topo::Network& net, DropReason reason) {
     const std::string needle =
         std::string("\"drop\":\"") + provenance::drop_reason_label(reason) + "\"";
-    return rec.dump_json().find(needle) != std::string::npos;
+    return rec.dump_json(net.node_names()).find(needle) != std::string::npos;
 }
 
 // --- data-plane drops on a one-router topology ----------------------------
@@ -84,7 +84,7 @@ TEST_F(DropRecorderTest, RpfFailIsCountedAndRecorded) {
     sg.pin_oif(1);
     send_from_source();
     EXPECT_EQ(drops_counter(registry(), DropReason::kRpfFail), 1u);
-    EXPECT_TRUE(dump_names_reason(recorder, DropReason::kRpfFail));
+    EXPECT_TRUE(dump_names_reason(recorder, net, DropReason::kRpfFail));
     EXPECT_EQ(member->received_count(kGroup), 0u);
 }
 
@@ -95,7 +95,7 @@ TEST_F(DropRecorderTest, NegCacheIsCountedAndRecorded) {
     wc.set_iif(0);
     send_from_source();
     EXPECT_EQ(drops_counter(registry(), DropReason::kNegCache), 1u);
-    EXPECT_TRUE(dump_names_reason(recorder, DropReason::kNegCache));
+    EXPECT_TRUE(dump_names_reason(recorder, net, DropReason::kNegCache));
     EXPECT_EQ(net.stats().drops(DropReason::kNoOif), 0u);
 }
 
@@ -105,7 +105,7 @@ TEST_F(DropRecorderTest, NoOifIsCountedAndRecorded) {
     sg.set_spt_bit(true); // no live oifs, not an RP-bit entry
     send_from_source();
     EXPECT_EQ(drops_counter(registry(), DropReason::kNoOif), 1u);
-    EXPECT_TRUE(dump_names_reason(recorder, DropReason::kNoOif));
+    EXPECT_TRUE(dump_names_reason(recorder, net, DropReason::kNoOif));
     EXPECT_EQ(net.stats().drops(DropReason::kNegCache), 0u);
 }
 
@@ -122,7 +122,7 @@ TEST_F(DropRecorderTest, TtlExpiryIsCountedAndRecorded) {
     packet.pid = provenance::packet_id(packet.src, packet.dst, packet.seq);
     plane->on_multicast_data(0, packet);
     EXPECT_EQ(drops_counter(registry(), DropReason::kTtl), 1u);
-    EXPECT_TRUE(dump_names_reason(recorder, DropReason::kTtl));
+    EXPECT_TRUE(dump_names_reason(recorder, net, DropReason::kTtl));
 }
 
 TEST_F(DropRecorderTest, SegmentLossIsCountedAndRecorded) {
@@ -130,7 +130,7 @@ TEST_F(DropRecorderTest, SegmentLossIsCountedAndRecorded) {
     faults.set_loss(*lan_in, 1.0); // every frame on the source LAN vanishes
     send_from_source();
     EXPECT_GE(drops_counter(registry(), DropReason::kSegmentLoss), 1u);
-    EXPECT_TRUE(dump_names_reason(recorder, DropReason::kSegmentLoss));
+    EXPECT_TRUE(dump_names_reason(recorder, net, DropReason::kSegmentLoss));
     EXPECT_EQ(member->received_count(kGroup), 0u);
 }
 
@@ -147,7 +147,7 @@ TEST(ProvenanceProtocolDrops, NoStateWhenGroupHasNoRpMapping) {
     topo.net.run_for(50 * sim::kMillisecond);
     EXPECT_GE(drops_counter(topo.net.telemetry().registry(), DropReason::kNoState),
               1u);
-    EXPECT_TRUE(dump_names_reason(recorder, DropReason::kNoState));
+    EXPECT_TRUE(dump_names_reason(recorder, topo.net, DropReason::kNoState));
 }
 
 TEST(ProvenanceProtocolDrops, AssertLoserOnSharedSourceLan) {
@@ -180,7 +180,7 @@ TEST(ProvenanceProtocolDrops, AssertLoserOnSharedSourceLan) {
     net.run_for(200 * sim::kMillisecond);
     EXPECT_GE(drops_counter(net.telemetry().registry(), DropReason::kAssertLoser),
               1u);
-    EXPECT_TRUE(dump_names_reason(recorder, DropReason::kAssertLoser));
+    EXPECT_TRUE(dump_names_reason(recorder, net, DropReason::kAssertLoser));
     EXPECT_GE(receiver.received_count(kGroup), 1u); // the DR still delivers
 }
 
@@ -199,7 +199,7 @@ TEST(ProvenanceProtocolDrops, NoRouteWhenRegisterTargetUnreachable) {
     topo.net.run_for(100 * sim::kMillisecond);
     EXPECT_GE(drops_counter(topo.net.telemetry().registry(), DropReason::kNoRoute),
               1u);
-    EXPECT_TRUE(dump_names_reason(recorder, DropReason::kNoRoute));
+    EXPECT_TRUE(dump_names_reason(recorder, topo.net, DropReason::kNoRoute));
 }
 
 // --- one discarded packet, one count, recorder or not ---------------------
@@ -377,7 +377,8 @@ TEST(ProvenancePentagon, TraceShowsSharedTreeThenSptPath) {
     // DR, decapsulation at the RP, (*,G) down to the receiver.
     topo.net.run_for(259 * kMs);
     const Recorder::TraceResult shared =
-        recorder.trace(topo.builder.host("source").address(), kGroup.address(), "receiver");
+        recorder.trace(topo.builder.host("source").address(), kGroup.address(), "receiver",
+                       topo.net.node_names());
     ASSERT_TRUE(shared.found);
     EXPECT_EQ(shared.seq, 1u);
     EXPECT_TRUE(ordered_subpath(hop_nodes(shared),
@@ -401,7 +402,8 @@ TEST(ProvenancePentagon, TraceShowsSharedTreeThenSptPath) {
     // and no register hop anywhere.
     topo.net.run_for(1241 * kMs); // to t = 1.5 s
     const Recorder::TraceResult spt =
-        recorder.trace(topo.builder.host("source").address(), kGroup.address(), "receiver");
+        recorder.trace(topo.builder.host("source").address(), kGroup.address(), "receiver",
+                       topo.net.node_names());
     ASSERT_TRUE(spt.found);
     EXPECT_EQ(spt.seq, 30u);
     EXPECT_TRUE(ordered_subpath(hop_nodes(spt),
@@ -442,7 +444,7 @@ TEST(ProvenancePentagon, DropSummaryNamesRouterAndReason) {
                                             250 * sim::kMillisecond);
     topo.net.run_for(1500 * sim::kMillisecond);
     ASSERT_GT(topo.net.stats().drops(DropReason::kRpfFail), 0u);
-    const std::string summary = recorder.drop_summary();
+    const std::string summary = recorder.drop_summary(topo.net.node_names());
     EXPECT_NE(summary.find("A"), std::string::npos) << summary;
     EXPECT_NE(summary.find("rpf-fail"), std::string::npos) << summary;
 }
@@ -471,7 +473,8 @@ TEST(ProvenanceProtocols, EveryStackRecordsTheDeliveredPathAndRpfFailures) {
         topo.source->send_stream(kGroup, 10, 50 * sim::kMillisecond);
         topo.net.run_for(1 * sim::kSecond);
 
-        const auto trace = recorder.trace(topo.source->address(), kGroup.address(), "receiver");
+        const auto trace = recorder.trace(topo.source->address(), kGroup.address(), "receiver",
+                                          topo.net.node_names());
         ASSERT_TRUE(trace.found);
         ASSERT_GE(trace.hops.size(), 3u);
         EXPECT_EQ(trace.hops.front().rec.kind, EntryKind::kOrigin);
@@ -492,7 +495,7 @@ TEST(ProvenanceProtocols, EveryStackRecordsTheDeliveredPathAndRpfFailures) {
             provenance::packet_id(topo.source->address(), kGroup.address(), 1));
         for (const std::string router : {"B", "A", "receiver"}) {
             EXPECT_TRUE(std::any_of(first.begin(), first.end(), [&](const auto& rec) {
-                return recorder.node_name(rec.node) == router &&
+                return topo.net.node(rec.node).name() == router &&
                        rec.drop == DropReason::kNone &&
                        (rec.oif_count > 0 || rec.kind == EntryKind::kDeliver);
             })) << router;
@@ -510,7 +513,7 @@ TEST(ProvenanceProtocols, EveryStackRecordsTheDeliveredPathAndRpfFailures) {
         topo.b->receive(topo.ifindex_toward(*topo.b, *topo.c), stray);
         const auto records = recorder.records_for(stray.pid);
         ASSERT_EQ(records.size(), 1u);
-        EXPECT_EQ(recorder.node_name(records[0].node), "B");
+        EXPECT_EQ(topo.net.node(records[0].node).name(), "B");
         EXPECT_EQ(records[0].drop, DropReason::kRpfFail);
         EXPECT_FALSE(records[0].rpf_ok);
         EXPECT_EQ(drops_counter(topo.net.telemetry().registry(), DropReason::kRpfFail),
@@ -522,7 +525,7 @@ TEST(ProvenanceProtocols, EveryStackRecordsTheDeliveredPathAndRpfFailures) {
 
 TEST(ProvenanceRecorder, RingStaysBounded) {
     Recorder rec;
-    rec.register_node(0, "r", false);
+    rec.add_rings(1);
     const std::uint64_t total = 2 * provenance::kRingCapacity + 3;
     for (std::uint64_t i = 0; i < total; ++i) {
         net::Packet packet;

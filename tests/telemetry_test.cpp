@@ -6,9 +6,12 @@
 // exporters, and the pentagon's rendered events and spans under every stack.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
 
 #include "alloc_count.hpp"
+#include "check/watchdog.hpp"
+#include "provenance/provenance.hpp"
 #include "scenario/script.hpp"
 #include "scenario/stacks.hpp"
 #include "scenario/world.hpp"
@@ -17,6 +20,7 @@
 #include "telemetry/hub.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/snapshot.hpp"
+#include "telemetry/tree_monitor.hpp"
 #include "test_util.hpp"
 #include "trace/timeline.hpp"
 
@@ -684,6 +688,95 @@ TEST(EventGolden, PentagonEventsAndSpansUnchanged) {
         EXPECT_EQ(hub.events().events().size(), golden[i].events);
         EXPECT_EQ(hub.spans().completed().size(), golden[i].spans);
         EXPECT_EQ(digest, golden[i].digest);
+    }
+}
+
+// --- golden observers -----------------------------------------------------
+
+// The same pentagon under every stack with the tree monitor at 100 ms and
+// the watchdog on, plus the skip-spt-bit-handshake mutation under PIM-SM:
+// the monitor's last pass after every tick, the pimlib_tree_* and
+// pimlib_watchdog_* series, the watchdog's violations (post-mortems
+// included), its dump and its entry count, folded into one digest per run.
+// Pinned before the two observers shared one MRIB walk; a change to how
+// they walk, schedule or name must not move one byte.
+std::string pass_text(const telemetry::TreeMonitor::PassStats& p) {
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  "%llu %lld %zu %zu %zu %zu %zu %zu %zu %zu %d %zu %.17g %zu %zu\n",
+                  static_cast<unsigned long long>(p.pass),
+                  static_cast<long long>(p.completed_at), p.entries, p.wildcard_entries,
+                  p.sg_entries, p.groups, p.member_ports, p.walks, p.broken_walks,
+                  p.skipped_walks, p.depth_max, p.fanout_max, p.stretch_max,
+                  p.link_flows_max, p.links_used);
+    return buf;
+}
+
+std::uint64_t observer_digest(const std::string& protocol, const std::string& mutation) {
+    const scenario::Blueprint plan(scenario::parse_script(pentagon_script(protocol)));
+    scenario::World world(plan, scenario::World::Observers::kNone, mutation);
+    provenance::Recorder recorder;
+    world.net.set_provenance(&recorder);
+    check::Watchdog watchdog(world.net, world.stack().caches());
+    watchdog.set_recorder(&recorder);
+    watchdog.start();
+    telemetry::TreeMonitor monitor(world.net, world.stack().caches(), 100 * sim::kMillisecond);
+    monitor.start();
+    world.schedule_actions();
+
+    std::string passes;
+    for (sim::Time t = 0; t < plan.script().run_until;) {
+        t += 100 * sim::kMillisecond;
+        world.net.simulator().run_until(t);
+        passes += pass_text(monitor.last_pass());
+    }
+    std::string series;
+    const std::string prom = telemetry::to_prometheus(world.net.telemetry().registry());
+    for (std::size_t at = 0; at < prom.size();) {
+        const std::size_t eol = prom.find('\n', at);
+        const std::string line = prom.substr(at, eol - at);
+        if (line.find("pimlib_tree_") != std::string::npos ||
+            line.find("pimlib_watchdog_") != std::string::npos) {
+            series += line + '\n';
+        }
+        at = eol + 1;
+    }
+    std::string violations;
+    for (const check::WatchdogViolation& v : watchdog.violations()) {
+        violations += std::to_string(v.at) + ' ' + v.watchdog + ' ' + v.node + ' ' + v.group +
+                      ' ' + v.detail + '\n' + v.postmortem_summary + '\n' +
+                      v.postmortem_json;
+    }
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    digest = fnv1a(digest, passes);
+    digest = fnv1a(digest, series);
+    digest = fnv1a(digest, violations);
+    digest = fnv1a(digest, watchdog.dump());
+    digest = fnv1a(digest, std::to_string(watchdog.entries_scanned()) + ' ' +
+                               std::to_string(watchdog.violations().size()));
+    return digest;
+}
+
+TEST(ObserverGolden, PentagonMonitorAndWatchdogUnchanged) {
+    struct Golden {
+        const char* protocol;
+        const char* mutation;
+        std::uint64_t digest;
+    };
+    const Golden golden[] = {
+        {"pim-sm", "", 1288985307241153463ull},
+        {"pim-dm", "", 16197388204513542262ull},
+        {"dvmrp", "", 16197388204513542262ull},
+        {"cbt", "", 16151129751163224447ull},
+        {"mospf", "", 14579858987664924111ull},
+        {"pim-sm", "skip-spt-bit-handshake", 9760450973122625305ull},
+    };
+    for (std::size_t i = 0; i < scenario::kStackProtocols.size(); ++i) {
+        EXPECT_EQ(golden[i].protocol, std::string(scenario::kStackProtocols[i].name));
+    }
+    for (const Golden& g : golden) {
+        SCOPED_TRACE(std::string(g.protocol) + " " + g.mutation);
+        EXPECT_EQ(observer_digest(g.protocol, g.mutation), g.digest);
     }
 }
 

@@ -60,11 +60,8 @@ struct ParityWorld {
         stack->set_rp(kGroup, {e->router_id()});
         stack->set_spt_policy(pim::SptPolicy::never());
 
-        telemetry::TreeMonitorConfig mon_cfg;
-        mon_cfg.interval = 100 * sim::kMillisecond;
-        monitor = std::make_unique<telemetry::TreeMonitor>(
-            net, [this](const topo::Router& r) { return stack->cache_of(r); },
-            mon_cfg);
+        monitor = std::make_unique<telemetry::TreeMonitor>(net, stack->caches(),
+                                                           100 * sim::kMillisecond);
         monitor->start();
     }
 

@@ -35,8 +35,7 @@ struct PentagonWorld : WalkthroughPentagon {
         stack->set_rp(kGroup, {builder.router("C").router_id()});
         stack->set_spt_policy(pim::SptPolicy::immediate());
 
-        watchdog = std::make_unique<check::Watchdog>(
-            net, [this](const topo::Router& r) { return stack->cache_of(r); });
+        watchdog = std::make_unique<check::Watchdog>(net, stack->caches());
         watchdog->set_recorder(recorder.get());
         watchdog->start();
     }
