@@ -58,10 +58,7 @@ void usage() {
         "  --scenario NAME     walkthrough | rp-failover | lan-assert |\n"
         "                      bsr-failover (default walkthrough; with\n"
         "                      --backward, the target's default scenario)\n"
-        "  --mutate NAME       enable a seeded bug: skip-spt-bit-handshake |\n"
-        "                      no-rp-bit-prune | assert-loser-keeps-forwarding |\n"
-        "                      stale-rp-set-after-bsr-failover |\n"
-        "                      one-shot-assert | fragile-rp-holdtime\n"
+        "  --mutate NAME       enable a seeded bug (names: --list)\n"
         "  --backward TARGET   fault-oriented search toward a target violation:\n"
         "                      blackhole | duplicate-on-lan |\n"
         "                      assert-loser-forwarding | stale-rp-set\n"
@@ -290,10 +287,7 @@ int run_backward(const check::BackwardOptions& options, const std::string& out_d
 }
 
 struct MutationVerdict {
-    std::string mutation;
-    std::string target;
-    std::string scenario;
-    bool requires_search = false;
+    const check::Mutation* mutation = nullptr;
     std::size_t backward_replays = 0;
     std::size_t backward_replays_to_hit = 0;
     bool backward_found = false;
@@ -349,24 +343,14 @@ int run_smoke(check::ExploreOptions base, const std::string& out_dir) {
     constexpr std::size_t kForwardCap = 400;
     constexpr double kRequiredAdvantage = 5.0;
     std::vector<MutationVerdict> verdicts;
-    for (const std::string& mutation : check::known_mutations()) {
+    for (const check::Mutation& mutation : check::mutations()) {
         MutationVerdict v;
-        v.mutation = mutation;
-        v.target = check::target_for_mutation(mutation);
-        v.scenario = check::scenario_for_mutation(mutation);
-        v.requires_search = check::mutation_requires_search(mutation);
-        if (v.target.empty()) {
-            std::printf("SMOKE FAIL: mutation %s has no backward target\n",
-                        mutation.c_str());
-            ok = false;
-            verdicts.push_back(v);
-            continue;
-        }
+        v.mutation = &mutation;
 
         check::BackwardOptions bo;
-        bo.scenario = v.scenario;
-        bo.mutation = mutation;
-        bo.target = v.target;
+        bo.scenario = mutation.scenario;
+        bo.mutation = mutation.name;
+        bo.target = mutation.target;
         bo.checkpoint_every = base.checkpoint_every;
         bo.metrics = &metrics;
         const check::BackwardReport back = check::backward_search(bo);
@@ -376,11 +360,11 @@ int run_smoke(check::ExploreOptions base, const std::string& out_dir) {
         v.backward_found = back.found();
 
         check::ExploreOptions fo = base;
-        fo.scenario = v.scenario;
-        fo.mutation = mutation;
+        fo.scenario = mutation.scenario;
+        fo.mutation = mutation.name;
         fo.stop_at_first_violation = true;
         fo.time_budget_seconds = 60.0;
-        fo.max_runs = v.requires_search ? kForwardCap : 50;
+        fo.max_runs = mutation.requires_search() ? kForwardCap : 50;
         const check::ExploreReport fwd = check::explore(fo);
         print_report(fo, fwd, out_dir);
         v.forward_found = fwd.violating_runs > 0;
@@ -394,13 +378,13 @@ int run_smoke(check::ExploreOptions base, const std::string& out_dir) {
         v.ok = v.backward_found && !back.counterexamples.empty();
         if (!v.ok) {
             std::printf("SMOKE FAIL: backward search missed mutation %s\n",
-                        mutation.c_str());
+                        mutation.name.c_str());
         }
-        if (v.requires_search) {
+        if (mutation.requires_search()) {
             if (v.ratio < kRequiredAdvantage) {
                 std::printf("SMOKE FAIL: backward advantage on %s is %.1fx "
                             "(forward %s%zu vs %zu replays), want >= %.0fx\n",
-                            mutation.c_str(), v.ratio,
+                            mutation.name.c_str(), v.ratio,
                             v.forward_capped ? ">=" : "", v.forward_runs,
                             v.backward_replays_to_hit, kRequiredAdvantage);
                 v.ok = false;
@@ -408,12 +392,12 @@ int run_smoke(check::ExploreOptions base, const std::string& out_dir) {
         } else {
             if (!v.forward_found) {
                 std::printf("SMOKE FAIL: forward search missed mutation %s\n",
-                            mutation.c_str());
+                            mutation.name.c_str());
                 v.ok = false;
             } else if (v.backward_replays_to_hit > v.forward_runs) {
                 std::printf("SMOKE FAIL: backward took %zu replays on %s, "
                             "forward only %zu\n",
-                            v.backward_replays_to_hit, mutation.c_str(),
+                            v.backward_replays_to_hit, mutation.name.c_str(),
                             v.forward_runs);
                 v.ok = false;
             }
@@ -472,10 +456,11 @@ int run_smoke(check::ExploreOptions base, const std::string& out_dir) {
     json << "\n  ],\n  \"mutations\": [";
     for (std::size_t i = 0; i < verdicts.size(); ++i) {
         const MutationVerdict& v = verdicts[i];
-        json << (i ? ",\n    " : "\n    ") << "{\"mutation\": \"" << v.mutation
-             << "\", \"target\": \"" << v.target << "\", \"scenario\": \""
-             << v.scenario << "\", \"requires_search\": "
-             << (v.requires_search ? "true" : "false")
+        const check::Mutation& m = *v.mutation;
+        json << (i ? ",\n    " : "\n    ") << "{\"mutation\": \"" << m.name
+             << "\", \"target\": \"" << m.target << "\", \"scenario\": \""
+             << m.scenario << "\", \"requires_search\": "
+             << (m.requires_search() ? "true" : "false")
              << ", \"backward_replays\": " << v.backward_replays
              << ", \"backward_replays_to_hit\": " << v.backward_replays_to_hit
              << ", \"backward_found\": " << (v.backward_found ? "true" : "false")
@@ -576,11 +561,9 @@ int main(int argc, char** argv) {
                 std::printf("  %s\n", name.c_str());
             }
             std::printf("mutations:\n");
-            for (const std::string& name : check::known_mutations()) {
-                std::printf("  %s%s\n", name.c_str(),
-                            check::mutation_requires_search(name)
-                                ? " (loss-dependent)"
-                                : "");
+            for (const check::Mutation& m : check::mutations()) {
+                std::printf("  %s%s\n", m.name.c_str(),
+                            m.requires_search() ? " (loss-dependent)" : "");
             }
             std::printf("backward targets:\n");
             for (const std::string& name : check::backward_targets()) {
@@ -617,14 +600,10 @@ int main(int argc, char** argv) {
                      options.scenario.c_str());
         return 2;
     }
-    if (!options.mutation.empty()) {
-        const auto& mutations = check::known_mutations();
-        if (std::find(mutations.begin(), mutations.end(), options.mutation) ==
-            mutations.end()) {
-            std::fprintf(stderr, "pimcheck: unknown mutation '%s' (see --list)\n",
-                         options.mutation.c_str());
-            return 2;
-        }
+    if (!options.mutation.empty() && check::find_mutation(options.mutation) == nullptr) {
+        std::fprintf(stderr, "pimcheck: unknown mutation '%s' (see --list)\n",
+                     options.mutation.c_str());
+        return 2;
     }
 
     if (smoke) return run_smoke(options, out_dir);

@@ -8,8 +8,6 @@
 #include <queue>
 #include <set>
 
-#include "telemetry/profiler/profiler.hpp"
-
 namespace pimlib::check {
 namespace {
 
@@ -166,11 +164,10 @@ std::vector<Candidate> rank_candidates(const ScenarioInfo& info,
     return out;
 }
 
-/// Greedy target-preserving minimization, the backward twin of
-/// shrink_counterexample: drops picks while the run still violates an
-/// oracle in the target's family.
-void publish_metrics(const BackwardOptions& options,
-                     const BackwardReport& report) {
+/// Stamps the search's elapsed time and publishes its counters.
+void finish(const BackwardOptions& options, Clock::time_point start,
+            BackwardReport& report) {
+    report.elapsed_seconds = std::chrono::duration<double>(Clock::now() - start).count();
     if (options.metrics == nullptr) return;
     const telemetry::LabelSet labels{
         {"engine", "backward"},
@@ -178,54 +175,14 @@ void publish_metrics(const BackwardOptions& options,
         {"mutation", options.mutation.empty() ? "none" : options.mutation},
         {"target", report.target}};
     telemetry::Registry& reg = *options.metrics;
-    reg.counter("pimlib_check_runs_total", labels,
-                "scenario replays executed by the checker")
-        .inc(report.replays);
+    publish_search_metrics(reg, labels, report.replays, report.violating_runs,
+                           report.skipped_branches, report.counterexamples.size());
     reg.counter("pimlib_check_replays_to_hit_total", labels,
                 "replays up to and including the first target hit")
         .inc(report.replays_to_hit);
-    reg.counter("pimlib_check_violating_runs_total", labels,
-                "replays that tripped an invariant oracle")
-        .inc(report.violating_runs);
     reg.counter("pimlib_check_target_hits_total", labels,
                 "replays that tripped the target's witness family")
         .inc(report.target_hits);
-    reg.counter("pimlib_check_skipped_branches_total", labels,
-                "inconsistent choice sets discarded on replay")
-        .inc(report.skipped_branches);
-    reg.counter("pimlib_check_counterexamples_total", labels,
-                "shrunk replayable counterexamples emitted")
-        .inc(report.counterexamples.size());
-}
-
-ChoiceSet shrink_to_target(const std::string& scenario,
-                           const BackwardOptions& options, ChoiceSet failing,
-                           std::size_t* replays) {
-    const auto violates = [&](const ChoiceSet& candidate) {
-        RunConfig cfg;
-        cfg.choices = candidate;
-        cfg.mutation = options.mutation;
-        cfg.checkpoint_every = options.checkpoint_every;
-        cfg.key_from = kKeyNothing; // nothing dedups backward replays
-        ++*replays;
-        PROF_ZONE("check.explore");
-        return target_matches(options.target,
-                              run_scenario(scenario, cfg).violations);
-    };
-    bool shrunk = true;
-    while (shrunk && !failing.empty()) {
-        shrunk = false;
-        for (std::size_t i = 0; i < failing.size(); ++i) {
-            ChoiceSet candidate = failing;
-            candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-            if (violates(candidate)) {
-                failing = std::move(candidate);
-                shrunk = true;
-                break;
-            }
-        }
-    }
-    return failing;
 }
 
 } // namespace
@@ -239,27 +196,18 @@ const std::vector<std::string>& backward_targets() {
     return targets;
 }
 
-bool target_matches(const std::string& target,
-                    const std::vector<Violation>& violations) {
+const std::vector<std::string>& target_oracles(const std::string& target) {
+    static const std::vector<std::string> none;
     const auto it = target_specs().find(target);
-    if (it == target_specs().end()) return false;
-    for (const Violation& v : violations) {
-        if (contains(it->second.oracles, v.oracle)) return true;
-    }
-    return false;
+    return it == target_specs().end() ? none : it->second.oracles;
 }
 
-std::string target_for_mutation(const std::string& mutation) {
-    static const std::map<std::string, std::string> targets = {
-        {"skip-spt-bit-handshake", "blackhole"},
-        {"no-rp-bit-prune", "duplicate-on-lan"},
-        {"assert-loser-keeps-forwarding", "assert-loser-forwarding"},
-        {"stale-rp-set-after-bsr-failover", "stale-rp-set"},
-        {"one-shot-assert", "duplicate-on-lan"},
-        {"fragile-rp-holdtime", "blackhole"},
-    };
-    const auto it = targets.find(mutation);
-    return it == targets.end() ? "" : it->second;
+bool target_matches(const std::string& target,
+                    const std::vector<Violation>& violations) {
+    const std::vector<std::string>& family = target_oracles(target);
+    return std::any_of(violations.begin(), violations.end(), [&](const Violation& v) {
+        return contains(family, v.oracle);
+    });
 }
 
 std::string default_scenario_for_target(const std::string& target) {
@@ -286,53 +234,26 @@ BackwardReport backward_search(const BackwardOptions& options) {
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(options.time_budget_seconds));
 
-    const auto run = [&](const ChoiceSet& choices, bool collect_trace) {
-        RunConfig cfg;
-        cfg.choices = choices;
-        cfg.mutation = options.mutation;
-        cfg.collect_trace = collect_trace;
-        cfg.checkpoint_every = options.checkpoint_every;
-        cfg.key_from = kKeyNothing;
-        ++report.replays;
-        PROF_ZONE("check.explore");
-        return run_scenario(report.scenario, cfg);
-    };
-
-    const auto emit = [&](const ChoiceSet& choices,
-                          const RunResult& result) {
-        ChoiceSet minimal =
-            shrink_to_target(report.scenario, options, choices, &report.replays);
-        RunResult replay = run(minimal, true);
-        if (!target_matches(options.target, replay.violations)) {
-            // Shrinking is best-effort; fall back to the original branch.
-            minimal = choices;
-            replay = run(minimal, true);
-        }
-        Counterexample ce;
-        ce.choices = minimal;
-        ce.violations = target_matches(options.target, replay.violations)
-                            ? replay.violations
-                            : result.violations;
-        ce.script = replay_script(report.scenario, options.mutation, replay);
-        ce.trace_dump = std::move(replay.trace_dump);
-        ce.provenance_dump = std::move(replay.provenance_dump);
-        ce.provenance_summary = std::move(replay.provenance_summary);
-        report.counterexamples.push_back(std::move(ce));
-    };
+    // Nothing dedups backward replays, so none is keyed; every one counts
+    // against the budget, shrink and trace replays included.
+    const Search search{report.scenario, options.mutation, options.checkpoint_every,
+                        [&](const std::vector<Violation>& found) {
+                            return target_matches(options.target, found);
+                        },
+                        &report.replays};
 
     // Reconnaissance: the deterministic baseline yields both the decision
     // trace the ranking needs and the cheapest possible hit (a mutation
     // whose symptom needs no fault at all).
-    const RunResult baseline = run({}, false);
+    const RunResult baseline = search.run({});
     if (!baseline.violations.empty()) {
         ++report.violating_runs;
-        if (target_matches(options.target, baseline.violations)) {
+        if (search.still_fails(baseline.violations)) {
             ++report.target_hits;
             report.replays_to_hit = report.replays;
-            emit({}, baseline);
-            report.elapsed_seconds =
-                std::chrono::duration<double>(Clock::now() - start).count();
-            publish_metrics(options, report);
+            report.counterexamples.push_back(
+                package_counterexample(search, {}, baseline.violations));
+            finish(options, start, report);
             return report;
         }
     }
@@ -358,15 +279,7 @@ BackwardReport backward_search(const BackwardOptions& options) {
 
     const auto push_children = [&](const ChoiceSet& branch, std::size_t score,
                                    const std::vector<ChoiceRec>& trace) {
-        bool have_loss = false;
-        bool have_fault = false;
-        for (const Pick& pick : branch) {
-            if (pick.index < trace.size()) {
-                const auto kind = trace[pick.index].point.kind;
-                have_loss |= kind == sim::ChoicePoint::Kind::kFrameLoss;
-                have_fault |= kind == sim::ChoicePoint::Kind::kFault;
-            }
-        }
+        const FaultBudget budget(branch, trace);
         // Compositions are a last resort (see Node ordering), so keep only
         // the best-ranked extensions of an already-changed branch.
         const std::size_t cap =
@@ -375,11 +288,7 @@ BackwardReport backward_search(const BackwardOptions& options) {
         std::size_t pushed = 0;
         for (const Candidate& cand : rank_candidates(info, spec, trace)) {
             if (pushed >= cap) break;
-            const auto kind = trace[cand.pick.index].point.kind;
-            // Single-fault semantics, like the forward explorer: at most
-            // one loss and one fault per execution.
-            if (kind == sim::ChoicePoint::Kind::kFrameLoss && have_loss) continue;
-            if (kind == sim::ChoicePoint::Kind::kFault && have_fault) continue;
+            if (!budget.allows(trace[cand.pick.index].point.kind)) continue;
             ChoiceSet child = branch;
             child.push_back(cand.pick);
             std::sort(child.begin(), child.end());
@@ -400,19 +309,20 @@ BackwardReport backward_search(const BackwardOptions& options) {
         const Node node = queue.top();
         queue.pop();
 
-        const RunResult result = run(node.choices, false);
+        const RunResult result = search.run(node.choices);
         if (!result.choices_applied) {
             ++report.skipped_branches;
             continue;
         }
         if (!result.violations.empty()) {
             ++report.violating_runs;
-            if (target_matches(options.target, result.violations)) {
+            if (search.still_fails(result.violations)) {
                 ++report.target_hits;
                 if (report.replays_to_hit == 0) {
                     report.replays_to_hit = report.replays;
                 }
-                emit(node.choices, result);
+                report.counterexamples.push_back(
+                    package_counterexample(search, node.choices, result.violations));
             }
             continue; // don't compose further changes onto a failing branch
         }
@@ -422,9 +332,7 @@ BackwardReport backward_search(const BackwardOptions& options) {
     }
 
     report.exhausted = queue.empty();
-    report.elapsed_seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    publish_metrics(options, report);
+    finish(options, start, report);
     return report;
 }
 

@@ -23,9 +23,9 @@
 //
 // Candidate single-change branches are ranked by that pre-image relevance
 // and replayed best-first; a hit is shrunk (target-preserving greedy
-// minimization) and packaged as the same replayable Counterexample the
-// forward explorer emits. Unfruitful branches are extended one more
-// ranked change (fault + loss composition) up to max_depth.
+// minimization) and packaged through the counterexample path the forward
+// explorer uses (check/explorer.hpp). Unfruitful branches are extended one
+// more ranked change (fault + loss composition) up to max_depth.
 #pragma once
 
 #include <string>
@@ -86,15 +86,14 @@ struct BackwardReport {
 /// The four target violations the engine knows how to pre-image.
 [[nodiscard]] const std::vector<std::string>& backward_targets();
 
+/// The oracles whose violations witness `target` (its witness family);
+/// empty for unknown targets.
+[[nodiscard]] const std::vector<std::string>& target_oracles(const std::string& target);
+
 /// True when any violation's oracle is in `target`'s witness family.
 /// False for unknown targets.
 [[nodiscard]] bool target_matches(const std::string& target,
                                   const std::vector<Violation>& violations);
-
-/// The target whose witness family catches `mutation`'s symptom, or ""
-/// for unknown mutations. The CI mutation gate drives backward search
-/// through this mapping.
-[[nodiscard]] std::string target_for_mutation(const std::string& mutation);
 
 /// The scenario world built to exercise `target`'s mechanism (aborts via
 /// assert on unknown targets — validate against backward_targets()).

@@ -15,19 +15,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Replays one branch, keying its checkpoints from `key_from` on.
-RunResult run_branch(const ExploreOptions& options, const ChoiceSet& choices,
-                     bool collect_trace, sim::Time key_from) {
-    RunConfig cfg;
-    cfg.choices = choices;
-    cfg.mutation = options.mutation;
-    cfg.collect_trace = collect_trace;
-    cfg.checkpoint_every = options.checkpoint_every;
-    cfg.key_from = key_from;
-    PROF_ZONE("check.explore");
-    return run_scenario(options.scenario, cfg);
-}
-
 /// A frontier entry: its forced picks and its fork instant, the clock of its
 /// last pick in its parent's run. Up to that instant the branch replays its
 /// parent exactly, so its checkpoint keys before it are the parent's, which
@@ -44,26 +31,15 @@ struct Fork {
 };
 
 /// Candidate children of a completed run: flip one decision point after the
-/// last already-forced pick. Loss and fault picks are rationed to one each
-/// per execution — single-failure semantics, and the main guard against
-/// frontier blowup.
+/// last already-forced pick. The single-fault rule (FaultBudget) is also
+/// the main guard against frontier blowup.
 std::vector<Pick> child_flips(const ChoiceSet& current, const RunResult& result) {
     std::vector<Pick> flips;
-    bool have_loss = false;
-    bool have_fault = false;
-    for (const Pick& pick : current) {
-        if (pick.index < result.trace.size()) {
-            const auto kind = result.trace[pick.index].point.kind;
-            have_loss |= kind == sim::ChoicePoint::Kind::kFrameLoss;
-            have_fault |= kind == sim::ChoicePoint::Kind::kFault;
-        }
-    }
+    const FaultBudget budget(current, result.trace);
     const std::uint32_t start = current.empty() ? 0 : current.back().index + 1;
     for (std::uint32_t i = start; i < result.trace.size(); ++i) {
         const ChoiceRec& rec = result.trace[i];
-        if (rec.alternatives < 2) continue;
-        if (rec.point.kind == sim::ChoicePoint::Kind::kFrameLoss && have_loss) continue;
-        if (rec.point.kind == sim::ChoicePoint::Kind::kFault && have_fault) continue;
+        if (rec.alternatives < 2 || !budget.allows(rec.point.kind)) continue;
         for (std::uint32_t v = 1; v < rec.alternatives; ++v) {
             if (v == rec.pick) continue;
             flips.push_back(Pick{i, v});
@@ -141,16 +117,27 @@ struct Slot {
 
 } // namespace
 
-ChoiceSet shrink_counterexample(const ExploreOptions& options, ChoiceSet failing) {
+RunResult Search::run(const ChoiceSet& choices, bool collect_trace,
+                      sim::Time key_from) const {
+    RunConfig cfg;
+    cfg.choices = choices;
+    cfg.mutation = mutation;
+    cfg.collect_trace = collect_trace;
+    cfg.checkpoint_every = checkpoint_every;
+    cfg.key_from = key_from;
+    if (replays != nullptr) ++*replays;
+    PROF_ZONE("check.explore");
+    return run_scenario(scenario, cfg);
+}
+
+ChoiceSet shrink(const Search& search, ChoiceSet failing) {
     bool shrunk = true;
     while (shrunk && !failing.empty()) {
         shrunk = false;
         for (std::size_t i = 0; i < failing.size(); ++i) {
             ChoiceSet candidate = failing;
             candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-            const RunResult result =
-                run_branch(options, candidate, false, kKeyNothing);
-            if (!result.violations.empty()) {
+            if (search.still_fails(search.run(candidate).violations)) {
                 failing = std::move(candidate);
                 shrunk = true;
                 break;
@@ -160,8 +147,54 @@ ChoiceSet shrink_counterexample(const ExploreOptions& options, ChoiceSet failing
     return failing;
 }
 
+Counterexample package_counterexample(const Search& search, const ChoiceSet& failing,
+                                      const std::vector<Violation>& found) {
+    Counterexample ce;
+    ce.choices = shrink(search, failing);
+    RunResult replay = search.run(ce.choices, true);
+    if (!search.still_fails(replay.violations)) {
+        // Shrinking is best-effort; fall back to the original branch.
+        ce.choices = failing;
+        replay = search.run(ce.choices, true);
+    }
+    ce.violations = search.still_fails(replay.violations) ? replay.violations : found;
+    ce.script = replay_script(search.scenario, search.mutation, replay);
+    ce.trace_dump = std::move(replay.trace_dump);
+    ce.provenance_dump = std::move(replay.provenance_dump);
+    ce.provenance_summary = std::move(replay.provenance_summary);
+    return ce;
+}
+
+FaultBudget::FaultBudget(const ChoiceSet& branch, const std::vector<ChoiceRec>& trace) {
+    for (const Pick& pick : branch) {
+        if (pick.index >= trace.size()) continue;
+        loss |= trace[pick.index].point.kind == sim::ChoicePoint::Kind::kFrameLoss;
+        fault |= trace[pick.index].point.kind == sim::ChoicePoint::Kind::kFault;
+    }
+}
+
+void publish_search_metrics(telemetry::Registry& registry,
+                            const telemetry::LabelSet& labels, std::size_t runs,
+                            std::size_t violating_runs, std::size_t skipped_branches,
+                            std::size_t counterexamples) {
+    registry.counter("pimlib_check_runs_total", labels,
+                     "scenario replays executed by the checker")
+        .inc(runs);
+    registry.counter("pimlib_check_violating_runs_total", labels,
+                     "replays that tripped an invariant oracle")
+        .inc(violating_runs);
+    registry.counter("pimlib_check_skipped_branches_total", labels,
+                     "inconsistent choice sets discarded on replay")
+        .inc(skipped_branches);
+    registry.counter("pimlib_check_counterexamples_total", labels,
+                     "shrunk replayable counterexamples emitted")
+        .inc(counterexamples);
+}
+
 ExploreReport explore(const ExploreOptions& options) {
     ExploreReport report;
+    const Search search{options.scenario, options.mutation, options.checkpoint_every,
+                        [](const std::vector<Violation>& found) { return !found.empty(); }};
     const auto start = Clock::now();
     const auto deadline =
         start + std::chrono::duration_cast<Clock::duration>(
@@ -203,8 +236,7 @@ ExploreReport explore(const ExploreOptions& options) {
                 }
                 Slot& slot = slots[i];
                 const Branch& branch = frontier[i];
-                RunResult result =
-                    run_branch(options, branch.choices, false, branch.fork_at);
+                RunResult result = search.run(branch.choices, false, branch.fork_at);
                 PROF_ZONE("check.slot");
                 // `states` is read-only until the merge: drop the keys
                 // earlier waves already hold here, in parallel, so the
@@ -262,23 +294,8 @@ ExploreReport explore(const ExploreOptions& options) {
             if (!slot.violations.empty()) {
                 ++report.violating_runs;
                 if (report.counterexamples.size() < options.max_counterexamples) {
-                    const ChoiceSet& failing = frontier[i].choices;
-                    const ChoiceSet minimal = shrink_counterexample(options, failing);
-                    RunResult replay = run_branch(options, minimal, true, kKeyNothing);
-                    if (replay.violations.empty()) {
-                        // Shrinking is best-effort; fall back to the original.
-                        replay = run_branch(options, failing, true, kKeyNothing);
-                    }
-                    Counterexample ce;
-                    ce.choices = replay.violations.empty() ? failing : minimal;
-                    ce.violations = replay.violations.empty() ? slot.violations
-                                                              : replay.violations;
-                    ce.script = replay_script(options.scenario, options.mutation,
-                                              replay);
-                    ce.trace_dump = std::move(replay.trace_dump);
-                    ce.provenance_dump = std::move(replay.provenance_dump);
-                    ce.provenance_summary = std::move(replay.provenance_summary);
-                    report.counterexamples.push_back(std::move(ce));
+                    report.counterexamples.push_back(package_counterexample(
+                        search, frontier[i].choices, slot.violations));
                 }
                 if (options.stop_at_first_violation) {
                     stopped = true;
@@ -314,22 +331,13 @@ ExploreReport explore(const ExploreOptions& options) {
             {"engine", "forward"},
             {"scenario", options.scenario},
             {"mutation", options.mutation.empty() ? "none" : options.mutation}};
-        telemetry::Registry& reg = *options.metrics;
-        reg.counter("pimlib_check_runs_total", labels,
-                    "scenario replays executed by the checker")
-            .inc(report.runs);
-        reg.counter("pimlib_check_deduped_states_total", labels,
-                    "distinct timed protocol states visited")
+        publish_search_metrics(*options.metrics, labels, report.runs,
+                               report.violating_runs, report.skipped_branches,
+                               report.counterexamples.size());
+        options.metrics
+            ->counter("pimlib_check_deduped_states_total", labels,
+                      "distinct timed protocol states visited")
             .inc(report.deduped_states);
-        reg.counter("pimlib_check_violating_runs_total", labels,
-                    "replays that tripped an invariant oracle")
-            .inc(report.violating_runs);
-        reg.counter("pimlib_check_skipped_branches_total", labels,
-                    "inconsistent choice sets discarded on replay")
-            .inc(report.skipped_branches);
-        reg.counter("pimlib_check_counterexamples_total", labels,
-                    "shrunk replayable counterexamples emitted")
-            .inc(report.counterexamples.size());
     }
     return report;
 }

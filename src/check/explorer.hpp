@@ -26,7 +26,9 @@
 //
 // A branch whose oracles fail is shrunk (greedy pick-dropping, re-running
 // each candidate) to a minimal failing choice set and packaged as a
-// replayable counterexample: pimsim script + decoded packet trace.
+// replayable counterexample: pimsim script + decoded packet trace. The
+// backward engine (check/backward.hpp) packages its hits through the same
+// path, declared first below.
 //
 // Exploration is wave-synchronous and optionally parallel: each BFS wave's
 // branches are claimed off an atomic cursor by a worker pool, then the
@@ -38,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -45,6 +48,74 @@
 #include "telemetry/metrics.hpp"
 
 namespace pimlib::check {
+
+// What both search engines share: how a search replays its branches, the
+// one counterexample path (greedy shrink, traced replay, packaging), the
+// single-fault rule and the pimlib_check_* counters both publish. The
+// engines differ in how they pick the next branch and what counts as a hit.
+
+struct Counterexample {
+    ChoiceSet choices; // shrunk to a minimal failing set
+    std::vector<Violation> violations;
+    std::string script;     // pimsim replay (see scenario.hpp)
+    std::string trace_dump; // decoded packet trace of the failing run
+    /// Flight-recorder post-mortem of the failing run: merged time-ordered
+    /// per-hop records (JSON) plus a one-line per-router drop summary
+    /// naming who discarded what and why.
+    std::string provenance_dump;
+    std::string provenance_summary;
+};
+
+/// One search's replays: the scenario and seeded bug every branch runs
+/// under, and what makes a replay a hit.
+struct Search {
+    std::string scenario;
+    std::string mutation;
+    sim::Time checkpoint_every = sim::kMillisecond;
+    /// The replay still shows the bug: any violation for the forward
+    /// engine, one in the target's witness family for the backward one.
+    std::function<bool(const std::vector<Violation>&)> still_fails;
+    /// Counts every replay when set: the backward engine's budget includes
+    /// its shrink and trace replays; the forward engine's runs do not.
+    std::size_t* replays = nullptr;
+
+    /// Replays `choices`, keying its checkpoints from `key_from` on.
+    [[nodiscard]] RunResult run(const ChoiceSet& choices, bool collect_trace = false,
+                                sim::Time key_from = kKeyNothing) const;
+};
+
+/// Greedy minimization: drops forced picks one at a time while the replay
+/// still fails.
+[[nodiscard]] ChoiceSet shrink(const Search& search, ChoiceSet failing);
+
+/// Shrinks `failing`, replays the result with a trace (falling back to
+/// `failing` itself when the shrunk set no longer fails) and packages that
+/// replay: its choices, script and trace. `found` are the violations the
+/// search saw, reported if no traced replay fails.
+[[nodiscard]] Counterexample package_counterexample(const Search& search,
+                                                    const ChoiceSet& failing,
+                                                    const std::vector<Violation>& found);
+
+/// Single-fault semantics: a branch forces at most one frame loss and one
+/// fault per execution. Built from what `branch`, whose run recorded
+/// `trace`, has already forced; allows() says whether it may force one
+/// more pick of a kind.
+struct FaultBudget {
+    FaultBudget(const ChoiceSet& branch, const std::vector<ChoiceRec>& trace);
+    [[nodiscard]] bool allows(sim::ChoicePoint::Kind kind) const {
+        using Kind = sim::ChoicePoint::Kind;
+        return !(kind == Kind::kFrameLoss && loss) && !(kind == Kind::kFault && fault);
+    }
+    bool loss = false;
+    bool fault = false;
+};
+
+/// Publishes the counters both engines report under `labels`; each engine
+/// adds its own beside them.
+void publish_search_metrics(telemetry::Registry& registry,
+                            const telemetry::LabelSet& labels, std::size_t runs,
+                            std::size_t violating_runs, std::size_t skipped_branches,
+                            std::size_t counterexamples);
 
 struct ExploreOptions {
     std::string scenario = "walkthrough";
@@ -76,18 +147,6 @@ struct ExploreOptions {
     telemetry::Registry* metrics = nullptr;
 };
 
-struct Counterexample {
-    ChoiceSet choices; // shrunk to a minimal failing set
-    std::vector<Violation> violations;
-    std::string script;     // pimsim replay (see scenario.hpp)
-    std::string trace_dump; // decoded packet trace of the failing run
-    /// Flight-recorder post-mortem of the failing run: merged time-ordered
-    /// per-hop records (JSON) plus a one-line per-router drop summary
-    /// naming who discarded what and why.
-    std::string provenance_dump;
-    std::string provenance_summary;
-};
-
 struct ExploreReport {
     std::size_t runs = 0;
     std::size_t deduped_states = 0;
@@ -101,10 +160,5 @@ struct ExploreReport {
 };
 
 [[nodiscard]] ExploreReport explore(const ExploreOptions& options);
-
-/// Greedy minimization: drops forced picks one at a time while the run
-/// keeps violating. Exposed for tests.
-[[nodiscard]] ChoiceSet shrink_counterexample(const ExploreOptions& options,
-                                              ChoiceSet failing);
 
 } // namespace pimlib::check

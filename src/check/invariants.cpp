@@ -53,7 +53,7 @@ std::string segment_name(const std::vector<std::string>& names, int id) {
 
 } // namespace
 
-std::vector<Violation> loop_violations(const CrossingMap& crossings,
+std::vector<Violation> loop_violations(const Crossings& crossings,
                                        const std::vector<std::string>& segment_names,
                                        std::uint64_t ttl_drops) {
     std::vector<Violation> out;
@@ -63,13 +63,16 @@ std::vector<Violation> loop_violations(const CrossingMap& crossings,
                            " data packet(s) dropped for TTL exhaustion"});
     }
     int reported = 0;
-    for (const auto& [key, count] : crossings) {
-        if (count <= kCrossingBound) continue;
-        if (++reported > 3) break;
-        out.push_back({"forwarding-loop",
-                       "seq " + std::to_string(key.first) + " crossed segment " +
-                           segment_name(segment_names, key.second) + " " +
-                           std::to_string(count) + " times"});
+    for (std::uint64_t seq = 0; seq < crossings.seq_end() && reported < 3; ++seq) {
+        for (int seg = 0; seg < crossings.segments() && reported < 3; ++seg) {
+            const int count = crossings.count(seq, seg);
+            if (count <= kCrossingBound) continue;
+            ++reported;
+            out.push_back({"forwarding-loop",
+                           "seq " + std::to_string(seq) + " crossed segment " +
+                               segment_name(segment_names, seg) + " " +
+                               std::to_string(count) + " times"});
+        }
     }
     return out;
 }
@@ -117,18 +120,18 @@ std::vector<Violation> steady_duplicate_violations(
 }
 
 std::vector<Violation> steady_redundancy_violations(
-    const CrossingMap& crossings, const std::vector<std::string>& segment_names,
+    const Crossings& crossings, const std::vector<std::string>& segment_names,
     std::uint64_t first_seq, std::uint64_t last_seq, int want_total) {
     std::vector<Violation> out;
     for (std::uint64_t s = first_seq; s <= last_seq; ++s) {
         int total = 0;
         std::string breakdown;
-        for (const auto& [key, count] : crossings) {
-            if (key.first != s) continue;
+        for (int seg = 0; seg < crossings.segments(); ++seg) {
+            const int count = crossings.count(s, seg);
+            if (count == 0) continue;
             total += count;
             breakdown += (breakdown.empty() ? "" : ", ") +
-                         segment_name(segment_names, key.second) + "x" +
-                         std::to_string(count);
+                         segment_name(segment_names, seg) + "x" + std::to_string(count);
         }
         if (total != want_total) {
             out.push_back({"steady-redundancy",
@@ -141,15 +144,13 @@ std::vector<Violation> steady_redundancy_violations(
     return out;
 }
 
-std::vector<Violation> assert_winner_violations(const CrossingMap& crossings,
+std::vector<Violation> assert_winner_violations(const Crossings& crossings,
                                                 int lan_segment,
                                                 std::uint64_t first_seq,
                                                 std::uint64_t last_seq) {
     std::vector<Violation> out;
     for (std::uint64_t s = first_seq; s <= last_seq; ++s) {
-        int on_lan = 0;
-        const auto it = crossings.find({s, lan_segment});
-        if (it != crossings.end()) on_lan = it->second;
+        const int on_lan = crossings.count(s, lan_segment);
         if (on_lan != 1) {
             out.push_back({"assert-winner",
                            "steady seq " + std::to_string(s) + " crossed dlan " +

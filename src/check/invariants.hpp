@@ -12,11 +12,11 @@
 //              share its iif
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "net/ipv4.hpp"
@@ -32,9 +32,39 @@ struct Violation {
     std::string detail;
 };
 
-/// (seq, segment id) -> number of times the checker group's data crossed
-/// that segment. Built by the scenario driver's packet tap.
-using CrossingMap = std::map<std::pair<std::uint64_t, int>, int>;
+/// How often the checker group's data crossed each segment, per (seq,
+/// segment id): a flat table indexed by seq (rows grown on demand) and
+/// segment id, filled by the scenario driver's packet tap. The oracles
+/// visit it in (seq, segment) order.
+class Crossings {
+public:
+    /// Segment ids [0, segments), rows for the seqs below `seqs` up front.
+    explicit Crossings(int segments, std::uint64_t seqs = 0)
+        : segments_(segments), counts_(cell(seqs, 0)) {
+        assert(segments > 0);
+    }
+
+    void add(std::uint64_t seq, int segment) {
+        assert(segment >= 0 && segment < segments_);
+        if (cell(seq, segment) >= counts_.size()) counts_.resize(cell(seq + 1, 0));
+        ++counts_[cell(seq, segment)];
+    }
+    /// 0 where the table has no cell.
+    [[nodiscard]] int count(std::uint64_t seq, int segment) const {
+        return segment < segments_ && cell(seq, segment) < counts_.size()
+                   ? counts_[cell(seq, segment)] : 0;
+    }
+    /// One past the highest seq with a row.
+    [[nodiscard]] std::uint64_t seq_end() const { return counts_.size() / cell(1, 0); }
+    [[nodiscard]] int segments() const { return segments_; }
+
+private:
+    [[nodiscard]] std::size_t cell(std::uint64_t seq, int segment) const {
+        return seq * static_cast<std::size_t>(segments_) + static_cast<std::size_t>(segment);
+    }
+    int segments_;
+    std::vector<int> counts_;
+};
 
 /// Bounds shared by the offline oracles. A data packet legitimately
 /// crosses a segment once; the register/native overlap of an SPT
@@ -69,7 +99,7 @@ struct EntryView {
     const topo::Router& router, const EntryView& entry, const EntryView* wc_shadow);
 
 // ---------------------------------------------------------------------------
-// Pure oracle functions. Each takes plain evidence (crossing maps, received
+// Pure oracle functions. Each takes plain evidence (crossing tables, received
 // sequence sets, MRIB snapshots) and returns the violations it implies —
 // no live network required, so tests/invariants_test.cpp exercises every
 // rule against hand-built fixtures without running a scenario.
@@ -78,7 +108,7 @@ struct EntryView {
 /// forwarding-loop: TTL-exhaustion drops, or any (seq, segment) crossing
 /// count past kCrossingBound (at most 3 reported).
 [[nodiscard]] std::vector<Violation> loop_violations(
-    const CrossingMap& crossings, const std::vector<std::string>& segment_names,
+    const Crossings& crossings, const std::vector<std::string>& segment_names,
     std::uint64_t ttl_drops);
 
 /// duplicate-bound: a host saw more than kDuplicateBound (source,seq)
@@ -99,13 +129,13 @@ struct EntryView {
 /// steady-redundancy: each steady-state seq in [first_seq, last_seq]
 /// crossed exactly `want_total` segments in aggregate.
 [[nodiscard]] std::vector<Violation> steady_redundancy_violations(
-    const CrossingMap& crossings, const std::vector<std::string>& segment_names,
+    const Crossings& crossings, const std::vector<std::string>& segment_names,
     std::uint64_t first_seq, std::uint64_t last_seq, int want_total);
 
 /// assert-winner: each steady seq crossed the contested LAN segment
 /// exactly once — the election must leave exactly one forwarder.
 [[nodiscard]] std::vector<Violation> assert_winner_violations(
-    const CrossingMap& crossings, int lan_segment, std::uint64_t first_seq,
+    const Crossings& crossings, int lan_segment, std::uint64_t first_seq,
     std::uint64_t last_seq);
 
 /// rp-set-agreement (stale-RP detector): every live router derives the

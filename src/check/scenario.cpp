@@ -104,13 +104,6 @@ void check_iif_consistency(RunResult& out, const telemetry::MribSnapshot& snap,
 // Scenarios: embedded scripts, parsed once per process
 // ---------------------------------------------------------------------------
 
-/// Oracles judged only on clean branches (no forced loss, no fault).
-const std::set<std::string> kCleanOracles = {"delivery", "steady-redundancy",
-                                             "steady-iif", "assert-winner"};
-/// Oracles judged on the state captured at the horizon.
-const std::set<std::string> kDeadlineOracles = {"rp-failover", "bsr-rp-rehoming",
-                                                "exactly-one-bsr", "rp-set-agreement"};
-
 /// A checker scenario: its blueprint (the parsed script, topology and
 /// initial routes every run builds from) plus what the oracles read from
 /// it. Built once per process; read-only afterwards, from any thread.
@@ -122,6 +115,8 @@ struct Scenario {
     std::string source{};                     // the data source host, "" if none
     net::GroupAddress group{};                // the joined group
     std::uint64_t seq_count = 0;              // packets the source sends
+    bool at_deadline = false;     // an oracle judges the horizon's state
+    bool reads_bootstrap = false; // ... and reads the bootstrap agents there
 
     [[nodiscard]] const scenario::Script& script() const { return plan.script(); }
 
@@ -142,11 +137,14 @@ Scenario load(std::string_view name, std::string_view text) {
     Scenario sc{.plan = scenario::Blueprint(scenario::parse_script(text))};
     const scenario::Script& s = sc.script();
     for (const scenario::OracleSpec& o : s.oracles) {
-        if (!kCleanOracles.contains(o.name) && !kDeadlineOracles.contains(o.name)) {
+        const Oracle* oracle = find_oracle(o.name);
+        if (oracle == nullptr || !oracle->scripted) {
             throw std::runtime_error(std::string(name) + " line " +
                                      std::to_string(o.line) + ": unknown oracle '" +
                                      o.name + "'");
         }
+        sc.at_deadline |= oracle->at_deadline;
+        sc.reads_bootstrap |= oracle->reads_bootstrap;
     }
     for (const scenario::Action& a : s.actions) {
         if (a.verb == "join" &&
@@ -211,14 +209,14 @@ struct Driver {
     RunResult& out;
     const RunConfig& cfg;
     ChoiceRecorder recorder;
-    CrossingMap crossings;
+    Crossings crossings;
     std::unique_ptr<trace::PacketTracer> tracer;
     std::unique_ptr<provenance::Recorder> flight_recorder;
     std::unique_ptr<Watchdog> watchdog;
 
     Driver(topo::Network& n, RunResult& o, const RunConfig& c,
-           net::Ipv4Address data_source, net::GroupAddress group)
-        : net(n), out(o), cfg(c), recorder(c.choices) {
+           net::Ipv4Address data_source, net::GroupAddress group, Crossings table)
+        : net(n), out(o), cfg(c), recorder(c.choices), crossings(std::move(table)) {
         recorder.bind(net.simulator());
         net.simulator().set_choice_source(&recorder);
         net.add_packet_tap([this, data_source](const topo::Segment& seg,
@@ -226,7 +224,7 @@ struct Driver {
             if (frame.packet.proto != net::IpProto::kUdp) return;
             if (!frame.packet.is_multicast()) return;
             if (frame.packet.src != data_source) return;
-            ++crossings[{frame.packet.seq, seg.id()}];
+            crossings.add(frame.packet.seq, seg.id());
         });
         if (cfg.collect_trace) {
             tracer = std::make_unique<trace::PacketTracer>(net);
@@ -447,14 +445,9 @@ Deadline capture_deadline(const Scenario& sc, scenario::World& world) {
     Deadline d;
     d.mrib = world.stack().capture_mrib();
     scenario::PimSmStack* pim = world.pim_sm();
-    const bool bsr = std::any_of(
-        sc.script().oracles.begin(), sc.script().oracles.end(),
-        [](const scenario::OracleSpec& o) {
-            return o.name == "exactly-one-bsr" || o.name == "rp-set-agreement";
-        });
     // Only bootstrap worlds: bootstrap_at() would start agents in a
     // static-RP world and change the rest of the run.
-    if (!bsr || pim == nullptr) return d;
+    if (!sc.reads_bootstrap || pim == nullptr) return d;
     for (const auto& router : world.net.routers()) {
         if (world.faults().is_crashed(*router)) continue;
         pim::BootstrapAgent& agent = pim->bootstrap_at(*router);
@@ -495,7 +488,7 @@ void judge_one_bsr(RunResult& out, const Deadline& d) {
 void judge(const Scenario& sc, const scenario::OracleSpec& o, scenario::World& world,
            const Driver& driver, const Deadline& deadline, std::uint64_t steady_iif_drops,
            RunResult& out) {
-    if (kCleanOracles.contains(o.name) && !out.clean) return;
+    if (find_oracle(o.name)->clean_only && !out.clean) return;
     if (o.name == "delivery") {
         // §3.3: switching from shared tree to SPT must not lose packets,
         // and soft-state refresh must keep the tree delivering; from the
@@ -598,86 +591,69 @@ std::string_view scenario_script(const std::string& name) {
     return {};
 }
 
-const std::vector<std::string>& known_mutations() {
-    static const std::vector<std::string> names = {
-        "skip-spt-bit-handshake", "no-rp-bit-prune",
-        "assert-loser-keeps-forwarding", "stale-rp-set-after-bsr-failover",
-        "one-shot-assert", "fragile-rp-holdtime"};
-    return names;
-}
-
-const ScenarioInfo& scenario_info(const std::string& name) {
-    return find_scenario(name).info;
-}
-
-const MutationTrigger& trigger_for_mutation(const std::string& mutation) {
+const std::vector<Mutation>& mutations() {
     // The loss windows bracket the one control message whose loss turns the
     // seeded bug into a symptom: the Assert exchange of the first duplicate
     // burst (~280ms, lan-assert) and one mid-run RpReachability refresh on a
     // member's RP-facing link (the ~900ms generation tick, rp-failover).
-    static const std::map<std::string, MutationTrigger> triggers = [] {
-        std::map<std::string, MutationTrigger> m;
-        m["stale-rp-set-after-bsr-failover"] =
-            MutationTrigger{"crash-router-R1", {}};
-        // The window is a third of a millisecond wide on purpose: it must
-        // kill the winner's Assert reply (261.3ms) while delivering the
-        // data copy (261.1ms) and the inferior Assert (261.2ms) that cause
-        // it — dropping those merely postpones the election.
-        m["one-shot-assert"] = MutationTrigger{
-            "", {ForcedLoss{"dlan", 261 * kMs + 250 * sim::kMicrosecond,
-                            261 * kMs + 350 * sim::kMicrosecond}}};
-        m["fragile-rp-holdtime"] =
-            MutationTrigger{"", {ForcedLoss{"M-R1", 850 * kMs, 950 * kMs}}};
-        return m;
-    }();
-    static const MutationTrigger empty;
-    const auto it = triggers.find(mutation);
-    return it == triggers.end() ? empty : it->second;
+    // one-shot-assert's window is a third of a millisecond wide on purpose:
+    // it must kill the winner's Assert reply (261.3ms) while delivering the
+    // data copy (261.1ms) and the inferior Assert (261.2ms) that cause it;
+    // dropping those merely postpones the election.
+    using Config = scenario::StackConfig;
+    static const std::vector<Mutation> all = {
+        {"skip-spt-bit-handshake", "walkthrough", "blackhole", "", {},
+         [](Config& c) { c.pim.mutate_skip_spt_bit_handshake = true; }},
+        {"no-rp-bit-prune", "walkthrough", "duplicate-on-lan", "", {},
+         [](Config& c) { c.pim.mutate_no_rp_bit_prune = true; }},
+        {"assert-loser-keeps-forwarding", "lan-assert", "assert-loser-forwarding", "", {},
+         [](Config& c) { c.pim.mutate_assert_loser_keeps_forwarding = true; }},
+        {"stale-rp-set-after-bsr-failover", "bsr-failover", "stale-rp-set",
+         "crash-router-R1", {},
+         [](Config& c) { c.bootstrap.mutate_stale_rp_set = true; }},
+        {"one-shot-assert", "lan-assert", "duplicate-on-lan", "",
+         {{"dlan", 261 * kMs + 250 * sim::kMicrosecond, 261 * kMs + 350 * sim::kMicrosecond}},
+         [](Config& c) { c.pim.mutate_one_shot_assert = true; }},
+        {"fragile-rp-holdtime", "rp-failover", "blackhole", "",
+         {{"M-R1", 850 * kMs, 950 * kMs}},
+         [](Config& c) { c.pim.mutate_fragile_rp_holdtime = true; }},
+    };
+    return all;
 }
 
-bool apply_mutation(const std::string& mutation, scenario::StackConfig& config) {
-    if (mutation.empty()) return true;
-    if (mutation == "skip-spt-bit-handshake") {
-        config.pim.mutate_skip_spt_bit_handshake = true;
-        return true;
+const Mutation* find_mutation(std::string_view name) {
+    for (const Mutation& m : mutations()) {
+        if (m.name == name) return &m;
     }
-    if (mutation == "no-rp-bit-prune") {
-        config.pim.mutate_no_rp_bit_prune = true;
-        return true;
-    }
-    if (mutation == "assert-loser-keeps-forwarding") {
-        config.pim.mutate_assert_loser_keeps_forwarding = true;
-        return true;
-    }
-    if (mutation == "stale-rp-set-after-bsr-failover") {
-        config.bootstrap.mutate_stale_rp_set = true;
-        return true;
-    }
-    if (mutation == "one-shot-assert") {
-        config.pim.mutate_one_shot_assert = true;
-        return true;
-    }
-    if (mutation == "fragile-rp-holdtime") {
-        config.pim.mutate_fragile_rp_holdtime = true;
-        return true;
-    }
-    return false;
+    return nullptr;
 }
 
-std::string scenario_for_mutation(const std::string& mutation) {
-    if (mutation == "assert-loser-keeps-forwarding") return "lan-assert";
-    if (mutation == "one-shot-assert") return "lan-assert";
-    if (mutation == "stale-rp-set-after-bsr-failover") return "bsr-failover";
-    if (mutation == "fragile-rp-holdtime") return "rp-failover";
-    return "walkthrough";
+const Oracle* find_oracle(std::string_view name) {
+    static constexpr Oracle kOracles[] = {
+        {.name = "duplicate-bound"},
+        {.name = "forwarding-loop"},
+        {.name = "iif-consistency"},
+        {.name = "convergence"},
+        {.name = "delivery", .scripted = true, .clean_only = true},
+        {.name = "steady-duplicate", .clean_only = true}, // reported by delivery
+        {.name = "steady-redundancy", .scripted = true, .clean_only = true},
+        {.name = "steady-iif", .scripted = true, .clean_only = true},
+        {.name = "assert-winner", .scripted = true, .clean_only = true},
+        {.name = "rp-failover", .scripted = true, .at_deadline = true},
+        {.name = "bsr-rp-rehoming", .scripted = true, .at_deadline = true},
+        {.name = "exactly-one-bsr", .scripted = true, .at_deadline = true,
+         .reads_bootstrap = true},
+        {.name = "rp-set-agreement", .scripted = true, .at_deadline = true,
+         .reads_bootstrap = true},
+    };
+    for (const Oracle& o : kOracles) {
+        if (o.name == name) return &o;
+    }
+    return nullptr;
 }
 
-std::string forced_fault_for_mutation(const std::string& mutation) {
-    return trigger_for_mutation(mutation).fault;
-}
-
-bool mutation_requires_search(const std::string& mutation) {
-    return !trigger_for_mutation(mutation).losses.empty();
+const ScenarioInfo& scenario_info(const std::string& name) {
+    return find_scenario(name).info;
 }
 
 RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
@@ -692,10 +668,14 @@ RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
     {
         PROF_ZONE("check.world");
         built.emplace(sc.plan, scenario::World::Observers::kNone, cfg.mutation);
+        // The crossing table's rows for every seq the source sends,
+        // allocated once.
         attached.emplace(built->net, out, cfg,
                          sc.source.empty() ? net::Ipv4Address{}
                                            : built->host(sc.source).address(),
-                         sc.group);
+                         sc.group,
+                         Crossings(static_cast<int>(sc.segment_names.size()),
+                                   sc.seq_count + 1));
         attached->attach_watchdog(built->stack());
         attached->arm_forced_loss(sc.segment_names);
         built->start_workloads();
@@ -713,13 +693,8 @@ RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
     }
     driver.checkpoint_until(script.horizon, world.stack());
     const std::uint64_t steady_iif_drops = iif_drops(world.net.stats()) - iif_base;
-    const bool deadline_oracles =
-        std::any_of(script.oracles.begin(), script.oracles.end(),
-                    [](const scenario::OracleSpec& o) {
-                        return kDeadlineOracles.contains(o.name);
-                    });
     Deadline deadline;
-    if (deadline_oracles) {
+    if (sc.at_deadline) {
         PROF_ZONE("check.oracles");
         deadline = capture_deadline(sc, world);
     }
@@ -788,6 +763,7 @@ std::string replay_script(const std::string& name, const std::string& mutation,
         out += "# fault injections replay at the end; pimsim cannot force "
                "message-level order/loss\n";
     }
+    if (!mutation.empty()) out += "mutate " + mutation + "\n";
     out += sc.script().text;
     if (!out.empty() && out.back() != '\n') out += "\n";
     out += fault_lines;

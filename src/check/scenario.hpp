@@ -44,7 +44,8 @@
 // Oracles that assert efficiency or completeness only apply to "clean"
 // branches — no forced frame loss and no injected fault — because the
 // protocol's own spec tolerates transient loss after a dropped control
-// message (soft state repairs at the next periodic refresh, §3.4).
+// message (soft state repairs at the next periodic refresh, §3.4). Which
+// ones is a flag of the oracle table (Oracle::clean_only, below).
 #pragma once
 
 #include <cstdint>
@@ -74,7 +75,7 @@ struct ForcedLoss {
 struct RunConfig {
     /// Forced picks identifying the branch; empty = baseline run.
     ChoiceSet choices;
-    /// Seeded-bug selector: "" or one of known_mutations().
+    /// Seeded-bug selector: "" or a mutations() name.
     std::string mutation;
     /// Unconditionally apply this fault candidate at the first fault slot
     /// (by label, bypassing the choice machinery). Test hook.
@@ -176,48 +177,64 @@ struct ScenarioInfo {
 /// or "" for unknown names. pimsim runs it unchanged.
 [[nodiscard]] std::string_view scenario_script(const std::string& name);
 
-/// Everything a test needs to make a seeded mutation's symptom appear on
-/// a directly-forced branch: the fault to fire (if fault-dependent) and
-/// the frame-loss windows to apply (if loss-dependent). Baseline-visible
-/// mutations have both parts empty.
-struct MutationTrigger {
-    std::string fault;
-    std::vector<ForcedLoss> losses;
-};
-[[nodiscard]] const MutationTrigger& trigger_for_mutation(const std::string& mutation);
-
-/// True when `mutation`'s symptom only appears under a specific frame-loss
-/// placement (a non-empty trigger loss window) — the mutations where a
-/// search has to *find* the loss, and where backward search's pre-image
-/// ranking earns its keep. Fault-dependent and baseline-visible mutations
-/// return false: any engine trips over those immediately.
-[[nodiscard]] bool mutation_requires_search(const std::string& mutation);
-
 [[nodiscard]] const std::vector<std::string>& scenario_names();
-[[nodiscard]] const std::vector<std::string>& known_mutations();
 
-/// Applies a mutation by name to the stack config; false if unknown.
-[[nodiscard]] bool apply_mutation(const std::string& mutation,
-                                  scenario::StackConfig& config);
+/// One seeded bug: the checker's only description of it. Each re-
+/// introduces a subtle bug the design rules out, through one of the
+/// protocols' `mutate_*` switches.
+struct Mutation {
+    std::string name;
+    /// The scenario whose oracles catch it: each seeded bug only manifests
+    /// in the world built to exercise its mechanism (the assert mutations
+    /// need two parallel upstreams on a LAN).
+    std::string scenario;
+    /// The backward target whose witness family catches its symptom.
+    std::string target;
+    /// The fault (RunConfig::forced_fault syntax) it needs before its
+    /// symptom appears on the deterministic baseline branch, or "" when it
+    /// is visible without one. A stale RP set, for instance, is
+    /// indistinguishable from a fresh one until the elected BSR dies.
+    std::string forced_fault;
+    /// The frame-loss windows that turn it into a symptom on a directly
+    /// forced branch; empty for fault-dependent and baseline-visible bugs.
+    std::vector<ForcedLoss> losses;
+    /// Sets its StackConfig switch.
+    void (*apply)(scenario::StackConfig&) = nullptr;
 
-/// The scenario whose oracles catch `mutation` — each seeded bug only
-/// manifests in the world built to exercise its mechanism (e.g. the assert
-/// mutations need two parallel upstreams on a LAN). Defaults to
-/// "walkthrough" for unknown names.
-[[nodiscard]] std::string scenario_for_mutation(const std::string& mutation);
+    /// Its symptom only appears under a specific frame-loss placement: a
+    /// search has to *find* the loss, and backward search's pre-image
+    /// ranking earns its keep. Any engine trips over the others at once.
+    [[nodiscard]] bool requires_search() const { return !losses.empty(); }
+};
 
-/// The fault (RunConfig::forced_fault syntax) a mutation needs before its
-/// symptom appears on the deterministic baseline branch, or "" when it is
-/// visible without one. A stale RP set, for instance, is indistinguishable
-/// from a fresh one until the elected BSR actually dies.
-[[nodiscard]] std::string forced_fault_for_mutation(const std::string& mutation);
+/// Every seeded mutation, in a fixed order.
+[[nodiscard]] const std::vector<Mutation>& mutations();
+/// The mutation named `name`, or nullptr.
+[[nodiscard]] const Mutation* find_mutation(std::string_view name);
+
+/// What an oracle is, beyond the code that judges it (see the list above):
+/// whether a script may name it in an `oracle` line (the others judge
+/// every scenario, or are verdicts another oracle reports), whether it is
+/// judged only on clean branches, on the state captured at the horizon,
+/// and on the bootstrap agents' state there.
+struct Oracle {
+    std::string_view name;
+    bool scripted = false;
+    bool clean_only = false;
+    bool at_deadline = false;
+    bool reads_bootstrap = false;
+};
+
+/// The oracle named `name`, or nullptr.
+[[nodiscard]] const Oracle* find_oracle(std::string_view name);
 
 /// Runs one branch of `name`. Aborts (assert) on unknown scenario names —
 /// callers validate against scenario_names() first.
 [[nodiscard]] RunResult run_scenario(const std::string& name, const RunConfig& cfg);
 
 /// A pimsim script reproducing `result`'s branch of `name`: the scenario's
-/// own script plus the picked fault candidates as `at` lines, so topology,
+/// own script after a `mutate` line naming `mutation` (if any), plus the
+/// picked fault candidates as `at` lines, so the seeded bug, topology,
 /// stimuli and fault injections replay exactly; message-level order/loss
 /// choices (which pimsim cannot force) are documented in a comment header,
 /// including the --replay spec for reproducing them in pimcheck.

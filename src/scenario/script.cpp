@@ -315,8 +315,7 @@ Script parse_script(std::string_view text) {
             if (every <= 0) fail(line, word + " needs a positive time");
         } else if (word == "mutate") {
             need(1, "a mutation name");
-            const Words& known = check::known_mutations();
-            if (std::find(known.begin(), known.end(), w[1]) == known.end()) {
+            if (check::find_mutation(w[1]) == nullptr) {
                 fail(line, "unknown mutation '" + w[1] + "' (see pimcheck --list)");
             }
             s.mutations.push_back(w[1]);

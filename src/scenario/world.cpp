@@ -79,10 +79,13 @@ World::World(const Blueprint& plan, Observers observers, const std::string& muta
     }
 
     config_ = StackConfig{}.scaled(0.01);
-    for (const std::string& m : script.mutations) (void)check::apply_mutation(m, config_);
-    if (!check::apply_mutation(mutation, config_)) {
-        throw std::runtime_error("unknown mutation '" + mutation + "'");
-    }
+    const auto apply = [this](const std::string& name) {
+        const check::Mutation* m = check::find_mutation(name);
+        if (m == nullptr) throw std::runtime_error("unknown mutation '" + name + "'");
+        m->apply(config_);
+    };
+    for (const std::string& m : script.mutations) apply(m);
+    if (!mutation.empty()) apply(mutation);
     config_.pim.spt_policy = script.spt_policy;
     stack_ = make_stack(script.protocol, net, config_);
     for (const Script::Rp& rp : script.rps) {

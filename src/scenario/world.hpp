@@ -77,7 +77,7 @@ public:
     enum class Observers { kNone, kScript };
 
     /// Builds the world from `plan`, which must outlive it. `mutation` (a
-    /// check::known_mutations() name or "") is applied on top of the
+    /// check::mutations() name or "") is applied on top of the
     /// script's own `mutate` lines. Throws std::runtime_error on unknown
     /// names in the script.
     explicit World(const Blueprint& plan, Observers observers = Observers::kNone,

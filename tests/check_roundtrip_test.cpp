@@ -87,7 +87,7 @@ void expect_round_trip(const Counterexample& ce) {
 TEST(CounterexampleRoundTrip, ForwardBaselineVisibleMutation) {
     pimlib::check::ExploreOptions options;
     options.mutation = "assert-loser-keeps-forwarding";
-    options.scenario = pimlib::check::scenario_for_mutation(options.mutation);
+    options.scenario = pimlib::check::find_mutation(options.mutation)->scenario;
     options.max_runs = 5;
     options.stop_at_first_violation = true;
     const auto report = pimlib::check::explore(options);
@@ -98,9 +98,8 @@ TEST(CounterexampleRoundTrip, ForwardBaselineVisibleMutation) {
 TEST(CounterexampleRoundTrip, BackwardFaultDependentMutation) {
     pimlib::check::BackwardOptions options;
     options.mutation = "stale-rp-set-after-bsr-failover";
-    options.target = pimlib::check::target_for_mutation(options.mutation);
-    options.scenario =
-        pimlib::check::scenario_for_mutation(options.mutation);
+    options.target = pimlib::check::find_mutation(options.mutation)->target;
+    options.scenario = pimlib::check::find_mutation(options.mutation)->scenario;
     options.max_replays = 50;
     const auto report = pimlib::check::backward_search(options);
     ASSERT_TRUE(report.found());
@@ -110,9 +109,8 @@ TEST(CounterexampleRoundTrip, BackwardFaultDependentMutation) {
 TEST(CounterexampleRoundTrip, BackwardLossDependentMutation) {
     pimlib::check::BackwardOptions options;
     options.mutation = "one-shot-assert";
-    options.target = pimlib::check::target_for_mutation(options.mutation);
-    options.scenario =
-        pimlib::check::scenario_for_mutation(options.mutation);
+    options.target = pimlib::check::find_mutation(options.mutation)->target;
+    options.scenario = pimlib::check::find_mutation(options.mutation)->scenario;
     options.max_replays = 100;
     const auto report = pimlib::check::backward_search(options);
     ASSERT_TRUE(report.found());
@@ -126,9 +124,8 @@ TEST(CounterexampleRoundTrip, EmittedScriptIsLoadablePimsimScenario) {
     // crash/restart fault directives too.
     pimlib::check::BackwardOptions options;
     options.mutation = "stale-rp-set-after-bsr-failover";
-    options.target = pimlib::check::target_for_mutation(options.mutation);
-    options.scenario =
-        pimlib::check::scenario_for_mutation(options.mutation);
+    options.target = pimlib::check::find_mutation(options.mutation)->target;
+    options.scenario = pimlib::check::find_mutation(options.mutation)->scenario;
     options.max_replays = 50;
     const auto report = pimlib::check::backward_search(options);
     ASSERT_TRUE(report.found());
@@ -140,6 +137,28 @@ TEST(CounterexampleRoundTrip, EmittedScriptIsLoadablePimsimScenario) {
     EXPECT_NO_THROW(held = run_script(script));
     EXPECT_TRUE(held);
     (void)testing::internal::GetCapturedStdout();
+}
+
+TEST(CounterexampleRoundTrip, EmittedScriptCarriesItsMutation) {
+    // pimsim runs the script alone: without its `mutate` line a mutated
+    // counterexample replays on the healthy protocol and shows nothing.
+    for (const pimlib::check::Mutation& mutation : pimlib::check::mutations()) {
+        SCOPED_TRACE(mutation.name);
+        RunConfig cfg;
+        cfg.mutation = mutation.name;
+        cfg.forced_fault = mutation.forced_fault;
+        cfg.forced_loss = mutation.losses;
+        const std::string script = pimlib::check::replay_script(
+            mutation.scenario, mutation.name,
+            pimlib::check::run_scenario(mutation.scenario, cfg));
+        EXPECT_EQ(pimlib::scenario::parse_script(script).mutations,
+                  std::vector<std::string>{mutation.name});
+        testing::internal::CaptureStdout();
+        bool held = false;
+        EXPECT_NO_THROW(held = run_script(script));
+        EXPECT_TRUE(held);
+        (void)testing::internal::GetCapturedStdout();
+    }
 }
 
 /// What parsing, building and running `text` throws, or "" when it runs.

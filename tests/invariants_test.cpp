@@ -16,24 +16,35 @@
 namespace pimlib::test {
 namespace {
 
-using check::CrossingMap;
 using check::EntryView;
 using check::Violation;
 
 const std::vector<std::string> kSegments = {"lan0", "A-B", "B-C"};
 
+/// A crossing table over `segments` ids holding `counts`:
+/// (seq, segment) -> crossings.
+check::Crossings crossing_table(const std::map<std::pair<std::uint64_t, int>, int>& counts,
+                                int segments = static_cast<int>(kSegments.size())) {
+    check::Crossings table(segments);
+    for (const auto& [key, n] : counts) {
+        for (int i = 0; i < n; ++i) table.add(key.first, key.second);
+    }
+    return table;
+}
+
 TEST(LoopOracle, TtlDropsAreALoop) {
-    const auto v = check::loop_violations({}, kSegments, 2);
+    const auto v = check::loop_violations(crossing_table({}), kSegments, 2);
     ASSERT_EQ(v.size(), 1u);
     EXPECT_EQ(v[0].oracle, "forwarding-loop");
     EXPECT_NE(v[0].detail.find("TTL exhaustion"), std::string::npos);
 }
 
 TEST(LoopOracle, CrossingBoundIsInclusive) {
-    CrossingMap at_bound{{{7, 1}, check::kCrossingBound}};
+    const check::Crossings at_bound = crossing_table({{{7, 1}, check::kCrossingBound}});
     EXPECT_TRUE(check::loop_violations(at_bound, kSegments, 0).empty());
 
-    CrossingMap past_bound{{{7, 1}, check::kCrossingBound + 1}};
+    const check::Crossings past_bound =
+        crossing_table({{{7, 1}, check::kCrossingBound + 1}});
     const auto v = check::loop_violations(past_bound, kSegments, 0);
     ASSERT_EQ(v.size(), 1u);
     EXPECT_EQ(v[0].oracle, "forwarding-loop");
@@ -42,15 +53,22 @@ TEST(LoopOracle, CrossingBoundIsInclusive) {
 }
 
 TEST(LoopOracle, ReportsAtMostThreeCirclingSequences) {
-    CrossingMap crossings;
-    for (std::uint64_t seq = 0; seq < 10; ++seq) {
-        crossings[{seq, 0}] = check::kCrossingBound + 3;
+    std::map<std::pair<std::uint64_t, int>, int> counts;
+    for (std::uint64_t seq = 9; seq > 0; --seq) {
+        counts[{seq, 2}] = check::kCrossingBound + 3;
+        counts[{seq, 0}] = check::kCrossingBound + 1;
     }
-    EXPECT_EQ(check::loop_violations(crossings, kSegments, 0).size(), 3u);
+    // The first three in (seq, segment) order, whatever order they came in.
+    const auto v = check::loop_violations(crossing_table(counts), kSegments, 0);
+    ASSERT_EQ(v.size(), 3u);
+    EXPECT_EQ(v[0].detail, "seq 1 crossed segment lan0 5 times");
+    EXPECT_EQ(v[1].detail, "seq 1 crossed segment B-C 7 times");
+    EXPECT_EQ(v[2].detail, "seq 2 crossed segment lan0 5 times");
 }
 
 TEST(LoopOracle, UnknownSegmentIdFallsBackToNumber) {
-    CrossingMap crossings{{{1, 42}, check::kCrossingBound + 1}};
+    const check::Crossings crossings =
+        crossing_table({{{1, 42}, check::kCrossingBound + 1}}, 43);
     const auto v = check::loop_violations(crossings, kSegments, 0);
     ASSERT_EQ(v.size(), 1u);
     EXPECT_NE(v[0].detail.find("segment 42"), std::string::npos);
@@ -90,7 +108,7 @@ TEST(SteadyDuplicateOracle, SingleCopyCleanDoubleCopyViolates) {
 
 TEST(SteadyRedundancyOracle, AggregatesAcrossSegments) {
     // seq 5 crosses lan0 once and A-B once: total 2.
-    CrossingMap crossings{{{5, 0}, 1}, {{5, 1}, 1}};
+    const check::Crossings crossings = crossing_table({{{5, 0}, 1}, {{5, 1}, 1}});
     EXPECT_TRUE(
         check::steady_redundancy_violations(crossings, kSegments, 5, 5, 2).empty());
 
@@ -102,23 +120,23 @@ TEST(SteadyRedundancyOracle, AggregatesAcrossSegments) {
 }
 
 TEST(SteadyRedundancyOracle, MissingSequenceCountsAsZero) {
-    const auto v = check::steady_redundancy_violations({}, kSegments, 1, 2, 1);
+    const auto v = check::steady_redundancy_violations(crossing_table({}), kSegments, 1, 2, 1);
     EXPECT_EQ(v.size(), 2u); // both seqs crossed 0 segments
 }
 
 TEST(AssertWinnerOracle, ExactlyOneForwarderRequired) {
     const int lan = 2;
-    CrossingMap one{{{3, lan}, 1}};
+    const check::Crossings one = crossing_table({{{3, lan}, 1}});
     EXPECT_TRUE(check::assert_winner_violations(one, lan, 3, 3).empty());
 
-    CrossingMap dup{{{3, lan}, 2}};
+    const check::Crossings dup = crossing_table({{{3, lan}, 2}});
     auto v = check::assert_winner_violations(dup, lan, 3, 3);
     ASSERT_EQ(v.size(), 1u);
     EXPECT_EQ(v[0].oracle, "assert-winner");
 
     // A sequence that never crossed the LAN at all is equally a violation
     // (the election blackholed the LAN instead of leaving one forwarder).
-    v = check::assert_winner_violations({}, lan, 3, 3);
+    v = check::assert_winner_violations(crossing_table({}), lan, 3, 3);
     ASSERT_EQ(v.size(), 1u);
     EXPECT_NE(v[0].detail.find("crossed dlan 0 times"), std::string::npos);
 }
