@@ -382,6 +382,102 @@ TEST(CheckScenario, MutationsFailTheTriggeredBranch) {
     }
 }
 
+TEST(CheckScenario, VerdictsUnchanged) {
+    // The rendered violation list of every scenario's baseline replay and
+    // of every mutation's directly forced branch (its fault and losses, as
+    // above). Counterexample headers, --replay output and the smoke report
+    // quote these texts, so a change to how an oracle reads the world must
+    // not move a byte of them.
+    struct Pinned {
+        std::string scenario;
+        std::string mutation;
+        std::string violations;
+    };
+    const std::vector<Pinned> pinned = {
+        {"walkthrough", "", ""},
+        {"rp-failover", "", ""},
+        {"lan-assert", "", ""},
+        {"bsr-failover", "", ""},
+        {"walkthrough", "skip-spt-bit-handshake",
+         "delivery: receiver never received seq(s) 2,3\n"},
+        {"walkthrough", "no-rp-bit-prune",
+         "steady-redundancy: steady seq 13 crossed 8 segment(s), want 7 (A-Ex1, "
+         "E-Bx1, A-Cx1, B-Cx1, C-Dx1, lan0(A)x1, lan1(B)x1, lan2(D)x1)\n"
+         "steady-redundancy: steady seq 14 crossed 8 segment(s), want 7 (A-Ex1, "
+         "E-Bx1, A-Cx1, B-Cx1, C-Dx1, lan0(A)x1, lan1(B)x1, lan2(D)x1)\n"
+         "steady-redundancy: steady seq 15 crossed 8 segment(s), want 7 (A-Ex1, "
+         "E-Bx1, A-Cx1, B-Cx1, C-Dx1, lan0(A)x1, lan1(B)x1, lan2(D)x1)\n"
+         "steady-redundancy: steady seq 16 crossed 8 segment(s), want 7 (A-Ex1, "
+         "E-Bx1, A-Cx1, B-Cx1, C-Dx1, lan0(A)x1, lan1(B)x1, lan2(D)x1)\n"
+         "steady-redundancy: steady seq 17 crossed 8 segment(s), want 7 (A-Ex1, "
+         "E-Bx1, A-Cx1, B-Cx1, C-Dx1, lan0(A)x1, lan1(B)x1, lan2(D)x1)\n"
+         "steady-redundancy: steady seq 18 crossed 8 segment(s), want 7 (A-Ex1, "
+         "E-Bx1, A-Cx1, B-Cx1, C-Dx1, lan0(A)x1, lan1(B)x1, lan2(D)x1)\n"
+         "steady-iif: 6 iif-check drops during the steady-state window\n"},
+        {"lan-assert", "assert-loser-keeps-forwarding",
+         "duplicate-bound: rcv1 saw 17 duplicate data packets (bound 6)\n"
+         "duplicate-bound: rcv2 saw 17 duplicate data packets (bound 6)\n"
+         "steady-duplicate: rcv1 received steady seq 13 2 times\n"
+         "steady-duplicate: rcv1 received steady seq 14 2 times\n"
+         "steady-duplicate: rcv1 received steady seq 15 2 times\n"
+         "steady-duplicate: rcv1 received steady seq 16 2 times\n"
+         "steady-duplicate: rcv1 received steady seq 17 2 times\n"
+         "steady-duplicate: rcv1 received steady seq 18 2 times\n"
+         "steady-duplicate: rcv2 received steady seq 13 2 times\n"
+         "steady-duplicate: rcv2 received steady seq 14 2 times\n"
+         "steady-duplicate: rcv2 received steady seq 15 2 times\n"
+         "steady-duplicate: rcv2 received steady seq 16 2 times\n"
+         "steady-duplicate: rcv2 received steady seq 17 2 times\n"
+         "steady-duplicate: rcv2 received steady seq 18 2 times\n"
+         "assert-winner: steady seq 13 crossed dlan 2 times; the assert election "
+         "must leave exactly one forwarder\n"
+         "assert-winner: steady seq 14 crossed dlan 2 times; the assert election "
+         "must leave exactly one forwarder\n"
+         "assert-winner: steady seq 15 crossed dlan 2 times; the assert election "
+         "must leave exactly one forwarder\n"
+         "assert-winner: steady seq 16 crossed dlan 2 times; the assert election "
+         "must leave exactly one forwarder\n"
+         "assert-winner: steady seq 17 crossed dlan 2 times; the assert election "
+         "must leave exactly one forwarder\n"
+         "assert-winner: steady seq 18 crossed dlan 2 times; the assert election "
+         "must leave exactly one forwarder\n"
+         "steady-redundancy: steady seq 13 crossed 10 segment(s), want 6 (B-Cx1, "
+         "C-U1x1, B-U2x1, dlanx2, slan(B)x1, rlan0(R)x2, rlan1(R2)x2)\n"
+         "steady-redundancy: steady seq 14 crossed 10 segment(s), want 6 (B-Cx1, "
+         "C-U1x1, B-U2x1, dlanx2, slan(B)x1, rlan0(R)x2, rlan1(R2)x2)\n"
+         "steady-redundancy: steady seq 15 crossed 10 segment(s), want 6 (B-Cx1, "
+         "C-U1x1, B-U2x1, dlanx2, slan(B)x1, rlan0(R)x2, rlan1(R2)x2)\n"
+         "steady-redundancy: steady seq 16 crossed 10 segment(s), want 6 (B-Cx1, "
+         "C-U1x1, B-U2x1, dlanx2, slan(B)x1, rlan0(R)x2, rlan1(R2)x2)\n"
+         "steady-redundancy: steady seq 17 crossed 10 segment(s), want 6 (B-Cx1, "
+         "C-U1x1, B-U2x1, dlanx2, slan(B)x1, rlan0(R)x2, rlan1(R2)x2)\n"
+         "steady-redundancy: steady seq 18 crossed 10 segment(s), want 6 (B-Cx1, "
+         "C-U1x1, B-U2x1, dlanx2, slan(B)x1, rlan0(R)x2, rlan1(R2)x2)\n"},
+        {"bsr-failover", "stale-rp-set-after-bsr-failover",
+         "bsr-rp-rehoming: M (*,G) still rooted at 192.168.0.3, want 192.168.0.4 "
+         "(primary RP R1 crashed)\n"
+         "bsr-rp-rehoming: N (*,G) still rooted at 192.168.0.3, want 192.168.0.4 "
+         "(primary RP R1 crashed)\n"},
+        {"lan-assert", "one-shot-assert",
+         "duplicate-bound: rcv1 saw 17 duplicate data packets (bound 6)\n"
+         "duplicate-bound: rcv2 saw 17 duplicate data packets (bound 6)\n"},
+        {"rp-failover", "fragile-rp-holdtime",
+         "rp-failover: M (*,G) still rooted at 192.168.0.4, want 192.168.0.3\n"},
+    };
+    ASSERT_EQ(pinned.size(), scenario_names().size() + mutations().size());
+    for (const Pinned& p : pinned) {
+        RunConfig cfg;
+        if (const Mutation* mutation = find_mutation(p.mutation)) {
+            ASSERT_EQ(mutation->scenario, p.scenario);
+            cfg.mutation = mutation->name;
+            cfg.forced_fault = mutation->forced_fault;
+            cfg.forced_loss = mutation->losses;
+        }
+        EXPECT_EQ(render(run_scenario(p.scenario, cfg).violations), p.violations)
+            << p.scenario << " " << p.mutation;
+    }
+}
+
 TEST(CheckScenario, RequiresSearchFlagsExactlyTheLossDependentMutations) {
     // The smoke gate's >=5x backward-advantage bar applies only to
     // mutations whose trigger involves frame loss; keep the flag honest.
