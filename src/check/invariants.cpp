@@ -5,41 +5,45 @@
 namespace pimlib::check {
 
 std::vector<std::string> entry_iif_problems(const topo::Router& router,
-                                            const EntryView& entry,
-                                            const EntryView* wc_shadow) {
+                                            const mcast::ForwardingCache& cache,
+                                            const mcast::ForwardingEntry& entry,
+                                            sim::Time now) {
     std::vector<std::string> problems;
-    for (const int oif : entry.oifs) {
-        if (oif == entry.iif && entry.iif >= 0 && !entry.bidirectional) {
-            problems.push_back("iif " + std::to_string(entry.iif) +
-                               " also appears in its own oif list");
-        }
-    }
-    if (!entry.root_known) return problems;
-    if (entry.wildcard || !entry.rp_bit) {
-        // (*,G) roots at the RP, a real (S,G) at its source; both must
-        // point the iif along the unicast RPF path toward that root.
-        if (entry.wildcard && entry.root == router.router_id()) {
-            if (entry.iif != -1) {
-                problems.push_back("entry at its own RP has iif " +
-                                   std::to_string(entry.iif) + ", want -1");
+    const int iif = entry.iif();
+    if (iif >= 0 && !entry.bidirectional()) {
+        entry.for_each_live_oif(now, [&](int oif) {
+            if (oif == iif) {
+                problems.push_back("iif " + std::to_string(iif) +
+                                   " also appears in its own oif list");
             }
-            return problems;
-        }
-        const auto route = router.route_to(entry.root);
-        if (route && route->ifindex != entry.iif) {
-            problems.push_back("iif " + std::to_string(entry.iif) +
-                               " disagrees with unicast RPF interface " +
-                               std::to_string(route->ifindex) + " toward " +
-                               entry.root.to_string());
-        }
-    } else {
+        });
+    }
+    if (!entry.wildcard() && entry.rp_bit()) {
         // Negative cache: must shadow a (*,G) and share its iif (§3.3).
-        if (wc_shadow == nullptr) {
+        const mcast::ForwardingEntry* wc = cache.find_wc(entry.group());
+        if (wc == nullptr) {
             problems.push_back("RP-bit entry outlives its (*,G)");
-        } else if (wc_shadow->iif != entry.iif) {
-            problems.push_back("RP-bit iif " + std::to_string(entry.iif) +
-                               " != (*,G) iif " + std::to_string(wc_shadow->iif));
+        } else if (wc->iif() != iif) {
+            problems.push_back("RP-bit iif " + std::to_string(iif) + " != (*,G) iif " +
+                               std::to_string(wc->iif()));
         }
+        return problems;
+    }
+    // (*,G) roots at the RP, a real (S,G) at its source; both must point
+    // the iif along the unicast RPF path toward that root.
+    const net::Ipv4Address root = entry.source_or_rp();
+    if (entry.wildcard() && root == router.router_id()) {
+        if (iif != -1) {
+            problems.push_back("entry at its own RP has iif " + std::to_string(iif) +
+                               ", want -1");
+        }
+        return problems;
+    }
+    const auto route = router.route_to(root);
+    if (route && route->ifindex != iif) {
+        problems.push_back("iif " + std::to_string(iif) +
+                           " disagrees with unicast RPF interface " +
+                           std::to_string(route->ifindex) + " toward " + root.to_string());
     }
     return problems;
 }
@@ -188,30 +192,25 @@ std::vector<Violation> rp_agreement_violations(
     return out;
 }
 
-std::vector<Violation> rehoming_violations(
-    const std::string& oracle, const telemetry::MribSnapshot& at_deadline,
-    const std::vector<std::string>& members, const std::string& want_rp,
-    const std::string& note) {
+std::vector<Violation> rehoming_violations(const std::string& oracle,
+                                           const std::vector<WcRoot>& roots,
+                                           const std::vector<std::string>& members,
+                                           net::Ipv4Address want_rp,
+                                           const std::string& note) {
     std::vector<Violation> out;
-    for (const telemetry::RouterMrib& r : at_deadline.routers) {
+    for (const WcRoot& r : roots) {
         if (std::find(members.begin(), members.end(), r.router) == members.end()) {
             continue;
         }
-        bool has_wc = false;
-        for (const telemetry::EntrySnapshot& entry : r.entries) {
-            if (!entry.wildcard) continue;
-            has_wc = true;
-            if (entry.source_or_rp != want_rp) {
-                out.push_back({oracle, r.router + " (*,G) still rooted at " +
-                                           entry.source_or_rp + ", want " +
-                                           want_rp + note});
-            }
-        }
-        if (!has_wc) {
+        if (!r.rp) {
             out.push_back({oracle, r.router + " has no (*,G) at the " +
                                        (oracle == "rp-failover" ? "failover"
                                                                 : "re-homing") +
                                        " deadline"});
+        } else if (*r.rp != want_rp) {
+            out.push_back({oracle, r.router + " (*,G) still rooted at " +
+                                       r.rp->to_string() + ", want " +
+                                       want_rp.to_string() + note});
         }
     }
     return out;

@@ -1,7 +1,9 @@
-// The per-entry iif/RPF invariant oracle, factored out of the offline
-// checker so the online watchdog applies the *same* rules to live
-// ForwardingEntry state that pimcheck applies to MRIB snapshots — the two
-// detectors cannot drift apart.
+// The per-entry iif/RPF rule and the checker's pure invariant oracles.
+//
+// entry_iif_problems is the one statement of the iif/RPF rule. It reads a
+// live forwarding entry, and both detectors call it: the offline checker's
+// iif-consistency oracle on the end-of-run caches, and the online iif-rpf
+// watchdog on every sweep. The two cannot drift apart.
 //
 // The rules come straight from the paper:
 //   §2.3/§3.8  an entry's iif must agree with the unicast RPF interface
@@ -15,12 +17,13 @@
 #include <cassert>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "mcast/forwarding_cache.hpp"
 #include "net/ipv4.hpp"
-#include "telemetry/snapshot.hpp"
 #include "topo/router.hpp"
 
 namespace pimlib::check {
@@ -75,32 +78,17 @@ private:
 inline constexpr int kCrossingBound = 4;
 inline constexpr std::size_t kDuplicateBound = 6;
 
-/// Protocol-neutral view of one forwarding entry, buildable from either a
-/// live mcast::ForwardingEntry or a telemetry::EntrySnapshot.
-struct EntryView {
-    bool wildcard = false;
-    bool rp_bit = false;
-    int iif = -1;
-    /// The entry's root: source for (S,G), RP for (*,G).
-    net::Ipv4Address root{};
-    bool root_known = false; // false skips the RPF-agreement check
-    /// Oifs currently in the list (live ones for online checks).
-    std::vector<int> oifs;
-    /// A bidirectional (CBT) entry's iif is a tree interface like its oifs,
-    /// so a member LAN on it lists it as an oif too.
-    bool bidirectional = false;
-};
-
-/// Evaluates one entry against `router`'s unicast RPF state. Returns one
-/// human-readable fragment per problem (empty = entry is consistent).
-/// `wc_shadow` is the same group's (*,G) entry when one exists — required
-/// context for RP-bit negative-cache checks.
+/// Judges `entry` of `router`'s `cache` against the router's unicast RPF
+/// state, with the oifs live at `now`; the cache gives an RP-bit entry its
+/// (*,G) shadow. Returns one human-readable fragment per problem. A
+/// consistent entry gets an empty vector, and nothing is allocated for it.
 [[nodiscard]] std::vector<std::string> entry_iif_problems(
-    const topo::Router& router, const EntryView& entry, const EntryView* wc_shadow);
+    const topo::Router& router, const mcast::ForwardingCache& cache,
+    const mcast::ForwardingEntry& entry, sim::Time now);
 
 // ---------------------------------------------------------------------------
 // Pure oracle functions. Each takes plain evidence (crossing tables, received
-// sequence sets, MRIB snapshots) and returns the violations it implies —
+// sequence sets, (*,G) roots) and returns the violations it implies —
 // no live network required, so tests/invariants_test.cpp exercises every
 // rule against hand-built fixtures without running a scenario.
 // ---------------------------------------------------------------------------
@@ -145,15 +133,21 @@ struct EntryView {
     const std::map<std::string, std::vector<net::Ipv4Address>>& derived,
     const std::string& group);
 
+/// One router's (*,G) root for the checked group, captured at the horizon.
+struct WcRoot {
+    std::string router;
+    std::optional<net::Ipv4Address> rp; // nullopt: the router has no (*,G)
+};
+
 /// Re-homing / blackhole detector shared by the rp-failover and
 /// bsr-failover deadline oracles: every member router in `members` must
-/// hold a (*,G) rooted at `want_rp` in the deadline snapshot — a missing
+/// hold a (*,G) rooted at `want_rp` in `roots` (router order) — a missing
 /// (*,G) is a blackhole, a wrong root is a failed (or spurious) failover.
 /// `oracle` names the emitting rule; `note` is appended to wrong-root
 /// details (e.g. " (primary RP crashed)").
 [[nodiscard]] std::vector<Violation> rehoming_violations(
-    const std::string& oracle, const telemetry::MribSnapshot& at_deadline,
-    const std::vector<std::string>& members, const std::string& want_rp,
+    const std::string& oracle, const std::vector<WcRoot>& roots,
+    const std::vector<std::string>& members, net::Ipv4Address want_rp,
     const std::string& note);
 
 } // namespace pimlib::check

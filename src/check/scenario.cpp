@@ -56,50 +56,6 @@ void append(RunResult& out, std::vector<Violation> found) {
     for (Violation& v : found) out.violations.push_back(std::move(v));
 }
 
-/// Snapshot → protocol-neutral view for the shared per-entry oracle.
-EntryView entry_view(const telemetry::EntrySnapshot& e) {
-    EntryView view;
-    view.wildcard = e.wildcard;
-    view.rp_bit = e.rp_bit;
-    view.iif = e.iif;
-    if (const auto root = net::Ipv4Address::parse(e.source_or_rp)) {
-        view.root = *root;
-        view.root_known = true;
-    }
-    for (const telemetry::OifSnapshot& oif : e.oifs) view.oifs.push_back(oif.ifindex);
-    return view;
-}
-
-/// Every surviving entry's iif must agree with the unicast RPF oracle
-/// toward its root, an RP-bit entry must shadow a live (*,G) (footnote 13),
-/// and no entry may list its own iif as an oif. The per-entry rules live in
-/// check/invariants.hpp, shared with the online iif-rpf watchdog.
-void check_iif_consistency(RunResult& out, const telemetry::MribSnapshot& snap,
-                           scenario::World& world) {
-    for (const telemetry::RouterMrib& r : snap.routers) {
-        const topo::Router& router = world.router(r.router);
-        if (world.faults().is_crashed(router)) continue;
-        for (const telemetry::EntrySnapshot& e : r.entries) {
-            const EntryView view = entry_view(e);
-            EntryView shadow;
-            bool has_shadow = false;
-            if (!e.wildcard && e.rp_bit) {
-                for (const telemetry::EntrySnapshot& other : r.entries) {
-                    if (other.wildcard && other.group == e.group) {
-                        shadow = entry_view(other);
-                        has_shadow = true;
-                    }
-                }
-            }
-            for (const std::string& problem : entry_iif_problems(
-                     router, view, has_shadow ? &shadow : nullptr)) {
-                add_violation(out, "iif-consistency",
-                              r.router + " " + e.key() + ": " + problem);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Scenarios: embedded scripts, parsed once per process
 // ---------------------------------------------------------------------------
@@ -432,7 +388,7 @@ private:
 
 /// Evidence captured at the horizon, before the convergence probes.
 struct Deadline {
-    telemetry::MribSnapshot mrib;
+    std::vector<WcRoot> roots; // every router's (*,G) root for the group
     struct BsrView {
         net::Ipv4Address elected;
         bool claims = false;
@@ -443,7 +399,13 @@ struct Deadline {
 
 Deadline capture_deadline(const Scenario& sc, scenario::World& world) {
     Deadline d;
-    d.mrib = world.stack().capture_mrib();
+    for (const auto& router : world.net.routers()) {
+        const mcast::ForwardingCache* cache = world.stack().cache_of(*router);
+        if (cache == nullptr) continue;
+        const mcast::ForwardingEntry* wc = cache->find_wc(sc.group);
+        d.roots.push_back({router->name(), wc == nullptr ? std::nullopt
+                                                         : std::optional(wc->source_or_rp())});
+    }
     scenario::PimSmStack* pim = world.pim_sm();
     // Only bootstrap worlds: bootstrap_at() would start agents in a
     // static-RP world and change the rest of the run.
@@ -530,9 +492,9 @@ void judge(const Scenario& sc, const scenario::OracleSpec& o, scenario::World& w
                world.faults().is_crashed(world.router(o.args[live]))) {
             ++live;
         }
-        const std::string want = world.router(o.args.at(live)).router_id().to_string();
         append(out, rehoming_violations(
-                        o.name, deadline.mrib, sc.info.member_routers, want,
+                        o.name, deadline.roots, sc.info.member_routers,
+                        world.router(o.args.at(live)).router_id(),
                         live > 0 ? " (primary RP " + o.args[0] + " crashed)" : ""));
     } else if (o.name == "exactly-one-bsr") {
         judge_one_bsr(out, deadline);
@@ -652,6 +614,23 @@ const Oracle* find_oracle(std::string_view name) {
     return nullptr;
 }
 
+std::vector<Violation> iif_consistency_violations(scenario::World& world) {
+    std::vector<Violation> out;
+    const sim::Time now = world.net.simulator().now();
+    mcast::MribWalk(world.stack().caches())
+        .step(std::numeric_limits<std::size_t>::max(),
+              [&](int node, const mcast::ForwardingCache& cache,
+                  const mcast::ForwardingEntry& entry) {
+                  const auto& router = static_cast<const topo::Router&>(world.net.node(node));
+                  if (world.faults().is_crashed(router)) return;
+                  for (std::string& problem : entry_iif_problems(router, cache, entry, now)) {
+                      out.push_back({"iif-consistency",
+                                     router.name() + " " + entry.key() + ": " + problem});
+                  }
+              });
+    return out;
+}
+
 const ScenarioInfo& scenario_info(const std::string& name) {
     return find_scenario(name).info;
 }
@@ -702,7 +681,6 @@ RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
 
     {
         PROF_ZONE("check.oracles");
-        out.final_mrib = world.stack().capture_mrib();
         driver.finish();
         // Oracles every scenario gets, then the script's own in script order.
         append(out, loop_violations(driver.crossings, sc.segment_names,
@@ -711,7 +689,7 @@ RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
             append(out, duplicate_bound_violations(member,
                                                    world.host(member).duplicate_count()));
         }
-        check_iif_consistency(out, out.final_mrib, world);
+        append(out, iif_consistency_violations(world));
         for (const scenario::OracleSpec& o : script.oracles) {
             judge(sc, o, world, driver, deadline, steady_iif_drops, out);
         }

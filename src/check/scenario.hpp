@@ -15,7 +15,7 @@
 //                        a few times, and nothing dies of TTL exhaustion
 //   iif-consistency      every surviving MRIB entry's iif agrees with the
 //                        unicast RPF oracle, and never appears in its own
-//                        oif list (§2.3, §3.8)
+//                        live oif list (§2.3, §3.8)
 //   convergence          after stimuli stop, the global MRIB reaches a
 //                        stable state or a recurrent soft-state orbit
 //   delivery from=T      every packet the source sends is delivered to
@@ -58,7 +58,6 @@
 #include "check/invariants.hpp" // Violation + the pure oracle functions
 #include "scenario/stacks.hpp"
 #include "scenario/world.hpp" // SegmentInfo, FaultSlot
-#include "telemetry/snapshot.hpp"
 
 namespace pimlib::check {
 
@@ -124,7 +123,6 @@ struct RunResult {
     /// Only checkpoints at or after RunConfig::key_from are keyed, so a
     /// forward-search child holds the keys from its fork instant on.
     std::vector<std::uint64_t> state_hashes;
-    telemetry::MribSnapshot final_mrib;
     /// No forced loss, no fault: every efficiency oracle applies.
     bool clean = true;
     bool converged = false;
@@ -227,6 +225,11 @@ struct Oracle {
 
 /// The oracle named `name`, or nullptr.
 [[nodiscard]] const Oracle* find_oracle(std::string_view name);
+
+/// The iif-consistency oracle over `world`'s live forwarding caches now:
+/// entry_iif_problems on every entry of every router that is not crashed,
+/// in router order, (*,G) before (S,G).
+[[nodiscard]] std::vector<Violation> iif_consistency_violations(scenario::World& world);
 
 /// Runs one branch of `name`. Aborts (assert) on unknown scenario names —
 /// callers validate against scenario_names() first.

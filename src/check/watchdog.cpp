@@ -197,52 +197,15 @@ void Watchdog::sweep_entries(sim::Time now) {
 void Watchdog::check_entry(const topo::Router& router,
                            const mcast::ForwardingCache& cache,
                            const mcast::ForwardingEntry& entry, sim::Time now) {
-    // Healthy entries are the overwhelming common case and this runs for
-    // every cache entry on every sweep, so the predicates below mirror
-    // entry_iif_problems allocation-free; the string-building diagnosis is
-    // reached only once an entry has already failed one of them.
-    bool iif_suspect = false;
-    if (entry.iif() >= 0 && !entry.bidirectional()) {
-        entry.for_each_live_oif(now, [&](int oif) {
-            if (oif == entry.iif()) iif_suspect = true;
-        });
-    }
-    if (!entry.wildcard() && entry.rp_bit()) {
-        const mcast::ForwardingEntry* shadow_wc = cache.find_wc(entry.group());
-        if (shadow_wc == nullptr || shadow_wc->iif() != entry.iif()) {
-            iif_suspect = true;
-        }
-    } else if (entry.wildcard() && entry.source_or_rp() == router.router_id()) {
-        if (entry.iif() != -1) iif_suspect = true;
-    } else {
-        const auto route = router.route_to(entry.source_or_rp());
-        if (route && route->ifindex != entry.iif()) iif_suspect = true;
-    }
-    const bool stale =
-        entry.delete_at() > 0 && now > entry.delete_at() + kStaleSlack;
-    if (!iif_suspect && !stale) return;
+    // This runs for every cache entry on every sweep. A healthy entry, the
+    // overwhelming common case, gets an empty problem list and no id, so it
+    // allocates nothing.
+    const std::vector<std::string> problems = entry_iif_problems(router, cache, entry, now);
+    const bool stale = entry.delete_at() > 0 && now > entry.delete_at() + kStaleSlack;
+    if (problems.empty() && !stale) return;
 
-    EntryView view;
-    view.wildcard = entry.wildcard();
-    view.rp_bit = entry.rp_bit();
-    view.iif = entry.iif();
-    view.root = entry.source_or_rp();
-    view.root_known = true;
-    view.bidirectional = entry.bidirectional();
-    entry.for_each_live_oif(now, [&](int oif) { view.oifs.push_back(oif); });
-
-    EntryView shadow;
-    const mcast::ForwardingEntry* wc = nullptr;
-    if (!entry.wildcard() && entry.rp_bit()) {
-        wc = cache.find_wc(entry.group());
-        if (wc != nullptr) {
-            shadow.wildcard = true;
-            shadow.iif = wc->iif();
-        }
-    }
     const std::string id = router.name() + " " + entry.describe();
-    for (const std::string& problem :
-         entry_iif_problems(router, view, wc != nullptr ? &shadow : nullptr)) {
+    for (const std::string& problem : problems) {
         if (confirm("iif-rpf|" + id + "|" + problem)) {
             raise(WatchdogKind::kIifRpf, router, entry.group(), id + ": " + problem);
         }
@@ -250,7 +213,7 @@ void Watchdog::check_entry(const topo::Router& router,
 
     // Soft-state leak: the delete deadline passed long ago and the entry is
     // still here — the reaper lost track of it (§3.6's 3× refresh bound).
-    if (entry.delete_at() > 0 && now > entry.delete_at() + kStaleSlack) {
+    if (stale) {
         const sim::Time overdue = now - entry.delete_at();
         if (confirm("stale|" + id)) {
             raise(WatchdogKind::kStaleEntry, router, entry.group(),

@@ -12,8 +12,9 @@
 //                  blowing past the checker's bound is a forwarding loop
 //                  or a missing prune
 //   iif-rpf        budgeted walk over every router's live forwarding
-//                  entries applying check/invariants.hpp — the same
-//                  per-entry oracle pimcheck's iif-consistency uses
+//                  entries applying check::entry_iif_problems — the one
+//                  per-entry rule, which pimcheck's iif-consistency
+//                  applies to the same caches at the end of a run
 //   stale-entry    entries whose delete deadline passed long ago and
 //                  RP-bit negative caches that outlived their (*,G):
 //                  soft-state leaks that inflate MRIBs forever

@@ -101,9 +101,13 @@ std::vector<int> ForwardingEntry::expire_oifs(sim::Time now) {
     return removed;
 }
 
+std::string ForwardingEntry::key() const {
+    return (wc_bit_ ? "(*, " : "(" + source_or_rp_.to_string() + ", ") + group_.to_string() +
+           ")";
+}
+
 std::string ForwardingEntry::describe() const {
-    std::string out = wc_bit_ ? "(*, " : "(" + source_or_rp_.to_string() + ", ";
-    out += group_.to_string() + ")";
+    std::string out = key();
     if (wc_bit_) out += " RP=" + source_or_rp_.to_string();
     out += " iif=" + std::to_string(iif_);
     out += " oifs={";

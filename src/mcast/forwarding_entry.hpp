@@ -130,6 +130,9 @@ public:
     [[nodiscard]] sim::Time last_data_at() const { return last_data_; }
     void note_data(sim::Time t) { last_data_ = t; }
 
+    /// "(S, G)" or "(*, G)": the entry's identity, as snapshots key it.
+    [[nodiscard]] std::string key() const;
+    /// key() plus the RP, iif, oif list and flags.
     [[nodiscard]] std::string describe() const;
 
 private:

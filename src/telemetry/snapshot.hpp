@@ -8,11 +8,11 @@
 // remaining, so two captures of a stable tree taken seconds apart diff
 // empty even though every soft-state timer ticked down in between.
 //
-// Snapshots serve diffs, dump-state, the checker's deadline oracles and
-// its final-state report. The checker's per-checkpoint dedup key is not
-// built from them: scenario::StackBase::state_key() hashes the same
-// structural fields straight off the live forwarding caches
-// (mcast::entry_state_hash), with no string and no sort.
+// Snapshots serve pimsim's `snapshot`/`snapshot-every` diffs. The checker
+// builds none: its oracles read the live forwarding caches, and its
+// per-checkpoint dedup key, scenario::StackBase::state_key(), hashes the
+// same structural fields straight off them (mcast::entry_state_hash), with
+// no string and no sort.
 #pragma once
 
 #include <string>

@@ -5,19 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "check/invariants.hpp"
-#include "telemetry/snapshot.hpp"
+#include "mcast/forwarding_cache.hpp"
 #include "test_util.hpp"
 
 namespace pimlib::test {
 namespace {
 
-using check::EntryView;
 using check::Violation;
+using check::WcRoot;
 
 const std::vector<std::string> kSegments = {"lan0", "A-B", "B-C"};
 
@@ -168,25 +169,13 @@ TEST(RpAgreementOracle, UnanimousNonEmptySetIsClean) {
     EXPECT_TRUE(check::rp_agreement_violations(derived, "224.9.9.9").empty());
 }
 
-telemetry::MribSnapshot snapshot_with(const std::string& router,
-                                      const std::string& rp, bool wildcard) {
-    telemetry::MribSnapshot snap;
-    telemetry::RouterMrib mrib;
-    mrib.router = router;
-    telemetry::EntrySnapshot entry;
-    entry.source_or_rp = rp;
-    entry.group = "224.9.9.9";
-    entry.wildcard = wildcard;
-    mrib.entries.push_back(entry);
-    snap.routers.push_back(mrib);
-    return snap;
-}
+const net::Ipv4Address kPrimary(10, 0, 0, 3);
+const net::Ipv4Address kStale(10, 0, 0, 9);
 
 TEST(RehomingOracle, MissingWildcardIsABlackhole) {
-    // The member router only holds an (S,G): no (*,G) at the deadline.
-    const auto snap = snapshot_with("M", "10.0.0.9", /*wildcard=*/false);
-    const auto v =
-        check::rehoming_violations("rp-failover", snap, {"M"}, "10.0.0.3", "");
+    // The member router holds no (*,G) for the group at the deadline.
+    const auto v = check::rehoming_violations("rp-failover", {WcRoot{"M", std::nullopt}},
+                                              {"M"}, kPrimary, "");
     ASSERT_EQ(v.size(), 1u);
     EXPECT_EQ(v[0].oracle, "rp-failover");
     EXPECT_NE(v[0].detail.find("no (*,G) at the failover deadline"),
@@ -194,103 +183,118 @@ TEST(RehomingOracle, MissingWildcardIsABlackhole) {
 }
 
 TEST(RehomingOracle, WrongRootIsAFailedFailover) {
-    const auto snap = snapshot_with("M", "10.0.0.9", /*wildcard=*/true);
-    const auto v = check::rehoming_violations("bsr-rp-rehoming", snap, {"M"},
-                                              "10.0.0.3", " (primary crashed)");
+    const auto v = check::rehoming_violations("bsr-rp-rehoming", {WcRoot{"M", kStale}},
+                                              {"M"}, kPrimary, " (primary crashed)");
     ASSERT_EQ(v.size(), 1u);
     EXPECT_NE(v[0].detail.find("still rooted at 10.0.0.9"), std::string::npos);
     EXPECT_NE(v[0].detail.find("(primary crashed)"), std::string::npos);
 }
 
 TEST(RehomingOracle, NonMembersAndCorrectRootsAreClean) {
-    // "B" is not in the member list, so its wrong-rooted entry is ignored.
-    auto snap = snapshot_with("B", "10.0.0.9", /*wildcard=*/true);
-    EXPECT_TRUE(
-        check::rehoming_violations("rp-failover", snap, {"M"}, "10.0.0.3", "")
-            .empty());
-
-    snap = snapshot_with("M", "10.0.0.3", /*wildcard=*/true);
-    EXPECT_TRUE(
-        check::rehoming_violations("rp-failover", snap, {"M"}, "10.0.0.3", "")
-            .empty());
+    // "B" is not in the member list, so its wrong root is ignored.
+    EXPECT_TRUE(check::rehoming_violations("rp-failover", {WcRoot{"B", kStale}}, {"M"},
+                                           kPrimary, "")
+                    .empty());
+    EXPECT_TRUE(check::rehoming_violations("rp-failover", {WcRoot{"M", kPrimary}}, {"M"},
+                                           kPrimary, "")
+                    .empty());
 }
 
-// --- entry_iif_problems: needs a real router with unicast RPF state. ---
+// --- entry_iif_problems: real entries in a cache on routers with unicast
+// RPF state. A's interface 0 is lan0 (the receiver's), 1 the A-B link. ---
 
 class EntryIifTest : public ::testing::Test {
 protected:
+    /// The rule's findings for `entry` of cache_ at `router`, at now_.
+    std::vector<std::string> problems(const topo::Router& router,
+                                      const mcast::ForwardingEntry& entry) const {
+        return check::entry_iif_problems(router, cache_, entry, now_);
+    }
+
     Fig3Topology topo_;
+    mcast::ForwardingCache cache_;
+    const net::GroupAddress group_{net::Ipv4Address(224, 9, 9, 9)};
+    sim::Time now_ = 0;
 };
 
 TEST_F(EntryIifTest, IifInOwnOifListIsFlagged) {
-    EntryView entry;
-    entry.iif = 0;
-    entry.oifs = {0, 1};
-    const auto problems = check::entry_iif_problems(*topo_.a, entry, nullptr);
-    ASSERT_EQ(problems.size(), 1u);
-    EXPECT_NE(problems[0].find("also appears in its own oif list"),
-              std::string::npos);
+    // The iif itself agrees with RPF toward the source: only the oif list
+    // is wrong.
+    const int toward_source = topo_.ifindex_toward(*topo_.a, *topo_.b);
+    mcast::ForwardingEntry& entry =
+        cache_.ensure_sg(topo_.source->interfaces().front().address, group_);
+    entry.set_iif(toward_source);
+    entry.pin_oif(0);
+    entry.pin_oif(toward_source);
+    const auto found = problems(*topo_.a, entry);
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0], "iif " + std::to_string(toward_source) +
+                            " also appears in its own oif list");
+
+    // A bidirectional (CBT) entry's iif is one more tree interface: a
+    // member LAN on it lists it as an oif too.
+    entry.set_bidirectional(true);
+    EXPECT_TRUE(problems(*topo_.a, entry).empty());
+}
+
+TEST_F(EntryIifTest, OnlyLiveOifsCount) {
+    // A soft-state oif stored past its expiry forwards nothing (the data
+    // plane skips it), so it cannot put the iif on the oif list either.
+    const int toward_source = topo_.ifindex_toward(*topo_.a, *topo_.b);
+    mcast::ForwardingEntry& entry =
+        cache_.ensure_sg(topo_.source->interfaces().front().address, group_);
+    entry.set_iif(toward_source);
+    entry.add_oif(toward_source, 10 * sim::kMillisecond);
+    EXPECT_EQ(problems(*topo_.a, entry).size(), 1u);
+    now_ = 10 * sim::kMillisecond;
+    EXPECT_TRUE(problems(*topo_.a, entry).empty());
 }
 
 TEST_F(EntryIifTest, IifMustFollowUnicastRpf) {
     // A's RPF interface toward the RP (C) is the A-B link.
     const int toward_rp = topo_.ifindex_toward(*topo_.a, *topo_.b);
-    EntryView entry;
-    entry.wildcard = true;
-    entry.root = topo_.c->router_id();
-    entry.root_known = true;
-    entry.iif = toward_rp;
-    EXPECT_TRUE(check::entry_iif_problems(*topo_.a, entry, nullptr).empty());
+    mcast::ForwardingEntry& entry = cache_.ensure_wc(topo_.c->router_id(), group_);
+    entry.set_iif(toward_rp);
+    EXPECT_TRUE(problems(*topo_.a, entry).empty());
 
-    entry.iif = toward_rp + 1; // any other interface disagrees with RPF
-    const auto problems = check::entry_iif_problems(*topo_.a, entry, nullptr);
-    ASSERT_EQ(problems.size(), 1u);
-    EXPECT_NE(problems[0].find("disagrees with unicast RPF interface"),
-              std::string::npos);
+    entry.set_iif(toward_rp + 1); // any other interface disagrees with RPF
+    const auto found = problems(*topo_.a, entry);
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_NE(found[0].find("disagrees with unicast RPF interface"), std::string::npos);
 }
 
 TEST_F(EntryIifTest, WildcardAtItsOwnRpWantsNoIif) {
-    EntryView entry;
-    entry.wildcard = true;
-    entry.root = topo_.c->router_id(); // C is the RP itself
-    entry.root_known = true;
-    entry.iif = 0;
-    const auto problems = check::entry_iif_problems(*topo_.c, entry, nullptr);
-    ASSERT_EQ(problems.size(), 1u);
-    EXPECT_NE(problems[0].find("want -1"), std::string::npos);
+    mcast::ForwardingEntry& entry =
+        cache_.ensure_wc(topo_.c->router_id(), group_); // C is the RP itself
+    entry.set_iif(0);
+    const auto found = problems(*topo_.c, entry);
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_NE(found[0].find("want -1"), std::string::npos);
 
-    entry.iif = -1;
-    EXPECT_TRUE(check::entry_iif_problems(*topo_.c, entry, nullptr).empty());
+    entry.set_iif(-1);
+    EXPECT_TRUE(problems(*topo_.c, entry).empty());
 }
 
 TEST_F(EntryIifTest, RpBitNegativeCacheMustShadowWildcard) {
-    EntryView rp_bit;
-    rp_bit.rp_bit = true;
-    rp_bit.root = topo_.source->interfaces().front().address;
-    rp_bit.root_known = true;
-    rp_bit.iif = 1;
+    mcast::ForwardingEntry& rp_bit =
+        cache_.ensure_sg(topo_.source->interfaces().front().address, group_);
+    rp_bit.set_rp_bit(true);
+    rp_bit.set_iif(1);
 
     // No (*,G) shadow at all: the negative cache outlived its parent.
-    auto problems = check::entry_iif_problems(*topo_.a, rp_bit, nullptr);
-    ASSERT_EQ(problems.size(), 1u);
-    EXPECT_NE(problems[0].find("outlives its (*,G)"), std::string::npos);
+    auto found = problems(*topo_.a, rp_bit);
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_NE(found[0].find("outlives its (*,G)"), std::string::npos);
 
     // Shadow present but on a different iif (fn13: they must share it).
-    EntryView shadow;
-    shadow.wildcard = true;
-    shadow.iif = 0;
-    problems = check::entry_iif_problems(*topo_.a, rp_bit, &shadow);
-    ASSERT_EQ(problems.size(), 1u);
-    EXPECT_NE(problems[0].find("!= (*,G) iif"), std::string::npos);
+    mcast::ForwardingEntry& shadow = cache_.ensure_wc(topo_.c->router_id(), group_);
+    shadow.set_iif(0);
+    found = problems(*topo_.a, rp_bit);
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_NE(found[0].find("!= (*,G) iif"), std::string::npos);
 
-    shadow.iif = rp_bit.iif;
-    EXPECT_TRUE(check::entry_iif_problems(*topo_.a, rp_bit, &shadow).empty());
-}
-
-TEST_F(EntryIifTest, UnknownRootSkipsRpfCheck) {
-    EntryView entry;
-    entry.iif = 3; // nonsense, but root_known=false disarms the RPF rule
-    EXPECT_TRUE(check::entry_iif_problems(*topo_.a, entry, nullptr).empty());
+    shadow.set_iif(rp_bit.iif());
+    EXPECT_TRUE(problems(*topo_.a, rp_bit).empty());
 }
 
 } // namespace
